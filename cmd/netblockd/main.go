@@ -22,6 +22,11 @@
 // every reachable replica. -node names this daemon's ring identity; -epoch
 // is the ring version advertised to pinging clients.
 //
+// With -debug-addr the daemon also serves, on that address only, the
+// standard library's /debug/vars (expvar; "netblock_ops" holds the per-op
+// request counts, refusals and service times of netblock.Server.OpStats)
+// and /debug/pprof/. It is off by default; bind it to loopback.
+//
 // SIGINT or SIGTERM drains gracefully: the listener closes, in-flight
 // requests get -drain to finish, and idle connections are dropped. In
 // fleet mode the daemon first deregisters: for one -drain window it keeps
@@ -31,13 +36,17 @@
 package main
 
 import (
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	_ "net/http/pprof" // /debug/pprof/ on http.DefaultServeMux, served only under -debug-addr
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -59,6 +68,48 @@ func main() {
 		fmt.Fprintln(os.Stderr, "netblockd:", err)
 		os.Exit(1)
 	}
+}
+
+// debugServer is the server whose counters /debug/vars shows. expvar's
+// registry is process-wide and takes a name once, while tests call run
+// repeatedly, so the variable is published once and reads whichever server
+// is current.
+var debugServer atomic.Pointer[netblock.Server]
+
+func init() {
+	expvar.Publish("netblock_ops", expvar.Func(func() any {
+		type opVars struct {
+			Count   int64   `json:"count"`
+			Errors  int64   `json:"errors"`
+			TotalUs float64 `json:"total_us"`
+			MeanUs  float64 `json:"mean_us"`
+			MaxUs   float64 `json:"max_us"`
+		}
+		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+		ops := map[string]opVars{}
+		if srv := debugServer.Load(); srv != nil {
+			for _, s := range srv.OpStats() {
+				ops[s.Op] = opVars{s.Count, s.Errors, us(s.Total), us(s.Total) / float64(s.Count), us(s.Max)}
+			}
+		}
+		return ops
+	}))
+}
+
+// serveDebug serves http.DefaultServeMux (expvar's /debug/vars and pprof) on
+// addr until the returned stop function is called.
+func serveDebug(addr string) (bound net.Addr, stop func(), err error) {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("debug listener: %w", err)
+	}
+	hs := &http.Server{Handler: http.DefaultServeMux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = hs.Serve(lis) // always http.ErrServerClosed: only stop ends it
+	}()
+	return lis.Addr(), func() { _ = hs.Close(); <-done }, nil
 }
 
 // parseRing turns "id=addr,id=addr,..." into a member list.
@@ -96,6 +147,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		reps    = fs.Int("replicas", 2, "fleet replication factor")
 		rb      = fs.Int64("range-bytes", 1<<20, "fleet placement-range size in bytes")
 		epoch   = fs.Uint64("epoch", 0, "ring epoch advertised to pinging clients (fleet mode defaults to 1)")
+		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar, per-op counters) and /debug/pprof/ on this address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,6 +240,16 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 	srv.SetEpoch(*epoch)
 	srv.IdleTimeout = *idle
 	srv.DrainGrace = *drain
+	if *debug != "" {
+		dbound, stopDebug, err := serveDebug(*debug)
+		if err != nil {
+			cleanup()
+			return err
+		}
+		debugServer.Store(srv)
+		defer stopDebug() // up through the drain, which is worth watching
+		fmt.Fprintf(stdout, "netblockd: debug on http://%s/debug/vars and /debug/pprof/\n", dbound)
+	}
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		cleanup()

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -276,5 +278,73 @@ func TestBadArgs(t *testing.T) {
 	}
 	if err := run([]string{"-size", "1048576", "-shards", "3"}, &out, nil, nil); err == nil {
 		t.Fatal("indivisible shard split accepted")
+	}
+}
+
+// TestDebugAddrPublishesOpStats: with -debug-addr an operator reads the
+// per-op counters of the running daemon from /debug/vars, and pprof answers
+// beside it; without the flag nothing listens.
+func TestDebugAddrPublishesOpStats(t *testing.T) {
+	var out bytes.Buffer
+	stop := make(chan struct{})
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-size", "1048576",
+			"-debug-addr", "127.0.0.1:0", "-drain", "100ms"}, &out, stop, ready)
+	}()
+	addr := <-ready
+	_, rest, ok := strings.Cut(out.String(), "debug on ")
+	if !ok {
+		t.Fatalf("no debug address announced:\n%s", out.String())
+	}
+	varsURL, _, _ := strings.Cut(rest, " ")
+
+	cli, err := netblock.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := cli.ReadAt(make([]byte, 512), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := http.Get(varsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Ops map[string]struct {
+			Count, Errors int64
+			MeanUs        float64 `json:"mean_us"`
+		} `json:"netblock_ops"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	if r := vars.Ops["read"]; r.Count != 3 || r.Errors != 0 || r.MeanUs <= 0 {
+		t.Fatalf("netblock_ops = %+v, want 3 clean reads with a service time", vars.Ops)
+	}
+	if vars.Ops["size"].Count != 1 {
+		t.Fatalf("netblock_ops = %+v, want the dial's one size op", vars.Ops)
+	}
+	prof, err := http.Get(strings.Replace(varsURL, "/debug/vars", "/debug/pprof/cmdline", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Body.Close()
+	if prof.StatusCode != http.StatusOK {
+		t.Fatalf("pprof status %d", prof.StatusCode)
+	}
+
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := http.Get(varsURL); err == nil {
+		t.Fatal("debug endpoint outlived the daemon")
 	}
 }

@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -89,6 +90,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 type Client struct {
 	mu   sync.Mutex
 	conn io.ReadWriteCloser
+	br   *bufio.Reader // over conn; replaced with it (setConn)
+	fw   frameWriter
 	size int64
 	opts ClientOptions
 	addr string // non-empty when the client can reconnect
@@ -110,19 +113,11 @@ func DialOptions(addr string, o ClientOptions) (*Client, error) {
 	for attempt := 0; ; attempt++ {
 		conn, err := c.dial()
 		if err == nil {
-			c.conn = conn
-			payload, herr := c.attempt(opSize, 0, 0, nil)
-			if herr == nil {
-				if len(payload) != 8 {
-					conn.Close()
-					return nil, fmt.Errorf("%w: size payload %d bytes", ErrProtocol, len(payload))
-				}
-				c.size = int64(binary.BigEndian.Uint64(payload))
+			c.setConn(conn)
+			if err = c.handshake(); err == nil {
 				return c, nil
 			}
 			conn.Close()
-			c.conn = nil
-			err = herr
 			if !transient(err) {
 				return nil, err
 			}
@@ -139,19 +134,31 @@ func DialOptions(addr string, o ClientOptions) (*Client, error) {
 
 // NewClient wraps an established connection (e.g. one side of net.Pipe).
 func NewClient(conn io.ReadWriteCloser) (*Client, error) {
-	c := &Client{conn: conn, opts: ClientOptions{}.withDefaults()}
+	c := &Client{opts: ClientOptions{}.withDefaults()}
 	c.rng = rand.New(rand.NewSource(0))
-	payload, err := c.attempt(opSize, 0, 0, nil)
-	if err != nil {
+	c.setConn(conn)
+	if err := c.handshake(); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if len(payload) != 8 {
-		conn.Close()
-		return nil, fmt.Errorf("%w: size payload %d bytes", ErrProtocol, len(payload))
-	}
-	c.size = int64(binary.BigEndian.Uint64(payload))
 	return c, nil
+}
+
+// setConn installs a connection together with a fresh reader over it: bytes
+// buffered from the previous connection are the tail of a dead stream, and
+// a frame parsed from them would be garbage.
+func (c *Client) setConn(conn io.ReadWriteCloser) {
+	c.conn, c.br = conn, newReader(conn)
+}
+
+// handshake fetches the volume size on a new connection.
+func (c *Client) handshake() error {
+	var size [8]byte
+	if err := c.attempt(opSize, 0, 0, nil, size[:]); err != nil {
+		return err
+	}
+	c.size = int64(binary.BigEndian.Uint64(size[:]))
+	return nil
 }
 
 // Size reports the remote volume size in bytes.
@@ -201,61 +208,68 @@ func (c *Client) backoff(attempt int) {
 // roundTrip performs one operation, reconnecting and retrying transient
 // transport failures up to RetryLimit times. All protocol operations are
 // idempotent (same bytes at the same offset; barrier; size), so retrying
-// after an ambiguous failure is safe.
-func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload []byte) ([]byte, error) {
+// after an ambiguous failure is safe. The response payload lands in dst
+// (see attempt).
+func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := c.opts.Now()
 	for attempt := 0; ; attempt++ {
-		resp, err := c.attempt(op, off, length, payload)
+		err := c.attempt(op, off, length, payload, dst)
 		if err == nil {
-			return resp, nil
+			return nil
 		}
 		if !transient(err) || c.addr == "" || attempt >= c.opts.RetryLimit {
-			return nil, err
+			return err
 		}
 		if berr := c.overBudget(start, err); berr != nil {
-			return nil, berr
+			return berr
 		}
 		c.backoff(attempt)
 		conn, derr := c.dial()
 		if derr != nil {
-			return nil, fmt.Errorf("reconnect after %v: %w", err, derr)
+			return fmt.Errorf("reconnect after %v: %w", err, derr)
 		}
 		c.conn.Close()
-		c.conn = conn
+		c.setConn(conn)
 	}
 }
 
 // attempt sends one request and reads its response on the current
 // connection, applying the per-request deadlines when the transport
-// supports them. Callers hold c.mu (or have exclusive access during
-// setup).
-func (c *Client) attempt(op uint8, off uint64, length uint32, payload []byte) ([]byte, error) {
+// supports them. The payload of an OK response is decoded straight into
+// dst and must be exactly len(dst) bytes — what the op is defined to
+// answer with. Callers hold c.mu (or have exclusive access during setup).
+func (c *Client) attempt(op uint8, off uint64, length uint32, payload, dst []byte) error {
 	dc, _ := c.conn.(deadliner)
 	if dc != nil && c.opts.Timeout > 0 {
 		_ = dc.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	if err := writeRequest(c.conn, op, off, length, payload); err != nil {
-		return nil, err
+	if err := c.fw.writeRequest(c.conn, op, off, length, payload); err != nil {
+		return err
 	}
 	if dc != nil && c.opts.Timeout > 0 {
 		_ = dc.SetReadDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	status, resp, err := readResponse(c.conn)
+	status, text, err := readResponse(c.br, dst)
 	if err != nil {
-		return nil, err
+		if errors.Is(err, ErrProtocol) {
+			// Whatever follows a malformed frame cannot be told from
+			// payload: the stream is done, and a retry must redial.
+			c.conn.Close()
+		}
+		return err
 	}
 	if status != statusOK {
 		// A stale-epoch refusal is still a remote answer (ErrRemote keeps
 		// the retry logic from pointlessly repeating the refusal), but it
 		// additionally carries the routing contract for callers to handle.
-		if strings.Contains(string(resp), StaleEpochText) {
-			return nil, fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, resp)
+		if strings.Contains(string(text), StaleEpochText) {
+			return fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, text)
 		}
-		return nil, fmt.Errorf("%w: %s", ErrRemote, resp)
+		return fmt.Errorf("%w: %s", ErrRemote, text)
 	}
-	return resp, nil
+	return nil
 }
 
 func (c *Client) check(off int64, n int) error {
@@ -264,8 +278,8 @@ func (c *Client) check(off int64, n int) error {
 		return fmt.Errorf("%w: negative range", ErrProtocol)
 	case n > MaxPayload:
 		return fmt.Errorf("%w: transfer %d exceeds limit %d", ErrProtocol, n, MaxPayload)
-	case off+int64(n) > c.size:
-		return fmt.Errorf("%w: [%d,%d) outside volume of %d", ErrRemote, off, off+int64(n), c.size)
+	case off > c.size-int64(n): // off+n would overflow for off near MaxInt64
+		return fmt.Errorf("%w: %d bytes at %d outside volume of %d", ErrRemote, n, off, c.size)
 	}
 	return nil
 }
@@ -281,14 +295,10 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(opRead, uint64(off), uint32(len(p)), nil)
-	if err != nil {
+	if err := c.roundTrip(opRead, uint64(off), uint32(len(p)), nil, p); err != nil {
 		return 0, err
 	}
-	if len(resp) != len(p) {
-		return 0, fmt.Errorf("%w: short read %d of %d", ErrProtocol, len(resp), len(p))
-	}
-	return copy(p, resp), nil
+	return len(p), nil
 }
 
 // WriteAt stores p at off. It implements io.WriterAt. A stale-routed
@@ -300,7 +310,7 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
 	}
-	if _, err := c.roundTrip(opWrite, uint64(off), uint32(len(p)), p); err != nil {
+	if err := c.roundTrip(opWrite, uint64(off), uint32(len(p)), p, nil); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -314,14 +324,12 @@ func (c *Client) Trim(off, n int64) error {
 	if err := c.check(off, int(n)); err != nil {
 		return err
 	}
-	_, err := c.roundTrip(opTrim, uint64(off), uint32(n), nil)
-	return err
+	return c.roundTrip(opTrim, uint64(off), uint32(n), nil, nil)
 }
 
 // Flush is a durability barrier.
 func (c *Client) Flush() error {
-	_, err := c.roundTrip(opFlush, 0, 0, nil)
-	return err
+	return c.roundTrip(opFlush, 0, 0, nil, nil)
 }
 
 // PingInfo is a ping response: the server's volume size, its advertised
@@ -336,12 +344,9 @@ type PingInfo struct {
 // liveness, and the payload carries the routing handshake (size, ring
 // epoch, drain state). Failure detectors also time this call.
 func (c *Client) Ping() (PingInfo, error) {
-	resp, err := c.roundTrip(opPing, 0, 0, nil)
-	if err != nil {
+	var resp [17]byte
+	if err := c.roundTrip(opPing, 0, 0, nil, resp[:]); err != nil {
 		return PingInfo{}, err
-	}
-	if len(resp) != 17 {
-		return PingInfo{}, fmt.Errorf("%w: ping payload %d bytes", ErrProtocol, len(resp))
 	}
 	return PingInfo{
 		Size:     int64(binary.BigEndian.Uint64(resp[0:])),

@@ -1,9 +1,11 @@
 package netblock
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -241,37 +243,11 @@ func TestRetryBudgetBoundsElapsedTime(t *testing.T) {
 // burns the full Timeout.
 func handshakeOnlyListener(t *testing.T) net.Addr {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					req, err := readRequest(c)
-					if err != nil {
-						return
-					}
-					if req.op != opSize {
-						continue // swallow: the client's deadline must fire
-					}
-					var buf [8]byte
-					binary.BigEndian.PutUint64(buf[:], 4096)
-					if err := writeResponse(c, statusOK, buf[:]); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr()
+	return scriptedPeer(t, func(c net.Conn) {
+		// An empty answer swallows the request: the client's deadline
+		// must fire.
+		answerRequests(c, func(*request) ([]byte, bool) { return nil, true })
+	})
 }
 
 func TestRetryBudgetBoundsRequestRetries(t *testing.T) {
@@ -393,5 +369,169 @@ func TestClientOrdinaryRefusalIsNotStale(t *testing.T) {
 	}
 	if errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("ordinary refusal misclassified as stale epoch: %v", err)
+	}
+}
+
+// scriptedPeer serves the i-th accepted connection with script[i] (the
+// last entry serves every later one) and closes it when the script returns.
+func scriptedPeer(t *testing.T, script ...func(net.Conn)) net.Addr {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			serve := script[min(i, len(script)-1)]
+			go func() {
+				defer conn.Close()
+				serve(conn)
+			}()
+		}
+	}()
+	return ln.Addr()
+}
+
+// answerRequests plays a server on conn: it answers the size handshake with
+// a 4096-byte volume and every other request with what answer returns, until
+// answer returns false (the frame it returned is still sent) or conn fails.
+func answerRequests(conn net.Conn, answer func(req *request) (raw []byte, more bool)) {
+	var (
+		br  = newReader(conn)
+		fw  frameWriter
+		req request
+		buf payloadBuf
+	)
+	for {
+		if err := readRequest(br, &req, &buf); err != nil {
+			return
+		}
+		if req.op == opSize {
+			var size [8]byte
+			binary.BigEndian.PutUint64(size[:], 4096)
+			if err := fw.writeResponse(conn, statusOK, size[:]); err != nil {
+				return
+			}
+			continue
+		}
+		raw, more := answer(&req)
+		if _, err := conn.Write(raw); err != nil || !more {
+			return
+		}
+	}
+}
+
+// response encodes one response frame as the server would.
+func response(status uint8, payload []byte) []byte {
+	var (
+		out bytes.Buffer
+		fw  frameWriter
+	)
+	if err := fw.writeResponse(&out, status, payload); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
+}
+
+// TestReconnectDropsBufferedBytes is the regression test for stale bytes in
+// the buffered reader: a connection that dies mid-response leaves the head
+// of a frame buffered, and the retry on a fresh connection must start from
+// a clean reader instead of parsing that tail in front of the new stream.
+// The first connection dies inside the handshake's response (DialOptions'
+// retry), the second inside a read's response (roundTrip's reconnect).
+func TestReconnectDropsBufferedBytes(t *testing.T) {
+	fill := func(req *request) ([]byte, bool) {
+		return response(statusOK, bytes.Repeat([]byte{0x77}, int(req.length))), true
+	}
+	addr := scriptedPeer(t,
+		func(c net.Conn) {
+			var req request
+			if readRequest(newReader(c), &req, new(payloadBuf)) == nil {
+				c.Write(response(statusOK, make([]byte, 8))[:5]) // magic and status, then gone
+			}
+		},
+		func(c net.Conn) {
+			answerRequests(c, func(req *request) ([]byte, bool) {
+				raw, _ := fill(req)
+				return raw[:respHdrLen-2], false // dies two bytes short of a header
+			})
+		},
+		func(c net.Conn) { answerRequests(c, fill) },
+	)
+	cli, err := DialOptions(addr.String(), ClientOptions{
+		RetryLimit: 1,
+		RetryDelay: time.Millisecond,
+		Sleep:      func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatalf("dial across a connection killed mid-handshake: %v", err)
+	}
+	defer cli.Close()
+	got := make([]byte, 16)
+	if _, err := cli.ReadAt(got, 0); err != nil {
+		t.Fatalf("read across a connection killed mid-response: %v", err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0x77}, 16)) {
+		t.Fatalf("read % x after reconnect", got)
+	}
+}
+
+// TestResponseIntoCallerSlice covers decoding straight into the caller's p:
+// an OK response of any other length than len(p) is ErrProtocol and costs
+// the connection, whose framing can no longer be trusted; a refusal's text
+// never lands in p, even at the very length of p, and leaves the connection
+// serving.
+func TestResponseIntoCallerSlice(t *testing.T) {
+	const n = 16
+	sentinel := bytes.Repeat([]byte{0xee}, n)
+	cases := []struct {
+		name    string
+		answer  []byte
+		wantErr error
+		alive   bool // the connection serves the next request
+	}{
+		{"short OK", response(statusOK, make([]byte, n/2)), ErrProtocol, false},
+		{"long OK", response(statusOK, make([]byte, 2*n)), ErrProtocol, false},
+		{"empty OK", response(statusOK, nil), ErrProtocol, false},
+		{"refusal as long as p", response(statusErr, []byte("sixteen byte msg")), ErrRemote, true},
+		{"refusal beyond the kept text", response(statusErr, bytes.Repeat([]byte{'x'}, 3*errTextMax)), ErrRemote, true},
+	}
+	for _, tc := range cases {
+		a, b := net.Pipe()
+		first := true
+		go func() {
+			defer a.Close()
+			answerRequests(a, func(req *request) ([]byte, bool) {
+				if first {
+					first = false
+					return tc.answer, true
+				}
+				return response(statusOK, make([]byte, req.length)), true
+			})
+		}()
+		cli, err := NewClient(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := bytes.Clone(sentinel)
+		if _, err := cli.ReadAt(p, 0); !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if !bytes.Equal(p, sentinel) {
+			t.Errorf("%s: failed read wrote % x into the caller's slice", tc.name, p)
+		}
+		_, err = cli.ReadAt(p, 0)
+		if tc.alive && (err != nil || !bytes.Equal(p, make([]byte, n))) {
+			t.Errorf("%s: next read on the same connection: % x, %v", tc.name, p, err)
+		}
+		if !tc.alive && !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("%s: next read = %v, want the discarded connection's error", tc.name, err)
+		}
+		cli.Close()
 	}
 }

@@ -5,7 +5,23 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+	"testing/iotest"
 )
+
+// chunked delivers data the way the fuzzer's split byte says a network
+// might: whole (0), one byte per Read (1, iotest.OneByteReader), or cut in
+// two Reads at split-2 — inside the header for the small values the seeds
+// use, so a frame is decoded from a header that arrived in pieces.
+func chunked(data []byte, split uint8) io.Reader {
+	switch cut := int(split) - 2; {
+	case split == 0 || cut >= len(data):
+		return bytes.NewReader(data)
+	case split == 1:
+		return iotest.OneByteReader(bytes.NewReader(data))
+	default:
+		return io.MultiReader(bytes.NewReader(data[:cut]), bytes.NewReader(data[cut:]))
+	}
+}
 
 // header assembles a 17-byte request header from its fields; the fuzz
 // corpora below seed the interesting boundary frames and the engine mutates
@@ -20,32 +36,39 @@ func header(magic uint32, op uint8, off uint64, length uint32) []byte {
 }
 
 // FuzzReadRequest throws arbitrary byte streams at the frame decoder. The
-// decoder must never panic, and an accepted frame must satisfy the
-// invariants the server relies on: bounded length, payload fully read for
-// writes, nil payload otherwise.
+// decoder must never panic, and an accepted frame must be the one the bytes
+// spell however they were cut into reads, with the invariants the server
+// relies on: bounded length, payload fully read for writes, nil payload
+// otherwise.
 func FuzzReadRequest(f *testing.F) {
-	f.Add(header(reqMagic, opRead, 0, 4096))
-	f.Add(header(reqMagic, opRead, 1<<63, 4096))          // the remote-panic seed
-	f.Add(header(reqMagic, opWrite, ^uint64(0)-100, 200)) // off+length uint64 wrap
-	f.Add(header(reqMagic, opTrim, 1<<62, MaxPayload))
-	f.Add(header(reqMagic, opPing, ^uint64(0), 1))
-	f.Add(header(reqMagic, opWrite, 0, MaxPayload+1)) // oversized length
-	f.Add(append(header(reqMagic, opWrite, 8, 4), 'd', 'a', 't', 'a'))
-	f.Add(header(0xdeadbeef, opRead, 0, 0)) // bad magic
-	f.Add([]byte("short"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readRequest(bytes.NewReader(data))
-		if err != nil {
-			if req != nil {
-				t.Fatalf("error %v returned non-nil request", err)
-			}
+	f.Add(header(reqMagic, opRead, 0, 4096), uint8(0))
+	f.Add(header(reqMagic, opRead, 1<<63, 4096), uint8(0))          // the remote-panic seed
+	f.Add(header(reqMagic, opWrite, ^uint64(0)-100, 200), uint8(0)) // off+length uint64 wrap
+	f.Add(header(reqMagic, opTrim, 1<<62, MaxPayload), uint8(0))
+	f.Add(header(reqMagic, opPing, ^uint64(0), 1), uint8(0))
+	f.Add(header(reqMagic, opWrite, 0, MaxPayload+1), uint8(0)) // oversized length
+	f.Add(append(header(reqMagic, opWrite, 8, 4), 'd', 'a', 't', 'a'), uint8(0))
+	f.Add(append(header(reqMagic, opWrite, 8, 4), 'd', 'a', 't', 'a'), uint8(1))  // byte by byte
+	f.Add(append(header(reqMagic, opWrite, 8, 4), 'd', 'a', 't', 'a'), uint8(11)) // split mid-header
+	f.Add(header(reqMagic, opRead, 0, 4096), uint8(5))                            // split inside the magic
+	f.Add(header(0xdeadbeef, opRead, 0, 0), uint8(0))                             // bad magic
+	f.Add([]byte("short"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		var (
+			req request
+			buf payloadBuf
+		)
+		if err := readRequest(newReader(chunked(data, split)), &req, &buf); err != nil {
 			return
+		}
+		if len(data) < reqHdrLen || !bytes.Equal(header(reqMagic, req.op, req.off, req.length), data[:reqHdrLen]) {
+			t.Fatalf("decoded %+v from header % x", req, data)
 		}
 		if req.length > MaxPayload {
 			t.Fatalf("accepted length %d over MaxPayload", req.length)
 		}
-		if req.op == opWrite && uint32(len(req.payload)) != req.length {
-			t.Fatalf("write payload %d bytes, header said %d", len(req.payload), req.length)
+		if req.op == opWrite && !bytes.Equal(req.payload, data[reqHdrLen:reqHdrLen+int(req.length)]) {
+			t.Fatalf("write payload % x, frame carried % x", req.payload, data[reqHdrLen:])
 		}
 		if req.op != opWrite && req.payload != nil {
 			t.Fatalf("non-write op %d carried payload", req.op)
@@ -58,17 +81,20 @@ func FuzzReadRequest(f *testing.F) {
 // ops — can panic the server or corrupt its framing: every byte the server
 // emits must parse as well-formed responses.
 func FuzzHandle(f *testing.F) {
-	f.Add(header(reqMagic, opRead, 0, 4096))
-	f.Add(header(reqMagic, opRead, 1<<63, 4096)) // the remote-panic regression seed
-	f.Add(header(reqMagic, opWrite, ^uint64(0)-4095, 4096))
-	f.Add(header(reqMagic, opTrim, ^uint64(0), ^uint32(0)&(MaxPayload-1)))
-	f.Add(header(reqMagic, opSize, 1<<63, 0))
-	f.Add(header(reqMagic, opPing, 0, 0))                // health probe
-	f.Add(header(reqMagic, opPing, 1<<63, MaxPayload-1)) // hostile ping: off/len must be ignored
-	f.Add(header(reqMagic, 0xff, 123, 1))                // unknown op
-	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...))
-	f.Add(append(header(reqMagic, opRead, 4096, 16), header(reqMagic, opRead, 1<<63, 1)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(header(reqMagic, opRead, 0, 4096), uint8(0))
+	f.Add(header(reqMagic, opRead, 1<<63, 4096), uint8(0)) // the remote-panic regression seed
+	f.Add(header(reqMagic, opWrite, ^uint64(0)-4095, 4096), uint8(0))
+	f.Add(header(reqMagic, opTrim, ^uint64(0), ^uint32(0)&(MaxPayload-1)), uint8(0))
+	f.Add(header(reqMagic, opSize, 1<<63, 0), uint8(0))
+	f.Add(header(reqMagic, opPing, 0, 0), uint8(0))                // health probe
+	f.Add(header(reqMagic, opPing, 1<<63, MaxPayload-1), uint8(0)) // hostile ping: off/len must be ignored
+	f.Add(header(reqMagic, 0xff, 123, 1), uint8(0))                // unknown op
+	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(0))
+	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(1))  // byte by byte
+	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(15)) // split mid-header
+	f.Add(append(header(reqMagic, opRead, 4096, 16), header(reqMagic, opRead, 1<<63, 1)...), uint8(0))
+	f.Add(append(header(reqMagic, opRead, 4096, 16), header(reqMagic, opRead, 1<<63, 1)...), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
 		srv, err := NewServer(64 << 10)
 		if err != nil {
 			t.Fatal(err)
@@ -76,9 +102,10 @@ func FuzzHandle(f *testing.F) {
 		var out bytes.Buffer
 		// ServeConn returns an error only for protocol violations; it must
 		// never panic regardless of input.
-		_ = srv.ServeConn(rwPair{bytes.NewReader(data), &out})
+		_ = srv.ServeConn(rwPair{chunked(data, split), &out})
+		br := newReader(&out)
 		for {
-			status, _, err := readResponse(&out)
+			status, _, err := nextResponse(br)
 			if err != nil {
 				if err == io.EOF {
 					break

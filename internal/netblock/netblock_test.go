@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -196,14 +195,14 @@ func TestPingReportsDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	req, err := readRequest(bytes.NewReader(frame(opPing, 0, 0, nil)))
-	if err != nil {
+	c := &serverConn{w: &out, br: newReader(bytes.NewReader(frame(opPing, 0, 0, nil)))}
+	if err := readRequest(c.br, &c.req, &c.buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.handle(&out, req); err != nil {
+	if err := srv.handle(c); err != nil {
 		t.Fatal(err)
 	}
-	status, payload, err := readResponse(&out)
+	status, payload, err := nextResponse(newReader(&out))
 	if err != nil || status != statusOK {
 		t.Fatalf("ping during drain: status %d err %v", status, err)
 	}
@@ -258,7 +257,7 @@ func TestOpStatsCountServiceAndErrors(t *testing.T) {
 	// An out-of-range read is answered with statusErr and must land in the
 	// error column, not vanish. roundTrip is used directly because the
 	// client-side range check would reject the request before the wire.
-	if _, err := cli.roundTrip(opRead, 1<<40, 1, nil); err == nil {
+	if err := cli.roundTrip(opRead, 1<<40, 1, nil, make([]byte, 1)); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
 	stats := make(map[string]OpStats)
@@ -281,18 +280,19 @@ func TestOpStatsCountServiceAndErrors(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := readRequest(bytes.NewReader([]byte("notthemagicnumber"))); !errors.Is(err, ErrProtocol) {
+	var (
+		req request
+		buf payloadBuf
+	)
+	if err := readRequest(newReader(bytes.NewReader([]byte("notthemagicnumber"))), &req, &buf); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := readResponse(bytes.NewReader([]byte("garbagegarbage"))); !errors.Is(err, ErrProtocol) && !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := readResponse(newReader(bytes.NewReader([]byte("garbagegarbage"))), nil); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("err = %v", err)
 	}
 	// Oversized length field.
-	var buf bytes.Buffer
-	if err := writeRequest(&buf, opRead, 0, MaxPayload+1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readRequest(&buf); !errors.Is(err, ErrProtocol) {
+	oversized := frame(opRead, 0, MaxPayload+1, nil)
+	if err := readRequest(newReader(bytes.NewReader(oversized)), &req, &buf); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,9 +17,12 @@ import (
 // (NewServer) is the simplest implementation; cmd/netblockd can instead
 // serve a sharded engine volume. Implementations must be safe for
 // concurrent use: the server calls them from one goroutine per connection.
+//
+// ReadAt and WriteAt must not retain p after returning: p is the
+// connection's payload buffer, and the next frame overwrites it.
 type Backend interface {
-	// ReadAt fills p from [off, off+len(p)). The range is validated by the
-	// server before the call.
+	// ReadAt fills all of p from [off, off+len(p)). The range is validated
+	// by the server before the call.
 	ReadAt(p []byte, off int64) error
 	// WriteAt stores p at [off, off+len(p)).
 	WriteAt(p []byte, off int64) error
@@ -354,13 +358,27 @@ type deadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
+// serverConn is the framing state of one served connection, allocated once
+// and reused for every frame.
+type serverConn struct {
+	w   io.Writer
+	br  *bufio.Reader
+	fw  frameWriter
+	req request
+	buf payloadBuf
+}
+
 // ServeConn handles one client connection until EOF or error. It can be
 // used directly (e.g. over net.Pipe in tests) without Listen. If conn
 // supports deadlines and IdleTimeout is set, each request must arrive — and
 // each response must be written — within IdleTimeout. During shutdown a
 // deadline interruption is a clean exit, not an error.
+//
+//srclint:hotpath
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	dc, _ := conn.(deadliner)
+	c := new(serverConn)
+	c.w, c.br = conn, newReader(conn)
 	for {
 		if s.draining() {
 			return nil
@@ -368,8 +386,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		if dc != nil && s.IdleTimeout > 0 {
 			_ = dc.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		req, err := readRequest(conn)
-		if err != nil {
+		if err := readRequest(c.br, &c.req, &c.buf); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || s.draining() {
 				return nil
 			}
@@ -378,7 +395,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		if dc != nil && s.IdleTimeout > 0 {
 			_ = dc.SetWriteDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		if err := s.handle(conn, req); err != nil {
+		if err := s.handle(c); err != nil {
 			if s.draining() {
 				return nil
 			}
@@ -396,17 +413,17 @@ func (s *Server) draining() bool {
 	}
 }
 
-// handle times and executes one request, records its op counter, and
-// writes the response.
-func (s *Server) handle(conn io.Writer, req *request) error {
+// handle times and executes the connection's decoded request, records its
+// op counter, and writes the response.
+func (s *Server) handle(c *serverConn) error {
 	start := time.Now()
-	status, payload := s.execute(req)
-	idx := int(req.op)
+	status, payload := s.execute(&c.req, &c.buf)
+	idx := int(c.req.op)
 	if idx >= len(s.ops) {
 		idx = 0 // hostile/unknown op codes share the zero bucket
 	}
 	s.ops[idx].observe(time.Since(start), status != statusOK)
-	return writeResponse(conn, status, payload)
+	return c.fw.writeResponse(c.w, status, payload)
 }
 
 // execute runs one request against the backend. Range validation happens
@@ -415,8 +432,9 @@ func (s *Server) handle(conn io.Writer, req *request) error {
 // int64 comparison, and panic the slice expression — one hostile frame
 // killing the whole process. `off > size || length > size-off` cannot
 // overflow (off <= size holds before the subtraction) and rejects every
-// out-of-range request, including off+length wrapping uint64.
-func (s *Server) execute(req *request) (status uint8, payload []byte) {
+// out-of-range request, including off+length wrapping uint64. A read's
+// payload is space taken from buf, valid until the connection's next frame.
+func (s *Server) execute(req *request, buf *payloadBuf) (status uint8, payload []byte) {
 	if req.op != opSize && req.op != opFlush && req.op != opPing {
 		size := uint64(s.backend.Size())
 		if req.off > size || uint64(req.length) > size-req.off {
@@ -425,11 +443,11 @@ func (s *Server) execute(req *request) (status uint8, payload []byte) {
 	}
 	switch req.op {
 	case opRead:
-		buf := make([]byte, req.length)
-		if err := s.backend.ReadAt(buf, int64(req.off)); err != nil {
+		p := buf.take(int(req.length))
+		if err := s.backend.ReadAt(p, int64(req.off)); err != nil {
 			return statusErr, []byte(err.Error())
 		}
-		return statusOK, buf
+		return statusOK, p
 	case opWrite:
 		if err := s.backend.WriteAt(req.payload, int64(req.off)); err != nil {
 			return statusErr, []byte(err.Error())

@@ -1,9 +1,11 @@
 package netblock
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -23,19 +25,34 @@ type rwPair struct {
 // frame encodes one request header (+ payload) exactly as a client would,
 // but with no client-side validation — the hostile path.
 func frame(op uint8, off uint64, length uint32, payload []byte) []byte {
-	var buf bytes.Buffer
-	if err := writeRequest(&buf, op, off, length, payload); err != nil {
+	var (
+		buf bytes.Buffer
+		fw  frameWriter
+	)
+	if err := fw.writeRequest(&buf, op, off, length, payload); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// nextResponse decodes one response of whatever payload length from br.
+func nextResponse(br *bufio.Reader) (status uint8, payload []byte, err error) {
+	status, n, err := readResponseHeader(br)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload = make([]byte, n)
+	_, err = io.ReadFull(br, payload)
+	return status, payload, err
 }
 
 // readStatuses decodes every response in buf and returns the status bytes.
 func readStatuses(t *testing.T, r io.Reader) []uint8 {
 	t.Helper()
 	var out []uint8
+	br := newReader(r)
 	for {
-		status, _, err := readResponse(r)
+		status, _, err := nextResponse(br)
 		if errors.Is(err, io.EOF) {
 			return out
 		}
@@ -77,6 +94,37 @@ func TestHostileOffsetOverflowRejected(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("response %d: status %d, want %d (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestClientCheckHostileOffsets is the client-side twin of the server's
+// uint64 range check: off+n must not be formed in int64, where an offset
+// near MaxInt64 wraps negative, passes, and puts a request on the wire that
+// only the server's check stops.
+func TestClientCheckHostileOffsets(t *testing.T) {
+	const size = 1 << 20
+	c := &Client{size: size}
+	cases := []struct {
+		off  int64
+		n    int
+		want error
+	}{
+		{0, 4096, nil},
+		{size - 4096, 4096, nil},
+		{size, 0, nil},
+		{size - 4095, 4096, ErrRemote}, // one byte past the end
+		{size, 1, ErrRemote},
+		{math.MaxInt64, 1, ErrRemote},         // off+n wraps to MinInt64
+		{math.MaxInt64 - 100, 200, ErrRemote}, // wraps mid-range
+		{math.MaxInt64 - MaxPayload + 1, MaxPayload, ErrRemote},
+		{-1, 1, ErrProtocol},
+		{0, -1, ErrProtocol},
+		{0, MaxPayload + 1, ErrProtocol},
+	}
+	for _, tc := range cases {
+		if err := c.check(tc.off, tc.n); !errors.Is(err, tc.want) {
+			t.Errorf("check(%d, %d) = %v, want %v", tc.off, tc.n, err, tc.want)
 		}
 	}
 }
