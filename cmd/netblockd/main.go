@@ -24,8 +24,10 @@
 //
 // With -debug-addr the daemon also serves, on that address only, the
 // standard library's /debug/vars (expvar; "netblock_ops" holds the per-op
-// request counts, refusals and service times of netblock.Server.OpStats)
-// and /debug/pprof/. It is off by default; bind it to loopback.
+// request counts, refusals and service times of netblock.Server.OpStats,
+// and under -shards "src_cache" holds the cache counters summed over the
+// shards with their hit ratio and I/O amplification) and /debug/pprof/. It
+// is off by default; bind it to loopback.
 //
 // SIGINT or SIGTERM drains gracefully: the listener closes, in-flight
 // requests get -drain to finish, and idle connections are dropped. In
@@ -50,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"srccache/internal/bench"
 	"srccache/internal/cluster"
 	"srccache/internal/cluster/fleet"
 	"srccache/internal/engine"
@@ -76,7 +79,34 @@ func main() {
 // is current.
 var debugServer atomic.Pointer[netblock.Server]
 
+// debugEngine is the engine whose cache counters /debug/vars shows, nil
+// when the current server has a flat volume behind it.
+var debugEngine atomic.Pointer[engine.Engine]
+
 func init() {
+	expvar.Publish("src_cache", expvar.Func(func() any {
+		// The same formulas as the benchmark's src.hit_ratio and
+		// src.io_amp, so a figure read off a daemon compares with a
+		// benchmark run. Both are 0 until there is traffic to divide by.
+		type cacheVars struct {
+			bench.Counters
+			HitRatio float64 `json:"hit_ratio"`
+			IOAmp    float64 `json:"io_amp"`
+		}
+		eng := debugEngine.Load()
+		if eng == nil {
+			return struct{}{}
+		}
+		c, err := eng.Counters()
+		if err != nil {
+			return struct{}{} // closed: the drain outlives the engine
+		}
+		v := cacheVars{Counters: c, HitRatio: c.HitRatio()}
+		if host := c.ReadBytes + c.WriteBytes; host > 0 {
+			v.IOAmp = float64(c.FillBytes+c.GCCopyBytes+c.ParityBytes+c.MetadataBytes+c.WriteBytes) / float64(host)
+		}
+		return v
+	}))
 	expvar.Publish("netblock_ops", expvar.Func(func() any {
 		type opVars struct {
 			Count   int64   `json:"count"`
@@ -147,7 +177,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		reps    = fs.Int("replicas", 2, "fleet replication factor")
 		rb      = fs.Int64("range-bytes", 1<<20, "fleet placement-range size in bytes")
 		epoch   = fs.Uint64("epoch", 0, "ring epoch advertised to pinging clients (fleet mode defaults to 1)")
-		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar, per-op counters) and /debug/pprof/ on this address (empty = off)")
+		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar: per-op counters, cache counters under -shards) and /debug/pprof/ on this address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -247,6 +277,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 			return err
 		}
 		debugServer.Store(srv)
+		debugEngine.Store(eng)
 		defer stopDebug() // up through the drain, which is worth watching
 		fmt.Fprintf(stdout, "netblockd: debug on http://%s/debug/vars and /debug/pprof/\n", dbound)
 	}

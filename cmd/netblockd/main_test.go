@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -346,5 +347,84 @@ func TestDebugAddrPublishesOpStats(t *testing.T) {
 	}
 	if _, err := http.Get(varsURL); err == nil {
 		t.Fatal("debug endpoint outlived the daemon")
+	}
+}
+
+// TestDebugAddrPublishesCacheCounters: a daemon serving an engine also
+// publishes src_cache — the shard caches' counters summed, with the hit
+// ratio and I/O amplification the benchmark derives from them — so the
+// figure that hid the segment-buffer ratchet (an io_amp below 1) can be read
+// off a running daemon. A flat-volume daemon publishes an empty object.
+func TestDebugAddrPublishesCacheCounters(t *testing.T) {
+	type cacheVars struct {
+		Writes, WriteBytes, Reads, ReadHits int64
+		HitRatio                            *float64 `json:"hit_ratio"`
+		IOAmp                               *float64 `json:"io_amp"`
+	}
+	serve := func(args ...string) (cacheVars, string) {
+		var out bytes.Buffer
+		stop := make(chan struct{})
+		ready := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run(append([]string{"-addr", "127.0.0.1:0", "-size", "2097152",
+				"-debug-addr", "127.0.0.1:0", "-drain", "100ms"}, args...), &out, stop, ready)
+		}()
+		addr := <-ready
+		_, rest, _ := strings.Cut(out.String(), "debug on ")
+		varsURL, _, _ := strings.Cut(rest, " ")
+
+		cli, err := netblock.Dial(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		page := make([]byte, 4096)
+		for i := int64(0); i < 8; i++ {
+			// Both sides of the 1 MiB stripe boundary: both shards count.
+			if _, err := cli.WriteAt(page, (1<<20)-4*4096+i*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cli.ReadAt(page, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(varsURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var raw struct {
+			Cache json.RawMessage `json:"src_cache"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		var vars cacheVars
+		if err := json.Unmarshal(raw.Cache, &vars); err != nil {
+			t.Fatalf("src_cache = %s: %v", raw.Cache, err)
+		}
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return vars, string(raw.Cache)
+	}
+
+	vars, raw := serve("-shards", "2")
+	if vars.Writes != 8 || vars.WriteBytes != 8*4096 || vars.Reads != 1 || vars.ReadHits != 1 {
+		t.Fatalf("src_cache = %s, want 8 page writes and 1 read hit summed over both shards", raw)
+	}
+	if vars.HitRatio == nil || *vars.HitRatio != 1 {
+		t.Fatalf("src_cache = %s, want hit_ratio 1", raw)
+	}
+	// Nothing but the host's own writes has reached the cache yet: eight
+	// buffered pages over nine pages of host traffic.
+	if vars.IOAmp == nil || math.Abs(*vars.IOAmp-8.0/9) > 1e-9 {
+		t.Fatalf("src_cache = %s, want io_amp = 8/9", raw)
+	}
+
+	if _, raw := serve(); raw != "{}" {
+		t.Fatalf("flat volume published src_cache = %s, want {}", raw)
 	}
 }

@@ -376,6 +376,14 @@ func TestAblationDegradedShape(t *testing.T) {
 			if healthy <= 0 || degraded <= 0 {
 				t.Fatalf("cell %q has nonpositive throughput", row[col])
 			}
+			// Under PC a degraded array still writes every segment, now
+			// with one column missing and reads reconstructed: it cannot
+			// beat the healthy array on a group that writes. (It did, 136.6
+			// -> 300.9, while a hard-failed column abandoned every segment
+			// and the writes piled up in RAM.)
+			if col == 1 && row[0] != "Read" && degraded > healthy {
+				t.Fatalf("%s under PC: degraded %v MB/s above healthy %v", row[0], degraded, healthy)
+			}
 		}
 	}
 }

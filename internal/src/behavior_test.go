@@ -17,7 +17,7 @@ func TestMultiPageWriteSpansSegments(t *testing.T) {
 	e.write(0, pages)
 	e.checkInvariants()
 	var onSSD, buffered int64
-	for _, en := range e.cache.mapping {
+	for _, en := range mapped(e.cache) {
 		if en.state == stateSSDDirty {
 			onSSD++
 		} else if en.state == stateBufDirty {
@@ -71,8 +71,8 @@ func TestTrimOfBufferedPages(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.cache.mapping) != 0 {
-		t.Fatalf("%d pages still mapped after trims", len(e.cache.mapping))
+	if e.cache.mapping.count() != 0 {
+		t.Fatalf("%d pages still mapped after trims", e.cache.mapping.count())
 	}
 	if e.cache.dirtyBuf.Live() != 0 || e.cache.cleanBuf.Live() != 0 {
 		t.Fatal("buffer slots not invalidated by trim")

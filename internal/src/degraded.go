@@ -26,7 +26,7 @@ func (c *Cache) degradedRead(at vtime.Time, col int, off, n, firstLBA int64) (vt
 		// Parityless segment: dirty data would be gone for good; clean
 		// data is re-fetched from primary storage.
 		for p := firstLBA; p < firstLBA+pages; p++ {
-			e, ok := c.mapping[p]
+			e, ok := c.mapping.get(p)
 			if !ok {
 				continue
 			}
@@ -183,7 +183,7 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 			// survive in not-yet-reclaimed groups — the next recovery would
 			// resurrect one of those (the destruction-ordering rule gc
 			// enforces for reclaims applies to rebuilds too).
-			if e, ok := c.mapping[lba]; ok && e.loc == loc && e.state == stateSSDClean && genErr == nil {
+			if e, ok := c.mapping.get(lba); ok && e.loc == loc && e.state == stateSSDClean && genErr == nil {
 				pt, perr := c.cfg.Primary.Content().ReadTag(lba)
 				if perr == nil {
 					if werr := cont.WriteTag(basePage+pic, pt); werr != nil {
@@ -193,7 +193,7 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 					continue
 				}
 			}
-			if e, ok := c.mapping[lba]; ok && e.loc == loc {
+			if e, ok := c.mapping.get(lba); ok && e.loc == loc {
 				c.dropPage(lba, e)
 			} else {
 				c.invalidateSSD(loc)

@@ -70,7 +70,7 @@ func TestSeparateGCBufferSegregates(t *testing.T) {
 	// Reads of GC-buffered pages are RAM hits; rewrites promote them back
 	// to the host dirty buffer.
 	var gcLBA int64 = -1
-	for lba, en := range e.cache.mapping {
+	for lba, en := range mapped(e.cache) {
 		if en.state == stateBufGC {
 			gcLBA = lba
 			break
@@ -83,7 +83,7 @@ func TestSeparateGCBufferSegregates(t *testing.T) {
 		e.write(gcLBA, 1)
 		// The rewrite promotes the page out of the GC buffer (it may have
 		// already reached SSD if the dirty buffer filled).
-		if en := e.cache.mapping[gcLBA]; en.state == stateBufGC || !en.state.dirty() {
+		if en, _ := e.cache.mapping.get(gcLBA); en.state == stateBufGC || !en.state.dirty() {
 			t.Fatalf("rewrite left state %v", en.state)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSeparateGCBufferContentOracle(t *testing.T) {
 	e.checkInvariants()
 	for lba, v := range versions {
 		want := blockdev.DataTag(lba, v)
-		if _, cached := e.cache.mapping[lba]; cached {
+		if _, cached := e.cache.mapping.get(lba); cached {
 			got, _, err := e.cache.ReadCheck(e.at, lba)
 			if err != nil {
 				t.Fatal(err)
@@ -202,7 +202,7 @@ func TestResizeContractDestagesOverflow(t *testing.T) {
 	// content or destaged to primary.
 	for lba, v := range versions {
 		want := blockdev.DataTag(lba, v)
-		if _, cached := e.cache.mapping[lba]; cached {
+		if _, cached := e.cache.mapping.get(lba); cached {
 			got, _, err := e.cache.ReadCheck(e.at, lba)
 			if err != nil {
 				t.Fatal(err)

@@ -225,7 +225,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 		g.slots[s] = slotFree
 		g.valid--
 		c.totalValid--
-		delete(c.mapping, lba)
+		c.mapping.del(lba)
 	}
 
 	// Pass 2: stage the pages that move, coalescing location-contiguous
@@ -342,12 +342,12 @@ func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 			if !keepCold && !c.hot.Get(e.lba) {
 				continue // cold clean data: discarding it costs nothing
 			}
-			if _, ok := c.mapping[e.lba]; ok {
+			if _, ok := c.mapping.get(e.lba); ok {
 				continue // superseded while gathering: the live copy keeps the hot bit
 			}
 			c.hot.Clear(e.lba)
 			slot := c.cleanBuf.Append(e.lba, e.tag)
-			c.mapping[e.lba] = entry{state: stateBufClean, loc: int64(slot)}
+			c.mapping.set(e.lba, entry{state: stateBufClean, loc: int64(slot)})
 			c.counters.GCCopyBytes += blockdev.PageSize
 			if c.cleanBuf.Full() {
 				if _, err := c.writeSegment(at, c.cleanBuf, false); err != nil &&
@@ -357,7 +357,7 @@ func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 			}
 			continue
 		}
-		if _, ok := c.mapping[e.lba]; ok {
+		if _, ok := c.mapping.get(e.lba); ok {
 			continue
 		}
 		// In SeparateGCBuffer mode, aged dirty data (GC survivors) forms
@@ -367,7 +367,7 @@ func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 			buf, state = c.gcBuf, stateBufGC
 		}
 		slot := buf.Append(e.lba, e.tag)
-		c.mapping[e.lba] = entry{state: state, loc: int64(slot)}
+		c.mapping.set(e.lba, entry{state: state, loc: int64(slot)})
 		c.counters.GCCopyBytes += blockdev.PageSize
 		if buf.Full() {
 			if _, err := c.writeSegment(at, buf, true); err != nil &&
@@ -406,7 +406,7 @@ func (c *Cache) destageBufferedDirty(at vtime.Time) (vtime.Time, error) {
 		return at, err
 	}
 	for _, lba := range lbas {
-		if e, ok := c.mapping[lba]; ok {
+		if e, ok := c.mapping.get(lba); ok {
 			c.dropPage(lba, e)
 		}
 	}

@@ -47,7 +47,7 @@ func TestReinsertKeepsHotBitWhenSuperseded(t *testing.T) {
 	const lba = 5
 	c.hot.Set(lba)
 	superseded := entry{state: stateBufDirty, loc: 0}
-	c.mapping[lba] = superseded
+	c.mapping.set(lba, superseded)
 
 	cleanBefore := c.cleanBuf.Live()
 	copiedBefore := c.counters.GCCopyBytes
@@ -57,7 +57,7 @@ func TestReinsertKeepsHotBitWhenSuperseded(t *testing.T) {
 	if !c.hot.Get(lba) {
 		t.Error("superseded hot clean page lost its hot bit")
 	}
-	if got := c.mapping[lba]; got != superseded {
+	if got, _ := c.mapping.get(lba); got != superseded {
 		t.Errorf("mapping overwritten: %+v", got)
 	}
 	if c.cleanBuf.Live() != cleanBefore {
@@ -84,7 +84,7 @@ func TestReinsertCopiesHotClean(t *testing.T) {
 	if c.hot.Get(lba) {
 		t.Error("copied page kept its hot bit (second chance not consumed)")
 	}
-	got, ok := c.mapping[lba]
+	got, ok := c.mapping.get(lba)
 	if !ok || got.state != stateBufClean {
 		t.Fatalf("page not in clean buffer: %+v (ok=%v)", got, ok)
 	}
@@ -100,7 +100,7 @@ func TestReinsertCopiesHotClean(t *testing.T) {
 	if err := c.reinsert(0, []liveEntry{{lba: cold, dirty: false}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.mapping[cold]; ok {
+	if _, ok := c.mapping.get(cold); ok {
 		t.Error("cold clean page was copied")
 	}
 }

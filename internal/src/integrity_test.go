@@ -32,7 +32,7 @@ func TestContentOracle(t *testing.T) {
 
 	for lba, version := range written {
 		want := blockdev.DataTag(lba, version)
-		if _, cached := e.cache.mapping[lba]; cached {
+		if _, cached := e.cache.mapping.get(lba); cached {
 			got, _, err := e.cache.ReadCheck(e.at, lba)
 			if err != nil {
 				t.Fatalf("ReadCheck(%d): %v", lba, err)
@@ -76,7 +76,7 @@ func TestRecoveryAfterCleanFlush(t *testing.T) {
 	}
 	e.checkInvariants()
 	for lba := int64(0); lba < 100; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok {
 			t.Fatalf("page %d lost after flushed crash", lba)
 		}
@@ -119,7 +119,7 @@ func TestRecoveryDropsUnflushedSegments(t *testing.T) {
 	e.checkInvariants()
 	// Every page must be back at version 1 — the durable epoch.
 	for lba := int64(0); lba < 2*capPages; lba++ {
-		if _, ok := e.cache.mapping[lba]; !ok {
+		if _, ok := e.cache.mapping.get(lba); !ok {
 			t.Fatalf("page %d lost entirely", lba)
 		}
 		got, _, err := e.cache.ReadCheck(e.at, lba)
@@ -158,7 +158,7 @@ func TestRecoveryDiscardsTornSegment(t *testing.T) {
 		t.Fatal("everything discarded")
 	}
 	// Column 0's pages are gone; other columns' pages survive.
-	recovered := len(e.cache.mapping)
+	recovered := e.cache.mapping.count()
 	if recovered == 0 || recovered >= int(capPages)+e.cache.cleanBuf.Cap() {
 		t.Fatalf("recovered %d pages, want partial survival below %d", recovered, capPages)
 	}
@@ -183,7 +183,7 @@ func TestDegradedReadReconstructsDirty(t *testing.T) {
 	// Find a page on SSD 0 and fail that drive.
 	var target int64 = -1
 	for lba := int64(0); lba < capPages; lba++ {
-		en := e.cache.mapping[lba]
+		en, _ := e.cache.mapping.get(lba)
 		if col, _ := e.cache.lay.devOffset(e.cache.cfg, en.loc); col == 0 && en.state == stateSSDDirty {
 			target = lba
 			break
@@ -199,7 +199,7 @@ func TestDegradedReadReconstructsDirty(t *testing.T) {
 		t.Fatal("degraded read did not touch surviving SSDs")
 	}
 	// Content-level reconstruction agrees with the written version.
-	tag, err := e.cache.ReconstructTag(e.cache.mapping[target].loc)
+	tag, err := e.cache.ReconstructTag(e.cache.mapping.entries[target].loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDegradedCleanNPCRefetches(t *testing.T) {
 	// Find a clean on-SSD page on SSD 2.
 	var target int64 = -1
 	for lba := int64(0); lba < 2*capPages; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDClean {
 			continue
 		}
@@ -260,7 +260,7 @@ func TestRebuildSSD(t *testing.T) {
 	// Record the dirty pages living on SSD 1, fail and "replace" it.
 	var onDrive []int64
 	for lba := int64(0); lba < 4*capPages; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDDirty {
 			continue
 		}
@@ -311,7 +311,7 @@ func TestReadCheckRepairsSilentCorruption(t *testing.T) {
 		e.write(lba, 1)
 	}
 	target := int64(0)
-	en := e.cache.mapping[target]
+	en, _ := e.cache.mapping.get(target)
 	if en.state != stateSSDDirty {
 		t.Fatalf("page 0 state %v", en.state)
 	}
@@ -343,7 +343,7 @@ func TestReadCheckRefetchesCorruptClean(t *testing.T) {
 	e.read(0, capPages) // one clean (NPC, parityless) segment
 	var target int64 = -1
 	for lba := int64(0); lba < capPages; lba++ {
-		if en, ok := e.cache.mapping[lba]; ok && en.state == stateSSDClean {
+		if en, ok := e.cache.mapping.get(lba); ok && en.state == stateSSDClean {
 			target = lba
 			break
 		}
@@ -351,7 +351,7 @@ func TestReadCheckRefetchesCorruptClean(t *testing.T) {
 	if target < 0 {
 		t.Fatal("no on-SSD clean page")
 	}
-	en := e.cache.mapping[target]
+	en, _ := e.cache.mapping.get(target)
 	col, off := e.cache.lay.devOffset(e.cache.cfg, en.loc)
 	if err := e.ssds[col].Content().Corrupt(off / blockdev.PageSize); err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestRecoveryRoundTripUnderLoad(t *testing.T) {
 	// weaker, precise property: the content matches the recovered version
 	// bookkeeping.
 	checked := 0
-	for lba := range e.cache.mapping {
+	for lba := range mapped(e.cache) {
 		got, _, err := e.cache.ReadCheck(e.at, lba)
 		if err != nil {
 			t.Fatalf("ReadCheck(%d): %v", lba, err)
@@ -437,8 +437,8 @@ func TestDegradedRunRefetchRegression(t *testing.T) {
 	var runLBA int64 = -1
 	var runCol int
 	for lba := base; lba < base+62; lba++ {
-		a, okA := e.cache.mapping[lba]
-		b, okB := e.cache.mapping[lba+1]
+		a, okA := e.cache.mapping.get(lba)
+		b, okB := e.cache.mapping.get(lba + 1)
 		if !okA || !okB || a.state != stateSSDClean || b.state != stateSSDClean {
 			continue
 		}

@@ -209,7 +209,7 @@ func (c *Cache) rebuildSegment(at vtime.Time, sg, seg int64, col int) (vtime.Tim
 				continue
 			}
 			lba, _ := unpackSlot(g.slots[s])
-			if e, ok := c.mapping[lba]; ok && e.loc == loc {
+			if e, ok := c.mapping.get(lba); ok && e.loc == loc {
 				c.dropPage(lba, e)
 			}
 		}
@@ -287,7 +287,7 @@ func (c *Cache) ScrubStep(at vtime.Time) (vtime.Time, error) {
 			}
 		}
 		for _, tg := range targets {
-			e, ok := c.mapping[tg.lba]
+			e, ok := c.mapping.get(tg.lba)
 			if !ok || e.loc != tg.loc || (e.state != stateSSDClean && e.state != stateSSDDirty) {
 				continue // moved or dropped since the snapshot
 			}

@@ -39,8 +39,8 @@ func (c *Cache) Recover() (int, error) {
 	}
 
 	// Reset in-memory state.
-	c.mapping = make(map[int64]entry)
-	c.versions = make(map[int64]uint64)
+	c.mapping = newPageTable(primaryPages(c.cfg))
+	c.versions = make([]uint64, primaryPages(c.cfg))
 	c.dirtyBuf.Reset()
 	c.cleanBuf.Reset()
 	if c.gcBuf != nil {
@@ -297,13 +297,16 @@ func (c *Cache) applySegment(rs recoveredSeg) {
 			if e.lba == summaryFreeLBA {
 				continue // rebuilt summary holding an invalidated slot's place
 			}
+			if !c.mapping.covers(e.lba) {
+				continue // not a page of this volume: only a lenient parse yields one
+			}
 			loc := c.lay.loc(rs.sg, rs.seg, int(sum.col), int64(i)+1)
-			if old, ok := c.mapping[e.lba]; ok {
+			if old, ok := c.mapping.get(e.lba); ok {
 				// A newer generation supersedes; generations are applied
 				// ascending, so the existing entry is older.
 				c.invalidateSSD(old.loc)
 			}
-			c.mapping[e.lba] = entry{state: ssdState(e.dirty), loc: loc}
+			c.mapping.set(e.lba, entry{state: ssdState(e.dirty), loc: loc})
 			g.slots[c.lay.localSlot(loc)] = packSlot(e.lba, e.dirty)
 			g.valid++
 			c.totalValid++
@@ -338,7 +341,7 @@ func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, e
 	if !c.cfg.TrackContent {
 		return blockdev.ZeroTag, at, errors.New("src: ReadCheck requires TrackContent")
 	}
-	e, ok := c.mapping[lba]
+	e, ok := c.mapping.get(lba)
 	if !ok {
 		return blockdev.ZeroTag, at, fmt.Errorf("src: page %d not cached", lba)
 	}

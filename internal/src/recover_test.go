@@ -57,7 +57,7 @@ func TestRecoverMetadataFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePages := len(e.cache.mapping)
+	basePages := e.cache.mapping.count()
 	if baseSegs < 2 || basePages == 0 {
 		t.Fatalf("baseline too small to discriminate: %d segments, %d pages", baseSegs, basePages)
 	}
@@ -137,7 +137,7 @@ func TestRecoverMetadataFaults(t *testing.T) {
 			if segs != tt.wantSegs {
 				t.Fatalf("recovered %d segments, want %d", segs, tt.wantSegs)
 			}
-			pages := len(e.cache.mapping)
+			pages := e.cache.mapping.count()
 			if tt.wantPagesDrop && pages >= basePages {
 				t.Fatalf("recovered %d pages, want fewer than intact %d", pages, basePages)
 			}
@@ -146,7 +146,7 @@ func TestRecoverMetadataFaults(t *testing.T) {
 			}
 			e.checkInvariants()
 			// Whatever survived must verify against its checksum.
-			for lba := range e.cache.mapping {
+			for lba := range mapped(e.cache) {
 				if _, _, err := e.cache.ReadCheck(e.at, lba); err != nil {
 					t.Fatalf("ReadCheck(%d) after recovery: %v", lba, err)
 				}
@@ -168,7 +168,7 @@ func TestRecoverCombinedMetadataFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePages := len(base.cache.mapping)
+	basePages := base.cache.mapping.count()
 
 	t.Run("one column", func(t *testing.T) {
 		e := recoveryEnv(t)
@@ -186,11 +186,11 @@ func TestRecoverCombinedMetadataFaults(t *testing.T) {
 		if segs != baseSegs {
 			t.Fatalf("recovered %d segments, want %d (survivors' generation wins)", segs, baseSegs)
 		}
-		if pages := len(e.cache.mapping); pages >= basePages {
+		if pages := e.cache.mapping.count(); pages >= basePages {
 			t.Fatalf("recovered %d pages, want fewer than intact %d", pages, basePages)
 		}
 		e.checkInvariants()
-		for lba := range e.cache.mapping {
+		for lba := range mapped(e.cache) {
 			if _, _, err := e.cache.ReadCheck(e.at, lba); err != nil {
 				t.Fatalf("ReadCheck(%d) after recovery: %v", lba, err)
 			}
@@ -216,7 +216,7 @@ func TestRecoverCombinedMetadataFaults(t *testing.T) {
 			t.Fatalf("recovered %d segments, want %d (faulted segment discarded)", segs, baseSegs-1)
 		}
 		e.checkInvariants()
-		for lba := range e.cache.mapping {
+		for lba := range mapped(e.cache) {
 			if _, _, err := e.cache.ReadCheck(e.at, lba); err != nil {
 				t.Fatalf("ReadCheck(%d) after recovery: %v", lba, err)
 			}
@@ -250,7 +250,7 @@ func TestRecoverNewestGenerationWins(t *testing.T) {
 	}
 	e.checkInvariants()
 	for lba := int64(0); lba < capPages; lba++ {
-		if _, ok := e.cache.mapping[lba]; !ok {
+		if _, ok := e.cache.mapping.get(lba); !ok {
 			t.Fatalf("page %d lost", lba)
 		}
 		got, _, err := e.cache.ReadCheck(e.at, lba)

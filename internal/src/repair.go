@@ -12,9 +12,11 @@ import (
 // through submitSSD: transient errors are retried with bounded virtual-time
 // backoff, latent sector errors surface as ErrUnreadable for in-place repair
 // from redundancy, and each corrected error counts against a per-device
-// budget. A device that exhausts the budget is escalated to column
-// fail-stop — from then on the cache treats it like a failed drive and serves
-// its ranges through the degraded path until it is replaced and rebuilt.
+// budget. A device that exhausts the budget, or that answers a request with
+// a hard ErrDeviceFailed, is escalated to column fail-stop — from then on
+// the cache treats it like a failed drive, writes segments degraded around
+// it and serves its ranges through the degraded path until it is replaced
+// and rebuilt.
 
 // RepairStats accumulates the cache's self-healing activity.
 type RepairStats struct {
@@ -25,7 +27,8 @@ type RepairStats struct {
 	TransientErrors int64
 	// UnreadableErrors counts latent-sector-error reads observed.
 	UnreadableErrors int64
-	// Escalations counts devices fail-stopped by the error budget.
+	// Escalations counts devices fail-stopped: by the error budget, or at
+	// once by a hard device failure.
 	Escalations int64
 	// RepairedPages counts pages repaired in place from redundancy
 	// (latent sector errors rewritten from parity reconstruction).
@@ -50,7 +53,7 @@ type RepairStats struct {
 func (c *Cache) RepairStats() RepairStats { return c.repair }
 
 // DeviceDown reports whether the cache has escalated the given SSD to
-// column fail-stop (error budget exhausted or rebuild pending superseded it).
+// column fail-stop (error budget exhausted, or the device failed hard).
 func (c *Cache) DeviceDown(col int) bool {
 	return col >= 0 && col < len(c.colDown) && c.colDown[col]
 }
@@ -66,11 +69,12 @@ func (c *Cache) DeviceErrors(col int) int64 {
 
 // submitSSD is the single funnel for SSD requests: it enforces column
 // fail-stop, routes reads of not-yet-rebuilt ranges to the degraded path,
-// retries transient errors with exponential virtual-time backoff, and counts
-// corrected errors against the device's budget.
+// retries transient errors with exponential virtual-time backoff, counts
+// corrected errors against the device's budget, and fail-stops the column
+// of a device that reports itself failed.
 func (c *Cache) submitSSD(at vtime.Time, col int, req blockdev.Request) (vtime.Time, error) {
 	if c.colDown[col] {
-		return at, fmt.Errorf("%w: ssd %d fail-stopped by error budget", blockdev.ErrDeviceFailed, col)
+		return at, fmt.Errorf("%w: ssd %d fail-stopped", blockdev.ErrDeviceFailed, col)
 	}
 	if req.Op == blockdev.OpRead && c.awaitingRebuild(col, req.Off) {
 		// The replacement device holds no data here yet; the degraded
@@ -99,6 +103,12 @@ func (c *Cache) submitSSD(at vtime.Time, col int, req blockdev.Request) (vtime.T
 		c.repair.UnreadableErrors++
 		c.noteDevError(col)
 	}
+	if errors.Is(err, blockdev.ErrDeviceFailed) {
+		// The device itself says it is gone: no budget to spend. Left a
+		// live column, it would reject every later segment write, and each
+		// of those would be abandoned instead of written degraded.
+		c.failStop(col)
+	}
 	return t, err
 }
 
@@ -106,7 +116,14 @@ func (c *Cache) submitSSD(at vtime.Time, col int, req blockdev.Request) (vtime.T
 // escalates the column to fail-stop when the budget is exhausted.
 func (c *Cache) noteDevError(col int) {
 	c.devErrs[col]++
-	if c.devErrs[col] >= c.cfg.ErrorBudget && !c.colDown[col] {
+	if c.devErrs[col] >= c.cfg.ErrorBudget {
+		c.failStop(col)
+	}
+}
+
+// failStop escalates col to column fail-stop, once.
+func (c *Cache) failStop(col int) {
+	if !c.colDown[col] {
 		c.colDown[col] = true
 		c.repair.Escalations++
 	}
@@ -125,7 +142,7 @@ func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n, firstLBA int
 		// Same outcome as a failed column in a parityless segment: dirty
 		// data is gone; clean data is refetched.
 		for p := firstLBA; p < firstLBA+pages; p++ {
-			e, ok := c.mapping[p]
+			e, ok := c.mapping.get(p)
 			if !ok {
 				continue
 			}
@@ -162,22 +179,25 @@ func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n, firstLBA int
 // is cached at all (in any state). Versions are meaningful only with
 // TrackContent.
 func (c *Cache) CachedVersion(lba int64) (uint64, bool) {
-	if _, ok := c.mapping[lba]; !ok {
+	if _, ok := c.mapping.get(lba); !ok {
 		return 0, false
+	}
+	if c.versions == nil {
+		return 0, true
 	}
 	return c.versions[lba], true
 }
 
 // CachedDirty reports whether lba is cached in a dirty state.
 func (c *Cache) CachedDirty(lba int64) bool {
-	e, ok := c.mapping[lba]
+	e, ok := c.mapping.get(lba)
 	return ok && e.state.dirty()
 }
 
 // Locate reports the SSD column and device page index of lba's on-SSD copy;
 // ok is false when lba is uncached or lives in a RAM segment buffer.
 func (c *Cache) Locate(lba int64) (col int, page int64, ok bool) {
-	e, okm := c.mapping[lba]
+	e, okm := c.mapping.get(lba)
 	if !okm || (e.state != stateSSDClean && e.state != stateSSDDirty) {
 		return 0, 0, false
 	}

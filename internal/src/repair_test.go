@@ -11,7 +11,7 @@ import (
 // findDirtyOn locates a dirty on-SSD page whose column is col.
 func findDirtyOn(e *env, col int, maxLBA int64) (lba, page int64) {
 	for lba := int64(0); lba < maxLBA; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDDirty {
 			continue
 		}
@@ -121,7 +121,7 @@ func TestUnreadableCleanNPCRefetches(t *testing.T) {
 	e.read(capPages, capPages)
 	var target, page int64 = -1, -1
 	for lba := int64(0); lba < 2*capPages; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDClean {
 			continue
 		}
@@ -192,7 +192,7 @@ func TestReplaceSSDOnlineRebuild(t *testing.T) {
 	}
 	var onDrive []int64
 	for lba := int64(0); lba < total; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDDirty {
 			continue
 		}
@@ -326,7 +326,7 @@ func TestDegradedNPCRefetchChargesPrimaryLatency(t *testing.T) {
 	e.read(capPages, capPages)
 	var target int64 = -1
 	for lba := int64(0); lba < 2*capPages; lba++ {
-		en, ok := e.cache.mapping[lba]
+		en, ok := e.cache.mapping.get(lba)
 		if !ok || en.state != stateSSDClean {
 			continue
 		}
@@ -385,7 +385,7 @@ func TestWriteExhaustionAbandonsSegment(t *testing.T) {
 		t.Fatal("fault never fired: scenario did not exercise exhaustion")
 	}
 	for _, lba := range []int64{10, 11} {
-		if en, ok := e.cache.mapping[lba]; !ok || en.state != stateSSDDirty {
+		if en, ok := e.cache.mapping.get(lba); !ok || en.state != stateSSDDirty {
 			t.Fatalf("lba %d not destaged after retried flush", lba)
 		}
 	}
@@ -431,6 +431,51 @@ func TestFlushRefusesFalseDurabilityAck(t *testing.T) {
 	}
 	if !e.cache.CachedDirty(10) {
 		t.Fatal("lba 10 lost across crash despite acknowledged flush")
+	}
+	e.checkInvariants()
+}
+
+// TestHardFailureFailStopsColumn: a device that answers ErrDeviceFailed
+// (not transient, not unreadable) never touched the error budget, so its
+// column stayed live and writeSegment abandoned every segment forever —
+// burning a segment per attempt while all writes piled up in RAM. The first
+// hard answer must fail-stop the column so segments are written degraded.
+func TestHardFailureFailStopsColumn(t *testing.T) {
+	e := newEnv(t, nil)
+	c := e.cache
+	e.ssds[1].Fail()
+	capPages := int64(c.dirtyBuf.Cap())
+	freeBefore := c.FreeGroups()
+	for lba := int64(0); lba < 10*capPages; lba++ {
+		e.write(lba, 1)
+		// No abandoned write, so no overshoot outlives the request.
+		if n := int64(c.DirtyBufferedPages()); n > capPages {
+			t.Fatalf("after page %d: %d dirty pages buffered, one segment is %d", lba, n, capPages)
+		}
+	}
+	if got := c.RepairStats().Escalations; got != 1 {
+		t.Fatalf("Escalations = %d, want 1", got)
+	}
+	if !c.DeviceDown(1) {
+		t.Fatal("hard-failed ssd 1 is still a live column")
+	}
+	if c.FreeGroups() >= freeBefore {
+		t.Fatalf("free groups %d -> %d: no segment was written degraded", freeBefore, c.FreeGroups())
+	}
+	if c.active < 0 || c.nextSeg != 10 {
+		t.Fatalf("active group %d at segment %d, want ten segments written, none burnt", c.active, c.nextSeg)
+	}
+	if _, err := e.cache.Flush(e.at); err != nil {
+		t.Fatalf("flush on the degraded array: %v", err)
+	}
+	// Every page is on the array and reads back through reconstruction.
+	for lba := int64(0); lba < 10*capPages; lba++ {
+		if en, ok := c.mapping.get(lba); !ok || en.state != stateSSDDirty {
+			t.Fatalf("lba %d not on the array after flush", lba)
+		}
+		if _, _, err := c.ReadCheck(e.at, lba); err != nil {
+			t.Fatalf("degraded read of lba %d: %v", lba, err)
+		}
 	}
 	e.checkInvariants()
 }

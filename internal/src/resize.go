@@ -49,7 +49,7 @@ func (c *Cache) Resize(at vtime.Time, ssds []blockdev.Device) (vtime.Time, error
 			s := buf.Slot(i)
 			if s.valid {
 				live = append(live, liveEntry{lba: s.lba, dirty: dirty, tag: s.tag})
-				delete(c.mapping, s.lba)
+				c.mapping.del(s.lba)
 			}
 		}
 		buf.Reset()
@@ -126,12 +126,12 @@ func (c *Cache) Resize(at vtime.Time, ssds []blockdev.Device) (vtime.Time, error
 	// the dirty buffer, clean pages into the clean buffer. GC engages
 	// automatically if the new array is smaller than the live set.
 	for _, e := range live {
-		if _, ok := c.mapping[e.lba]; ok {
+		if _, ok := c.mapping.get(e.lba); ok {
 			continue
 		}
 		if e.dirty {
 			slot := c.dirtyBuf.Append(e.lba, e.tag)
-			c.mapping[e.lba] = entry{state: stateBufDirty, loc: int64(slot)}
+			c.mapping.set(e.lba, entry{state: stateBufDirty, loc: int64(slot)})
 			if c.dirtyBuf.Full() {
 				if _, err := c.writeSegment(readDone, c.dirtyBuf, true); err != nil &&
 					!errors.Is(err, errSegmentAbandoned) {
@@ -141,7 +141,7 @@ func (c *Cache) Resize(at vtime.Time, ssds []blockdev.Device) (vtime.Time, error
 			continue
 		}
 		slot := c.cleanBuf.Append(e.lba, e.tag)
-		c.mapping[e.lba] = entry{state: stateBufClean, loc: int64(slot)}
+		c.mapping.set(e.lba, entry{state: stateBufClean, loc: int64(slot)})
 		if c.cleanBuf.Full() {
 			if _, err := c.writeSegment(readDone, c.cleanBuf, false); err != nil &&
 				!errors.Is(err, errSegmentAbandoned) {

@@ -91,8 +91,9 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	// Column-major slot assignment keeps logically consecutive pages
 	// physically consecutive within a column, so large reads coalesce.
 	// The buffer can transiently hold more than one segment's payload
-	// (an abandoned segment write re-buffers its pages on top of later
-	// appends); slots beyond this segment's capacity stay buffered.
+	// (segBuffer's capacity contract: a GC copy or an append after an
+	// abandoned write); slots beyond this segment's capacity go back to
+	// the buffer as overflow.
 	perCol := make([][]summaryEntry, c.lay.m)
 	colTags := make([][]blockdev.Tag, c.lay.m)
 	segCap := int64(len(cols)) * c.lay.payloadPages
@@ -113,7 +114,7 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 		g.slots[c.lay.localSlot(loc)] = packSlot(slot.lba, dirty)
 		g.valid++
 		c.totalValid++
-		c.mapping[slot.lba] = entry{state: ssdState(dirty), loc: loc}
+		c.mapping.set(slot.lba, entry{state: ssdState(dirty), loc: loc})
 		var version uint64
 		if c.cfg.TrackContent {
 			version = c.versions[slot.lba]
@@ -163,13 +164,16 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 				failedCols = append(failedCols, col)
 				continue
 			}
-			// A live column rejected the write (transient errors past the
-			// retry budget, or a failed device not yet escalated). The
-			// column will be read raw again, so its stale pages must not
-			// carry live data, and its summary blob — the only durable
-			// record of its entries — was never written. Abandon the
-			// whole segment and return its pages to the buffer; the next
-			// destage retries on a fresh segment.
+			// A live column rejected the write: transient errors past the
+			// retry limit, which submitSSD charged to the device's error
+			// budget. (A device that failed hard was fail-stopped by
+			// submitSSD and took the branch above.) The column will be
+			// read raw again, so its stale pages must not carry live
+			// data, and its summary blob — the only durable record of
+			// its entries — was never written. Abandon the whole segment
+			// and return its pages to the buffer; the next destage
+			// retries on a fresh segment, at most ErrorBudget times
+			// before the column escalates and writes go degraded.
 			return c.abandonSegment(at, sg, seg, buf, slots, dirty, werr)
 		}
 		c.counters.MetadataBytes += 2 * blockdev.PageSize
@@ -217,11 +221,11 @@ func ssdState(dirty bool) pageState {
 }
 
 // errSegmentAbandoned reports a segment write abandoned because a live
-// column's device rejected it; the segment's pages were re-buffered and a
-// later destage retries them on a fresh segment. The host write and fill
-// paths swallow it (the data is safely buffered); Flush bounds its retries
-// and surfaces the failure rather than acknowledge durability it cannot
-// provide.
+// column's device kept answering with transient errors; the segment's
+// pages were re-buffered and a later destage retries them on a fresh
+// segment. The host write and fill paths swallow it (the data is safely
+// buffered); Flush bounds its retries and surfaces the failure rather than
+// acknowledge durability it cannot provide.
 var errSegmentAbandoned = errors.New("src: segment write abandoned")
 
 // rebuffer returns slots to their source buffer: pages that did not land
@@ -241,7 +245,7 @@ func (c *Cache) rebuffer(buf *segBuffer, slots []bufSlot, dirty bool) {
 			continue
 		}
 		i := buf.Append(slot.lba, slot.tag)
-		c.mapping[slot.lba] = entry{state: st, loc: int64(i)}
+		c.mapping.set(slot.lba, entry{state: st, loc: int64(i)})
 	}
 }
 
@@ -257,12 +261,12 @@ func (c *Cache) abandonSegment(at vtime.Time, sg, seg int64, buf *segBuffer, slo
 		if !slot.valid {
 			continue
 		}
-		e, ok := c.mapping[slot.lba]
+		e, ok := c.mapping.get(slot.lba)
 		if !ok || (e.state != stateSSDClean && e.state != stateSSDDirty) {
 			continue // capacity overflow: already re-buffered above
 		}
 		c.invalidateSSD(e.loc)
-		delete(c.mapping, slot.lba)
+		c.mapping.del(slot.lba)
 		back = append(back, slot)
 	}
 	c.rebuffer(buf, back, dirty)
@@ -314,7 +318,7 @@ func (c *Cache) handleFailedColumns(failedCols []int, perCol [][]summaryEntry, p
 				return fmt.Errorf("%w: dirty page %d on failed ssd %d without parity", ErrDataLoss, e.lba, col)
 			}
 			c.invalidateSSD(loc)
-			delete(c.mapping, e.lba)
+			c.mapping.del(e.lba)
 		}
 	}
 	return nil

@@ -37,12 +37,12 @@ type Cache struct {
 	totalValid  int64
 	totalPaycap int64
 
-	mapping  map[int64]entry
+	mapping  pageTable
 	dirtyBuf *segBuffer
 	cleanBuf *segBuffer
 	gcBuf    *segBuffer // S2S dirty copies (SeparateGCBuffer mode), else nil
 	hot      *bitmap.Bitmap
-	versions map[int64]uint64
+	versions []uint64 // per-page write version (TrackContent only), else nil
 
 	counters    bench.Counters
 	lastWriteAt vtime.Time
@@ -70,14 +70,14 @@ func New(cfg Config) (*Cache, error) {
 		lay:     lay,
 		groups:  make([]group, lay.numSG),
 		active:  -1,
-		mapping: make(map[int64]entry),
-		hot:     bitmap.New(cfg.Primary.Capacity() / blockdev.PageSize),
+		mapping: newPageTable(primaryPages(cfg)),
+		hot:     bitmap.New(primaryPages(cfg)),
 		devErrs: make([]int64, lay.m),
 		colDown: make([]bool, lay.m),
 		scrub:   scrubCursor{sg: 1},
 	}
 	if cfg.TrackContent {
-		c.versions = make(map[int64]uint64)
+		c.versions = make([]uint64, primaryPages(cfg))
 	}
 	c.dirtyBuf = newSegBuffer(c.bufCapacity(true))
 	c.cleanBuf = newSegBuffer(c.bufCapacity(false))
@@ -152,7 +152,7 @@ func (c *Cache) Groups() int { return int(c.lay.numSG) }
 
 // CachedPages reports the number of logical pages currently cached (any
 // state).
-func (c *Cache) CachedPages() int { return len(c.mapping) }
+func (c *Cache) CachedPages() int { return c.mapping.count() }
 
 // DirtyBufferedPages reports pages waiting in the dirty segment buffers
 // (host writes plus, in SeparateGCBuffer mode, S2S copies).
@@ -199,7 +199,7 @@ func (c *Cache) dropPage(lba int64, e entry) {
 	default:
 		c.invalidateSSD(e.loc)
 	}
-	delete(c.mapping, lba)
+	c.mapping.del(lba)
 }
 
 // Submit implements the host-facing block interface of the cache volume
@@ -222,7 +222,7 @@ func (c *Cache) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) 
 	default: // trim: invalidate cached copies, forward to primary
 		first := req.Off / blockdev.PageSize
 		for p := first; p < first+req.Pages(); p++ {
-			if e, ok := c.mapping[p]; ok {
+			if e, ok := c.mapping.get(p); ok {
 				c.dropPage(p, e)
 			}
 		}
@@ -245,7 +245,7 @@ func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, erro
 		if c.cfg.TrackContent {
 			c.versions[p]++
 		}
-		if e, ok := c.mapping[p]; ok {
+		if e, ok := c.mapping.get(p); ok {
 			c.hot.Set(p) // a rewrite is a re-reference
 			if e.state == stateBufDirty {
 				c.dirtyBuf.SetTag(int(e.loc), c.tagFor(p))
@@ -254,7 +254,7 @@ func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, erro
 			c.dropPage(p, e)
 		}
 		slot := c.dirtyBuf.Append(p, c.tagFor(p))
-		c.mapping[p] = entry{state: stateBufDirty, loc: int64(slot)}
+		c.mapping.set(p, entry{state: stateBufDirty, loc: int64(slot)})
 		if c.dirtyBuf.Full() {
 			done, err := c.writeSegment(ack, c.dirtyBuf, true)
 			if err != nil {
@@ -312,7 +312,7 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 	}
 
 	for p := first; p < first+pages; p++ {
-		e, ok := c.mapping[p]
+		e, ok := c.mapping.get(p)
 		if !ok {
 			if err := flushSSDRun(p); err != nil {
 				return done, err
@@ -390,11 +390,11 @@ func (c *Cache) fillFromPrimary(at vtime.Time, lba, pages int64) (vtime.Time, er
 			}
 			tag = t
 		}
-		if _, ok := c.mapping[p]; ok {
+		if _, ok := c.mapping.get(p); ok {
 			continue // raced with a concurrent insert in this request
 		}
 		slot := c.cleanBuf.Append(p, tag)
-		c.mapping[p] = entry{state: stateBufClean, loc: int64(slot)}
+		c.mapping.set(p, entry{state: stateBufClean, loc: int64(slot)})
 		if c.cleanBuf.Full() {
 			// Clean segment writes happen off the acknowledgement path:
 			// the staging buffer already answered the host. An abandoned
@@ -426,13 +426,15 @@ func (c *Cache) Flush(at vtime.Time) (vtime.Time, error) {
 	return vtime.Max(done, t), nil
 }
 
-// drainDirty destages the dirty buffers completely: a buffer can hold more
-// than one segment's payload after an abandoned destage re-buffered its
-// pages. Abandoned writes are retried on fresh segments — every retry
-// consumes the failing device's transient faults or error budget, so the
-// write either lands or the column escalates to fail-stop and the degraded
-// write path takes over. The bound keeps a persistently rejecting live
-// device from stalling the drain; the caller then sees the device error
+// drainDirty destages the dirty buffers completely: a buffer can hold a
+// little more than one segment's payload (segBuffer's overshoot). A write
+// is abandoned only when a live device exhausted its transient retries,
+// and each such rejection is charged to that device's error budget, so a
+// retry on a fresh segment either lands or brings the column closer to
+// fail-stop, after which the degraded write path takes over; a device that
+// fails hard is fail-stopped at its first answer and costs no retry at
+// all. The bound keeps a device that goes on rejecting with budget to
+// spare from stalling the drain; the caller then sees the device error
 // instead of a false durability acknowledgement.
 func (c *Cache) drainDirty(at vtime.Time) (vtime.Time, error) {
 	done := at

@@ -91,7 +91,11 @@ func (e *env) checkInvariants() {
 		e.t.Fatalf("totalValid %d != sum of groups %d", c.totalValid, valid)
 	}
 	var onSSD int64
-	for lba, en := range c.mapping {
+	pages := mapped(c)
+	if len(pages) != c.CachedPages() {
+		e.t.Fatalf("page table counts %d live entries, holds %d", c.CachedPages(), len(pages))
+	}
+	for lba, en := range pages {
 		switch en.state {
 		case stateSSDClean, stateSSDDirty:
 			onSSD++
@@ -300,7 +304,7 @@ func TestOverwriteBufferedCleanPromotesToDirty(t *testing.T) {
 	e := newEnv(t, nil)
 	e.read(7, 1) // clean fill, stays in clean buffer
 	e.write(7, 1)
-	en, ok := e.cache.mapping[7]
+	en, ok := e.cache.mapping.get(7)
 	if !ok || en.state != stateBufDirty {
 		t.Fatalf("entry %+v, want buffered dirty", en)
 	}
@@ -390,7 +394,7 @@ func TestTrimInvalidatesAndForwards(t *testing.T) {
 	if _, err := e.cache.Submit(e.at, blockdev.Request{Op: blockdev.OpTrim, Off: 10 * blockdev.PageSize, Len: 4 * blockdev.PageSize}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.cache.mapping[10]; ok {
+	if _, ok := e.cache.mapping.get(10); ok {
 		t.Fatal("trimmed page still mapped")
 	}
 	if e.prim.Stats().TrimOps != 1 {
@@ -507,4 +511,16 @@ func TestUMaxForcesS2DAtHighUtilization(t *testing.T) {
 	if ctr.DestageBytes == 0 {
 		t.Fatal("no destaging happened")
 	}
+}
+
+// mapped snapshots the page table as a map of the cached pages, for tests
+// that walk every mapping.
+func mapped(c *Cache) map[int64]entry {
+	m := make(map[int64]entry, c.mapping.count())
+	for lba, en := range c.mapping.entries {
+		if en.state != 0 {
+			m[int64(lba)] = en
+		}
+	}
+	return m
 }
