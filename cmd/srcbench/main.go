@@ -12,28 +12,17 @@
 // cells; -parallel fans them out over worker goroutines (default:
 // GOMAXPROCS). Tables are assembled in canonical order, so the output is
 // byte-identical at any parallelism. -v traces per-cell timing on stderr.
-//
-// A separate mode measures the concurrent engine against the wall clock —
-// the one part of the repo that is about real elapsed time, not virtual
-// time — and records the tracked BENCH_<n>.json trajectory point:
-//
-//	srcbench -bench -bench-out BENCH_1.json
-//	srcbench -bench -bench-requests 1000000 -bench-shards 1,2,4,8
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"srccache/internal/engine/wallbench"
 	"srccache/internal/experiments"
 )
 
@@ -55,24 +44,9 @@ func run(args []string, stdout io.Writer) error {
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation cells (1 = serial; output is identical at any value)")
 		verbose  = fs.Bool("v", false, "trace per-cell progress and timing on stderr")
 		out      = fs.String("o", "", "also write results to this file")
-
-		bench       = fs.Bool("bench", false, "run the wall-clock engine benchmark suite instead of simulation tables")
-		benchOut    = fs.String("bench-out", "", "write the benchmark JSON to this file (default stdout)")
-		benchReqs   = fs.Int("bench-requests", 0, "total requests per benchmark point (default 400000)")
-		benchCli    = fs.Int("bench-clients", 0, "client goroutines (default 8)")
-		benchBatch  = fs.Int("bench-batch", 0, "closed-loop submission window per client (default 256)")
-		benchSpan   = fs.Int64("bench-span", 0, "volume bytes (default 256 MiB)")
-		benchShards = fs.String("bench-shards", "", "comma-separated engine shard counts (default 1,2,4,8)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *bench {
-		return runBench(stdout, benchFlags{
-			out: *benchOut, requests: *benchReqs, clients: *benchCli,
-			batch: *benchBatch, span: *benchSpan, shards: *benchShards,
-			seed: *seed, verbose: *verbose,
-		})
 	}
 	if *list {
 		for _, e := range experiments.All() {
@@ -121,61 +95,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(w, "[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-type benchFlags struct {
-	out      string
-	requests int
-	clients  int
-	batch    int
-	span     int64
-	shards   string
-	seed     int64
-	verbose  bool
-}
-
-// runBench executes the wall-clock engine suite and emits one
-// BENCH_<n>.json trajectory point.
-func runBench(stdout io.Writer, f benchFlags) error {
-	cfg := wallbench.BenchConfig{
-		Span:     f.span,
-		Requests: f.requests,
-		Clients:  f.clients,
-		Batch:    f.batch,
-		Seed:     f.seed,
-	}
-	if f.shards != "" {
-		for _, s := range strings.Split(f.shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("-bench-shards: bad shard count %q", s)
-			}
-			cfg.ShardCounts = append(cfg.ShardCounts, n)
-		}
-	}
-	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
-	if !f.verbose {
-		progress = nil
-	}
-	res, err := wallbench.RunBenchSuite(cfg, progress)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if f.out == "" {
-		_, err = stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(f.out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s: engine %.2fx single-shard dispatch baseline at %d shards\n",
-		f.out, res.Speedup, res.Points[len(res.Points)-1].Shards)
 	return nil
 }
 

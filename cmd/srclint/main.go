@@ -8,9 +8,6 @@
 //	errpath      an error bound from a blockdev/raid call must be read on every path
 //	lockheld     no sync.Mutex/RWMutex held across blockdev/raid/netblock I/O
 //	flushepoch   //srclint:contract flush functions drain/flush on every success path
-//	confined     //srclint:confined fields reached only from their owner goroutine
-//	             or behind a //srclint:handoff guard
-//	atomicfreeze values published via atomic.Pointer/atomic.Value are frozen
 //	chandisc     no send after close, close only from the //srclint:owns owner,
 //	             no receive on a self-closed channel
 //	staleepoch   cluster-layer calls that can surface netblock.ErrStaleEpoch
@@ -24,15 +21,15 @@
 //	             with //srclint:coldpath at a boundary
 //
 // errpath, lockheld and flushepoch are path-sensitive: they run over
-// per-function control-flow graphs (internal/analysis/cfg). confined,
-// atomicfreeze and chandisc are additionally interprocedural: they run
-// over the package call graph (internal/analysis/callgraph — static call,
-// go and defer edges with function-value flow and per-function effect
-// summaries). staleepoch, boundedretry and hotpath are modular: each
-// package's analysis emits serialized fact summaries
-// (internal/analysis/modfacts — exported contracts, cross-package call
-// edges, hot-path safety), and the driver loads dependency facts so the
-// contracts propagate across package boundaries.
+// per-function control-flow graphs (internal/analysis/cfg). chandisc is
+// additionally interprocedural: it runs over the package call graph
+// (internal/analysis/callgraph — static call, go and defer edges with
+// function-value flow and per-function effect summaries). staleepoch,
+// boundedretry and hotpath are modular: each package's analysis emits
+// serialized fact summaries (internal/analysis/modfacts — exported
+// contracts, cross-package call edges, hot-path safety), and the driver
+// loads dependency facts so the contracts propagate across package
+// boundaries.
 //
 // Run standalone (srclint ./...), with -json for machine-readable NDJSON
 // findings on stdout, or as a vet tool:
@@ -46,20 +43,17 @@
 // Suppress an individual finding with //srclint:allow <check>[,<check>...]
 // [reason] on or directly above the offending line; a directive that
 // suppresses nothing is itself reported (staleallow). The annotation
-// grammar for the contracts (//srclint:contract flush, //srclint:confined,
-// //srclint:handoff, //srclint:owns, //srclint:contracterr,
-// //srclint:surfaces, //srclint:handles, //srclint:hotpath,
-// //srclint:coldpath) is documented in DESIGN.md §8.
+// grammar for the contracts (//srclint:contract flush, //srclint:owns,
+// //srclint:contracterr, //srclint:surfaces, //srclint:handles,
+// //srclint:hotpath, //srclint:coldpath) is documented in DESIGN.md §8.
 package main
 
 import (
 	"os"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/atomicfreeze"
 	"srccache/internal/analysis/boundedretry"
 	"srccache/internal/analysis/chandisc"
-	"srccache/internal/analysis/confined"
 	"srccache/internal/analysis/driver"
 	"srccache/internal/analysis/errpath"
 	"srccache/internal/analysis/flushepoch"
@@ -81,8 +75,6 @@ func main() {
 		errpath.Analyzer,
 		lockheld.Analyzer,
 		flushepoch.Analyzer,
-		confined.Analyzer,
-		atomicfreeze.Analyzer,
 		chandisc.Analyzer,
 		staleepoch.Analyzer,
 		boundedretry.Analyzer,

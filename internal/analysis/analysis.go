@@ -252,7 +252,7 @@ func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
 
 // FieldDirective scans a struct field's doc comment and trailing line
 // comment for a "//srclint:<name>" marker (the annotation grammar of the
-// confined/chandisc analyzers, DESIGN.md §8).
+// chandisc analyzer, DESIGN.md §8).
 func FieldDirective(f *ast.Field, name string) (args string, ok bool) {
 	if args, ok = Directive(f.Doc, name); ok {
 		return args, true
@@ -335,7 +335,7 @@ var SimPackages = []string{
 }
 
 // ClusterPackages lists the package-path suffixes bound by the routing
-// protocol contract (DESIGN.md §8 rule 11): inside them, any call that can
+// protocol contract (DESIGN.md §8 rule 9): inside them, any call that can
 // surface a stale-epoch contract error must reach a table-refetch/retry
 // handler. cmd/ and examples/ consume the fleet's already-handled surface,
 // so they stay out of scope.

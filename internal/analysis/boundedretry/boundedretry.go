@@ -1,4 +1,4 @@
-// Package boundedretry enforces DESIGN.md §8 rule 12: a retry/reconnect
+// Package boundedretry enforces DESIGN.md §8 rule 10: a retry/reconnect
 // loop must consult a budget, limit, or deadline on every back edge — a
 // loop that redials a dead peer forever turns one crashed node into a hung
 // caller.

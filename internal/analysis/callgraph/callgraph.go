@@ -1,5 +1,5 @@
 // Package callgraph builds a static, package-local call graph for the
-// interprocedural srclint analyzers (confined, atomicfreeze, chandisc).
+// interprocedural srclint analyzers (chandisc, hotpath, staleepoch).
 //
 // Nodes are the package's function declarations plus every function
 // literal; edges record the call site and how control transfers: a plain

@@ -9,22 +9,17 @@ import (
 // A Summary is a node's transitive effect summary, computed over the SCC
 // condensation (callees first, fixpoint within a component):
 //
-//   - MutatesParam[i]: the function may write through its i'th parameter
-//     (unified indexing: a method's receiver is parameter 0, then the
-//     declared parameters). Only externally visible mutation counts —
-//     writes through pointers, slice/map elements, or builtin copy/clear/
-//     delete — not reassignment of the parameter variable itself.
 //   - SendsOn / ClosesOn: channel objects (struct fields, package vars, or
 //     variables captured from an enclosing function) the function may send
 //     on / close, directly or via callees.
 //   - SendsOnParam / ClosesOnParam: same, for channel-typed parameters by
-//     unified index.
+//     unified index (a method's receiver is parameter 0, then the declared
+//     parameters).
 //
 // Effects behind `go` launches inside a callee are included: a caller that
 // invokes a function which *starts a goroutine that closes ch* may close
 // ch, as far as channel discipline is concerned.
 type Summary struct {
-	MutatesParam  []bool
 	SendsOn       []types.Object
 	ClosesOn      []types.Object
 	SendsOnParam  []bool
@@ -91,7 +86,6 @@ func (g *Graph) ComputeSummaries() {
 	for _, n := range g.Nodes {
 		params := n.Params(g.info)
 		n.Summary = Summary{
-			MutatesParam:  make([]bool, len(params)),
 			SendsOnParam:  make([]bool, len(params)),
 			ClosesOnParam: make([]bool, len(params)),
 		}
@@ -124,7 +118,7 @@ func sortObjs(objs []types.Object) {
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
 }
 
-// directEffects records a node's own writes, sends and closes.
+// directEffects records a node's own sends and closes.
 func (g *Graph) directEffects(n *Node, paramIdx map[types.Object]int) {
 	s := &n.Summary
 	recordChan := func(e ast.Expr, onParam []bool, objs *[]types.Object) {
@@ -148,76 +142,12 @@ func (g *Graph) directEffects(n *Node, paramIdx map[types.Object]int) {
 		case *ast.SendStmt:
 			recordChan(st.Chan, s.SendsOnParam, &s.SendsOn)
 		case *ast.CallExpr:
-			if name, ok := builtinName(g.info, st); ok {
-				switch name {
-				case "close":
-					if len(st.Args) == 1 {
-						recordChan(st.Args[0], s.ClosesOnParam, &s.ClosesOn)
-					}
-				case "copy", "clear", "delete":
-					if len(st.Args) > 0 {
-						g.recordMutation(st.Args[0], n, paramIdx)
-					}
-				}
+			if name, ok := builtinName(g.info, st); ok && name == "close" && len(st.Args) == 1 {
+				recordChan(st.Args[0], s.ClosesOnParam, &s.ClosesOn)
 			}
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				g.recordMutation(lhs, n, paramIdx)
-			}
-		case *ast.IncDecStmt:
-			g.recordMutation(st.X, n, paramIdx)
 		}
 		return true
 	})
-}
-
-// recordMutation marks MutatesParam when an lvalue writes *through* a
-// parameter: p.f = x, *p = x, p[i] = x — but not p = x, which only rebinds
-// the local copy.
-func (g *Graph) recordMutation(lhs ast.Expr, n *Node, paramIdx map[types.Object]int) {
-	root, through := lvalueRoot(lhs)
-	if !through {
-		return
-	}
-	id, ok := root.(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj := g.valueObj(id)
-	if obj == nil {
-		return
-	}
-	if i, ok := paramIdx[obj]; ok && pointerish(obj.Type()) {
-		n.Summary.MutatesParam[i] = true
-	}
-}
-
-// lvalueRoot peels selectors, indexes and derefs off an lvalue and reports
-// whether any were peeled (i.e. the write goes through the root rather than
-// rebinding it).
-func lvalueRoot(e ast.Expr) (root ast.Expr, through bool) {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e, through = x.X, true
-		case *ast.IndexExpr:
-			e, through = x.X, true
-		case *ast.StarExpr:
-			e, through = x.X, true
-		default:
-			return ast.Unparen(e), through
-		}
-	}
-}
-
-// pointerish reports whether writes through a value of type t are visible
-// to the caller.
-func pointerish(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface:
-		return true
-	}
-	return false
 }
 
 // isLocalOf reports whether obj is a variable declared inside the node's
@@ -261,22 +191,6 @@ func (g *Graph) propagateCalls(n *Node, paramIdx map[types.Object]int) bool {
 		// expressions at this site.
 		changed = mergeChanEffects(g, n, paramIdx, cs.SendsOn, cs.SendsOnParam, args, &s.SendsOn, s.SendsOnParam) || changed
 		changed = mergeChanEffects(g, n, paramIdx, cs.ClosesOn, cs.ClosesOnParam, args, &s.ClosesOn, s.ClosesOnParam) || changed
-
-		// Parameter mutations: an argument that is one of n's own
-		// pointerish parameters makes n a mutator of that parameter.
-		for i, mutates := range cs.MutatesParam {
-			if !mutates || i >= len(args) {
-				continue
-			}
-			obj := g.valueObj(args[i])
-			if obj == nil {
-				continue
-			}
-			if j, ok := paramIdx[obj]; ok && pointerish(obj.Type()) && !s.MutatesParam[j] {
-				s.MutatesParam[j] = true
-				changed = true
-			}
-		}
 	}
 	return changed
 }

@@ -12,10 +12,8 @@ import (
 	"testing"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/atomicfreeze"
 	"srccache/internal/analysis/boundedretry"
 	"srccache/internal/analysis/chandisc"
-	"srccache/internal/analysis/confined"
 	"srccache/internal/analysis/errpath"
 	"srccache/internal/analysis/flushepoch"
 	"srccache/internal/analysis/hotpath"
@@ -27,7 +25,7 @@ import (
 	"srccache/internal/analysis/wallclock"
 )
 
-// allAnalyzers mirrors cmd/srclint's registration list: all thirteen
+// allAnalyzers mirrors cmd/srclint's registration list: all eleven
 // checks.
 var allAnalyzers = []*analysis.Analyzer{
 	wallclock.Analyzer,
@@ -37,8 +35,6 @@ var allAnalyzers = []*analysis.Analyzer{
 	errpath.Analyzer,
 	lockheld.Analyzer,
 	flushepoch.Analyzer,
-	confined.Analyzer,
-	atomicfreeze.Analyzer,
 	chandisc.Analyzer,
 	staleepoch.Analyzer,
 	boundedretry.Analyzer,
@@ -133,7 +129,7 @@ func depFactsOver(fset *token.FileSet, imp types.Importer, pkgs []*listPackage) 
 	return fl.facts
 }
 
-// checkClean runs all thirteen analyzers (including stale-suppression
+// checkClean runs all eleven analyzers (including stale-suppression
 // detection) over one package and reports every diagnostic as an error.
 func checkClean(t *testing.T, importPath string) {
 	t.Helper()
@@ -150,12 +146,11 @@ func checkClean(t *testing.T, importPath string) {
 }
 
 // TestSrcSelfClean asserts the real internal/src package is clean under
-// all ten analyzers — the tree-wide self-clean gate in miniature.
+// all eleven analyzers — the tree-wide self-clean gate in miniature.
 func TestSrcSelfClean(t *testing.T) { checkClean(t, "srccache/internal/src") }
 
-// TestEngineSelfClean covers the package the concurrency analyzers were
-// built for: the sharded engine's confined fields, handoff guards, sealed
-// routing table, and completion channel must all verify.
+// TestEngineSelfClean covers the sharded engine: its //srclint:hotpath
+// root (Engine.Do) and the shard lock held across cache.Submit must verify.
 func TestEngineSelfClean(t *testing.T) { checkClean(t, "srccache/internal/engine") }
 
 // TestNetblockSelfClean covers the shutdown-channel ownership annotations.
@@ -253,49 +248,8 @@ func TestSeedingRemoval(t *testing.T) {
 	}
 }
 
-// TestConfinedSeedingRemoval deletes the handoff guard from
-// Serial.Counters on a copy of internal/engine: the confined analyzer
-// must report exactly that function, once.
-func TestConfinedSeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/engine", "serial.go",
-		"\tif s.e.started.Load() {\n\t\tpanic(\"engine: Serial.Counters after Start; use Engine.Counters\")\n\t}\n", "")
-	confinedDiags := ofCategory(diags, "confined")
-	if len(confinedDiags) != 1 {
-		t.Fatalf("want exactly 1 confined diagnostic after removing the Counters guard, got %d (all: %v)",
-			len(confinedDiags), diags)
-	}
-	posn := fset.Position(confinedDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "serial.go" {
-		t.Errorf("diagnostic at %v, want in serial.go", posn)
-	}
-	if !strings.Contains(confinedDiags[0].Message, "Serial.Counters") {
-		t.Errorf("message does not name Serial.Counters: %s", confinedDiags[0].Message)
-	}
-}
-
-// TestAtomicFreezeSeedingRemoval replaces Close's copy-on-write seal of
-// the routing table with an in-place write on a copy of internal/engine:
-// the atomicfreeze analyzer must report exactly that write, once.
-func TestAtomicFreezeSeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/engine", "engine.go",
-		"e.tab.Store(&table{shards: old.shards, stripeBytes: old.stripeBytes, shardBytes: old.shardBytes, sealed: true})",
-		"old.sealed = true")
-	freezeDiags := ofCategory(diags, "atomicfreeze")
-	if len(freezeDiags) != 1 {
-		t.Fatalf("want exactly 1 atomicfreeze diagnostic after unsealing Close, got %d (all: %v)",
-			len(freezeDiags), diags)
-	}
-	posn := fset.Position(freezeDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "engine.go" {
-		t.Errorf("diagnostic at %v, want in engine.go", posn)
-	}
-	if !strings.Contains(freezeDiags[0].Message, "published via atomic Store") {
-		t.Errorf("message does not explain the freeze contract: %s", freezeDiags[0].Message)
-	}
-}
-
 // TestFleetSelfClean holds the TCP fleet — the package the staleepoch
-// contract was built around — clean under all thirteen analyzers,
+// contract was built around — clean under all eleven analyzers,
 // including the handles-annotation rot verification.
 func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster/fleet") }
 

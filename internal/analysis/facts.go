@@ -87,10 +87,8 @@ type FuncFact struct {
 	// cross-package half of the callgraph.
 	Calls []string `json:",omitempty"`
 
-	// MutatesParams, SendsOnParams and ClosesOnParams export the
-	// callgraph package's channel/mutation summaries by unified parameter
-	// index (receiver first).
-	MutatesParams  []int `json:",omitempty"`
+	// SendsOnParams and ClosesOnParams export the callgraph package's
+	// channel summaries by unified parameter index (receiver first).
 	SendsOnParams  []int `json:",omitempty"`
 	ClosesOnParams []int `json:",omitempty"`
 }
@@ -130,7 +128,6 @@ func (f *PackageFacts) Normalize() {
 		sort.Strings(ff.Surfaces)
 		sort.Strings(ff.Handles)
 		sort.Strings(ff.Calls)
-		sort.Ints(ff.MutatesParams)
 		sort.Ints(ff.SendsOnParams)
 		sort.Ints(ff.ClosesOnParams)
 	}

@@ -1,6 +1,6 @@
-// Package hotpath enforces DESIGN.md §8 rule 13: functions annotated
-// //srclint:hotpath — the engine shard's run loop and the src.Cache
-// read/write path — and everything they transitively call must stay free
+// Package hotpath enforces DESIGN.md §8 rule 11: functions annotated
+// //srclint:hotpath — the engine's Do, the netblock frame loop and the
+// src.Cache read/write path — and everything they transitively call must stay free
 // of the allocation and reflection patterns that wreck p99 latency:
 //
 //   - slice and map composite literals, and address-of composite literals

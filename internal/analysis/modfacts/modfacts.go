@@ -64,8 +64,8 @@ func Compute(fset *token.FileSet, files []*ast.File, info *types.Info, pkg *type
 
 // directFacts fills everything about one function that does not require
 // the package callgraph fixpoint: annotations, surfaces inference, budget
-// consultation, cross-package call edges, and the channel/mutation
-// summaries from the callgraph package.
+// consultation, cross-package call edges, and the channel summaries from
+// the callgraph package.
 func directFacts(fset *token.FileSet, info *types.Info, pkg *types.Package, n *callgraph.Node, contracts *ContractVars, dep func(string) *analysis.PackageFacts, dirs *analysis.Directives) analysis.FuncFact {
 	ff := analysis.FuncFact{Name: n.Name, Exported: nodeExported(n)}
 
@@ -129,11 +129,6 @@ func directFacts(fset *token.FileSet, info *types.Info, pkg *types.Package, n *c
 		return true
 	})
 
-	for i, m := range n.Summary.MutatesParam {
-		if m {
-			ff.MutatesParams = append(ff.MutatesParams, i)
-		}
-	}
 	for i, m := range n.Summary.SendsOnParam {
 		if m {
 			ff.SendsOnParams = append(ff.SendsOnParams, i)

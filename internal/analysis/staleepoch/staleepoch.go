@@ -1,5 +1,5 @@
 // Package staleepoch enforces the cluster routing protocol's stale-epoch
-// contract (DESIGN.md §8 rule 11): inside the cluster packages, any call
+// contract (DESIGN.md §8 rule 9): inside the cluster packages, any call
 // that can surface a stale-epoch contract error (netblock.ErrStaleEpoch,
 // cluster.ErrStaleEpoch) must reach a table-refetch/retry handler.
 //

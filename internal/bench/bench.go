@@ -48,6 +48,24 @@ type Counters struct {
 	SSDFlushes int64
 }
 
+// Add accumulates o into c, field by field: the sum over caches that share
+// nothing (the engine's shards).
+func (c *Counters) Add(o Counters) {
+	c.Reads += o.Reads
+	c.Writes += o.Writes
+	c.ReadBytes += o.ReadBytes
+	c.WriteBytes += o.WriteBytes
+	c.ReadHits += o.ReadHits
+	c.ReadHitBytes += o.ReadHitBytes
+	c.FillBytes += o.FillBytes
+	c.DestageBytes += o.DestageBytes
+	c.GCCopyBytes += o.GCCopyBytes
+	c.GCSegments += o.GCSegments
+	c.MetadataBytes += o.MetadataBytes
+	c.ParityBytes += o.ParityBytes
+	c.SSDFlushes += o.SSDFlushes
+}
+
 // HitRatio reports read hits over reads, zero when no reads ran.
 func (c Counters) HitRatio() float64 {
 	if c.Reads == 0 {

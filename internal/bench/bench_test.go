@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"srccache/internal/blockdev"
@@ -130,6 +131,27 @@ func TestCountersHitRatio(t *testing.T) {
 	}
 	if (Counters{}).HitRatio() != 0 {
 		t.Fatal("empty counters hit ratio")
+	}
+}
+
+// TestCountersAddCoversEveryField gives every field of two Counters a
+// distinct value by reflection and checks the sum field by field, so a
+// field added to the struct and left out of Add fails here.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var a, b Counters
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Counters.%s is %v; Add and this test sum int64 fields only", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add dropped or mis-summed Counters.%s: got %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

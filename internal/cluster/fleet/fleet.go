@@ -325,7 +325,7 @@ type Stats struct {
 // head-first, and fails over across owners when one does not answer. When a
 // member refuses a read with netblock.ErrStaleEpoch, the fleet refetches
 // its routing table through the SetRefetch source and retries against the
-// current owners — the staleepoch contract, DESIGN.md §8 rule 11.
+// current owners — the staleepoch contract, DESIGN.md §8 rule 9.
 type Fleet struct {
 	opts netblock.ClientOptions
 

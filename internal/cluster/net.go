@@ -15,7 +15,7 @@ var (
 	ErrUnreachable = errors.New("cluster: peer unreachable")
 	// ErrStaleEpoch means the caller's routing table epoch does not match
 	// the node's — refetch the table and retry. The staleepoch analyzer
-	// (DESIGN.md §8 rule 11) holds cluster-layer callers to that protocol.
+	// (DESIGN.md §8 rule 9) holds cluster-layer callers to that protocol.
 	//
 	//srclint:contracterr staleepoch
 	ErrStaleEpoch = errors.New("cluster: stale routing epoch")

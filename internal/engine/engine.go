@@ -1,34 +1,33 @@
-// Package engine is the sharded, lock-minimal concurrent front-end over
-// the SRC cache: it partitions a volume's LBA space across N independent
-// src.Cache shards — the share-nothing unit the paper's design already
-// provides (independent segments, append-only full-stripe writes, no
-// read-modify-write) — and serves requests either deterministically in
-// virtual time (Serial, for the experiment engine) or on real goroutines
-// with per-shard request queues and batched segment-buffer appends (Start,
-// for wall-clock serving and benchmarking).
+// Package engine is the sharded front-end over the SRC cache: it partitions
+// a volume's LBA space across N independent src.Cache shards — the
+// share-nothing unit the paper's design already provides (independent
+// segments, append-only full-stripe writes, no read-modify-write) — and
+// serves requests either deterministically in virtual time (Serial, for
+// replay and as the test oracle) or from any number of goroutines at once
+// (after Start, for wall-clock serving).
 //
-// Concurrency discipline:
+// There is one submission path. The caller walks its request's stripe
+// fragments and runs each on its own goroutine under that shard's mutex
+// (shard.do) — the shape of the paper's Device-Mapper target, where the
+// submitting context runs map() itself and the target's lock serializes
+// it. No goroutine, queue or channel sits between a request and
+// src.Cache.Submit.
 //
-//   - The routing table is immutable once published and is swapped
-//     atomically; the request path loads it with one atomic read and never
-//     takes a lock. Any topology change (today: sealing at Close) builds a
-//     new table and swaps the pointer.
-//   - Each shard's src.Cache, payload store, and virtual clock are owned
-//     exclusively by that shard's worker goroutine. All mutation happens on
-//     the worker; cross-shard state does not exist. The only
-//     synchronization on the hot path is one channel send per shard per
-//     batch and one atomic decrement per shard-batch on completion — the
-//     dm-writeboost idea of paying for synchronization once per hundreds of
-//     appended pages, not once per page.
-//   - Counter snapshots and flushes travel through the same per-shard
-//     queues as data, so they are ordered with respect to the ops they
-//     observe and need no locks either.
+//   - Geometry (shard set, stripe size) is fixed at New and read without
+//     synchronization.
+//   - A shard's src.Cache, payload store and virtual clock are guarded by
+//     the shard's mutex and touched only inside shard.do. Shards share
+//     nothing, so no call ever holds two locks.
+//   - Flushes and counter snapshots are ops like any other: they take each
+//     shard's lock in turn and are therefore ordered with the data ops they
+//     observe.
+//   - Close sets the closed flag and then takes every shard lock once. do
+//     reads the flag under the lock, so once Close returns no op runs.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,12 +56,9 @@ type Options struct {
 	// Large stripes keep most requests on a single shard; the stripe unit
 	// is also the granularity a future rebalancer would migrate.
 	StripePages int64
-	// QueueDepth is the per-shard batch-queue capacity (default 256
-	// batches). A full queue applies back-pressure to submitters.
-	QueueDepth int
 	// Payload allocates a per-shard byte store so the engine serves real
 	// data (the netblockd serving path). Without it the engine tracks
-	// cache accounting and timing only (the benchmark path).
+	// cache accounting and timing only.
 	Payload bool
 }
 
@@ -72,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StripePages == 0 {
 		o.StripePages = 4096
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 256
 	}
 	return o
 }
@@ -89,8 +82,8 @@ type Request struct {
 	Data []byte
 }
 
-// opKind is the shard-worker vocabulary: the three data ops plus the
-// control ops that ride the same queues.
+// opKind is the shard vocabulary: the three data ops plus the control ops
+// that take the same lock.
 type opKind uint8
 
 const (
@@ -112,83 +105,44 @@ type op struct {
 	snap *bench.Counters
 }
 
-// completion fans in the per-shard batches of one submission: the last
-// shard to finish closes done. The first error wins; later ones are
-// dropped (they are almost always knock-ons of the first).
-type completion struct {
-	pending atomic.Int32
-	err     atomic.Pointer[error]
-	done    chan struct{} //srclint:owns finish (closed exactly once, by the last shard)
-}
-
-func newCompletion(parts int32) *completion {
-	c := &completion{done: make(chan struct{})}
-	c.pending.Store(parts)
-	return c
-}
-
-func (c *completion) fail(err error) {
-	if err == nil {
-		return
-	}
-	c.err.CompareAndSwap(nil, &err)
-}
-
-func (c *completion) finish() {
-	if c.pending.Add(-1) == 0 {
-		close(c.done)
-	}
-}
-
-func (c *completion) wait() error {
-	<-c.done
-	if p := c.err.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// shardBatch is one channel message: a slice of ops for one shard, plus
-// the completion it participates in. stop ends the worker.
-type shardBatch struct {
-	ops  []op
-	done *completion
-	stop bool
-}
-
-// shard is one share-nothing cache partition. Every field below q is owned
-// by the worker goroutine (or by the caller in serial mode — never both:
-// Start hands ownership to the worker). The //srclint:confined annotations
-// make srclint enforce that ownership statically (DESIGN.md §8 rule 8):
-// only shard.run, code it calls, or functions guarded by a started check
-// may touch these fields.
+// shard is one share-nothing cache partition. mu guards the cache's state,
+// the payload bytes and the clock; do is the only code that reads or writes
+// them (Serial.CacheDevices reads only the cache's fixed device list).
 type shard struct {
-	id int
-	q  chan shardBatch
+	closed *atomic.Bool // the engine's flag, read under mu so Close fences
 
-	cache *src.Cache //srclint:confined run
-	data  []byte     //srclint:confined run (payload store; nil unless Options.Payload)
-	now   vtime.Time //srclint:confined run (shard-local virtual clock)
+	mu    sync.Mutex
+	cache *src.Cache
+	data  []byte     // payload store; nil unless Options.Payload
+	now   vtime.Time // shard-local virtual clock
 }
 
-// exec runs one op against the shard, advancing the shard clock.
-func (s *shard) exec(o *op) error {
-	switch o.kind {
-	case kFlush:
-		done, err := s.cache.Flush(s.now)
-		if err != nil {
-			return err
-		}
-		s.now = vtime.Max(s.now, done)
-		return nil
-	case kCounters:
-		*o.snap = s.cache.Counters()
-		return nil
+// do runs one op on the caller's goroutine under the shard lock and
+// returns the shard clock after it. at is the caller's virtual time (the
+// Serial view's; zero from a started engine, whose devices keep their own
+// virtual time). Holding the lock across cache.Submit is the point, not a
+// cost: src.Cache is a single-threaded state machine and its device time
+// is virtual, so nothing blocks while the lock is held and the lock is all
+// the serialization a shard needs.
+func (s *shard) do(at vtime.Time, o *op) (vtime.Time, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return at, ErrClosed
 	}
+	if s.now < at {
+		s.now = at
+	}
+	done := s.now
+	var err error
 	// Payload copies are byte-granular; the cache models whole pages, so
 	// read/write accounting rounds outward to page boundaries and trim
 	// rounds inward (a partial page cannot be discarded).
 	switch o.kind {
+	case kFlush:
+		done, err = s.cache.Flush(s.now)
+	case kCounters:
+		*o.snap = s.cache.Counters()
 	case kRead, kWrite:
 		first := o.off / blockdev.PageSize * blockdev.PageSize
 		last := (o.off + o.n + blockdev.PageSize - 1) / blockdev.PageSize * blockdev.PageSize
@@ -196,12 +150,8 @@ func (s *shard) exec(o *op) error {
 		if o.kind == kWrite {
 			opcode = blockdev.OpWrite
 		}
-		done, err := s.cache.Submit(s.now, blockdev.Request{Op: opcode, Off: first, Len: last - first})
-		if err != nil {
-			return err
-		}
-		s.now = vtime.Max(s.now, done)
-		if s.data != nil {
+		done, err = s.cache.Submit(s.now, blockdev.Request{Op: opcode, Off: first, Len: last - first})
+		if err == nil && s.data != nil {
 			if o.kind == kRead {
 				copy(o.data, s.data[o.off:o.off+o.n])
 			} else if o.data != nil {
@@ -212,73 +162,28 @@ func (s *shard) exec(o *op) error {
 		first := (o.off + blockdev.PageSize - 1) / blockdev.PageSize * blockdev.PageSize
 		last := (o.off + o.n) / blockdev.PageSize * blockdev.PageSize
 		if last > first {
-			done, err := s.cache.Submit(s.now, blockdev.Request{Op: blockdev.OpTrim, Off: first, Len: last - first})
-			if err != nil {
-				return err
-			}
-			s.now = vtime.Max(s.now, done)
+			done, err = s.cache.Submit(s.now, blockdev.Request{Op: blockdev.OpTrim, Off: first, Len: last - first})
 		}
-		if s.data != nil {
-			for i := o.off; i < o.off+o.n; i++ {
-				s.data[i] = 0
-			}
+		if err == nil && s.data != nil {
+			clear(s.data[o.off : o.off+o.n])
 		}
 	}
-	return nil
-}
-
-// run is the worker loop: execute batches in arrival order until stop.
-// It is the per-shard service loop every request crosses, so it anchors
-// the allocation-free hot-path contract (DESIGN.md §8 rule 13).
-//
-//srclint:hotpath
-func (s *shard) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for b := range s.q {
-		if b.stop {
-			return
-		}
-		var err error
-		for i := range b.ops {
-			if err = s.exec(&b.ops[i]); err != nil {
-				break
-			}
-		}
-		b.done.fail(err)
-		b.done.finish()
+	if err != nil {
+		return s.now, err
 	}
+	s.now = vtime.Max(s.now, done)
+	return s.now, nil
 }
 
-// table is the immutable routing state: a published table is never
-// mutated; swaps replace the whole pointer.
-type table struct {
+// Engine is the sharded front-end. Its geometry is immutable after New;
+// all mutable state lives in the shards, each behind its own lock.
+type Engine struct {
 	shards      []*shard
 	stripeBytes int64
 	shardBytes  int64
-	sealed      bool
-}
 
-// route maps a volume byte offset to (shard index, shard-local offset).
-// Stripes rotate round-robin across shards; each shard's stripes pack
-// contiguously into its compact local space.
-func (t *table) route(off int64) (int, int64) {
-	stripe := off / t.stripeBytes
-	sh := int(stripe % int64(len(t.shards)))
-	local := (stripe/int64(len(t.shards)))*t.stripeBytes + off%t.stripeBytes
-	return sh, local
-}
-
-// Engine is the sharded front-end. Zero locks guard the request path: the
-// routing table is read with one atomic load, queues do the hand-off, and
-// shard state is goroutine-confined.
-type Engine struct {
-	opt Options
-	tab atomic.Pointer[table]
-
-	started  atomic.Bool //srclint:handoff (flipped once by Start; guards the Serial view)
-	inflight atomic.Int64
-	closed   atomic.Bool
-	wg       sync.WaitGroup
+	started atomic.Bool // flipped once by Start; retires the Serial view
+	closed  atomic.Bool
 }
 
 // New builds an engine whose shard caches come from build(i). Every
@@ -292,51 +197,40 @@ func New(opt Options, build func(shard int) (*src.Cache, error)) (*Engine, error
 	if opt.StripePages < 1 {
 		return nil, fmt.Errorf("engine: stripe %d pages must be positive", opt.StripePages)
 	}
-	stripeBytes := opt.StripePages * blockdev.PageSize
-	shards := make([]*shard, opt.Shards)
-	var shardBytes int64
-	for i := range shards {
+	e := &Engine{
+		shards:      make([]*shard, opt.Shards),
+		stripeBytes: opt.StripePages * blockdev.PageSize,
+	}
+	for i := range e.shards {
 		c, err := build(i)
 		if err != nil {
 			return nil, fmt.Errorf("engine: building shard %d: %w", i, err)
 		}
 		capBytes := c.Primary().Capacity()
 		if i == 0 {
-			shardBytes = capBytes
-		} else if capBytes != shardBytes {
-			return nil, fmt.Errorf("engine: shard %d capacity %d != shard 0 capacity %d", i, capBytes, shardBytes)
+			e.shardBytes = capBytes
+		} else if capBytes != e.shardBytes {
+			return nil, fmt.Errorf("engine: shard %d capacity %d != shard 0 capacity %d", i, capBytes, e.shardBytes)
 		}
-		var data []byte
+		s := &shard{closed: &e.closed, cache: c}
 		if opt.Payload {
-			data = make([]byte, capBytes)
+			s.data = make([]byte, capBytes)
 		}
-		shards[i] = &shard{
-			id:    i,
-			q:     make(chan shardBatch, opt.QueueDepth),
-			cache: c,
-			data:  data,
-		}
+		e.shards[i] = s
 	}
-	if shardBytes%stripeBytes != 0 {
-		return nil, fmt.Errorf("engine: shard capacity %d not a multiple of stripe %d bytes", shardBytes, stripeBytes)
+	if e.shardBytes%e.stripeBytes != 0 {
+		return nil, fmt.Errorf("engine: shard capacity %d not a multiple of stripe %d bytes", e.shardBytes, e.stripeBytes)
 	}
-	e := &Engine{opt: opt}
-	e.tab.Store(&table{shards: shards, stripeBytes: stripeBytes, shardBytes: shardBytes})
 	return e, nil
 }
 
-// Shards reports the shard count.
-func (e *Engine) Shards() int { return len(e.tab.Load().shards) }
-
 // Size reports the volume size in bytes (the concatenated shard
 // primaries).
-func (e *Engine) Size() int64 {
-	t := e.tab.Load()
-	return t.shardBytes * int64(len(t.shards))
-}
+func (e *Engine) Size() int64 { return e.shardBytes * int64(len(e.shards)) }
 
-// Start spawns the shard workers, switching the engine to concurrent mode.
-// After Start the Serial view must not be used.
+// Start switches the engine to concurrent mode: Do, Flush and Counters
+// become callable from any goroutine and the Serial view is retired. It
+// spawns nothing.
 func (e *Engine) Start() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -344,39 +238,34 @@ func (e *Engine) Start() error {
 	if !e.started.CompareAndSwap(false, true) {
 		return errors.New("engine: already started")
 	}
-	t := e.tab.Load()
-	for _, s := range t.shards {
-		e.wg.Add(1)
-		go s.run(&e.wg)
+	return nil
+}
+
+// Close fences the engine: every call that has not yet taken a shard lock
+// fails with ErrClosed, and the ops that hold one finish before Close
+// returns. Safe to call more than once.
+func (e *Engine) Close() error {
+	e.closed.Store(true)
+	for _, s := range e.shards {
+		s.mu.Lock() // waits out the op that holds it; the next one sees closed
+		s.mu.Unlock()
 	}
 	return nil
 }
 
-// Close seals the routing table, waits for in-flight submissions to drain,
-// stops the workers, and waits for them to exit. Safe to call once.
-func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	old := e.tab.Load()
-	e.tab.Store(&table{shards: old.shards, stripeBytes: old.stripeBytes, shardBytes: old.shardBytes, sealed: true})
-	// New submissions now observe the sealed table and bounce; wait out
-	// the ones that raced past it.
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-	if e.started.Load() {
-		for _, s := range old.shards {
-			s.q <- shardBatch{stop: true}
-		}
-		e.wg.Wait()
-	}
-	return nil
+// route maps a volume byte offset to (shard index, shard-local offset).
+// Stripes rotate round-robin across shards; each shard's stripes pack
+// contiguously into its compact local space.
+func (e *Engine) route(off int64) (int, int64) {
+	stripe := off / e.stripeBytes
+	sh := int(stripe % int64(len(e.shards)))
+	local := (stripe/int64(len(e.shards)))*e.stripeBytes + off%e.stripeBytes
+	return sh, local
 }
 
 // validate bounds-checks one request against the volume.
-func (e *Engine) validate(t *table, req Request) error {
-	size := t.shardBytes * int64(len(t.shards))
+func (e *Engine) validate(req Request) error {
+	size := e.Size()
 	switch {
 	case req.Op != blockdev.OpRead && req.Op != blockdev.OpWrite && req.Op != blockdev.OpTrim:
 		return fmt.Errorf("engine: bad op %v", req.Op)
@@ -390,7 +279,7 @@ func (e *Engine) validate(t *table, req Request) error {
 	return nil
 }
 
-// kindOf maps a block op to the worker vocabulary.
+// kindOf maps a block op to the shard vocabulary.
 func kindOf(o blockdev.Op) opKind {
 	switch o {
 	case blockdev.OpRead:
@@ -402,151 +291,99 @@ func kindOf(o blockdev.Op) opKind {
 	}
 }
 
-// split appends req's shard-local fragments to the per-shard op lists.
-// A request is fragmented only where it crosses a stripe boundary, so with
-// the default 16 MiB stripe almost every request is a single fragment.
-func (t *table) split(req Request, perShard [][]op) {
+// submit validates req and runs its fragments in address order, one shard
+// lock at a time, stopping at the first error. A request is fragmented
+// only where it crosses a stripe boundary, so with the default 16 MiB
+// stripe almost every request is a single fragment. It returns the latest
+// clock of the shards it touched.
+func (e *Engine) submit(at vtime.Time, req Request) (vtime.Time, error) {
+	if err := e.validate(req); err != nil {
+		return at, err
+	}
 	kind := kindOf(req.Op)
-	off, n := req.Off, req.Len
-	data := req.Data
+	off, n, data := req.Off, req.Len, req.Data
+	done := at
 	for n > 0 {
-		sh, local := t.route(off)
-		frag := t.stripeBytes - off%t.stripeBytes
-		if frag > n {
-			frag = n
-		}
+		sh, local := e.route(off)
+		frag := min(e.stripeBytes-off%e.stripeBytes, n)
 		o := op{kind: kind, off: local, n: frag}
 		if data != nil {
 			o.data = data[:frag:frag]
 			data = data[frag:]
 		}
-		perShard[sh] = append(perShard[sh], o)
+		now, err := e.shards[sh].do(at, &o)
+		if err != nil {
+			return done, err
+		}
+		done = vtime.Max(done, now)
 		off += frag
 		n -= frag
 	}
+	return done, nil
 }
 
-// submit routes ops to shards and waits for all fragments. Control ops
-// (flush, counters) pass preassembled per-shard lists.
-func (e *Engine) submit(perShard [][]op) error {
-	t := e.tab.Load()
-	if t.sealed {
-		return ErrClosed
-	}
-	parts := int32(0)
-	for _, ops := range perShard {
-		if len(ops) > 0 {
-			parts++
+// flush drains every shard's dirty buffers and flushes its SSDs, ordered
+// on each shard after the ops that already held its lock.
+func (e *Engine) flush(at vtime.Time) (vtime.Time, error) {
+	done := at
+	for _, s := range e.shards {
+		o := op{kind: kFlush}
+		now, err := s.do(at, &o)
+		if err != nil {
+			return done, err
 		}
+		done = vtime.Max(done, now)
 	}
-	if parts == 0 {
-		return nil
-	}
-	c := newCompletion(parts)
-	for i, ops := range perShard {
-		if len(ops) > 0 {
-			t.shards[i].q <- shardBatch{ops: ops, done: c}
-		}
-	}
-	return c.wait()
+	return done, nil
 }
 
-// SubmitBatch executes a batch of requests concurrently across the shards
-// and waits for all of them: one channel send per touched shard, one
-// completion for the whole batch — the client-side half of the batched
-// append design.
-func (e *Engine) SubmitBatch(reqs []Request) error {
+// counters sums the shard caches' counters. Each shard's snapshot is taken
+// under its lock, so it reflects an op boundary; summing across shards is
+// safe because shards share nothing.
+func (e *Engine) counters() (bench.Counters, error) {
+	var sum bench.Counters
+	for _, s := range e.shards {
+		var c bench.Counters
+		o := op{kind: kCounters, snap: &c}
+		if _, err := s.do(0, &o); err != nil {
+			return bench.Counters{}, err
+		}
+		sum.Add(c)
+	}
+	return sum, nil
+}
+
+// Do executes one request on the caller's goroutine. It is the function
+// every served request crosses, so it anchors the allocation-free hot-path
+// contract (DESIGN.md §8 rule 11).
+//
+//srclint:hotpath
+func (e *Engine) Do(req Request) error {
 	if !e.started.Load() {
 		return ErrNotStarted
 	}
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	t := e.tab.Load()
-	if t.sealed {
-		return ErrClosed
-	}
-	for _, r := range reqs {
-		if err := e.validate(t, r); err != nil {
-			return err
-		}
-	}
-	perShard := make([][]op, len(t.shards))
-	for _, r := range reqs {
-		t.split(r, perShard)
-	}
-	return e.submit(perShard)
+	_, err := e.submit(0, req)
+	return err
 }
 
-// Do executes one request.
-func (e *Engine) Do(req Request) error {
-	return e.SubmitBatch([]Request{req})
-}
-
-// Flush drains every shard's dirty buffers and flushes its SSDs, ordered
-// after all previously submitted batches on each shard queue.
+// Flush drains and flushes every shard.
 func (e *Engine) Flush() error {
 	if !e.started.Load() {
 		return ErrNotStarted
 	}
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	t := e.tab.Load()
-	if t.sealed {
-		return ErrClosed
-	}
-	perShard := make([][]op, len(t.shards))
-	for i := range perShard {
-		perShard[i] = []op{{kind: kFlush}}
-	}
-	return e.submit(perShard)
+	_, err := e.flush(0)
+	return err
 }
 
-// Counters sums the shard caches' counters. The snapshot op is ordered on
-// each shard queue, so every counter reflects a batch boundary; summing
-// across shards is safe because shards share nothing.
+// Counters sums the shard caches' counters.
 func (e *Engine) Counters() (bench.Counters, error) {
 	if !e.started.Load() {
 		return bench.Counters{}, ErrNotStarted
 	}
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	t := e.tab.Load()
-	if t.sealed {
-		return bench.Counters{}, ErrClosed
-	}
-	snaps := make([]bench.Counters, len(t.shards))
-	perShard := make([][]op, len(t.shards))
-	for i := range perShard {
-		perShard[i] = []op{{kind: kCounters, snap: &snaps[i]}}
-	}
-	if err := e.submit(perShard); err != nil {
-		return bench.Counters{}, err
-	}
-	return sumCounters(snaps), nil
+	return e.counters()
 }
 
-func sumCounters(snaps []bench.Counters) bench.Counters {
-	var sum bench.Counters
-	for _, c := range snaps {
-		sum.Reads += c.Reads
-		sum.Writes += c.Writes
-		sum.ReadBytes += c.ReadBytes
-		sum.WriteBytes += c.WriteBytes
-		sum.ReadHits += c.ReadHits
-		sum.ReadHitBytes += c.ReadHitBytes
-		sum.FillBytes += c.FillBytes
-		sum.DestageBytes += c.DestageBytes
-		sum.GCCopyBytes += c.GCCopyBytes
-		sum.GCSegments += c.GCSegments
-		sum.MetadataBytes += c.MetadataBytes
-		sum.ParityBytes += c.ParityBytes
-		sum.SSDFlushes += c.SSDFlushes
-	}
-	return sum
-}
-
-// ReadAt implements the netblock.Backend read: it blocks until every
-// fragment completes. Requires Payload mode.
+// ReadAt implements the netblock.Backend read. Requires Payload mode.
 func (e *Engine) ReadAt(p []byte, off int64) error {
 	return e.Do(Request{Op: blockdev.OpRead, Off: off, Len: int64(len(p)), Data: p})
 }

@@ -33,13 +33,12 @@ func testEngine(t *testing.T, shards int, payload bool) *Engine {
 
 func TestRouteIsABijection(t *testing.T) {
 	e := testEngine(t, 4, false)
-	tab := e.tab.Load()
 	seen := make(map[[2]int64]int64)
 	// Walk every stripe boundary page and some interior pages.
-	for off := int64(0); off < e.Size(); off += tab.stripeBytes / 2 {
-		sh, local := tab.route(off)
-		if local < 0 || local >= tab.shardBytes {
-			t.Fatalf("off %d → shard %d local %d outside shard of %d bytes", off, sh, local, tab.shardBytes)
+	for off := int64(0); off < e.Size(); off += e.stripeBytes / 2 {
+		sh, local := e.route(off)
+		if local < 0 || local >= e.shardBytes {
+			t.Fatalf("off %d → shard %d local %d outside shard of %d bytes", off, sh, local, e.shardBytes)
 		}
 		key := [2]int64{int64(sh), local}
 		if prev, dup := seen[key]; dup {
@@ -86,9 +85,10 @@ func TestSerialIsDeterministic(t *testing.T) {
 }
 
 // TestConcurrentMatchesSerial drives the same single-client request stream
-// through a serial engine and a started engine. A single submitter
-// preserves per-shard op order, and shards share nothing, so every shard's
-// counters — hits, misses, fills, destages — must match exactly.
+// through a serial engine and, one Do per request, a started engine. A
+// single submitter preserves per-shard op order, and shards share nothing,
+// so every shard's counters — hits, misses, fills, destages — must match
+// exactly.
 func TestConcurrentMatchesSerial(t *testing.T) {
 	const shards = 4
 	stream := func() []blockdev.Request {
@@ -122,17 +122,8 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conc.Close()
-	const batch = 128
-	for i := 0; i < len(stream); i += batch {
-		end := i + batch
-		if end > len(stream) {
-			end = len(stream)
-		}
-		reqs := make([]Request, 0, end-i)
-		for _, r := range stream[i:end] {
-			reqs = append(reqs, Request{Op: r.Op, Off: r.Off, Len: r.Len})
-		}
-		if err := conc.SubmitBatch(reqs); err != nil {
+	for _, r := range stream {
+		if err := conc.Do(Request{Op: r.Op, Off: r.Off, Len: r.Len}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,9 +228,9 @@ func TestSerialRefusedAfterStart(t *testing.T) {
 	if _, err := s.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: 4096}); !errors.Is(err, ErrStarted) {
 		t.Fatalf("serial submit after start: %v", err)
 	}
-	// The read-side accessors race with the worker loops once Start has
-	// handed the shards off, so they must refuse too (by panicking: unlike
-	// Submit they have no error result to return).
+	// The read-side accessors belong to the retired view too, so they must
+	// refuse (by panicking: unlike Submit they have no error result to
+	// return).
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -251,7 +242,6 @@ func TestSerialRefusedAfterStart(t *testing.T) {
 	}
 	mustPanic("Counters", func() { s.Counters() })
 	mustPanic("CacheDevices", func() { s.CacheDevices() })
-	mustPanic("ShardCounters", func() { s.ShardCounters(0) })
 }
 
 func TestCloseRejectsNewWork(t *testing.T) {
@@ -280,5 +270,40 @@ func TestConcurrentRequiresStart(t *testing.T) {
 	}
 	if _, err := e.Counters(); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("counters before start: %v", err)
+	}
+}
+
+// TestDoAllocatesNothing pins the caller-runs path: no per-request slice,
+// completion or closure — a request costs its cache work and a lock pair.
+func TestDoAllocatesNothing(t *testing.T) {
+	e := testEngine(t, 4, true)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	page := make([]byte, blockdev.PageSize)
+	span := make([]byte, 3*blockdev.PageSize)
+	cases := []struct {
+		name string
+		req  Request
+	}{
+		{"read", Request{Op: blockdev.OpRead, Off: 8 * blockdev.PageSize, Len: blockdev.PageSize, Data: page}},
+		{"write", Request{Op: blockdev.OpWrite, Off: 8 * blockdev.PageSize, Len: blockdev.PageSize, Data: page}},
+		{"trim", Request{Op: blockdev.OpTrim, Off: 16 * blockdev.PageSize, Len: blockdev.PageSize}},
+		{"stripe-crossing write", Request{Op: blockdev.OpWrite, Off: e.stripeBytes - blockdev.PageSize, Len: int64(len(span)), Data: span}},
+	}
+	for _, tc := range cases {
+		do := func() {
+			if err := e.Do(tc.req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm until the cache has cycled its segment buffers once.
+		for i := 0; i < 2000; i++ {
+			do()
+		}
+		if n := testing.AllocsPerRun(500, do); n != 0 {
+			t.Errorf("%s: %v allocations per Do, want 0", tc.name, n)
+		}
 	}
 }

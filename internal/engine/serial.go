@@ -7,14 +7,14 @@ import (
 )
 
 // Serial is the deterministic virtual-time view of an engine: the same
-// routing table and shard caches, driven inline on the caller's goroutine
-// with no queues and no wall clock. It implements bench.Cache, so the
-// experiment engine can drive a sharded volume exactly as it drives a flat
-// one — byte-identical across runs, because nothing here depends on
-// scheduling.
+// routing, the same fragment walk and the same shard.do as Engine.Do, with
+// the caller's virtual time carried in and the completion time carried
+// out. It implements bench.Cache, so a sharded volume can be driven exactly
+// as a flat one — byte-identical across runs, because a single caller
+// decides the op order. Tests use it as the oracle for the started engine.
 //
-// Serial and concurrent mode are exclusive: once Start hands shard
-// ownership to the workers, serial calls are refused.
+// Serial and concurrent mode are exclusive: once Start has run, serial
+// calls are refused.
 type Serial struct {
 	e *Engine
 }
@@ -24,35 +24,14 @@ var _ bench.Cache = (*Serial)(nil)
 // Serial returns the deterministic view.
 func (e *Engine) Serial() *Serial { return &Serial{e: e} }
 
-// Submit routes the request through the same table/split machinery as the
-// concurrent path and executes each fragment inline. Completion is the
-// latest fragment completion; each shard's clock stays independently
-// monotonic, exactly as in concurrent mode.
+// Submit executes the request's fragments in address order. Completion is
+// the latest clock of the shards it touched; each shard's clock stays
+// independently monotonic.
 func (s *Serial) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	if s.e.started.Load() {
 		return at, ErrStarted
 	}
-	t := s.e.tab.Load()
-	r := Request{Op: req.Op, Off: req.Off, Len: req.Len}
-	if err := s.e.validate(t, r); err != nil {
-		return at, err
-	}
-	perShard := make([][]op, len(t.shards))
-	t.split(r, perShard)
-	done := at
-	for i, ops := range perShard {
-		sh := t.shards[i]
-		if sh.now < at {
-			sh.now = at
-		}
-		for j := range ops {
-			if err := sh.exec(&ops[j]); err != nil {
-				return done, err
-			}
-		}
-		done = vtime.Max(done, sh.now)
-	}
-	return done, nil
+	return s.e.submit(at, Request{Op: req.Op, Off: req.Off, Len: req.Len})
 }
 
 // Flush drains and flushes every shard.
@@ -60,57 +39,31 @@ func (s *Serial) Flush(at vtime.Time) (vtime.Time, error) {
 	if s.e.started.Load() {
 		return at, ErrStarted
 	}
-	t := s.e.tab.Load()
-	done := at
-	for _, sh := range t.shards {
-		if sh.now < at {
-			sh.now = at
-		}
-		o := op{kind: kFlush}
-		if err := sh.exec(&o); err != nil {
-			return done, err
-		}
-		done = vtime.Max(done, sh.now)
-	}
-	return done, nil
+	return s.e.flush(at)
 }
 
-// Counters sums the shard counters. Like every Serial method it reads
-// worker-confined state, so it refuses to run once Start has handed the
-// shards to their goroutines; bench.Cache fixes the signature, so the
-// refusal is a panic rather than an error. (The unguarded version of this
-// method was a latent race the confined analyzer surfaced: a counter read
-// concurrent with the workers tears the snapshot.)
+// Counters sums the shard counters. bench.Cache fixes the signature, so
+// the refusal after Start (or Close) is a panic rather than an error.
 func (s *Serial) Counters() bench.Counters {
 	if s.e.started.Load() {
 		panic("engine: Serial.Counters after Start; use Engine.Counters")
 	}
-	t := s.e.tab.Load()
-	snaps := make([]bench.Counters, len(t.shards))
-	for i, sh := range t.shards {
-		snaps[i] = sh.cache.Counters()
+	c, err := s.e.counters()
+	if err != nil {
+		panic(err)
 	}
-	return sumCounters(snaps)
+	return c
 }
 
 // CacheDevices concatenates every shard's SSDs, for device-level traffic
-// accounting.
+// accounting. The device set is fixed when the shard's cache is built.
 func (s *Serial) CacheDevices() []blockdev.Device {
 	if s.e.started.Load() {
 		panic("engine: Serial.CacheDevices after Start")
 	}
-	t := s.e.tab.Load()
 	var devs []blockdev.Device
-	for _, sh := range t.shards {
+	for _, sh := range s.e.shards {
 		devs = append(devs, sh.cache.CacheDevices()...)
 	}
 	return devs
-}
-
-// ShardCounters reports one shard's counters, for per-shard assertions.
-func (s *Serial) ShardCounters(i int) bench.Counters {
-	if s.e.started.Load() {
-		panic("engine: Serial.ShardCounters after Start; use Engine.Counters")
-	}
-	return s.e.tab.Load().shards[i].cache.Counters()
 }

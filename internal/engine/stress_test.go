@@ -2,35 +2,48 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"srccache/internal/bench"
 	"srccache/internal/blockdev"
 )
 
-// TestStressConcurrentIntegrity hammers an 8-shard payload engine from
-// many client goroutines mixing reads, writes, trims, flushes, and counter
-// snapshots, under -race in the tier-1 run. It asserts:
+// TestStressConcurrentIntegrity hammers a payload engine from many client
+// goroutines mixing reads, writes, flushes, and counter snapshots, under
+// -race in the tier-1 run — once with a shard per client and once with all
+// eight clients contending on one shard lock, the shape a queue used to
+// absorb. It asserts:
 //
-//   - the routing table is never torn: every load observes the identical
-//     published pointer until Close seals it;
 //   - counters stay coherent: summed shard counters account for exactly
 //     the pages the clients submitted (shards share nothing, so nothing
 //     can be double-counted or lost);
 //   - payload stays correct: each client owns a disjoint region, so its
 //     final reads must observe its own last writes despite the shared
-//     queues and interleaved flushes.
+//     locks and interleaved flushes.
 func TestStressConcurrentIntegrity(t *testing.T) {
+	for _, shards := range []int{8, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { stressIntegrity(t, shards) })
+	}
+}
+
+func stressIntegrity(t *testing.T, shards int) {
 	const (
-		shards     = 8
 		clients    = 8
 		opsPerCli  = 1500
 		regionSize = int64(1 << 20)
 	)
+	shardBytes := clients * regionSize / int64(shards) // one region per client
 	build, err := MemShardBuilder(ShardSpec{
-		ShardBytes:     regionSize, // volume = shards MiB, one region per client
+		ShardBytes: shardBytes,
+		// The same total cache at either shard count: eight 1 MiB-per-SSD
+		// shards (the four-erase-group minimum) or one of 8 MiB per SSD.
+		CachePerSSD:    shardBytes,
 		EraseGroupSize: 256 << 10,
 		SegmentColumn:  16 << 10,
 	})
@@ -47,8 +60,6 @@ func TestStressConcurrentIntegrity(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	tabBefore := e.tab.Load()
 
 	var (
 		wg sync.WaitGroup
@@ -123,10 +134,6 @@ func TestStressConcurrentIntegrity(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 
-	if tabAfter := e.tab.Load(); tabAfter != tabBefore {
-		t.Fatal("routing table was swapped during steady-state operation")
-	}
-
 	got, err := e.Counters()
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +161,83 @@ func TestStressConcurrentIntegrity(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.tab.Load().sealed {
-		t.Fatal("close did not seal the routing table")
+}
+
+// TestCloseFencesCallers runs Close against goroutines that hammer Do,
+// Flush and Counters: every call must return nil or ErrClosed, and once
+// Close has returned no op may run — the shard counters read then never
+// change again, although the callers keep calling.
+func TestCloseFencesCallers(t *testing.T) {
+	e := testEngine(t, 4, true)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		calls atomic.Int64
+		bad   atomic.Pointer[error]
+	)
+	check := func(err error) {
+		calls.Add(1)
+		if err != nil && !errors.Is(err, ErrClosed) {
+			bad.CompareAndSwap(nil, &err)
+		}
+	}
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(id) + 1))
+			p := make([]byte, 300<<10) // crosses a 256 KiB stripe: two locks per op
+			for i := 0; !stop.Load(); i++ {
+				off := rng.Int63n(e.Size() - int64(len(p)))
+				switch i % 8 {
+				case 0:
+					check(e.Flush())
+				case 1:
+					_, err := e.Counters()
+					check(err)
+				case 2:
+					check(e.ReadAt(p, off))
+				default:
+					check(e.WriteAt(p, off))
+				}
+			}
+		}(c)
+	}
+	waitCalls := func(n int64) {
+		for target := calls.Load() + n; calls.Load() < target; {
+			runtime.Gosched()
+		}
+	}
+	waitCalls(200) // Close lands in the middle of traffic
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []bench.Counters {
+		out := make([]bench.Counters, len(e.shards))
+		for i, s := range e.shards {
+			s.mu.Lock()
+			out[i] = s.cache.Counters()
+			s.mu.Unlock()
+		}
+		return out
+	}
+	after := snapshot()
+	waitCalls(5000) // the callers are still calling
+	stop.Store(true)
+	wg.Wait()
+	if p := bad.Load(); p != nil {
+		t.Fatalf("a call racing Close returned %v, want nil or ErrClosed", *p)
+	}
+	for i, c := range snapshot() {
+		if c != after[i] {
+			t.Fatalf("shard %d ran an op after Close returned:\n at close %+v\n    later %+v", i, after[i], c)
+		}
+	}
+	if err := e.Do(Request{Op: blockdev.OpRead, Off: 0, Len: 4096}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("do after close: %v", err)
 	}
 }

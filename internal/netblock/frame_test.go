@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+
+	"srccache/internal/engine"
 )
 
 // TestGoldenWireBytes pins the encoded frames to the bytes the two-write
@@ -137,25 +139,59 @@ func TestOneWritePerFrame(t *testing.T) {
 
 // TestSteadyStateRoundTripAllocs holds client and server together to at
 // most one allocation per 4 KiB read and write over loopback TCP: the
-// frames, the payload buffers and the decoded request are all reused.
+// frames, the payload buffers and the decoded request are all reused. With
+// the engine as the backend the bound is zero: its Do runs on the
+// connection's goroutine and allocates nothing.
 func TestSteadyStateRoundTripAllocs(t *testing.T) {
-	_, cli := startPair(t, 1<<20)
-	page := bytes.Repeat([]byte{0xc3}, pageSize)
-	got := make([]byte, pageSize)
-	roundTrip := func() {
-		if _, err := cli.WriteAt(page, 3*pageSize); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.ReadAt(got, 3*pageSize); err != nil {
-			t.Fatal(err)
-		}
+	build, err := engine.MemShardBuilder(engine.ShardSpec{ShardBytes: 8 << 20, EraseGroupSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	roundTrip() // grow the server connection's payload buffer first
-	if n := testing.AllocsPerRun(200, roundTrip); n > 1 {
-		t.Errorf("%v allocations per write+read round trip, want at most 1", n)
+	eng, err := engine.New(engine.Options{Shards: 2, StripePages: 256, Payload: true}, build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, page) {
-		t.Fatal("read back other bytes than written")
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	flat, err := MemBackend(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []struct {
+		name string
+		b    Backend
+		max  float64
+	}{
+		{"flat", flat, 1},
+		{"engine", eng, 0},
+	}
+	for _, tc := range backends {
+		t.Run(tc.name, func(t *testing.T) {
+			_, cli := startPairWith(t, tc.b)
+			page := bytes.Repeat([]byte{0xc3}, pageSize)
+			got := make([]byte, pageSize)
+			roundTrip := func() {
+				if _, err := cli.WriteAt(page, 3*pageSize); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cli.ReadAt(got, 3*pageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Grow the server connection's payload buffer, and cycle the
+			// engine's cache through its segment buffers, first.
+			for i := 0; i < 2000; i++ {
+				roundTrip()
+			}
+			if n := testing.AllocsPerRun(200, roundTrip); n > tc.max {
+				t.Errorf("%v allocations per write+read round trip, want at most %v", n, tc.max)
+			}
+			if !bytes.Equal(got, page) {
+				t.Fatal("read back other bytes than written")
+			}
+		})
 	}
 }
 

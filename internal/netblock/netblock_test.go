@@ -14,7 +14,17 @@ import (
 // client.
 func startPair(t *testing.T, size int64) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(size)
+	b, err := MemBackend(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startPairWith(t, b)
+}
+
+// startPairWith is startPair over an arbitrary backend.
+func startPairWith(t *testing.T, b Backend) (*Server, *Client) {
+	t.Helper()
+	srv, err := NewServerWith(b)
 	if err != nil {
 		t.Fatal(err)
 	}

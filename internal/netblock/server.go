@@ -35,8 +35,7 @@ type Backend interface {
 	Size() int64
 }
 
-// memBackend is the default flat in-memory volume behind one RWMutex — the
-// serialized single-shard path the engine benchmark uses as its baseline.
+// memBackend is the default flat in-memory volume behind one RWMutex.
 type memBackend struct {
 	mu   sync.RWMutex
 	data []byte

@@ -205,7 +205,7 @@ func (c *Cache) dropPage(lba int64, e entry) {
 // Submit implements the host-facing block interface of the cache volume
 // (the primary storage's address space). It is the cache's per-request
 // entry point — the write/read hot path — so it anchors the
-// allocation-free hot-path contract (DESIGN.md §8 rule 13); maintenance
+// allocation-free hot-path contract (DESIGN.md §8 rule 11); maintenance
 // work it can trigger (GC, repair, degraded reads) is fenced off behind
 // //srclint:coldpath boundaries.
 //
