@@ -1,6 +1,7 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis vocabulary, just large enough to host this
-// repository's determinism and I/O-error lints (cmd/srclint).
+// repository's lints (cmd/srclint). Every analyzer sees one type-checked
+// package at a time; nothing crosses package boundaries.
 //
 // The real x/tools module is deliberately not imported: the build must work
 // from a bare Go toolchain with an empty module cache. Analyzers written
@@ -57,24 +58,6 @@ type Pass struct {
 	// suppressions which never fire can be reported as stale; when nil it
 	// is built lazily from Files (analysistest and direct Pass use).
 	Dirs *Directives
-
-	// OwnFacts is this package's computed fact summary (modfacts.Compute);
-	// nil when the driver did not compute facts, in which case analyzers
-	// that need them compute their own.
-	OwnFacts *PackageFacts
-
-	// DepFacts resolves an import path to that dependency's facts, nil
-	// when unavailable (standard library, facts-free drivers). The driver
-	// memoizes behind this so analyzers can call it freely.
-	DepFacts func(path string) *PackageFacts
-}
-
-// ImportedFacts is the nil-safe way to ask for a dependency's facts.
-func (p *Pass) ImportedFacts(path string) *PackageFacts {
-	if p.DepFacts == nil {
-		return nil
-	}
-	return p.DepFacts(NormalizePkgPath(path))
 }
 
 // A Diagnostic is one finding at a source position.
@@ -229,9 +212,9 @@ func isCheckName(s string) bool {
 }
 
 // Directive scans a comment group for a "//srclint:<name>" marker and
-// returns the text following the marker (trimmed), e.g. the owner list of
-// an //srclint:owns directive. The marker matches exactly: //srclint:owns
-// does not match name "own".
+// returns the text following the marker (trimmed), e.g. "flush" for a
+// //srclint:contract flush doc line. The marker matches exactly:
+// //srclint:contracts does not match name "contract".
 func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
 	if cg == nil {
 		return "", false
@@ -243,21 +226,11 @@ func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
 			continue
 		}
 		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // longer marker, e.g. //srclint:ownsomething
+			continue // longer marker, e.g. //srclint:contracts
 		}
 		return strings.TrimSpace(rest), true
 	}
 	return "", false
-}
-
-// FieldDirective scans a struct field's doc comment and trailing line
-// comment for a "//srclint:<name>" marker (the annotation grammar of the
-// chandisc analyzer, DESIGN.md §8).
-func FieldDirective(f *ast.Field, name string) (args string, ok bool) {
-	if args, ok = Directive(f.Doc, name); ok {
-		return args, true
-	}
-	return Directive(f.Comment, name)
 }
 
 // Callee resolves the function or method a call expression invokes: method
@@ -309,9 +282,9 @@ func PathMatches(path string, targets []string) bool {
 }
 
 // SimPackages lists the package-path suffixes bound by the determinism
-// contract (DESIGN.md): simulation results must be a pure function of the
-// configuration and seeds, so these packages may not consult the wall clock
-// and may not draw from global math/rand state.
+// contract (DESIGN.md §8): simulation results and generated traces must be
+// a pure function of the configuration and seeds, so these packages may not
+// consult the wall clock and may not draw from global math/rand state.
 var SimPackages = []string{
 	"internal/src",
 	"internal/raid",
@@ -322,6 +295,7 @@ var SimPackages = []string{
 	"internal/flashcachesim",
 	"internal/ripqsim",
 	"internal/workload",
+	"internal/trace",
 	"internal/ssd",
 	"internal/hdd",
 	"internal/chaos",
@@ -330,28 +304,12 @@ var SimPackages = []string{
 	"internal/engine",
 	// The cluster layer's ring, nodes, and churn harness are vtime-pure;
 	// the suffix match deliberately does not bind internal/cluster/fleet,
-	// the wallclock real-TCP subpackage.
+	// the wall-clock real-TCP subpackage.
 	"internal/cluster",
 }
-
-// ClusterPackages lists the package-path suffixes bound by the routing
-// protocol contract (DESIGN.md §8 rule 9): inside them, any call that can
-// surface a stale-epoch contract error must reach a table-refetch/retry
-// handler. cmd/ and examples/ consume the fleet's already-handled surface,
-// so they stay out of scope.
-var ClusterPackages = []string{
-	"internal/cluster",
-	"internal/cluster/fleet",
-	"internal/cluster/supervisor",
-}
-
-// RandPackages extends SimPackages with the packages that generate
-// workloads and traces: they may not use global math/rand either, but they
-// legitimately never deal in wall-clock time stamps of their own.
-var RandPackages = append([]string{"internal/trace"}, SimPackages...)
 
 // IOErrPackages lists the package-path suffixes whose Read/Write/Flush/
-// Trim/Submit errors must never be discarded: dropping a blockdev or raid
+// Trim/Submit errors must never be dropped: losing a blockdev or raid
 // error silently converts an injected device fault into a wrong result.
 var IOErrPackages = []string{
 	"internal/blockdev",

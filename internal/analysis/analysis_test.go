@@ -156,6 +156,9 @@ func parseStruct(t *testing.T, src string) []*ast.Field {
 	return fields
 }
 
+// TestFieldDirective: Directive reads markers from any comment group — a
+// struct field's doc comment and its trailing line comment alike — and the
+// marker must match exactly.
 func TestFieldDirective(t *testing.T) {
 	fields := parseStruct(t, `package p
 
@@ -168,19 +171,19 @@ type s struct {
 	near  int //srclint:ownsmore Close
 }
 `)
-	if args, ok := FieldDirective(fields[0], "confined"); !ok {
+	if args, ok := Directive(fields[0].Doc, "confined"); !ok {
 		t.Error("doc-comment directive not found")
 	} else if args != "run,flush (free-form prose after the list)" {
 		t.Errorf("confined args = %q", args)
 	}
-	if args, ok := FieldDirective(fields[1], "owns"); !ok || args != "Close" {
+	if args, ok := Directive(fields[1].Comment, "owns"); !ok || args != "Close" {
 		t.Errorf("line-comment directive = %q, %v", args, ok)
 	}
-	if _, ok := FieldDirective(fields[2], "owns"); ok {
+	if _, ok := Directive(fields[2].Comment, "owns"); ok {
 		t.Error("unannotated field matched")
 	}
 	// The marker must match exactly: //srclint:ownsmore is not //srclint:owns.
-	if _, ok := FieldDirective(fields[3], "owns"); ok {
+	if _, ok := Directive(fields[3].Comment, "owns"); ok {
 		t.Error("directive prefix matched a longer marker")
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"testing"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/modfacts"
 )
 
 // TestData returns the calling test package's testdata directory.
@@ -73,7 +72,6 @@ type fixturePkg struct {
 	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
-	facts *analysis.PackageFacts // computed on first request
 }
 
 type loader struct {
@@ -81,21 +79,6 @@ type loader struct {
 	srcdir string
 	pkgs   map[string]*fixturePkg
 	std    types.Importer
-}
-
-// factsFor mirrors the driver's dependency-facts plumbing for fixture
-// packages: any fixture package loaded so far (the package under test's
-// imports, recursively) answers with its modfacts summary, memoized.
-func (l *loader) factsFor(path string) *analysis.PackageFacts {
-	fp := l.pkgs[path]
-	if fp == nil {
-		return nil // standard library or unknown: no facts
-	}
-	if fp.facts == nil {
-		dirs := analysis.ParseDirectives(l.fset, fp.files)
-		fp.facts = modfacts.Compute(l.fset, fp.files, fp.info, fp.pkg, dirs, l.factsFor)
-	}
-	return fp.facts
 }
 
 func (l *loader) load(path string) (*fixturePkg, error) {
@@ -237,7 +220,6 @@ func checkPackage(t *testing.T, l *loader, a *analysis.Analyzer, fp *fixturePkg)
 		Pkg:       fp.pkg,
 		TypesInfo: fp.info,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		DepFacts:  l.factsFor,
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s: %v", a.Name, err)

@@ -5,18 +5,18 @@
 //
 // A candidate loop is a non-range `for` statement whose body calls a
 // dial-shaped function: one whose name starts with dial/connect/redial/
-// reconnect/accept, or whose package facts carry Dials (a function that
-// directly wraps a dialer, resolved cross-package through the modular
-// facts layer). Loops whose condition already contains an ordered
-// comparison (`for i := 0; i < n; i++`) are bounded by construction.
+// reconnect/accept, or a same-package function whose body calls such a
+// function directly (a thin wrapper around a dialer). Loops whose
+// condition already contains an ordered comparison (`for i := 0; i < n;
+// i++`) are bounded by construction.
 //
 // For the rest, a must-dataflow analysis over the loop body's CFG starts
 // every iteration with no facts and marks "consulted" at ordered
-// comparisons, calls to budget/deadline-shaped functions (by name or by
-// ConsultsBudget fact), channel receives, and select statements. Every
-// back edge — a fall-off-the-end block or a `continue` — must carry the
-// consulted fact; `break` and `return` edges leave the loop and are
-// exempt.
+// comparisons, calls to budget/deadline-shaped functions (by name, or a
+// same-package function whose body calls one directly), channel receives,
+// and select statements. Every back edge — a fall-off-the-end block or a
+// `continue` — must carry the consulted fact; `break` and `return` edges
+// leave the loop and are exempt.
 package boundedretry
 
 import (
@@ -27,7 +27,6 @@ import (
 
 	"srccache/internal/analysis"
 	"srccache/internal/analysis/cfg"
-	"srccache/internal/analysis/modfacts"
 )
 
 // Analyzer is the boundedretry check.
@@ -57,22 +56,8 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass *analysis.Pass
-	own  *analysis.PackageFacts // built on first dial-candidate loop
-}
-
-// ownFacts lazily computes this package's facts; most packages never have
-// a candidate loop and skip the cost.
-func (c *checker) ownFacts() *analysis.PackageFacts {
-	if c.own == nil {
-		if c.pass.OwnFacts != nil {
-			c.own = c.pass.OwnFacts
-		} else {
-			c.own = modfacts.Compute(c.pass.Fset, c.pass.Files, c.pass.TypesInfo,
-				c.pass.Pkg, c.pass.Dirs, c.pass.ImportedFacts)
-		}
-	}
-	return c.own
+	pass  *analysis.Pass
+	decls map[types.Object]*ast.FuncDecl // the package's functions, built on first lookup
 }
 
 func (c *checker) checkLoop(loop *ast.ForStmt) {
@@ -108,7 +93,7 @@ func (c *checker) checkLoop(loop *ast.ForStmt) {
 
 // findDialCall returns the first dial-shaped call in the loop body
 // (nested function literals excluded — their bodies run on their own
-// schedule) along with a display name for the diagnostic.
+// schedule) along with the callee's name for the diagnostic.
 func (c *checker) findDialCall(body *ast.BlockStmt) (found *ast.CallExpr, name string) {
 	ast.Inspect(body, func(x ast.Node) bool {
 		if found != nil {
@@ -117,12 +102,8 @@ func (c *checker) findDialCall(body *ast.BlockStmt) (found *ast.CallExpr, name s
 		if _, ok := x.(*ast.FuncLit); ok {
 			return false
 		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if n, ok := c.dialish(call); ok {
-			found, name = call, n
+		if call, ok := x.(*ast.CallExpr); ok && c.shaped(call, dialishName) {
+			found, name = call, calleeName(call)
 			return false
 		}
 		return true
@@ -130,60 +111,46 @@ func (c *checker) findDialCall(body *ast.BlockStmt) (found *ast.CallExpr, name s
 	return found, name
 }
 
-// dialish classifies a call as dial-shaped: by callee name, or by the
-// callee's Dials fact (own package or imported).
-func (c *checker) dialish(call *ast.CallExpr) (string, bool) {
-	fn := analysis.Callee(c.pass.TypesInfo, call)
-	if fn == nil {
-		// Function-value call: fall back to the syntactic name.
-		if n := syntacticName(call); n != "" && dialishName(n) {
-			return n, true
-		}
-		return "", false
-	}
-	if dialishName(fn.Name()) {
-		return displayName(c.pass.Pkg, fn), true
-	}
-	if ff := c.factOf(fn); ff != nil && ff.Dials {
-		return displayName(c.pass.Pkg, fn), true
-	}
-	return "", false
-}
-
-// budgetish classifies a call as consulting a budget or deadline.
-func (c *checker) budgetish(call *ast.CallExpr) bool {
-	fn := analysis.Callee(c.pass.TypesInfo, call)
-	if fn == nil {
-		n := strings.ToLower(syntacticName(call))
-		return strings.Contains(n, "budget") || strings.Contains(n, "deadline")
-	}
-	n := strings.ToLower(fn.Name())
-	if strings.Contains(n, "budget") || strings.Contains(n, "deadline") {
+// shaped reports whether a call matches by its callee's name, or calls a
+// function of this package whose body directly calls a matching one.
+func (c *checker) shaped(call *ast.CallExpr, match func(string) bool) bool {
+	if match(calleeName(call)) {
 		return true
 	}
-	ff := c.factOf(fn)
-	return ff != nil && ff.ConsultsBudget
+	fn := analysis.Callee(c.pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() != c.pass.Pkg {
+		return false
+	}
+	if c.decls == nil {
+		c.decls = make(map[types.Object]*ast.FuncDecl)
+		for _, f := range c.pass.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					c.decls[c.pass.TypesInfo.Defs[fd.Name]] = fd
+				}
+			}
+		}
+	}
+	fd := c.decls[fn]
+	if fd == nil {
+		return false
+	}
+	direct := false
+	ast.Inspect(fd.Body, func(x ast.Node) bool {
+		if _, ok := x.(*ast.FuncLit); ok || direct {
+			return false
+		}
+		if inner, ok := x.(*ast.CallExpr); ok && match(calleeName(inner)) {
+			direct = true
+		}
+		return !direct
+	})
+	return direct
 }
 
-func (c *checker) factOf(fn *types.Func) *analysis.FuncFact {
-	if fn.Pkg() == c.pass.Pkg {
-		return c.ownFacts().Func(modfacts.FuncName(fn))
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	return c.pass.ImportedFacts(analysis.NormalizePkgPath(fn.Pkg().Path())).Func(modfacts.FuncName(fn))
-}
-
-func displayName(own *types.Package, fn *types.Func) string {
-	name := modfacts.FuncName(fn)
-	if fn.Pkg() != nil && fn.Pkg() != own {
-		return fn.Pkg().Name() + "." + name
-	}
-	return name
-}
-
-func syntacticName(call *ast.CallExpr) string {
+// calleeName is the name a call spells its callee with: the identifier or
+// the selector's final name ("Accept" for lis.Accept()).
+func calleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fun.Name
@@ -201,6 +168,11 @@ func dialishName(name string) bool {
 		}
 	}
 	return false
+}
+
+func budgetishName(name string) bool {
+	l := strings.ToLower(name)
+	return strings.Contains(l, "budget") || strings.Contains(l, "deadline")
 }
 
 // ---- the must-dataflow problem ------------------------------------------
@@ -240,7 +212,7 @@ func consults(c *checker, n ast.Node) bool {
 				return false
 			}
 		case *ast.CallExpr:
-			if c.budgetish(x) {
+			if c.shaped(x, budgetishName) {
 				found = true
 				return false
 			}

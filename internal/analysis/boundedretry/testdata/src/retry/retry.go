@@ -1,8 +1,6 @@
 // Package retry exercises the boundedretry analyzer.
 package retry
 
-import "rd"
-
 type conn struct{ ok bool }
 
 func dialPeer() (*conn, error) { return &conn{ok: true}, nil }
@@ -101,12 +99,32 @@ func mixed(limit int, flaky bool) *conn {
 	}
 }
 
-// factTriggered is flagged only because rd.Acquire's facts mark it as a
-// dialer; nothing in this package says so.
-func factTriggered() {
-	for { // want `retry loop calls rd.Acquire but a back edge consults no budget`
-		if rd.Acquire() == nil {
+// wrapperTriggered is flagged only because acquire's body calls a dialer
+// directly; its own name says nothing about dialing.
+func wrapperTriggered() {
+	for { // want `retry loop calls acquire but a back edge consults no budget`
+		if acquire() == nil {
 			return
 		}
 	}
 }
+
+func acquire() error {
+	_, err := dialPeer()
+	return err
+}
+
+// wrapperConsulted consults its budget through exhausted, whose body calls
+// a deadline-shaped helper directly.
+func wrapperConsulted() *conn {
+	for {
+		if c, err := dialPeer(); err == nil {
+			return c
+		}
+		if exhausted() {
+			return nil
+		}
+	}
+}
+
+func exhausted() bool { return overDeadline() }

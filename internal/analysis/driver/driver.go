@@ -32,17 +32,7 @@ import (
 	"time"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/modfacts"
 )
-
-// modulePrefix identifies in-module packages: only these get facts
-// computed from source (the standard library gets none, and DecodeFacts
-// treats its empty placeholders as "no facts").
-const modulePrefix = "srccache"
-
-func inModule(path string) bool {
-	return path == modulePrefix || strings.HasPrefix(path, modulePrefix+"/")
-}
 
 // Main implements the srclint command line and returns the process exit
 // code: 0 clean, 1 operational failure, 2 findings.
@@ -229,38 +219,20 @@ func loadPackage(fset *token.FileSet, imp types.Importer, pkgPath, goVersion str
 	return files, pkg, info, nil
 }
 
-// packageFactsFor computes an in-module package's facts from source (the
-// dependency-only path: no analyzers run, just the modular summary).
-func packageFactsFor(fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, filenames []string, depFacts func(string) *analysis.PackageFacts) (*analysis.PackageFacts, error) {
+// checkPackage parses and type-checks one package and applies every
+// analyzer, returning the diagnostics. staleSkip exempts allow-directives
+// for unselected checks from stale reporting (nil on full runs); timings,
+// when non-nil, accumulates per-analyzer wall time.
+func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, filenames []string, staleSkip func(string) bool, timings map[string]time.Duration) ([]analysis.Diagnostic, error) {
 	files, pkg, info, err := loadPackage(fset, imp, pkgPath, goVersion, filenames)
 	if err != nil {
 		return nil, err
 	}
-	dirs := analysis.ParseDirectives(fset, files)
-	return modfacts.Compute(fset, files, info, pkg, dirs, depFacts), nil
-}
-
-// checkPackage parses and type-checks one package, computes its facts, and
-// applies every analyzer, returning the diagnostics and the facts (for the
-// caller to persist or cache). depFacts resolves dependency facts and may
-// be nil; staleSkip exempts allow-directives for unselected checks from
-// stale reporting (nil on full runs); timings, when non-nil, accumulates
-// per-analyzer wall time.
-func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, filenames []string, depFacts func(string) *analysis.PackageFacts, staleSkip func(string) bool, timings map[string]time.Duration) ([]analysis.Diagnostic, *analysis.PackageFacts, error) {
-	files, pkg, info, err := loadPackage(fset, imp, pkgPath, goVersion, filenames)
-	if err != nil {
-		return nil, nil, err
-	}
 	var diags []analysis.Diagnostic
-	// One Directives set is shared by the facts computation and every
-	// analyzer so that, after they all ran, suppressions which fired for
-	// none of them can be reported as stale instead of silently rotting.
+	// One Directives set is shared by every analyzer so that, after they
+	// all ran, suppressions which fired for none of them can be reported as
+	// stale instead of silently rotting.
 	dirs := analysis.ParseDirectives(fset, files)
-	start := time.Now()
-	own := modfacts.Compute(fset, files, info, pkg, dirs, depFacts)
-	if timings != nil {
-		timings["(facts)"] += time.Since(start)
-	}
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -270,12 +242,10 @@ func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types
 			TypesInfo: info,
 			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 			Dirs:      dirs,
-			OwnFacts:  own,
-			DepFacts:  depFacts,
 		}
 		start := time.Now()
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %v", a.Name, err)
+			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 		if timings != nil {
 			timings[a.Name] += time.Since(start)
@@ -283,7 +253,7 @@ func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types
 	}
 	diags = append(diags, dirs.Stale(staleSkip)...)
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, own, nil
+	return diags, nil
 }
 
 // printTimings writes the accumulated per-analyzer wall time to stderr,
@@ -389,48 +359,19 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	Standard                  map[string]bool
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// vetxFacts resolves dependency facts from the .vetx files the go command
-// hands over in the vet config, memoized per path. Missing files, empty
-// placeholders (standard library), and version mismatches all read as "no
-// facts".
-func vetxFacts(vetx map[string]string) func(string) *analysis.PackageFacts {
-	cache := make(map[string]*analysis.PackageFacts)
-	return func(path string) *analysis.PackageFacts {
-		if f, ok := cache[path]; ok {
-			return f
-		}
-		var f *analysis.PackageFacts
-		if file, ok := vetx[path]; ok {
-			if data, err := os.ReadFile(file); err == nil {
-				f, _ = analysis.DecodeFacts(data)
-			}
-		}
-		cache[path] = f
-		return f
-	}
-}
-
-// writeVetx persists facts (or, with nil facts, the empty placeholder the
-// go command requires) to the configured output.
-func writeVetx(cfg *vetConfig, facts *analysis.PackageFacts) error {
+// writeVetx writes the empty facts placeholder the go command requires of
+// every vet tool: srclint's analyzers stay within one package, so there
+// are no facts to hand to dependents.
+func writeVetx(cfg *vetConfig) error {
 	if cfg.VetxOutput == "" {
 		return nil
 	}
-	var data []byte
-	if facts != nil {
-		var err error
-		if data, err = facts.Encode(); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(cfg.VetxOutput, data, 0o666)
+	return os.WriteFile(cfg.VetxOutput, nil, 0o666)
 }
 
 func vetMode(analyzers []*analysis.Analyzer, staleSkip func(string) bool, cfgFile string) int {
@@ -444,42 +385,25 @@ func vetMode(analyzers []*analysis.Analyzer, staleSkip func(string) bool, cfgFil
 		fmt.Fprintf(os.Stderr, "srclint: parsing %s: %v\n", cfgFile, err)
 		return 1
 	}
+	if err := writeVetx(&cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
+		return 1
+	}
+	if cfg.VetxOnly {
+		return 0 // a dependency-only visit: nothing to compute
+	}
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, cfg.ImportMap, cfg.PackageFile)
 	goVersion := cfg.GoVersion
 	if goVersion != "" && !strings.HasPrefix(goVersion, "go") {
 		goVersion = "go" + goVersion
 	}
-	depFacts := vetxFacts(cfg.PackageVetx)
-	if cfg.VetxOnly {
-		// Dependency-only visit: compute and persist this package's facts
-		// so dependents see its contracts; the standard library (and any
-		// package that fails to type-check) gets the empty placeholder —
-		// dependents fall back to no facts, never wrong facts.
-		var facts *analysis.PackageFacts
-		if inModule(analysis.NormalizePkgPath(cfg.ImportPath)) {
-			facts, _ = packageFactsFor(fset, imp, cfg.ImportPath, goVersion, cfg.GoFiles, depFacts)
-		}
-		if err := writeVetx(&cfg, facts); err != nil {
-			fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	diags, facts, err := checkPackage(analyzers, fset, imp, cfg.ImportPath, goVersion, cfg.GoFiles, depFacts, staleSkip, nil)
+	diags, err := checkPackage(analyzers, fset, imp, cfg.ImportPath, goVersion, cfg.GoFiles, staleSkip, nil)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			if werr := writeVetx(&cfg, nil); werr != nil {
-				fmt.Fprintf(os.Stderr, "srclint: %v\n", werr)
-				return 1
-			}
 			return 0
 		}
 		fmt.Fprintf(os.Stderr, "srclint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if err := writeVetx(&cfg, facts); err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
 		return 1
 	}
 	if len(diags) == 0 {
@@ -499,8 +423,6 @@ type listPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	ForTest    string
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -512,18 +434,13 @@ func standalone(analyzers []*analysis.Analyzer, staleSkip func(string) bool, pat
 	}
 	cwd, _ := os.Getwd()
 	packageFile := make(map[string]string)
-	byPath := make(map[string]*listPackage)
 	for _, p := range pkgs {
 		if p.Export != "" {
 			packageFile[p.ImportPath] = p.Export
 		}
-		if byPath[p.ImportPath] == nil {
-			byPath[p.ImportPath] = p
-		}
 	}
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, nil, packageFile)
-	fl := &factsLoader{fset: fset, imp: imp, byPath: byPath, cache: make(map[string]*analysis.PackageFacts)}
 
 	var timing map[string]time.Duration
 	if timings {
@@ -542,12 +459,11 @@ func standalone(analyzers []*analysis.Analyzer, staleSkip func(string) bool, pat
 		for _, f := range p.GoFiles {
 			files = append(files, filepath.Join(p.Dir, f))
 		}
-		diags, facts, err := checkPackage(analyzers, fset, imp, p.ImportPath, "", files, fl.facts, staleSkip, timing)
+		diags, err := checkPackage(analyzers, fset, imp, p.ImportPath, "", files, staleSkip, timing)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "srclint: %s: %v\n", p.ImportPath, err)
 			return 1
 		}
-		fl.cache[p.ImportPath] = facts
 		if len(diags) > 0 {
 			if jsonMode {
 				if err := writeJSONDiags(os.Stdout, fset, cwd, diags); err != nil {
@@ -564,38 +480,6 @@ func standalone(analyzers []*analysis.Analyzer, staleSkip func(string) bool, pat
 		printTimings(timing)
 	}
 	return exit
-}
-
-// factsLoader computes dependency facts from source on demand and memoizes
-// them over a `go list -deps` result set. Dependencies list before
-// dependents, and standalone seeds the cache with each checked package's
-// facts, so a tree-wide run computes every package's facts exactly once.
-type factsLoader struct {
-	fset   *token.FileSet
-	imp    types.Importer
-	byPath map[string]*listPackage
-	cache  map[string]*analysis.PackageFacts
-}
-
-func (l *factsLoader) facts(path string) *analysis.PackageFacts {
-	if f, ok := l.cache[path]; ok {
-		return f
-	}
-	l.cache[path] = nil // cycle guard; overwritten on success
-	p := l.byPath[path]
-	if p == nil || p.Standard || len(p.GoFiles) == 0 || !inModule(path) {
-		return nil
-	}
-	var files []string
-	for _, f := range p.GoFiles {
-		files = append(files, filepath.Join(p.Dir, f))
-	}
-	f, err := packageFactsFor(l.fset, l.imp, p.ImportPath, "", files, l.facts)
-	if err != nil {
-		return nil
-	}
-	l.cache[path] = f
-	return f
 }
 
 func goList(patterns []string) ([]*listPackage, error) {

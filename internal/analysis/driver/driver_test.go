@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,32 +12,21 @@ import (
 
 	"srccache/internal/analysis"
 	"srccache/internal/analysis/boundedretry"
-	"srccache/internal/analysis/chandisc"
-	"srccache/internal/analysis/errpath"
+	"srccache/internal/analysis/determinism"
 	"srccache/internal/analysis/flushepoch"
-	"srccache/internal/analysis/hotpath"
 	"srccache/internal/analysis/ioerr"
 	"srccache/internal/analysis/lockheld"
 	"srccache/internal/analysis/maprange"
-	"srccache/internal/analysis/seededrand"
-	"srccache/internal/analysis/staleepoch"
-	"srccache/internal/analysis/wallclock"
 )
 
-// allAnalyzers mirrors cmd/srclint's registration list: all eleven
-// checks.
+// allAnalyzers mirrors cmd/srclint's registration list: all six checks.
 var allAnalyzers = []*analysis.Analyzer{
-	wallclock.Analyzer,
-	seededrand.Analyzer,
+	determinism.Analyzer,
 	maprange.Analyzer,
 	ioerr.Analyzer,
-	errpath.Analyzer,
 	lockheld.Analyzer,
 	flushepoch.Analyzer,
-	chandisc.Analyzer,
-	staleepoch.Analyzer,
 	boundedretry.Analyzer,
-	hotpath.Analyzer,
 }
 
 // TestJSONSchema pins the -json wire format: one object per line with
@@ -91,9 +79,9 @@ func TestJSONSchema(t *testing.T) {
 }
 
 // listPackageFiles lists one srccache package with export data and returns
-// its non-test file list, the export-data table of the dependency closure,
-// and the full listing (for dependency-facts resolution).
-func listPackageFiles(t *testing.T, importPath string) (files []string, packageFile map[string]string, pkgs []*listPackage) {
+// its non-test file list and the export-data table of its dependency
+// closure.
+func listPackageFiles(t *testing.T, importPath string) (files []string, packageFile map[string]string) {
 	t.Helper()
 	pkgs, err := goList([]string{importPath})
 	if err != nil {
@@ -113,30 +101,16 @@ func listPackageFiles(t *testing.T, importPath string) (files []string, packageF
 	if len(files) == 0 {
 		t.Fatalf("%s not found in go list output", importPath)
 	}
-	return files, packageFile, pkgs
+	return files, packageFile
 }
 
-// depFactsOver builds the standalone-mode dependency-facts resolver for a
-// listing.
-func depFactsOver(fset *token.FileSet, imp types.Importer, pkgs []*listPackage) func(string) *analysis.PackageFacts {
-	byPath := make(map[string]*listPackage)
-	for _, p := range pkgs {
-		if byPath[p.ImportPath] == nil {
-			byPath[p.ImportPath] = p
-		}
-	}
-	fl := &factsLoader{fset: fset, imp: imp, byPath: byPath, cache: make(map[string]*analysis.PackageFacts)}
-	return fl.facts
-}
-
-// checkClean runs all eleven analyzers (including stale-suppression
+// checkClean runs all six analyzers (including stale-suppression
 // detection) over one package and reports every diagnostic as an error.
 func checkClean(t *testing.T, importPath string) {
 	t.Helper()
-	files, packageFile, pkgs := listPackageFiles(t, importPath)
+	files, packageFile := listPackageFiles(t, importPath)
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, nil, packageFile)
-	diags, _, err := checkPackage(allAnalyzers, fset, imp, importPath, "", files, depFactsOver(fset, imp, pkgs), nil, nil)
+	diags, err := checkPackage(allAnalyzers, fset, exportImporter(fset, nil, packageFile), importPath, "", files, nil, nil)
 	if err != nil {
 		t.Fatalf("checkPackage: %v", err)
 	}
@@ -146,14 +120,15 @@ func checkClean(t *testing.T, importPath string) {
 }
 
 // TestSrcSelfClean asserts the real internal/src package is clean under
-// all eleven analyzers — the tree-wide self-clean gate in miniature.
+// all six analyzers — the tree-wide self-clean gate in miniature.
 func TestSrcSelfClean(t *testing.T) { checkClean(t, "srccache/internal/src") }
 
-// TestEngineSelfClean covers the sharded engine: its //srclint:hotpath
-// root (Engine.Do) and the shard lock held across cache.Submit must verify.
+// TestEngineSelfClean covers the sharded engine: the shard lock held
+// across cache.Submit must pass lockheld (src device time is virtual).
 func TestEngineSelfClean(t *testing.T) { checkClean(t, "srccache/internal/engine") }
 
-// TestNetblockSelfClean covers the shutdown-channel ownership annotations.
+// TestNetblockSelfClean covers the transport, including the accept loop's
+// reviewed boundedretry allow.
 func TestNetblockSelfClean(t *testing.T) { checkClean(t, "srccache/internal/netblock") }
 
 // TestStatsSelfClean audits the package newly added to vet coverage; a
@@ -165,22 +140,21 @@ func TestStatsSelfClean(t *testing.T) { checkClean(t, "srccache/internal/stats")
 // and churn harness must be vtime-pure (no wall clock, no global rand).
 func TestClusterSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster") }
 
-// TestSupervisorSelfClean holds the autonomous control plane to the
-// routing-protocol and retry contracts it joined ClusterPackages under:
-// its repair retry loops must consult their attempt budget on every back
-// edge (boundedretry), and every call that can surface a stale-epoch
-// error must reach a handler (staleepoch). The wallclock daemon is
-// deliberately NOT in SimPackages — it owns real timers and latencies.
+// TestSupervisorSelfClean holds the autonomous control plane to the retry
+// contract: its repair loops must consult their attempt budget on every
+// back edge (boundedretry). The wall-clock daemon is deliberately NOT in
+// SimPackages — it owns real timers and latencies.
 func TestSupervisorSelfClean(t *testing.T) {
 	checkClean(t, "srccache/internal/cluster/supervisor")
 }
 
 // mutatePackage replaces old with new in the named file of a package copy
-// (the original tree is untouched) and returns the all-analyzer
-// diagnostics for the mutated package.
-func mutatePackage(t *testing.T, importPath, base, oldSrc, newSrc string) ([]analysis.Diagnostic, *token.FileSet) {
+// (the original tree is untouched) and returns the diagnostics the given
+// analyzers report for the mutated package, with stale-allow exemptions
+// for the ones not selected.
+func mutatePackage(t *testing.T, analyzers []*analysis.Analyzer, importPath, base, oldSrc, newSrc string) ([]analysis.Diagnostic, *token.FileSet) {
 	t.Helper()
-	files, packageFile, pkgs := listPackageFiles(t, importPath)
+	files, packageFile := listPackageFiles(t, importPath)
 	var target string
 	for _, f := range files {
 		if filepath.Base(f) == base {
@@ -208,8 +182,8 @@ func mutatePackage(t *testing.T, importPath, base, oldSrc, newSrc string) ([]ana
 		}
 	}
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, nil, packageFile)
-	diags, _, err := checkPackage(allAnalyzers, fset, imp, importPath, "", files, depFactsOver(fset, imp, pkgs), nil, nil)
+	staleSkip := staleSkipFor(allAnalyzers, analyzers)
+	diags, err := checkPackage(analyzers, fset, exportImporter(fset, nil, packageFile), importPath, "", files, staleSkip, nil)
 	if err != nil {
 		t.Fatalf("checkPackage on mutated source: %v", err)
 	}
@@ -227,13 +201,15 @@ func ofCategory(diags []analysis.Diagnostic, category string) []analysis.Diagnos
 	return out
 }
 
+// gcDrain is gc's drain on its success return, the flushepoch seed site.
+const gcDrain = "_, err := c.drainDirty(at)\n\treturn err"
+
 // TestSeedingRemoval is the sanity check that flushepoch really guards the
 // annotated contract sites: deleting the drain call from gc's return path
 // must produce a flushepoch finding. The mutation happens on a copy in a
 // temp dir; the tree is untouched.
 func TestSeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/src", "gc.go",
-		"_, err := c.drainDirty(at)\n\treturn err", "return nil")
+	diags, fset := mutatePackage(t, allAnalyzers, "srccache/internal/src", "gc.go", gcDrain, "return nil")
 	flushDiags := ofCategory(diags, "flushepoch")
 	if len(flushDiags) != 1 {
 		t.Fatalf("want exactly 1 flushepoch diagnostic after removing gc's drain, got %d (all: %v)",
@@ -248,35 +224,8 @@ func TestSeedingRemoval(t *testing.T) {
 	}
 }
 
-// TestFleetSelfClean holds the TCP fleet — the package the staleepoch
-// contract was built around — clean under all eleven analyzers,
-// including the handles-annotation rot verification.
+// TestFleetSelfClean holds the TCP fleet clean under all six analyzers.
 func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster/fleet") }
-
-// TestStaleEpochSeedingRemoval rots the fleet's stale-epoch handler on a
-// copy: tryOwners keeps its //srclint:handles annotation and its errors.Is
-// guard but loses the refetch call, so the handles verification must
-// report exactly that declaration, once. This is the acceptance check that
-// the netblock contract is demonstrably enforced against a violating
-// caller — rule 3 trusts the annotation only because this verification
-// exists.
-func TestStaleEpochSeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/cluster/fleet", "fleet.go",
-		"if stale && f.refetchRing() {\n\t\t\tf.refetches.Add(1)\n\t\t\tcontinue\n\t\t}",
-		"if stale {\n\t\t\tcontinue\n\t\t}")
-	staleDiags := ofCategory(diags, "staleepoch")
-	if len(staleDiags) != 1 {
-		t.Fatalf("want exactly 1 staleepoch diagnostic after removing tryOwners' refetch, got %d (all: %v)",
-			len(staleDiags), diags)
-	}
-	posn := fset.Position(staleDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "fleet.go" {
-		t.Errorf("diagnostic at %v, want in fleet.go", posn)
-	}
-	if !strings.Contains(staleDiags[0].Message, "tryOwners") || !strings.Contains(staleDiags[0].Message, "rotted") {
-		t.Errorf("message does not name the rotted handler: %s", staleDiags[0].Message)
-	}
-}
 
 // TestBoundedRetrySeedingRemoval strips the documented sanction from
 // netblock's accept loop on a copy: the loop's success back edge (Accept
@@ -285,7 +234,7 @@ func TestStaleEpochSeedingRemoval(t *testing.T) {
 // report exactly that loop, once. This also proves the allow is load-
 // bearing rather than rotted.
 func TestBoundedRetrySeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/netblock", "server.go",
+	diags, fset := mutatePackage(t, allAnalyzers, "srccache/internal/netblock", "server.go",
 		"\t//srclint:allow boundedretry accept loop lives as long as the server\n", "")
 	retryDiags := ofCategory(diags, "boundedretry")
 	if len(retryDiags) != 1 {
@@ -301,76 +250,6 @@ func TestBoundedRetrySeedingRemoval(t *testing.T) {
 	}
 }
 
-// TestHotpathSeedingRemoval re-introduces the allocation the hot-path
-// sweep originally caught on a copy of internal/src: the segment write
-// column list built through a `[]int{}` composite literal inside the
-// //srclint:hotpath write path. hotpath must report exactly that literal,
-// once.
-func TestHotpathSeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, "srccache/internal/src", "segment.go",
-		"wc := make([]int, 0, len(cols)+1)\n\t\twc = append(wc, cols...)\n\t\twriteCols = append(wc, parity)",
-		"writeCols = append(append([]int{}, cols...), parity)")
-	hotDiags := ofCategory(diags, "hotpath")
-	if len(hotDiags) != 1 {
-		t.Fatalf("want exactly 1 hotpath diagnostic after re-introducing the slice literal, got %d (all: %v)",
-			len(hotDiags), diags)
-	}
-	posn := fset.Position(hotDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "segment.go" {
-		t.Errorf("diagnostic at %v, want in segment.go", posn)
-	}
-	if !strings.Contains(hotDiags[0].Message, "slice composite literal") {
-		t.Errorf("message does not name the allocation: %s", hotDiags[0].Message)
-	}
-}
-
-// TestFactsDeterminism pins the modular-facts serialization: analyzing the
-// same package with its files in reversed order and its dependency
-// listing shuffled must produce byte-identical encoded facts. The CI facts
-// cache and the vetx files both depend on this.
-func TestFactsDeterminism(t *testing.T) {
-	const importPath = "srccache/internal/cluster/fleet"
-	files, packageFile, pkgs := listPackageFiles(t, importPath)
-
-	encode := func(files []string, pkgs []*listPackage) []byte {
-		t.Helper()
-		fset := token.NewFileSet()
-		imp := exportImporter(fset, nil, packageFile)
-		_, facts, err := checkPackage(allAnalyzers, fset, imp, importPath, "", files, depFactsOver(fset, imp, pkgs), nil, nil)
-		if err != nil {
-			t.Fatalf("checkPackage: %v", err)
-		}
-		data, err := facts.Encode()
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		return data
-	}
-
-	base := encode(files, pkgs)
-	if len(base) == 0 || base[len(base)-1] != '\n' {
-		t.Fatalf("encoded facts must be non-empty and newline-terminated, got %d bytes", len(base))
-	}
-
-	revFiles := make([]string, len(files))
-	for i, f := range files {
-		revFiles[len(files)-1-i] = f
-	}
-	revPkgs := make([]*listPackage, len(pkgs))
-	for i, p := range pkgs {
-		revPkgs[len(pkgs)-1-i] = p
-	}
-	if got := encode(revFiles, revPkgs); !bytes.Equal(base, got) {
-		t.Errorf("facts differ under reversed file and package order:\nbase: %s\ngot:  %s", base, got)
-	}
-
-	if decoded, err := analysis.DecodeFacts(base); err != nil || decoded == nil {
-		t.Fatalf("DecodeFacts round trip failed: %v", err)
-	} else if redo, err := decoded.Encode(); err != nil || !bytes.Equal(base, redo) {
-		t.Errorf("Encode(Decode(x)) != x: %v", err)
-	}
-}
-
 // TestSelectAnalyzers pins the -checks/-exclude semantics: keep-list,
 // drop-list, order preservation, and the unknown-name error naming the
 // valid checks.
@@ -380,15 +259,15 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("no flags: got %d analyzers, err %v; want all %d", len(sel), err, len(allAnalyzers))
 	}
 
-	sel, err = SelectAnalyzers(allAnalyzers, "hotpath,wallclock", "")
+	sel, err = SelectAnalyzers(allAnalyzers, "flushepoch,determinism", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].Name != "wallclock" || sel[1].Name != "hotpath" {
-		t.Errorf("-checks=hotpath,wallclock must keep registration order: got %v", names(sel))
+	if len(sel) != 2 || sel[0].Name != "determinism" || sel[1].Name != "flushepoch" {
+		t.Errorf("-checks=flushepoch,determinism must keep registration order: got %v", names(sel))
 	}
 
-	sel, err = SelectAnalyzers(allAnalyzers, "", "hotpath, boundedretry")
+	sel, err = SelectAnalyzers(allAnalyzers, "", "flushepoch, boundedretry")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,83 +275,51 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("-exclude dropped %d, want 2", len(allAnalyzers)-len(sel))
 	}
 	for _, a := range sel {
-		if a.Name == "hotpath" || a.Name == "boundedretry" {
+		if a.Name == "flushepoch" || a.Name == "boundedretry" {
 			t.Errorf("excluded analyzer %s survived", a.Name)
 		}
 	}
 
-	sel, err = SelectAnalyzers(allAnalyzers, "staleepoch", "staleepoch")
+	sel, err = SelectAnalyzers(allAnalyzers, "lockheld", "lockheld")
 	if err != nil || len(sel) != 0 {
 		t.Errorf("keep-then-drop of the same name: got %v, err %v; want empty", names(sel), err)
 	}
 
 	// Empty list elements (trailing or doubled commas) are tolerated.
-	if sel, err := SelectAnalyzers(allAnalyzers, "hotpath,,wallclock,", ""); err != nil || len(sel) != 2 {
+	if sel, err := SelectAnalyzers(allAnalyzers, "flushepoch,,determinism,", ""); err != nil || len(sel) != 2 {
 		t.Errorf("empty elements must be skipped: got %v, err %v", names(sel), err)
 	}
 
+	// Retired names are unknown now, like any misspelling.
 	for _, tc := range []struct{ checks, exclude string }{
-		{"hotpaths", ""}, {"", "nosuch"},
+		{"hotpath", ""}, {"", "wallclock"}, {"flushepochs", ""},
 	} {
 		if _, err := SelectAnalyzers(allAnalyzers, tc.checks, tc.exclude); err == nil {
 			t.Errorf("checks=%q exclude=%q: want unknown-name error", tc.checks, tc.exclude)
-		} else if !strings.Contains(err.Error(), "valid checks") || !strings.Contains(err.Error(), "wallclock") {
+		} else if !strings.Contains(err.Error(), "valid checks") || !strings.Contains(err.Error(), "determinism") {
 			t.Errorf("error must list the valid checks: %v", err)
 		}
 	}
 }
 
 // TestSelectionFiltersDiagnostics asserts a -checks subset actually
-// changes what checkPackage reports: the hotpath seeding mutation fires
-// under -checks=hotpath and is silent under -checks=wallclock, and the
+// changes what checkPackage reports: gc's drain removal fires under
+// -checks=flushepoch and is silent under -checks=determinism, and the
 // NDJSON stream only ever carries selected analyzer names.
 func TestSelectionFiltersDiagnostics(t *testing.T) {
-	mutate := func(selected []*analysis.Analyzer) []analysis.Diagnostic {
+	mutate := func(checks string) []analysis.Diagnostic {
 		t.Helper()
-		const importPath = "srccache/internal/src"
-		files, packageFile, pkgs := listPackageFiles(t, importPath)
-		var target string
-		for _, f := range files {
-			if filepath.Base(f) == "segment.go" {
-				target = f
-			}
-		}
-		src, err := os.ReadFile(target)
+		selected, err := SelectAnalyzers(allAnalyzers, checks, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutated := strings.Replace(string(src),
-			"wc := make([]int, 0, len(cols)+1)\n\t\twc = append(wc, cols...)\n\t\twriteCols = append(wc, parity)",
-			"writeCols = append(append([]int{}, cols...), parity)", 1)
-		if mutated == string(src) {
-			t.Fatal("seed site missing from segment.go; update this test")
-		}
-		mutatedFile := filepath.Join(t.TempDir(), "segment.go")
-		if err := os.WriteFile(mutatedFile, []byte(mutated), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range files {
-			if f == target {
-				files[i] = mutatedFile
-			}
-		}
-		fset := token.NewFileSet()
-		imp := exportImporter(fset, nil, packageFile)
-		staleSkip := staleSkipFor(allAnalyzers, selected)
-		diags, _, err := checkPackage(selected, fset, imp, importPath, "", files, depFactsOver(fset, imp, pkgs), staleSkip, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diags, _ := mutatePackage(t, selected, "srccache/internal/src", "gc.go", gcDrain, "return nil")
 		return diags
 	}
 
-	on, err := SelectAnalyzers(allAnalyzers, "hotpath", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := mutate(on)
-	if len(ofCategory(diags, "hotpath")) != 1 {
-		t.Errorf("-checks=hotpath must still catch the seeded allocation: %v", diags)
+	diags := mutate("flushepoch")
+	if len(ofCategory(diags, "flushepoch")) != 1 {
+		t.Errorf("-checks=flushepoch must still catch the removed drain: %v", diags)
 	}
 
 	var buf bytes.Buffer
@@ -490,17 +337,13 @@ func TestSelectionFiltersDiagnostics(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &got); err != nil {
 			t.Fatal(err)
 		}
-		if got["analyzer"] != "hotpath" {
+		if got["analyzer"] != "flushepoch" {
 			t.Errorf("NDJSON carries unselected analyzer %v", got["analyzer"])
 		}
 	}
 
-	off, err := SelectAnalyzers(allAnalyzers, "wallclock", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := mutate(off); len(diags) != 0 {
-		t.Errorf("-checks=wallclock must not report the hotpath seed (or stale allows): %v", diags)
+	if diags := mutate("determinism"); len(diags) != 0 {
+		t.Errorf("-checks=determinism must not report the flushepoch seed (or stale allows): %v", diags)
 	}
 }
 

@@ -43,9 +43,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// contractPrefix marks a function bound by the flush-epoch contract.
-const contractPrefix = "//srclint:contract"
-
 // drained is the singleton must-fact: a recognized drain/flush call has
 // executed on every path to this point.
 type drained struct{}
@@ -78,19 +75,9 @@ func run(pass *analysis.Pass) error {
 // hasContract reports whether the function's doc comment carries
 // //srclint:contract <name>.
 func hasContract(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, contractPrefix)
-		if !ok {
-			continue
-		}
-		if fields := strings.Fields(rest); len(fields) > 0 && fields[0] == name {
-			return true
-		}
-	}
-	return false
+	args, ok := analysis.Directive(fd.Doc, "contract")
+	fields := strings.Fields(args)
+	return ok && len(fields) > 0 && fields[0] == name
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, annotated map[types.Object]bool) {

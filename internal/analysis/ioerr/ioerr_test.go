@@ -9,7 +9,13 @@ import (
 
 func TestIOErr(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), ioerr.Analyzer,
-		"c/use",   // positive: calls into a contract package
+		"c/use",   // positive: discards at the call site
 		"c/other", // negative: same method names elsewhere
+	)
+}
+
+func TestErrPath(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), ioerr.Analyzer,
+		"e/use", // bound errors left unread on some path
 	)
 }

@@ -183,8 +183,6 @@ func (cl *Client) writeRange(rng int, off int64, p []byte) error {
 // strictly a last resort (and unreachable under the harness's guarded
 // schedules). A stale-epoch refusal from the head propagates unchanged:
 // writeRange owns the refetch-and-retry loop.
-//
-//srclint:surfaces staleepoch
 func (cl *Client) chainWrite(rng int, off int64, p []byte, owners []string) ([]string, error) {
 	try := func(quarantined bool) ([]string, error) {
 		for pos, id := range owners {

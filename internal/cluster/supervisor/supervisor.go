@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -200,7 +199,7 @@ type Supervisor struct {
 	// (set only from in-package tests; nil in production).
 	failpoint func(point string) bool
 
-	stop chan struct{} //srclint:owns Close (signal channel: closed once, never sent on)
+	stop chan struct{} // closed once, by Close; never sent on
 	once sync.Once
 	wg   sync.WaitGroup
 }
@@ -870,7 +869,7 @@ func (s *Supervisor) repairLocked(infos map[string]pingResult) {
 		if r.err != nil {
 			s.quar[r.key]++
 			reason := HoldRepairFailed
-			if strings.Contains(r.err.Error(), "no source replica") {
+			if errors.Is(r.err, fleet.ErrNoSourceReplica) {
 				reason = HoldNoCleanSource
 			}
 			s.holdLocked(reason, r.key.Node, r.key.Range)

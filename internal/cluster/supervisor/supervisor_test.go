@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -715,5 +716,193 @@ func TestSupervisorAbortsUnresumableTransition(t *testing.T) {
 	}
 	if _, ok := sup2.Ring().Member("d"); ok {
 		t.Fatal("aborted join left d in the placement")
+	}
+}
+
+// sharedRange returns a range both x and y own, failing if the layout has
+// none (the caller's scenario would pass vacuously).
+func sharedRange(t *testing.T, r *cluster.Ring, x, y string) int {
+	t.Helper()
+	for rng := 0; rng < r.Ranges; rng++ {
+		if r.OwnedBy(rng, x) && r.OwnedBy(rng, y) {
+			return rng
+		}
+	}
+	t.Fatalf("no range owned by both %s and %s", x, y)
+	return -1
+}
+
+func hasHold(st Status, want Hold) bool {
+	for _, h := range st.Holds {
+		if h == want {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSupervisorNoCleanSourceHold: a quarantined copy whose only other
+// owner is down has no source to repair from. The supervisor must report
+// HoldNoCleanSource — not a generic repair failure — and keep the copy
+// quarantined. The reason comes from errors.Is(err,
+// fleet.ErrNoSourceReplica), so this fails if RepairRange stops wrapping
+// the sentinel.
+func TestSupervisorNoCleanSourceHold(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+	rng := sharedRange(t, sup.Ring(), "a", "c")
+
+	// a fail-stops and is quarantined; it returns, but c — the only other
+	// owner of rng — dies before the repair runs.
+	nodes["a"].kill(t)
+	tickUntil(t, sup, 6, "detection", func(st Status) bool { return contains(st.Down, "a") })
+	nodes["a"].restart(t, sup.Ring(), false)
+	nodes["c"].kill(t)
+
+	want := Hold{Reason: HoldNoCleanSource, Node: "a", Range: rng}
+	st := tickUntil(t, sup, 3, "no-clean-source hold", func(st Status) bool { return hasHold(st, want) })
+	if !sup.Quarantined("a", rng) {
+		t.Fatalf("copy left quarantine with no source to repair from: %+v", st)
+	}
+}
+
+// staleGate refuses reads with the stale-epoch marker while refuse is set.
+type staleGate struct {
+	netblock.Backend
+	refuse atomic.Bool
+}
+
+func (g *staleGate) ReadAt(p []byte, off int64) error {
+	if g.refuse.Load() {
+		return fmt.Errorf("gate: %s", netblock.StaleEpochText)
+	}
+	return g.Backend.ReadAt(p, off)
+}
+
+// TestSupervisorStaleEpochRefreshesFleet: when a node refuses a repair or a
+// rebalance stream because the supervisor's own data-path client routed it
+// by an outdated ring, the supervisor re-syncs that client to the table
+// (refreshFleet) — the table itself never moves — and the work succeeds on
+// a later attempt. Removing either refreshFleet call fails a subtest.
+func TestSupervisorStaleEpochRefreshesFleet(t *testing.T) {
+	t.Run("repair", func(t *testing.T) {
+		_, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+		tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+		cur := sup.Ring()
+		rng := sharedRange(t, cur, "a", "c")
+
+		// The supervisor's client lags on a ring without c, so it picks b
+		// as the repair source for rng; b does not own rng and refuses.
+		lagging, err := cur.WithLeave("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.fl.SetRing(lagging); err != nil {
+			t.Fatal(err)
+		}
+		sup.mu.Lock()
+		sup.quar[cluster.DegKey{Node: "a", Range: rng}] = 0
+		sup.mu.Unlock()
+
+		st, err := sup.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sup.fl.Ring() != cur {
+			t.Fatal("supervisor's fleet still routes by the lagging ring after a stale-epoch refusal")
+		}
+		if sup.Quarantined("a", rng) || st.Repairs != 1 {
+			t.Fatalf("repair did not succeed on a later attempt: %+v", st)
+		}
+	})
+
+	t.Run("stream", func(t *testing.T) {
+		nodes, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{StepsPerTick: 8})
+		tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+		cur := sup.Ring()
+		d := cluster.Member{ID: "d", Addr: nodes["d"].addr}
+		next := mustJoin(t, cur, d)
+
+		// A move streams from its range's first old owner. Restart that
+		// node behind a gate that refuses every read as stale, as a node
+		// whose placement moved past the supervisor's table would.
+		src := cur.Owners(cluster.Moves(cur, next)[0].Range)[0]
+		gate := &staleGate{Backend: nodes[src].back}
+		gate.refuse.Store(true)
+		nodes[src].kill(t)
+		nodes[src].back = gate
+		nodes[src].restart(t, cur, false)
+		// The supervisor's own client lags the table.
+		lagging, err := cur.WithLeave("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.fl.SetRing(lagging); err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.BeginJoin(d); err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := sup.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := false
+		for _, h := range st.Holds {
+			refused = refused || h.Reason == HoldNoCleanSource
+		}
+		if !refused || st.Phase != cluster.SupTransition {
+			t.Fatalf("stale source did not refuse its stream: %+v", st)
+		}
+		if sup.fl.Ring() != sup.Ring() {
+			t.Fatal("supervisor's fleet still routes by the lagging ring after a stale-epoch refusal")
+		}
+
+		// Once the source serves again, the re-queued stream succeeds and
+		// the join commits.
+		gate.refuse.Store(false)
+		tickUntil(t, sup, 20, "join commit", func(st Status) bool {
+			return st.Phase == cluster.SupStable && st.Epoch == 3
+		})
+	})
+}
+
+// TestSupervisorConcurrentClose: Close may be called from several
+// goroutines at once, with or without the tick loop running. Every call
+// returns, none panics (stop is closed once, under once.Do), and the tick
+// goroutine has exited by then.
+func TestSupervisorConcurrentClose(t *testing.T) {
+	for _, started := range []bool{false, true} {
+		t.Run(fmt.Sprintf("started=%v", started), func(t *testing.T) {
+			_, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+			if started {
+				sup.Start(time.Millisecond)
+			}
+			done := make(chan struct{})
+			go func() {
+				var wg sync.WaitGroup
+				for i := 0; i < 4; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						sup.Close()
+					}()
+				}
+				wg.Wait()
+				sup.wg.Wait() // the tick goroutine's Done
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("concurrent Close calls did not all return")
+			}
+			select {
+			case <-sup.stop:
+			default:
+				t.Fatal("Close left the stop channel open")
+			}
+		})
 	}
 }

@@ -354,10 +354,8 @@ func (e *Engine) counters() (bench.Counters, error) {
 }
 
 // Do executes one request on the caller's goroutine. It is the function
-// every served request crosses, so it anchors the allocation-free hot-path
-// contract (DESIGN.md §8 rule 11).
-//
-//srclint:hotpath
+// every served request crosses, and it allocates nothing
+// (TestDoAllocatesNothing).
 func (e *Engine) Do(req Request) error {
 	if !e.started.Load() {
 		return ErrNotStarted

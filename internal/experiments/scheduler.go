@@ -83,7 +83,7 @@ func (o Options) runCells(exp string, cells []Cell) error {
 
 // runCell runs one cell, timing it and reporting to the progress callback.
 func (o Options) runCell(exp string, i, total int, c *Cell) error {
-	start := time.Now() //srclint:allow wallclock progress timing only, never reaches result tables
+	start := time.Now() //srclint:allow determinism progress timing only, never reaches result tables
 	err := c.Run()
 	if o.Progress != nil {
 		o.Progress(CellEvent{
@@ -91,7 +91,7 @@ func (o Options) runCell(exp string, i, total int, c *Cell) error {
 			Label:      c.Label,
 			Index:      i,
 			Total:      total,
-			Elapsed:    time.Since(start), //srclint:allow wallclock progress timing only
+			Elapsed:    time.Since(start), //srclint:allow determinism progress timing only
 			Err:        err,
 		})
 	}

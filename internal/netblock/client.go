@@ -25,13 +25,11 @@ const StaleEpochText = "stale routing epoch"
 // ErrStaleEpoch reports that the server refused a request because it was
 // routed with an outdated placement table: the server is a ring member
 // that no longer owns the requested range. The caller must refetch its
-// routing table and retry against the current owner — see the staleepoch
-// contract in DESIGN.md §8. Reads, writes, and trims can all surface it;
+// routing table and retry against the current owner — see the stale-epoch
+// protocol in DESIGN.md §12. Reads, writes, and trims can all surface it;
 // the refusal mirrors the simulation's epoch check, where serving (or
 // applying) under rules the routing no longer grants would strand data on
 // a non-owner.
-//
-//srclint:contracterr staleepoch
 var ErrStaleEpoch = errors.New("netblock: " + StaleEpochText)
 
 // ClientOptions tune the client's failure behavior. The zero value keeps
@@ -289,8 +287,6 @@ func (c *Client) check(off int64, n int) error {
 // (a ring member that no longer owns the range), the error wraps
 // ErrStaleEpoch: the caller must refetch its table and retry against the
 // current owner.
-//
-//srclint:surfaces staleepoch
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
@@ -304,8 +300,6 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt stores p at off. It implements io.WriterAt. A stale-routed
 // write is refused with ErrStaleEpoch just like a read: accepting it
 // would strand the bytes on a member the current chain no longer reads.
-//
-//srclint:surfaces staleepoch
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	if err := c.check(off, len(p)); err != nil {
 		return 0, err
@@ -318,8 +312,6 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 
 // Trim zeroes [off, off+n). Like WriteAt it is a mutation, so a stale
 // route is refused with ErrStaleEpoch.
-//
-//srclint:surfaces staleepoch
 func (c *Client) Trim(off, n int64) error {
 	if err := c.check(off, int(n)); err != nil {
 		return err

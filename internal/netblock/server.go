@@ -99,7 +99,7 @@ type Server struct {
 
 	lis      net.Listener
 	wg       sync.WaitGroup
-	shutdown chan struct{} //srclint:owns Close (signal channel: closed once, never sent on)
+	shutdown chan struct{} // closed once, by Close; never sent on
 	once     sync.Once
 
 	cmu   sync.Mutex
@@ -372,8 +372,6 @@ type serverConn struct {
 // supports deadlines and IdleTimeout is set, each request must arrive — and
 // each response must be written — within IdleTimeout. During shutdown a
 // deadline interruption is a clean exit, not an error.
-//
-//srclint:hotpath
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	dc, _ := conn.(deadliner)
 	c := new(serverConn)

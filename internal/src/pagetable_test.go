@@ -129,3 +129,33 @@ func TestSubmitSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("rewrites moved page 900 to state %v", en.state)
 	}
 }
+
+// TestSegmentSealAllocations pins what sealing a segment costs. Each run
+// writes Cap() fresh pages, so the last write fills the dirty buffer and
+// seals exactly one segment: the slot snapshot, the per-column summary
+// slices and the write-column list allocate, 11 times with this geometry.
+// A slice literal or an unsized append on the seal path adds to that.
+func TestSegmentSealAllocations(t *testing.T) {
+	const maxAllocs = 11
+	e := newEnv(t, func(c *Config) { c.TrackContent = false })
+	c := e.cache
+	lba := int64(0)
+	seal := func() {
+		for i := 0; i < c.dirtyBuf.Cap(); i++ {
+			req := blockdev.Request{Op: blockdev.OpWrite, Off: lba * blockdev.PageSize, Len: blockdev.PageSize}
+			if _, err := c.Submit(e.at, req); err != nil {
+				t.Fatal(err)
+			}
+			lba++
+		}
+	}
+	const runs = 100
+	gen := c.segGen
+	n := testing.AllocsPerRun(runs, seal)
+	if sealed := c.segGen - gen; sealed != runs+1 {
+		t.Fatalf("%d segments sealed in %d runs, want one per run", sealed, runs+1)
+	}
+	if n > maxAllocs {
+		t.Errorf("sealing a segment: %v allocs, want <= %d", n, maxAllocs)
+	}
+}

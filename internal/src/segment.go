@@ -325,9 +325,8 @@ func (c *Cache) handleFailedColumns(failedCols []int, perCol [][]summaryEntry, p
 }
 
 // recordSegmentContent writes page tags, parity tags, and MS/ME summary
-// blobs to the device content stores.
-//
-//srclint:coldpath content-tracking bookkeeping, only runs under cfg.TrackContent verification mode
+// blobs to the device content stores. It runs only under cfg.TrackContent
+// verification mode.
 func (c *Cache) recordSegmentContent(sg, seg, gen int64, parity int, perCol [][]summaryEntry, colTags [][]blockdev.Tag, maxUsed int64, failedCols []int) error {
 	colBase := c.lay.colOffset(c.cfg, sg, seg)
 	basePage := colBase / blockdev.PageSize

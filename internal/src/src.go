@@ -204,12 +204,10 @@ func (c *Cache) dropPage(lba int64, e entry) {
 
 // Submit implements the host-facing block interface of the cache volume
 // (the primary storage's address space). It is the cache's per-request
-// entry point — the write/read hot path — so it anchors the
-// allocation-free hot-path contract (DESIGN.md §8 rule 11); maintenance
-// work it can trigger (GC, repair, degraded reads) is fenced off behind
-// //srclint:coldpath boundaries.
-//
-//srclint:hotpath
+// entry point — the write/read hot path: a steady-state hit or buffered
+// rewrite allocates nothing (TestSubmitSteadyStateAllocatesNothing), and
+// sealing a segment allocates a fixed, pinned amount
+// (TestSegmentSealAllocations).
 func (c *Cache) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	if err := req.Validate(c.cfg.Primary.Capacity()); err != nil {
 		return at, err
