@@ -1,9 +1,11 @@
-// Command srccluster runs the cluster-layer churn harness from the command
-// line: per seed, a replicated netblock fleet is driven through a guarded
-// membership-chaos schedule — kills, restarts, disk wipes, fail-slow links,
-// partitions, and join/leave rebalances overlapping live traffic — while
-// the model volume checks that no acknowledged write is ever lost and no
-// request fails while a healthy replica of its range exists.
+// Command srccluster runs the cluster churn harness from the command line:
+// per seed, the shipped fleet client, chain backends and supervisor are
+// driven over virtual links through a guarded chaos schedule — kills,
+// restarts, disk wipes, fail-slow links, partitions, join/leave rebalances
+// overlapping live traffic, and supervisor deaths, one of them between
+// journaling a commit and pushing it — while the model volume checks that
+// no acknowledged write is ever lost and no request fails while a healthy
+// replica of its range exists.
 //
 // Usage:
 //
@@ -11,13 +13,6 @@
 //	srccluster -seeds 500      # wider sweep
 //	srccluster -seed 11 -v     # one seed, full counter detail
 //	srccluster -json           # violations as NDJSON (CI annotations)
-//	srccluster -supervised     # lifecycle via the crashable supervisor actor
-//
-// With -supervised the rebalance lifecycle runs through the journaling
-// supervisor actor instead of the harness, and each seed class composes
-// one control-plane fault on top of the data-plane chaos: supervisor
-// death mid-commit, node crash during repair during rebalance, or a
-// fail-slow head during a join.
 //
 // The default report is one summary line per seed plus aggregate latency
 // digests; exit status is 1 if any invariant was violated.
@@ -30,7 +25,7 @@ import (
 	"io"
 	"os"
 
-	"srccache/internal/cluster"
+	"srccache/internal/cluster/churn"
 )
 
 func main() {
@@ -62,7 +57,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		replicas = fs.Int("replicas", 0, "replication factor (default 3)")
 		asJSON   = fs.Bool("json", false, "emit violations as NDJSON instead of the report")
 		verbose  = fs.Bool("v", false, "full per-seed counters")
-		suprv    = fs.Bool("supervised", false, "drive the lifecycle through the crashable supervisor actor")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -80,10 +74,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	violated := 0
 	totalOps := 0
 	for _, s := range list {
-		res, err := cluster.Sim(cluster.SimConfig{
-			Seed: s, Ops: *ops, Nodes: *nodes, Replicas: *replicas,
-			Supervised: *suprv,
-		})
+		res, err := churn.Run(churn.Config{Seed: s, Ops: *ops, Nodes: *nodes, Replicas: *replicas})
 		if err != nil {
 			return 2, err
 		}
@@ -105,16 +96,11 @@ func run(args []string, stdout io.Writer) (int, error) {
 		case *verbose:
 			fmt.Fprintf(stdout, "seed %3d: %+v\n", s, res)
 		default:
-			line := fmt.Sprintf(
-				"seed %3d: ops %4d kills %d wipes %d cuts %d joins %d leaves %d commits %d aborts %d repaired %3d",
-				s, res.Ops, res.Kills, res.Wipes, res.Partitions, res.Joins, res.Leaves,
-				res.Commits, res.Aborts, res.RangesRepaired)
-			if *suprv {
-				line += fmt.Sprintf(" supkills %d midcommit %d resumes %d",
-					res.SupKills, res.MidCommitCrashes, res.SupResumes)
-			}
-			fmt.Fprintf(stdout, "%s  read p99 %-10v write p99 %-10v %s\n",
-				line, res.ReadLat.P99, res.WriteLat.P99, status(v))
+			fmt.Fprintf(stdout,
+				"seed %3d: ops %4d kills %d wipes %d cuts %d joins %d leaves %d commits %d aborts %d repaired %3d supkills %d midcommit %d resumes %d  read p99 %-10v write p99 %-10v %s\n",
+				s, res.Ops, res.Kills, res.Wipes, res.ClientCuts+res.NodeCuts, res.Joins, res.Leaves,
+				res.Commits, res.Aborts, res.RangesRepaired, res.SupKills, res.MidCommitCrashes, res.SupResumes,
+				res.ReadLat.P99, res.WriteLat.P99, status(v))
 		}
 	}
 	if !*asJSON {

@@ -61,9 +61,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunSupervisedReport: every run is supervised, so the default report
+// carries the supervisor's columns.
 func TestRunSupervisedReport(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run([]string{"-seeds", "3", "-ops", "300", "-supervised"}, &out)
+	code, err := run([]string{"-seeds", "3", "-ops", "300"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

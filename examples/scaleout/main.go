@@ -6,18 +6,14 @@
 // skewed workload, is expanded to 5 drives under content verification, then
 // contracted back to 3, with no data lost at any step.
 //
-// Act two scales the fleet across nodes: three live netblock servers on
-// loopback form a consistent-hash ring with 2-way chained replication, a
-// node is killed (reads and writes fail over), restarted with a wiped disk
-// (anti-entropy repair restores byte-identical contents), and a fourth node
-// joins with a graceful rebalance streaming its ranges while the old owners
-// keep serving — node loss as column loss writ large.
-//
-// Act three replays act two's faults with nobody at the keyboard: a
-// supervisor daemon owns the routing table, detects the kill from its own
-// ping latencies, quarantines the stale replica, repairs it hash-verified
-// once the node returns, and runs the join rebalance through its
-// crash-safe journal — the client only reads and writes.
+// Act two scales the fleet across nodes with nobody at the keyboard: three
+// live netblock servers on loopback form a consistent-hash ring with 2-way
+// chained replication under a supervisor daemon that owns the routing
+// table. A node is killed — reads and writes fail over, the supervisor
+// detects the kill from its own pings and quarantines the node's copies —
+// and comes back with a wiped disk, which the supervisor repairs, verified;
+// then a fourth node joins through the supervisor's crash-safe journal.
+// The client only reads and writes: node loss as column loss writ large.
 //
 // -small shrinks the acts for CI smoke runs.
 package main
@@ -49,9 +45,6 @@ func main() {
 	small := flag.Bool("small", false, "shrink the workload for CI smoke runs")
 	flag.Parse()
 	if err := runArray(*small); err != nil {
-		log.Fatal(err)
-	}
-	if err := runFleet(*small); err != nil {
 		log.Fatal(err)
 	}
 	if err := runSupervised(*small); err != nil {
@@ -181,11 +174,10 @@ func runArray(small bool) error {
 }
 
 // fleetNode is one live server plus the in-process handles the demo uses to
-// kill, restart, and verify it.
+// kill and restart it.
 type fleetNode struct {
 	id    string
 	addr  string
-	back  netblock.Backend
 	chain *fleet.ChainBackend
 	srv   *netblock.Server
 }
@@ -194,12 +186,14 @@ func dialOpts() netblock.ClientOptions {
 	return netblock.ClientOptions{DialTimeout: 2 * time.Second, Timeout: 5 * time.Second}
 }
 
-func startFleetNode(id string, ring *cluster.Ring) (*fleetNode, error) {
-	back, err := netblock.MemBackend(ring.Size())
+// startFleetNode boots a supervised node — no placement until the
+// supervisor pushes one — on addr ("127.0.0.1:0" picks a port).
+func startFleetNode(id, addr string, size int64) (*fleetNode, error) {
+	back, err := netblock.MemBackend(size)
 	if err != nil {
 		return nil, err
 	}
-	chain, err := fleet.NewChainBackend(back, id, ring, dialOpts())
+	chain, err := fleet.Boot(back, id, fleet.TCP(dialOpts()))
 	if err != nil {
 		return nil, err
 	}
@@ -207,202 +201,36 @@ func startFleetNode(id string, ring *cluster.Ring) (*fleetNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &fleetNode{id: id, addr: addr.String(), back: back, chain: chain, srv: srv}, nil
+	return &fleetNode{id: id, addr: bound.String(), chain: chain, srv: srv}, nil
 }
 
-func runFleet(small bool) error {
-	ranges, rangeBytes := 32, int64(64<<10)
-	if small {
-		ranges, rangeBytes = 16, int64(16<<10)
-	}
-
-	// Boot three nodes, then rebuild the ring with their bound addresses —
-	// the bootstrap a deployment's config file provides up front.
-	ids := []string{"alpha", "beta", "gamma"}
-	var boot []cluster.Member
-	for _, id := range ids {
-		boot = append(boot, cluster.Member{ID: id})
-	}
-	bootRing, err := cluster.NewRing(2, ranges, rangeBytes, boot)
-	if err != nil {
-		return err
-	}
-	nodes := make(map[string]*fleetNode)
-	var members []cluster.Member
-	for _, id := range ids {
-		n, err := startFleetNode(id, bootRing)
-		if err != nil {
-			return err
-		}
-		defer n.srv.Close()
-		defer n.chain.Close()
-		nodes[id] = n
-		members = append(members, cluster.Member{ID: id, Addr: n.addr})
-	}
-	ring, err := cluster.NewRing(2, ranges, rangeBytes, members)
-	if err != nil {
-		return err
-	}
-	for _, n := range nodes {
-		if err := n.chain.SetRing(ring); err != nil {
-			return err
-		}
-		n.srv.SetEpoch(1)
-	}
-	fl, err := fleet.New(ring, dialOpts())
-	if err != nil {
-		return err
-	}
-	defer fl.Close()
-
-	model := make([]byte, ring.Size())
-	rand.New(rand.NewSource(11)).Read(model)
-	if err := fl.WriteAt(model, 0); err != nil {
-		return err
-	}
-	readBack := func(r *cluster.Ring, label string) error {
-		got := make([]byte, r.Size())
-		if err := fl.ReadAt(got, 0); err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		if !bytes.Equal(got, model) {
-			return fmt.Errorf("%s: volume diverges from model", label)
-		}
-		return nil
-	}
-	if err := readBack(ring, "initial readback"); err != nil {
-		return err
-	}
-	fmt.Printf("fleet of %d nodes serving %d KiB, 2-way chained replication: content verified\n",
-		len(ids), ring.Size()>>10)
-
-	// Kill beta. Every range it headed fails over to the surviving replica,
-	// for reads and writes both.
-	nodes["beta"].srv.Close()
-	if err := readBack(ring, "degraded readback"); err != nil {
-		return err
-	}
-	patch := bytes.Repeat([]byte{0xAB}, 2048)
-	copy(model[0:], patch)
-	if err := fl.WriteAt(patch, 0); err != nil {
-		return fmt.Errorf("degraded write: %w", err)
-	}
-	fmt.Printf("beta killed: reads and writes fail over (%d failovers so far)\n", fl.Stats().Failovers)
-
-	// Restart beta with a wiped disk and repair every range it owns from
-	// the surviving replicas — anti-entropy restores byte identity.
-	old := nodes["beta"]
-	old.chain.Close()
-	back, err := netblock.MemBackend(ring.Size())
-	if err != nil {
-		return err
-	}
-	chain, err := fleet.NewChainBackend(back, "beta", ring, dialOpts())
-	if err != nil {
-		return err
-	}
-	srv, err := netblock.NewServerWith(chain)
-	if err != nil {
-		return err
-	}
-	if _, err := srv.Listen(old.addr); err != nil {
-		return err
-	}
-	srv.SetEpoch(1)
-	nodes["beta"] = &fleetNode{id: "beta", addr: old.addr, back: back, chain: chain, srv: srv}
-	defer srv.Close()
-	defer chain.Close()
-
-	repaired := 0
-	for rng := 0; rng < ranges; rng++ {
-		if !ring.OwnedBy(rng, "beta") {
-			continue
-		}
-		if err := fl.RepairRange("beta", rng); err != nil {
-			return fmt.Errorf("repair range %d: %w", rng, err)
-		}
-		base := int64(rng) * rangeBytes
-		got := make([]byte, rangeBytes)
-		if err := back.ReadAt(got, base); err != nil {
-			return err
-		}
-		if !bytes.Equal(got, model[base:base+rangeBytes]) {
-			return fmt.Errorf("range %d on beta not byte-identical after repair", rng)
-		}
-		repaired++
-	}
-	if err := readBack(ring, "post-repair readback"); err != nil {
-		return err
-	}
-	fmt.Printf("beta wiped and restarted: %d ranges repaired from replicas, byte-identical\n", repaired)
-
-	// A fourth node joins: its ranges stream from the old owners while they
-	// keep serving, then the whole fleet swaps to the new ring at epoch 2.
-	joiner, err := startFleetNode("delta", bootRing)
-	if err != nil {
-		return err
-	}
-	defer joiner.srv.Close()
-	defer joiner.chain.Close()
-	nodes["delta"] = joiner
-	next, err := ring.WithJoin(cluster.Member{ID: "delta", Addr: joiner.addr})
-	if err != nil {
-		return err
-	}
-	moves := cluster.Moves(ring, next)
-	if err := fl.Rebalance(ring, next); err != nil {
-		return err
-	}
-	for _, n := range nodes {
-		if err := n.chain.SetRing(next); err != nil {
-			return err
-		}
-		n.srv.SetEpoch(2)
-	}
-	if err := fl.SetRing(next); err != nil {
-		return err
-	}
-	if err := readBack(next, "post-join readback"); err != nil {
-		return err
-	}
-	st := fl.Stats()
-	fmt.Printf("delta joined: %d ranges streamed, fleet at epoch 2; %d reads, %d writes, %d repairs total\n",
-		len(moves), st.Reads, st.Writes, st.Repairs)
-	fmt.Println("fleet scale-out complete — no acknowledged data lost at any step")
-	return nil
+func (n *fleetNode) close() {
+	n.srv.Close()
+	n.chain.Close()
 }
 
-// runSupervised is act three: act two's faults, healed autonomously. The
-// supervisor daemon owns the table; the "operator" only kills a node,
-// brings it back wiped, and asks for a join. Detection, quarantine,
-// repair, and the rebalance all happen inside Tick.
+// runSupervised is act two. The supervisor daemon owns the table; the
+// "operator" only kills a node, brings it back wiped, and asks for a join.
+// Detection, quarantine, repair, and the rebalance all happen inside Tick.
 func runSupervised(small bool) error {
 	ranges, rangeBytes := 32, int64(64<<10)
 	if small {
 		ranges, rangeBytes = 16, int64(16<<10)
 	}
 	ids := []string{"east", "west", "north"}
-	var boot []cluster.Member
-	for _, id := range ids {
-		boot = append(boot, cluster.Member{ID: id})
-	}
-	bootRing, err := cluster.NewRing(2, ranges, rangeBytes, boot)
-	if err != nil {
-		return err
-	}
+	size := int64(ranges) * rangeBytes
 	nodes := make(map[string]*fleetNode)
 	var members []cluster.Member
 	for _, id := range ids {
-		n, err := startFleetNode(id, bootRing)
+		n, err := startFleetNode(id, "127.0.0.1:0", size)
 		if err != nil {
 			return err
 		}
-		defer n.srv.Close()
-		defer n.chain.Close()
+		defer func() { nodes[n.id].close() }()
 		nodes[id] = n
 		members = append(members, cluster.Member{ID: id, Addr: n.addr})
 	}
@@ -422,12 +250,12 @@ func runSupervised(small bool) error {
 	supNode := func(id, addr string) supervisor.Node {
 		return supervisor.Node{
 			Member: cluster.Member{ID: id, Addr: addr},
-			Push: func(r *cluster.Ring, epoch uint64) error {
+			Push: func(p fleet.Placement) error {
 				n := nodes[id]
-				if err := n.chain.SetRing(r); err != nil {
+				if err := n.chain.Install(p); err != nil {
 					return err
 				}
-				n.srv.SetEpoch(epoch)
+				n.srv.SetEpoch(p.Table.Epoch)
 				return nil
 			},
 		}
@@ -466,14 +294,14 @@ func runSupervised(small bool) error {
 		return err
 	}
 	defer fl.Close()
-	fl.SetRefetch(sup.Ring)
+	fl.SetControl(sup.Ring, sup.ReportMiss)
 
 	model := make([]byte, ring.Size())
 	rand.New(rand.NewSource(23)).Read(model)
 	if err := fl.WriteAt(model, 0); err != nil {
 		return err
 	}
-	fmt.Printf("supervised fleet of %d nodes at epoch %d: content written\n", len(ids), sup.Epoch())
+	fmt.Printf("supervised fleet of %d nodes at epoch %d: content written\n", len(ids), sup.Status().Epoch)
 
 	// Kill west. The supervisor notices from its own pings — no operator
 	// report — and quarantines every range west owned.
@@ -492,29 +320,15 @@ func runSupervised(small bool) error {
 		return fmt.Errorf("write during quarantine: %w", err)
 	}
 
-	// Bring west back with an empty disk. The supervisor streams every
-	// quarantined range back hash-verified, then lifts the quarantine.
-	old := nodes["west"]
-	old.chain.Close()
-	back, err := netblock.MemBackend(ring.Size())
+	// Bring west back with an empty disk. It serves nothing until the
+	// supervisor places it; the supervisor quarantines every range west
+	// owns, repairs each verified, then lifts the quarantine.
+	nodes["west"].close()
+	west, err := startFleetNode("west", nodes["west"].addr, size)
 	if err != nil {
 		return err
 	}
-	chain, err := fleet.NewChainBackend(back, "west", sup.Ring(), dialOpts())
-	if err != nil {
-		return err
-	}
-	srv, err := netblock.NewServerWith(chain)
-	if err != nil {
-		return err
-	}
-	if _, err := srv.Listen(old.addr); err != nil {
-		return err
-	}
-	srv.SetEpoch(sup.Epoch())
-	nodes["west"] = &fleetNode{id: "west", addr: old.addr, back: back, chain: chain, srv: srv}
-	defer srv.Close()
-	defer chain.Close()
+	nodes["west"] = west
 	st, err = tickUntil("repair", func(st supervisor.Status) bool {
 		return len(st.Quarantined) == 0 && st.Repairs > 0
 	})
@@ -526,12 +340,11 @@ func runSupervised(small bool) error {
 
 	// Ask for a join; the supervisor journals the transition, streams the
 	// moves, and commits the new epoch on its own ticks.
-	joiner, err := startFleetNode("south", sup.Ring())
+	joiner, err := startFleetNode("south", "127.0.0.1:0", size)
 	if err != nil {
 		return err
 	}
-	defer joiner.srv.Close()
-	defer joiner.chain.Close()
+	defer joiner.close()
 	nodes["south"] = joiner
 	if err := sup.Register(supNode("south", joiner.addr)); err != nil {
 		return err

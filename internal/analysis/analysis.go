@@ -302,10 +302,14 @@ var SimPackages = []string{
 	"internal/torture",
 	"internal/stats",
 	"internal/engine",
-	// The cluster layer's ring, nodes, and churn harness are vtime-pure;
-	// the suffix match deliberately does not bind internal/cluster/fleet,
-	// the wall-clock real-TCP subpackage.
+	// The cluster protocol runs in virtual time under the churn seeds:
+	// every clock read goes through cluster.Transport, so the only
+	// sanctioned wall-clock sites are fleet's TCP transport and
+	// Supervisor.Start's ticker, each marked //srclint:allow determinism.
 	"internal/cluster",
+	"internal/cluster/churn",
+	"internal/cluster/fleet",
+	"internal/cluster/supervisor",
 }
 
 // IOErrPackages lists the package-path suffixes whose Read/Write/Flush/

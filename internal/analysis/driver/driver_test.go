@@ -135,15 +135,14 @@ func TestNetblockSelfClean(t *testing.T) { checkClean(t, "srccache/internal/netb
 // stale //srclint:allow here would fail as a diagnostic.
 func TestStatsSelfClean(t *testing.T) { checkClean(t, "srccache/internal/stats") }
 
-// TestClusterSelfClean holds the replicated-fleet layer to the determinism
-// contract it was added to SimPackages under: the ring, nodes, detector,
-// and churn harness must be vtime-pure (no wall clock, no global rand).
+// TestClusterSelfClean holds the cluster layer to the determinism contract
+// it is in SimPackages under: the ring, detector, journal and virtual
+// transport must be vtime-pure (no wall clock, no global rand).
 func TestClusterSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster") }
 
-// TestSupervisorSelfClean holds the autonomous control plane to the retry
-// contract: its repair loops must consult their attempt budget on every
-// back edge (boundedretry). The wall-clock daemon is deliberately NOT in
-// SimPackages — it owns real timers and latencies.
+// TestSupervisorSelfClean holds the control plane to the same contract —
+// its clock is the transport's; Start's ticker is the one allowed site —
+// and its repair retries to their attempt budget (boundedretry).
 func TestSupervisorSelfClean(t *testing.T) {
 	checkClean(t, "srccache/internal/cluster/supervisor")
 }
@@ -224,7 +223,8 @@ func TestSeedingRemoval(t *testing.T) {
 	}
 }
 
-// TestFleetSelfClean holds the TCP fleet clean under all six analyzers.
+// TestFleetSelfClean holds the fleet clean under all six analyzers; the TCP
+// transport's two clock reads are its only determinism allows.
 func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster/fleet") }
 
 // TestBoundedRetrySeedingRemoval strips the documented sanction from

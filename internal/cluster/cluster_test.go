@@ -1,55 +1,103 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
 	"errors"
 	"testing"
 
+	"srccache/internal/cluster"
+	"srccache/internal/cluster/fleet"
+	"srccache/internal/cluster/supervisor"
+	"srccache/internal/netblock"
 	"srccache/internal/netlink"
 	"srccache/internal/vtime"
 )
 
-// testCluster wires a small fleet for scenario tests.
+// The scenario tests run the shipped protocol — fleet client, chain
+// backends, supervisor — over the virtual transport: deterministic, no
+// sockets, one goroutine.
+
+const rangeBytes = 4096
+
+// testCluster is a small fleet on virtual links.
 type testCluster struct {
-	net    *Net
-	ctrl   *Control
-	client *Client
+	net   *cluster.Net
+	sup   *supervisor.Supervisor
+	fl    *fleet.Fleet
+	disks map[string]netblock.Backend
+	nodes map[string]*fleet.ChainBackend
 }
 
-func newTestCluster(t *testing.T, nodes, replicas, ranges int) *testCluster {
+// newTestCluster boots members a, b, … in the ring and spares after them,
+// under a supervisor.
+func newTestCluster(t *testing.T, members, spares, replicas, ranges int) *testCluster {
 	t.Helper()
-	n, err := NewNet(netlink.Config{})
+	n, err := cluster.NewNet(netlink.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ms []Member
-	for i := 0; i < nodes; i++ {
+	tc := &testCluster{net: n, disks: map[string]netblock.Backend{}, nodes: map[string]*fleet.ChainBackend{}}
+	var ms []cluster.Member
+	var cfg supervisor.Config
+	for i := 0; i < members+spares; i++ {
 		id := string(rune('a' + i))
-		if _, err := NewNode(n, id); err != nil {
+		if i < members {
+			ms = append(ms, cluster.Member{ID: id})
+		}
+		tc.boot(t, id, int64(ranges)*rangeBytes, true)
+		cfg.Nodes = append(cfg.Nodes, supervisor.Node{Member: cluster.Member{ID: id}, Push: tc.push(id)})
+	}
+	if cfg.Ring, err = cluster.NewRing(replicas, ranges, rangeBytes, ms); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Detector = cluster.DetectorConfig{FailAfter: 2}
+	cfg.Transport = n.Endpoint("control")
+	if tc.sup, err = supervisor.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if tc.fl, err = fleet.NewWith(cfg.Ring, n.Endpoint("client")); err != nil {
+		t.Fatal(err)
+	}
+	tc.fl.SetControl(tc.sup.Ring, tc.sup.ReportMiss)
+	return tc
+}
+
+// boot (re)starts node id over its old disk, or a fresh one.
+func (tc *testCluster) boot(t *testing.T, id string, size int64, wipe bool) {
+	t.Helper()
+	if wipe {
+		disk, err := netblock.MemBackend(size)
+		if err != nil {
 			t.Fatal(err)
 		}
-		ms = append(ms, Member{ID: id})
+		tc.disks[id] = disk
 	}
-	ring, err := NewRing(replicas, ranges, 4096, ms)
+	chain, err := fleet.Boot(tc.disks[id], id, tc.net.Endpoint(id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewControl(n, ring)
-	if err != nil {
+	tc.nodes[id] = chain
+	if err := tc.net.Attach(id, chain); err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClient(n, ctrl.Table, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func (tc *testCluster) push(id string) func(fleet.Placement) error {
+	return func(p fleet.Placement) error {
+		if !tc.net.Alive(id) {
+			return errors.New("down")
+		}
+		if err := tc.nodes[id].Install(p); err != nil {
+			return err
+		}
+		tc.net.SetEpoch(id, p.Table.Epoch)
+		return nil
 	}
-	ctrl.Stale = cli.Degraded
-	ctrl.OnMoved = func(m Move) { delete(cli.degraded, DegKey{m.Target, m.Range}) }
-	return &testCluster{net: n, ctrl: ctrl, client: cli}
 }
 
 func (tc *testCluster) write(t *testing.T, off int64, p []byte) {
 	t.Helper()
-	if err := tc.client.WriteAt(p, off); err != nil {
+	if err := tc.fl.WriteAt(p, off); err != nil {
 		t.Fatalf("WriteAt(%d): %v", off, err)
 	}
 }
@@ -57,326 +105,271 @@ func (tc *testCluster) write(t *testing.T, off int64, p []byte) {
 func (tc *testCluster) readBack(t *testing.T, off int64, want []byte) {
 	t.Helper()
 	got := make([]byte, len(want))
-	if err := tc.client.ReadAt(got, off); err != nil {
+	if err := tc.fl.ReadAt(got, off); err != nil {
 		t.Fatalf("ReadAt(%d): %v", off, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("ReadAt(%d) = %q, want %q", off, got[:16], want[:16])
+		t.Fatalf("ReadAt(%d) read back other bytes", off)
+	}
+}
+
+// tickUntil drives the supervisor until cond holds.
+func (tc *testCluster) tickUntil(t *testing.T, what string, cond func(supervisor.Status) bool) supervisor.Status {
+	t.Helper()
+	for i := 0; i < 30; i++ {
+		st, err := tc.sup.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cond(st) {
+			return st
+		}
+	}
+	t.Fatalf("%s not reached; last status %+v", what, tc.sup.Status())
+	return supervisor.Status{}
+}
+
+// settled is the supervisor at rest: stable, nothing quarantined.
+func settled(st supervisor.Status) bool {
+	return st.Phase == cluster.SupStable && len(st.Quarantined) == 0
+}
+
+// disk reads range rng off node id's disk, bypassing every fence.
+func (tc *testCluster) disk(t *testing.T, id string, rng int) []byte {
+	t.Helper()
+	buf := make([]byte, rangeBytes)
+	if err := tc.disks[id].ReadAt(buf, int64(rng)*rangeBytes); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// replicasAgree fails unless every owner of every range holds the same
+// bytes.
+func (tc *testCluster) replicasAgree(t *testing.T) {
+	t.Helper()
+	ring := tc.sup.Ring()
+	for rng := 0; rng < ring.Ranges; rng++ {
+		owners := ring.Owners(rng)
+		for _, id := range owners[1:] {
+			if !bytes.Equal(tc.disk(t, owners[0], rng), tc.disk(t, id, rng)) {
+				t.Fatalf("range %d: %s diverges from %s", rng, id, owners[0])
+			}
+		}
 	}
 }
 
 func TestClusterWriteReadAcrossRanges(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 8)
-	p := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB: spans 2 ranges
+	tc := newTestCluster(t, 3, 0, 2, 8)
+	p := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB: spans 3 ranges
 	tc.write(t, 2048, p)
 	tc.readBack(t, 2048, p)
-	// Every write owner applied: no partial writes, nothing quarantined.
-	if s := tc.client.Stats(); s.PartialWrites != 0 || tc.client.DegradedCount() != 0 {
-		t.Fatalf("healthy write was partial: %+v, %d degraded", s, tc.client.DegradedCount())
+	for id, n := range tc.nodes {
+		if _, failed := n.Forwards(); failed != 0 {
+			t.Fatalf("%s: %d forwards reached no successor on a healthy fleet", id, failed)
+		}
 	}
-	if err := tc.client.ReadAt(make([]byte, 1), tc.ctrl.Table().Cur.Size()); err == nil {
+	if st := tc.sup.Status(); len(st.Quarantined) != 0 {
+		t.Fatalf("healthy write quarantined copies: %+v", st)
+	}
+	if err := tc.fl.ReadAt(make([]byte, 1), tc.sup.Ring().Size()); err == nil {
 		t.Fatal("read past end of volume accepted")
 	}
 }
 
 func TestClusterReplicasByteIdentical(t *testing.T) {
-	tc := newTestCluster(t, 3, 3, 4)
-	p := bytes.Repeat([]byte{0xAB}, 4096)
-	tc.write(t, 0, p)
-	owners := tc.ctrl.Table().Cur.Owners(0)
-	if len(owners) != 3 {
+	tc := newTestCluster(t, 3, 0, 3, 4)
+	tc.write(t, 0, bytes.Repeat([]byte{0xAB}, rangeBytes))
+	if owners := tc.sup.Ring().Owners(0); len(owners) != 3 {
 		t.Fatalf("owners = %v", owners)
 	}
-	want, ok := tc.ctrl.Node(owners[0]).HashRange(0)
-	if !ok {
-		t.Fatal("head holds no data")
-	}
-	for _, id := range owners[1:] {
-		got, ok := tc.ctrl.Node(id).HashRange(0)
-		if !ok || got != want {
-			t.Fatalf("replica %s diverges after chain write", id)
-		}
-	}
+	tc.replicasAgree(t)
 }
 
 func TestClusterReadFailsOverWhenHeadDies(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 4)
+	tc := newTestCluster(t, 3, 0, 2, 4)
 	p := bytes.Repeat([]byte{7}, 1024)
 	tc.write(t, 0, p)
-	head := tc.ctrl.Table().Cur.Owners(0)[0]
-	tc.ctrl.Node(head).Kill()
+	tc.net.Kill(tc.sup.Ring().Owners(0)[0])
 	tc.readBack(t, 0, p)
-	if s := tc.client.Stats(); s.Failovers == 0 {
+	if tc.fl.Stats().Failovers == 0 {
 		t.Fatal("read served without recorded failover despite a dead head")
 	}
 }
 
+// A write whose tail is down acknowledges on the head; the tail comes back
+// with its old disk, is quarantined as restarted, and repaired.
 func TestClusterWriteSkipsDeadReplicaAndRepairHeals(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 4)
-	owners := tc.ctrl.Table().Cur.Owners(0)
-	tail := owners[1]
-	tc.ctrl.Node(tail).Kill()
+	tc := newTestCluster(t, 3, 0, 2, 4)
+	tail := tc.sup.Ring().Owners(0)[1]
+	tc.net.Kill(tail)
 
 	p := bytes.Repeat([]byte{9}, 2048)
 	tc.write(t, 0, p) // acks on the head alone
-	if !tc.client.Degraded(tail, 0) {
-		t.Fatal("replica that missed the write not quarantined")
-	}
-	if s := tc.client.Stats(); s.PartialWrites != 1 {
-		t.Fatalf("PartialWrites = %d", s.PartialWrites)
-	}
 	tc.readBack(t, 0, p)
 
-	// Rejoin: restart resyncs the table; anti-entropy streams the range
-	// back until byte-identical, then lifts the quarantine.
-	if err := tc.ctrl.Restart(tail); err != nil {
-		t.Fatal(err)
+	tc.boot(t, tail, tc.sup.Ring().Size(), false)
+	st := tc.tickUntil(t, "repair", settled)
+	if st.Restarts != 1 || st.Repairs == 0 {
+		t.Fatalf("restarted tail not quarantined and repaired: %+v", st)
 	}
-	healed, err := tc.client.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healed != 1 || tc.client.DegradedCount() != 0 {
-		t.Fatalf("Repair healed %d, %d still degraded", healed, tc.client.DegradedCount())
-	}
-	a, _ := tc.ctrl.Node(owners[0]).HashRange(0)
-	b, ok := tc.ctrl.Node(tail).HashRange(0)
-	if !ok || a != b {
-		t.Fatal("rejoined replica not byte-identical after repair")
-	}
+	tc.replicasAgree(t)
 }
 
 func TestClusterNoReplicaIsHardError(t *testing.T) {
-	tc := newTestCluster(t, 2, 2, 2)
+	tc := newTestCluster(t, 2, 0, 2, 2)
 	p := []byte("xx")
 	tc.write(t, 0, p)
-	for _, id := range tc.ctrl.Table().Cur.Owners(0) {
-		tc.ctrl.Node(id).Kill()
+	for _, id := range tc.sup.Ring().Owners(0) {
+		tc.net.Kill(id)
 	}
-	if err := tc.client.ReadAt(make([]byte, 2), 0); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("read with all replicas dead = %v, want ErrNoReplica", err)
+	if err := tc.fl.ReadAt(make([]byte, 2), 0); !errors.Is(err, cluster.ErrDown) {
+		t.Fatalf("read with all replicas dead = %v, want cluster.ErrDown", err)
 	}
-	if err := tc.client.WriteAt(p, 0); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("write with all replicas dead = %v, want ErrNoReplica", err)
+	if err := tc.fl.WriteAt(p, 0); !errors.Is(err, cluster.ErrDown) {
+		t.Fatalf("write with all replicas dead = %v, want cluster.ErrDown", err)
 	}
 }
 
+// A commit the client never heard of: its head for a range has left, and
+// refuses the read as stale; the client refetches and reads the new owners.
 func TestClusterStaleEpochTriggersRefetch(t *testing.T) {
-	tc := newTestCluster(t, 4, 2, 8)
-	p := []byte("epoch")
-	tc.write(t, 0, p)
-
-	// Bump the epoch behind the client's back: the next op is rejected with
-	// ErrStaleEpoch, refetches, and succeeds at the new epoch.
-	if err := tc.ctrl.BeginLeave(tc.ctrl.Table().Cur.Members()[3].ID); err != nil {
-		t.Fatal(err)
-	}
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
-			t.Fatal(err)
+	tc := newTestCluster(t, 4, 0, 2, 8)
+	old := tc.sup.Ring()
+	leaver := old.Members()[3].ID
+	rng := -1
+	for r := 0; r < old.Ranges && rng < 0; r++ {
+		if old.Owners(r)[0] == leaver {
+			rng = r
 		}
 	}
-	if err := tc.ctrl.Commit(); err != nil {
+	if rng < 0 {
+		t.Fatalf("%s heads no range; pick other member IDs", leaver)
+	}
+	p := []byte("epoch")
+	tc.write(t, int64(rng)*rangeBytes, p)
+	if err := tc.sup.BeginLeave(leaver); err != nil {
 		t.Fatal(err)
 	}
-	before := tc.client.Stats().Refetches
-	tc.readBack(t, 0, p)
-	if tc.client.Stats().Refetches != before+1 {
-		t.Fatalf("Refetches went %d -> %d across an epoch bump", before, tc.client.Stats().Refetches)
+	tc.tickUntil(t, "leave commit", func(st supervisor.Status) bool { return settled(st) && st.Commits == 1 })
+	if tc.fl.Ring() != old {
+		t.Fatal("client learned the commit before any op")
 	}
-	if tc.client.Table().Epoch != tc.ctrl.Table().Epoch {
-		t.Fatal("client table still stale after refetch")
+	before := tc.fl.Stats().Refetches
+	tc.readBack(t, int64(rng)*rangeBytes, p)
+	if tc.fl.Stats().Refetches != before+1 {
+		t.Fatalf("Refetches went %d -> %d across an epoch bump", before, tc.fl.Stats().Refetches)
 	}
-}
-
-func TestClusterReadsRouteAroundFailSlow(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 1)
-	p := bytes.Repeat([]byte{3}, 512)
-	tc.write(t, 0, p)
-	owners := tc.ctrl.Table().Cur.Owners(0)
-	head := owners[0]
-
-	// Make the head fail-slow and let the detector see it via ping sweeps.
-	tc.net.Link(head).Degrade(50)
-	for i := 0; i < 6; i++ {
-		tc.client.PingAll()
-	}
-	if st := tc.client.Detector().State(head); st != Slow {
-		t.Fatalf("detector sees head as %v after degrade", st)
-	}
-	_, slow := tc.client.Detector().Classified()
-	if len(slow) != 1 || slow[0] != head {
-		t.Fatalf("Classified slow = %v", slow)
-	}
-
-	r0, _, _, _ := tc.ctrl.Node(owners[1]).Stats()
-	tc.readBack(t, 0, p)
-	r1, _, _, _ := tc.ctrl.Node(owners[1]).Stats()
-	if r1 != r0+1 {
-		t.Fatal("read did not route around the fail-slow head")
+	if tc.fl.Ring() != tc.sup.Ring() {
+		t.Fatal("client ring still stale after refetch")
 	}
 }
 
+// A join streams while the fleet serves: writes and reads between ticks
+// see their own bytes throughout, and the new placement ends
+// byte-identical.
 func TestClusterJoinRebalanceServesThroughout(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 8)
-	nd, err := NewNode(tc.net, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.ctrl.Adopt(nd)
-
-	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
+	tc := newTestCluster(t, 3, 1, 2, 8)
+	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, rangeBytes) }
 	for rng := 0; rng < 8; rng++ {
-		tc.write(t, int64(rng)*4096, payload(byte(rng+1)))
+		tc.write(t, int64(rng)*rangeBytes, payload(byte(rng+1)))
 	}
-	if err := tc.ctrl.BeginJoin(Member{ID: "x"}); err != nil {
+	if err := tc.sup.BeginJoin(cluster.Member{ID: "d"}); err != nil {
 		t.Fatal(err)
 	}
-	// Quarantine the join target for every acknowledged range it now
-	// write-owns, exactly as the harness does, until each range streams.
-	for _, mv := range tc.ctrl.PendingMoves() {
-		tc.client.MarkDegraded(mv.Target, mv.Range)
-	}
-	moved := len(tc.ctrl.PendingMoves())
-	if moved == 0 {
+	if tc.sup.Status().Pending == 0 {
 		t.Fatal("join moved nothing")
 	}
-	// Serve while streaming: writes go to the union, reads stay on Cur.
-	step := 0
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
-			t.Fatal(err)
+	for step := 0; !settled(tc.sup.Status()) || step == 0; step++ {
+		if step > 30 {
+			t.Fatalf("join never settled: %+v", tc.sup.Status())
 		}
 		rng := step % 8
-		tc.write(t, int64(rng)*4096, payload(byte(0x80+step)))
-		tc.readBack(t, int64(rng)*4096, payload(byte(0x80+step)))
-		step++
-	}
-	if err := tc.ctrl.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if tc.client.DegradedCount() != 0 {
-		t.Fatalf("%d copies still quarantined after commit", tc.client.DegradedCount())
-	}
-	// The new node now serves reads for the ranges it owns, byte-identical.
-	for rng := 0; rng < 8; rng++ {
-		owners := tc.ctrl.Table().Cur.Owners(rng)
-		want, _ := tc.ctrl.Node(owners[0]).HashRange(rng)
-		for _, id := range owners[1:] {
-			got, ok := tc.ctrl.Node(id).HashRange(rng)
-			if !ok || got != want {
-				t.Fatalf("range %d replica %s diverges after join", rng, id)
-			}
-		}
-	}
-}
-
-func TestClusterLeaveDrainsNode(t *testing.T) {
-	tc := newTestCluster(t, 4, 2, 8)
-	p := bytes.Repeat([]byte{5}, 4096)
-	for rng := 0; rng < 8; rng++ {
-		tc.write(t, int64(rng)*4096, p)
-	}
-	leaver := tc.ctrl.Table().Cur.Members()[0].ID
-	if err := tc.ctrl.BeginLeave(leaver); err != nil {
-		t.Fatal(err)
-	}
-	for _, mv := range tc.ctrl.PendingMoves() {
-		tc.client.MarkDegraded(mv.Target, mv.Range)
-	}
-	for len(tc.ctrl.PendingMoves()) > 0 {
-		if err := tc.ctrl.RebalanceStep(); err != nil {
+		tc.write(t, int64(rng)*rangeBytes, payload(byte(0x80+step)))
+		tc.readBack(t, int64(rng)*rangeBytes, payload(byte(0x80+step)))
+		if _, err := tc.sup.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tc.ctrl.Commit(); err != nil {
+	if _, in := tc.sup.Ring().Member("d"); !in {
+		t.Fatal("joiner not in the committed placement")
+	}
+	tc.replicasAgree(t)
+}
+
+// A drained member leaves the placement, and refuses the reads it no
+// longer owns.
+func TestClusterLeaveDrainsNode(t *testing.T) {
+	tc := newTestCluster(t, 4, 0, 2, 8)
+	p := bytes.Repeat([]byte{5}, rangeBytes)
+	for rng := 0; rng < 8; rng++ {
+		tc.write(t, int64(rng)*rangeBytes, p)
+	}
+	leaver := tc.sup.Ring().Members()[0].ID
+	if err := tc.sup.BeginLeave(leaver); err != nil {
 		t.Fatal(err)
 	}
-	nd := tc.ctrl.Node(leaver)
-	if !nd.Draining() {
-		t.Fatal("left node not draining")
-	}
-	if len(nd.data) != 0 {
-		t.Fatalf("left node still holds %d ranges", len(nd.data))
-	}
+	tc.tickUntil(t, "leave commit", func(st supervisor.Status) bool { return settled(st) && st.Commits == 1 })
 	for rng := 0; rng < 8; rng++ {
-		tc.readBack(t, int64(rng)*4096, p)
-		if tc.ctrl.Table().Cur.OwnedBy(rng, leaver) {
+		tc.readBack(t, int64(rng)*rangeBytes, p)
+		if tc.sup.Ring().OwnedBy(rng, leaver) {
 			t.Fatalf("range %d still owned by leaver", rng)
 		}
+		if err := tc.nodes[leaver].ReadAt(make([]byte, 1), int64(rng)*rangeBytes); !errors.Is(err, netblock.ErrStaleEpoch) {
+			t.Fatalf("leaver serves range %d: %v", rng, err)
+		}
 	}
+	tc.replicasAgree(t)
 }
 
+// A disk replacement: the node restarts empty, reads never touch its
+// copies, and repair restores them byte-identical.
 func TestClusterWipeRestartRoundTripsThroughRepair(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 4)
+	tc := newTestCluster(t, 3, 0, 2, 4)
 	var payloads [4][]byte
 	for rng := 0; rng < 4; rng++ {
-		payloads[rng] = bytes.Repeat([]byte{byte(0x10 + rng)}, 4096)
-		tc.write(t, int64(rng)*4096, payloads[rng])
+		payloads[rng] = bytes.Repeat([]byte{byte(0x10 + rng)}, rangeBytes)
+		tc.write(t, int64(rng)*rangeBytes, payloads[rng])
 	}
-	victim := tc.ctrl.Table().Cur.Members()[1].ID
-	tc.ctrl.Node(victim).Wipe()
+	victim := tc.sup.Ring().Members()[1].ID
+	tc.net.Kill(victim)
+	tc.boot(t, victim, tc.sup.Ring().Size(), true)
 	for rng := 0; rng < 4; rng++ {
-		if tc.ctrl.Table().writeOwned(rng, victim) {
-			tc.client.MarkDegraded(victim, rng)
-		}
+		tc.readBack(t, int64(rng)*rangeBytes, payloads[rng])
 	}
-	// Reads never touch the wiped copies, and repair restores them to
-	// byte-identical contents.
-	for rng := 0; rng < 4; rng++ {
-		tc.readBack(t, int64(rng)*4096, payloads[rng])
-	}
-	if _, err := tc.client.Repair(); err != nil {
-		t.Fatal(err)
-	}
-	if tc.client.DegradedCount() != 0 {
-		t.Fatalf("%d copies quarantined after repair", tc.client.DegradedCount())
-	}
-	for rng := 0; rng < 4; rng++ {
-		owners := tc.ctrl.Table().Cur.Owners(rng)
-		want, _ := tc.ctrl.Node(owners[0]).HashRange(rng)
-		for _, id := range owners[1:] {
-			got, ok := tc.ctrl.Node(id).HashRange(rng)
-			if !ok || got != want {
-				t.Fatalf("range %d replica %s diverges after wipe+repair", rng, id)
-			}
-		}
-	}
+	tc.tickUntil(t, "repair", settled)
+	tc.replicasAgree(t)
 }
 
+// A chain forward that cannot reach the tail quarantines the tail's copy
+// before the write is acknowledged; reads never see it until repair.
 func TestClusterPartitionedReplicaQuarantinedOnWrite(t *testing.T) {
-	tc := newTestCluster(t, 3, 2, 1)
-	owners := tc.ctrl.Table().Cur.Owners(0)
+	tc := newTestCluster(t, 3, 0, 2, 1)
+	owners := tc.sup.Ring().Owners(0)
 	head, tail := owners[0], owners[1]
 	tc.net.Partition(head, tail) // chain forward path cut, client fine
 
 	p := bytes.Repeat([]byte{1}, 512)
 	tc.write(t, 0, p)
-	if !tc.client.Degraded(tail, 0) {
-		t.Fatal("replica behind a partition not quarantined after missed write")
+	if !tc.sup.Quarantined(tail, 0) {
+		t.Fatal("replica behind a partition not quarantined after a missed write")
 	}
 	tc.readBack(t, 0, p)
 	tc.net.Heal(head, tail)
-	if _, err := tc.client.Repair(); err != nil {
-		t.Fatal(err)
-	}
-	if tc.client.Degraded(tail, 0) {
-		t.Fatal("quarantine survived repair")
-	}
+	tc.tickUntil(t, "repair", settled)
 	tc.readBack(t, 0, p)
+	tc.replicasAgree(t)
 }
 
 func TestClusterUnreachableCostsVirtualTime(t *testing.T) {
-	tc := newTestCluster(t, 2, 2, 1)
+	tc := newTestCluster(t, 2, 0, 2, 1)
 	tc.write(t, 0, []byte("t"))
-	head := tc.ctrl.Table().Cur.Owners(0)[0]
-	tc.ctrl.Node(head).Kill()
+	tc.net.Kill(tc.sup.Ring().Owners(0)[0])
 	before := tc.net.Now()
 	tc.readBack(t, 0, []byte("t"))
-	if elapsed := tc.net.Now().Sub(before); elapsed < unreachableTimeout {
-		t.Fatalf("failover read took %v, less than one unreachable timeout %v", elapsed, unreachableTimeout)
-	}
-	if vtime.Duration(tc.net.Now()) == 0 {
-		t.Fatal("virtual clock never advanced")
+	// Learning that a peer is gone costs the transport's unreachable
+	// timeout, 5 ms.
+	if elapsed := tc.net.Now().Sub(before); elapsed < 5*vtime.Millisecond {
+		t.Fatalf("failover read took %v, less than one unreachable timeout", elapsed)
 	}
 }

@@ -1,16 +1,14 @@
-// Package fleet is the real-TCP counterpart of the cluster simulation: the
-// same consistent-hash ring and chained replication, carried over live
-// netblock servers instead of virtual-time pipes. A ChainBackend wraps a
-// node's storage so every write it serves is forwarded down the replica
-// chain before the node replies, and a Fleet client routes volume requests
-// onto the ring with owner-order failover, direct-write repair, and
-// range streaming for membership changes.
+// Package fleet is the data path of the replicated cluster: a ChainBackend
+// wraps a node's storage so every write it serves is forwarded down the
+// range's replica chain before the node replies, and a Fleet client routes
+// volume requests onto the ring with owner-order failover, stale-epoch
+// refetch, and the range copies that repair and rebalance are made of.
 //
-// The package is deliberately wallclock: it exists to prove the simulated
-// protocol runs over the real transport. The invariants it relies on —
-// clean-head writes, owner-order chains, "no clean source is not never
-// written" — are established and churn-tested by package cluster; fleet
-// keeps the mapping one-to-one (Ring.Owners is the chain order in both).
+// Both reach their peers through a cluster.Transport: TCP (netblock and the
+// wall clock) in production, cluster.Net's virtual links in the churn
+// harness — one protocol, whose seeds run the code that ships. A node's
+// placement (routing table, quarantined copies, where to report a missed
+// forward) is installed by the supervisor; see Placement.
 package fleet
 
 import (
@@ -19,92 +17,158 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"srccache/internal/cluster"
 	"srccache/internal/netblock"
-	"srccache/internal/vtime"
 )
 
 // repairChunk bounds one repair/stream transfer, comfortably under the
 // protocol's MaxPayload so a large RangeBytes still streams.
 const repairChunk = 256 << 10
 
-// ErrNoSourceReplica reports that RepairRange found no other owner of the
-// range answering to copy from. It is not "never written": the repair is
-// retried once a copy recovers.
-var ErrNoSourceReplica = errors.New("no source replica")
+var (
+	// ErrNoSourceReplica reports that a repair or stream found no other
+	// owner serving the range. It is not "never written": the copy is
+	// retried once a source recovers.
+	ErrNoSourceReplica = errors.New("no source replica")
+	// ErrUnplaced reports a node that booted and has not been given a
+	// placement yet. It serves nothing, and refuses a placement that does
+	// not acknowledge the boot (Placement.Restarted): whatever its disk
+	// holds may have missed writes while it was down.
+	ErrUnplaced = errors.New("fleet: node has no placement")
+)
+
+// Placement is what the supervisor installs on a node.
+type Placement struct {
+	// Table is the routing table: reads and chain forwards follow Cur, and
+	// a range owned in Cur or Next accepts writes.
+	Table *cluster.Table
+	// Quarantined lists the ranges whose local copy must not serve reads
+	// until a verified repair.
+	Quarantined []int
+	// Report records that member node missed a forward of range rng. A
+	// write whose miss cannot be reported is refused rather than
+	// acknowledged. Nil counts misses only (Forwards).
+	Report func(node string, rng int) error
+	// Restarted acknowledges that the node booted since its last
+	// placement; the supervisor sets it once it has quarantined the
+	// node's copies.
+	Restarted bool
+	// Fill carries a repair: range → bytes to store locally before the
+	// placement takes effect. A repair travels the management channel,
+	// not the data path, so the copy's chain never forwards it — a
+	// successor that missed it would be reported as missing a write it
+	// already holds.
+	Fill map[int][]byte
+}
 
 // ChainBackend wraps a node's local storage with chain forwarding: a write
 // (or trim) is applied locally and then pushed to the next owner after this
 // node's own position in the range's replica chain, which forwards onward in
 // turn — so a client write to the chain head replicates through the whole
 // chain before the head's reply. The node derives its chain position from
-// the ring and its own ID, so the wire protocol needs no chain field and any
-// plain netblock client can address any replica.
+// its placement and its own ID, so the wire protocol needs no chain field
+// and any plain netblock client can address any replica.
 //
-// Forwarding failures are counted, not fatal: a dead successor must not fail
-// the write (the head's copy is the acknowledged one), and anti-entropy
-// repair heals the gap — exactly the simulation's partial-write path.
+// What the node serves is fenced by its placement (admit); a successor that
+// misses a forward is reported through it (forwardPiece).
 type ChainBackend struct {
 	local netblock.Backend
 	self  string
-	opts  netblock.ClientOptions
+	peers peers
 
-	mu    sync.Mutex
-	ring  *cluster.Ring
-	conns map[string]*netblock.Client
+	mu     sync.Mutex
+	ring   *cluster.Ring // nil until the first placement
+	next   *cluster.Ring
+	quar   []bool // by range; nil when nothing is quarantined
+	report func(node string, rng int) error
 
 	forwards    atomic.Int64
 	forwardErrs atomic.Int64
 }
 
-// NewChainBackend wraps local storage for ring member self. The local
-// volume must span the ring's full logical volume: every node addresses
-// global offsets, so replicas hold their ranges at identical offsets and a
-// failover needs no translation. self may be absent from the ring (a spare
-// waiting to join serves locally without forwarding).
+// NewChainBackend wraps local storage for ring member self, placed on ring
+// and forwarding over TCP. The local volume must span the ring's full
+// logical volume: every node addresses global offsets, so replicas hold
+// their ranges at identical offsets and a failover needs no translation.
 func NewChainBackend(local netblock.Backend, self string, ring *cluster.Ring, opts netblock.ClientOptions) (*ChainBackend, error) {
+	if ring == nil {
+		return nil, fmt.Errorf("fleet: nil ring")
+	}
+	b, err := Boot(local, self, TCP(opts))
+	if err != nil {
+		return nil, err
+	}
+	if err := b.SetRing(ring); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Boot wraps local storage for a supervised member that has just started:
+// it has no placement, and serves nothing, until the supervisor installs
+// one.
+func Boot(local netblock.Backend, self string, tr cluster.Transport) (*ChainBackend, error) {
 	if local == nil {
 		return nil, fmt.Errorf("fleet: nil backend")
 	}
 	if self == "" {
 		return nil, fmt.Errorf("fleet: empty node ID")
 	}
-	if ring == nil {
-		return nil, fmt.Errorf("fleet: nil ring")
-	}
-	if local.Size() != ring.Size() {
-		return nil, fmt.Errorf("fleet: backend size %d != ring volume %d", local.Size(), ring.Size())
-	}
-	return &ChainBackend{
-		local: local,
-		self:  self,
-		opts:  opts,
-		ring:  ring,
-		conns: make(map[string]*netblock.Client),
-	}, nil
+	return &ChainBackend{local: local, self: self, peers: newPeers(tr)}, nil
 }
 
-// Ring returns the placement the backend currently forwards by.
-func (b *ChainBackend) Ring() *cluster.Ring {
+// view is a snapshot of the node's placement, taken once per operation.
+type view struct {
+	cur, next *cluster.Ring
+	quar      []bool
+	report    func(node string, rng int) error
+}
+
+func (v view) quarantined(rng int) bool { return rng < len(v.quar) && v.quar[rng] }
+
+func (b *ChainBackend) view() view {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.ring
+	return view{b.ring, b.next, b.quar, b.report}
 }
 
-// SetRing installs a new placement (a committed membership change). The
-// volume geometry must not change; only ownership may move.
+// SetRing installs a stable placement by hand — the operator's (or a
+// static deployment's) commit. The volume geometry must not change; only
+// ownership may move.
 func (b *ChainBackend) SetRing(ring *cluster.Ring) error {
-	if ring == nil {
+	return b.Install(Placement{Table: &cluster.Table{Cur: ring}, Restarted: true})
+}
+
+// Install is the supervisor's push.
+func (b *ChainBackend) Install(p Placement) error {
+	t := p.Table
+	if t == nil || t.Cur == nil {
 		return fmt.Errorf("fleet: nil ring")
 	}
-	if ring.Size() != b.local.Size() {
-		return fmt.Errorf("fleet: ring volume %d != backend size %d", ring.Size(), b.local.Size())
+	for _, r := range []*cluster.Ring{t.Cur, t.Next} {
+		if r != nil && r.Size() != b.local.Size() {
+			return fmt.Errorf("fleet: ring volume %d != backend size %d", r.Size(), b.local.Size())
+		}
+	}
+	for rng, data := range p.Fill {
+		if err := b.local.WriteAt(data, int64(rng)*t.Cur.RangeBytes); err != nil {
+			return err
+		}
+	}
+	var quar []bool
+	if len(p.Quarantined) > 0 {
+		quar = make([]bool, t.Cur.Ranges)
+		for _, rng := range p.Quarantined {
+			quar[rng] = true
+		}
 	}
 	b.mu.Lock()
-	b.ring = ring
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	if b.ring == nil && !p.Restarted {
+		return ErrUnplaced
+	}
+	b.ring, b.next, b.quar, b.report = t.Cur, t.Next, quar, p.Report
 	return nil
 }
 
@@ -114,46 +178,40 @@ func (b *ChainBackend) Forwards() (ok, failed int64) {
 	return b.forwards.Load(), b.forwardErrs.Load()
 }
 
-// ReadAt serves locally — reads never traverse the chain — but only when
-// this node may: a ring member that does not own the requested extent
-// refuses with the stale-epoch marker, so a client routed by an outdated
-// table refetches instead of consuming bytes the current chain no longer
-// maintains here. Spares (nodes absent from the ring) serve everything:
-// rebalance bootstrap and repair traffic address them directly before any
-// committed ring includes them.
-func (b *ChainBackend) ReadAt(p []byte, off int64) error {
-	if err := b.refuseStale("read", off, int64(len(p))); err != nil {
-		return err
+// admit is the node-side fence (wire v1 carries no epoch, so ownership is
+// the fence): every range the extent touches must be owned by this node —
+// in Cur for a read, in Cur or Next for a write, so a rebalance can stream
+// to a new owner — and a read may not touch a quarantined copy. A range the
+// node does not own is refused as a stale epoch, so a client routed by an
+// outdated table refetches; the other refusals make it fail over.
+func (b *ChainBackend) admit(v view, verb string, off, n int64, write bool) error {
+	if v.cur == nil {
+		return fmt.Errorf("%s on %s: %w", verb, b.self, ErrUnplaced)
 	}
-	return b.local.ReadAt(p, off)
-}
-
-// refuseStale rejects an operation addressed to a ring member that does
-// not own the extent — the server side of the stale-epoch protocol, the
-// real-transport twin of the simulation's Node.checkEpoch. Only members
-// refuse: a spare (absent from the ring) must keep serving rebalance
-// bootstrap and repair traffic addressed to it directly.
-func (b *ChainBackend) refuseStale(verb string, off, n int64) error {
-	ring := b.Ring()
-	if _, member := ring.Member(b.self); member && !b.ownsExtent(ring, off, n) {
-		return fmt.Errorf("fleet: %s: %s [%d,%d) not owned by %s",
-			netblock.StaleEpochText, verb, off, off+n, b.self)
+	for end := off + n; off < end; {
+		rng := v.cur.RangeOf(off)
+		owned := v.cur.OwnedBy(rng, b.self)
+		if !owned && write && v.next != nil {
+			owned = v.next.OwnedBy(rng, b.self)
+		}
+		if !owned {
+			return fmt.Errorf("fleet: %s of range %d on %s: %w", verb, rng, b.self, netblock.ErrStaleEpoch)
+		}
+		if !write && v.quarantined(rng) {
+			return fmt.Errorf("fleet: %s of range %d on %s: copy quarantined", verb, rng, b.self)
+		}
+		off = (int64(rng) + 1) * v.cur.RangeBytes
 	}
 	return nil
 }
 
-// ownsExtent reports whether self is in the replica chain of every range
-// the extent touches.
-func (b *ChainBackend) ownsExtent(ring *cluster.Ring, off, n int64) bool {
-	end := off + n
-	for off < end {
-		rng := ring.RangeOf(off)
-		if !ring.OwnedBy(rng, b.self) {
-			return false
-		}
-		off = (int64(rng) + 1) * ring.RangeBytes
+// ReadAt serves locally — reads never traverse the chain — once admit
+// allows it.
+func (b *ChainBackend) ReadAt(p []byte, off int64) error {
+	if err := b.admit(b.view(), "read", off, int64(len(p)), false); err != nil {
+		return err
 	}
-	return true
+	return b.local.ReadAt(p, off)
 }
 
 // Size reports the local volume size.
@@ -164,104 +222,135 @@ func (b *ChainBackend) Size() int64 { return b.local.Size() }
 func (b *ChainBackend) Flush() error { return b.local.Flush() }
 
 // WriteAt applies locally, then forwards each per-range piece down the
-// chain. The local apply is the acknowledged copy; forward failures are
-// recorded for repair, never surfaced to the writer. A member that no
-// longer owns the extent refuses instead of applying: forwardPiece only
-// pushes from a node's own chain position, so a stale-headed write would
-// strand on this replica while the current chain never sees it — the
-// simulation refuses the same way (handleWrite's epoch check).
+// chain.
 func (b *ChainBackend) WriteAt(p []byte, off int64) error {
-	if err := b.refuseStale("write", off, int64(len(p))); err != nil {
+	v := b.view()
+	if err := b.admit(v, "write", off, int64(len(p)), true); err != nil {
 		return err
 	}
 	if err := b.local.WriteAt(p, off); err != nil {
 		return err
 	}
 	base := off
-	b.forward(off, int64(len(p)), func(c *netblock.Client, pieceOff, n int64) error {
-		// A successor's stale-epoch refusal (epoch skew mid-ring-push) is a
-		// forward failure like any other: counted for repair, never
-		// refetched here — servers converge by the control plane's pushes,
-		// not by chasing each other's tables.
-		_, err := c.WriteAt(p[pieceOff-base:pieceOff-base+n], pieceOff)
-		return err
+	return b.forward(v, off, int64(len(p)), func(c cluster.Peer, pieceOff, n int64) error {
+		return c.WriteAt(p[pieceOff-base:pieceOff-base+n], pieceOff)
 	})
-	return nil
 }
 
 // Trim applies locally and forwards, mirroring WriteAt: a trim is a
 // mutation, and replicas that miss it would answer reads with deleted
-// data. Stale routes are refused for the same reason writes are.
+// data.
 func (b *ChainBackend) Trim(off, n int64) error {
-	if err := b.refuseStale("trim", off, n); err != nil {
+	v := b.view()
+	if err := b.admit(v, "trim", off, n, true); err != nil {
 		return err
 	}
 	if err := b.local.Trim(off, n); err != nil {
 		return err
 	}
-	b.forward(off, n, func(c *netblock.Client, off, n int64) error {
-		// Same sanctioned drop as WriteAt's forward: repair reconciles
-		// replicas that missed the trim.
-		return c.Trim(off, n)
-	})
-	return nil
+	return b.forward(v, off, n, func(c cluster.Peer, off, n int64) error { return c.Trim(off, n) })
 }
 
 // forward splits [off, off+n) on range boundaries and pushes each piece to
 // the next owner after this node's own chain position. send performs the
-// piece-shaped operation on a successor's connection.
-func (b *ChainBackend) forward(off, n int64, send func(c *netblock.Client, off, n int64) error) {
-	ring := b.Ring()
-	end := off + n
-	for off < end {
-		rng := ring.RangeOf(off)
-		stop := (int64(rng) + 1) * ring.RangeBytes
-		if stop > end {
-			stop = end
+// piece-shaped operation on a successor.
+func (b *ChainBackend) forward(v view, off, n int64, send func(c cluster.Peer, off, n int64) error) error {
+	for end := off + n; off < end; {
+		rng := v.cur.RangeOf(off)
+		stop := min((int64(rng)+1)*v.cur.RangeBytes, end)
+		if err := b.forwardPiece(v, rng, off, stop-off, send); err != nil {
+			return err
 		}
-		b.forwardPiece(ring, rng, off, stop-off, send)
 		off = stop
 	}
+	return nil
 }
 
-// forwardPiece sends one in-range piece to the first reachable successor in
-// the chain. Skipping a dead successor and trying the next mirrors the
-// simulation's handleWrite: the chain routes around fail-stop members and
-// the skipped copy is repair's problem.
-func (b *ChainBackend) forwardPiece(ring *cluster.Ring, rng int, off, n int64, send func(c *netblock.Client, off, n int64) error) {
-	owners := ring.Owners(rng)
-	pos := -1
+// forwardPiece sends one in-range piece to the first successor in the chain
+// that takes it; the ones skipped missed it. The chain routes around a
+// successor that refuses or does not answer. A successor that did not
+// answer may be up and serving, so the supervisor must quarantine its copy
+// now; if the miss cannot be reported
+// (no supervisor is up) the write is refused, and the writer fails over to
+// that successor. (One that is down boots unplaced and is quarantined then;
+// one that refused does not serve the range.)
+//
+// A quarantined copy keeps the bytes but stands in for nobody: it forwards
+// nothing and refuses, so the writer fails over to a clean copy.
+func (b *ChainBackend) forwardPiece(v view, rng int, off, n int64, send func(c cluster.Peer, off, n int64) error) error {
+	if v.quarantined(rng) {
+		return fmt.Errorf("fleet: write of range %d on %s: copy quarantined", rng, b.self)
+	}
+	owners := v.cur.Owners(rng)
+	pos := len(owners)
 	for i, id := range owners {
 		if id == b.self {
 			pos = i
-			break
 		}
 	}
-	if pos < 0 || pos+1 >= len(owners) {
-		// Not an owner (a direct write outside our chain — repair traffic,
-		// or a spare warming up) or the tail: nothing to forward.
-		return
+	if pos+1 >= len(owners) {
+		return nil // the tail, or a stream to a new owner: nothing to forward
 	}
+	var missed []string
 	for _, id := range owners[pos+1:] {
-		c, err := b.conn(ring, id)
-		if err != nil {
-			continue
+		c, err := b.peers.get(v.cur, id)
+		if err == nil {
+			if err = send(c, off, n); err != nil {
+				b.peers.drop(id, c)
+			}
 		}
-		if err := send(c, off, n); err != nil {
-			b.drop(id, c)
-			continue
+		if err == nil {
+			b.forwards.Add(1)
+			return reportMisses(v.report, rng, missed)
 		}
-		b.forwards.Add(1)
-		return
+		if unreachable(err) {
+			missed = append(missed, id)
+		}
 	}
 	b.forwardErrs.Add(1)
+	return reportMisses(v.report, rng, missed)
 }
 
-// conn returns the cached connection to a peer, dialing on first use.
-func (b *ChainBackend) conn(ring *cluster.Ring, id string) (*netblock.Client, error) {
-	b.mu.Lock()
-	c := b.conns[id]
-	b.mu.Unlock()
+// reportMisses reports the members that missed a write of range rng; the
+// write fails if a miss cannot be reported. A nil report counts nothing.
+func reportMisses(report func(node string, rng int) error, rng int, missed []string) error {
+	for _, id := range missed {
+		if report == nil {
+			return nil
+		}
+		if err := report(id, rng); err != nil {
+			return fmt.Errorf("fleet: range %d: %s missed the write and the miss cannot be reported: %w", rng, id, err)
+		}
+	}
+	return nil
+}
+
+// unreachable reports whether a failed call may have left its peer up and
+// serving without the call's effect: the transport failed, and the peer
+// neither answered nor refused the connection.
+func unreachable(err error) bool {
+	return !errors.Is(err, netblock.ErrRemote) && !errors.Is(err, cluster.ErrDown)
+}
+
+// Close closes the forwarding connections. The local backend belongs to the
+// caller.
+func (b *ChainBackend) Close() error { return b.peers.close() }
+
+// peers caches one connection per member, dialed on first use through tr.
+type peers struct {
+	tr    cluster.Transport
+	mu    sync.Mutex
+	conns map[string]cluster.Peer
+}
+
+func newPeers(tr cluster.Transport) peers {
+	return peers{tr: tr, conns: make(map[string]cluster.Peer)}
+}
+
+func (ps *peers) get(ring *cluster.Ring, id string) (cluster.Peer, error) {
+	ps.mu.Lock()
+	c := ps.conns[id]
+	ps.mu.Unlock()
 	if c != nil {
 		return c, nil
 	}
@@ -269,85 +358,82 @@ func (b *ChainBackend) conn(ring *cluster.Ring, id string) (*netblock.Client, er
 	if !ok {
 		return nil, fmt.Errorf("fleet: no address for member %q", id)
 	}
-	c, err := netblock.DialOptions(m.Addr, b.opts)
+	c, err := ps.tr.Dial(m)
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	if prev := b.conns[id]; prev != nil {
-		b.mu.Unlock()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if prev := ps.conns[id]; prev != nil {
 		c.Close()
 		return prev, nil
 	}
-	b.conns[id] = c
-	b.mu.Unlock()
+	ps.conns[id] = c
 	return c, nil
 }
 
-// drop discards a connection after a transport failure so the next forward
-// redials — a restarted peer gets a fresh connection instead of the stale
-// one failing forever.
-func (b *ChainBackend) drop(id string, c *netblock.Client) {
-	b.mu.Lock()
-	if b.conns[id] == c {
-		delete(b.conns, id)
+// drop discards a connection after a failure so the next call redials — a
+// restarted peer gets a fresh connection instead of the stale one failing
+// forever.
+func (ps *peers) drop(id string, c cluster.Peer) {
+	ps.mu.Lock()
+	if ps.conns[id] == c {
+		delete(ps.conns, id)
 	}
-	b.mu.Unlock()
+	ps.mu.Unlock()
 	c.Close()
 }
 
-// Close closes the forwarding connections. The local backend belongs to the
-// caller.
-func (b *ChainBackend) Close() error {
-	b.mu.Lock()
-	conns := b.conns
-	b.conns = make(map[string]*netblock.Client)
-	b.mu.Unlock()
+func (ps *peers) close() error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	var err error
-	for _, c := range conns {
+	for id, c := range ps.conns {
 		if cerr := c.Close(); err == nil {
 			err = cerr
 		}
+		delete(ps.conns, id)
 	}
 	return err
 }
 
-// Stats counts what the Fleet client did. Health carries the failure
-// detector's current per-member classification (nil when no detector is
-// installed via SetDetector).
+// Stats counts what the Fleet client did.
 type Stats struct {
 	Reads, Writes int64
 	Failovers     int64 // attempts that moved past a dead or erroring owner
-	Repairs       int64 // ranges streamed by RepairRange or Rebalance
-	Refetches     int64 // routing-table refetches after stale-epoch refusals
-	Health        map[string]cluster.Health
+	Repairs       int64 // ranges copied by RepairRange or StreamMove
+	Refetches     int64 // routing-table refetches after a pass no owner served
 }
 
-// Fleet is the host-side initiator over real netblock servers: it splits
-// volume requests on range boundaries, addresses each piece's replica chain
-// head-first, and fails over across owners when one does not answer. When a
-// member refuses a read with netblock.ErrStaleEpoch, the fleet refetches
-// its routing table through the SetRefetch source and retries against the
-// current owners (TestFleetStaleEpochRefetch).
+// Fleet is the host-side initiator: it splits volume requests on range
+// boundaries, addresses each piece's replica chain head-first, and fails
+// over across owners when one does not answer or refuses. When a member
+// refuses with netblock.ErrStaleEpoch, the fleet refetches its routing
+// table through the SetControl source and retries against the current
+// owners.
 type Fleet struct {
-	opts netblock.ClientOptions
+	peers peers
 
 	mu      sync.Mutex
 	ring    *cluster.Ring
-	conns   map[string]*netblock.Client
 	refetch func() *cluster.Ring
-	det     *cluster.Detector
+	report  func(node string, rng int) error
 
 	reads, writes, failovers, repairs, refetches atomic.Int64
 }
 
-// New builds a fleet client over a ring whose members carry dialable
-// addresses.
+// New builds a fleet client over TCP for a ring whose members carry
+// dialable addresses.
 func New(ring *cluster.Ring, opts netblock.ClientOptions) (*Fleet, error) {
+	return NewWith(ring, TCP(opts))
+}
+
+// NewWith builds a fleet client that reaches members through tr.
+func NewWith(ring *cluster.Ring, tr cluster.Transport) (*Fleet, error) {
 	if ring == nil {
 		return nil, fmt.Errorf("fleet: nil ring")
 	}
-	return &Fleet{opts: opts, ring: ring, conns: make(map[string]*netblock.Client)}, nil
+	return &Fleet{peers: newPeers(tr), ring: ring}, nil
 }
 
 // Ring returns the placement the client currently routes by.
@@ -363,88 +449,46 @@ func (f *Fleet) SetRing(ring *cluster.Ring) error {
 		return fmt.Errorf("fleet: nil ring")
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if ring.Size() != f.ring.Size() {
-		f.mu.Unlock()
 		return fmt.Errorf("fleet: ring volume %d != current %d", ring.Size(), f.ring.Size())
 	}
 	f.ring = ring
-	f.mu.Unlock()
 	return nil
 }
 
-// Stats returns the client's counters, including per-member health when a
-// detector is installed.
+// Stats returns the client's counters.
 func (f *Fleet) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Reads:     f.reads.Load(),
 		Writes:    f.writes.Load(),
 		Failovers: f.failovers.Load(),
 		Repairs:   f.repairs.Load(),
 		Refetches: f.refetches.Load(),
 	}
-	f.mu.Lock()
-	det, ring := f.det, f.ring
-	f.mu.Unlock()
-	if det != nil {
-		s.Health = make(map[string]cluster.Health)
-		for _, m := range ring.Members() {
-			s.Health[m.ID] = det.State(m.ID)
-		}
-	}
-	return s
 }
 
-// SetDetector installs a failure detector scored by this client's
-// traffic: Ping feeds round-trip latency (the fail-slow EWMA signal), and
-// the data path feeds success/failure observations (data ops carry no
-// useful latency — their duration scales with payload, not health). The
-// same detector instance may be shared with a supervisor, so every call
-// into it serializes on the fleet's lock.
-func (f *Fleet) SetDetector(d *cluster.Detector) {
+// SetControl installs the control plane's two client-facing calls.
+// refetch returns the committed placement: a write consults it first, and
+// any op after a stale-epoch refusal (with none, a refusal stays fatal).
+// report records an owner that a write failed over past without an answer:
+// that owner may be up and serving, it missed the write, and — unlike a
+// successor the chain skips — only this client knows. A write whose miss
+// cannot be reported fails (its bytes may have landed; a retry rewrites
+// them).
+func (f *Fleet) SetControl(refetch func() *cluster.Ring, report func(node string, rng int) error) {
 	f.mu.Lock()
-	f.det = d
+	f.refetch, f.report = refetch, report
 	f.mu.Unlock()
 }
 
-// observe feeds the detector one interaction, if one is installed.
-// lat <= 0 means "no useful latency signal": failures count toward the
-// fail-stop run either way, successes reset it without touching the EWMA.
-func (f *Fleet) observe(id string, lat time.Duration, failed bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.det == nil {
-		return
-	}
-	switch {
-	case failed:
-		f.det.Observe(id, vtime.FromStd(lat), true)
-	case lat > 0:
-		f.det.Observe(id, vtime.FromStd(lat), false)
-	default:
-		f.det.ObserveOK(id)
-	}
-}
-
-// SetRefetch installs the routing-table source consulted after a
-// stale-epoch refusal: when a member answers a read with
-// netblock.ErrStaleEpoch, tryOwners calls fn and retries under the ring it
-// returns. In production fn asks the membership coordinator for the
-// committed placement; tests hand back the post-churn ring directly. With
-// no source installed a refusal stays fatal.
-func (f *Fleet) SetRefetch(fn func() *cluster.Ring) {
-	f.mu.Lock()
-	f.refetch = fn
-	f.mu.Unlock()
-}
-
-// refetchRing pulls a fresh placement from the SetRefetch source and
+// refetchRing pulls a fresh placement from the SetControl source and
 // installs it, reporting whether the routing actually changed. The
 // stale-epoch retry loop stops when it did not, so a source that cannot
 // advance the ring cannot spin the client.
 func (f *Fleet) refetchRing() bool {
 	f.mu.Lock()
-	fn := f.refetch
-	old := f.ring
+	fn, old := f.refetch, f.ring
 	f.mu.Unlock()
 	if fn == nil {
 		return false
@@ -461,81 +505,32 @@ func (f *Fleet) refetchRing() bool {
 	return true
 }
 
-// conn returns the cached connection to a member, dialing on first use.
-func (f *Fleet) conn(ring *cluster.Ring, id string) (*netblock.Client, error) {
-	f.mu.Lock()
-	c := f.conns[id]
-	f.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	m, ok := ring.Member(id)
-	if !ok {
-		return nil, fmt.Errorf("fleet: no address for member %q", id)
-	}
-	c, err := netblock.DialOptions(m.Addr, f.opts)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	if prev := f.conns[id]; prev != nil {
-		f.mu.Unlock()
-		c.Close()
-		return prev, nil
-	}
-	f.conns[id] = c
-	f.mu.Unlock()
-	return c, nil
-}
-
-// drop discards a member's connection after a transport failure so the next
-// attempt redials.
-func (f *Fleet) drop(id string, c *netblock.Client) {
-	f.mu.Lock()
-	if f.conns[id] == c {
-		delete(f.conns, id)
-	}
-	f.mu.Unlock()
-	c.Close()
-}
-
 // Close closes every member connection.
-func (f *Fleet) Close() error {
-	f.mu.Lock()
-	conns := f.conns
-	f.conns = make(map[string]*netblock.Client)
-	f.mu.Unlock()
-	var err error
-	for _, c := range conns {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func (f *Fleet) Close() error { return f.peers.close() }
 
 // WriteAt stores p at volume offset off. Each per-range piece goes to the
 // first owner that accepts it; that head's ChainBackend replicates down the
-// chain before its reply, so a successful return means the piece is on every
-// reachable replica.
+// chain before its reply.
 func (f *Fleet) WriteAt(p []byte, off int64) error {
-	return f.split(p, off, func(rng int, piece []byte, off int64) error {
-		return f.tryOwners(rng, func(c *netblock.Client) error {
-			_, err := c.WriteAt(piece, off)
+	return f.split(p, off, true, func(rng int, piece []byte, off int64) error {
+		skipped, err := f.tryOwners(rng, func(c cluster.Peer) error { return c.WriteAt(piece, off) })
+		if err != nil || len(skipped) == 0 {
 			return err
-		})
-	}, &f.writes)
+		}
+		f.mu.Lock()
+		report := f.report
+		f.mu.Unlock()
+		return reportMisses(report, rng, skipped)
+	})
 }
 
 // ReadAt fills p from volume offset off, failing each piece over across its
-// replica chain until one owner answers.
+// replica chain until one owner serves.
 func (f *Fleet) ReadAt(p []byte, off int64) error {
-	return f.split(p, off, func(rng int, piece []byte, off int64) error {
-		return f.tryOwners(rng, func(c *netblock.Client) error {
-			_, err := c.ReadAt(piece, off)
-			return err
-		})
-	}, &f.reads)
+	return f.split(p, off, false, func(rng int, piece []byte, off int64) error {
+		_, err := f.tryOwners(rng, func(c cluster.Peer) error { return c.ReadAt(piece, off) })
+		return err
+	})
 }
 
 // Flush barriers every member. Chain heads do not forward barriers, so the
@@ -544,31 +539,40 @@ func (f *Fleet) ReadAt(p []byte, off int64) error {
 func (f *Fleet) Flush() error {
 	ring := f.Ring()
 	for _, m := range ring.Members() {
-		c, err := f.conn(ring, m.ID)
+		c, err := f.peers.get(ring, m.ID)
 		if err != nil {
 			return fmt.Errorf("fleet: flush %s: %w", m.ID, err)
 		}
 		if err := c.Flush(); err != nil {
-			f.drop(m.ID, c)
+			f.peers.drop(m.ID, c)
 			return fmt.Errorf("fleet: flush %s: %w", m.ID, err)
 		}
 	}
 	return nil
 }
 
-// split carves [off, off+len(p)) into per-range pieces.
-func (f *Fleet) split(p []byte, off int64, op func(rng int, piece []byte, off int64) error, counter *atomic.Int64) error {
-	ring := f.Ring()
+// split carves [off, off+len(p)) into per-range pieces. A write first
+// takes the committed placement from the control plane, if one is
+// installed: wire v1 carries no epoch, so a write routed by an outdated
+// table could land on an owner that is no longer the head and skip the new
+// one, and no node could tell. (A stale read is refused by the fence.)
+func (f *Fleet) split(p []byte, off int64, write bool, op func(rng int, piece []byte, off int64) error) error {
+	f.mu.Lock()
+	ring, refetch := f.ring, f.refetch
+	f.mu.Unlock()
+	counter := &f.reads
+	if write {
+		counter = &f.writes
+		if refetch != nil && f.refetchRing() {
+			ring = f.Ring()
+		}
+	}
 	if off < 0 || off+int64(len(p)) > ring.Size() {
 		return fmt.Errorf("fleet: extent [%d,%d) outside volume of %d bytes", off, off+int64(len(p)), ring.Size())
 	}
 	for len(p) > 0 {
 		rng := ring.RangeOf(off)
-		stop := (int64(rng) + 1) * ring.RangeBytes
-		n := stop - off
-		if n > int64(len(p)) {
-			n = int64(len(p))
-		}
+		n := min((int64(rng)+1)*ring.RangeBytes-off, int64(len(p)))
 		if err := op(rng, p[:n], off); err != nil {
 			return err
 		}
@@ -586,235 +590,141 @@ func (f *Fleet) split(p []byte, off int64, op func(rng int, piece []byte, off in
 const maxStaleRetries = 3
 
 // tryOwners runs op against range rng's owners in chain order until one
-// serves, dropping connections that fail at the transport so later attempts
-// redial. Remote errors (the server answered and refused) also fail over:
-// a replica mid-restart may refuse briefly while its sibling serves. A
-// stale-epoch refusal (netblock.ErrStaleEpoch) is different — every member
-// of an outdated chain refuses the same way — so instead of burning the
-// failover pass the client refetches its routing table through the
-// SetRefetch source and retries against the current owners, bounded by
-// maxStaleRetries and by the requirement that each refetch actually
-// advance the ring.
-func (f *Fleet) tryOwners(rng int, op func(c *netblock.Client) error) error {
+// serves, and returns the owners it skipped unanswered (see unreachable).
+// Connections that fail are dropped so later attempts redial. Remote
+// refusals fail over too: a quarantined or just-restarted replica refuses
+// while its sibling serves. A stale-epoch refusal is different — every
+// member of an outdated chain refuses the same way — so the client stops,
+// refetches its routing table and retries against the current owners.
+func (f *Fleet) tryOwners(rng int, op func(c cluster.Peer) error) ([]string, error) {
 	var last error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
 		ring := f.Ring()
-		stale := false
+		var skipped []string
 		for _, id := range ring.Owners(rng) {
-			c, err := f.conn(ring, id)
-			if err != nil {
-				last = err
-				f.failovers.Add(1)
-				f.observe(id, 0, true)
-				continue
-			}
-			if err := op(c); err != nil {
+			c, err := f.peers.get(ring, id)
+			if err == nil {
+				err = op(c)
+				if err == nil {
+					return skipped, nil
+				}
 				if errors.Is(err, netblock.ErrStaleEpoch) {
 					// The refusal is an answer, not a dead peer: keep the
-					// connection, stop addressing this chain, and refetch —
-					// the rest of the stale chain would refuse identically.
-					// An answer also proves liveness for the detector.
-					f.observe(id, 0, false)
+					// connection and refetch.
 					last = err
-					stale = true
 					break
 				}
-				f.drop(id, c)
-				last = err
-				f.failovers.Add(1)
-				// A remote refusal proves the member answered; only a
-				// transport failure counts toward its fail-stop run.
-				f.observe(id, 0, !errors.Is(err, netblock.ErrRemote))
-				continue
+				f.peers.drop(id, c)
 			}
-			f.observe(id, 0, false)
-			return nil
+			last = err
+			f.failovers.Add(1)
+			if unreachable(err) {
+				skipped = append(skipped, id)
+			}
 		}
-		if stale && f.refetchRing() {
+		// Every owner refused or failed: a refusal as stale says the table
+		// is old, and so may a chain that is all gone. Refetch, and retry
+		// if the placement moved.
+		if f.refetchRing() {
 			f.refetches.Add(1)
 			continue
 		}
 		break
 	}
-	return fmt.Errorf("fleet: range %d: no replica served: %w", rng, last)
+	return nil, fmt.Errorf("fleet: range %d: no replica served: %w", rng, last)
 }
 
-// RepairRange streams range rng onto node id from the first other owner
-// that answers, then reads it back and verifies byte identity — the real
-// path's anti-entropy step after a wipe or missed write. The write goes
-// straight to the target (which forwards nothing useful: repair traffic is
-// addressed below its chain position or outside the chain entirely). Repair
-// reads address one specific replica, so a stale-epoch refusal propagates
-// to the caller instead of being refetched away: it means the operator's
-// ring no longer matches the cluster, and repairing under it would copy
-// the wrong placement.
-func (f *Fleet) RepairRange(id string, rng int) error {
+// RepairRange copies range rng onto node id from the first other owner
+// that serves it, and verifies the copy: the source is read again and must
+// still hold what was copied, so a write that raced the copy fails the
+// repair instead of leaving the target behind. The source must serve the
+// read, so a quarantined copy is never a source. install stores the bytes
+// on the target; nil writes them over the data path, where the target
+// forwards them down its chain like any write. A stale-epoch refusal
+// surfaces instead of being refetched away: it means the caller's ring no
+// longer matches the members', and repairing under it would copy the wrong
+// placement.
+func (f *Fleet) RepairRange(id string, rng int, install func(data []byte) error) error {
 	ring := f.Ring()
-	var src *netblock.Client
-	var srcID string
-	for _, o := range ring.Owners(rng) {
-		if o == id {
-			continue
-		}
-		c, err := f.conn(ring, o)
-		if err != nil {
-			continue
-		}
-		src, srcID = c, o
-		break
+	if install == nil {
+		install = f.writer(ring, id, rng)
 	}
-	if src == nil {
-		return fmt.Errorf("fleet: repair range %d on %s: %w", rng, id, ErrNoSourceReplica)
-	}
-	tgt, err := f.conn(ring, id)
-	if err != nil {
+	if err := f.copyRange(ring, rng, id, install, true); err != nil {
 		return fmt.Errorf("fleet: repair range %d on %s: %w", rng, id, err)
-	}
-	base := int64(rng) * ring.RangeBytes
-	if err := f.stream(src, tgt, base, ring.RangeBytes); err != nil {
-		return fmt.Errorf("fleet: repair range %d (%s -> %s): %w", rng, srcID, id, err)
-	}
-	if err := f.verify(src, tgt, base, ring.RangeBytes); err != nil {
-		return fmt.Errorf("fleet: repair range %d (%s -> %s): %w", rng, srcID, id, err)
 	}
 	f.repairs.Add(1)
 	return nil
 }
 
-// Rebalance streams every range the new placement adds an owner for, from
-// an old owner to the new one — the graceful part of join/leave. The caller
-// swaps rings (client and every node) only after Rebalance returns, so old
-// owners keep serving throughout; writes landing during the stream reach
-// the target through the old chain's forwards or a later RepairRange. Like
-// RepairRange, a stale-epoch refusal surfaces: it proves the old ring the
-// caller passed is not the one the members route by.
-func (f *Fleet) Rebalance(old, next *cluster.Ring) error {
-	if old.Size() != next.Size() {
-		return fmt.Errorf("fleet: rebalance changes volume size %d -> %d", old.Size(), next.Size())
+// StreamMove copies one pending move — range mv.Range from a serving old
+// owner to mv.Target, which may be a member only the next ring names. It is
+// the step a supervisor journals around: re-streaming after a crash is
+// idempotent (same bytes at the same offsets).
+func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
+	if err := f.copyRange(old, mv.Range, mv.Target, f.writer(next, mv.Target, mv.Range), false); err != nil {
+		return fmt.Errorf("fleet: stream range %d to %s: %w", mv.Range, mv.Target, err)
 	}
-	for _, mv := range cluster.Moves(old, next) {
-		if err := f.StreamMove(old, next, mv); err != nil {
+	f.repairs.Add(1)
+	return nil
+}
+
+// writer stores a whole range on member id over the data path.
+func (f *Fleet) writer(ring *cluster.Ring, id string, rng int) func(data []byte) error {
+	return func(data []byte) error {
+		c, err := f.peers.get(ring, id)
+		if err == nil {
+			if err = chunked(data, int64(rng)*ring.RangeBytes, c.WriteAt); err != nil {
+				f.peers.drop(id, c)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("write %s: %w", id, err)
+		}
+		return nil
+	}
+}
+
+// copyRange installs range rng, read from the first of ring's owners other
+// than skip that serves all of it.
+func (f *Fleet) copyRange(ring *cluster.Ring, rng int, skip string, install func(data []byte) error, verify bool) error {
+	base := int64(rng) * ring.RangeBytes
+	data := make([]byte, ring.RangeBytes)
+	for _, id := range ring.Owners(rng) {
+		if id == skip {
+			continue
+		}
+		c, err := f.peers.get(ring, id)
+		if err != nil {
+			continue
+		}
+		if err := chunked(data, base, c.ReadAt); err != nil {
+			f.peers.drop(id, c)
+			if errors.Is(err, netblock.ErrStaleEpoch) {
+				return fmt.Errorf("source %s: %w", id, err)
+			}
+			continue
+		}
+		if err := install(data); err != nil || !verify {
+			return err
+		}
+		again := make([]byte, len(data))
+		if err := chunked(again, base, c.ReadAt); err != nil {
+			return fmt.Errorf("verify %s: %w", id, err)
+		}
+		if !bytes.Equal(again, data) {
+			return fmt.Errorf("verify %s: range changed during the copy", id)
+		}
+		return nil
+	}
+	return ErrNoSourceReplica
+}
+
+// chunked runs op over buf in repairChunk pieces at volume offset base.
+func chunked(buf []byte, base int64, op func(p []byte, off int64) error) error {
+	for done := 0; done < len(buf); done += repairChunk {
+		if err := op(buf[done:min(done+repairChunk, len(buf))], base+int64(done)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// StreamMove streams one pending move — range mv.Range from a serving old
-// owner to mv.Target, which may be a fresh member only the next ring can
-// address. It is the single step a supervisor journals around: after each
-// StreamMove the pending set shrinks by one, so a supervisor crash between
-// steps re-streams at most the move in flight (idempotent — same bytes at
-// the same offsets). Stale-epoch refusals surface for the same reason
-// Rebalance's do.
-func (f *Fleet) StreamMove(old, next *cluster.Ring, mv cluster.Move) error {
-	var src *netblock.Client
-	var srcID string
-	for _, o := range old.Owners(mv.Range) {
-		if o == mv.Target {
-			continue
-		}
-		c, err := f.conn(old, o)
-		if err != nil {
-			continue
-		}
-		src, srcID = c, o
-		break
-	}
-	if src == nil {
-		return fmt.Errorf("fleet: rebalance range %d: no source among old owners", mv.Range)
-	}
-	tgt, err := f.conn(next, mv.Target)
-	if err != nil {
-		return fmt.Errorf("fleet: rebalance range %d to %s: %w", mv.Range, mv.Target, err)
-	}
-	base := int64(mv.Range) * old.RangeBytes
-	if err := f.stream(src, tgt, base, old.RangeBytes); err != nil {
-		return fmt.Errorf("fleet: rebalance range %d (%s -> %s): %w", mv.Range, srcID, mv.Target, err)
-	}
-	f.repairs.Add(1)
-	return nil
-}
-
-// stream copies [base, base+n) from src to tgt in bounded chunks. Reads
-// address the chosen source replica directly, so a stale-epoch refusal
-// surfaces to the repair caller rather than triggering a refetch.
-func (f *Fleet) stream(src, tgt *netblock.Client, base, n int64) error {
-	buf := make([]byte, repairChunk)
-	for done := int64(0); done < n; {
-		chunk := n - done
-		if chunk > repairChunk {
-			chunk = repairChunk
-		}
-		if _, err := src.ReadAt(buf[:chunk], base+done); err != nil {
-			return fmt.Errorf("stream read: %w", err)
-		}
-		if _, err := tgt.WriteAt(buf[:chunk], base+done); err != nil {
-			return fmt.Errorf("stream write: %w", err)
-		}
-		done += chunk
-	}
-	return nil
-}
-
-// verify reads [base, base+n) from both sides and compares — repair's
-// byte-identity check. Surfaces the stale-epoch contract for the same
-// reason stream does: its reads pin specific replicas.
-func (f *Fleet) verify(src, tgt *netblock.Client, base, n int64) error {
-	want := make([]byte, repairChunk)
-	got := make([]byte, repairChunk)
-	for done := int64(0); done < n; {
-		chunk := n - done
-		if chunk > repairChunk {
-			chunk = repairChunk
-		}
-		if _, err := src.ReadAt(want[:chunk], base+done); err != nil {
-			return fmt.Errorf("verify read source: %w", err)
-		}
-		if _, err := tgt.ReadAt(got[:chunk], base+done); err != nil {
-			return fmt.Errorf("verify read target: %w", err)
-		}
-		if !bytes.Equal(want[:chunk], got[:chunk]) {
-			return fmt.Errorf("verify mismatch at offset %d", base+done)
-		}
-		done += chunk
-	}
-	return nil
-}
-
-// Ping probes one member, returning the server's health handshake (size,
-// advertised ring epoch, drain state). The round-trip latency feeds the
-// installed detector — pings are the fixed-size probe whose duration
-// reflects node health rather than payload size, so they are the fail-slow
-// EWMA's only input on the real path.
-func (f *Fleet) Ping(id string) (netblock.PingInfo, error) {
-	ring := f.Ring()
-	start := time.Now()
-	c, err := f.conn(ring, id)
-	if err != nil {
-		f.observe(id, time.Since(start), true)
-		return netblock.PingInfo{}, err
-	}
-	info, err := c.Ping()
-	lat := time.Since(start)
-	if err != nil {
-		f.drop(id, c)
-		f.observe(id, lat, true)
-		return netblock.PingInfo{}, err
-	}
-	f.observe(id, lat, false)
-	return info, nil
-}
-
-// PingAll sweeps a probe over every ring member, feeding the detector,
-// and returns the handshake of each member that answered — the background
-// heartbeat a supervisor (or any wallclock health loop) runs per tick.
-func (f *Fleet) PingAll() map[string]netblock.PingInfo {
-	infos := make(map[string]netblock.PingInfo)
-	for _, m := range f.Ring().Members() {
-		if info, err := f.Ping(m.ID); err == nil {
-			infos[m.ID] = info
-		}
-	}
-	return infos
 }

@@ -255,7 +255,7 @@ func TestFleetRepairAfterWipeRestart(t *testing.T) {
 		if !ring.OwnedBy(rng, "b") {
 			continue
 		}
-		if err := fl.RepairRange("b", rng); err != nil {
+		if err := fl.RepairRange("b", rng, nil); err != nil {
 			t.Fatalf("repair range %d: %v", rng, err)
 		}
 		if got := backendRange(t, nodes["b"], rng); !bytes.Equal(got, rangeSlice(model, rng)) {
@@ -267,7 +267,8 @@ func TestFleetRepairAfterWipeRestart(t *testing.T) {
 	}
 
 	// The healed node serves forwards again: a fresh write reaches it
-	// through the redialed chain.
+	// through the redialed chain. With members a, b and c the ring places
+	// b as the tail of ranges 4 and 6.
 	patch := bytes.Repeat([]byte{0x5A}, 256)
 	var headed int
 	for rng := 0; rng < tRanges; rng++ {
@@ -282,76 +283,7 @@ func TestFleetRepairAfterWipeRestart(t *testing.T) {
 		}
 	}
 	if headed == 0 {
-		t.Skip("no range places b as tail; ring layout makes this pass vacuous")
-	}
-}
-
-func TestFleetRebalanceJoinAndRingSwap(t *testing.T) {
-	nodes, ring, fl := startFleet(t, []string{"a", "b", "c"}, 2)
-	model := fill(t, fl, ring, 5)
-
-	// Boot the joiner as a spare: it serves (and forwards nothing) under the
-	// old ring, which does not list it.
-	spare := startNode(t, "d", ring)
-	nodes["d"] = spare
-	next, err := ring.WithJoin(cluster.Member{ID: "d", Addr: spare.addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	moves := cluster.Moves(ring, next)
-	if len(moves) == 0 {
-		t.Fatal("join moved nothing; ring layout makes this pass vacuous")
-	}
-	if err := fl.Rebalance(ring, next); err != nil {
-		t.Fatal(err)
-	}
-	for _, mv := range moves {
-		if got := backendRange(t, nodes[mv.Target], mv.Range); !bytes.Equal(got, rangeSlice(model, mv.Range)) {
-			t.Fatalf("range %d not streamed to %s", mv.Range, mv.Target)
-		}
-	}
-
-	// Commit: swap the ring on every node and the client; bump the epoch
-	// the servers advertise.
-	for _, n := range nodes {
-		if err := n.chain.SetRing(next); err != nil {
-			t.Fatal(err)
-		}
-		n.srv.SetEpoch(2)
-	}
-	if err := fl.SetRing(next); err != nil {
-		t.Fatal(err)
-	}
-
-	got := make([]byte, next.Size())
-	if err := fl.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, model) {
-		t.Fatal("post-join read diverges from model")
-	}
-	info, err := fl.Ping("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Epoch != 2 {
-		t.Fatalf("joiner advertises epoch %d, want 2", info.Epoch)
-	}
-
-	// Writes now replicate on the new placement.
-	patch := bytes.Repeat([]byte{0x77}, 128)
-	for _, mv := range moves {
-		off := int64(mv.Range) * tRangeBytes
-		if err := fl.WriteAt(patch, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(backendRange(t, nodes[mv.Target], mv.Range)[:128], patch) {
-			t.Fatalf("range %d: post-commit write missed new owner %s", mv.Range, mv.Target)
-		}
-	}
-	if err := fl.Flush(); err != nil {
-		t.Fatal(err)
+		t.Fatal("no range places b as tail; the member IDs no longer exercise the forward")
 	}
 }
 
@@ -420,62 +352,12 @@ func TestFleetErrorWhenAllReplicasDead(t *testing.T) {
 	}
 }
 
-// TestFleetStaleEpochRefetch drives the staleepoch contract end to end
+// TestFleetStaleEpochRefetch drives the stale-epoch contract end to end
 // over real TCP: a membership change the client never heard about makes
 // its routing table stale, the old owner (still a ring member) refuses
 // with netblock.ErrStaleEpoch, and the fleet either surfaces the contract
 // error (no refetch source) or refetches the committed ring and retries
-// against the current owners (SetRefetch installed).
-// TestFleetDetectorHealth checks the wallclock detector path: Ping
-// latency samples feed the EWMA, transport failures accumulate toward
-// Down, and Stats exports the per-member classification.
-func TestFleetDetectorHealth(t *testing.T) {
-	nodes, ring, fl := startFleet(t, []string{"a", "b", "c"}, 2)
-	det := cluster.NewDetector(cluster.DetectorConfig{FailAfter: 2})
-	fl.SetDetector(det)
-	fill(t, fl, ring, 5)
-
-	infos := fl.PingAll()
-	if len(infos) != 3 {
-		t.Fatalf("PingAll answered %d of 3", len(infos))
-	}
-	st := fl.Stats()
-	if st.Health == nil {
-		t.Fatal("Stats.Health nil with detector installed")
-	}
-	for id, h := range st.Health {
-		if h != cluster.Healthy {
-			t.Fatalf("member %s classified %v before any failure", id, h)
-		}
-	}
-	if det.EWMA("a") <= 0 {
-		t.Fatal("ping latency did not feed the EWMA")
-	}
-
-	// Kill one node: consecutive ping failures must classify it Down.
-	nodes["b"].srv.Close()
-	nodes["b"].chain.Close()
-	for i := 0; i < 2; i++ {
-		fl.PingAll()
-	}
-	if got := fl.Stats().Health["b"]; got != cluster.Down {
-		t.Fatalf("killed member classified %v, want down", got)
-	}
-	if got := fl.Stats().Health["a"]; got != cluster.Healthy {
-		t.Fatalf("surviving member classified %v, want healthy", got)
-	}
-
-	// Data-path successes reset the run: a read served by the survivors
-	// must not disturb their health, and the dead member's reads fail over.
-	p := make([]byte, 512)
-	if err := fl.ReadAt(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fl.Stats().Health["a"]; got != cluster.Healthy {
-		t.Fatalf("member a classified %v after served read", got)
-	}
-}
-
+// against the current owners (SetControl installed).
 func TestFleetStaleEpochRefetch(t *testing.T) {
 	nodes, ring1, fl := startFleet(t, []string{"a", "b"}, 1)
 	model := fill(t, fl, ring1, 77)
@@ -492,16 +374,19 @@ func TestFleetStaleEpochRefetch(t *testing.T) {
 	if len(moves) == 0 {
 		t.Fatal("join moved no ranges; pick different member IDs")
 	}
-	if err := fl.Rebalance(ring1, ring2); err != nil {
+	// The joiner takes writes only for ranges its placement gives it.
+	if err := spare.chain.SetRing(ring2); err != nil {
 		t.Fatal(err)
+	}
+	for _, mv := range moves {
+		if err := fl.StreamMove(ring1, ring2, mv); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, n := range nodes {
 		if err := n.chain.SetRing(ring2); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := spare.chain.SetRing(ring2); err != nil {
-		t.Fatal(err)
 	}
 
 	mv := moves[0]
@@ -519,7 +404,7 @@ func TestFleetStaleEpochRefetch(t *testing.T) {
 
 	// A refetch source that cannot advance the ring must not spin: the
 	// bounded retry gives up and the contract error still surfaces.
-	fl.SetRefetch(func() *cluster.Ring { return fl.Ring() })
+	fl.SetControl(func() *cluster.Ring { return fl.Ring() }, nil)
 	if err := fl.ReadAt(buf, off); !errors.Is(err, netblock.ErrStaleEpoch) {
 		t.Fatalf("non-advancing refetch err = %v, want netblock.ErrStaleEpoch", err)
 	}
@@ -529,7 +414,7 @@ func TestFleetStaleEpochRefetch(t *testing.T) {
 
 	// With the committed ring available, the same read self-heals: the
 	// fleet refetches, installs ring2, and serves from the new owner.
-	fl.SetRefetch(func() *cluster.Ring { return ring2 })
+	fl.SetControl(func() *cluster.Ring { return ring2 }, nil)
 	if err := fl.ReadAt(buf, off); err != nil {
 		t.Fatalf("read after refetch: %v", err)
 	}

@@ -62,7 +62,11 @@ type SupJournal struct {
 	RangeBytes int64
 	Cur        []Member
 	Next       []Member // non-nil only while Phase == SupTransition
-	Pending    []Move   // transition: unstreamed moves; push: moved copies to re-quarantine
+	Pending    []Move   // transition: unstreamed moves; push: the commit's moved copies
+	// Quarantined lists the copies that must not serve reads until a
+	// verified repair — the supervisor's veto, which every push carries to
+	// the nodes and a restarted supervisor must not forget.
+	Quarantined []DegKey
 }
 
 // SnapshotSupJournal captures a routing table and its pending moves as a
@@ -132,17 +136,32 @@ func (j SupJournal) Encode() ([]byte, error) {
 			return nil, err
 		}
 	}
-	if len(j.Pending) > 0 {
-		b.WriteString("pending")
-		for _, mv := range j.Pending {
-			if strings.ContainsAny(mv.Target, " =\n") || mv.Target == "" {
-				return nil, fmt.Errorf("cluster: move target %q not journalable", mv.Target)
-			}
-			fmt.Fprintf(&b, " %d=%s", mv.Range, mv.Target)
-		}
-		b.WriteByte('\n')
+	if err := writeMoves(&b, "pending", j.Pending); err != nil {
+		return nil, err
+	}
+	quar := make([]Move, len(j.Quarantined))
+	for i, k := range j.Quarantined {
+		quar[i] = Move{Range: k.Range, Target: k.Node}
+	}
+	if err := writeMoves(&b, "quarantine", quar); err != nil {
+		return nil, err
 	}
 	return []byte(b.String()), nil
+}
+
+func writeMoves(b *strings.Builder, key string, moves []Move) error {
+	if len(moves) == 0 {
+		return nil
+	}
+	b.WriteString(key)
+	for _, mv := range moves {
+		if strings.ContainsAny(mv.Target, " =\n") || mv.Target == "" {
+			return fmt.Errorf("cluster: node %q not journalable", mv.Target)
+		}
+		fmt.Fprintf(b, " %d=%s", mv.Range, mv.Target)
+	}
+	b.WriteByte('\n')
+	return nil
 }
 
 func writeMembers(b *strings.Builder, key string, members []Member) error {
@@ -199,6 +218,12 @@ func DecodeSupJournal(data []byte) (SupJournal, error) {
 			j.Next, err = parseMembers(rest)
 		case "pending":
 			j.Pending, err = parseMoves(rest)
+		case "quarantine":
+			var quar []Move
+			quar, err = parseMoves(rest)
+			for _, mv := range quar {
+				j.Quarantined = append(j.Quarantined, DegKey{Node: mv.Target, Range: mv.Range})
+			}
 		default:
 			return j, fmt.Errorf("cluster: unknown journal key %q", key)
 		}

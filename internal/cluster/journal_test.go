@@ -108,6 +108,20 @@ func TestSupJournalStableAndPush(t *testing.T) {
 	if got.Phase != SupPush || len(got.Pending) != 2 || got.Pending[0] != moved[0] || got.Pending[1] != moved[1] {
 		t.Fatalf("push-with-moves round trip = %+v", got)
 	}
+
+	// The quarantine rides every record, a stable one included.
+	j := SnapshotSupJournal(&Table{Epoch: 5, Cur: cur}, nil, SupStable)
+	j.Quarantined = []DegKey{{Node: "a", Range: 1}, {Node: "c", Range: 6}}
+	data, err = j.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = DecodeSupJournal(data); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Quarantined) != 2 || got.Quarantined[0] != j.Quarantined[0] || got.Quarantined[1] != j.Quarantined[1] {
+		t.Fatalf("quarantine round trip = %+v", got)
+	}
 }
 
 func TestSupJournalRejectsDamage(t *testing.T) {

@@ -3,33 +3,30 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"time"
 
+	"srccache/internal/netblock"
 	"srccache/internal/netlink"
 	"srccache/internal/vtime"
 )
 
-// Errors surfaced by the cluster layer.
 var (
-	// ErrUnreachable means the destination is partitioned away, dead, or
+	// ErrUnreachable means the destination is partitioned away or
 	// unknown; the caller burned the unreachable timeout learning that.
 	ErrUnreachable = errors.New("cluster: peer unreachable")
-	// ErrStaleEpoch means the caller's routing table epoch does not match
-	// the node's — refetch the table and retry.
-	ErrStaleEpoch = errors.New("cluster: stale routing epoch")
-	// ErrNotOwner means the node does not own the addressed range under its
-	// current table.
-	ErrNotOwner = errors.New("cluster: not an owner of range")
-	// ErrMissing means the node owns the range but holds no data for it
-	// (never written, or wiped).
-	ErrMissing = errors.New("cluster: range not present")
-	// ErrNoReplica means every replica of the range failed — the cluster
-	// lost the range, which the churn harness treats as a hard violation.
-	ErrNoReplica = errors.New("cluster: no replica could serve")
+	// ErrDown means nothing serves at the destination — a TCP connection
+	// refused. The member's next incarnation boots unplaced.
+	ErrDown = errors.New("cluster: peer down")
 )
 
 // unreachableTimeout is the virtual time a caller burns discovering that a
 // peer is dead or partitioned — the stand-in for a connect/request timeout.
 const unreachableTimeout = 5 * vtime.Millisecond
+
+// pingBytes approximates the opPing wire cost (17-byte header + 17-byte
+// payload) so the detector's latency samples ride the same degraded links
+// as data traffic.
+const pingBytes = 34
 
 // pairKey is an unordered endpoint pair, for the partition set.
 func pairKey(a, b string) string {
@@ -39,19 +36,29 @@ func pairKey(a, b string) string {
 	return a + "|" + b
 }
 
-// Net is the simulation's network: one netlink.Link per node (its NIC),
-// a partition set over endpoint pairs, and the virtual clock every hop
-// advances. All traffic to or from a node — client requests, chain
-// forwards, rebalance streams — rides that node's link, so degrading the
-// link makes the node fail-slow for every caller at once.
+// vnode is one attached member: the backend it serves (a node's chain
+// backend), the epoch its pings advertise, and its NIC.
+type vnode struct {
+	b     netblock.Backend
+	link  *netlink.Link
+	epoch uint64
+	alive bool
+}
+
+// Net is the virtual network: one netlink.Link per node (its NIC), a
+// partition set over endpoint pairs, and the virtual clock every hop
+// advances. All traffic to a node — client requests, chain forwards,
+// supervisor pings and streams — rides that node's link, so degrading the
+// link makes the node fail-slow for every caller at once. Endpoints name
+// callers for partitions: node IDs, plus any other name ("client",
+// "control") for callers with no link of their own.
 //
-// Net is single-goroutine like the rest of the simulation; the clock moves
-// only when a hop or an explicit Advance moves it.
+// Net is single-goroutine; the clock moves only when a hop, a Sleep or an
+// explicit Advance moves it.
 type Net struct {
 	now   vtime.Time
 	cfg   netlink.Config
-	nodes map[string]*Node
-	links map[string]*netlink.Link
+	nodes map[string]*vnode
 	cut   map[string]bool
 }
 
@@ -62,12 +69,7 @@ func NewNet(cfg netlink.Config) (*Net, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Net{
-		cfg:   cfg,
-		nodes: make(map[string]*Node),
-		links: make(map[string]*netlink.Link),
-		cut:   make(map[string]bool),
-	}, nil
+	return &Net{cfg: cfg, nodes: make(map[string]*vnode), cut: make(map[string]bool)}, nil
 }
 
 // Now reports the virtual clock.
@@ -80,26 +82,47 @@ func (n *Net) Advance(d vtime.Duration) {
 	}
 }
 
-// register attaches a node and provisions its link. Node IDs are also the
-// endpoint names partitions refer to; "client" and "control" are implicit
-// endpoints with no link of their own.
-func (n *Net) register(nd *Node) error {
-	if _, ok := n.nodes[nd.id]; ok {
-		return fmt.Errorf("cluster: duplicate node %q", nd.id)
+// Attach boots node id serving b, advertising epoch 0 until SetEpoch — a
+// first boot provisions the node's link, a reboot (a new backend over the
+// old or a fresh disk) keeps it.
+func (n *Net) Attach(id string, b netblock.Backend) error {
+	nd := n.nodes[id]
+	if nd == nil {
+		cfg := n.cfg
+		cfg.Seed += int64(len(n.nodes)) + 1
+		link, err := netlink.New(cfg)
+		if err != nil {
+			return err
+		}
+		nd = &vnode{link: link}
+		n.nodes[id] = nd
 	}
-	cfg := n.cfg
-	cfg.Seed += int64(len(n.links)) + 1
-	link, err := netlink.New(cfg)
-	if err != nil {
-		return err
-	}
-	n.nodes[nd.id] = nd
-	n.links[nd.id] = link
+	nd.b, nd.epoch, nd.alive = b, 0, true
 	return nil
 }
 
+// Kill fail-stops node id: it answers nothing until the next Attach.
+func (n *Net) Kill(id string) {
+	if nd := n.nodes[id]; nd != nil {
+		nd.alive = false
+	}
+}
+
+// SetEpoch sets the epoch node id's pings advertise.
+func (n *Net) SetEpoch(id string, e uint64) {
+	if nd := n.nodes[id]; nd != nil {
+		nd.epoch = e
+	}
+}
+
+// Alive reports whether node id is up.
+func (n *Net) Alive(id string) bool {
+	nd := n.nodes[id]
+	return nd != nil && nd.alive
+}
+
 // Link exposes a node's link so callers can Degrade it (fail-slow).
-func (n *Net) Link(id string) *netlink.Link { return n.links[id] }
+func (n *Net) Link(id string) *netlink.Link { return n.nodes[id].link }
 
 // Partition cuts both directions between endpoints a and b.
 func (n *Net) Partition(a, b string) { n.cut[pairKey(a, b)] = true }
@@ -114,32 +137,97 @@ func (n *Net) HealAll() { n.cut = make(map[string]bool) }
 func (n *Net) Partitioned(a, b string) bool { return n.cut[pairKey(a, b)] }
 
 // Reachable reports whether from can currently talk to node id: it exists,
-// is alive, and no partition separates them. This is the guard predicate
-// the chaos schedule uses; it does not advance the clock.
+// is alive, and no partition separates them. It does not advance the clock.
 func (n *Net) Reachable(from, id string) bool {
-	nd := n.nodes[id]
-	return nd != nil && nd.alive && !n.Partitioned(from, id)
+	return n.Alive(id) && !n.Partitioned(from, id)
 }
 
 // hop delivers nbytes from endpoint from to node to, advancing the clock
 // by the link's transfer time — or by the unreachable timeout when the
-// destination is dead, unknown, or partitioned away. It returns the node
-// for the caller to invoke.
-func (n *Net) hop(from, to string, nbytes int64) (*Node, error) {
-	nd := n.nodes[to]
-	if nd == nil || !nd.alive || n.Partitioned(from, to) {
+// destination is down or partitioned away.
+func (n *Net) hop(from, to string, nbytes int64) (*vnode, error) {
+	switch {
+	case !n.Alive(to):
+		n.now = n.now.Add(unreachableTimeout)
+		return nil, fmt.Errorf("%w: %s -> %s", ErrDown, from, to)
+	case n.Partitioned(from, to):
 		n.now = n.now.Add(unreachableTimeout)
 		return nil, fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
 	}
-	n.now = n.links[to].Send(n.now, nbytes)
+	nd := n.nodes[to]
+	n.now = nd.link.Send(n.now, nbytes)
 	return nd, nil
 }
 
-// reply models the response leg: nbytes from node from back toward the
-// caller, on from's downstream link direction. The node answered the
-// request, so only a partition raised mid-flight could cut the reply; the
-// simulation applies partitions between operations, making reply
-// infallible — it just costs time.
-func (n *Net) reply(from string, nbytes int64) {
-	n.now = n.links[from].Recv(n.now, nbytes)
+// Endpoint is the Transport for caller from: its dials reach attached
+// nodes over the virtual links, and its clock is the network's.
+func (n *Net) Endpoint(from string) Transport { return endpoint{n, from} }
+
+type endpoint struct {
+	n    *Net
+	from string
 }
+
+func (e endpoint) Dial(m Member) (Peer, error) {
+	if e.n.nodes[m.ID] == nil {
+		return nil, fmt.Errorf("%w: no node %q", ErrUnreachable, m.ID)
+	}
+	return vpeer{e.n, e.from, m.ID}, nil
+}
+
+func (e endpoint) Now() time.Time        { return time.Unix(0, int64(e.n.now)) }
+func (e endpoint) Sleep(d time.Duration) { e.n.Advance(vtime.FromStd(d)) }
+
+// vpeer is one endpoint's view of a node. Every call is a request hop and
+// a reply on the node's link; the node's own refusals come back wrapped in
+// netblock.ErrRemote, exactly as the TCP client reports them.
+type vpeer struct {
+	n        *Net
+	from, to string
+}
+
+func (p vpeer) call(req, resp, off, length int64, op func(b netblock.Backend) error) error {
+	nd, err := p.n.hop(p.from, p.to, req)
+	if err != nil {
+		return err
+	}
+	if off < 0 || length < 0 || off > nd.b.Size()-length {
+		err = fmt.Errorf("[%d,%d) out of range", off, off+length)
+	} else {
+		err = op(nd.b)
+	}
+	p.n.now = nd.link.Recv(p.n.now, resp)
+	if err != nil {
+		return fmt.Errorf("%w: %w", netblock.ErrRemote, err)
+	}
+	return nil
+}
+
+func (p vpeer) ReadAt(b []byte, off int64) error {
+	n := int64(len(b))
+	return p.call(pingBytes, n+pingBytes, off, n, func(be netblock.Backend) error { return be.ReadAt(b, off) })
+}
+
+func (p vpeer) WriteAt(b []byte, off int64) error {
+	n := int64(len(b))
+	return p.call(n+pingBytes, pingBytes, off, n, func(be netblock.Backend) error { return be.WriteAt(b, off) })
+}
+
+func (p vpeer) Trim(off, n int64) error {
+	return p.call(pingBytes, pingBytes, off, n, func(be netblock.Backend) error { return be.Trim(off, n) })
+}
+
+func (p vpeer) Flush() error {
+	return p.call(pingBytes, pingBytes, 0, 0, func(be netblock.Backend) error { return be.Flush() })
+}
+
+func (p vpeer) Ping() (netblock.PingInfo, error) {
+	var info netblock.PingInfo
+	err := p.call(pingBytes, pingBytes, 0, 0, func(be netblock.Backend) error {
+		info = netblock.PingInfo{Size: be.Size(), Epoch: p.n.nodes[p.to].epoch}
+		return nil
+	})
+	return info, err
+}
+
+func (p vpeer) Close() error { return nil }

@@ -1,17 +1,15 @@
-// Package cluster is the replicated multi-node layer over the netblock
-// protocol: a consistent-hash ring maps fixed-size LBA ranges of one
-// logical volume onto N cache nodes with R-way chained replication, a
-// client-side routing table versioned by ring epoch routes requests and
-// fails over to surviving replicas, a seeded failure detector classifies
-// fail-stop and fail-slow members from per-op latency/error scores, and
-// node join/leave triggers a graceful rebalance that streams ranges while
-// both source and target serve — the paper's "node loss = column loss writ
-// large" story one level above the SSD array.
+// Package cluster holds what the replicated layer's parts share: the
+// consistent-hash ring that maps fixed-size LBA ranges of one logical
+// volume onto N cache nodes with R-way chained replication, the
+// epoch-versioned routing table, the failure detector, the supervisor's
+// journal, and the Transport seam — with Net, its virtual-time
+// implementation over seeded links and partitions. The protocol itself is
+// in the fleet (data path) and supervisor (control plane) subpackages; the
+// churn subpackage runs it under seeded chaos. It is the paper's "node loss
+// = column loss writ large" story one level above the SSD array.
 //
-// The package itself is deterministic and wallclock-free: nodes, links and
-// the churn harness (Sim) run in virtual time over in-memory pipes, so
-// every membership-chaos schedule is a pure function of its seed. The real
-// TCP path lives in the cluster/fleet subpackage.
+// The package is deterministic and wallclock-free, so a virtual-time run is
+// a pure function of its seed.
 package cluster
 
 import (
@@ -21,7 +19,7 @@ import (
 )
 
 // Member is one cache node in the ring: a stable identity plus the address
-// the real transport dials (unused by the in-memory simulation).
+// the TCP transport dials (the virtual one needs only the ID).
 type Member struct {
 	ID   string
 	Addr string

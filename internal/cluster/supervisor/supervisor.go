@@ -1,25 +1,26 @@
-// Package supervisor is the autonomous control plane for a real-TCP
-// netblock fleet: a long-running daemon that owns the authoritative
-// epoch-versioned routing table and drives the full failure lifecycle the
-// simulation's harness used to drive by hand — periodic pings feeding the
-// cluster failure detector (wall-clock latencies scored against the same
-// EWMA thresholds), quarantine of replicas that missed writes while down,
-// hash-verified repair scheduling with bounded concurrency and
-// retry/backoff, and the three-epoch join/leave rebalance executed with
-// fleet.StreamMove against live servers.
+// Package supervisor is the cluster's control plane and its one authority:
+// it owns the epoch-versioned routing table and the quarantine, journals
+// both before any node observes them, and drives the failure lifecycle from
+// its own ticks — pings feeding the failure detector, quarantine of copies
+// that may have missed writes, verified repair, and the three-epoch
+// join/leave rebalance streamed with fleet.StreamMove.
 //
-// The supervisor is crash-safe: every placement transition is journaled
-// (cluster.SupJournal) before any node observes it, so a restart
-// mid-rebalance resumes the stream — or finishes an interrupted commit
-// push — without violating the clean-head invariant. When it cannot act
-// safely (no clean source, a move target down, the detector disagreeing
-// with a live ping) it holds state and surfaces a typed Hold instead of
-// wedging or guessing.
+// Every decision reaches the nodes as a fleet.Placement push: the table,
+// the node's quarantined ranges (which it then refuses to serve, so the veto
+// holds for every client, including ones that know nothing of the
+// supervisor), and where to report a missed chain forward. A copy is
+// quarantined when its node is classified Down, when it restarts (it
+// refuses a placement that does not acknowledge the boot), when a chain
+// forward misses it, and when a commit moves it.
 //
-// Epoch distribution reuses the existing ping/SetEpoch channel: nodes
-// advertise their epoch in every ping answer, and the supervisor re-pushes
-// the committed table to any healthy member advertising a stale epoch —
-// there is deliberately no management op in the wire protocol.
+// The supervisor is crash-safe: a restart from the journal resumes an
+// in-flight transition or finishes an interrupted commit push. When it
+// cannot act safely (no clean source, a move target down, the detector
+// disagreeing with a live ping) it holds state and reports a typed Hold.
+//
+// It reaches members through a cluster.Transport — TCP in production, the
+// churn harness's virtual links in the seeds — so the code the seeds crash
+// and partition is the code that ships.
 package supervisor
 
 import (
@@ -36,13 +37,14 @@ import (
 	"srccache/internal/vtime"
 )
 
-// Node registers one fleet member (or spare) with the supervisor: its ring
-// identity/address plus the management push the supervisor installs
-// committed placements through. Push is in-process (SetRing + SetEpoch on
-// the node's chain backend and server); the data/ping plane is real TCP.
+// Node registers one member (or spare) with the supervisor: its ring
+// identity and address, plus the management push that installs a
+// placement on it (in-process here; the data and ping plane is the
+// transport). Push must return fleet.ErrUnplaced when the node's
+// ChainBackend does.
 type Node struct {
 	Member cluster.Member
-	Push   func(ring *cluster.Ring, epoch uint64) error
+	Push   func(p fleet.Placement) error
 }
 
 // Config parameterizes a supervisor.
@@ -50,62 +52,41 @@ type Config struct {
 	// Ring is the initial committed placement (epoch 1) when no journal
 	// exists; with a journal present, the journal wins.
 	Ring *cluster.Ring
-	// Nodes registers every dialable node, including spares that may join
-	// later. More can be added with Register.
+	// Nodes registers every node, including spares that may join later.
+	// More can be added with Register.
 	Nodes []Node
-	// JournalPath persists the supervisor's state ("" keeps it in memory —
-	// crash-safe only across Tick boundaries, not process restarts).
+	// JournalPath persists the supervisor's state ("" persists nothing: a
+	// restart starts over from Ring).
 	JournalPath string
 	// Detector tunes fail-stop/fail-slow classification; zero values take
 	// the cluster defaults.
 	Detector cluster.DetectorConfig
-	// Client sets the dial/request timeouts for pings and repair streams.
+	// Client sets the dial/request timeouts of the default TCP transport.
 	Client netblock.ClientOptions
-	// RepairConcurrency bounds simultaneous repair streams (default 2).
-	RepairConcurrency int
-	// RepairAttempts bounds retries of one repair per tick (default 3).
-	RepairAttempts int
-	// RepairBackoff is the base backoff between repair retries, doubling
-	// per attempt (default 25ms).
-	RepairBackoff time.Duration
-	// StepsPerTick bounds rebalance moves streamed per tick (default 2).
-	StepsPerTick int
-	// MaxRepairsPerTick bounds repairs started per tick (default 8).
-	MaxRepairsPerTick int
-	// AbortAfter is how many consecutive held ticks an in-flight
-	// transition survives before the supervisor aborts it (default 16).
-	AbortAfter int
-	// Sleep replaces time.Sleep for repair backoff (tests inject a no-op).
-	Sleep func(time.Duration)
+	// Transport reaches the members and keeps the clock (nil:
+	// fleet.TCP(Client)).
+	Transport cluster.Transport
 }
 
+// Fixed tuning: repairs run one after another, so a schedule is a function
+// of its inputs.
+const (
+	stepsPerTick      = 2  // rebalance moves streamed per tick
+	maxRepairsPerTick = 8  // repairs started per tick
+	repairAttempts    = 3  // tries of one repair per tick
+	abortAfter        = 16 // held ticks before a transition aborts
+	repairBackoff     = 25 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.RepairConcurrency <= 0 {
-		c.RepairConcurrency = 2
-	}
-	if c.RepairAttempts <= 0 {
-		c.RepairAttempts = 3
-	}
-	if c.RepairBackoff <= 0 {
-		c.RepairBackoff = 25 * time.Millisecond
-	}
-	if c.StepsPerTick <= 0 {
-		c.StepsPerTick = 2
-	}
-	if c.MaxRepairsPerTick <= 0 {
-		c.MaxRepairsPerTick = 8
-	}
-	if c.AbortAfter <= 0 {
-		c.AbortAfter = 16
-	}
 	if c.Client.DialTimeout <= 0 {
 		c.Client.DialTimeout = 500 * time.Millisecond
 	}
 	if c.Client.Timeout <= 0 {
 		c.Client.Timeout = 2 * time.Second
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
+	if c.Transport == nil {
+		c.Transport = fleet.TCP(c.Client)
 	}
 	return c
 }
@@ -124,8 +105,8 @@ const (
 	// replica. "No clean source" must not be read as "never written" —
 	// the work is retried once a copy recovers.
 	HoldNoCleanSource HoldReason = "no-clean-source"
-	// HoldCommitUnsafe: every move streamed, but a target regressed; the
-	// commit waits rather than strand a range on degraded copies.
+	// HoldCommitUnsafe: every move streamed, but committing now could
+	// leave a range with no clean, serving owner.
 	HoldCommitUnsafe HoldReason = "commit-unsafe"
 	// HoldDetectorDisagree: the detector classifies a member Down, but its
 	// latest ping answered — the supervisor defers quarantine until the
@@ -156,66 +137,66 @@ type Status struct {
 
 	Detections, Repairs, Commits, Aborts int
 	Resumes, RecoveredPushes             int
+	Restarts, Misses                     int // placements refused after a boot; missed forwards reported
 
 	// DetectLatency is the last observed kill→classified-Down interval;
 	// RepairLatency the last Down→quarantine-empty interval (MTTR).
 	DetectLatency, RepairLatency time.Duration
 }
 
-// errCrashed is returned by Tick after a test failpoint killed the
-// supervisor mid-transition; a real deployment never sees it.
-var errCrashed = errors.New("supervisor: crashed at failpoint")
+var errClosed = errors.New("supervisor: closed")
 
 // Supervisor is the control-plane daemon. All public methods are safe for
 // concurrent use; Tick is the single supervision round Start runs
 // periodically.
 type Supervisor struct {
 	cfg Config
+	tr  cluster.Transport
 	fl  *fleet.Fleet
 	det *cluster.Detector
 
-	mu          sync.Mutex
-	nodes       map[string]Node
-	conns       map[string]*netblock.Client // ping connections
-	table       *cluster.Table
-	pending     []cluster.Move
-	phase       cluster.SupPhase
-	pushed      uint64 // last stable epoch pushed to nodes
-	quar        map[cluster.DegKey]int
-	departing   map[string]bool
-	wasDown     map[string]bool
-	firstFail   map[string]time.Time
-	downSince   map[string]time.Time
-	holds       []Hold
-	heldTicks   int
-	dead        bool
-	lastJournal []byte // in-memory journal when JournalPath is ""
+	mu        sync.Mutex
+	nodes     map[string]Node
+	conns     map[string]cluster.Peer // ping connections
+	table     *cluster.Table          // pushed to every registered node
+	pending   []cluster.Move
+	phase     cluster.SupPhase
+	quar      map[cluster.DegKey]bool
+	departing map[string]bool
+	wasDown   map[string]bool
+	firstFail map[string]time.Time
+	downSince map[string]time.Time
+	holds     []Hold
+	heldTicks int
 
 	detections, repairs, commits, aborts int
 	resumes, recoveredPushes             int
+	restarts, misses                     int
 	detectLat, repairLat                 time.Duration
 
-	// failpoint lets crash tests kill the supervisor at a named point
-	// (set only from in-package tests; nil in production).
-	failpoint func(point string) bool
+	// missMu guards the reports of missed forwards that arrived while a
+	// tick held mu; the tick absorbs them before it returns.
+	missMu   sync.Mutex
+	reported []cluster.DegKey
 
 	stop chan struct{} // closed once, by Close; never sent on
 	once sync.Once
 	wg   sync.WaitGroup
 }
 
-// New builds a supervisor. If cfg.JournalPath names an existing journal,
-// the supervisor recovers from it — resuming an in-flight transition or
-// finishing an interrupted commit push — instead of starting from
-// cfg.Ring.
+// New builds a supervisor and pushes its table to every node. If
+// cfg.JournalPath names an existing journal, the supervisor recovers from
+// it — resuming an in-flight transition or finishing an interrupted commit
+// push — instead of starting from cfg.Ring.
 func New(cfg Config) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
 		cfg:       cfg,
+		tr:        cfg.Transport,
 		det:       cluster.NewDetector(cfg.Detector),
 		nodes:     make(map[string]Node),
-		conns:     make(map[string]*netblock.Client),
-		quar:      make(map[cluster.DegKey]int),
+		conns:     make(map[string]cluster.Peer),
+		quar:      make(map[cluster.DegKey]bool),
 		departing: make(map[string]bool),
 		wasDown:   make(map[string]bool),
 		firstFail: make(map[string]time.Time),
@@ -223,10 +204,9 @@ func New(cfg Config) (*Supervisor, error) {
 		stop:      make(chan struct{}),
 	}
 	for _, n := range cfg.Nodes {
-		if n.Member.ID == "" || n.Push == nil {
-			return nil, fmt.Errorf("supervisor: node %+v needs an ID and a push", n.Member)
+		if err := s.Register(n); err != nil {
+			return nil, err
 		}
-		s.nodes[n.Member.ID] = n
 	}
 
 	journal, err := s.loadJournal()
@@ -241,20 +221,23 @@ func New(cfg Config) (*Supervisor, error) {
 	case cfg.Ring != nil:
 		s.table = &cluster.Table{Epoch: 1, Cur: cfg.Ring}
 		s.phase = cluster.SupStable
-		s.pushed = s.table.Epoch
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
+		if err := s.persistLocked(s.table, nil, cluster.SupStable); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("supervisor: no initial ring and no journal at %q", cfg.JournalPath)
 	}
 
-	fl, err := fleet.New(s.table.Cur, cfg.Client)
-	if err != nil {
+	if s.fl, err = fleet.NewWith(s.table.Cur, s.tr); err != nil {
 		return nil, err
 	}
-	s.fl = fl
-	s.pushAllLocked()
+	// A fresh cluster's nodes have nothing to protect yet: the first
+	// placement acknowledges their boot.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.pushAllLocked(journal == nil); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -278,9 +261,9 @@ func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
 }
 
 // recover adopts journaled state. Resume-vs-abort rules:
-//   - stable: adopt and re-push lazily (epoch self-heal).
+//   - stable: adopt; New re-pushes (idempotent).
 //   - push: a commit/abort was decided but its push may be partial —
-//     finish it (re-push is idempotent) and journal stable.
+//     finish it (New's push) and journal stable.
 //   - transition: resume streaming if every member of the target
 //     placement is registered; otherwise abort at a fresh epoch. Nothing
 //     was committed, so aborting only discards streamed garbage.
@@ -290,37 +273,26 @@ func (s *Supervisor) recover(j cluster.SupJournal) error {
 		return err
 	}
 	s.table, s.pending, s.phase = table, pending, j.Phase
+	for _, k := range j.Quarantined {
+		s.quar[k] = true
+	}
 	switch j.Phase {
-	case cluster.SupStable:
-		s.pushed = table.Epoch
 	case cluster.SupPush:
-		// The decided table is stable-shaped; the pushes happen below in
-		// New (pushAllLocked), after which the journal records stable. The
-		// record's pending moves are the commit's moved copies: re-adopt
-		// their quarantine so the crash cannot skip catch-up verification.
-		for _, mv := range pending {
-			s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = 0
-		}
-		s.pending = nil
-		s.pushed = table.Epoch
-		s.phase = cluster.SupStable
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-			return err
-		}
+		// The record's pending moves are the commit's moved copies, which
+		// its quarantine list holds too.
+		s.pending, s.phase = nil, cluster.SupStable
 		s.recoveredPushes++
+		return s.persistLocked(s.table, nil, cluster.SupStable)
 	case cluster.SupTransition:
-		s.pushed = table.Epoch - 1 // nodes never saw the transition epoch
 		for _, m := range table.Next.Members() {
 			if _, ok := s.nodes[m.ID]; !ok {
 				// The target placement names a node this supervisor cannot
 				// manage: resuming could stream at an address nobody
 				// registered. Abort cleanly instead.
 				s.table = &cluster.Table{Epoch: table.Epoch + 1, Cur: table.Cur}
-				s.pending = nil
-				s.phase = cluster.SupStable
-				s.pushed = s.table.Epoch
+				s.pending, s.phase = nil, cluster.SupStable
 				s.aborts++
-				return s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable))
+				return s.persistLocked(s.table, nil, cluster.SupStable)
 			}
 		}
 		s.resumes++
@@ -340,18 +312,11 @@ func (s *Supervisor) Register(n Node) error {
 }
 
 // Ring returns the committed placement — the refetch source fleet clients
-// install with SetRefetch.
+// install with SetControl.
 func (s *Supervisor) Ring() *cluster.Ring {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.table.Cur
-}
-
-// Epoch returns the authoritative table epoch.
-func (s *Supervisor) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.Epoch
 }
 
 // Start runs Tick every interval until Close.
@@ -359,7 +324,7 @@ func (s *Supervisor) Start(every time.Duration) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		t := time.NewTicker(every)
+		t := time.NewTicker(every) //srclint:allow determinism the daemon's own timer; harnesses call Tick
 		defer t.Stop()
 		for {
 			select {
@@ -372,16 +337,17 @@ func (s *Supervisor) Start(every time.Duration) {
 	}()
 }
 
-// Close stops the tick loop and closes the supervisor's connections.
+// Close stops the tick loop and closes the supervisor's connections. A
+// closed supervisor accepts no more miss reports, so nodes refuse the
+// writes they cannot report.
 func (s *Supervisor) Close() error {
 	s.once.Do(func() { close(s.stop) })
 	s.wg.Wait()
 	s.mu.Lock()
-	conns := s.conns
-	s.conns = make(map[string]*netblock.Client)
-	s.mu.Unlock()
-	for _, c := range conns {
+	defer s.mu.Unlock()
+	for id, c := range s.conns {
 		c.Close()
+		delete(s.conns, id)
 	}
 	return s.fl.Close()
 }
@@ -393,29 +359,31 @@ type pingResult struct {
 	err  error
 }
 
-// Tick runs one supervision round: ping sweep, classification and
-// quarantine, stale-epoch re-push, rebalance progress, and repair. It
-// returns the post-tick status; tests drive it directly for determinism,
-// Start drives it on a timer.
+// Tick runs one supervision round: absorb reported misses, ping sweep,
+// classification and quarantine, re-push to nodes behind the table,
+// rebalance progress, and repair. It returns the post-tick status; tests
+// and the churn harness drive it directly, Start drives it on a timer.
 func (s *Supervisor) Tick() (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead {
-		return s.statusLocked(), errCrashed
-	}
 	s.holds = s.holds[:0]
+	err := s.absorbMissesLocked()
 	infos := s.pingSweepLocked()
-	s.classifyLocked(infos)
-	s.repushLocked(infos)
-	if err := s.advanceLocked(infos); err != nil {
-		return s.statusLocked(), err
+	for _, step := range []func(map[string]pingResult) error{
+		s.classifyLocked, s.repushLocked, s.advanceLocked, s.repairLocked,
+	} {
+		if err == nil {
+			err = step(infos)
+		}
 	}
-	s.repairLocked(infos)
-	return s.statusLocked(), nil
+	if err == nil {
+		// Misses reported while the tick held the lock.
+		err = s.absorbMissesLocked()
+	}
+	return s.statusLocked(), err
 }
 
-// registeredIDs returns every registered node ID, sorted for
-// deterministic sweep order.
+// registeredIDs returns every registered node ID, sorted.
 func (s *Supervisor) registeredIDs() []string {
 	ids := make([]string, 0, len(s.nodes))
 	for id := range s.nodes {
@@ -425,17 +393,14 @@ func (s *Supervisor) registeredIDs() []string {
 	return ids
 }
 
-// pingSweepLocked probes every registered node over TCP, timing each
-// round trip for the detector.
-func (s *Supervisor) pingSweepLocked(ids ...string) map[string]pingResult {
-	if len(ids) == 0 {
-		ids = s.registeredIDs()
-	}
-	out := make(map[string]pingResult, len(ids))
-	for _, id := range ids {
-		start := time.Now()
+// pingSweepLocked probes every registered node, timing each round trip
+// for the detector.
+func (s *Supervisor) pingSweepLocked() map[string]pingResult {
+	out := make(map[string]pingResult, len(s.nodes))
+	for _, id := range s.registeredIDs() {
+		start := s.tr.Now()
 		info, err := s.pingLocked(id)
-		out[id] = pingResult{info: info, lat: time.Since(start), err: err}
+		out[id] = pingResult{info: info, lat: s.tr.Now().Sub(start), err: err}
 	}
 	return out
 }
@@ -445,13 +410,8 @@ func (s *Supervisor) pingSweepLocked(ids ...string) map[string]pingResult {
 func (s *Supervisor) pingLocked(id string) (netblock.PingInfo, error) {
 	c := s.conns[id]
 	if c == nil {
-		n, ok := s.nodes[id]
-		if !ok {
-			return netblock.PingInfo{}, fmt.Errorf("supervisor: unknown node %q", id)
-		}
 		var err error
-		c, err = netblock.DialOptions(n.Member.Addr, s.cfg.Client)
-		if err != nil {
+		if c, err = s.tr.Dial(s.nodes[id].Member); err != nil {
 			return netblock.PingInfo{}, err
 		}
 		s.conns[id] = c
@@ -464,17 +424,41 @@ func (s *Supervisor) pingLocked(id string) (netblock.PingInfo, error) {
 	return info, err
 }
 
+// memberIDsLocked returns the members of the current and pending
+// placements, sorted.
+func (s *Supervisor) memberIDsLocked() []string {
+	var ids []string
+	for _, r := range []*cluster.Ring{s.table.Cur, s.table.Next} {
+		if r == nil {
+			continue
+		}
+		for _, m := range r.Members() {
+			if !contains(ids, m.ID) {
+				ids = append(ids, m.ID)
+			}
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+func contains(ids []string, id string) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
 // classifyLocked feeds the sweep into the detector and quarantines newly
 // Down members. A member that announced a planned drain is reclassified as
 // departing: its later silence is a scheduled departure, not a fail-stop,
 // so it accumulates no failure run and triggers no quarantine.
-func (s *Supervisor) classifyLocked(infos map[string]pingResult) {
-	now := time.Now()
+func (s *Supervisor) classifyLocked(infos map[string]pingResult) error {
+	now := s.tr.Now()
 	for _, id := range s.registeredIDs() {
-		r, ok := infos[id]
-		if !ok {
-			continue
-		}
+		r := infos[id]
 		switch {
 		case r.err == nil && r.info.Draining:
 			if !s.departing[id] {
@@ -489,101 +473,184 @@ func (s *Supervisor) classifyLocked(infos map[string]pingResult) {
 				delete(s.departing, id)
 				s.det.ObserveOK(id)
 			}
-			// Still silent: scheduled departure, not a failure — observe
-			// nothing.
 		case r.err != nil:
 			if s.firstFail[id].IsZero() {
 				s.firstFail[id] = now
 			}
-			s.det.Observe(id, vtime.FromStd(s.cfg.Client.Timeout), true)
+			s.det.Observe(id, 0, true)
 		default:
 			s.det.Observe(id, vtime.FromStd(r.lat), false)
 		}
 	}
-	for id, st := range s.memberStatesLocked(infos) {
-		switch st {
-		case cluster.Down:
-			if s.wasDown[id] {
-				continue
-			}
-			if r, ok := infos[id]; ok && r.err == nil {
-				// The detector says Down but the node just answered:
-				// signals disagree — hold instead of quarantining a member
-				// that is visibly serving.
-				s.holdLocked(HoldDetectorDisagree, id, -1)
-				continue
-			}
-			s.wasDown[id] = true
-			s.detections++
-			s.downSince[id] = now
-			if !s.firstFail[id].IsZero() {
-				s.detectLat = now.Sub(s.firstFail[id])
-			}
-			s.quarantineNodeLocked(id)
-		default:
+	for _, id := range s.memberIDsLocked() {
+		if s.det.State(id) != cluster.Down {
 			if s.wasDown[id] {
 				delete(s.wasDown, id)
 				s.firstFail[id] = time.Time{}
 			}
-		}
-	}
-}
-
-// memberStatesLocked classifies every member of the current (and pending)
-// placement, in deterministic order.
-func (s *Supervisor) memberStatesLocked(map[string]pingResult) map[string]cluster.Health {
-	out := make(map[string]cluster.Health)
-	for _, m := range s.table.Cur.Members() {
-		out[m.ID] = s.det.State(m.ID)
-	}
-	if s.table.Next != nil {
-		for _, m := range s.table.Next.Members() {
-			out[m.ID] = s.det.State(m.ID)
-		}
-	}
-	return out
-}
-
-// quarantineNodeLocked marks every range the downed member serves as
-// degraded on that member: while it was away it missed every write, so
-// until a hash-verified repair confirms its copies they must not serve.
-func (s *Supervisor) quarantineNodeLocked(id string) {
-	for rng := 0; rng < s.table.Cur.Ranges; rng++ {
-		if s.table.Cur.OwnedBy(rng, id) {
-			if _, ok := s.quar[cluster.DegKey{Node: id, Range: rng}]; !ok {
-				s.quar[cluster.DegKey{Node: id, Range: rng}] = 0
-			}
-		}
-	}
-}
-
-// repushLocked heals stale epochs through the ping channel: any healthy,
-// non-departing member advertising an epoch older than the last committed
-// push gets the committed table re-installed — how a restarted node
-// rejoins the routing without a management protocol.
-func (s *Supervisor) repushLocked(infos map[string]pingResult) {
-	for _, m := range s.table.Cur.Members() {
-		r, ok := infos[m.ID]
-		if !ok || r.err != nil || r.info.Draining || r.info.Epoch >= s.pushed {
 			continue
 		}
-		if n, ok := s.nodes[m.ID]; ok {
-			_ = n.Push(s.table.Cur, s.pushed)
+		if s.wasDown[id] {
+			continue
+		}
+		if r, ok := infos[id]; ok && r.err == nil {
+			// The detector says Down but the node just answered: signals
+			// disagree — hold instead of quarantining a member that is
+			// visibly serving.
+			s.holdLocked(HoldDetectorDisagree, id, -1)
+			continue
+		}
+		s.wasDown[id] = true
+		s.detections++
+		s.downSince[id] = now
+		if !s.firstFail[id].IsZero() {
+			s.detectLat = now.Sub(s.firstFail[id])
+		}
+		// While it is away it misses every write.
+		if err := s.quarantineLocked(s.ownedLocked(id)); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// pushAllLocked installs the committed table on every registered member of
-// the current placement. Failures are left to the per-tick re-push.
-func (s *Supervisor) pushAllLocked() {
-	for _, m := range s.table.Cur.Members() {
-		if n, ok := s.nodes[m.ID]; ok {
-			_ = n.Push(s.table.Cur, s.pushed)
+// ownedLocked lists id's copies under the current placement.
+func (s *Supervisor) ownedLocked(id string) []cluster.DegKey {
+	var keys []cluster.DegKey
+	for rng := 0; rng < s.table.Cur.Ranges; rng++ {
+		if s.table.Cur.OwnedBy(rng, id) {
+			keys = append(keys, cluster.DegKey{Node: id, Range: rng})
 		}
 	}
-	if s.fl != nil {
-		_ = s.fl.SetRing(s.table.Cur)
+	return keys
+}
+
+// quarantineLocked adds copies to the quarantine, journals the set, and
+// only then pushes the nodes it touched.
+func (s *Supervisor) quarantineLocked(keys []cluster.DegKey) error {
+	var touched []string
+	for _, k := range keys {
+		if !s.quar[k] {
+			s.quar[k] = true
+			touched = append(touched, k.Node)
+		}
 	}
+	return s.publishLocked(touched)
+}
+
+// publishLocked journals a changed quarantine, then pushes it to the nodes
+// whose copies it touched.
+func (s *Supervisor) publishLocked(touched []string) error {
+	if len(touched) == 0 {
+		return nil
+	}
+	if err := s.persistLocked(s.table, s.pending, s.phase); err != nil {
+		return err
+	}
+	for _, id := range s.registeredIDs() {
+		if !contains(touched, id) {
+			continue
+		}
+		if err := s.pushNodeLocked(id, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// placementLocked is what node id is told: the table, its quarantined
+// ranges, and where to report a missed forward.
+func (s *Supervisor) placementLocked(id string, restarted bool) fleet.Placement {
+	var quar []int
+	for _, k := range s.quarKeysLocked() {
+		if k.Node == id {
+			quar = append(quar, k.Range)
+		}
+	}
+	return fleet.Placement{Table: s.table, Quarantined: quar, Report: s.ReportMiss, Restarted: restarted}
+}
+
+// pushNodeLocked installs node id's placement. A node that refuses it with
+// fleet.ErrUnplaced has booted since its last placement — with a disk that
+// may have missed writes while it was down, and maybe skipped by a client's
+// failover, which no chain forward reports — so every copy it owns is
+// quarantined and journaled before the placement is pushed again,
+// acknowledging the boot. Other failures are left to the per-tick re-push.
+func (s *Supervisor) pushNodeLocked(id string, restarted bool) error {
+	n, ok := s.nodes[id]
+	if !ok {
+		return nil
+	}
+	if err := n.Push(s.placementLocked(id, restarted)); restarted || !errors.Is(err, fleet.ErrUnplaced) {
+		return nil
+	}
+	s.restarts++
+	for _, k := range s.ownedLocked(id) {
+		s.quar[k] = true
+	}
+	if err := s.persistLocked(s.table, s.pending, s.phase); err != nil {
+		return err
+	}
+	return s.pushNodeLocked(id, true)
+}
+
+// pushAllLocked installs the table on every registered node and on the
+// supervisor's own data-path client.
+func (s *Supervisor) pushAllLocked(restarted bool) error {
+	for _, id := range s.registeredIDs() {
+		if err := s.pushNodeLocked(id, restarted); err != nil {
+			return err
+		}
+	}
+	return s.fl.SetRing(s.table.Cur)
+}
+
+// repushLocked heals nodes behind the table through the ping channel: any
+// healthy, non-departing node advertising an older epoch gets its
+// placement again — how a restarted node rejoins the routing (and is
+// caught restarting) without a management protocol.
+func (s *Supervisor) repushLocked(infos map[string]pingResult) error {
+	for _, id := range s.registeredIDs() {
+		r := infos[id]
+		if r.err != nil || r.info.Draining || r.info.Epoch >= s.table.Epoch {
+			continue
+		}
+		if err := s.pushNodeLocked(id, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReportMiss records that member node missed a write of range rng — the
+// Placement.Report every node gets for its chain forwards, and the report
+// a fleet client makes about an owner it failed over past (SetControl).
+// Outside a tick the copy is quarantined (and journaled, and pushed) before
+// the reporting write is acknowledged; a report made while a tick runs is
+// absorbed before that tick returns.
+func (s *Supervisor) ReportMiss(node string, rng int) error {
+	select {
+	case <-s.stop:
+		return errClosed
+	default:
+	}
+	s.missMu.Lock()
+	s.reported = append(s.reported, cluster.DegKey{Node: node, Range: rng})
+	s.missMu.Unlock()
+	if !s.mu.TryLock() {
+		return nil
+	}
+	defer s.mu.Unlock()
+	return s.absorbMissesLocked()
+}
+
+func (s *Supervisor) absorbMissesLocked() error {
+	s.missMu.Lock()
+	keys := s.reported
+	s.reported = nil
+	s.missMu.Unlock()
+	s.misses += len(keys)
+	return s.quarantineLocked(keys)
 }
 
 // holdLocked records a typed deferred action.
@@ -591,26 +658,23 @@ func (s *Supervisor) holdLocked(reason HoldReason, node string, rng int) {
 	s.holds = append(s.holds, Hold{Reason: reason, Node: node, Range: rng})
 }
 
-// refreshFleet re-syncs the data-path client to the given authoritative
-// placement after a node refused an op at a stale epoch. The supervisor is
-// the epoch authority, so a refusal means its own client view lagged a
-// push (e.g. a node restarted into a newer epoch from a prior
-// incarnation); the table itself never moves in response. Safe without
-// s.mu — the fleet locks internally — so repair workers can call it while
-// the ticking goroutine holds the supervisor lock.
-func (s *Supervisor) refreshFleet(cur *cluster.Ring) {
-	_ = s.fl.SetRing(cur)
-}
+// refreshFleet re-syncs the data-path client to the table after a node
+// refused an op at a stale epoch. The supervisor is the epoch authority,
+// so a refusal means its own client view lagged; the table itself never
+// moves in response.
+func (s *Supervisor) refreshFleet() { _ = s.fl.SetRing(s.table.Cur) }
 
-// persistLocked writes the journal durably (temp file + rename) before the
-// state it records takes effect anywhere.
-func (s *Supervisor) persistLocked(j cluster.SupJournal) error {
+// persistLocked writes a journal record — the table, pending moves and the
+// quarantine — durably (temp file + rename) before the state it records
+// takes effect anywhere.
+func (s *Supervisor) persistLocked(t *cluster.Table, pending []cluster.Move, phase cluster.SupPhase) error {
+	j := cluster.SnapshotSupJournal(t, pending, phase)
+	j.Quarantined = s.quarKeysLocked()
 	data, err := j.Encode()
 	if err != nil {
 		return err
 	}
 	if s.cfg.JournalPath == "" {
-		s.lastJournal = data
 		return nil
 	}
 	tmp := s.cfg.JournalPath + ".tmp"
@@ -618,6 +682,21 @@ func (s *Supervisor) persistLocked(j cluster.SupJournal) error {
 		return err
 	}
 	return os.Rename(tmp, s.cfg.JournalPath)
+}
+
+// quarKeysLocked returns the quarantine, sorted.
+func (s *Supervisor) quarKeysLocked() []cluster.DegKey {
+	keys := make([]cluster.DegKey, 0, len(s.quar))
+	for k := range s.quar {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Node != keys[j].Node {
+			return keys[i].Node < keys[j].Node
+		}
+		return keys[i].Range < keys[j].Range
+	})
+	return keys
 }
 
 // healthyLocked reports whether a node can be an actor in a transition
@@ -633,14 +712,14 @@ func (s *Supervisor) healthyLocked(id string, infos map[string]pingResult) bool 
 }
 
 // advanceLocked pushes an in-flight transition forward: stream up to
-// StepsPerTick pending moves, commit when the pending set is empty and
-// every target is healthy, abort when held too long.
+// stepsPerTick pending moves, commit when the pending set is empty and
+// committing is safe, abort when held too long.
 func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
 	if s.phase != cluster.SupTransition {
 		return nil
 	}
 	progressed := false
-	for i := 0; i < s.cfg.StepsPerTick && len(s.pending) > 0; i++ {
+	for i := 0; i < stepsPerTick && len(s.pending) > 0; i++ {
 		mv := s.pending[0]
 		if !s.healthyLocked(mv.Target, infos) {
 			s.holdLocked(HoldTargetDown, mv.Target, mv.Range)
@@ -649,7 +728,7 @@ func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
 		}
 		if err := s.fl.StreamMove(s.table.Cur, s.table.Next, mv); err != nil {
 			if errors.Is(err, netblock.ErrStaleEpoch) {
-				s.refreshFleet(s.table.Cur)
+				s.refreshFleet()
 			}
 			s.holdLocked(HoldNoCleanSource, mv.Target, mv.Range)
 			s.pending = append(s.pending[1:], mv)
@@ -657,116 +736,93 @@ func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
 		}
 		s.pending = s.pending[1:]
 		progressed = true
-		if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, s.pending, cluster.SupTransition)); err != nil {
+		if err := s.persistLocked(s.table, s.pending, cluster.SupTransition); err != nil {
 			return err
 		}
 	}
 	if len(s.pending) == 0 {
 		if s.commitSafeLocked(infos) {
-			return s.commitLocked()
+			return s.decideLocked(s.table.Next)
 		}
 		s.holdLocked(HoldCommitUnsafe, "", -1)
 	}
 	if progressed {
 		s.heldTicks = 0
-	} else {
-		s.heldTicks++
-		if s.heldTicks > s.cfg.AbortAfter {
-			return s.abortLocked()
-		}
+	} else if s.heldTicks++; s.heldTicks > abortAfter {
+		return s.decideLocked(s.table.Cur)
 	}
 	return nil
 }
 
 // commitSafeLocked: every member of the new placement must be healthy and
-// staying — committing at a dead or departing target would strand its
-// ranges on copies nobody verified.
+// staying, and every range must keep a serving owner that is not a moved
+// copy — a commit quarantines the moved copies, so without one the range
+// would have nobody to read from or to repair them.
 func (s *Supervisor) commitSafeLocked(infos map[string]pingResult) bool {
-	for _, m := range s.table.Next.Members() {
+	next := s.table.Next
+	for _, m := range next.Members() {
 		if !s.healthyLocked(m.ID, infos) {
+			return false
+		}
+	}
+	for rng := 0; rng < next.Ranges; rng++ {
+		ok := false
+		for _, id := range next.Owners(rng) {
+			ok = ok || (s.table.Cur.OwnedBy(rng, id) && !s.quar[cluster.DegKey{Node: id, Range: rng}])
+		}
+		if !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// commitLocked finishes the transition. Ordering is the crash-safety
-// contract: journal the decided table first (phase push), then swap and
-// push — a crash between the two re-pushes on recovery instead of
-// re-deciding, so no node ever observes an epoch the journal does not.
-func (s *Supervisor) commitLocked() error {
-	newT := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Next}
-	moved := cluster.Moves(s.table.Cur, newT.Cur)
-	if err := s.persistLocked(cluster.SnapshotSupJournal(newT, moved, cluster.SupPush)); err != nil {
+// decideLocked ends the transition with ring as the placement: Next
+// commits, Cur aborts. Ordering is the crash-safety contract: journal the
+// decided table first (phase push, with the quarantine), then push — a
+// crash between the two re-pushes on recovery instead of re-deciding, so no
+// node ever holds an epoch the journal does not.
+func (s *Supervisor) decideLocked(ring *cluster.Ring) error {
+	commit := ring == s.table.Next
+	decided := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: ring}
+	moved := cluster.Moves(s.table.Cur, ring)
+	// Mid-transition writes reached the old chain only: each moved copy
+	// is quarantined until a verified repair from a surviving replica.
+	for _, mv := range moved {
+		s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = true
+	}
+	if err := s.persistLocked(decided, moved, cluster.SupPush); err != nil {
 		return err
 	}
-	if s.failpoint != nil && s.failpoint("commit-push") {
-		s.dead = true
-		return errCrashed
-	}
 	departed := s.table.Cur.Members()
-	s.table = newT
-	s.pending = nil
-	s.phase = cluster.SupStable
-	s.pushed = newT.Epoch
-	s.pushAllLocked()
+	s.table, s.pending, s.phase, s.heldTicks = decided, nil, cluster.SupStable, 0
+	if err := s.pushAllLocked(false); err != nil {
+		return err
+	}
 	// Members that left the placement stop being supervised.
 	for _, m := range departed {
-		if _, still := newT.Cur.Member(m.ID); !still {
+		if _, still := ring.Member(m.ID); !still {
 			s.det.Forget(m.ID)
 			delete(s.departing, m.ID)
 		}
 	}
-	// Writes that landed between a move's stream and this push reached the
-	// old chain only: quarantine each moved copy until a hash-verified
-	// repair from a surviving replica confirms (or heals) it.
-	for _, mv := range moved {
-		if _, ok := s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}]; !ok {
-			s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = 0
-		}
+	if commit {
+		s.commits++
+	} else {
+		s.aborts++
 	}
-	if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-		return err
-	}
-	s.commits++
-	s.heldTicks = 0
-	return nil
+	return s.persistLocked(s.table, nil, cluster.SupStable)
 }
 
-// abortLocked cancels the transition at a fresh epoch with the old
-// placement — streamed ranges stay on their targets as unrouted garbage.
-func (s *Supervisor) abortLocked() error {
-	newT := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Cur}
-	if err := s.persistLocked(cluster.SnapshotSupJournal(newT, nil, cluster.SupPush)); err != nil {
-		return err
-	}
-	if s.failpoint != nil && s.failpoint("abort-push") {
-		s.dead = true
-		return errCrashed
-	}
-	s.table = newT
-	s.pending = nil
-	s.phase = cluster.SupStable
-	s.pushed = newT.Epoch
-	s.pushAllLocked()
-	if err := s.persistLocked(cluster.SnapshotSupJournal(s.table, nil, cluster.SupStable)); err != nil {
-		return err
-	}
-	s.aborts++
-	s.heldTicks = 0
-	return nil
-}
-
-// BeginJoin starts pulling a registered node into the placement. The
-// transition is journaled before any stream runs.
+// BeginJoin starts pulling a registered node into the placement.
 func (s *Supervisor) BeginJoin(m cluster.Member) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.phase != cluster.SupStable {
-		return fmt.Errorf("supervisor: rebalance already in flight")
-	}
 	if _, ok := s.nodes[m.ID]; !ok {
 		return fmt.Errorf("supervisor: joining node %q not registered", m.ID)
+	}
+	if s.phase != cluster.SupStable {
+		return fmt.Errorf("supervisor: rebalance already in flight")
 	}
 	next, err := s.table.Cur.WithJoin(m)
 	if err != nil {
@@ -790,98 +846,69 @@ func (s *Supervisor) BeginLeave(id string) error {
 	return s.beginLocked(next)
 }
 
+// beginLocked journals the transition, then pushes it: the nodes must know
+// the next placement for its new owners to accept the streamed moves.
 func (s *Supervisor) beginLocked(next *cluster.Ring) error {
 	table := &cluster.Table{Epoch: s.table.Epoch + 1, Cur: s.table.Cur, Next: next}
 	pending := cluster.Moves(s.table.Cur, next)
-	if err := s.persistLocked(cluster.SnapshotSupJournal(table, pending, cluster.SupTransition)); err != nil {
+	if err := s.persistLocked(table, pending, cluster.SupTransition); err != nil {
 		return err
 	}
-	s.table, s.pending, s.phase = table, pending, cluster.SupTransition
-	s.heldTicks = 0
-	return nil
+	s.table, s.pending, s.phase, s.heldTicks = table, pending, cluster.SupTransition, 0
+	return s.pushAllLocked(false)
 }
 
-// repairLocked schedules hash-verified repairs for quarantined copies
-// whose node answers pings, with bounded concurrency and per-repair
-// retry/backoff. A node that no longer owns the range sheds its mark
-// without traffic (membership moved on).
-func (s *Supervisor) repairLocked(infos map[string]pingResult) {
-	keys := make([]cluster.DegKey, 0, len(s.quar))
-	for k := range s.quar {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Range < keys[j].Range
-	})
-
-	var eligible []cluster.DegKey
-	for _, k := range keys {
+// repairLocked runs verified repairs for quarantined copies whose node
+// answers pings, one after another with per-repair retry and backoff. A
+// node that no longer owns the range sheds its mark without traffic
+// (membership moved on). Lifted marks are journaled, then pushed.
+func (s *Supervisor) repairLocked(infos map[string]pingResult) error {
+	var touched []string
+	started := 0
+	for _, k := range s.quarKeysLocked() {
 		if !s.table.Cur.OwnedBy(k.Range, k.Node) {
 			delete(s.quar, k)
+			touched = append(touched, k.Node)
 			continue
 		}
-		if !s.healthyLocked(k.Node, infos) {
+		if started >= maxRepairsPerTick || !s.healthyLocked(k.Node, infos) {
 			continue // still down or departing; repair when it answers
 		}
-		eligible = append(eligible, k)
-		if len(eligible) >= s.cfg.MaxRepairsPerTick {
-			break
+		started++
+		// The bytes reach the copy through its push (still quarantined);
+		// the quarantine lifts once the repair is verified.
+		fill := func(data []byte) error {
+			p := s.placementLocked(k.Node, false)
+			p.Fill = map[int][]byte{k.Range: data}
+			return s.nodes[k.Node].Push(p)
 		}
-	}
-	if len(eligible) == 0 {
-		return
-	}
-
-	type result struct {
-		key cluster.DegKey
-		err error
-	}
-	cur := s.table.Cur // captured under s.mu; workers must not take it
-	results := make([]result, len(eligible))
-	sem := make(chan struct{}, s.cfg.RepairConcurrency)
-	var wg sync.WaitGroup
-	for i, k := range eligible {
-		wg.Add(1)
-		go func(i int, k cluster.DegKey) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var err error
-			for attempt := 0; attempt < s.cfg.RepairAttempts; attempt++ {
-				if err = s.fl.RepairRange(k.Node, k.Range); err == nil {
-					break
-				}
-				if errors.Is(err, netblock.ErrStaleEpoch) {
-					s.refreshFleet(cur)
-				}
-				s.cfg.Sleep(s.cfg.RepairBackoff << attempt)
+		var err error
+		for attempt := 0; attempt < repairAttempts; attempt++ {
+			if err = s.fl.RepairRange(k.Node, k.Range, fill); err == nil || errors.Is(err, fleet.ErrNoSourceReplica) {
+				break
 			}
-			results[i] = result{key: k, err: err}
-		}(i, k)
-	}
-	wg.Wait()
-
-	now := time.Now()
-	for _, r := range results {
-		if r.err != nil {
-			s.quar[r.key]++
+			if errors.Is(err, netblock.ErrStaleEpoch) {
+				s.refreshFleet()
+			}
+			s.tr.Sleep(repairBackoff << attempt)
+		}
+		if err != nil {
 			reason := HoldRepairFailed
-			if errors.Is(r.err, fleet.ErrNoSourceReplica) {
+			if errors.Is(err, fleet.ErrNoSourceReplica) {
 				reason = HoldNoCleanSource
 			}
-			s.holdLocked(reason, r.key.Node, r.key.Range)
+			s.holdLocked(reason, k.Node, k.Range)
 			continue
 		}
-		delete(s.quar, r.key)
+		delete(s.quar, k)
+		touched = append(touched, k.Node)
 		s.repairs++
-		if since, ok := s.downSince[r.key.Node]; ok && s.nodeClearLocked(r.key.Node) {
-			s.repairLat = now.Sub(since)
-			delete(s.downSince, r.key.Node)
+		if since, ok := s.downSince[k.Node]; ok && s.nodeClearLocked(k.Node) {
+			s.repairLat = s.tr.Now().Sub(since)
+			delete(s.downSince, k.Node)
 		}
 	}
+	return s.publishLocked(touched)
 }
 
 // nodeClearLocked reports whether a node has no quarantined copies left.
@@ -894,13 +921,11 @@ func (s *Supervisor) nodeClearLocked(id string) bool {
 	return true
 }
 
-// Quarantined reports whether a copy is currently quarantined — the
-// read-path veto a routing client can consult.
+// Quarantined reports whether a copy is currently quarantined.
 func (s *Supervisor) Quarantined(node string, rng int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.quar[cluster.DegKey{Node: node, Range: rng}]
-	return ok
+	return s.quar[cluster.DegKey{Node: node, Range: rng}]
 }
 
 // Status snapshots the supervisor's current view.
@@ -915,30 +940,23 @@ func (s *Supervisor) statusLocked() Status {
 		Epoch:           s.table.Epoch,
 		Phase:           s.phase,
 		Pending:         len(s.pending),
+		Quarantined:     s.quarKeysLocked(),
 		Detections:      s.detections,
 		Repairs:         s.repairs,
 		Commits:         s.commits,
 		Aborts:          s.aborts,
 		Resumes:         s.resumes,
 		RecoveredPushes: s.recoveredPushes,
+		Restarts:        s.restarts,
+		Misses:          s.misses,
 		DetectLatency:   s.detectLat,
 		RepairLatency:   s.repairLat,
 		Holds:           append([]Hold(nil), s.holds...),
 	}
-	for k := range s.quar {
-		st.Quarantined = append(st.Quarantined, k)
-	}
-	sort.Slice(st.Quarantined, func(i, j int) bool {
-		if st.Quarantined[i].Node != st.Quarantined[j].Node {
-			return st.Quarantined[i].Node < st.Quarantined[j].Node
-		}
-		return st.Quarantined[i].Range < st.Quarantined[j].Range
-	})
 	for id := range s.departing {
 		st.Departing = append(st.Departing, id)
 	}
 	sort.Strings(st.Departing)
-	down, slow := s.det.Classified()
-	st.Down, st.Slow = down, slow
+	st.Down, st.Slow = s.det.Classified()
 	return st
 }

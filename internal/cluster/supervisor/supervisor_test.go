@@ -52,9 +52,13 @@ type supNode struct {
 	chain *fleet.ChainBackend
 	srv   *netblock.Server
 	alive bool
+	crash func() bool // kills the supervisor pushing to this node when true
 }
 
-func (n *supNode) push(ring *cluster.Ring, epoch uint64) error {
+func (n *supNode) push(p fleet.Placement) error {
+	if n.crash != nil && n.crash() {
+		panic(errCrash)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
@@ -63,12 +67,16 @@ func (n *supNode) push(ring *cluster.Ring, epoch uint64) error {
 	if n.srv.Draining() {
 		return fmt.Errorf("node %s: draining", n.id)
 	}
-	if err := n.chain.SetRing(ring); err != nil {
+	if err := n.chain.Install(p); err != nil {
 		return err
 	}
-	n.srv.SetEpoch(epoch)
+	n.srv.SetEpoch(p.Table.Epoch)
 	return nil
 }
+
+// errCrash is the panic a node's push raises to kill the supervisor
+// mid-decision, the way a process dies: nothing after it runs.
+var errCrash = errors.New("supervisor killed")
 
 func (n *supNode) node() Node {
 	return Node{Member: cluster.Member{ID: n.id, Addr: n.addr}, Push: n.push}
@@ -91,9 +99,9 @@ func (n *supNode) kill(t *testing.T) {
 
 // restart brings the node back on its old address; wipe loses its data
 // (fresh disk), otherwise it returns with the possibly stale copy it held
-// at the kill. The ring is the node's boot config — its epoch starts at 0
-// and only a supervisor push advances it.
-func (n *supNode) restart(t *testing.T, ring *cluster.Ring, wipe bool) {
+// at the kill. It boots unplaced — serving nothing, advertising epoch 0 —
+// until the supervisor's push.
+func (n *supNode) restart(t *testing.T, size int64, wipe bool) {
 	t.Helper()
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -101,13 +109,13 @@ func (n *supNode) restart(t *testing.T, ring *cluster.Ring, wipe bool) {
 		t.Fatalf("node %s restarted while alive", n.id)
 	}
 	if wipe {
-		back, err := netblock.MemBackend(ring.Size())
+		back, err := netblock.MemBackend(size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n.back = back
 	}
-	chain, err := fleet.NewChainBackend(n.back, n.id, ring, dialOpts())
+	chain, err := fleet.Boot(n.back, n.id, fleet.TCP(dialOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +211,6 @@ func startCluster(t *testing.T, ringIDs, spareIDs []string, replicas int, cfg Co
 	if cfg.Detector.FailAfter == 0 {
 		cfg.Detector.FailAfter = 2
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = func(time.Duration) {} // no real backoff sleeps in tests
-	}
 	for _, id := range append(append([]string{}, ringIDs...), spareIDs...) {
 		cfg.Nodes = append(cfg.Nodes, nodes[id].node())
 	}
@@ -226,7 +231,7 @@ func dataFleet(t *testing.T, sup *Supervisor) *fleet.Fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.SetRefetch(sup.Ring)
+	fl.SetControl(sup.Ring, sup.ReportMiss)
 	t.Cleanup(func() { fl.Close() })
 	return fl
 }
@@ -273,15 +278,6 @@ func tickUntil(t *testing.T, sup *Supervisor, max int, what string, cond func(St
 	}
 	t.Fatalf("%s not reached in %d ticks; last status %+v", what, max, st)
 	return st
-}
-
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // TestSupervisorAutonomousLifecycle is the acceptance test: kill → detect
@@ -332,7 +328,7 @@ func TestSupervisorAutonomousLifecycle(t *testing.T) {
 	// b returns with a wiped disk. The supervisor must stream every
 	// quarantined range back from the surviving replica, hash-verified,
 	// before b's copies count again.
-	nodes["b"].restart(t, sup.Ring(), true)
+	nodes["b"].restart(t, sup.Ring().Size(), true)
 	st = tickUntil(t, sup, 12, "repair", func(st Status) bool {
 		return len(st.Quarantined) == 0 && !contains(st.Down, "b")
 	})
@@ -399,6 +395,24 @@ func TestSupervisorAutonomousLifecycle(t *testing.T) {
 	}
 }
 
+// tickCrashes runs one tick and reports whether a push killed the
+// supervisor during it.
+func tickCrashes(t *testing.T, sup *Supervisor) (crashed bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errCrash {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	if _, err := sup.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	return false
+}
+
 func mustJoin(t *testing.T, r *cluster.Ring, m cluster.Member) *cluster.Ring {
 	t.Helper()
 	next, err := r.WithJoin(m)
@@ -422,22 +436,28 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 	if err := sup.BeginJoin(cluster.Member{ID: "d", Addr: nodes["d"].addr}); err != nil {
 		t.Fatal(err)
 	}
-	sup.failpoint = func(point string) bool { return point == "commit-push" }
-
-	// Drive until the failpoint fires. The tick that decides the commit
-	// journals it and then dies.
-	var crashed bool
-	for i := 0; i < 20; i++ {
-		if _, err := sup.Tick(); err != nil {
-			if !errors.Is(err, errCrashed) {
-				t.Fatal(err)
-			}
-			crashed = true
-			break
+	// The first push after the journal records a decision kills the
+	// supervisor, as a process dies: nothing after the journal write runs.
+	decided := func() bool {
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			return false
 		}
+		j, err := cluster.DecodeSupJournal(data)
+		return err == nil && j.Phase == cluster.SupPush
+	}
+	for _, n := range nodes {
+		n.crash = decided
+	}
+	crashed := false
+	for i := 0; i < 20 && !crashed; i++ {
+		crashed = tickCrashes(t, sup)
 	}
 	if !crashed {
-		t.Fatal("failpoint never fired")
+		t.Fatal("the commit push never ran")
+	}
+	for _, n := range nodes {
+		n.crash = nil
 	}
 
 	// The journal is in the push phase with the decided epoch and the
@@ -475,7 +495,6 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 	cfg2.JournalPath = journal
 	cfg2.Client = dialOpts()
 	cfg2.Detector.FailAfter = 2
-	cfg2.Sleep = func(time.Duration) {}
 	for _, id := range []string{"a", "b", "c", "d"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
 	}
@@ -524,10 +543,7 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 // than restart or abort it.
 func TestSupervisorResumeMidTransition(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "supervisor.journal")
-	nodes, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{
-		JournalPath:  journal,
-		StepsPerTick: 1, // one move per tick so the midpoint is reachable
-	})
+	nodes, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{JournalPath: journal})
 	fl := dataFleet(t, sup)
 	model := fill(t, fl, 11)
 
@@ -535,9 +551,10 @@ func TestSupervisorResumeMidTransition(t *testing.T) {
 	if err := sup.BeginJoin(cluster.Member{ID: "d", Addr: nodes["d"].addr}); err != nil {
 		t.Fatal(err)
 	}
+	// A tick streams two moves, so the midpoint needs three or more.
 	total := sup.Status().Pending
-	if total < 2 {
-		t.Skipf("join yields %d moves; need 2+ for a midpoint", total)
+	if total < 3 {
+		t.Fatalf("join yields %d moves; need 3+ for a midpoint", total)
 	}
 	st := tickUntil(t, sup, 5, "partial stream", func(st Status) bool {
 		return st.Pending > 0 && st.Pending < total
@@ -548,7 +565,6 @@ func TestSupervisorResumeMidTransition(t *testing.T) {
 	cfg2.JournalPath = journal
 	cfg2.Client = dialOpts()
 	cfg2.Detector.FailAfter = 2
-	cfg2.Sleep = func(time.Duration) {}
 	for _, id := range []string{"a", "b", "c", "d"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
 	}
@@ -623,7 +639,7 @@ func TestChainForwardFailureRepair(t *testing.T) {
 
 	// The tail returns with its stale pre-kill copy. Repair must detect
 	// the divergence by hash and overwrite it with the acked bytes.
-	nodes[tail].restart(t, sup.Ring(), false)
+	nodes[tail].restart(t, sup.Ring().Size(), false)
 	tickUntil(t, sup, 12, "tail repair", func(st Status) bool {
 		return len(st.Quarantined) == 0 && !contains(st.Down, tail)
 	})
@@ -641,8 +657,9 @@ func TestChainForwardFailureRepair(t *testing.T) {
 }
 
 // TestSupervisorDrainingIsNotFailure: a member announcing a planned drain
-// must be classified as departing — no Down, no quarantine, no repair
-// churn — and reclassified healthy when it returns.
+// must be classified as departing — no Down, no detection, no quarantine
+// while it is away — and reclassified healthy when it returns. Coming back
+// is a boot like any other: its copies are verified before they serve.
 func TestSupervisorDrainingIsNotFailure(t *testing.T) {
 	nodes, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
 	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
@@ -670,13 +687,13 @@ func TestSupervisorDrainingIsNotFailure(t *testing.T) {
 	}
 
 	// The planned restart completes; b pings clean and resumes as a
-	// healthy member, no repair cycle triggered.
-	nodes["b"].restart(t, sup.Ring(), false)
+	// healthy member, never having been detected as failed.
+	nodes["b"].restart(t, sup.Ring().Size(), false)
 	st = tickUntil(t, sup, 6, "rejoin", func(st Status) bool {
-		return !contains(st.Departing, "b") && !contains(st.Down, "b")
+		return !contains(st.Departing, "b") && !contains(st.Down, "b") && len(st.Quarantined) == 0
 	})
-	if len(st.Quarantined) != 0 {
-		t.Fatalf("planned restart triggered repairs: %+v", st)
+	if st.Detections != 0 || st.Restarts != 1 {
+		t.Fatalf("planned restart treated as a failure: %+v", st)
 	}
 }
 
@@ -698,7 +715,6 @@ func TestSupervisorAbortsUnresumableTransition(t *testing.T) {
 	cfg2.JournalPath = journal
 	cfg2.Client = dialOpts()
 	cfg2.Detector.FailAfter = 2
-	cfg2.Sleep = func(time.Duration) {}
 	for _, id := range []string{"a", "b", "c"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
 	}
@@ -756,7 +772,7 @@ func TestSupervisorNoCleanSourceHold(t *testing.T) {
 	// owner of rng — dies before the repair runs.
 	nodes["a"].kill(t)
 	tickUntil(t, sup, 6, "detection", func(st Status) bool { return contains(st.Down, "a") })
-	nodes["a"].restart(t, sup.Ring(), false)
+	nodes["a"].restart(t, sup.Ring().Size(), false)
 	nodes["c"].kill(t)
 
 	want := Hold{Reason: HoldNoCleanSource, Node: "a", Range: rng}
@@ -801,7 +817,7 @@ func TestSupervisorStaleEpochRefreshesFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		sup.mu.Lock()
-		sup.quar[cluster.DegKey{Node: "a", Range: rng}] = 0
+		sup.quar[cluster.DegKey{Node: "a", Range: rng}] = true
 		sup.mu.Unlock()
 
 		st, err := sup.Tick()
@@ -817,21 +833,25 @@ func TestSupervisorStaleEpochRefreshesFleet(t *testing.T) {
 	})
 
 	t.Run("stream", func(t *testing.T) {
-		nodes, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{StepsPerTick: 8})
+		nodes, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{})
 		tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
 		cur := sup.Ring()
 		d := cluster.Member{ID: "d", Addr: nodes["d"].addr}
 		next := mustJoin(t, cur, d)
 
 		// A move streams from its range's first old owner. Restart that
-		// node behind a gate that refuses every read as stale, as a node
-		// whose placement moved past the supervisor's table would.
+		// node behind a gate, let the supervisor repair its copies, then
+		// make the gate refuse every read as stale, as a node whose
+		// placement moved past the supervisor's table would.
 		src := cur.Owners(cluster.Moves(cur, next)[0].Range)[0]
 		gate := &staleGate{Backend: nodes[src].back}
-		gate.refuse.Store(true)
 		nodes[src].kill(t)
 		nodes[src].back = gate
-		nodes[src].restart(t, cur, false)
+		nodes[src].restart(t, cur.Size(), false)
+		tickUntil(t, sup, 12, "restart repaired", func(st Status) bool {
+			return st.Restarts == 1 && len(st.Quarantined) == 0
+		})
+		gate.refuse.Store(true)
 		// The supervisor's own client lags the table.
 		lagging, err := cur.WithLeave("c")
 		if err != nil {
@@ -893,16 +913,128 @@ func TestSupervisorConcurrentClose(t *testing.T) {
 				sup.wg.Wait() // the tick goroutine's Done
 				close(done)
 			}()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("concurrent Close calls did not all return")
-			}
+			<-done // a Close that never returns hangs the test until its timeout
 			select {
 			case <-sup.stop:
 			default:
 				t.Fatal("Close left the stop channel open")
 			}
 		})
+	}
+}
+
+// checkVolume reads every range through fl and fails on any byte that is
+// not the model's — the stale-read probe.
+func checkVolume(t *testing.T, fl *fleet.Fleet, model []byte, when string) {
+	t.Helper()
+	for rng := 0; rng < tRanges; rng++ {
+		got := make([]byte, tRangeBytes)
+		if err := fl.ReadAt(got, int64(rng)*tRangeBytes); err != nil {
+			t.Fatalf("%s: read range %d: %v", when, rng, err)
+		}
+		if !bytes.Equal(got, rangeSlice(model, rng)) {
+			t.Fatalf("%s: range %d read back stale bytes", when, rng)
+		}
+	}
+}
+
+// TestSupervisorLeaveCommits drains one of four members. Each move's target
+// is a member that does not own the range yet, so it must accept the
+// stream: the placement the supervisor pushes at the start of a transition
+// names the next owners. The leave commits, and every range byte-verifies
+// on every owner.
+func TestSupervisorLeaveCommits(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c", "d"}, nil, 2, Config{})
+	fl := dataFleet(t, sup)
+	model := fill(t, fl, 31)
+	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+
+	if err := sup.BeginLeave("d"); err != nil {
+		t.Fatal(err)
+	}
+	st := tickUntil(t, sup, 30, "leave commit", func(st Status) bool {
+		return st.Phase == cluster.SupStable && st.Epoch == 3 && len(st.Quarantined) == 0
+	})
+	if st.Commits != 1 || st.Aborts != 0 {
+		t.Fatalf("leave did not commit: %+v", st)
+	}
+	ring := sup.Ring()
+	if _, in := ring.Member("d"); in {
+		t.Fatal("d still in the placement")
+	}
+	for rng := 0; rng < tRanges; rng++ {
+		for _, id := range ring.Owners(rng) {
+			if !bytes.Equal(backendRange(t, nodes[id], rng), rangeSlice(model, rng)) {
+				t.Fatalf("range %d on %s diverges after the leave", rng, id)
+			}
+		}
+	}
+	checkVolume(t, fl, model, "after the leave")
+}
+
+// TestSupervisorRestartedCopyNeverServesStale: a member is classified Down
+// and quarantined, misses writes, and restarts with its old disk. From the
+// moment it is back until its repair, and after, no read returns its stale
+// bytes: it serves nothing until the supervisor places it, and the
+// placement carries its quarantine.
+func TestSupervisorRestartedCopyNeverServesStale(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+	fl := dataFleet(t, sup)
+	fill(t, fl, 41)
+	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+
+	nodes["b"].kill(t)
+	tickUntil(t, sup, 6, "b down", func(st Status) bool { return contains(st.Down, "b") })
+	model := fill(t, fl, 42) // b misses every write
+
+	nodes["b"].restart(t, sup.Ring().Size(), false)
+	checkVolume(t, fl, model, "b back, before a tick")
+	for i := 0; i < 12; i++ {
+		st, err := sup.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkVolume(t, fl, model, fmt.Sprintf("tick %d after b's restart", i))
+		if len(st.Quarantined) == 0 && !contains(st.Down, "b") {
+			return
+		}
+	}
+	t.Fatalf("b's copies were never repaired: %+v", sup.Status())
+}
+
+// TestSupervisorMissedWritesBelowFailAfter: a member is down for one tick —
+// below FailAfter, so it is never classified Down — and misses writes. When
+// it returns it is repaired, and no read returns its stale bytes.
+func TestSupervisorMissedWritesBelowFailAfter(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+	fl := dataFleet(t, sup)
+	fill(t, fl, 51)
+	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
+
+	nodes["b"].kill(t)
+	if _, err := sup.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	model := fill(t, fl, 52) // b misses every write
+	nodes["b"].restart(t, sup.Ring().Size(), false)
+	checkVolume(t, fl, model, "b back")
+
+	for i := 0; i < 10; i++ {
+		st, err := sup.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contains(st.Down, "b") {
+			t.Fatalf("b classified Down after one missed ping: %+v", st)
+		}
+		checkVolume(t, fl, model, fmt.Sprintf("tick %d after b's return", i))
+	}
+	if st := sup.Status(); len(st.Quarantined) != 0 {
+		t.Fatalf("b's copies still quarantined: %+v", st)
+	}
+	for rng := 0; rng < tRanges; rng++ {
+		if sup.Ring().OwnedBy(rng, "b") && !bytes.Equal(backendRange(t, nodes["b"], rng), rangeSlice(model, rng)) {
+			t.Fatalf("range %d on b not repaired", rng)
+		}
 	}
 }

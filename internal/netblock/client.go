@@ -23,13 +23,11 @@ var ErrRetryBudget = errors.New("netblock: retry budget exhausted")
 const StaleEpochText = "stale routing epoch"
 
 // ErrStaleEpoch reports that the server refused a request because it was
-// routed with an outdated placement table: the server is a ring member
-// that no longer owns the requested range. The caller must refetch its
-// routing table and retry against the current owner — see the stale-epoch
-// protocol in DESIGN.md §12. Reads, writes, and trims can all surface it;
-// the refusal mirrors the simulation's epoch check, where serving (or
-// applying) under rules the routing no longer grants would strand data on
-// a non-owner.
+// routed with an outdated placement table: the server does not own the
+// requested range. The caller must refetch its routing table and retry
+// against the current owner — see the placement fence in DESIGN.md §12.
+// Reads, writes, and trims can all surface it: serving (or applying) under
+// rules the routing no longer grants would strand data on a non-owner.
 var ErrStaleEpoch = errors.New("netblock: " + StaleEpochText)
 
 // ClientOptions tune the client's failure behavior. The zero value keeps
