@@ -269,7 +269,7 @@ func runSupervised(small bool) error {
 		Nodes:       supNodes,
 		JournalPath: filepath.Join(dir, "table.journal"),
 		Detector:    cluster.DetectorConfig{FailAfter: 2},
-		Client:      dialOpts(),
+		Transport:   fleet.TCP(dialOpts()),
 	})
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"srccache/internal/cluster"
 	"srccache/internal/cluster/fleet"
@@ -322,16 +323,7 @@ func (s *sim) observePush(t *cluster.Table) {
 
 // sameMembers reports whether two rings share a member ID set.
 func sameMembers(a, b *cluster.Ring) bool {
-	am, bm := a.Members(), b.Members()
-	if len(am) != len(bm) {
-		return false
-	}
-	for i := range am {
-		if am[i].ID != bm[i].ID {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Members(), b.Members(), func(x, y cluster.Member) bool { return x.ID == y.ID })
 }
 
 // tick runs one supervisor round, if a supervisor is up. A crash the push

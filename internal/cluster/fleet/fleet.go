@@ -140,7 +140,8 @@ func (b *ChainBackend) SetRing(ring *cluster.Ring) error {
 	return b.Install(Placement{Table: &cluster.Table{Cur: ring}, Restarted: true})
 }
 
-// Install is the supervisor's push.
+// Install is the supervisor's push. A placement it refuses — unplaced, or
+// of the wrong geometry — leaves the disk untouched, its Fill included.
 func (b *ChainBackend) Install(p Placement) error {
 	t := p.Table
 	if t == nil || t.Cur == nil {
@@ -150,6 +151,14 @@ func (b *ChainBackend) Install(p Placement) error {
 		if r != nil && r.Size() != b.local.Size() {
 			return fmt.Errorf("fleet: ring volume %d != backend size %d", r.Size(), b.local.Size())
 		}
+	}
+	// A placed node never becomes unplaced, so the check holds while the
+	// fill is written.
+	b.mu.Lock()
+	unplaced := b.ring == nil && !p.Restarted
+	b.mu.Unlock()
+	if unplaced {
+		return ErrUnplaced
 	}
 	for rng, data := range p.Fill {
 		if err := b.local.WriteAt(data, int64(rng)*t.Cur.RangeBytes); err != nil {
@@ -165,9 +174,6 @@ func (b *ChainBackend) Install(p Placement) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.ring == nil && !p.Restarted {
-		return ErrUnplaced
-	}
 	b.ring, b.next, b.quar, b.report = t.Cur, t.Next, quar, p.Report
 	return nil
 }
@@ -270,10 +276,10 @@ func (b *ChainBackend) forward(v view, off, n int64, send func(c cluster.Peer, o
 // that takes it; the ones skipped missed it. The chain routes around a
 // successor that refuses or does not answer. A successor that did not
 // answer may be up and serving, so the supervisor must quarantine its copy
-// now; if the miss cannot be reported
-// (no supervisor is up) the write is refused, and the writer fails over to
-// that successor. (One that is down boots unplaced and is quarantined then;
-// one that refused does not serve the range.)
+// now; if the miss cannot be reported (no supervisor is up) the write is
+// refused, and the writer fails over to that successor. (One known to be
+// down boots unplaced and is quarantined then; one that refused does not
+// serve the range.)
 //
 // A quarantined copy keeps the bytes but stands in for nobody: it forwards
 // nothing and refuses, so the writer fails over to a clean copy.
@@ -327,7 +333,9 @@ func reportMisses(report func(node string, rng int) error, rng int, missed []str
 
 // unreachable reports whether a failed call may have left its peer up and
 // serving without the call's effect: the transport failed, and the peer
-// neither answered nor refused the connection.
+// neither answered nor is known to be down. Over TCP every transport
+// failure counts — a refused connection may be a partition's reset — and
+// only the virtual network knows a member is down (cluster.ErrDown).
 func unreachable(err error) bool {
 	return !errors.Is(err, netblock.ErrRemote) && !errors.Is(err, cluster.ErrDown)
 }
@@ -639,16 +647,12 @@ func (f *Fleet) tryOwners(rng int, op func(c cluster.Peer) error) ([]string, err
 // still hold what was copied, so a write that raced the copy fails the
 // repair instead of leaving the target behind. The source must serve the
 // read, so a quarantined copy is never a source. install stores the bytes
-// on the target; nil writes them over the data path, where the target
-// forwards them down its chain like any write. A stale-epoch refusal
-// surfaces instead of being refetched away: it means the caller's ring no
-// longer matches the members', and repairing under it would copy the wrong
-// placement.
+// on the target — the supervisor's push, which no chain forwards. A
+// stale-epoch refusal surfaces instead of being refetched away: it means
+// the caller's ring no longer matches the members', and repairing under it
+// would copy the wrong placement.
 func (f *Fleet) RepairRange(id string, rng int, install func(data []byte) error) error {
 	ring := f.Ring()
-	if install == nil {
-		install = f.writer(ring, id, rng)
-	}
 	if err := f.copyRange(ring, rng, id, install, true); err != nil {
 		return fmt.Errorf("fleet: repair range %d on %s: %w", rng, id, err)
 	}

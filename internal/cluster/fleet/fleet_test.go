@@ -255,7 +255,13 @@ func TestFleetRepairAfterWipeRestart(t *testing.T) {
 		if !ring.OwnedBy(rng, "b") {
 			continue
 		}
-		if err := fl.RepairRange("b", rng, nil); err != nil {
+		// The bytes travel b's management push, as the supervisor's do.
+		install := func(data []byte) error {
+			return nodes["b"].chain.Install(fleet.Placement{
+				Table: &cluster.Table{Cur: ring}, Restarted: true, Fill: map[int][]byte{rng: data},
+			})
+		}
+		if err := fl.RepairRange("b", rng, install); err != nil {
 			t.Fatalf("repair range %d: %v", rng, err)
 		}
 		if got := backendRange(t, nodes["b"], rng); !bytes.Equal(got, rangeSlice(model, rng)) {
@@ -333,6 +339,45 @@ func TestChainBackendValidation(t *testing.T) {
 	}
 	if err := fl.WriteAt(make([]byte, 8), ring.Size()); err == nil {
 		t.Fatal("out-of-volume write accepted")
+	}
+}
+
+// TestInstallRefusalLeavesDiskUntouched: a placement the node refuses — it
+// booted and the push does not acknowledge it, or the ring's geometry does
+// not match its disk — writes none of its repair bytes.
+func TestInstallRefusalLeavesDiskUntouched(t *testing.T) {
+	back, err := netblock.MemBackend(int64(tRanges) * tRangeBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := fleet.Boot(back, "a", fleet.TCP(dialOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	ring := mkRing(t, 2, []cluster.Member{{ID: "a"}, {ID: "b"}})
+	bad, err := cluster.NewRing(2, tRanges*2, tRangeBytes, []cluster.Member{{ID: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := map[int][]byte{1: bytes.Repeat([]byte{0xAB}, int(tRangeBytes))}
+	for _, p := range []fleet.Placement{
+		{Table: &cluster.Table{Cur: ring}, Fill: fill},
+		{Table: &cluster.Table{Cur: bad}, Restarted: true, Fill: fill},
+	} {
+		if err := cb.Install(p); err == nil {
+			t.Fatalf("placement %+v accepted", p.Table)
+		}
+		got := make([]byte, tRangeBytes)
+		if err := back.ReadAt(got, tRangeBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, tRangeBytes)) {
+			t.Fatalf("refused placement %+v wrote its fill", p.Table)
+		}
+	}
+	if err := cb.Install(fleet.Placement{Table: &cluster.Table{Cur: ring}}); !errors.Is(err, fleet.ErrUnplaced) {
+		t.Fatalf("unacknowledged boot: %v, want ErrUnplaced", err)
 	}
 }
 

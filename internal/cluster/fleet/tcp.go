@@ -1,9 +1,6 @@
 package fleet
 
 import (
-	"errors"
-	"fmt"
-	"syscall"
 	"time"
 
 	"srccache/internal/cluster"
@@ -16,11 +13,12 @@ func TCP(opts netblock.ClientOptions) cluster.Transport { return tcpTransport{op
 
 type tcpTransport struct{ opts netblock.ClientOptions }
 
+// Dial connects to m. Every failure is a plain transport error, never
+// cluster.ErrDown: a refused connection may be a partition's reset, with
+// the member up and serving others, so a write that skips it reports the
+// miss.
 func (t tcpTransport) Dial(m cluster.Member) (cluster.Peer, error) {
 	c, err := netblock.DialOptions(m.Addr, t.opts)
-	if errors.Is(err, syscall.ECONNREFUSED) {
-		return nil, fmt.Errorf("%w: %w", cluster.ErrDown, err)
-	}
 	if err != nil {
 		return nil, err
 	}

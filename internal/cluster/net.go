@@ -14,8 +14,9 @@ var (
 	// ErrUnreachable means the destination is partitioned away or
 	// unknown; the caller burned the unreachable timeout learning that.
 	ErrUnreachable = errors.New("cluster: peer unreachable")
-	// ErrDown means nothing serves at the destination — a TCP connection
-	// refused. The member's next incarnation boots unplaced.
+	// ErrDown means nothing serves at the destination: the virtual network
+	// knows the member is dead, and its next incarnation boots unplaced.
+	// TCP cannot tell a dead member from a partition and never reports it.
 	ErrDown = errors.New("cluster: peer down")
 )
 

@@ -24,11 +24,14 @@
 package supervisor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"srccache/internal/cluster"
@@ -61,10 +64,8 @@ type Config struct {
 	// Detector tunes fail-stop/fail-slow classification; zero values take
 	// the cluster defaults.
 	Detector cluster.DetectorConfig
-	// Client sets the dial/request timeouts of the default TCP transport.
-	Client netblock.ClientOptions
-	// Transport reaches the members and keeps the clock (nil:
-	// fleet.TCP(Client)).
+	// Transport reaches the members and keeps the clock: fleet.TCP with
+	// bounded timeouts in a deployment.
 	Transport cluster.Transport
 }
 
@@ -77,19 +78,6 @@ const (
 	abortAfter        = 16 // held ticks before a transition aborts
 	repairBackoff     = 25 * time.Millisecond
 )
-
-func (c Config) withDefaults() Config {
-	if c.Client.DialTimeout <= 0 {
-		c.Client.DialTimeout = 500 * time.Millisecond
-	}
-	if c.Client.Timeout <= 0 {
-		c.Client.Timeout = 2 * time.Second
-	}
-	if c.Transport == nil {
-		c.Transport = fleet.TCP(c.Client)
-	}
-	return c
-}
 
 // HoldReason is the typed cause of a supervision action deliberately not
 // taken this tick. Holds are the graceful-degradation surface: state is
@@ -112,8 +100,9 @@ const (
 	// latest ping answered — the supervisor defers quarantine until the
 	// signals agree instead of acting on a flapping classification.
 	HoldDetectorDisagree HoldReason = "detector-disagree"
-	// HoldRepairFailed: a repair exhausted its per-tick retry budget; the
-	// quarantine stays and the repair re-runs next tick.
+	// HoldRepairFailed: a repair exhausted its per-tick retry budget, or
+	// the copy missed a write while it was being copied; the quarantine
+	// stays and the repair re-runs next tick.
 	HoldRepairFailed HoldReason = "repair-failed"
 )
 
@@ -149,16 +138,27 @@ var errClosed = errors.New("supervisor: closed")
 // Supervisor is the control-plane daemon. All public methods are safe for
 // concurrent use; Tick is the single supervision round Start runs
 // periodically.
+//
+// Two locks: tickMu serializes ticks, and a tick does its network I/O —
+// pings, streams, repair copies — holding only tickMu; mu guards the state
+// and is held only to change it, journal it and push it. A miss report or
+// a status read therefore never waits on the network.
 type Supervisor struct {
 	cfg Config
 	tr  cluster.Transport
-	fl  *fleet.Fleet
+	fl  *fleet.Fleet // the tick's own data-path client
 	det *cluster.Detector
+
+	tickMu sync.Mutex
+	conns  map[string]cluster.Peer // ping connections, under tickMu
+
+	// committed is the committed placement, stored once it was pushed:
+	// what Ring serves clients without taking a lock.
+	committed atomic.Pointer[cluster.Ring]
 
 	mu        sync.Mutex
 	nodes     map[string]Node
-	conns     map[string]cluster.Peer // ping connections
-	table     *cluster.Table          // pushed to every registered node
+	table     *cluster.Table // pushed to every registered node
 	pending   []cluster.Move
 	phase     cluster.SupPhase
 	quar      map[cluster.DegKey]bool
@@ -174,10 +174,11 @@ type Supervisor struct {
 	restarts, misses                     int
 	detectLat, repairLat                 time.Duration
 
-	// missMu guards the reports of missed forwards that arrived while a
-	// tick held mu; the tick absorbs them before it returns.
-	missMu   sync.Mutex
-	reported []cluster.DegKey
+	// repairing is the copy a repair is copying with mu released; spoiled
+	// records that it was quarantined anew meanwhile (a reported miss, a
+	// boot), which voids the repair.
+	repairing cluster.DegKey
+	spoiled   bool
 
 	stop chan struct{} // closed once, by Close; never sent on
 	once sync.Once
@@ -189,7 +190,9 @@ type Supervisor struct {
 // it — resuming an in-flight transition or finishing an interrupted commit
 // push — instead of starting from cfg.Ring.
 func New(cfg Config) (*Supervisor, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Transport == nil {
+		return nil, errors.New("supervisor: no transport")
+	}
 	s := &Supervisor{
 		cfg:       cfg,
 		tr:        cfg.Transport,
@@ -312,12 +315,8 @@ func (s *Supervisor) Register(n Node) error {
 }
 
 // Ring returns the committed placement — the refetch source fleet clients
-// install with SetControl.
-func (s *Supervisor) Ring() *cluster.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.Cur
-}
+// install with SetControl, consulted by every write. It takes no lock.
+func (s *Supervisor) Ring() *cluster.Ring { return s.committed.Load() }
 
 // Start runs Tick every interval until Close.
 func (s *Supervisor) Start(every time.Duration) {
@@ -343,8 +342,8 @@ func (s *Supervisor) Start(every time.Duration) {
 func (s *Supervisor) Close() error {
 	s.once.Do(func() { close(s.stop) })
 	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
 	for id, c := range s.conns {
 		c.Close()
 		delete(s.conns, id)
@@ -359,28 +358,22 @@ type pingResult struct {
 	err  error
 }
 
-// Tick runs one supervision round: absorb reported misses, ping sweep,
-// classification and quarantine, re-push to nodes behind the table,
-// rebalance progress, and repair. It returns the post-tick status; tests
-// and the churn harness drive it directly, Start drives it on a timer.
+// Tick runs one supervision round: ping sweep, classification and
+// quarantine, re-push to nodes behind the table, rebalance progress, and
+// repair. It returns the post-tick status; tests and the churn harness
+// drive it directly, Start drives it on a timer.
 func (s *Supervisor) Tick() (Status, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.holds = s.holds[:0]
-	err := s.absorbMissesLocked()
-	infos := s.pingSweepLocked()
-	for _, step := range []func(map[string]pingResult) error{
-		s.classifyLocked, s.repushLocked, s.advanceLocked, s.repairLocked,
-	} {
-		if err == nil {
-			err = step(infos)
-		}
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
+	infos := s.pingSweep()
+	err := s.classify(infos)
+	if err == nil {
+		err = s.advance(infos)
 	}
 	if err == nil {
-		// Misses reported while the tick held the lock.
-		err = s.absorbMissesLocked()
+		err = s.repair(infos)
 	}
-	return s.statusLocked(), err
+	return s.Status(), err
 }
 
 // registeredIDs returns every registered node ID, sorted.
@@ -393,32 +386,38 @@ func (s *Supervisor) registeredIDs() []string {
 	return ids
 }
 
-// pingSweepLocked probes every registered node, timing each round trip
-// for the detector.
-func (s *Supervisor) pingSweepLocked() map[string]pingResult {
-	out := make(map[string]pingResult, len(s.nodes))
+// pingSweep probes every registered node, timing each round trip for the
+// detector.
+func (s *Supervisor) pingSweep() map[string]pingResult {
+	s.mu.Lock()
+	var members []cluster.Member
 	for _, id := range s.registeredIDs() {
+		members = append(members, s.nodes[id].Member)
+	}
+	s.mu.Unlock()
+	out := make(map[string]pingResult, len(members))
+	for _, m := range members {
 		start := s.tr.Now()
-		info, err := s.pingLocked(id)
-		out[id] = pingResult{info: info, lat: s.tr.Now().Sub(start), err: err}
+		info, err := s.ping(m)
+		out[m.ID] = pingResult{info: info, lat: s.tr.Now().Sub(start), err: err}
 	}
 	return out
 }
 
-// pingLocked probes one node on a cached connection, redialing on first
-// use or after a failure drop.
-func (s *Supervisor) pingLocked(id string) (netblock.PingInfo, error) {
-	c := s.conns[id]
+// ping probes one node on a cached connection, redialing on first use or
+// after a failure drop.
+func (s *Supervisor) ping(m cluster.Member) (netblock.PingInfo, error) {
+	c := s.conns[m.ID]
 	if c == nil {
 		var err error
-		if c, err = s.tr.Dial(s.nodes[id].Member); err != nil {
+		if c, err = s.tr.Dial(m); err != nil {
 			return netblock.PingInfo{}, err
 		}
-		s.conns[id] = c
+		s.conns[m.ID] = c
 	}
 	info, err := c.Ping()
 	if err != nil {
-		delete(s.conns, id)
+		delete(s.conns, m.ID)
 		c.Close()
 	}
 	return info, err
@@ -433,7 +432,7 @@ func (s *Supervisor) memberIDsLocked() []string {
 			continue
 		}
 		for _, m := range r.Members() {
-			if !contains(ids, m.ID) {
+			if !slices.Contains(ids, m.ID) {
 				ids = append(ids, m.ID)
 			}
 		}
@@ -442,20 +441,15 @@ func (s *Supervisor) memberIDsLocked() []string {
 	return ids
 }
 
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// classifyLocked feeds the sweep into the detector and quarantines newly
-// Down members. A member that announced a planned drain is reclassified as
-// departing: its later silence is a scheduled departure, not a fail-stop,
-// so it accumulates no failure run and triggers no quarantine.
-func (s *Supervisor) classifyLocked(infos map[string]pingResult) error {
+// classify resets the tick's holds, feeds the sweep into the detector,
+// quarantines newly Down members, and re-pushes the nodes behind the table.
+// A member that announced a planned drain is reclassified as departing: its
+// later silence is a scheduled departure, not a fail-stop, so it
+// accumulates no failure run and triggers no quarantine.
+func (s *Supervisor) classify(infos map[string]pingResult) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.holds = s.holds[:0]
 	now := s.tr.Now()
 	for _, id := range s.registeredIDs() {
 		r := infos[id]
@@ -511,7 +505,7 @@ func (s *Supervisor) classifyLocked(infos map[string]pingResult) error {
 			return err
 		}
 	}
-	return nil
+	return s.repushLocked(infos)
 }
 
 // ownedLocked lists id's copies under the current placement.
@@ -530,12 +524,20 @@ func (s *Supervisor) ownedLocked(id string) []cluster.DegKey {
 func (s *Supervisor) quarantineLocked(keys []cluster.DegKey) error {
 	var touched []string
 	for _, k := range keys {
-		if !s.quar[k] {
-			s.quar[k] = true
+		if s.markLocked(k) {
 			touched = append(touched, k.Node)
 		}
 	}
 	return s.publishLocked(touched)
+}
+
+// markLocked quarantines copy k, reporting whether it was clean. Marking
+// the copy a repair is copying voids that repair.
+func (s *Supervisor) markLocked(k cluster.DegKey) bool {
+	s.spoiled = s.spoiled || k == s.repairing
+	clean := !s.quar[k]
+	s.quar[k] = true
+	return clean
 }
 
 // publishLocked journals a changed quarantine, then pushes it to the nodes
@@ -548,10 +550,10 @@ func (s *Supervisor) publishLocked(touched []string) error {
 		return err
 	}
 	for _, id := range s.registeredIDs() {
-		if !contains(touched, id) {
+		if !slices.Contains(touched, id) {
 			continue
 		}
-		if err := s.pushNodeLocked(id, false); err != nil {
+		if _, err := s.pushNodeLocked(id, false, nil); err != nil {
 			return err
 		}
 	}
@@ -570,38 +572,43 @@ func (s *Supervisor) placementLocked(id string, restarted bool) fleet.Placement 
 	return fleet.Placement{Table: s.table, Quarantined: quar, Report: s.ReportMiss, Restarted: restarted}
 }
 
-// pushNodeLocked installs node id's placement. A node that refuses it with
-// fleet.ErrUnplaced has booted since its last placement — with a disk that
-// may have missed writes while it was down, and maybe skipped by a client's
-// failover, which no chain forward reports — so every copy it owns is
-// quarantined and journaled before the placement is pushed again,
-// acknowledging the boot. Other failures are left to the per-tick re-push.
-func (s *Supervisor) pushNodeLocked(id string, restarted bool) error {
+// pushNodeLocked installs node id's placement, carrying fill's repair bytes
+// if any, and returns the push's own failure as pushErr; err is a journal
+// failure. A node that refuses the placement with fleet.ErrUnplaced has
+// booted since its last one — with a disk that may have missed writes while
+// it was down, and maybe skipped by a client's failover, which no chain
+// forward reports — so every copy it owns is quarantined and journaled
+// before the placement is pushed again, acknowledging the boot. Callers
+// other than a repair leave failed pushes to the per-tick re-push.
+func (s *Supervisor) pushNodeLocked(id string, restarted bool, fill map[int][]byte) (pushErr, err error) {
 	n, ok := s.nodes[id]
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	if err := n.Push(s.placementLocked(id, restarted)); restarted || !errors.Is(err, fleet.ErrUnplaced) {
-		return nil
+	p := s.placementLocked(id, restarted)
+	p.Fill = fill
+	if pushErr = n.Push(p); restarted || !errors.Is(pushErr, fleet.ErrUnplaced) {
+		return pushErr, nil
 	}
 	s.restarts++
 	for _, k := range s.ownedLocked(id) {
-		s.quar[k] = true
+		s.markLocked(k)
 	}
 	if err := s.persistLocked(s.table, s.pending, s.phase); err != nil {
-		return err
+		return nil, err
 	}
-	return s.pushNodeLocked(id, true)
+	return s.pushNodeLocked(id, true, fill)
 }
 
 // pushAllLocked installs the table on every registered node and on the
-// supervisor's own data-path client.
+// supervisor's own data-path client, then serves its placement to Ring.
 func (s *Supervisor) pushAllLocked(restarted bool) error {
 	for _, id := range s.registeredIDs() {
-		if err := s.pushNodeLocked(id, restarted); err != nil {
+		if _, err := s.pushNodeLocked(id, restarted, nil); err != nil {
 			return err
 		}
 	}
+	s.committed.Store(s.table.Cur)
 	return s.fl.SetRing(s.table.Cur)
 }
 
@@ -615,7 +622,7 @@ func (s *Supervisor) repushLocked(infos map[string]pingResult) error {
 		if r.err != nil || r.info.Draining || r.info.Epoch >= s.table.Epoch {
 			continue
 		}
-		if err := s.pushNodeLocked(id, false); err != nil {
+		if _, err := s.pushNodeLocked(id, false, nil); err != nil {
 			return err
 		}
 	}
@@ -625,32 +632,20 @@ func (s *Supervisor) repushLocked(infos map[string]pingResult) error {
 // ReportMiss records that member node missed a write of range rng — the
 // Placement.Report every node gets for its chain forwards, and the report
 // a fleet client makes about an owner it failed over past (SetControl).
-// Outside a tick the copy is quarantined (and journaled, and pushed) before
-// the reporting write is acknowledged; a report made while a tick runs is
-// absorbed before that tick returns.
+// The copy is quarantined, journaled and pushed before ReportMiss returns,
+// so the reporting write is acknowledged only once no read is served from
+// the copy. It waits for state changes only: no tick holds mu across the
+// network.
 func (s *Supervisor) ReportMiss(node string, rng int) error {
 	select {
 	case <-s.stop:
 		return errClosed
 	default:
 	}
-	s.missMu.Lock()
-	s.reported = append(s.reported, cluster.DegKey{Node: node, Range: rng})
-	s.missMu.Unlock()
-	if !s.mu.TryLock() {
-		return nil
-	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.absorbMissesLocked()
-}
-
-func (s *Supervisor) absorbMissesLocked() error {
-	s.missMu.Lock()
-	keys := s.reported
-	s.reported = nil
-	s.missMu.Unlock()
-	s.misses += len(keys)
-	return s.quarantineLocked(keys)
+	s.misses++
+	return s.quarantineLocked([]cluster.DegKey{{Node: node, Range: rng}})
 }
 
 // holdLocked records a typed deferred action.
@@ -658,11 +653,11 @@ func (s *Supervisor) holdLocked(reason HoldReason, node string, rng int) {
 	s.holds = append(s.holds, Hold{Reason: reason, Node: node, Range: rng})
 }
 
-// refreshFleet re-syncs the data-path client to the table after a node
-// refused an op at a stale epoch. The supervisor is the epoch authority,
-// so a refusal means its own client view lagged; the table itself never
-// moves in response.
-func (s *Supervisor) refreshFleet() { _ = s.fl.SetRing(s.table.Cur) }
+// refreshFleet re-syncs the data-path client to the committed placement
+// after a node refused an op at a stale epoch. The supervisor is the epoch
+// authority, so a refusal means its own client view lagged; the table
+// itself never moves in response.
+func (s *Supervisor) refreshFleet() { _ = s.fl.SetRing(s.Ring()) }
 
 // persistLocked writes a journal record — the table, pending moves and the
 // quarantine — durably (temp file + rename) before the state it records
@@ -690,11 +685,8 @@ func (s *Supervisor) quarKeysLocked() []cluster.DegKey {
 	for k := range s.quar {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Range < keys[j].Range
+	slices.SortFunc(keys, func(a, b cluster.DegKey) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Range, b.Range))
 	})
 	return keys
 }
@@ -711,34 +703,31 @@ func (s *Supervisor) healthyLocked(id string, infos map[string]pingResult) bool 
 	return s.det.State(id) != cluster.Down
 }
 
-// advanceLocked pushes an in-flight transition forward: stream up to
+// advance pushes an in-flight transition forward: stream up to
 // stepsPerTick pending moves, commit when the pending set is empty and
-// committing is safe, abort when held too long.
-func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
-	if s.phase != cluster.SupTransition {
-		return nil
-	}
+// committing is safe, abort when held too long. A stream runs with mu
+// released; only the tick changes a transition once it has begun, so the
+// move streamed is still the head of pending when the lock is retaken.
+func (s *Supervisor) advance(infos map[string]pingResult) error {
 	progressed := false
-	for i := 0; i < stepsPerTick && len(s.pending) > 0; i++ {
-		mv := s.pending[0]
-		if !s.healthyLocked(mv.Target, infos) {
-			s.holdLocked(HoldTargetDown, mv.Target, mv.Range)
-			s.pending = append(s.pending[1:], mv)
+	for i := 0; i < stepsPerTick; i++ {
+		mv, cur, next, ok := s.nextMove(infos)
+		if !ok {
 			break
 		}
-		if err := s.fl.StreamMove(s.table.Cur, s.table.Next, mv); err != nil {
-			if errors.Is(err, netblock.ErrStaleEpoch) {
-				s.refreshFleet()
-			}
-			s.holdLocked(HoldNoCleanSource, mv.Target, mv.Range)
-			s.pending = append(s.pending[1:], mv)
-			continue
+		err := s.fl.StreamMove(cur, next, mv)
+		if errors.Is(err, netblock.ErrStaleEpoch) {
+			s.refreshFleet()
 		}
-		s.pending = s.pending[1:]
-		progressed = true
-		if err := s.persistLocked(s.table, s.pending, cluster.SupTransition); err != nil {
-			return err
+		if jerr := s.streamed(mv, err); jerr != nil {
+			return jerr
 		}
+		progressed = progressed || err == nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.phase != cluster.SupTransition {
+		return nil
 	}
 	if len(s.pending) == 0 {
 		if s.commitSafeLocked(infos) {
@@ -752,6 +741,38 @@ func (s *Supervisor) advanceLocked(infos map[string]pingResult) error {
 		return s.decideLocked(s.table.Cur)
 	}
 	return nil
+}
+
+// nextMove returns the transition's next move to stream with the placements
+// it streams between, or re-queues the move with a hold when its target is
+// not healthy.
+func (s *Supervisor) nextMove(infos map[string]pingResult) (mv cluster.Move, cur, next *cluster.Ring, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.phase != cluster.SupTransition || len(s.pending) == 0 {
+		return mv, nil, nil, false
+	}
+	mv = s.pending[0]
+	if !s.healthyLocked(mv.Target, infos) {
+		s.holdLocked(HoldTargetDown, mv.Target, mv.Range)
+		s.pending = append(s.pending[1:], mv)
+		return mv, nil, nil, false
+	}
+	return mv, s.table.Cur, s.table.Next, true
+}
+
+// streamed books a stream's outcome: a failed move goes to the back of
+// pending with a hold, a streamed one leaves it and is journaled.
+func (s *Supervisor) streamed(mv cluster.Move, err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = s.pending[1:]
+	if err != nil {
+		s.holdLocked(HoldNoCleanSource, mv.Target, mv.Range)
+		s.pending = append(s.pending, mv)
+		return nil
+	}
+	return s.persistLocked(s.table, s.pending, cluster.SupTransition)
 }
 
 // commitSafeLocked: every member of the new placement must be healthy and
@@ -789,7 +810,7 @@ func (s *Supervisor) decideLocked(ring *cluster.Ring) error {
 	// Mid-transition writes reached the old chain only: each moved copy
 	// is quarantined until a verified repair from a surviving replica.
 	for _, mv := range moved {
-		s.quar[cluster.DegKey{Node: mv.Target, Range: mv.Range}] = true
+		s.markLocked(cluster.DegKey{Node: mv.Target, Range: mv.Range})
 	}
 	if err := s.persistLocked(decided, moved, cluster.SupPush); err != nil {
 		return err
@@ -858,67 +879,85 @@ func (s *Supervisor) beginLocked(next *cluster.Ring) error {
 	return s.pushAllLocked(false)
 }
 
-// repairLocked runs verified repairs for quarantined copies whose node
-// answers pings, one after another with per-repair retry and backoff. A
-// node that no longer owns the range sheds its mark without traffic
-// (membership moved on). Lifted marks are journaled, then pushed.
-func (s *Supervisor) repairLocked(infos map[string]pingResult) error {
-	var touched []string
-	started := 0
-	for _, k := range s.quarKeysLocked() {
-		if !s.table.Cur.OwnedBy(k.Range, k.Node) {
-			delete(s.quar, k)
-			touched = append(touched, k.Node)
-			continue
-		}
-		if started >= maxRepairsPerTick || !s.healthyLocked(k.Node, infos) {
-			continue // still down or departing; repair when it answers
-		}
-		started++
-		// The bytes reach the copy through its push (still quarantined);
-		// the quarantine lifts once the repair is verified.
-		fill := func(data []byte) error {
-			p := s.placementLocked(k.Node, false)
-			p.Fill = map[int][]byte{k.Range: data}
-			return s.nodes[k.Node].Push(p)
-		}
-		var err error
-		for attempt := 0; attempt < repairAttempts; attempt++ {
-			if err = s.fl.RepairRange(k.Node, k.Range, fill); err == nil || errors.Is(err, fleet.ErrNoSourceReplica) {
-				break
-			}
-			if errors.Is(err, netblock.ErrStaleEpoch) {
-				s.refreshFleet()
-			}
-			s.tr.Sleep(repairBackoff << attempt)
-		}
+// repair runs verified repairs for quarantined copies whose node answers
+// pings, one after another.
+func (s *Supervisor) repair(infos map[string]pingResult) error {
+	todo, err := s.repairable(infos)
+	for _, k := range todo {
 		if err != nil {
-			reason := HoldRepairFailed
-			if errors.Is(err, fleet.ErrNoSourceReplica) {
-				reason = HoldNoCleanSource
-			}
-			s.holdLocked(reason, k.Node, k.Range)
-			continue
+			break
 		}
-		delete(s.quar, k)
-		touched = append(touched, k.Node)
-		s.repairs++
-		if since, ok := s.downSince[k.Node]; ok && s.nodeClearLocked(k.Node) {
-			s.repairLat = s.tr.Now().Sub(since)
-			delete(s.downSince, k.Node)
-		}
+		err = s.repairCopy(k)
 	}
-	return s.publishLocked(touched)
+	return err
 }
 
-// nodeClearLocked reports whether a node has no quarantined copies left.
-func (s *Supervisor) nodeClearLocked(id string) bool {
-	for k := range s.quar {
-		if k.Node == id {
-			return false
+// repairable picks up to maxRepairsPerTick quarantined copies whose node
+// answers pings. A node that no longer owns the range sheds its mark
+// without traffic (membership moved on), journaled, then pushed.
+func (s *Supervisor) repairable(infos map[string]pingResult) ([]cluster.DegKey, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var todo []cluster.DegKey
+	var touched []string
+	for _, k := range s.quarKeysLocked() {
+		switch {
+		case !s.table.Cur.OwnedBy(k.Range, k.Node):
+			delete(s.quar, k)
+			touched = append(touched, k.Node)
+		case len(todo) < maxRepairsPerTick && s.healthyLocked(k.Node, infos):
+			todo = append(todo, k)
 		}
 	}
-	return true
+	return todo, s.publishLocked(touched)
+}
+
+// repairCopy copies one quarantined copy back from a clean owner, with mu
+// released and per-repair retry and backoff. The bytes reach the copy
+// through its push, still quarantined; the quarantine lifts — journaled,
+// then pushed — once the copy is verified, unless the copy was quarantined
+// anew while it was copied, which leaves it for the next tick.
+func (s *Supervisor) repairCopy(k cluster.DegKey) error {
+	s.mu.Lock()
+	s.repairing, s.spoiled = k, false
+	s.mu.Unlock()
+	fill := func(data []byte) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		pushErr, err := s.pushNodeLocked(k.Node, false, map[int][]byte{k.Range: data})
+		return errors.Join(err, pushErr)
+	}
+	var err error
+	for attempt := 0; attempt < repairAttempts; attempt++ {
+		if err = s.fl.RepairRange(k.Node, k.Range, fill); err == nil || errors.Is(err, fleet.ErrNoSourceReplica) {
+			break
+		}
+		if errors.Is(err, netblock.ErrStaleEpoch) {
+			s.refreshFleet()
+		}
+		s.tr.Sleep(repairBackoff << attempt)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	spoiled := s.spoiled
+	s.repairing, s.spoiled = cluster.DegKey{}, false
+	switch {
+	case errors.Is(err, fleet.ErrNoSourceReplica):
+		s.holdLocked(HoldNoCleanSource, k.Node, k.Range)
+		return nil
+	case err != nil || spoiled:
+		s.holdLocked(HoldRepairFailed, k.Node, k.Range)
+		return nil
+	}
+	delete(s.quar, k)
+	s.repairs++
+	healed := !slices.ContainsFunc(s.quarKeysLocked(), func(q cluster.DegKey) bool { return q.Node == k.Node })
+	if since, ok := s.downSince[k.Node]; ok && healed {
+		s.repairLat = s.tr.Now().Sub(since)
+		delete(s.downSince, k.Node)
+	}
+	return s.publishLocked([]string{k.Node})
 }
 
 // Quarantined reports whether a copy is currently quarantined.

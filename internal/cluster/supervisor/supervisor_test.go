@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,8 +206,8 @@ func startCluster(t *testing.T, ringIDs, spareIDs []string, replicas int, cfg Co
 	if cfg.JournalPath == "" {
 		cfg.JournalPath = filepath.Join(t.TempDir(), "supervisor.journal")
 	}
-	if cfg.Client.DialTimeout == 0 {
-		cfg.Client = dialOpts()
+	if cfg.Transport == nil {
+		cfg.Transport = fleet.TCP(dialOpts())
 	}
 	if cfg.Detector.FailAfter == 0 {
 		cfg.Detector.FailAfter = 2
@@ -301,7 +302,7 @@ func TestSupervisorAutonomousLifecycle(t *testing.T) {
 	// (FailAfter=2) and quarantine every range b serves.
 	nodes["b"].kill(t)
 	st = tickUntil(t, sup, 6, "detection", func(st Status) bool {
-		return contains(st.Down, "b")
+		return slices.Contains(st.Down, "b")
 	})
 	if len(st.Quarantined) == 0 {
 		t.Fatal("down node quarantined nothing")
@@ -330,7 +331,7 @@ func TestSupervisorAutonomousLifecycle(t *testing.T) {
 	// before b's copies count again.
 	nodes["b"].restart(t, sup.Ring().Size(), true)
 	st = tickUntil(t, sup, 12, "repair", func(st Status) bool {
-		return len(st.Quarantined) == 0 && !contains(st.Down, "b")
+		return len(st.Quarantined) == 0 && !slices.Contains(st.Down, "b")
 	})
 	if st.Repairs < quarCount {
 		t.Fatalf("repairs %d < quarantined %d", st.Repairs, quarCount)
@@ -493,7 +494,7 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 	// the journal is authoritative) finishes the interrupted push.
 	var cfg2 Config
 	cfg2.JournalPath = journal
-	cfg2.Client = dialOpts()
+	cfg2.Transport = fleet.TCP(dialOpts())
 	cfg2.Detector.FailAfter = 2
 	for _, id := range []string{"a", "b", "c", "d"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
@@ -563,7 +564,7 @@ func TestSupervisorResumeMidTransition(t *testing.T) {
 
 	var cfg2 Config
 	cfg2.JournalPath = journal
-	cfg2.Client = dialOpts()
+	cfg2.Transport = fleet.TCP(dialOpts())
 	cfg2.Detector.FailAfter = 2
 	for _, id := range []string{"a", "b", "c", "d"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
@@ -625,7 +626,7 @@ func TestChainForwardFailureRepair(t *testing.T) {
 
 	// The supervisor notices the dead tail and quarantines its copies.
 	st := tickUntil(t, sup, 6, "tail detection", func(st Status) bool {
-		return contains(st.Down, tail)
+		return slices.Contains(st.Down, tail)
 	})
 	quarantined := false
 	for _, k := range st.Quarantined {
@@ -641,7 +642,7 @@ func TestChainForwardFailureRepair(t *testing.T) {
 	// the divergence by hash and overwrite it with the acked bytes.
 	nodes[tail].restart(t, sup.Ring().Size(), false)
 	tickUntil(t, sup, 12, "tail repair", func(st Status) bool {
-		return len(st.Quarantined) == 0 && !contains(st.Down, tail)
+		return len(st.Quarantined) == 0 && !slices.Contains(st.Down, tail)
 	})
 	if !bytes.Equal(backendRange(t, nodes[tail], rng), rangeSlice(model, rng)) {
 		t.Fatal("tail not converged onto acked writes after repair")
@@ -656,6 +657,25 @@ func TestChainForwardFailureRepair(t *testing.T) {
 	}
 }
 
+// TestSupervisorRefusedForwardIsReported: over TCP a refused connection is
+// no proof that a member is down — a partition's reset looks the same, with
+// the member still serving other clients — so a head whose first dial to
+// its successor is refused reports the miss before it acknowledges the
+// write, with no tick run.
+func TestSupervisorRefusedForwardIsReported(t *testing.T) {
+	nodes, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+	fl := dataFleet(t, sup)
+	const rng = 0
+	tail := sup.Ring().Owners(rng)[1]
+	nodes[tail].kill(t) // before the head ever dialed it
+	if err := fl.WriteAt(make([]byte, 512), int64(rng)*tRangeBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !sup.Quarantined(tail, rng) {
+		t.Fatalf("tail %s missed an acknowledged write of range %d unreported", tail, rng)
+	}
+}
+
 // TestSupervisorDrainingIsNotFailure: a member announcing a planned drain
 // must be classified as departing — no Down, no detection, no quarantine
 // while it is away — and reclassified healthy when it returns. Coming back
@@ -667,9 +687,9 @@ func TestSupervisorDrainingIsNotFailure(t *testing.T) {
 	// b deregisters the way a SIGTERM'd netblockd does, then goes away.
 	nodes["b"].srv.BeginDrain()
 	st := tickUntil(t, sup, 4, "departing", func(st Status) bool {
-		return contains(st.Departing, "b")
+		return slices.Contains(st.Departing, "b")
 	})
-	if contains(st.Down, "b") || len(st.Quarantined) != 0 {
+	if slices.Contains(st.Down, "b") || len(st.Quarantined) != 0 {
 		t.Fatalf("draining member treated as failed: %+v", st)
 	}
 	nodes["b"].kill(t)
@@ -682,7 +702,7 @@ func TestSupervisorDrainingIsNotFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if contains(st.Down, "b") || len(st.Quarantined) != 0 {
+	if slices.Contains(st.Down, "b") || len(st.Quarantined) != 0 {
 		t.Fatalf("departed member quarantined: %+v", st)
 	}
 
@@ -690,7 +710,7 @@ func TestSupervisorDrainingIsNotFailure(t *testing.T) {
 	// healthy member, never having been detected as failed.
 	nodes["b"].restart(t, sup.Ring().Size(), false)
 	st = tickUntil(t, sup, 6, "rejoin", func(st Status) bool {
-		return !contains(st.Departing, "b") && !contains(st.Down, "b") && len(st.Quarantined) == 0
+		return !slices.Contains(st.Departing, "b") && !slices.Contains(st.Down, "b") && len(st.Quarantined) == 0
 	})
 	if st.Detections != 0 || st.Restarts != 1 {
 		t.Fatalf("planned restart treated as a failure: %+v", st)
@@ -713,7 +733,7 @@ func TestSupervisorAbortsUnresumableTransition(t *testing.T) {
 	// supervisor's config).
 	var cfg2 Config
 	cfg2.JournalPath = journal
-	cfg2.Client = dialOpts()
+	cfg2.Transport = fleet.TCP(dialOpts())
 	cfg2.Detector.FailAfter = 2
 	for _, id := range []string{"a", "b", "c"} {
 		cfg2.Nodes = append(cfg2.Nodes, nodes[id].node())
@@ -771,7 +791,7 @@ func TestSupervisorNoCleanSourceHold(t *testing.T) {
 	// a fail-stops and is quarantined; it returns, but c — the only other
 	// owner of rng — dies before the repair runs.
 	nodes["a"].kill(t)
-	tickUntil(t, sup, 6, "detection", func(st Status) bool { return contains(st.Down, "a") })
+	tickUntil(t, sup, 6, "detection", func(st Status) bool { return slices.Contains(st.Down, "a") })
 	nodes["a"].restart(t, sup.Ring().Size(), false)
 	nodes["c"].kill(t)
 
@@ -984,7 +1004,7 @@ func TestSupervisorRestartedCopyNeverServesStale(t *testing.T) {
 	tickUntil(t, sup, 3, "steady state", func(st Status) bool { return len(st.Down) == 0 })
 
 	nodes["b"].kill(t)
-	tickUntil(t, sup, 6, "b down", func(st Status) bool { return contains(st.Down, "b") })
+	tickUntil(t, sup, 6, "b down", func(st Status) bool { return slices.Contains(st.Down, "b") })
 	model := fill(t, fl, 42) // b misses every write
 
 	nodes["b"].restart(t, sup.Ring().Size(), false)
@@ -995,11 +1015,88 @@ func TestSupervisorRestartedCopyNeverServesStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkVolume(t, fl, model, fmt.Sprintf("tick %d after b's restart", i))
-		if len(st.Quarantined) == 0 && !contains(st.Down, "b") {
+		if len(st.Quarantined) == 0 && !slices.Contains(st.Down, "b") {
 			return
 		}
 	}
 	t.Fatalf("b's copies were never repaired: %+v", sup.Status())
+}
+
+// cutTransport is a TCP transport that cannot reach one member, as a client
+// on the far side of a partition sees it.
+type cutTransport struct {
+	cluster.Transport
+	cut string
+}
+
+func (c cutTransport) Dial(m cluster.Member) (cluster.Peer, error) {
+	if m.ID == c.cut {
+		return nil, fmt.Errorf("dial %s: cut off", m.ID)
+	}
+	return c.Transport.Dial(m)
+}
+
+// TestSupervisorReportsMissesWhileTicking runs the daemon: Start ticks and
+// a monitor polls Status, so the supervisor's lock is rarely free. A writer
+// cut off from a range's head writes through the tail and reports the
+// head's miss; the write is acknowledged only once the head's copy is
+// quarantined, so a reader that reaches the head never gets stale bytes —
+// however the report interleaves with the ticks repairing that copy. Each
+// burst of writes starts once the head's copy is repaired, so its first
+// report finds the copy clean.
+func TestSupervisorReportsMissesWhileTicking(t *testing.T) {
+	_, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{})
+	const rng = 0
+	head := sup.Ring().Owners(rng)[0]
+	writer, err := fleet.NewWith(sup.Ring(), cutTransport{fleet.TCP(dialOpts()), head})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	writer.SetControl(sup.Ring, sup.ReportMiss)
+	reader := dataFleet(t, sup)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sup.Status()
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	sup.Start(time.Millisecond)
+
+	const bursts, burst = 12, 25
+	off := int64(rng) * tRangeBytes
+	want, got := make([]byte, 512), make([]byte, 512)
+	for i := 0; i < bursts*burst; i++ {
+		if i%burst == 0 {
+			tickUntil(t, sup, 20, "head repaired", func(st Status) bool { return len(st.Quarantined) == 0 })
+		}
+		for j := range want {
+			want[j] = byte(i + 1)
+		}
+		if err := writer.WriteAt(want, off); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if err := reader.ReadAt(got, off); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("write %d acknowledged, then read back stale bytes from %s", i, head)
+		}
+	}
+	if st := sup.Status(); st.Repairs < bursts-1 {
+		t.Fatalf("%d repairs of the head's copy for %d bursts of writes: %+v", st.Repairs, bursts, st)
+	}
 }
 
 // TestSupervisorMissedWritesBelowFailAfter: a member is down for one tick —
@@ -1024,7 +1121,7 @@ func TestSupervisorMissedWritesBelowFailAfter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if contains(st.Down, "b") {
+		if slices.Contains(st.Down, "b") {
 			t.Fatalf("b classified Down after one missed ping: %+v", st)
 		}
 		checkVolume(t, fl, model, fmt.Sprintf("tick %d after b's return", i))
