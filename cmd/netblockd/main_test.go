@@ -354,14 +354,17 @@ func TestDebugAddrPublishesOpStats(t *testing.T) {
 // publishes src_cache — the shard caches' counters summed, with the hit
 // ratio and I/O amplification the benchmark derives from them — so the
 // figure that hid the segment-buffer ratchet (an io_amp below 1) can be read
-// off a running daemon. A flat-volume daemon publishes an empty object.
+// off a running daemon, and so can the rate of Segment Group reclaims. A
+// flat-volume daemon publishes an empty object.
 func TestDebugAddrPublishesCacheCounters(t *testing.T) {
 	type cacheVars struct {
-		Writes, WriteBytes, Reads, ReadHits int64
-		HitRatio                            *float64 `json:"hit_ratio"`
-		IOAmp                               *float64 `json:"io_amp"`
+		Writes, WriteBytes, Reads, ReadHits, GroupReclaims int64
+		HitRatio                                           *float64 `json:"hit_ratio"`
+		IOAmp                                              *float64 `json:"io_amp"`
 	}
-	serve := func(args ...string) (cacheVars, string) {
+	// serve starts a 2 MiB daemon and returns a client, a reader of its
+	// src_cache and a stop function.
+	serve := func(args ...string) (*netblock.Client, func() (cacheVars, string), func()) {
 		var out bytes.Buffer
 		stop := make(chan struct{})
 		ready := make(chan net.Addr, 1)
@@ -378,40 +381,45 @@ func TestDebugAddrPublishesCacheCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cli.Close()
-		page := make([]byte, 4096)
-		for i := int64(0); i < 8; i++ {
-			// Both sides of the 1 MiB stripe boundary: both shards count.
-			if _, err := cli.WriteAt(page, (1<<20)-4*4096+i*4096); err != nil {
+		fetch := func() (cacheVars, string) {
+			resp, err := http.Get(varsURL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var raw struct {
+				Cache json.RawMessage `json:"src_cache"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+				t.Fatal(err)
+			}
+			var vars cacheVars
+			if err := json.Unmarshal(raw.Cache, &vars); err != nil {
+				t.Fatalf("src_cache = %s: %v", raw.Cache, err)
+			}
+			return vars, string(raw.Cache)
+		}
+		return cli, fetch, func() {
+			cli.Close()
+			close(stop)
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := cli.ReadAt(page, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get(varsURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var raw struct {
-			Cache json.RawMessage `json:"src_cache"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-			t.Fatal(err)
-		}
-		var vars cacheVars
-		if err := json.Unmarshal(raw.Cache, &vars); err != nil {
-			t.Fatalf("src_cache = %s: %v", raw.Cache, err)
-		}
-		close(stop)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		return vars, string(raw.Cache)
 	}
 
-	vars, raw := serve("-shards", "2")
+	cli, fetch, stop := serve("-shards", "2")
+	page := make([]byte, 4096)
+	for i := int64(0); i < 8; i++ {
+		// Both sides of the 1 MiB stripe boundary: both shards count.
+		if _, err := cli.WriteAt(page, (1<<20)-4*4096+i*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cli.ReadAt(page, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	vars, raw := fetch()
 	if vars.Writes != 8 || vars.WriteBytes != 8*4096 || vars.Reads != 1 || vars.ReadHits != 1 {
 		t.Fatalf("src_cache = %s, want 8 page writes and 1 read hit summed over both shards", raw)
 	}
@@ -423,8 +431,27 @@ func TestDebugAddrPublishesCacheCounters(t *testing.T) {
 	if vars.IOAmp == nil || math.Abs(*vars.IOAmp-8.0/9) > 1e-9 {
 		t.Fatalf("src_cache = %s, want io_amp = 8/9", raw)
 	}
+	if vars.GroupReclaims != 0 {
+		t.Fatalf("src_cache = %s, want no reclaim yet", raw)
+	}
+	// Rewrite the volume until a shard's cache fills and reclaims a group.
+	chunk := make([]byte, 64<<10)
+	for pass := 0; vars.GroupReclaims == 0; pass++ {
+		if pass == 100 {
+			t.Fatalf("src_cache = %s after %d passes over the volume, want a reclaim", raw, pass)
+		}
+		for off := int64(0); off < 2<<20; off += int64(len(chunk)) {
+			if _, err := cli.WriteAt(chunk, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vars, raw = fetch()
+	}
+	stop()
 
-	if _, raw := serve(); raw != "{}" {
+	_, fetch, stop = serve()
+	if _, raw := fetch(); raw != "{}" {
 		t.Fatalf("flat volume published src_cache = %s, want {}", raw)
 	}
+	stop()
 }

@@ -46,6 +46,9 @@ type Counters struct {
 	MetadataBytes, ParityBytes int64
 	// SSDFlushes counts flush commands the cache issued to its SSDs.
 	SSDFlushes int64
+	// GroupReclaims counts Segment Groups reclaimed: trimmed on every
+	// column and returned to the free pool.
+	GroupReclaims int64
 }
 
 // Add accumulates o into c, field by field: the sum over caches that share
@@ -64,6 +67,7 @@ func (c *Counters) Add(o Counters) {
 	c.MetadataBytes += o.MetadataBytes
 	c.ParityBytes += o.ParityBytes
 	c.SSDFlushes += o.SSDFlushes
+	c.GroupReclaims += o.GroupReclaims
 }
 
 // HitRatio reports read hits over reads, zero when no reads ran.

@@ -1,8 +1,9 @@
 package blockdev
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Content models what a device durably stores, independent of timing. Pages
@@ -14,31 +15,41 @@ import (
 // written so far; Crash discards the volatile region, reverting each dirty
 // page to its last committed value — the simulation's model of a power
 // failure with a volatile device write cache.
+//
+// The store is one dense array indexed by page, allocated by the first tag,
+// blob or corruption write: a device that only ever carries timing traffic
+// never allocates it, and its trims only append to the write log.
 type Content struct {
 	pages int64
+	page  []pageState // nil until the first tag, blob or corruption write
 
-	tags  map[int64]Tag
-	blobs map[int64][]byte
-
-	// shadow* hold the committed value of pages dirtied since the last
-	// flush, so Crash can revert them. A missing entry with presence in
-	// dirty means the page was previously unwritten.
-	shadowTags  map[int64]Tag
-	shadowBlobs map[int64][]byte
-	dirty       map[int64]struct{}
-
-	// shadowCorrupt records, for each dirtied page, whether the committed
-	// copy carried a corruption mark: a crash reverts to that copy, so the
-	// mark must come back with it, while corruption struck after the dirtying
-	// write hit data that never committed and vanishes with it.
-	shadowCorrupt map[int64]bool
-
-	corrupted map[int64]struct{}
+	// undo holds, oldest first, the state a page had before each volatile
+	// write changed it. A page may appear more than once; Crash restores
+	// newest first, so the oldest pre-image — the committed state — wins.
+	undo []undoRec
 
 	// log is the ordered sequence of volatile writes since the last flush.
 	// CrashPartial replays an arbitrary subset of it over the committed
 	// state; FlushContent (and so Crash) resets it.
 	log []writeEntry
+}
+
+// pageState is what one page holds; the zero value is an erased page.
+type pageState struct {
+	tag  Tag
+	blob []byte // immutable once stored; nil when the page holds no blob
+	// corrupt marks silent corruption of the stored copy. A crash that
+	// reverts to a committed copy brings that copy's mark back with it,
+	// while corruption struck after the dirtying write vanishes.
+	corrupt bool
+}
+
+func (s *pageState) empty() bool { return s.tag.IsZero() && s.blob == nil && !s.corrupt }
+
+// undoRec is the pre-image of one page, saved before a volatile write.
+type undoRec struct {
+	page int64
+	was  pageState
 }
 
 // WriteKind labels one entry of the volatile write log.
@@ -66,7 +77,7 @@ func (k WriteKind) String() string {
 }
 
 // writeEntry is one volatile write. Blob slices are the same immutable
-// backing arrays stored in the blobs map, so the log adds no copies.
+// backing arrays stored in the page array, so the log adds no copies.
 type writeEntry struct {
 	kind  WriteKind
 	page  int64
@@ -87,56 +98,19 @@ type WriteRecord struct {
 // NewContent creates a content store for a device with the given capacity in
 // bytes.
 func NewContent(capacity int64) *Content {
-	return &Content{
-		pages:         capacity / PageSize,
-		tags:          make(map[int64]Tag),
-		blobs:         make(map[int64][]byte),
-		shadowTags:    make(map[int64]Tag),
-		shadowBlobs:   make(map[int64][]byte),
-		dirty:         make(map[int64]struct{}),
-		shadowCorrupt: make(map[int64]bool),
-		corrupted:     make(map[int64]struct{}),
-	}
+	return &Content{pages: capacity / PageSize}
 }
 
 // Clone returns an independent copy of the store, including its volatile
 // region and write log. Blob backing arrays are shared: they are immutable
 // (every write installs a fresh slice), so the clone is cheap and safe.
 func (c *Content) Clone() *Content {
-	cp := &Content{
-		pages:         c.pages,
-		tags:          make(map[int64]Tag, len(c.tags)),
-		blobs:         make(map[int64][]byte, len(c.blobs)),
-		shadowTags:    make(map[int64]Tag, len(c.shadowTags)),
-		shadowBlobs:   make(map[int64][]byte, len(c.shadowBlobs)),
-		dirty:         make(map[int64]struct{}, len(c.dirty)),
-		shadowCorrupt: make(map[int64]bool, len(c.shadowCorrupt)),
-		corrupted:     make(map[int64]struct{}, len(c.corrupted)),
-		log:           make([]writeEntry, len(c.log)),
+	return &Content{
+		pages: c.pages,
+		page:  slices.Clone(c.page),
+		undo:  slices.Clone(c.undo),
+		log:   slices.Clone(c.log),
 	}
-	for p, t := range c.tags {
-		cp.tags[p] = t
-	}
-	for p, b := range c.blobs {
-		cp.blobs[p] = b
-	}
-	for p, t := range c.shadowTags {
-		cp.shadowTags[p] = t
-	}
-	for p, b := range c.shadowBlobs {
-		cp.shadowBlobs[p] = b
-	}
-	for p := range c.dirty {
-		cp.dirty[p] = struct{}{}
-	}
-	for p, was := range c.shadowCorrupt {
-		cp.shadowCorrupt[p] = was
-	}
-	for p := range c.corrupted {
-		cp.corrupted[p] = struct{}{}
-	}
-	copy(cp.log, c.log)
-	return cp
 }
 
 // Pages reports the number of pages the store covers.
@@ -149,21 +123,28 @@ func (c *Content) check(page int64) error {
 	return nil
 }
 
-// remember snapshots the committed state of page before its first
-// modification since the last flush.
-func (c *Content) remember(page int64) {
-	if _, ok := c.dirty[page]; ok {
-		return
+// at returns what page holds; page must be in range.
+func (c *Content) at(page int64) pageState {
+	if c.page == nil {
+		return pageState{}
 	}
-	c.dirty[page] = struct{}{}
-	if t, ok := c.tags[page]; ok {
-		c.shadowTags[page] = t
+	return c.page[page]
+}
+
+// state returns the page array, allocating it on first use.
+func (c *Content) state() []pageState {
+	if c.page == nil {
+		c.page = make([]pageState, c.pages)
 	}
-	if b, ok := c.blobs[page]; ok {
-		c.shadowBlobs[page] = b
-	}
-	_, bad := c.corrupted[page]
-	c.shadowCorrupt[page] = bad
+	return c.page
+}
+
+// set installs s at page (volatile), saving the page's previous state for
+// Crash.
+func (c *Content) set(page int64, s pageState) {
+	st := c.state()
+	c.undo = append(c.undo, undoRec{page: page, was: st[page]})
+	st[page] = s
 }
 
 // WriteTag records the tag for a page (volatile until FlushContent).
@@ -171,15 +152,8 @@ func (c *Content) WriteTag(page int64, t Tag) error {
 	if err := c.check(page); err != nil {
 		return err
 	}
-	c.remember(page)
 	c.log = append(c.log, writeEntry{kind: WriteTagKind, page: page, tag: t})
-	delete(c.corrupted, page)
-	if t.IsZero() {
-		delete(c.tags, page)
-	} else {
-		c.tags[page] = t
-	}
-	delete(c.blobs, page)
+	c.set(page, pageState{tag: t})
 	return nil
 }
 
@@ -192,13 +166,10 @@ func (c *Content) WriteBlob(page int64, b []byte) error {
 	if int64(len(b)) > PageSize {
 		return fmt.Errorf("%w: blob of %d bytes exceeds page size", ErrBadRequest, len(b))
 	}
-	c.remember(page)
-	delete(c.corrupted, page)
 	cp := make([]byte, len(b))
 	copy(cp, b)
 	c.log = append(c.log, writeEntry{kind: WriteBlobKind, page: page, blob: cp})
-	c.blobs[page] = cp
-	delete(c.tags, page)
+	c.set(page, pageState{blob: cp})
 	return nil
 }
 
@@ -208,33 +179,31 @@ func (c *Content) ReadTag(page int64) (Tag, error) {
 	if err := c.check(page); err != nil {
 		return ZeroTag, err
 	}
-	t := c.tags[page]
-	if _, bad := c.corrupted[page]; bad {
-		t.Lo ^= 0xdeadbeef
-		t.Hi ^= 1
+	s := c.at(page)
+	if s.corrupt {
+		s.tag.Lo ^= 0xdeadbeef
+		s.tag.Hi ^= 1
 	}
-	return t, nil
+	return s.tag, nil
 }
 
-// ReadBlob returns the metadata blob stored at page, or nil if the page
-// holds no blob. Corrupted blobs have their first byte flipped.
+// ReadBlob returns a copy of the metadata blob stored at page, or nil if the
+// page holds no blob. Corrupted blobs have their first byte flipped.
 func (c *Content) ReadBlob(page int64) ([]byte, error) {
 	if err := c.check(page); err != nil {
 		return nil, err
 	}
-	b, ok := c.blobs[page]
-	if !ok {
-		return nil, nil
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	if _, bad := c.corrupted[page]; bad && len(cp) > 0 {
+	s := c.at(page)
+	cp := bytes.Clone(s.blob)
+	if s.corrupt && len(cp) > 0 {
 		cp[0] ^= 0xff
 	}
 	return cp, nil
 }
 
-// Trim erases a range of pages (volatile until FlushContent).
+// Trim erases a range of pages (volatile until FlushContent). Only pages
+// that held something get a pre-image; the rest of the range is already
+// what a crash would restore.
 func (c *Content) Trim(page, count int64) error {
 	if err := c.check(page); err != nil {
 		return err
@@ -243,53 +212,33 @@ func (c *Content) Trim(page, count int64) error {
 		return fmt.Errorf("%w: trim [%d,%d)", ErrOutOfRange, page, page+count)
 	}
 	c.log = append(c.log, writeEntry{kind: WriteTrimKind, page: page, count: count})
-	for p := page; p < page+count; p++ {
-		c.remember(p)
-		delete(c.tags, p)
-		delete(c.blobs, p)
-		delete(c.corrupted, p)
+	if c.page == nil {
+		return nil
 	}
+	span := c.page[page : page+count]
+	for i := range span {
+		if !span[i].empty() {
+			c.undo = append(c.undo, undoRec{page: page + int64(i), was: span[i]})
+		}
+	}
+	clear(span)
 	return nil
 }
 
 // FlushContent commits all volatile writes; after it returns, Crash no
 // longer reverts them and the write log starts over.
 func (c *Content) FlushContent() {
-	clear(c.dirty)
-	clear(c.shadowTags)
-	clear(c.shadowBlobs)
-	clear(c.shadowCorrupt)
+	c.undo = c.undo[:0]
 	c.log = c.log[:0]
 }
 
 // Crash discards all volatile writes, reverting dirtied pages to their last
 // committed contents (corruption marks included: a mark on the committed
 // copy returns with it, one acquired after dirtying vanishes). It models
-// power failure with a volatile write cache. Pages revert in ascending order
-// so the walk is reproducible under a debugger even though the reverts
-// commute.
+// power failure with a volatile write cache.
 func (c *Content) Crash() {
-	pages := make([]int64, 0, len(c.dirty))
-	for page := range c.dirty {
-		pages = append(pages, page)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, page := range pages {
-		if t, ok := c.shadowTags[page]; ok {
-			c.tags[page] = t
-		} else {
-			delete(c.tags, page)
-		}
-		if b, ok := c.shadowBlobs[page]; ok {
-			c.blobs[page] = b
-		} else {
-			delete(c.blobs, page)
-		}
-		if c.shadowCorrupt[page] {
-			c.corrupted[page] = struct{}{}
-		} else {
-			delete(c.corrupted, page)
-		}
+	for i := len(c.undo) - 1; i >= 0; i-- {
+		c.page[c.undo[i].page] = c.undo[i].was
 	}
 	c.FlushContent()
 }
@@ -357,7 +306,7 @@ func (c *Content) CrashPartial(s CrashSchedule) error {
 // committed bytes beyond len(prefix) if the old blob was longer. For untorn
 // entries prefix is the full blob and this is a plain WriteBlob.
 func (c *Content) writeTornBlob(page int64, prefix []byte) error {
-	old := c.blobs[page]
+	old := c.at(page).blob
 	if len(old) <= len(prefix) {
 		return c.WriteBlob(page, prefix)
 	}
@@ -373,9 +322,17 @@ func (c *Content) Corrupt(page int64) error {
 	if err := c.check(page); err != nil {
 		return err
 	}
-	c.corrupted[page] = struct{}{}
+	c.state()[page].corrupt = true
 	return nil
 }
 
-// DirtyPages reports how many pages have uncommitted writes.
-func (c *Content) DirtyPages() int { return len(c.dirty) }
+// DirtyPages reports how many pages a crash would restore: every page
+// written since the last flush, and every trimmed page that held something.
+// A trim of a page that held nothing leaves nothing to restore.
+func (c *Content) DirtyPages() int {
+	seen := make(map[int64]struct{}, len(c.undo))
+	for _, u := range c.undo {
+		seen[u.page] = struct{}{}
+	}
+	return len(seen)
+}

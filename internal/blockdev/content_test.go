@@ -2,7 +2,10 @@ package blockdev
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -306,4 +309,268 @@ func TestCrashScheduleValidate(t *testing.T) {
 	if err := c.CrashPartial(s); err == nil {
 		t.Fatal("torn mark on dropped write accepted")
 	}
+}
+
+// TestTrimOfEmptyStoreAllocatesNothing: a store that never held a tag, blob
+// or corruption mark — every device carrying only timing traffic — has no
+// page array, so a whole-erase-group trim only logs itself.
+func TestTrimOfEmptyStoreAllocatesNothing(t *testing.T) {
+	c := NewContent(4096 * PageSize)
+	trim := func() {
+		n := c.WriteLogLen()
+		if err := c.Trim(1024, 1024); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.WriteLogLen(); got != n+1 {
+			t.Fatalf("WriteLogLen %d after a trim, want %d", got, n+1)
+		}
+		c.FlushContent()
+	}
+	if n := testing.AllocsPerRun(100, trim); n != 0 {
+		t.Errorf("1024-page trim of an empty store: %v allocs, want 0", n)
+	}
+	if c.page != nil || c.DirtyPages() != 0 {
+		t.Fatal("trims of an empty store allocated pages or left them dirty")
+	}
+}
+
+// refContent is a map-based reference model of Content, the fuzz oracle for
+// the dense store. It shadows each page's committed state at the first
+// touch after a flush. A trim touches only pages that hold something, the
+// one place DirtyPages changed meaning when the store went dense.
+type refContent struct {
+	pages       int64
+	cur, shadow map[int64]refPage
+	log         []writeEntry
+}
+
+type refPage struct {
+	tag     Tag
+	blob    []byte
+	corrupt bool
+}
+
+func newRef(pages int64) *refContent {
+	return &refContent{pages: pages, cur: map[int64]refPage{}, shadow: map[int64]refPage{}}
+}
+
+func (m *refContent) clone() *refContent {
+	cp := newRef(m.pages)
+	maps.Copy(cp.cur, m.cur)
+	maps.Copy(cp.shadow, m.shadow)
+	cp.log = slices.Clone(m.log)
+	return cp
+}
+
+func (m *refContent) ok(p int64) bool { return p >= 0 && p < m.pages }
+
+func (m *refContent) put(e writeEntry, s refPage) {
+	if _, dirty := m.shadow[e.page]; !dirty {
+		m.shadow[e.page] = m.cur[e.page]
+	}
+	m.cur[e.page] = s
+	m.log = append(m.log, e)
+}
+
+func (m *refContent) trim(p, n int64) {
+	m.log = append(m.log, writeEntry{kind: WriteTrimKind, page: p, count: n})
+	for q := p; q < p+n; q++ {
+		s := m.cur[q]
+		if _, dirty := m.shadow[q]; !dirty && (!s.tag.IsZero() || s.blob != nil || s.corrupt) {
+			m.shadow[q] = s
+		}
+		delete(m.cur, q)
+	}
+}
+
+func (m *refContent) crash() {
+	maps.Copy(m.cur, m.shadow)
+	clear(m.shadow)
+	m.log = nil
+}
+
+// crashPartial mirrors CrashPartial's checks and replay; false means the
+// schedule is invalid and nothing changed.
+func (m *refContent) crashPartial(s CrashSchedule) bool {
+	if s.validate(len(m.log)) != nil {
+		return false
+	}
+	var kept []writeEntry
+	for i, e := range m.log {
+		if k, torn := s.Torn[i]; torn {
+			if e.kind != WriteBlobKind || k < 0 || k >= len(e.blob) {
+				return false
+			}
+			e.blob = e.blob[:k]
+		}
+		if s.Keep[i] {
+			kept = append(kept, e)
+		}
+	}
+	m.crash()
+	for _, e := range kept {
+		switch e.kind {
+		case WriteTagKind:
+			m.put(e, refPage{tag: e.tag})
+		case WriteBlobKind:
+			b := append([]byte{}, e.blob...)
+			if old := m.cur[e.page].blob; len(old) > len(b) {
+				b = append(b, old[len(b):]...)
+			}
+			m.put(e, refPage{blob: b})
+		case WriteTrimKind:
+			m.trim(e.page, e.count)
+		}
+	}
+	clear(m.shadow)
+	m.log = nil
+	return true
+}
+
+func (m *refContent) readTag(p int64) Tag {
+	s := m.cur[p]
+	if s.corrupt {
+		s.tag = s.tag.XOR(Tag{Hi: 1, Lo: 0xdeadbeef})
+	}
+	return s.tag
+}
+
+func (m *refContent) readBlob(p int64) []byte {
+	s := m.cur[p]
+	if s.blob == nil {
+		return nil
+	}
+	b := append([]byte{}, s.blob...)
+	if s.corrupt && len(b) > 0 {
+		b[0] ^= 0xff
+	}
+	return b
+}
+
+func (m *refContent) writeLog() []WriteRecord {
+	recs := make([]WriteRecord, len(m.log))
+	for i, e := range m.log {
+		recs[i] = WriteRecord{Kind: e.kind, Page: e.page, Count: e.count, Len: len(e.blob)}
+	}
+	return recs
+}
+
+// sameContent fails unless c reads exactly like the model m: every page's
+// tag and blob (nil and empty blobs differ), the write log and DirtyPages.
+func sameContent(t *testing.T, what string, c *Content, m *refContent) {
+	t.Helper()
+	for p := int64(0); p < m.pages; p++ {
+		tag, err := c.ReadTag(p)
+		if err != nil || tag != m.readTag(p) {
+			t.Fatalf("%s: page %d tag %v (%v), model %v", what, p, tag, err, m.readTag(p))
+		}
+		got, err := c.ReadBlob(p)
+		want := m.readBlob(p)
+		if err != nil || !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s: page %d blob %q (%v), model %q", what, p, got, err, want)
+		}
+	}
+	if got, want := c.WriteLog(), m.writeLog(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: write log %v, model %v", what, got, want)
+	}
+	if got, want := c.DirtyPages(), len(m.shadow); got != want {
+		t.Fatalf("%s: %d dirty pages, model %d", what, got, want)
+	}
+}
+
+// FuzzContentOps decodes a byte string into a sequence of Content operations
+// — op byte, then its arguments — and runs it against the dense store and
+// the map model side by side, with a clone of each taken along the way, and
+// checks after every op that both pairs read alike. Pages run one past the
+// end so out-of-range calls must fail alike too.
+//
+//	0 WriteTag page hi lo    3 Corrupt page   6 CrashPartial, one byte per log entry:
+//	1 WriteBlob page n v     4 FlushContent     bit 0 keep, bits 1-2 both set tear at
+//	2 Trim page n            5 Crash            the rest mod the blob length
+//	7 Clone                  8 Crash the clones
+func FuzzContentOps(f *testing.F) {
+	// Trim over corrupt committed pages, one tagged and one holding only
+	// the mark, then crash: both marks return.
+	f.Add([]byte{0, 3, 7, 7, 4, 3, 3, 3, 4, 2, 2, 3, 5})
+	// A torn blob over a longer committed blob keeps the old tail.
+	f.Add([]byte{1, 5, 8, 'a', 4, 1, 5, 3, 'x', 6, 6 | 2<<3 | 1})
+	// Crash after trimming a written page, with a clone taken in between.
+	f.Add([]byte{0, 1, 9, 9, 4, 0, 2, 5, 5, 2, 0, 4, 7, 5, 8})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const pages = 16
+		if len(ops) > 256 {
+			ops = ops[:256] // every op rechecks every page and the log
+		}
+		c, m := NewContent(pages*PageSize), newRef(pages)
+		cc, mc := c.Clone(), m.clone()
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		page := func() int64 { return int64(next()) % (pages + 1) }
+		for step := 0; len(ops) > 0; step++ {
+			var err error
+			valid := true
+			switch op := next() % 9; op {
+			case 0:
+				p, tag := page(), Tag{Hi: uint64(next()), Lo: uint64(next())}
+				if err, valid = c.WriteTag(p, tag), m.ok(p); valid {
+					m.put(writeEntry{kind: WriteTagKind, page: p, tag: tag}, refPage{tag: tag})
+				}
+			case 1:
+				p, b := page(), make([]byte, next()%9)
+				v := next()
+				for i := range b {
+					b[i] = v + byte(i)
+				}
+				if err, valid = c.WriteBlob(p, b), m.ok(p); valid {
+					b = slices.Clone(b)
+					m.put(writeEntry{kind: WriteBlobKind, page: p, blob: b}, refPage{blob: b})
+				}
+			case 2:
+				p, n := page(), int64(next()%6)
+				if err, valid = c.Trim(p, n), m.ok(p) && p+n <= pages; valid {
+					m.trim(p, n)
+				}
+			case 3:
+				p := page()
+				if err, valid = c.Corrupt(p), m.ok(p); valid {
+					s := m.cur[p]
+					s.corrupt = true
+					m.cur[p] = s
+				}
+			case 4:
+				c.FlushContent()
+				clear(m.shadow)
+				m.log = nil
+			case 5:
+				c.Crash()
+				m.crash()
+			case 6:
+				s := DropAllSchedule(len(m.log))
+				for i, e := range m.log {
+					b := next()
+					s.Keep[i] = b&1 != 0
+					if b&6 == 6 {
+						s = s.Tear(i, int(b>>3)%max(1, len(e.blob)))
+					}
+				}
+				err, valid = c.CrashPartial(s), m.crashPartial(s)
+			case 7:
+				cc, mc = c.Clone(), m.clone()
+			case 8:
+				cc.Crash()
+				mc.crash()
+			}
+			if (err == nil) != valid {
+				t.Fatalf("step %d: error %v, model valid %v", step, err, valid)
+			}
+			sameContent(t, "store", c, m)
+			sameContent(t, "clone", cc, mc)
+		}
+	})
 }

@@ -83,3 +83,12 @@ func (b *segBuffer) Reset() {
 	b.slots = b.slots[:0]
 	b.live = 0
 }
+
+// Take empties the buffer and returns its slots; the buffer carries on in
+// spare's array. Handing each taken slice back as the next spare seals
+// segments without copying or allocating.
+func (b *segBuffer) Take(spare []bufSlot) []bufSlot {
+	slots := b.slots
+	b.slots, b.live = spare[:0], 0
+	return slots
+}

@@ -168,10 +168,11 @@ func (c *Cache) costBenefit(sg int64) float64 {
 // SSD reads needed to stage the pages that will move: dirty pages always
 // (they are either destaged or copied), hot clean pages under S2S copy
 // mode, and all clean pages when keepCold copies them forward. It clears
-// the victim's slots and mapping entries.
+// the victim's slots and mapping entries. The returned entries are scratch,
+// valid until the next evacuate.
 func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) ([]liveEntry, vtime.Time, error) {
 	g := &c.groups[victim]
-	live := make([]liveEntry, 0, g.valid)
+	live := c.scratch.live[:0]
 	readDone := at
 
 	// Pass 1: gather entries in location order and clear the slots.
@@ -227,13 +228,14 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 		c.totalValid--
 		c.mapping.del(lba)
 	}
+	c.scratch.live = live
 
 	// Pass 2: stage the pages that move, coalescing location-contiguous
 	// reads; a failed column is reconstructed from parity, or — in a
 	// parityless segment — its pages are marked lost (clean data only;
 	// dirty pages in parityless segments exist only under RAID-0, where
 	// a failure is fatal anyway).
-	run := make([]int, 0, 16)
+	run := c.scratch.run[:0]
 	flushRun := func() error {
 		if len(run) == 0 {
 			return nil
@@ -289,6 +291,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 	if err := flushRun(); err != nil {
 		return nil, readDone, err
 	}
+	c.scratch.run = run
 	// Lost entries cannot be copied or destaged.
 	kept := live[:0]
 	for _, e := range live {
@@ -329,6 +332,7 @@ func (c *Cache) reclaim(at vtime.Time, victim int64) error {
 		}
 	}
 	c.freeSGs = append(c.freeSGs, victim)
+	c.counters.GroupReclaims++
 	return nil
 }
 
@@ -416,12 +420,13 @@ func (c *Cache) destageBufferedDirty(at vtime.Time) (vtime.Time, error) {
 // destage implements S2D: dirty pages are written back to primary storage
 // (coalesced into LBA-contiguous runs) and clean pages are simply dropped.
 func (c *Cache) destage(readDone vtime.Time, live []liveEntry) error {
-	var lbas []int64
+	lbas := c.scratch.lbas[:0]
 	for _, e := range live {
 		if e.dirty {
 			lbas = append(lbas, e.lba)
 		}
 	}
+	c.scratch.lbas = lbas
 	_, err := c.destageRuns(readDone, lbas)
 	return err
 }

@@ -1,10 +1,62 @@
 package src
 
 import (
+	"math/rand"
 	"testing"
 
+	"srccache/internal/bench"
 	"srccache/internal/blockdev"
 )
+
+// TestReclaimAllocatesNothing pins the reclaim path at zero allocations.
+// Once warm, each run drives Zipf traffic (70 % writes) until a Segment Group
+// is reclaimed: the gc round that reclaims it (evacuate, the S2S copies or
+// the S2D destage, the drain, the flush and the whole-group trim) and the
+// seals around it allocate nothing, under S2S copying, under S2D and with
+// the separate GC buffer.
+func TestReclaimAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		work   func(bench.Counters) int64 // proves the mode ran
+	}{
+		{"S2S", func(*Config) {}, func(k bench.Counters) int64 { return k.GCCopyBytes }},
+		{"S2D", func(c *Config) { c.GC = S2D }, func(k bench.Counters) int64 { return k.DestageBytes }},
+		{"SeparateGCBuffer", func(c *Config) { c.SeparateGCBuffer = true }, func(k bench.Counters) int64 { return k.GCSegments }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, func(c *Config) { c.TrackContent = false; tc.mutate(c) })
+			c := e.cache
+			rng := rand.New(rand.NewSource(1))
+			zipf := rand.NewZipf(rng, 1.1, 1, uint64(testPrimCap/blockdev.PageSize-1))
+			reclaim := func() {
+				for n := c.counters.GroupReclaims; c.counters.GroupReclaims == n; {
+					req := blockdev.Request{Op: blockdev.OpWrite, Off: int64(zipf.Uint64()) * blockdev.PageSize, Len: blockdev.PageSize}
+					if rng.Intn(10) < 3 {
+						req.Op = blockdev.OpRead
+					}
+					if _, err := c.Submit(e.at, req); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 200; i++ {
+				reclaim() // every scratch slice reaches its high-water mark
+			}
+			before := c.counters
+			const runs = 100
+			if n := testing.AllocsPerRun(runs, reclaim); n != 0 {
+				t.Errorf("%v allocs per reclaim, want 0", n)
+			}
+			if got := c.counters.GroupReclaims - before.GroupReclaims; got < runs+1 {
+				t.Fatalf("%d reclaims in %d runs", got, runs+1)
+			}
+			if tc.work(c.counters) == tc.work(before) {
+				t.Fatalf("no %s work in the measured reclaims: %+v", tc.name, c.counters)
+			}
+		})
+	}
+}
 
 // TestSelGCCopyBoundaryAtUMax pins the S2S/S2D switch at exactly U_MAX:
 // the paper (§4.2) copies "while utilization is below U_MAX", so at the

@@ -3,6 +3,7 @@ package src
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
@@ -33,7 +34,9 @@ func (c *Cache) allocSegment(at vtime.Time) (sg, seg int64, err error) {
 			return 0, 0, ErrNoFreeGroups
 		}
 		next := c.freeSGs[0]
-		c.freeSGs = c.freeSGs[1:]
+		// Shift rather than reslice, so the queue does not creep through
+		// its array and reallocate every few reclaims.
+		c.freeSGs = slices.Delete(c.freeSGs, 0, 1)
 		g := &c.groups[next]
 		g.ensureTables(c.lay)
 		g.state = groupActive
@@ -78,8 +81,10 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 		c.nextSeg--
 		return at, nil
 	}
-	slots := append(make([]bufSlot, 0, buf.Len()), buf.slots...)
-	buf.Reset()
+	// The taken slots become the next seal's spare at once: nothing below
+	// seals another segment before this call returns.
+	slots := buf.Take(c.scratch.slots)
+	c.scratch.slots = slots
 	absSeg := sg*c.lay.segsPerSG + seg
 	cols, parity := c.payloadCols(absSeg, dirty)
 	g := &c.groups[sg]
@@ -94,18 +99,18 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	// (segBuffer's capacity contract: a GC copy or an append after an
 	// abandoned write); slots beyond this segment's capacity go back to
 	// the buffer as overflow.
-	perCol := make([][]summaryEntry, c.lay.m)
-	colTags := make([][]blockdev.Tag, c.lay.m)
+	perCol := rows(c.scratch.perCol, c.lay.m)
+	colTags := rows(c.scratch.colTags, c.lay.m)
 	segCap := int64(len(cols)) * c.lay.payloadPages
 	var overflow []bufSlot
 	idx := int64(0)
-	for _, slot := range slots {
+	for i, slot := range slots {
 		if !slot.valid {
 			continue
 		}
 		if idx == segCap {
-			overflow = append(overflow, slot)
-			continue
+			overflow = slots[i:] // rebuffer skips the invalid ones
+			break
 		}
 		col := cols[idx/c.lay.payloadPages]
 		pic := 1 + idx%c.lay.payloadPages
@@ -124,6 +129,7 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 			colTags[col] = append(colTags[col], slot.tag)
 		}
 	}
+	c.scratch.perCol, c.scratch.colTags = perCol, colTags
 	c.rebuffer(buf, overflow, dirty)
 	c.wastedSlots += segCap - idx
 	g.paycap += segCap
@@ -142,9 +148,8 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	}
 	writeCols := cols
 	if parity >= 0 {
-		wc := make([]int, 0, len(cols)+1)
-		wc = append(wc, cols...)
-		writeCols = append(wc, parity)
+		writeCols = append(append(c.scratch.writeCols[:0], cols...), parity)
+		c.scratch.writeCols = writeCols
 	}
 	for _, col := range writeCols {
 		used := int64(len(perCol[col]))
@@ -330,16 +335,12 @@ func (c *Cache) handleFailedColumns(failedCols []int, perCol [][]summaryEntry, p
 func (c *Cache) recordSegmentContent(sg, seg, gen int64, parity int, perCol [][]summaryEntry, colTags [][]blockdev.Tag, maxUsed int64, failedCols []int) error {
 	colBase := c.lay.colOffset(c.cfg, sg, seg)
 	basePage := colBase / blockdev.PageSize
-	failed := make(map[int]bool, len(failedCols))
-	for _, col := range failedCols {
-		failed[col] = true
-	}
 	for col := 0; col < c.lay.m; col++ {
 		isParity := col == parity
 		if len(perCol[col]) == 0 && !isParity {
 			continue
 		}
-		if failed[col] {
+		if slices.Contains(failedCols, col) {
 			continue
 		}
 		cont := c.cfg.SSDs[col].Content()

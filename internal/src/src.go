@@ -3,7 +3,7 @@ package src
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"srccache/internal/bench"
 	"srccache/internal/bitmap"
@@ -53,6 +53,38 @@ type Cache struct {
 	rebuild *rebuildState
 	scrub   scrubCursor
 	repair  RepairStats
+
+	scratch scratch
+}
+
+// scratch is the working memory every segment seal and every reclaim
+// reuses, so neither allocates once it has grown to size. One set is safe
+// because reentry is bounded: writeSegment nests only through allocSegment's
+// gc, which runs to completion before the outer call takes its snapshot, and
+// gc never nests (inGC), so evacuate's live set outlives the seals reinsert
+// triggers. A caller that keeps evacuate's result across another reclaim
+// copies it (Resize).
+type scratch struct {
+	slots     []bufSlot        // spare buffer array, swapped in at each seal
+	cols      []int            // payloadCols' columns
+	writeCols []int            // payload columns plus parity
+	perCol    [][]summaryEntry // summary entries per column
+	colTags   [][]blockdev.Tag // content tags per column (TrackContent only)
+	live      []liveEntry      // evacuate's gathered pages
+	run       []int            // evacuate's coalesced read run
+	lbas      []int64          // destage's dirty pages
+}
+
+// rows empties each of the first n rows of s, keeping their arrays.
+func rows[T any](s [][]T, n int) [][]T {
+	for len(s) < n {
+		s = append(s, nil)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
 }
 
 var _ bench.Cache = (*Cache)(nil)
@@ -111,18 +143,19 @@ func (c *Cache) Primary() blockdev.Device { return c.cfg.Primary }
 
 // payloadCols lists the columns that carry payload in a segment of the
 // given kind at the given absolute segment number, and the parity column
-// (-1 when parityless).
+// (-1 when parityless). cols is scratch, valid until the next call.
 func (c *Cache) payloadCols(absSeg int64, dirty bool) (cols []int, parity int) {
 	parity = -1
 	if dirty || c.cfg.Parity == PC {
 		parity = parityCol(c.cfg.Level, c.lay.m, absSeg)
 	}
-	cols = make([]int, 0, c.lay.m)
+	cols = c.scratch.cols[:0]
 	for col := 0; col < c.lay.m; col++ {
 		if col != parity {
 			cols = append(cols, col)
 		}
 	}
+	c.scratch.cols = cols
 	return cols, parity
 }
 
@@ -206,8 +239,8 @@ func (c *Cache) dropPage(lba int64, e entry) {
 // (the primary storage's address space). It is the cache's per-request
 // entry point — the write/read hot path: a steady-state hit or buffered
 // rewrite allocates nothing (TestSubmitSteadyStateAllocatesNothing), and
-// sealing a segment allocates a fixed, pinned amount
-// (TestSegmentSealAllocations).
+// neither does sealing a segment or reclaiming a group once the scratch has
+// grown (TestSegmentSealAllocations, TestReclaimAllocatesNothing).
 func (c *Cache) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	if err := req.Validate(c.cfg.Primary.Capacity()); err != nil {
 		return at, err
@@ -506,7 +539,7 @@ func (c *Cache) destageRuns(ready vtime.Time, lbas []int64) (vtime.Time, error) 
 	if len(lbas) == 0 {
 		return ready, nil
 	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
+	slices.Sort(lbas)
 	done := ready
 	runStart := lbas[0]
 	prev := lbas[0]
