@@ -24,9 +24,13 @@ const (
 	tRangeBytes = int64(4096)
 )
 
+// dialOpts and serverIdle are netblockd's deadlines: the chain's and the
+// client's, and the server's default idle timeout.
 func dialOpts() netblock.ClientOptions {
-	return netblock.ClientOptions{DialTimeout: time.Second, Timeout: 2 * time.Second}
+	return netblock.ClientOptions{DialTimeout: 2 * time.Second, Timeout: 10 * time.Second}
 }
+
+const serverIdle = 2 * time.Minute
 
 type tnode struct {
 	id    string
@@ -59,6 +63,7 @@ func startNode(t *testing.T, id string, ring *cluster.Ring) *tnode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.IdleTimeout = serverIdle
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +127,7 @@ func restartNode(t *testing.T, n *tnode, ring *cluster.Ring, wipe bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.IdleTimeout = serverIdle
 	if _, err := srv.Listen(n.addr); err != nil {
 		t.Fatalf("rebind %s: %v", n.addr, err)
 	}
@@ -495,5 +501,45 @@ func TestFleetStaleEpochRefetch(t *testing.T) {
 	}
 	if !bytes.Equal(got[:64], patch) {
 		t.Fatalf("write after refetch missed new owner %s", owner)
+	}
+}
+
+// TestFleetRoundTripAllocatesNothing pins the replicated hot path at zero
+// allocations: a 4 KiB write through a 3-node R = 3 chain (client, head,
+// two forwards) and a read back, over loopback TCP with netblockd's
+// deadlines.
+func TestFleetRoundTripAllocatesNothing(t *testing.T) {
+	nodes, _, fl := startFleet(t, []string{"n0", "n1", "n2"}, 3)
+	const off = 3 * tRangeBytes
+	page := bytes.Repeat([]byte{0x5a}, int(tRangeBytes))
+	got := make([]byte, len(page))
+	roundTrip := func() {
+		if err := fl.WriteAt(page, off); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.ReadAt(got, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Dial every connection and grow every payload buffer first.
+	for i := 0; i < 1000; i++ {
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+		t.Errorf("%v allocations per replicated write+read, want 0", n)
+	}
+	if !bytes.Equal(got, page) {
+		t.Fatal("read back other bytes than written")
+	}
+	var forwards int64
+	for _, n := range nodes {
+		ok, failed := n.chain.Forwards()
+		if failed != 0 {
+			t.Fatalf("%d failed forwards on a healthy chain", failed)
+		}
+		forwards += ok
+	}
+	if writes := fl.Stats().Writes; forwards != 2*writes {
+		t.Errorf("%d forwards for %d writes, want 2 per write", forwards, writes)
 	}
 }

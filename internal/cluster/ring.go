@@ -15,6 +15,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -46,11 +47,13 @@ type Ring struct {
 	RangeBytes int64
 
 	members []Member // sorted by ID
-	points  []point  // sorted by (hash, id)
+	width   int      // chain length: min(Replicas, len(members))
+	chains  []string // range r's chain is chains[r*width : (r+1)*width]
 }
 
-// NewRing builds a ring. Replicas is clamped to the member count per range
-// at lookup time, so a fleet smaller than R still serves (with reduced
+// NewRing builds a ring and places every range once, so a lookup is a
+// slice of the table: 16 B per replica per range. Replicas is clamped to
+// the member count, so a fleet smaller than R still serves (with reduced
 // redundancy) rather than failing.
 func NewRing(replicas, ranges int, rangeBytes int64, members []Member) (*Ring, error) {
 	if replicas < 1 {
@@ -78,20 +81,38 @@ func NewRing(replicas, ranges int, rangeBytes int64, members []Member) (*Ring, e
 		r.members = append(r.members, m)
 	}
 	sort.Slice(r.members, func(i, j int) bool { return r.members[i].ID < r.members[j].ID })
+	var points []point
 	for _, m := range r.members {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s#%d", m.ID, v)), id: m.ID})
+			points = append(points, point{hash: hash64(fmt.Sprintf("%s#%d", m.ID, v)), id: m.ID})
 		}
 	}
 	// Ties broken by ID so the circle order is a pure function of the
 	// member set, independent of insertion order.
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
 		}
-		return r.points[i].id < r.points[j].id
+		return points[i].id < points[j].id
 	})
+	r.place(points)
 	return r, nil
+}
+
+// place fills the chain table: range rng's chain is the first width
+// distinct members clockwise of hash("range:rng") on the sorted points.
+func (r *Ring) place(points []point) {
+	r.width = min(r.Replicas, len(r.members))
+	r.chains = make([]string, 0, r.Ranges*r.width)
+	for rng := 0; rng < r.Ranges; rng++ {
+		key := hash64(fmt.Sprintf("range:%d", rng))
+		i := sort.Search(len(points), func(i int) bool { return points[i].hash >= key })
+		for start := len(r.chains); len(r.chains) < start+r.width; i++ {
+			if id := points[i%len(points)].id; !slices.Contains(r.chains[start:], id) {
+				r.chains = append(r.chains, id)
+			}
+		}
+	}
 }
 
 // hash64 hashes a key onto the circle. FNV-1a alone has poor avalanche on
@@ -128,38 +149,18 @@ func (r *Ring) Member(id string) (Member, bool) {
 	return Member{}, false
 }
 
-// Owners returns range rng's replica chain: the first min(Replicas, N)
-// distinct members clockwise of the range's hash point. The order is the
-// chain order — index 0 is the head a client addresses, the last entry the
-// tail whose apply completes the chain.
+// Owners returns range rng's replica chain, rng in [0, Ranges): the first
+// min(Replicas, N) distinct members clockwise of the range's hash point.
+// The order is the chain order — index 0 is the head a client addresses,
+// the last entry the tail whose apply completes the chain. The slice is the
+// ring's own table: callers must not modify it (an append copies).
 func (r *Ring) Owners(rng int) []string {
-	key := hash64(fmt.Sprintf("range:%d", rng))
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	want := r.Replicas
-	if want > len(r.members) {
-		want = len(r.members)
-	}
-	owners := make([]string, 0, want)
-	seen := make(map[string]bool, want)
-	for k := 0; len(owners) < want; k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			owners = append(owners, p.id)
-		}
-	}
-	return owners
+	lo, hi := rng*r.width, (rng+1)*r.width
+	return r.chains[lo:hi:hi]
 }
 
 // OwnedBy reports whether id owns range rng.
-func (r *Ring) OwnedBy(rng int, id string) bool {
-	for _, o := range r.Owners(rng) {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
+func (r *Ring) OwnedBy(rng int, id string) bool { return slices.Contains(r.Owners(rng), id) }
 
 // WithJoin returns a new ring with m added.
 func (r *Ring) WithJoin(m Member) (*Ring, error) {
@@ -193,12 +194,8 @@ type Move struct {
 func Moves(old, new *Ring) []Move {
 	var moves []Move
 	for rng := 0; rng < new.Ranges; rng++ {
-		was := make(map[string]bool)
-		for _, id := range old.Owners(rng) {
-			was[id] = true
-		}
 		for _, id := range new.Owners(rng) {
-			if !was[id] {
+			if !old.OwnedBy(rng, id) {
 				moves = append(moves, Move{Range: rng, Target: id})
 			}
 		}

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -159,6 +163,63 @@ func TestRingMovesMinimal(t *testing.T) {
 	again := Moves(old, grown)
 	if !reflect.DeepEqual(moves, again) {
 		t.Fatal("Moves not deterministic")
+	}
+}
+
+// chainDigest hashes every range's chain, in range order.
+func chainDigest(r *Ring) string {
+	h := sha256.New()
+	for rng := 0; rng < r.Ranges; rng++ {
+		fmt.Fprintf(h, "%d:%s;", rng, strings.Join(r.Owners(rng), ","))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// movesDigest hashes a transfer list.
+func movesDigest(moves []Move) string {
+	h := sha256.New()
+	for _, mv := range moves {
+		fmt.Fprintf(h, "%d>%s;", mv.Range, mv.Target)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestRingPlacementGolden pins placement byte for byte: every chain of the
+// benchmark's ring and of a larger one, and the transfers of a join and a
+// leave. Journals, churn seeds and running fleets all assume the same
+// range lands on the same chain; a change here re-places live data.
+func TestRingPlacementGolden(t *testing.T) {
+	bench := mustRing(t, 3, 64, "n0", "n1", "n2")
+	five := mustRing(t, 3, 256, "n0", "n1", "n2", "n3", "n4")
+	grown, err := bench.WithJoin(Member{ID: "n3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, err := five.WithLeave("n2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, leave := Moves(bench, grown), Moves(five, shrunk)
+	for _, tc := range []struct{ name, got, want string }{
+		{"3 members, 64 ranges", chainDigest(bench), "29ef7773af77e6d5"},
+		{"5 members, 256 ranges", chainDigest(five), "5603bd0921919695"},
+		{"join n3", fmt.Sprintf("%d %s", len(join), movesDigest(join)), "43 2267d9113270bee2"},
+		{"leave n2", fmt.Sprintf("%d %s", len(leave), movesDigest(leave)), "172 9fe7beebd79cadcb"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: placement %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestRingOwnersIsolated checks that a caller appending to one chain cannot
+// write into the next range's.
+func TestRingOwnersIsolated(t *testing.T) {
+	r := mustRing(t, 2, 8, "a", "b", "c")
+	want := append([]string(nil), r.Owners(1)...)
+	_ = append(r.Owners(0), "x")
+	if got := r.Owners(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Owners(1) = %v after appending to Owners(0), want %v", got, want)
 	}
 }
 

@@ -36,8 +36,11 @@ var ErrStaleEpoch = errors.New("netblock: " + StaleEpochText)
 type ClientOptions struct {
 	// DialTimeout bounds the TCP connect (0 = no bound).
 	DialTimeout time.Duration
-	// Timeout bounds each request round trip: the request write and the
-	// response read each get this deadline (0 = no bound). Applied only to
+	// Timeout bounds each request round trip (0 = no bound): the request
+	// write and the response read together get at least Timeout and at
+	// most 9/8 of it, so a dead peer is detected within 9/8·Timeout. The
+	// deadline is re-armed only when less than Timeout of it is left, one
+	// update per Timeout/8 of traffic (see rearm). Applied only to
 	// connections that expose deadlines (net.Conn, net.Pipe).
 	Timeout time.Duration
 	// RetryLimit is how many times a transient failure — a timeout, a
@@ -84,14 +87,17 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // Client is a synchronous remote block device over one connection. Methods
 // are safe for concurrent use (requests serialize on the connection).
 type Client struct {
-	mu   sync.Mutex
-	conn io.ReadWriteCloser
-	br   *bufio.Reader // over conn; replaced with it (setConn)
-	fw   frameWriter
-	size int64
-	opts ClientOptions
-	addr string // non-empty when the client can reconnect
-	rng  *rand.Rand
+	mu      sync.Mutex
+	conn    io.ReadWriteCloser
+	br      *bufio.Reader // over conn; replaced with it (setConn)
+	dc      deadliner     // conn's deadlines, nil without them
+	armed   time.Time     // the deadline last set on conn
+	retired bool          // a transport error closed conn
+	fw      frameWriter
+	size    int64
+	opts    ClientOptions
+	addr    string // non-empty when the client can reconnect
+	rng     *rand.Rand
 }
 
 // Dial connects to a server and fetches the volume size.
@@ -145,6 +151,8 @@ func NewClient(conn io.ReadWriteCloser) (*Client, error) {
 // a frame parsed from them would be garbage.
 func (c *Client) setConn(conn io.ReadWriteCloser) {
 	c.conn, c.br = conn, newReader(conn)
+	c.dc, _ = conn.(deadliner)
+	c.armed, c.retired = time.Time{}, false
 }
 
 // handshake fetches the volume size on a new connection.
@@ -160,8 +168,14 @@ func (c *Client) handshake() error {
 // Size reports the remote volume size in bytes.
 func (c *Client) Size() int64 { return c.size }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection; one a transport error already closed is not
+// an error.
+func (c *Client) Close() error {
+	if err := c.conn.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
+}
 
 func (c *Client) dial() (net.Conn, error) {
 	if c.opts.DialTimeout > 0 {
@@ -201,17 +215,21 @@ func (c *Client) backoff(attempt int) {
 	c.opts.Sleep(d)
 }
 
-// roundTrip performs one operation, reconnecting and retrying transient
-// transport failures up to RetryLimit times. All protocol operations are
-// idempotent (same bytes at the same offset; barrier; size), so retrying
-// after an ambiguous failure is safe. The response payload lands in dst
-// (see attempt).
+// roundTrip performs one operation, retrying transient transport failures
+// up to RetryLimit times. A dialable client first replaces a connection
+// that a transport error retired, whether in this operation or an earlier
+// one. All protocol operations are idempotent (same bytes at the same
+// offset; barrier; size), so retrying after an ambiguous failure is safe.
+// The response payload lands in dst (see attempt).
 func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := c.opts.Now()
 	for attempt := 0; ; attempt++ {
-		err := c.attempt(op, off, length, payload, dst)
+		err := c.redial()
+		if err == nil {
+			err = c.attempt(op, off, length, payload, dst)
+		}
 		if err == nil {
 			return nil
 		}
@@ -222,39 +240,40 @@ func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []b
 			return berr
 		}
 		c.backoff(attempt)
-		conn, derr := c.dial()
-		if derr != nil {
-			return fmt.Errorf("reconnect after %v: %w", err, derr)
-		}
-		c.conn.Close()
-		c.setConn(conn)
 	}
 }
 
+// redial replaces a connection that a transport error retired, when the
+// client has an address to dial; a wrapped client keeps failing on it.
+func (c *Client) redial() error {
+	if !c.retired || c.addr == "" {
+		return nil
+	}
+	conn, err := c.dial()
+	if err == nil {
+		c.setConn(conn)
+	}
+	return err
+}
+
 // attempt sends one request and reads its response on the current
-// connection, applying the per-request deadlines when the transport
-// supports them. The payload of an OK response is decoded straight into
-// dst and must be exactly len(dst) bytes — what the op is defined to
-// answer with. Callers hold c.mu (or have exclusive access during setup).
+// connection, under the Timeout deadline when the transport supports it.
+// The payload of an OK response is decoded straight into dst and must be
+// exactly len(dst) bytes — what the op is defined to answer with. Any
+// transport error retires the connection: a request that timed out may
+// still be answered, and that late reply must not answer the next request;
+// whatever follows a malformed frame cannot be told from payload either.
+// Callers hold c.mu (or have exclusive access during setup).
 func (c *Client) attempt(op uint8, off uint64, length uint32, payload, dst []byte) error {
-	dc, _ := c.conn.(deadliner)
-	if dc != nil && c.opts.Timeout > 0 {
-		_ = dc.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
+	if c.dc != nil && c.opts.Timeout > 0 {
+		c.armed = rearm(c.dc, c.armed, c.opts.Timeout)
 	}
 	if err := c.fw.writeRequest(c.conn, op, off, length, payload); err != nil {
-		return err
-	}
-	if dc != nil && c.opts.Timeout > 0 {
-		_ = dc.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+		return c.retire(err)
 	}
 	status, text, err := readResponse(c.br, dst)
 	if err != nil {
-		if errors.Is(err, ErrProtocol) {
-			// Whatever follows a malformed frame cannot be told from
-			// payload: the stream is done, and a retry must redial.
-			c.conn.Close()
-		}
-		return err
+		return c.retire(err)
 	}
 	if status != statusOK {
 		// A stale-epoch refusal is still a remote answer (ErrRemote keeps
@@ -266,6 +285,13 @@ func (c *Client) attempt(op uint8, off uint64, length uint32, payload, dst []byt
 		return fmt.Errorf("%w: %s", ErrRemote, text)
 	}
 	return nil
+}
+
+// retire closes the connection after a transport error and returns err.
+func (c *Client) retire(err error) error {
+	c.conn.Close()
+	c.retired = true
+	return err
 }
 
 func (c *Client) check(off int64, n int) error {

@@ -75,6 +75,121 @@ func TestClientRequestTimeout(t *testing.T) {
 	}
 }
 
+// delayedRead holds the next ReadAt for delay nanoseconds (set by the test,
+// cleared by the read) and then signals answered, if no signal is pending.
+type delayedRead struct {
+	Backend
+	delay    atomic.Int64
+	answered chan struct{}
+}
+
+func newDelayedRead(b Backend) *delayedRead {
+	return &delayedRead{Backend: b, answered: make(chan struct{}, 1)}
+}
+
+func (b *delayedRead) ReadAt(p []byte, off int64) error {
+	if d := time.Duration(b.delay.Swap(0)); d > 0 {
+		time.Sleep(d)
+		select {
+		case b.answered <- struct{}{}:
+		default:
+		}
+	}
+	return b.Backend.ReadAt(p, off)
+}
+
+// TestLateResponseNeverAnswersNextRequest: a request that timed out may
+// still be answered, and on a connection kept in use that late answer would
+// be read as the next request's. A transport error retires the connection:
+// a dialed client redials for its next op (RetryLimit 0 included), a
+// wrapped one fails from then on.
+func TestLateResponseNeverAnswersNextRequest(t *testing.T) {
+	for _, wrapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wrapped=%v", wrapped), func(t *testing.T) {
+			mem, err := MemBackend(2 * pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, second := bytes.Repeat([]byte{0xaa}, pageSize), bytes.Repeat([]byte{0xbb}, pageSize)
+			_ = mem.WriteAt(first, 0)
+			_ = mem.WriteAt(second, pageSize)
+			b := newDelayedRead(mem)
+			b.delay.Store(int64(150 * time.Millisecond))
+			srv, err := NewServerWith(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cli *Client
+			if wrapped {
+				a, c := net.Pipe()
+				go func() { _ = srv.ServeConn(a) }()
+				t.Cleanup(func() { a.Close() })
+				if cli, err = NewClient(c); err == nil {
+					cli.opts.Timeout = 50 * time.Millisecond
+				}
+			} else {
+				var addr net.Addr
+				if addr, err = srv.Listen("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				cli, err = DialOptions(addr.String(), ClientOptions{Timeout: 50 * time.Millisecond})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			p := make([]byte, pageSize)
+			var ne net.Error
+			if _, err := cli.ReadAt(p, 0); !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("slow read: err = %v, want a timeout", err)
+			}
+			<-b.answered // the late response is on its way
+			_, err = cli.ReadAt(p, pageSize)
+			switch {
+			case wrapped && err == nil:
+				t.Fatal("wrapped client served a request on the connection that timed out")
+			case !wrapped && err != nil:
+				t.Fatalf("next read after a timeout: %v", err)
+			case !wrapped && !bytes.Equal(p, second):
+				t.Fatalf("next read returned % x..., want % x...", p[:4], second[:4])
+			}
+		})
+	}
+}
+
+// TestDeadlineWindowNeverShortChanged: deadlines are re-armed lazily, but
+// never so lazily that a wait gets less than the bound. After a burst of
+// fast ops longer than Timeout/8 (so re-arms were skipped), a reply delayed
+// to ¾ Timeout still arrives in time. Then the client idles ¾ of the
+// server's IdleTimeout right after that slow op, and sends a request whose
+// reply is again delayed ¾: the server's wait and its response write each
+// still get the full bound.
+func TestDeadlineWindowNeverShortChanged(t *testing.T) {
+	const bound = 800 * time.Millisecond
+	mem, err := MemBackend(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newDelayedRead(mem)
+	_, cli := startPairOpts(t, b, bound, ClientOptions{Timeout: bound})
+	p := make([]byte, 512)
+	for start := time.Now(); time.Since(start) < bound/2; {
+		if _, err := cli.ReadAt(p, 0); err != nil {
+			t.Fatalf("fast op: %v", err)
+		}
+	}
+	b.delay.Store(int64(bound * 3 / 4))
+	if _, err := cli.ReadAt(p, 0); err != nil {
+		t.Fatalf("reply delayed to 3/4 of Timeout after a burst: %v", err)
+	}
+	time.Sleep(bound * 3 / 4)
+	b.delay.Store(int64(bound * 3 / 4))
+	if _, err := cli.ReadAt(p, 0); err != nil {
+		t.Fatalf("slow reply to a request sent after idling 3/4 of IdleTimeout: %v", err)
+	}
+}
+
 func TestClientReconnectsAfterDrop(t *testing.T) {
 	srv, err := NewServer(4096)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"srccache/internal/engine"
 )
@@ -141,7 +142,9 @@ func TestOneWritePerFrame(t *testing.T) {
 // most one allocation per 4 KiB read and write over loopback TCP: the
 // frames, the payload buffers and the decoded request are all reused. With
 // the engine as the backend the bound is zero: its Do runs on the
-// connection's goroutine and allocates nothing.
+// connection's goroutine and allocates nothing. The deadlines case runs
+// with netblockd's client Timeout and server IdleTimeout, and forces the
+// client to re-arm its deadline on every op, so the re-arm is pinned too.
 func TestSteadyStateRoundTripAllocs(t *testing.T) {
 	build, err := engine.MemShardBuilder(engine.ShardSpec{ShardBytes: 8 << 20, EraseGroupSize: 1 << 20})
 	if err != nil {
@@ -160,19 +163,22 @@ func TestSteadyStateRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends := []struct {
-		name string
-		b    Backend
-		max  float64
+		name          string
+		b             Backend
+		max           float64
+		idle, timeout time.Duration
 	}{
-		{"flat", flat, 1},
-		{"engine", eng, 0},
+		{"flat", flat, 1, 0, 0},
+		{"engine", eng, 0, 0, 0},
+		{"engine with deadlines", eng, 0, 2 * time.Minute, 10 * time.Second},
 	}
 	for _, tc := range backends {
 		t.Run(tc.name, func(t *testing.T) {
-			_, cli := startPairWith(t, tc.b)
+			_, cli := startPairOpts(t, tc.b, tc.idle, ClientOptions{Timeout: tc.timeout})
 			page := bytes.Repeat([]byte{0xc3}, pageSize)
 			got := make([]byte, pageSize)
 			roundTrip := func() {
+				cli.armed = time.Time{}
 				if _, err := cli.WriteAt(page, 3*pageSize); err != nil {
 					t.Fatal(err)
 				}

@@ -24,16 +24,24 @@ func startPair(t *testing.T, size int64) (*Server, *Client) {
 // startPairWith is startPair over an arbitrary backend.
 func startPairWith(t *testing.T, b Backend) (*Server, *Client) {
 	t.Helper()
+	return startPairOpts(t, b, 0, ClientOptions{})
+}
+
+// startPairOpts is startPairWith with the server's IdleTimeout and the
+// client's options.
+func startPairOpts(t *testing.T, b Backend, idle time.Duration, o ClientOptions) (*Server, *Client) {
+	t.Helper()
 	srv, err := NewServerWith(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.IdleTimeout = idle
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(addr.String())
+	cli, err := DialOptions(addr.String(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

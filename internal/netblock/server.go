@@ -69,9 +69,11 @@ func (b *memBackend) Size() int64 { return int64(len(b.data)) }
 // Server exports one volume to any number of concurrent clients.
 type Server struct {
 	// IdleTimeout, when positive, bounds how long a connection may sit
-	// between requests (and how long one response write may take) before
-	// the server drops it. Without it a hung or vanished client pins its
-	// goroutine forever and blocks Close. Set before Listen.
+	// between requests, and how long one response write may take, before
+	// the server drops it: each wait and each write gets at least
+	// IdleTimeout and at most 9/8 of it (see rearm). Without it a hung or
+	// vanished client pins its goroutine forever and blocks Close. Set
+	// before Listen.
 	IdleTimeout time.Duration
 	// DrainGrace is how long Close lets in-flight requests finish before
 	// interrupting their connections. Zero interrupts immediately. Set
@@ -351,10 +353,26 @@ func (s *Server) Close() error {
 }
 
 // deadliner is the deadline surface of net.Conn; ServeConn applies
-// IdleTimeout only to connections that expose it.
+// IdleTimeout, and the client its Timeout, only to connections that expose
+// it.
 type deadliner interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
+	SetDeadline(t time.Time) error
+}
+
+// rearm keeps a connection's deadline at least d ahead of now, given the
+// deadline armed last: when less than d is left, it arms now+d+d/8, read
+// and write together (equal deadlines share one poller timer). Whatever
+// waits on the connection next gets at least d, a dead peer is detected
+// within 9/8·d, and a busy connection pays one deadline update per d/8 of
+// traffic instead of one or two per frame.
+func rearm(dc deadliner, armed time.Time, d time.Duration) time.Time {
+	now := time.Now()
+	if armed.Sub(now) >= d {
+		return armed
+	}
+	armed = now.Add(d + d/8)
+	_ = dc.SetDeadline(armed)
+	return armed
 }
 
 // serverConn is the framing state of one served connection, allocated once
@@ -370,18 +388,25 @@ type serverConn struct {
 // ServeConn handles one client connection until EOF or error. It can be
 // used directly (e.g. over net.Pipe in tests) without Listen. If conn
 // supports deadlines and IdleTimeout is set, each request must arrive — and
-// each response must be written — within IdleTimeout. During shutdown a
-// deadline interruption is a clean exit, not an error.
+// each response must be written — within IdleTimeout (to 9/8 of it). During
+// shutdown a deadline interruption is a clean exit, not an error.
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	dc, _ := conn.(deadliner)
+	if s.IdleTimeout <= 0 {
+		dc = nil
+	}
+	var armed time.Time
 	c := new(serverConn)
 	c.w, c.br = conn, newReader(conn)
 	for {
+		if dc != nil {
+			armed = rearm(dc, armed, s.IdleTimeout)
+		}
+		// Checked after the re-arm: Close marks the drain before it sets
+		// the drain deadline, so either that deadline lands after this
+		// re-arm or the loop sees the drain here.
 		if s.draining() {
 			return nil
-		}
-		if dc != nil && s.IdleTimeout > 0 {
-			_ = dc.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
 		if err := readRequest(c.br, &c.req, &c.buf); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || s.draining() {
@@ -389,8 +414,8 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			}
 			return err
 		}
-		if dc != nil && s.IdleTimeout > 0 {
-			_ = dc.SetWriteDeadline(time.Now().Add(s.IdleTimeout))
+		if dc != nil {
+			armed = rearm(dc, armed, s.IdleTimeout)
 		}
 		if err := s.handle(c); err != nil {
 			if s.draining() {
