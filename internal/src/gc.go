@@ -174,6 +174,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 	g := &c.groups[victim]
 	live := c.scratch.live[:0]
 	readDone := at
+	lost := false // some entry was marked lost and must be filtered out
 
 	// Pass 1: gather entries in location order and clear the slots.
 	base := victim * c.lay.slotsPerSG()
@@ -217,7 +218,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 					case dirty:
 						return nil, readDone, fmt.Errorf("%w: dirty page %d corrupt without parity", ErrDataLoss, lba)
 					default:
-						e.lost = true // dropped; reloads from primary on demand
+						e.lost, lost = true, true // dropped; reloads from primary on demand
 					}
 				}
 			}
@@ -234,7 +235,10 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 	// reads; a failed column is reconstructed from parity, or — in a
 	// parityless segment — its pages are marked lost (clean data only;
 	// dirty pages in parityless segments exist only under RAID-0, where
-	// a failure is fatal anyway).
+	// a failure is fatal anyway). A run extends exactly when loc == prev+1:
+	// live pages sit only at pics 1..payloadPages of a column, never on MS
+	// or ME (pics 0 and pagesPerCol-1), so two consecutive live locations
+	// can never straddle a column, a segment or a group.
 	run := c.scratch.run[:0]
 	flushRun := func() error {
 		if len(run) == 0 {
@@ -261,6 +265,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 					}
 					live[i].lost = true
 				}
+				lost = true
 				run = run[:0]
 				return nil
 			}
@@ -276,14 +281,9 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 		if !live[i].read || live[i].lost {
 			continue
 		}
-		if len(run) > 0 {
-			prev := live[run[len(run)-1]].loc
-			_, _, prevCol, _ := c.lay.split(prev)
-			_, _, col, _ := c.lay.split(live[i].loc)
-			if col != prevCol || live[i].loc != prev+1 {
-				if err := flushRun(); err != nil {
-					return nil, readDone, err
-				}
+		if len(run) > 0 && live[i].loc != live[run[len(run)-1]].loc+1 {
+			if err := flushRun(); err != nil {
+				return nil, readDone, err
 			}
 		}
 		run = append(run, i)
@@ -292,6 +292,9 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 		return nil, readDone, err
 	}
 	c.scratch.run = run
+	if !lost {
+		return live, readDone, nil
+	}
 	// Lost entries cannot be copied or destaged.
 	kept := live[:0]
 	for _, e := range live {
@@ -389,10 +392,11 @@ func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 // segment. Write-through semantics for the affected pages: they stay
 // durable on primary and refetch on the next miss.
 func (c *Cache) destageBufferedDirty(at vtime.Time) (vtime.Time, error) {
-	var lbas []int64
-	gather := func(buf *segBuffer) {
+	// destage's lbas are dead by now: this runs after it, never within it.
+	lbas := c.scratch.lbas[:0]
+	for _, buf := range [...]*segBuffer{c.dirtyBuf, c.gcBuf} {
 		if buf == nil {
-			return
+			continue
 		}
 		for _, s := range buf.slots {
 			if s.valid {
@@ -400,8 +404,7 @@ func (c *Cache) destageBufferedDirty(at vtime.Time) (vtime.Time, error) {
 			}
 		}
 	}
-	gather(c.dirtyBuf)
-	gather(c.gcBuf)
+	c.scratch.lbas = lbas
 	if len(lbas) == 0 {
 		return at, nil
 	}

@@ -1,11 +1,17 @@
 package src
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
+	"srccache/internal/vtime"
 )
 
 // TestReclaimAllocatesNothing pins the reclaim path at zero allocations.
@@ -56,6 +62,152 @@ func TestReclaimAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReclaimTrafficPinned pins what reclaiming costs the devices. A seeded
+// stream runs through at least 20 group reclaims on three shapes, and the
+// per-SSD and primary request counts and bytes, the cache counters, the
+// final virtual time and the order of every device request must match a
+// digest recorded before the reclaim path was last optimised: a faster GC
+// sends exactly the same requests in the same order.
+func TestReclaimTrafficPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ssds   int
+		writes int // percent of requests that write
+		failAt int // request at which column 1 fails; 0 never
+		mutate func(*Config)
+		want   string
+	}{
+		// MemShardBuilder's shape: 4 SSDs, RAID-5, 4 groups, Sel-GC.
+		{"MemShard", 4, 70, 0, func(*Config) {}, "c88034957a14712d"},
+		{"S2DSeparateGCBuffer", 3, 70, 0, func(c *Config) { c.GC = S2D; c.SeparateGCBuffer = true }, "563f620480f0b372"},
+		// A RAID-0 column fails mid-stream, so staged pages on it are marked
+		// lost and filtered out. A dirty page there would be data loss, so
+		// this stream only reads: misses fill, re-reads make pages hot, and
+		// S2S stages the hot ones.
+		{"RAID0FailedColumn", 4, 0, 30_000, func(c *Config) { c.Level = RAID0 }, "15ece3bbd5f56bad"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				egs      = 4 << 20
+				primCap  = 128 << 20
+				requests = 60_000
+			)
+			order := fnv.New64a()
+			ssds := make([]*blockdev.Faulty, tc.ssds)
+			devs := make([]blockdev.Device, tc.ssds)
+			for i := range ssds {
+				ssds[i] = blockdev.NewFaulty(blockdev.NewMemDevice(4*egs, 10*vtime.Microsecond))
+				devs[i] = tap{ssds[i], i, order}
+			}
+			prim := blockdev.NewMemDevice(primCap, vtime.Millisecond)
+			cfg := Config{
+				SSDs: devs, Primary: tap{prim, -1, order}, EraseGroupSize: egs, SegmentColumn: 64 << 10, TrackContent: true,
+			}
+			tc.mutate(&cfg)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(29))
+			pages := int64(primCap / blockdev.PageSize)
+			zipf := rand.NewZipf(rng, 1.05, 1, uint64(pages-1))
+			var at vtime.Time
+			for i := 1; i <= requests; i++ {
+				if i == tc.failAt {
+					ssds[1].Fail()
+				}
+				n := 1 + rng.Int63n(8)
+				lba := rng.Int63n(pages)
+				if rng.Intn(2) == 0 {
+					lba = int64(zipf.Uint64())
+				}
+				req := blockdev.Request{Op: blockdev.OpRead, Off: min(lba, pages-n) * blockdev.PageSize, Len: n * blockdev.PageSize}
+				if rng.Intn(100) < tc.writes {
+					req.Op = blockdev.OpWrite
+				}
+				done, err := c.Submit(at, req)
+				if err != nil {
+					t.Fatalf("request %d %+v: %v", i, req, err)
+				}
+				at = vtime.Max(at, done)
+			}
+			if c.counters.GroupReclaims < 20 {
+				t.Fatalf("%d group reclaims, want at least 20", c.counters.GroupReclaims)
+			}
+			var dump strings.Builder
+			fmt.Fprintf(&dump, "at %d order %016x\ncounters %+v\nprimary %+v\n", at, order.Sum64(), c.counters, *prim.Stats())
+			for i, d := range ssds {
+				fmt.Fprintf(&dump, "ssd %d %+v\n", i, *d.Stats())
+			}
+			h := fnv.New64a()
+			h.Write([]byte(dump.String()))
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
+				t.Errorf("traffic digest %s, want %s:\n%s", got, tc.want, dump.String())
+			}
+		})
+	}
+}
+
+// TestSortLBAs checks destage's radix sort against slices.Sort — empty
+// input, one element, duplicates, keys up to 2^40 and random lengths and
+// widths — and that it allocates nothing once its buffer has grown.
+func TestSortLBAs(t *testing.T) {
+	var buf []int64
+	check := func(keys []int64) {
+		t.Helper()
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		buf = sortLBAs(keys, buf)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("sorted %v, want %v", keys, want)
+		}
+	}
+	check(nil)
+	check([]int64{})
+	check([]int64{0})
+	check([]int64{1 << 40})
+	check([]int64{1 << 40, 5, 1<<40 - 1, 0, 5, 1 << 40, 256, 255, 5})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		keys := make([]int64, rng.Intn(3000))
+		width := rng.Intn(41) // keys in [0, 2^width]: up to six byte passes
+		for j := range keys {
+			keys[j] = rng.Int63n(1<<width + 1)
+		}
+		check(keys)
+	}
+
+	unsorted := make([]int64, 2688) // a victim group's payload slots
+	for j := range unsorted {
+		unsorted[j] = rng.Int63n(1 << 24) // three passes: the odd-count copy-back
+	}
+	keys := slices.Clone(unsorted)
+	if n := testing.AllocsPerRun(100, func() {
+		copy(keys, unsorted)
+		buf = sortLBAs(keys, buf)
+	}); n != 0 {
+		t.Errorf("%v allocs per sort, want 0", n)
+	}
+}
+
+// tap feeds every request a device is handed, with the device and the submit
+// time, into a hash shared by the whole array: the order of all its traffic.
+type tap struct {
+	blockdev.Device
+	id    int
+	order hash.Hash64
+}
+
+func (d tap) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	fmt.Fprintf(d.order, "%d %d %v %d %d\n", d.id, at, req.Op, req.Off, req.Len)
+	return d.Device.Submit(at, req)
+}
+
+func (d tap) Flush(at vtime.Time) (vtime.Time, error) {
+	fmt.Fprintf(d.order, "%d %d flush\n", d.id, at)
+	return d.Device.Flush(at)
 }
 
 // TestSelGCCopyBoundaryAtUMax pins the S2S/S2D switch at exactly U_MAX:

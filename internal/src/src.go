@@ -3,6 +3,7 @@ package src
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"srccache/internal/bench"
@@ -72,7 +73,8 @@ type scratch struct {
 	colTags   [][]blockdev.Tag // content tags per column (TrackContent only)
 	live      []liveEntry      // evacuate's gathered pages
 	run       []int            // evacuate's coalesced read run
-	lbas      []int64          // destage's dirty pages
+	lbas      []int64          // dirty pages destage or destageBufferedDirty write back
+	sorted    []int64          // destageRuns' radix-sort buffer
 }
 
 // rows empties each of the first n rows of s, keeping their arrays.
@@ -539,7 +541,7 @@ func (c *Cache) destageRuns(ready vtime.Time, lbas []int64) (vtime.Time, error) 
 	if len(lbas) == 0 {
 		return ready, nil
 	}
-	slices.Sort(lbas)
+	c.scratch.sorted = sortLBAs(lbas, c.scratch.sorted)
 	done := ready
 	runStart := lbas[0]
 	prev := lbas[0]
@@ -576,6 +578,43 @@ func (c *Cache) destageRuns(ready vtime.Time, lbas []int64) (vtime.Time, error) 
 		}
 	}
 	return done, nil
+}
+
+// sortLBAs sorts non-negative keys in place, least significant byte first:
+// one pass counts the digits of every byte the largest key uses, then one
+// scatter pass per byte moves the keys. That is O(n) where a comparison sort
+// is O(n log n), and the order is the same. buf is scratch, grown to
+// len(keys) and returned for reuse.
+func sortLBAs(keys, buf []int64) []int64 {
+	var top int64
+	for _, k := range keys {
+		top = max(top, k)
+	}
+	passes := uint(bits.Len64(uint64(top))+7) / 8
+	var next [8][256]int // per byte: digit counts, then write cursors
+	for _, k := range keys {
+		for p := uint(0); p < passes; p++ {
+			next[p][byte(k>>(8*p))]++
+		}
+	}
+	buf = slices.Grow(buf[:0], len(keys))[:len(keys)]
+	from, to := keys, buf
+	for p := uint(0); p < passes; p++ {
+		cur := &next[p]
+		for d, pos := 0, 0; d < len(cur); d++ {
+			cur[d], pos = pos, pos+cur[d]
+		}
+		for _, k := range from {
+			d := byte(k >> (8 * p))
+			to[cur[d]] = k
+			cur[d]++
+		}
+		from, to = to, from
+	}
+	if passes%2 == 1 {
+		copy(keys, buf)
+	}
+	return buf
 }
 
 func (c *Cache) String() string {

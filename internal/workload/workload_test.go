@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,6 +129,36 @@ func TestZipfianSkew(t *testing.T) {
 	if float64(top)/n < 0.5 {
 		t.Fatalf("top 1%% of items got %.2f of mass, want > 0.5", float64(top)/n)
 	}
+}
+
+// TestZipfStreamGolden pins the first 100 000 requests of the cache-layer
+// benchmark's stream shape (256 MiB span, 4 KiB, 70 % reads, θ 0.99) to a
+// digest captured before the sampler's constants were hoisted: a faster
+// Next must draw bit-identical offsets.
+func TestZipfStreamGolden(t *testing.T) {
+	g, err := NewGenerator(Config{
+		Pattern: Zipf, Span: 256 << 20, RequestBytes: 4096, ReadFraction: 0.7, Theta: 0.99, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := streamDigest(g, 100_000), "7f276e94766b4dc3"; got != want {
+		t.Fatalf("stream digest %s, want %s", got, want)
+	}
+}
+
+// streamDigest hashes the op, offset and length of src's first n requests.
+func streamDigest(src Source, n int) string {
+	h := fnv.New64a()
+	var b [17]byte
+	for i := 0; i < n; i++ {
+		r, _ := src.Next()
+		b[0] = byte(r.Op)
+		binary.LittleEndian.PutUint64(b[1:], uint64(r.Off))
+		binary.LittleEndian.PutUint64(b[9:], uint64(r.Len))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func TestZipfianFallbackTheta(t *testing.T) {

@@ -16,6 +16,7 @@ type Zipfian struct {
 	zetan float64
 	eta   float64
 	half  float64 // zeta(2, theta)
+	rank1 float64 // 1 + 0.5^theta: a scaled draw below it is rank 1
 	rng   *rand.Rand
 }
 
@@ -31,6 +32,7 @@ func NewZipfian(rng *rand.Rand, n int64, theta float64) *Zipfian {
 	z := &Zipfian{n: n, theta: theta, rng: rng}
 	z.zetan = zeta(n, theta)
 	z.half = zeta(2, theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.half/z.zetan)
 	return z
@@ -46,7 +48,7 @@ func (z *Zipfian) Next() int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
