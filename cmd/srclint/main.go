@@ -9,13 +9,11 @@
 //	lockheld     no sync.Mutex/RWMutex held across blockdev/raid/netblock I/O
 //	flushepoch   //srclint:contract flush functions drain/flush on every
 //	             success path
-//	boundedretry retry/reconnect loops must consult a budget, limit, or
-//	             deadline on every back edge
 //
 // Each analyzer sees one function, or one package, at a time: there is no
-// call graph and nothing crosses a package boundary. ioerr, lockheld,
-// flushepoch and boundedretry are path-sensitive over per-function
-// control-flow graphs (internal/analysis/cfg).
+// call graph and nothing crosses a package boundary. ioerr, lockheld and
+// flushepoch are path-sensitive over per-function control-flow graphs
+// (internal/analysis/cfg).
 //
 // Run standalone (srclint ./...), with -json for machine-readable NDJSON
 // findings on stdout, or as a vet tool:
@@ -36,7 +34,6 @@ import (
 	"os"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/boundedretry"
 	"srccache/internal/analysis/determinism"
 	"srccache/internal/analysis/driver"
 	"srccache/internal/analysis/flushepoch"
@@ -52,6 +49,5 @@ func main() {
 		ioerr.Analyzer,
 		lockheld.Analyzer,
 		flushepoch.Analyzer,
-		boundedretry.Analyzer,
 	}))
 }

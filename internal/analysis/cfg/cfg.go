@@ -33,8 +33,6 @@ import (
 // one of Succs. A block with no successors ends the function (return, panic,
 // or the synthetic Exit).
 type Block struct {
-	// Index is the block's position in Graph.Blocks (entry is 0).
-	Index int
 	// Nodes holds the statements and condition expressions of the block in
 	// execution order. Condition expressions (if/for conditions, switch
 	// tags, range operands) appear as bare ast.Expr nodes.
@@ -110,7 +108,7 @@ type builder struct {
 }
 
 func (b *builder) newBlock() *Block {
-	blk := &Block{Index: len(b.g.Blocks)}
+	blk := &Block{}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }

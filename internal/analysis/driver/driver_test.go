@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"srccache/internal/analysis"
-	"srccache/internal/analysis/boundedretry"
 	"srccache/internal/analysis/determinism"
 	"srccache/internal/analysis/flushepoch"
 	"srccache/internal/analysis/ioerr"
@@ -19,14 +18,13 @@ import (
 	"srccache/internal/analysis/maprange"
 )
 
-// allAnalyzers mirrors cmd/srclint's registration list: all six checks.
+// allAnalyzers mirrors cmd/srclint's registration list: all five checks.
 var allAnalyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	maprange.Analyzer,
 	ioerr.Analyzer,
 	lockheld.Analyzer,
 	flushepoch.Analyzer,
-	boundedretry.Analyzer,
 }
 
 // TestJSONSchema pins the -json wire format: one object per line with
@@ -104,7 +102,7 @@ func listPackageFiles(t *testing.T, importPath string) (files []string, packageF
 	return files, packageFile
 }
 
-// checkClean runs all six analyzers (including stale-suppression
+// checkClean runs all five analyzers (including stale-suppression
 // detection) over one package and reports every diagnostic as an error.
 func checkClean(t *testing.T, importPath string) {
 	t.Helper()
@@ -120,15 +118,14 @@ func checkClean(t *testing.T, importPath string) {
 }
 
 // TestSrcSelfClean asserts the real internal/src package is clean under
-// all six analyzers — the tree-wide self-clean gate in miniature.
+// all five analyzers — the tree-wide self-clean gate in miniature.
 func TestSrcSelfClean(t *testing.T) { checkClean(t, "srccache/internal/src") }
 
 // TestEngineSelfClean covers the sharded engine: the shard lock held
 // across cache.Submit must pass lockheld (src device time is virtual).
 func TestEngineSelfClean(t *testing.T) { checkClean(t, "srccache/internal/engine") }
 
-// TestNetblockSelfClean covers the transport, including the accept loop's
-// reviewed boundedretry allow.
+// TestNetblockSelfClean covers the transport.
 func TestNetblockSelfClean(t *testing.T) { checkClean(t, "srccache/internal/netblock") }
 
 // TestStatsSelfClean audits the package newly added to vet coverage; a
@@ -140,9 +137,8 @@ func TestStatsSelfClean(t *testing.T) { checkClean(t, "srccache/internal/stats")
 // transport must be vtime-pure (no wall clock, no global rand).
 func TestClusterSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster") }
 
-// TestSupervisorSelfClean holds the control plane to the same contract —
-// its clock is the transport's; Start's ticker is the one allowed site —
-// and its repair retries to their attempt budget (boundedretry).
+// TestSupervisorSelfClean holds the control plane to the same contract:
+// its clock is the transport's; Start's ticker is the one allowed site.
 func TestSupervisorSelfClean(t *testing.T) {
 	checkClean(t, "srccache/internal/cluster/supervisor")
 }
@@ -223,32 +219,9 @@ func TestSeedingRemoval(t *testing.T) {
 	}
 }
 
-// TestFleetSelfClean holds the fleet clean under all six analyzers; the TCP
+// TestFleetSelfClean holds the fleet clean under all five analyzers; the TCP
 // transport's two clock reads are its only determinism allows.
 func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster/fleet") }
-
-// TestBoundedRetrySeedingRemoval strips the documented sanction from
-// netblock's accept loop on a copy: the loop's success back edge (Accept
-// returned a connection) consults no budget by design and is allowed by
-// annotation, so deleting the //srclint:allow must make boundedretry
-// report exactly that loop, once. This also proves the allow is load-
-// bearing rather than rotted.
-func TestBoundedRetrySeedingRemoval(t *testing.T) {
-	diags, fset := mutatePackage(t, allAnalyzers, "srccache/internal/netblock", "server.go",
-		"\t//srclint:allow boundedretry accept loop lives as long as the server\n", "")
-	retryDiags := ofCategory(diags, "boundedretry")
-	if len(retryDiags) != 1 {
-		t.Fatalf("want exactly 1 boundedretry diagnostic after removing the accept-loop allow, got %d (all: %v)",
-			len(retryDiags), diags)
-	}
-	posn := fset.Position(retryDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "server.go" {
-		t.Errorf("diagnostic at %v, want in server.go", posn)
-	}
-	if !strings.Contains(retryDiags[0].Message, "Accept") {
-		t.Errorf("message does not name the accept call: %s", retryDiags[0].Message)
-	}
-}
 
 // TestSelectAnalyzers pins the -checks/-exclude semantics: keep-list,
 // drop-list, order preservation, and the unknown-name error naming the
@@ -267,7 +240,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("-checks=flushepoch,determinism must keep registration order: got %v", names(sel))
 	}
 
-	sel, err = SelectAnalyzers(allAnalyzers, "", "flushepoch, boundedretry")
+	sel, err = SelectAnalyzers(allAnalyzers, "", "flushepoch, lockheld")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +248,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("-exclude dropped %d, want 2", len(allAnalyzers)-len(sel))
 	}
 	for _, a := range sel {
-		if a.Name == "flushepoch" || a.Name == "boundedretry" {
+		if a.Name == "flushepoch" || a.Name == "lockheld" {
 			t.Errorf("excluded analyzer %s survived", a.Name)
 		}
 	}
@@ -292,7 +265,7 @@ func TestSelectAnalyzers(t *testing.T) {
 
 	// Retired names are unknown now, like any misspelling.
 	for _, tc := range []struct{ checks, exclude string }{
-		{"hotpath", ""}, {"", "wallclock"}, {"flushepochs", ""},
+		{"hotpath", ""}, {"", "wallclock"}, {"", "boundedretry"}, {"flushepochs", ""},
 	} {
 		if _, err := SelectAnalyzers(allAnalyzers, tc.checks, tc.exclude); err == nil {
 			t.Errorf("checks=%q exclude=%q: want unknown-name error", tc.checks, tc.exclude)

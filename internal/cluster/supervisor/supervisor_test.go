@@ -802,7 +802,7 @@ func TestSupervisorNoCleanSourceHold(t *testing.T) {
 	}
 }
 
-// staleGate refuses reads with the stale-epoch marker while refuse is set.
+// staleGate refuses reads with netblock.ErrStaleEpoch while refuse is set.
 type staleGate struct {
 	netblock.Backend
 	refuse atomic.Bool
@@ -810,7 +810,7 @@ type staleGate struct {
 
 func (g *staleGate) ReadAt(p []byte, off int64) error {
 	if g.refuse.Load() {
-		return fmt.Errorf("gate: %s", netblock.StaleEpochText)
+		return fmt.Errorf("gate: %w", netblock.ErrStaleEpoch)
 	}
 	return g.Backend.ReadAt(p, off)
 }

@@ -6,33 +6,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
-
-// ErrRetryBudget reports that an operation gave up because its
-// ClientOptions.RetryBudget elapsed, with retry attempts still available.
-var ErrRetryBudget = errors.New("netblock: retry budget exhausted")
-
-// StaleEpochText is the substring a server-side refusal carries across the
-// wire to signal a stale-epoch condition; attempt maps refusal payloads
-// containing it to ErrStaleEpoch.
-const StaleEpochText = "stale routing epoch"
 
 // ErrStaleEpoch reports that the server refused a request because it was
 // routed with an outdated placement table: the server does not own the
 // requested range. The caller must refetch its routing table and retry
 // against the current owner — see the placement fence in DESIGN.md §12.
 // Reads, writes, and trims can all surface it: serving (or applying) under
-// rules the routing no longer grants would strand data on a non-owner.
-var ErrStaleEpoch = errors.New("netblock: " + StaleEpochText)
+// rules the routing no longer grants would strand data on a non-owner. A
+// backend refuses with an error wrapping it; the server answers statusStale.
+var ErrStaleEpoch = errors.New("netblock: stale routing epoch")
 
-// ClientOptions tune the client's failure behavior. The zero value keeps
-// the original semantics: block forever on a dead peer, fail on the first
-// error.
+// ClientOptions bound how long the client waits on its peer. The zero
+// value blocks forever on a dead peer. Each call makes one attempt: a
+// transport error retires the connection and fails the call, and the next
+// call on a dialed client redials. Failover and retry are the caller's —
+// the cluster fleet's, which tries a range's owners in order.
 type ClientOptions struct {
 	// DialTimeout bounds the TCP connect (0 = no bound).
 	DialTimeout time.Duration
@@ -43,45 +35,6 @@ type ClientOptions struct {
 	// update per Timeout/8 of traffic (see rearm). Applied only to
 	// connections that expose deadlines (net.Conn, net.Pipe).
 	Timeout time.Duration
-	// RetryLimit is how many times a transient failure — a timeout, a
-	// dropped connection — is retried after reconnecting. Remote errors
-	// (the server answered) are never retried. Dial-created clients
-	// reconnect between attempts; wrapped connections (NewClient) cannot,
-	// so their ops fail on the first transport error regardless.
-	RetryLimit int
-	// RetryBudget bounds the total elapsed time one operation may spend
-	// across all its attempts (0 = unbounded). RetryLimit alone bounds the
-	// attempt count, not the wall clock: with a slow Timeout each retry
-	// can burn the full deadline and a modest limit stalls the caller for
-	// minutes. When the budget is exhausted the operation fails with
-	// ErrRetryBudget wrapping the last transport error, instead of
-	// starting another attempt. Measured via Now, so tests pairing Now
-	// with Sleep stay wallclock-free.
-	RetryBudget time.Duration
-	// RetryDelay is the backoff base: attempt i sleeps RetryDelay<<i plus
-	// seeded jitter. Defaults to 10ms when RetryLimit is set.
-	RetryDelay time.Duration
-	// Seed makes the retry jitter deterministic for tests.
-	Seed int64
-	// Sleep replaces time.Sleep for the backoff, keeping tests
-	// wallclock-free. Nil means time.Sleep.
-	Sleep func(time.Duration)
-	// Now replaces time.Now for the RetryBudget accounting; tests inject a
-	// fake clock advanced by their Sleep. Nil means time.Now.
-	Now func() time.Time
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.RetryLimit > 0 && o.RetryDelay <= 0 {
-		o.RetryDelay = 10 * time.Millisecond
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
 }
 
 // Client is a synchronous remote block device over one connection. Methods
@@ -97,7 +50,6 @@ type Client struct {
 	size    int64
 	opts    ClientOptions
 	addr    string // non-empty when the client can reconnect
-	rng     *rand.Rand
 }
 
 // Dial connects to a server and fetches the volume size.
@@ -105,44 +57,32 @@ func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, ClientOptions{})
 }
 
-// DialOptions is Dial with explicit timeout and retry behavior. The
-// initial connect (and its size handshake) participates in the retry
-// budget like any other operation.
+// DialOptions is Dial with explicit timeouts. It dials and fetches the
+// size once; either failing fails the call.
 func DialOptions(addr string, o ClientOptions) (*Client, error) {
-	c := &Client{opts: o.withDefaults(), addr: addr}
-	c.rng = rand.New(rand.NewSource(c.opts.Seed))
-	start := c.opts.Now()
-	for attempt := 0; ; attempt++ {
-		conn, err := c.dial()
-		if err == nil {
-			c.setConn(conn)
-			if err = c.handshake(); err == nil {
-				return c, nil
-			}
-			conn.Close()
-			if !transient(err) {
-				return nil, err
-			}
-		}
-		if attempt >= c.opts.RetryLimit {
-			return nil, err
-		}
-		if berr := c.overBudget(start, err); berr != nil {
-			return nil, berr
-		}
-		c.backoff(attempt)
+	c := &Client{opts: o, addr: addr}
+	conn, err := c.dial()
+	if err != nil {
+		return nil, err
 	}
+	return c.start(conn)
 }
 
 // NewClient wraps an established connection (e.g. one side of net.Pipe).
+// It cannot redial: after a transport error every call fails.
 func NewClient(conn io.ReadWriteCloser) (*Client, error) {
-	c := &Client{opts: ClientOptions{}.withDefaults()}
-	c.rng = rand.New(rand.NewSource(0))
+	return new(Client).start(conn)
+}
+
+// start installs conn and fetches the volume size over it.
+func (c *Client) start(conn io.ReadWriteCloser) (*Client, error) {
 	c.setConn(conn)
-	if err := c.handshake(); err != nil {
+	var size [8]byte
+	if err := c.attempt(opSize, 0, 0, nil, size[:]); err != nil {
 		conn.Close()
 		return nil, err
 	}
+	c.size = int64(binary.BigEndian.Uint64(size[:]))
 	return c, nil
 }
 
@@ -153,16 +93,6 @@ func (c *Client) setConn(conn io.ReadWriteCloser) {
 	c.conn, c.br = conn, newReader(conn)
 	c.dc, _ = conn.(deadliner)
 	c.armed, c.retired = time.Time{}, false
-}
-
-// handshake fetches the volume size on a new connection.
-func (c *Client) handshake() error {
-	var size [8]byte
-	if err := c.attempt(opSize, 0, 0, nil, size[:]); err != nil {
-		return err
-	}
-	c.size = int64(binary.BigEndian.Uint64(size[:]))
-	return nil
 }
 
 // Size reports the remote volume size in bytes.
@@ -184,63 +114,17 @@ func (c *Client) dial() (net.Conn, error) {
 	return net.Dial("tcp", c.addr)
 }
 
-// transient reports whether an error is worth a reconnect-and-retry: any
-// transport-level failure qualifies; a remote error means the server
-// received and answered the request, so retrying would repeat the refusal.
-func transient(err error) bool {
-	return err != nil && !errors.Is(err, ErrRemote)
-}
-
-// overBudget enforces RetryBudget: called before committing to another
-// attempt, it returns ErrRetryBudget (wrapping the attempt's error) once
-// the elapsed time since start has consumed the budget.
-func (c *Client) overBudget(start time.Time, lastErr error) error {
-	if c.opts.RetryBudget <= 0 {
-		return nil
-	}
-	if elapsed := c.opts.Now().Sub(start); elapsed >= c.opts.RetryBudget {
-		return fmt.Errorf("%w (%v elapsed of %v): %w",
-			ErrRetryBudget, elapsed, c.opts.RetryBudget, lastErr)
-	}
-	return nil
-}
-
-// backoff sleeps RetryDelay<<attempt plus up to 50% seeded jitter.
-func (c *Client) backoff(attempt int) {
-	d := c.opts.RetryDelay << attempt
-	if d <= 0 {
-		return
-	}
-	d += time.Duration(c.rng.Int63n(int64(d)/2 + 1))
-	c.opts.Sleep(d)
-}
-
-// roundTrip performs one operation, retrying transient transport failures
-// up to RetryLimit times. A dialable client first replaces a connection
-// that a transport error retired, whether in this operation or an earlier
-// one. All protocol operations are idempotent (same bytes at the same
-// offset; barrier; size), so retrying after an ambiguous failure is safe.
-// The response payload lands in dst (see attempt).
+// roundTrip performs one operation in one attempt. A dialable client first
+// replaces a connection that a transport error retired in an earlier call,
+// so a dead peer costs one dial per call and the failure goes straight back
+// to the caller. The response payload lands in dst (see attempt).
 func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := c.opts.Now()
-	for attempt := 0; ; attempt++ {
-		err := c.redial()
-		if err == nil {
-			err = c.attempt(op, off, length, payload, dst)
-		}
-		if err == nil {
-			return nil
-		}
-		if !transient(err) || c.addr == "" || attempt >= c.opts.RetryLimit {
-			return err
-		}
-		if berr := c.overBudget(start, err); berr != nil {
-			return berr
-		}
-		c.backoff(attempt)
+	if err := c.redial(); err != nil {
+		return err
 	}
+	return c.attempt(op, off, length, payload, dst)
 }
 
 // redial replaces a connection that a transport error retired, when the
@@ -275,16 +159,15 @@ func (c *Client) attempt(op uint8, off uint64, length uint32, payload, dst []byt
 	if err != nil {
 		return c.retire(err)
 	}
-	if status != statusOK {
-		// A stale-epoch refusal is still a remote answer (ErrRemote keeps
-		// the retry logic from pointlessly repeating the refusal), but it
-		// additionally carries the routing contract for callers to handle.
-		if strings.Contains(string(text), StaleEpochText) {
-			return fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, text)
-		}
-		return fmt.Errorf("%w: %s", ErrRemote, text)
+	switch status {
+	case statusOK:
+		return nil
+	case statusStale:
+		// Still a remote answer, which the caller must not retry on the
+		// same member, but one carrying the routing contract.
+		return fmt.Errorf("%w (%w): %s", ErrStaleEpoch, ErrRemote, text)
 	}
-	return nil
+	return fmt.Errorf("%w: %s", ErrRemote, text)
 }
 
 // retire closes the connection after a transport error and returns err.

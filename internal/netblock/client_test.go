@@ -101,8 +101,7 @@ func (b *delayedRead) ReadAt(p []byte, off int64) error {
 // TestLateResponseNeverAnswersNextRequest: a request that timed out may
 // still be answered, and on a connection kept in use that late answer would
 // be read as the next request's. A transport error retires the connection:
-// a dialed client redials for its next op (RetryLimit 0 included), a
-// wrapped one fails from then on.
+// a dialed client redials for its next op, a wrapped one fails from then on.
 func TestLateResponseNeverAnswersNextRequest(t *testing.T) {
 	for _, wrapped := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wrapped=%v", wrapped), func(t *testing.T) {
@@ -190,42 +189,24 @@ func TestDeadlineWindowNeverShortChanged(t *testing.T) {
 	}
 }
 
+// TestClientReconnectsAfterDrop is the fail-then-redial contract: the op
+// that meets a dropped connection fails, and the next op redials.
 func TestClientReconnectsAfterDrop(t *testing.T) {
-	srv, err := NewServer(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, cli := startPair(t, 4096)
 	defer srv.Close()
-
-	var slept []time.Duration
-	cli, err := DialOptions(addr.String(), ClientOptions{
-		RetryLimit: 2,
-		RetryDelay: time.Millisecond,
-		Sleep:      func(d time.Duration) { slept = append(slept, d) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
 	if _, err := cli.WriteAt([]byte("persist"), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the connection out from under the client: the next request hits
-	// a transport error, reconnects, and retries transparently.
 	cli.conn.Close()
 	got := make([]byte, 7)
+	if _, err := cli.ReadAt(got, 0); err == nil {
+		t.Fatal("read on the dropped connection succeeded")
+	}
 	if _, err := cli.ReadAt(got, 0); err != nil {
-		t.Fatalf("read after drop: %v", err)
+		t.Fatalf("read after the failed op: %v", err)
 	}
 	if string(got) != "persist" {
 		t.Fatalf("read %q after reconnect", got)
-	}
-	if len(slept) == 0 {
-		t.Fatal("retry path did not back off")
 	}
 }
 
@@ -234,13 +215,13 @@ func TestClientNoRetryWithoutLimit(t *testing.T) {
 	defer srv.Close()
 	cli.conn.Close()
 	if _, err := cli.ReadAt(make([]byte, 1), 0); err == nil {
-		t.Fatal("read on a closed connection succeeded with RetryLimit 0")
+		t.Fatal("read on a closed connection succeeded")
 	}
 }
 
 func TestWrappedClientFailsFast(t *testing.T) {
-	// NewClient has no address to redial, so even with a retry budget a
-	// transport error surfaces immediately.
+	// NewClient has no address to redial: a transport error surfaces
+	// immediately, and on every later op.
 	srv, err := NewServer(4096)
 	if err != nil {
 		t.Fatal(err)
@@ -251,168 +232,88 @@ func TestWrappedClientFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.opts.RetryLimit = 3
-	cli.opts.Sleep = func(time.Duration) { t.Error("wrapped client slept for a retry") }
 	cli.conn.Close()
-	if _, err := cli.ReadAt(make([]byte, 1), 0); err == nil {
-		t.Fatal("read on a closed pipe succeeded")
+	for i := 0; i < 2; i++ {
+		if _, err := cli.ReadAt(make([]byte, 1), 0); err == nil {
+			t.Fatalf("read %d on a closed pipe succeeded", i)
+		}
 	}
 }
 
-func TestDialRetryExhaustionDeterministic(t *testing.T) {
-	// A freed port: every dial is refused, so the retry budget is consumed
-	// entirely by backoff sleeps. Same seed, same schedule; a different
-	// seed jitters differently.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestDeadPeerCostsOneDialPerOp: a client makes one attempt per call. A
+// peer that answers the handshake and then hangs up on every connection
+// costs each op exactly one accepted dial, and each op returns its error
+// at once; a dial that fails is not repeated either. A retry loop put back
+// into roundTrip or DialOptions shows up as extra dials, or never returns.
+func TestDeadPeerCostsOneDialPerOp(t *testing.T) {
+	// done fails the test if op does not return promptly.
+	done := func(t *testing.T, what string, op func() error) error {
+		t.Helper()
+		res := make(chan error, 1)
+		go func() { res <- op() }()
+		select {
+		case err := <-res:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still running after 5s", what)
+			return nil
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	schedule := func(seed int64) []time.Duration {
-		var slept []time.Duration
-		_, err := DialOptions(addr, ClientOptions{
-			DialTimeout: time.Second,
-			RetryLimit:  4,
-			RetryDelay:  time.Millisecond,
-			Seed:        seed,
-			Sleep:       func(d time.Duration) { slept = append(slept, d) },
-		})
+	t.Run("ops", func(t *testing.T) {
+		var accepted atomic.Int32
+		addr := scriptedPeer(t,
+			func(c net.Conn) {
+				answerRequests(c, func(*request) ([]byte, bool) { return nil, false })
+			},
+			func(net.Conn) { accepted.Add(1) },
+		)
+		cli, err := DialOptions(addr.String(), ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		p := make([]byte, 8)
+		// The first op dies on the handshake's connection; every later one
+		// dials once.
+		for i := 0; i < 8; i++ {
+			err := done(t, fmt.Sprintf("op %d", i), func() error { _, err := cli.ReadAt(p, 0); return err })
+			if err == nil || errors.Is(err, ErrRemote) {
+				t.Fatalf("op %d against a dead peer: err = %v, want a transport error", i, err)
+			}
+			if n := accepted.Load(); n != int32(i) {
+				t.Fatalf("after op %d: %d dials, want %d", i, n, i)
+			}
+		}
+	})
+	t.Run("dial", func(t *testing.T) {
+		var accepted atomic.Int32
+		addr := scriptedPeer(t, func(net.Conn) { accepted.Add(1) })
+		err := done(t, "dial", func() error { _, err := DialOptions(addr.String(), ClientOptions{}); return err })
 		if err == nil {
-			t.Fatal("dial of a closed port succeeded")
+			t.Fatal("handshake with a peer that hangs up succeeded")
 		}
-		return slept
-	}
-	a, b, c := schedule(1), schedule(1), schedule(2)
-	if len(a) != 4 {
-		t.Fatalf("%d backoffs for RetryLimit 4", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
+		if n := accepted.Load(); n != 1 {
+			t.Fatalf("DialOptions made %d connections, want 1", n)
 		}
-		if a[i] < time.Millisecond<<i {
-			t.Fatalf("backoff %d = %v below base %v", i, a[i], time.Millisecond<<i)
-		}
-	}
-	same := len(a) == len(c)
-	for i := 0; same && i < len(a); i++ {
-		same = a[i] == c[i]
-	}
-	if same {
-		t.Fatalf("different seeds produced identical jitter: %v", a)
-	}
-}
-
-// fakeClock pairs ClientOptions.Now and Sleep: sleeping advances the
-// clock, so retry-budget accounting runs entirely on injected time.
-type fakeClock struct {
-	t      time.Time
-	sleeps int
-}
-
-func (c *fakeClock) Now() time.Time { return c.t }
-func (c *fakeClock) Sleep(d time.Duration) {
-	c.t = c.t.Add(d)
-	c.sleeps++
-}
-
-func TestRetryBudgetBoundsElapsedTime(t *testing.T) {
-	// A freed port: every dial is refused instantly, so with RetryLimit
-	// 1000 the old behavior would grind through a thousand backoffs. The
-	// budget must cut the operation off once the injected clock has
-	// consumed it — attempts stop on elapsed time, not attempt count.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	clk := &fakeClock{}
-	_, err = DialOptions(addr, ClientOptions{
-		DialTimeout: time.Second,
-		RetryLimit:  1000,
-		RetryDelay:  10 * time.Millisecond,
-		RetryBudget: 200 * time.Millisecond,
-		Sleep:       clk.Sleep,
-		Now:         clk.Now,
 	})
-	if err == nil {
-		t.Fatal("dial of a closed port succeeded")
-	}
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("err = %v, want ErrRetryBudget", err)
-	}
-	// Exponential backoff: 10+20+40+80+160ms crosses 200ms after at most 5
-	// sleeps; nowhere near the 1000 the limit alone would permit.
-	if clk.sleeps == 0 || clk.sleeps > 6 {
-		t.Fatalf("%d backoff sleeps under a 200ms budget", clk.sleeps)
-	}
-}
-
-// handshakeOnlyListener serves the opSize handshake on every connection
-// and then swallows all further requests without answering — the fail-slow
-// peer whose timeouts chain: every reconnect succeeds, every data request
-// burns the full Timeout.
-func handshakeOnlyListener(t *testing.T) net.Addr {
-	t.Helper()
-	return scriptedPeer(t, func(c net.Conn) {
-		// An empty answer swallows the request: the client's deadline
-		// must fire.
-		answerRequests(c, func(*request) ([]byte, bool) { return nil, true })
+	t.Run("freed port", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		err = done(t, "dial", func() error { _, err := DialOptions(addr, ClientOptions{DialTimeout: time.Second}); return err })
+		var oe *net.OpError
+		if !errors.As(err, &oe) || oe.Op != "dial" {
+			t.Fatalf("dial of a freed port: err = %v, want the dial's own error", err)
+		}
 	})
 }
 
-func TestRetryBudgetBoundsRequestRetries(t *testing.T) {
-	// The satellite bug in miniature: a peer that accepts reconnects but
-	// never answers data requests. RetryLimit 1000 alone would chain a
-	// thousand timeouts; the budget must cut the operation off.
-	addr := handshakeOnlyListener(t)
-	clk := &fakeClock{}
-	cli, err := DialOptions(addr.String(), ClientOptions{
-		DialTimeout: time.Second,
-		Timeout:     20 * time.Millisecond,
-		RetryLimit:  1000,
-		RetryDelay:  10 * time.Millisecond,
-		RetryBudget: 100 * time.Millisecond,
-		Sleep:       clk.Sleep,
-		Now:         clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	_, err = cli.ReadAt(make([]byte, 1), 0)
-	if err == nil {
-		t.Fatal("read against a silent server succeeded")
-	}
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("err = %v, want ErrRetryBudget", err)
-	}
-	// Backoffs 10+20+40+80ms cross the 100ms budget after at most 4
-	// sleeps; without the budget this loop would take 1000.
-	if clk.sleeps == 0 || clk.sleeps > 5 {
-		t.Fatalf("%d backoff sleeps under a 100ms budget", clk.sleeps)
-	}
-}
-
-func TestRemoteErrorNotTransient(t *testing.T) {
-	if transient(ErrRemote) {
-		t.Fatal("remote errors must not be retried")
-	}
-	if !transient(errors.New("connection reset")) {
-		t.Fatal("transport errors must be retryable")
-	}
-	if transient(nil) {
-		t.Fatal("nil error classified transient")
-	}
-}
-
-// staleBackend plays the server side of the staleepoch contract: a ring
+// staleBackend plays the server side of the stale-epoch contract: a ring
 // member that no longer owns the extent, refusing every read and write
-// with the wire marker a ChainBackend would use.
+// with ErrStaleEpoch as a ChainBackend would.
 type staleBackend struct {
 	Backend
 	reads atomic.Int32
@@ -420,17 +321,17 @@ type staleBackend struct {
 
 func (b *staleBackend) ReadAt(p []byte, off int64) error {
 	b.reads.Add(1)
-	return fmt.Errorf("backend: %s: read [%d,%d) not owned here", StaleEpochText, off, off+int64(len(p)))
+	return fmt.Errorf("backend: read [%d,%d) not owned here: %w", off, off+int64(len(p)), ErrStaleEpoch)
 }
 
 func (b *staleBackend) WriteAt(p []byte, off int64) error {
-	return fmt.Errorf("backend: %s: write [%d,%d) not owned here", StaleEpochText, off, off+int64(len(p)))
+	return fmt.Errorf("backend: write [%d,%d) not owned here: %w", off, off+int64(len(p)), ErrStaleEpoch)
 }
 
 // TestClientClassifiesStaleEpochRefusal pins the wire classification: a
-// refusal payload carrying StaleEpochText must come back as ErrStaleEpoch,
-// must still read as a remote answer (ErrRemote) so the transport retry
-// loop does not repeat the refusal, and must not consume retry attempts.
+// backend refusal wrapping ErrStaleEpoch crosses the wire as statusStale
+// and must come back as ErrStaleEpoch, still a remote answer (ErrRemote),
+// after exactly one trip to the backend.
 func TestClientClassifiesStaleEpochRefusal(t *testing.T) {
 	mem, err := MemBackend(4096)
 	if err != nil {
@@ -446,10 +347,7 @@ func TestClientClassifiesStaleEpochRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialOptions(addr.String(), ClientOptions{
-		RetryLimit: 3,
-		RetryDelay: time.Millisecond,
-	})
+	cli, err := Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +361,7 @@ func TestClientClassifiesStaleEpochRefusal(t *testing.T) {
 		t.Fatalf("stale refusal must remain a remote answer, got %v", err)
 	}
 	if n := sb.reads.Load(); n != 1 {
-		t.Errorf("refused read reached the backend %d times; remote refusals must not be retried", n)
+		t.Errorf("refused read reached the backend %d times, want 1", n)
 	}
 
 	if _, err := cli.WriteAt([]byte("x"), 0); !errors.Is(err, ErrStaleEpoch) {
@@ -484,6 +382,28 @@ func TestClientOrdinaryRefusalIsNotStale(t *testing.T) {
 	}
 	if errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("ordinary refusal misclassified as stale epoch: %v", err)
+	}
+}
+
+// TestStaleTextIsNotStaleStatus: only the status byte marks a stale-epoch
+// refusal. A statusErr refusal whose text happens to say "stale routing
+// epoch" is a plain ErrRemote.
+func TestStaleTextIsNotStaleStatus(t *testing.T) {
+	a, b := net.Pipe()
+	go func() {
+		defer a.Close()
+		answerRequests(a, func(*request) ([]byte, bool) {
+			return response(statusErr, []byte(ErrStaleEpoch.Error())), true
+		})
+	}()
+	cli, err := NewClient(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, err = cli.ReadAt(make([]byte, 8), 0)
+	if !errors.Is(err, ErrRemote) || errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("err = %v, want a plain ErrRemote", err)
 	}
 }
 
@@ -555,21 +475,13 @@ func response(status uint8, payload []byte) []byte {
 
 // TestReconnectDropsBufferedBytes is the regression test for stale bytes in
 // the buffered reader: a connection that dies mid-response leaves the head
-// of a frame buffered, and the retry on a fresh connection must start from
-// a clean reader instead of parsing that tail in front of the new stream.
-// The first connection dies inside the handshake's response (DialOptions'
-// retry), the second inside a read's response (roundTrip's reconnect).
+// of a frame buffered, and the redial on the next op must start from a
+// clean reader instead of parsing that tail in front of the new stream.
 func TestReconnectDropsBufferedBytes(t *testing.T) {
 	fill := func(req *request) ([]byte, bool) {
 		return response(statusOK, bytes.Repeat([]byte{0x77}, int(req.length))), true
 	}
 	addr := scriptedPeer(t,
-		func(c net.Conn) {
-			var req request
-			if readRequest(newReader(c), &req, new(payloadBuf)) == nil {
-				c.Write(response(statusOK, make([]byte, 8))[:5]) // magic and status, then gone
-			}
-		},
 		func(c net.Conn) {
 			answerRequests(c, func(req *request) ([]byte, bool) {
 				raw, _ := fill(req)
@@ -578,18 +490,17 @@ func TestReconnectDropsBufferedBytes(t *testing.T) {
 		},
 		func(c net.Conn) { answerRequests(c, fill) },
 	)
-	cli, err := DialOptions(addr.String(), ClientOptions{
-		RetryLimit: 1,
-		RetryDelay: time.Millisecond,
-		Sleep:      func(time.Duration) {},
-	})
+	cli, err := Dial(addr.String())
 	if err != nil {
-		t.Fatalf("dial across a connection killed mid-handshake: %v", err)
+		t.Fatal(err)
 	}
 	defer cli.Close()
 	got := make([]byte, 16)
+	if _, err := cli.ReadAt(got, 0); err == nil {
+		t.Fatal("read across a connection killed mid-response succeeded")
+	}
 	if _, err := cli.ReadAt(got, 0); err != nil {
-		t.Fatalf("read across a connection killed mid-response: %v", err)
+		t.Fatalf("read after the redial: %v", err)
 	}
 	if !bytes.Equal(got, bytes.Repeat([]byte{0x77}, 16)) {
 		t.Fatalf("read % x after reconnect", got)

@@ -45,6 +45,9 @@ func TestGoldenWireBytes(t *testing.T) {
 		{"error response", func(f *frameWriter, w io.Writer) error {
 			return f.writeResponse(w, statusErr, []byte("out of range"))
 		}, "53524352010000000c6f7574206f662072616e6765", nil},
+		{"stale refusal response", func(f *frameWriter, w io.Writer) error {
+			return f.writeResponse(w, statusStale, []byte("stale"))
+		}, "5352435202000000057374616c65", nil},
 		{"vectored ok response", func(f *frameWriter, w io.Writer) error {
 			return f.writeResponse(w, statusOK, big)
 		}, "535243520000002000", big},

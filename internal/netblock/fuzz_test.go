@@ -3,6 +3,7 @@ package netblock
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 	"testing/iotest"
@@ -76,10 +77,43 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
+// fencedBackend refuses every op on the upper half of its volume, as a
+// ring member that no longer owns that range would.
+type fencedBackend struct{ Backend }
+
+func (b fencedBackend) fence(off int64) error {
+	if off >= b.Size()/2 {
+		return fmt.Errorf("range at %d not owned here: %w", off, ErrStaleEpoch)
+	}
+	return nil
+}
+
+func (b fencedBackend) ReadAt(p []byte, off int64) error {
+	if err := b.fence(off); err != nil {
+		return err
+	}
+	return b.Backend.ReadAt(p, off)
+}
+
+func (b fencedBackend) WriteAt(p []byte, off int64) error {
+	if err := b.fence(off); err != nil {
+		return err
+	}
+	return b.Backend.WriteAt(p, off)
+}
+
+func (b fencedBackend) Trim(off, n int64) error {
+	if err := b.fence(off); err != nil {
+		return err
+	}
+	return b.Backend.Trim(off, n)
+}
+
 // FuzzHandle drives the full server request loop with arbitrary frames,
 // proving no 17-byte header — hostile offsets, wrapped lengths, unknown
 // ops — can panic the server or corrupt its framing: every byte the server
-// emits must parse as well-formed responses.
+// emits must parse as well-formed responses. The volume's upper half is
+// fenced, so stale refusals are in play too.
 func FuzzHandle(f *testing.F) {
 	f.Add(header(reqMagic, opRead, 0, 4096), uint8(0))
 	f.Add(header(reqMagic, opRead, 1<<63, 4096), uint8(0)) // the remote-panic regression seed
@@ -89,13 +123,18 @@ func FuzzHandle(f *testing.F) {
 	f.Add(header(reqMagic, opPing, 0, 0), uint8(0))                // health probe
 	f.Add(header(reqMagic, opPing, 1<<63, MaxPayload-1), uint8(0)) // hostile ping: off/len must be ignored
 	f.Add(header(reqMagic, 0xff, 123, 1), uint8(0))                // unknown op
+	f.Add(header(reqMagic, opRead, 48<<10, 16), uint8(0))          // stale refusal
 	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(0))
 	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(1))  // byte by byte
 	f.Add(append(header(reqMagic, opWrite, 0, 8), []byte("payload!")...), uint8(15)) // split mid-header
 	f.Add(append(header(reqMagic, opRead, 4096, 16), header(reqMagic, opRead, 1<<63, 1)...), uint8(0))
 	f.Add(append(header(reqMagic, opRead, 4096, 16), header(reqMagic, opRead, 1<<63, 1)...), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
-		srv, err := NewServer(64 << 10)
+		mem, err := MemBackend(64 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServerWith(fencedBackend{mem})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +151,7 @@ func FuzzHandle(f *testing.F) {
 				}
 				t.Fatalf("server emitted unparseable response bytes: %v", err)
 			}
-			if status != statusOK && status != statusErr {
+			if status > statusStale {
 				t.Fatalf("server emitted unknown status %d", status)
 			}
 		}

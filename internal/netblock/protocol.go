@@ -14,6 +14,13 @@
 // 17-byte payload — size u64 | epoch u64 | flags u8 — the cluster layer's
 // health probe and handshake: volume size, the server's ring epoch, and
 // whether it is draining for shutdown.
+//
+// A response's status is one of:
+//
+//	0 statusOK     the op succeeded; the payload is its answer
+//	1 statusErr    the server refused or failed the op; the payload is text
+//	2 statusStale  the server does not own the range (ErrStaleEpoch); the
+//	               payload is text
 package netblock
 
 import (
@@ -37,8 +44,9 @@ const (
 	opSize  uint8 = 5
 	opPing  uint8 = 6
 
-	statusOK  uint8 = 0
-	statusErr uint8 = 1
+	statusOK    uint8 = 0
+	statusErr   uint8 = 1
+	statusStale uint8 = 2
 
 	// pingDraining is the flag bit set in a ping response while the server
 	// is shutting down — a routing hint, not an error: in-flight requests

@@ -199,9 +199,9 @@ func (c *opCounter) observe(d time.Duration, failed bool) {
 }
 
 // OpStats is one op's cumulative service record: how many requests, how
-// many answered with statusErr, and the wall-clock time spent in the
-// backend — the raw material a failure detector scores fail-stop (errors)
-// and fail-slow (latency) from.
+// many were refused (statusErr or statusStale), and the wall-clock time
+// spent in the backend — the raw material a failure detector scores
+// fail-stop (errors) and fail-slow (latency) from.
 type OpStats struct {
 	Op     string
 	Count  int64
@@ -260,10 +260,8 @@ func (s *Server) acceptLoop(lis net.Listener) {
 	defer s.wg.Done()
 	var delay time.Duration
 	// A successful Accept is productive work, not a retry: this loop is
-	// meant to run for the server's lifetime, so its success back edge
-	// consults no budget. The failure paths back off via time.After and
-	// watch the shutdown channel.
-	//srclint:allow boundedretry accept loop lives as long as the server
+	// meant to run for the server's lifetime. The failure paths back off
+	// via time.After and watch the shutdown channel.
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
@@ -467,22 +465,22 @@ func (s *Server) execute(req *request, buf *payloadBuf) (status uint8, payload [
 	case opRead:
 		p := buf.take(int(req.length))
 		if err := s.backend.ReadAt(p, int64(req.off)); err != nil {
-			return statusErr, []byte(err.Error())
+			return refusal(err)
 		}
 		return statusOK, p
 	case opWrite:
 		if err := s.backend.WriteAt(req.payload, int64(req.off)); err != nil {
-			return statusErr, []byte(err.Error())
+			return refusal(err)
 		}
 		return statusOK, nil
 	case opTrim:
 		if err := s.backend.Trim(int64(req.off), int64(req.length)); err != nil {
-			return statusErr, []byte(err.Error())
+			return refusal(err)
 		}
 		return statusOK, nil
 	case opFlush:
 		if err := s.backend.Flush(); err != nil {
-			return statusErr, []byte(err.Error())
+			return refusal(err)
 		}
 		return statusOK, nil
 	case opSize:
@@ -503,6 +501,16 @@ func (s *Server) execute(req *request, buf *payloadBuf) (status uint8, payload [
 	default:
 		return statusErr, []byte("unknown op")
 	}
+}
+
+// refusal answers a failed backend call: statusStale for a refusal that
+// wraps ErrStaleEpoch, so the client need not parse the text, and statusErr
+// for any other failure.
+func refusal(err error) (status uint8, text []byte) {
+	if errors.Is(err, ErrStaleEpoch) {
+		return statusStale, []byte(err.Error())
+	}
+	return statusErr, []byte(err.Error())
 }
 
 func zero(b []byte) {

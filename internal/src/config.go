@@ -204,14 +204,6 @@ type Config struct {
 	// device content stores, which integrity, recovery and failure tests
 	// rely on. Benchmarks leave it off.
 	TrackContent bool
-	// RetryLimit bounds per-request retries of transient device errors
-	// (default 3). When a request still fails transiently after the limit,
-	// the cache treats the device as failed for that request and falls back
-	// to the degraded path.
-	RetryLimit int
-	// RetryDelay is the virtual-time backoff before the first retry; it
-	// doubles on each further attempt (default 100 µs).
-	RetryDelay vtime.Duration
 	// ErrorBudget is the md-style per-device corrected-error budget: each
 	// transient or unreadable event counts against it, and a device that
 	// exhausts it is escalated to column fail-stop (default 20; the same
@@ -312,12 +304,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.TWait == 0 {
 		c.TWait = 20 * vtime.Microsecond
-	}
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 3
-	}
-	if c.RetryDelay == 0 {
-		c.RetryDelay = 100 * vtime.Microsecond
 	}
 	if c.ErrorBudget == 0 {
 		c.ErrorBudget = 20

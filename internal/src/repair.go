@@ -67,6 +67,15 @@ func (c *Cache) DeviceErrors(col int) int64 {
 	return c.devErrs[col]
 }
 
+// A transient device error is retried up to retryLimit times, the first
+// retry retryDelay of virtual time later and each further one after twice
+// the previous wait. A request still transient after that treats the
+// device as failed for it and falls back to the degraded path.
+const (
+	retryLimit = 3
+	retryDelay = 100 * vtime.Microsecond
+)
+
 // submitSSD is the single funnel for SSD requests: it enforces column
 // fail-stop, routes reads of not-yet-rebuilt ranges to the degraded path,
 // retries transient errors with exponential virtual-time backoff, counts
@@ -86,11 +95,11 @@ func (c *Cache) submitSSD(at vtime.Time, col int, req blockdev.Request) (vtime.T
 	attempts := 0
 	for errors.Is(err, blockdev.ErrTransient) {
 		c.repair.TransientErrors++
-		if attempts >= c.cfg.RetryLimit {
+		if attempts >= retryLimit {
 			c.noteDevError(col)
 			return at, fmt.Errorf("%w: ssd %d still transient after %d retries", blockdev.ErrDeviceFailed, col, attempts)
 		}
-		at = at.Add(c.cfg.RetryDelay << attempts)
+		at = at.Add(retryDelay << attempts)
 		attempts++
 		c.repair.Retries++
 		t, err = dev.Submit(at, req)

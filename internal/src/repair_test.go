@@ -60,7 +60,7 @@ func TestTransientExhaustionFallsBackDegraded(t *testing.T) {
 	if target < 0 {
 		t.Fatal("no dirty page on ssd 0")
 	}
-	// RetryLimit defaults to 3: initial try + 3 retries = 4 failures.
+	// retryLimit is 3: initial try + 3 retries = 4 failures.
 	e.ssds[0].InjectTransient(4)
 	before := e.ssds[1].Stats().ReadOps
 	e.read(target, 1)
@@ -375,7 +375,7 @@ func TestWriteExhaustionAbandonsSegment(t *testing.T) {
 	// A couple of dirty pages, still buffered (buffer not full).
 	e.write(10, 1)
 	e.write(11, 1)
-	// RetryLimit defaults to 3: 4 armed faults exhaust one write attempt,
+	// retryLimit is 3: 4 armed faults exhaust one write attempt,
 	// then the retried segment write finds the device healthy again.
 	e.ssds[0].InjectTransient(4)
 	if _, err := e.cache.Flush(e.at); err != nil {
