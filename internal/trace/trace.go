@@ -131,7 +131,8 @@ type SynthConfig struct {
 	Scale float64
 	// Offset places the trace's address range within the shared volume.
 	Offset int64
-	// Theta is the Zipfian skew of the page popularity (default 0.99).
+	// Theta is the Zipfian skew of the page popularity, in (0, 1)
+	// (default 0.99).
 	Theta float64
 	// SeqProb is the probability a request continues the previous one
 	// sequentially, modelling the run-length structure of server traces
@@ -144,7 +145,7 @@ type SynthConfig struct {
 	// log-cleaning victims largely invalid in the original traces.
 	WriteHotFrac float64
 	WriteHotSpan float64
-	// MaxReqBytes caps a single request (default 1 MiB).
+	// MaxReqBytes caps a single request, at least one page (default 1 MiB).
 	MaxReqBytes int64
 	// Seed drives determinism; the trace name is mixed in.
 	Seed int64
@@ -163,6 +164,9 @@ func (c SynthConfig) validate() (SynthConfig, error) {
 	if c.Theta == 0 {
 		c.Theta = 0.99
 	}
+	if c.Theta <= 0 || c.Theta >= 1 {
+		return c, fmt.Errorf("trace: zipf theta %v out of (0,1)", c.Theta)
+	}
 	if c.SeqProb == 0 {
 		c.SeqProb = 0.3
 	}
@@ -171,6 +175,9 @@ func (c SynthConfig) validate() (SynthConfig, error) {
 	}
 	if c.MaxReqBytes == 0 {
 		c.MaxReqBytes = 1 << 20
+	}
+	if c.MaxReqBytes < blockdev.PageSize {
+		return c, fmt.Errorf("trace: max request %d bytes below one page", c.MaxReqBytes)
 	}
 	if c.WriteHotFrac == 0 {
 		c.WriteHotFrac = 0.9

@@ -48,17 +48,24 @@ func TestGroupLookup(t *testing.T) {
 }
 
 func TestSynthValidation(t *testing.T) {
-	if _, err := NewSynth(SynthConfig{}); err == nil {
-		t.Fatal("accepted missing spec")
-	}
-	if _, err := NewSynth(SynthConfig{Spec: WriteGroup[0], Scale: -1}); err == nil {
-		t.Fatal("accepted negative scale")
-	}
-	if _, err := NewSynth(SynthConfig{Spec: WriteGroup[0], SeqProb: 1.5}); err == nil {
-		t.Fatal("accepted bad seq probability")
-	}
-	if _, err := NewSynth(SynthConfig{Spec: WriteGroup[0], Offset: 3}); err == nil {
-		t.Fatal("accepted unaligned offset")
+	for _, tt := range []struct {
+		name string
+		cfg  SynthConfig
+	}{
+		{"missing spec", SynthConfig{}},
+		{"negative scale", SynthConfig{Spec: WriteGroup[0], Scale: -1}},
+		{"bad seq probability", SynthConfig{Spec: WriteGroup[0], SeqProb: 1.5}},
+		{"unaligned offset", SynthConfig{Spec: WriteGroup[0], Offset: 3}},
+		{"theta above one", SynthConfig{Spec: WriteGroup[0], Theta: 1.5}},
+		{"negative theta", SynthConfig{Spec: WriteGroup[0], Theta: -0.99}},
+		{"max request below a page", SynthConfig{Spec: WriteGroup[0], MaxReqBytes: blockdev.PageSize - 1}},
+		{"negative max request", SynthConfig{Spec: WriteGroup[0], MaxReqBytes: -1}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := NewSynth(tt.cfg); err == nil {
+				t.Fatal("accepted invalid config")
+			}
+		})
 	}
 }
 

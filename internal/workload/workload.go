@@ -63,11 +63,11 @@ type Config struct {
 	RequestBytes int64
 	// ReadFraction is the probability a request is a read (default 0).
 	ReadFraction float64
-	// Theta is the Zipfian exponent (default 0.99).
+	// Theta is the Zipfian exponent, in (0, 1) (default 0.99).
 	Theta float64
 	// HotFraction/HotSpanFraction parameterize Hotspot: HotFraction of
-	// requests target the first HotSpanFraction of the span (defaults
-	// 0.8/0.2).
+	// requests target the first HotSpanFraction of the span (both in
+	// (0, 1], defaults 0.8/0.2).
 	HotFraction     float64
 	HotSpanFraction float64
 	// Seed makes the stream deterministic.
@@ -97,11 +97,20 @@ func (c Config) Validate() (Config, error) {
 	if c.Theta == 0 {
 		c.Theta = 0.99
 	}
+	if c.Theta <= 0 || c.Theta >= 1 {
+		return c, fmt.Errorf("workload: zipf theta %v out of (0,1)", c.Theta)
+	}
 	if c.HotFraction == 0 {
 		c.HotFraction = 0.8
 	}
+	if c.HotFraction < 0 || c.HotFraction > 1 {
+		return c, fmt.Errorf("workload: hot fraction %v out of (0,1]", c.HotFraction)
+	}
 	if c.HotSpanFraction == 0 {
 		c.HotSpanFraction = 0.2
+	}
+	if c.HotSpanFraction < 0 || c.HotSpanFraction > 1 {
+		return c, fmt.Errorf("workload: hot span fraction %v out of (0,1]", c.HotSpanFraction)
 	}
 	return c, nil
 }

@@ -21,6 +21,12 @@ func TestConfigValidation(t *testing.T) {
 		{"unaligned request", Config{Span: 1 << 20, RequestBytes: 100}},
 		{"unaligned offset", Config{Span: 1 << 20, Offset: 3}},
 		{"bad read fraction", Config{Span: 1 << 20, ReadFraction: 1.5}},
+		{"hot span past the span", Config{Pattern: Hotspot, Span: 1 << 20, HotSpanFraction: 1.5}},
+		{"negative hot span", Config{Pattern: Hotspot, Span: 1 << 20, HotSpanFraction: -0.2}},
+		{"hot fraction above one", Config{Pattern: Hotspot, Span: 1 << 20, HotFraction: 1.5}},
+		{"negative hot fraction", Config{Pattern: Hotspot, Span: 1 << 20, HotFraction: -0.8}},
+		{"theta of one", Config{Pattern: Zipf, Span: 1 << 20, Theta: 1}},
+		{"negative theta", Config{Pattern: Zipf, Span: 1 << 20, Theta: -0.5}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
