@@ -208,9 +208,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		if err != nil {
 			return err
 		}
-		if err := eng.Start(); err != nil {
-			return err
-		}
 		backend = eng
 		backing = fmt.Sprintf("engine, %d shards", *shards)
 	} else {

@@ -4,7 +4,7 @@
 // segments, append-only full-stripe writes, no read-modify-write) — and
 // serves requests either deterministically in virtual time (Serial, for
 // replay and as the test oracle) or from any number of goroutines at once
-// (after Start, for wall-clock serving).
+// (Do, for wall-clock serving).
 //
 // There is one submission path. The caller walks its request's stripe
 // fragments and runs each on its own goroutine under that shard's mutex
@@ -37,15 +37,8 @@ import (
 	"srccache/internal/vtime"
 )
 
-// Errors reported by the engine.
-var (
-	// ErrClosed reports a request submitted after Close.
-	ErrClosed = errors.New("engine: closed")
-	// ErrNotStarted reports a concurrent-mode call before Start.
-	ErrNotStarted = errors.New("engine: not started")
-	// ErrStarted reports a serial-mode call after Start.
-	ErrStarted = errors.New("engine: started; serial mode unavailable")
-)
+// ErrClosed reports a request submitted after Close.
+var ErrClosed = errors.New("engine: closed")
 
 // Options configures an engine.
 type Options struct {
@@ -119,8 +112,8 @@ type shard struct {
 
 // do runs one op on the caller's goroutine under the shard lock and
 // returns the shard clock after it. at is the caller's virtual time (the
-// Serial view's; zero from a started engine, whose devices keep their own
-// virtual time). Holding the lock across cache.Submit is the point, not a
+// Serial view's; zero from Do, whose devices keep their own virtual
+// time). Holding the lock across cache.Submit is the point, not a
 // cost: src.Cache is a single-threaded state machine and its device time
 // is virtual, so nothing blocks while the lock is held and the lock is all
 // the serialization a shard needs.
@@ -182,8 +175,7 @@ type Engine struct {
 	stripeBytes int64
 	shardBytes  int64
 
-	started atomic.Bool // flipped once by Start; retires the Serial view
-	closed  atomic.Bool
+	closed atomic.Bool
 }
 
 // New builds an engine whose shard caches come from build(i). Every
@@ -228,15 +220,13 @@ func New(opt Options, build func(shard int) (*src.Cache, error)) (*Engine, error
 // primaries).
 func (e *Engine) Size() int64 { return e.shardBytes * int64(len(e.shards)) }
 
-// Start switches the engine to concurrent mode: Do, Flush and Counters
-// become callable from any goroutine and the Serial view is retired. It
-// spawns nothing.
+// Start does nothing and reports ErrClosed after Close, nil otherwise: Do,
+// Flush and Counters are callable from any goroutine from New on. It stays
+// only because the served-path benchmark (benchmark/stack.go) still calls
+// it.
 func (e *Engine) Start() error {
 	if e.closed.Load() {
 		return ErrClosed
-	}
-	if !e.started.CompareAndSwap(false, true) {
-		return errors.New("engine: already started")
 	}
 	return nil
 }
@@ -357,27 +347,18 @@ func (e *Engine) counters() (bench.Counters, error) {
 // every served request crosses, and it allocates nothing
 // (TestDoAllocatesNothing).
 func (e *Engine) Do(req Request) error {
-	if !e.started.Load() {
-		return ErrNotStarted
-	}
 	_, err := e.submit(0, req)
 	return err
 }
 
 // Flush drains and flushes every shard.
 func (e *Engine) Flush() error {
-	if !e.started.Load() {
-		return ErrNotStarted
-	}
 	_, err := e.flush(0)
 	return err
 }
 
 // Counters sums the shard caches' counters.
 func (e *Engine) Counters() (bench.Counters, error) {
-	if !e.started.Load() {
-		return bench.Counters{}, ErrNotStarted
-	}
 	return e.counters()
 }
 

@@ -218,32 +218,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestSerialRefusedAfterStart(t *testing.T) {
-	e := testEngine(t, 2, false)
-	s := e.Serial()
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := s.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: 4096}); !errors.Is(err, ErrStarted) {
-		t.Fatalf("serial submit after start: %v", err)
-	}
-	// The read-side accessors belong to the retired view too, so they must
-	// refuse (by panicking: unlike Submit they have no error result to
-	// return).
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Serial.%s after Start did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Counters", func() { s.Counters() })
-	mustPanic("CacheDevices", func() { s.CacheDevices() })
-}
-
 func TestCloseRejectsNewWork(t *testing.T) {
 	e := testEngine(t, 2, true)
 	if err := e.Start(); err != nil {
@@ -260,16 +234,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal("second close errored")
-	}
-}
-
-func TestConcurrentRequiresStart(t *testing.T) {
-	e := testEngine(t, 2, false)
-	if err := e.Do(Request{Op: blockdev.OpRead, Off: 0, Len: 4096}); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("do before start: %v", err)
-	}
-	if _, err := e.Counters(); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("counters before start: %v", err)
 	}
 }
 

@@ -1,12 +1,82 @@
 package raid
 
 import (
-	"errors"
 	"fmt"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
 )
+
+// Submit schedules a logical request and returns its completion time.
+func (a *Array) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	if err := req.Validate(a.capacity); err != nil {
+		return at, err
+	}
+	a.stats.Record(req)
+	switch req.Op {
+	case blockdev.OpTrim:
+		return a.trim(at, req)
+	case blockdev.OpRead:
+		return a.read(at, req)
+	default:
+		return a.write(at, req)
+	}
+}
+
+// Flush flushes every member and completes when the last one drains.
+func (a *Array) Flush(at vtime.Time) (vtime.Time, error) {
+	a.stats.Flushes++
+	a.cont.FlushContent()
+	done := at
+	for i, d := range a.devs {
+		t, err := d.Flush(at)
+		if err != nil {
+			return at, fmt.Errorf("raid: member %d: %w", i, err)
+		}
+		done = vtime.Max(done, t)
+	}
+	return done, nil
+}
+
+// submitDev issues one request to member d. Its error names the member and
+// wraps the member's own, so errors.Is still matches blockdev's sentinels.
+func (a *Array) submitDev(at vtime.Time, d int, op blockdev.Op, off, n int64) (vtime.Time, error) {
+	t, err := a.devs[d].Submit(at, blockdev.Request{Op: op, Off: off, Len: n})
+	if err != nil {
+		return at, fmt.Errorf("raid: member %d: %w", d, err)
+	}
+	return t, nil
+}
+
+// everyMember issues the same request to every member at once and returns
+// when the last one completes.
+func (a *Array) everyMember(at vtime.Time, op blockdev.Op, off, n int64) (vtime.Time, error) {
+	done := at
+	for d := range a.devs {
+		t, err := a.submitDev(at, d, op, off, n)
+		if err != nil {
+			return at, err
+		}
+		done = vtime.Max(done, t)
+	}
+	return done, nil
+}
+
+// trim forwards a logical trim to the member ranges it covers, including
+// parity, at stripe granularity.
+func (a *Array) trim(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	stripeData := a.chunk * int64(a.dataDevs)
+	s0 := req.Off / stripeData
+	s1 := (req.Off + req.Len - 1) / stripeData
+	done, err := a.everyMember(at, blockdev.OpTrim, s0*a.chunk, (s1-s0+1)*a.chunk)
+	if err != nil {
+		return at, err
+	}
+	if err := a.cont.Trim(req.Off/blockdev.PageSize, req.Pages()); err != nil {
+		return at, err
+	}
+	return done, nil
+}
 
 // span is a contiguous byte range on one member device.
 type span struct {
@@ -41,38 +111,12 @@ func (a *Array) dataSpans(off, n int64) []span {
 	return spans
 }
 
-// read serves a logical read, reconstructing around failed members where
-// redundancy allows.
+// read serves a logical read from the data chunks; under Level1 from the
+// first member of each pair.
 func (a *Array) read(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	done := at
 	for _, sp := range a.dataSpans(req.Off, req.Len) {
 		t, err := a.submitDev(at, sp.dev, blockdev.OpRead, sp.off, sp.n)
-		if err == nil {
-			done = vtime.Max(done, t)
-			continue
-		}
-		if errors.Is(err, blockdev.ErrUnreadable) {
-			// Latent sector error: serve the span from redundancy and
-			// rewrite it in place, clearing the error (md's
-			// fix_read_error path).
-			t, rerr := a.reconstructRead(at, sp)
-			if rerr != nil {
-				return at, rerr
-			}
-			wt, werr := a.submitDev(t, sp.dev, blockdev.OpWrite, sp.off, sp.n)
-			if werr != nil && !errors.Is(werr, blockdev.ErrDeviceFailed) {
-				return at, werr
-			}
-			if werr == nil {
-				t = wt
-			}
-			done = vtime.Max(done, t)
-			continue
-		}
-		if !errors.Is(err, blockdev.ErrDeviceFailed) {
-			return at, err
-		}
-		t, err = a.reconstructRead(at, sp)
 		if err != nil {
 			return at, err
 		}
@@ -81,241 +125,84 @@ func (a *Array) read(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	return done, nil
 }
 
-// reconstructRead serves one failed-member span from redundancy: the mirror
-// partner under Level1, or all surviving chunks under parity RAID.
-func (a *Array) reconstructRead(at vtime.Time, sp span) (vtime.Time, error) {
-	switch a.level {
-	case Level0:
-		return at, fmt.Errorf("%w: %v device %d", ErrDegraded, a.level, sp.dev)
-	case Level1:
-		t, err := a.submitDev(at, mirror(sp.dev), blockdev.OpRead, sp.off, sp.n)
-		if err != nil {
-			return at, fmt.Errorf("%w: both mirrors of pair %d", ErrDegraded, sp.dev/2)
-		}
-		return t, nil
-	default:
-		done := at
-		for d := range a.devs {
-			if d == sp.dev {
-				continue
-			}
-			t, err := a.submitDev(at, d, blockdev.OpRead, sp.off, sp.n)
-			if err != nil {
-				return at, fmt.Errorf("%w: second failure on device %d", ErrDegraded, d)
-			}
-			done = vtime.Max(done, t)
-		}
-		return done, nil
-	}
-}
-
-// write serves a logical write.
+// write serves a logical write: each data span once, or to both members of
+// its pair under Level1; parity levels go through parityWrite.
 func (a *Array) write(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
-	switch a.level {
-	case Level0:
-		done := at
-		for _, sp := range a.dataSpans(req.Off, req.Len) {
-			t, err := a.submitDev(at, sp.dev, blockdev.OpWrite, sp.off, sp.n)
+	if a.level == Level4 || a.level == Level5 {
+		return a.parityWrite(at, req)
+	}
+	done := at
+	for _, sp := range a.dataSpans(req.Off, req.Len) {
+		for c := 0; c < a.copies; c++ {
+			t, err := a.submitDev(at, sp.dev+c, blockdev.OpWrite, sp.off, sp.n)
 			if err != nil {
 				return at, err
 			}
 			done = vtime.Max(done, t)
 		}
-		return done, nil
-	case Level1:
-		done := at
-		for _, sp := range a.dataSpans(req.Off, req.Len) {
-			okOne := false
-			for _, d := range [2]int{sp.dev, mirror(sp.dev)} {
-				t, err := a.submitDev(at, d, blockdev.OpWrite, sp.off, sp.n)
-				if err != nil {
-					if errors.Is(err, blockdev.ErrDeviceFailed) {
-						continue
-					}
-					return at, err
-				}
-				okOne = true
-				done = vtime.Max(done, t)
-			}
-			if !okOne {
-				return at, fmt.Errorf("%w: both mirrors of pair %d", ErrDegraded, sp.dev/2)
-			}
-		}
-		return done, nil
-	default:
-		return a.parityWrite(at, req)
 	}
+	return done, nil
 }
 
 // parityWrite serves a write under RAID-4/5: full stripes are written in one
 // pass with freshly computed parity (no reads); partially covered stripes
-// pay the read-modify-write penalty.
+// pay the read-modify-write penalty first, in stripe order.
 func (a *Array) parityWrite(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	dd := int64(a.dataDevs)
 	c0 := req.Off / a.chunk
 	c1 := (req.Off + req.Len - 1) / a.chunk
-	s0 := c0 / int64(a.dataDevs)
-	s1 := c1 / int64(a.dataDevs)
-
 	// A stripe is "full" when every one of its data chunks is covered (the
 	// array operates at whole-chunk granularity). Full stripes form one
-	// contiguous run in the middle of the request.
-	fullFrom, fullTo := int64(-1), int64(-2)
-	for s := s0; s <= s1; s++ {
-		if s*int64(a.dataDevs) >= c0 && (s+1)*int64(a.dataDevs)-1 <= c1 {
-			if fullFrom < 0 {
-				fullFrom = s
-			}
-			fullTo = s
-		}
-	}
+	// contiguous run, possibly empty, in the middle of the request.
+	fullFrom, fullTo := (c0+dd-1)/dd, (c1+1)/dd-1
 
 	done := at
-	for s := s0; s <= s1; s++ {
+	for s := c0 / dd; s <= c1/dd; s++ {
 		if s >= fullFrom && s <= fullTo {
 			continue // handled by the coalesced full run below
 		}
-		t, err := a.rmwStripe(at, s, c0, c1)
+		t, err := a.rmwStripe(at, s, int(max(c0-s*dd, 0)), int(min(c1-s*dd, dd-1)))
 		if err != nil {
 			return at, err
 		}
 		done = vtime.Max(done, t)
 	}
-	if fullFrom >= 0 {
-		off := fullFrom * a.chunk
-		n := (fullTo - fullFrom + 1) * a.chunk
-		for d := range a.devs {
-			t, err := a.submitDev(at, d, blockdev.OpWrite, off, n)
-			if err != nil {
-				if errors.Is(err, blockdev.ErrDeviceFailed) {
-					continue // parity protects the missing member
-				}
-				return at, err
-			}
-			done = vtime.Max(done, t)
+	if fullFrom <= fullTo {
+		t, err := a.everyMember(at, blockdev.OpWrite, fullFrom*a.chunk, (fullTo-fullFrom+1)*a.chunk)
+		if err != nil {
+			return at, err
 		}
+		done = vtime.Max(done, t)
 	}
 	return done, nil
 }
 
-// rmwStripe updates the covered chunks of stripe s via read-modify-write:
-// read old data and parity, then write new data and parity.
-func (a *Array) rmwStripe(at vtime.Time, s int64, c0, c1 int64) (vtime.Time, error) {
-	p := a.parityDev(s)
-	dOff := s * a.chunk
-	var touched []int
-	for pos := 0; pos < a.dataDevs; pos++ {
-		c := s*int64(a.dataDevs) + int64(pos)
-		if c >= c0 && c <= c1 {
-			touched = append(touched, pos)
-		}
-	}
-
-	readDone := at
-	degraded := false
-	readOne := func(d int) error {
-		t, err := a.submitDev(at, d, blockdev.OpRead, dOff, a.chunk)
-		if err != nil {
-			// A latent sector error also forces full-stripe reconstruction;
-			// the write phase below overwrites the bad chunk, clearing it.
-			if errors.Is(err, blockdev.ErrDeviceFailed) || errors.Is(err, blockdev.ErrUnreadable) {
-				degraded = true
-				return nil
-			}
-			return err
-		}
-		readDone = vtime.Max(readDone, t)
-		return nil
-	}
-	for _, pos := range touched {
-		if err := readOne(a.dataDev(s, pos)); err != nil {
-			return at, err
-		}
-	}
-	if err := readOne(p); err != nil {
+// rmwStripe updates data positions lo..hi of stripe s by read-modify-write:
+// read the old data and parity, then, once every read is in, write the new
+// data and parity.
+func (a *Array) rmwStripe(at vtime.Time, s int64, lo, hi int) (vtime.Time, error) {
+	readDone, err := a.touchStripe(at, blockdev.OpRead, s, lo, hi)
+	if err != nil {
 		return at, err
 	}
-	if degraded {
-		// A member is gone: reconstruct by reading every survivor.
-		for d := range a.devs {
-			t, err := a.submitDev(at, d, blockdev.OpRead, dOff, a.chunk)
-			if err != nil && !errors.Is(err, blockdev.ErrDeviceFailed) && !errors.Is(err, blockdev.ErrUnreadable) {
-				return at, err
-			}
-			if err == nil {
-				readDone = vtime.Max(readDone, t)
-			}
-		}
-	}
-
-	writeDone := readDone
-	writeOne := func(d int) error {
-		t, err := a.submitDev(readDone, d, blockdev.OpWrite, dOff, a.chunk)
-		if err != nil {
-			if errors.Is(err, blockdev.ErrDeviceFailed) {
-				return nil
-			}
-			return err
-		}
-		writeDone = vtime.Max(writeDone, t)
-		return nil
-	}
-	for _, pos := range touched {
-		if err := writeOne(a.dataDev(s, pos)); err != nil {
-			return at, err
-		}
-	}
-	if err := writeOne(p); err != nil {
-		return at, err
-	}
-	return writeDone, nil
+	return a.touchStripe(readDone, blockdev.OpWrite, s, lo, hi)
 }
 
-// Rebuild reconstructs the content role of member dev by streaming every
-// chunk range from the survivors and writing it to the (repaired or
-// replaced) device. It returns the completion time. The unit is 1 MiB of
-// device range per pass to model a realistic rebuild stream.
-func (a *Array) Rebuild(at vtime.Time, dev int) (vtime.Time, error) {
-	if dev < 0 || dev >= len(a.devs) {
-		return at, fmt.Errorf("raid: rebuild of unknown device %d", dev)
-	}
-	// Re-admit the member: its error budget restarts fresh.
-	a.errCount[dev] = 0
-	a.down[dev] = false
-	unit := int64(1 << 20)
-	if unit > a.devCap {
-		unit = a.devCap
-	}
-	cursor := at
-	for off := int64(0); off < a.devCap; off += unit {
-		n := unit
-		if off+n > a.devCap {
-			n = a.devCap - off
+// touchStripe issues op on the chunks at data positions lo..hi of stripe s
+// and then on its parity chunk, all at time at, and returns when the last
+// completes.
+func (a *Array) touchStripe(at vtime.Time, op blockdev.Op, s int64, lo, hi int) (vtime.Time, error) {
+	done := at
+	for pos := lo; pos <= hi+1; pos++ {
+		d := a.parityDev(s)
+		if pos <= hi {
+			d = a.dataDev(s, pos)
 		}
-		readDone := cursor
-		switch a.level {
-		case Level1:
-			t, err := a.submitDev(cursor, mirror(dev), blockdev.OpRead, off, n)
-			if err != nil {
-				return at, fmt.Errorf("rebuild source: %w", err)
-			}
-			readDone = t
-		default:
-			for d := range a.devs {
-				if d == dev {
-					continue
-				}
-				t, err := a.submitDev(cursor, d, blockdev.OpRead, off, n)
-				if err != nil {
-					return at, fmt.Errorf("rebuild source %d: %w", d, err)
-				}
-				readDone = vtime.Max(readDone, t)
-			}
-		}
-		t, err := a.submitDev(readDone, dev, blockdev.OpWrite, off, n)
+		t, err := a.submitDev(at, d, op, s*a.chunk, a.chunk)
 		if err != nil {
-			return at, fmt.Errorf("rebuild target: %w", err)
+			return at, err
 		}
-		cursor = t
+		done = vtime.Max(done, t)
 	}
-	return cursor, nil
+	return done, nil
 }

@@ -1,22 +1,21 @@
-// Package raid implements software RAID over blockdev.Devices: levels 0, 1
-// (mirrored pairs, i.e. RAID-10 when more than one pair), 4, and 5. It
-// reproduces the behaviours the paper's baseline experiments depend on —
-// the read-modify-write small-write penalty of parity RAID, full-stripe
-// write optimization, degraded reads through reconstruction, and rebuild
-// onto a replacement drive.
+// Package raid is a fault-free performance model of md RAID for the
+// baselines and primary: levels 0, 1 (mirrored pairs, i.e. RAID-10 when
+// more than one pair), 4 and 5 over blockdev.Devices. It reproduces what the
+// paper's baseline experiments measure — the read-modify-write small-write
+// penalty of parity RAID, the full-stripe write optimization and mirrored
+// writes.
 //
 // The paper's own SRC cache does NOT use this package: SRC performs its own
-// log-structured striping (internal/src). This package underpins the
-// Bcache/Flashcache baselines ("Bcache5"/"Flashcache5") and the RAID-10
-// primary storage.
+// log-structured striping and failure handling (internal/src). This package
+// underpins the Bcache/Flashcache baselines ("Bcache5"/"Flashcache5"), the
+// RAID-0 ablation and the RAID-10 primary storage. It recovers from nothing:
+// a member error reaches the caller, wrapped with the member's index.
 package raid
 
 import (
-	"errors"
 	"fmt"
 
 	"srccache/internal/blockdev"
-	"srccache/internal/vtime"
 )
 
 // Level selects the RAID layout.
@@ -50,25 +49,15 @@ func (l Level) String() string {
 	}
 }
 
-// ErrDegraded reports an unrecoverable read (more failures than redundancy).
-var ErrDegraded = errors.New("raid: data unrecoverable")
-
 // Array is a RAID volume over equal-sized devices.
 type Array struct {
 	level Level
 	chunk int64
 	devs  []blockdev.Device
 
-	devCap    int64
-	capacity  int64
-	dataDevs  int // data chunks per stripe
-	pairCount int // Level1 only
-
-	retryLimit int            // bounded retries for transient member errors
-	retryDelay vtime.Duration // backoff before the first retry, doubling
-	errBudget  int64          // corrected errors before a member is kicked
-	errCount   []int64
-	down       []bool // members kicked by the error budget (md-style)
+	capacity int64
+	dataDevs int // data chunks per stripe
+	copies   int // members written per data chunk: 2 under Level1, else 1
 
 	stats blockdev.Stats
 	cont  *blockdev.Content
@@ -94,43 +83,28 @@ func New(level Level, chunk int64, devs []blockdev.Device) (*Array, error) {
 	if devCap%chunk != 0 {
 		return nil, fmt.Errorf("raid: device capacity %d not a multiple of chunk %d", devCap, chunk)
 	}
-	a := &Array{
-		level: level, chunk: chunk, devs: devs, devCap: devCap,
-		retryLimit: 3,
-		retryDelay: 100 * vtime.Microsecond,
-		errBudget:  20,
-		errCount:   make([]int64, len(devs)),
-		down:       make([]bool, len(devs)),
-	}
+	a := &Array{level: level, chunk: chunk, devs: devs, copies: 1}
 	switch level {
 	case Level0:
 		a.dataDevs = len(devs)
-		a.capacity = int64(len(devs)) * devCap
 	case Level1:
 		if len(devs)%2 != 0 {
 			return nil, fmt.Errorf("raid: %v needs an even device count, have %d", level, len(devs))
 		}
-		a.pairCount = len(devs) / 2
-		a.dataDevs = a.pairCount
-		a.capacity = int64(a.pairCount) * devCap
+		a.dataDevs = len(devs) / 2
+		a.copies = 2
 	case Level4, Level5:
 		if len(devs) < 3 {
 			return nil, fmt.Errorf("raid: %v needs at least 3 devices, have %d", level, len(devs))
 		}
 		a.dataDevs = len(devs) - 1
-		a.capacity = int64(a.dataDevs) * devCap
 	default:
 		return nil, fmt.Errorf("raid: unsupported level %v", level)
 	}
+	a.capacity = int64(a.dataDevs) * devCap
 	a.cont = blockdev.NewContent(a.capacity)
 	return a, nil
 }
-
-// Level reports the array's level.
-func (a *Array) Level() Level { return a.level }
-
-// ChunkSize reports the stripe chunk size in bytes.
-func (a *Array) ChunkSize() int64 { return a.chunk }
 
 // Capacity reports the usable (logical) size in bytes.
 func (a *Array) Capacity() int64 { return a.capacity }
@@ -142,8 +116,7 @@ func (a *Array) Stats() *blockdev.Stats { return &a.stats }
 // Content exposes the logical content store.
 func (a *Array) Content() *blockdev.Content { return a.cont }
 
-// Devices returns the member devices (for per-device stats and fault
-// injection).
+// Devices returns the member devices (for per-device stats).
 func (a *Array) Devices() []blockdev.Device { return a.devs }
 
 // DeviceBytes sums member read+write traffic — the amplified physical I/O.
@@ -164,7 +137,8 @@ func (a *Array) parityDev(s int64) int {
 	return len(a.devs) - 1 - int(s%int64(len(a.devs)))
 }
 
-// dataDev reports which device holds data position pos of stripe s.
+// dataDev reports which device holds data position pos of stripe s. Under
+// Level1 it is the first member of the pair; its mirror is the next one.
 func (a *Array) dataDev(s int64, pos int) int {
 	switch a.level {
 	case Level0:
@@ -183,140 +157,4 @@ func (a *Array) dataDev(s int64, pos int) int {
 // locate maps a logical chunk index to (stripe, data position).
 func (a *Array) locate(lchunk int64) (stripe int64, pos int) {
 	return lchunk / int64(a.dataDevs), int(lchunk % int64(a.dataDevs))
-}
-
-// LocatePage maps a logical page to (device index, device page index) —
-// exposed for content bookkeeping and tests.
-func (a *Array) LocatePage(lpage int64) (dev int, dpage int64) {
-	off := lpage * blockdev.PageSize
-	stripe, pos := a.locate(off / a.chunk)
-	dev = a.dataDev(stripe, pos)
-	dpage = (stripe*a.chunk + off%a.chunk) / blockdev.PageSize
-	return dev, dpage
-}
-
-// mirror reports the mirror partner of device d under Level1.
-func mirror(d int) int { return d ^ 1 }
-
-// SetRetryPolicy overrides the transient-error retry bound and initial
-// backoff (defaults: 3 retries, 100 µs doubling).
-func (a *Array) SetRetryPolicy(limit int, delay vtime.Duration) {
-	a.retryLimit = limit
-	a.retryDelay = delay
-}
-
-// SetErrorBudget overrides the md-style per-member corrected-error budget
-// (default 20). A member that exhausts it is kicked from the array until
-// Rebuild re-admits it.
-func (a *Array) SetErrorBudget(n int64) { a.errBudget = n }
-
-// Down reports whether member d has been kicked by the error budget.
-func (a *Array) Down(d int) bool { return d >= 0 && d < len(a.down) && a.down[d] }
-
-// DeviceErrors reports the corrected errors charged against member d since
-// assembly or its last rebuild.
-func (a *Array) DeviceErrors(d int) int64 {
-	if d < 0 || d >= len(a.errCount) {
-		return 0
-	}
-	return a.errCount[d]
-}
-
-// noteErr charges one corrected error against member d, kicking it when the
-// budget is exhausted.
-func (a *Array) noteErr(d int) {
-	a.errCount[d]++
-	if a.errCount[d] >= a.errBudget {
-		a.down[d] = true
-	}
-}
-
-// submitDev issues one request to member device d, retrying transient errors
-// with exponential virtual-time backoff and charging corrected errors
-// against the member's budget.
-func (a *Array) submitDev(at vtime.Time, d int, op blockdev.Op, off, n int64) (vtime.Time, error) {
-	if a.down[d] {
-		return at, fmt.Errorf("%w: member %d kicked by error budget", blockdev.ErrDeviceFailed, d)
-	}
-	req := blockdev.Request{Op: op, Off: off, Len: n}
-	t, err := a.devs[d].Submit(at, req)
-	attempts := 0
-	for errors.Is(err, blockdev.ErrTransient) {
-		if attempts >= a.retryLimit {
-			a.noteErr(d)
-			return at, fmt.Errorf("%w: member %d still transient after %d retries", blockdev.ErrDeviceFailed, d, attempts)
-		}
-		at = at.Add(a.retryDelay << attempts)
-		attempts++
-		t, err = a.devs[d].Submit(at, req)
-	}
-	if attempts > 0 && err == nil {
-		a.noteErr(d) // corrected after retrying: one budget error, md-style
-	}
-	if errors.Is(err, blockdev.ErrUnreadable) {
-		a.noteErr(d)
-	}
-	return t, err
-}
-
-// Submit schedules a logical request and returns its completion time.
-func (a *Array) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
-	if err := req.Validate(a.capacity); err != nil {
-		return at, err
-	}
-	a.stats.Record(req)
-	switch req.Op {
-	case blockdev.OpTrim:
-		return a.trim(at, req)
-	case blockdev.OpRead:
-		return a.read(at, req)
-	default:
-		return a.write(at, req)
-	}
-}
-
-// Flush flushes every member and completes when the last one drains.
-func (a *Array) Flush(at vtime.Time) (vtime.Time, error) {
-	a.stats.Flushes++
-	a.cont.FlushContent()
-	done := at
-	for i, d := range a.devs {
-		if a.down[i] {
-			continue // kicked members take no further commands
-		}
-		fd, err := d.Flush(at)
-		if err != nil {
-			if errors.Is(err, blockdev.ErrDeviceFailed) {
-				continue // flush of a failed member is moot
-			}
-			return at, err
-		}
-		done = vtime.Max(done, fd)
-	}
-	return done, nil
-}
-
-// trim forwards a logical trim to the member ranges it covers, including
-// parity, at stripe granularity.
-func (a *Array) trim(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
-	stripeData := a.chunk * int64(a.dataDevs)
-	s0 := req.Off / stripeData
-	s1 := (req.Off + req.Len - 1) / stripeData
-	off := s0 * a.chunk
-	n := (s1 - s0 + 1) * a.chunk
-	done := at
-	for d := range a.devs {
-		td, err := a.submitDev(at, d, blockdev.OpTrim, off, n)
-		if err != nil {
-			if errors.Is(err, blockdev.ErrDeviceFailed) {
-				continue
-			}
-			return at, err
-		}
-		done = vtime.Max(done, td)
-	}
-	if err := a.cont.Trim(req.Off/blockdev.PageSize, req.Pages()); err != nil {
-		return at, err
-	}
-	return done, nil
 }

@@ -2,8 +2,12 @@ package raid
 
 import (
 	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
@@ -88,15 +92,24 @@ func TestLevelStrings(t *testing.T) {
 	}
 }
 
+// TestLocatePageBijective checks the layout Submit relies on: every logical
+// page lands on exactly one (member, member page), never on its stripe's
+// parity chunk.
 func TestLocatePageBijective(t *testing.T) {
 	for _, level := range []Level{Level0, Level1, Level4, Level5} {
 		a, _ := newArray(t, level, 2*blockdev.PageSize, 4)
 		seen := make(map[[2]int64]int64)
 		pages := a.Capacity() / blockdev.PageSize
 		for p := int64(0); p < pages; p++ {
-			dev, dpage := a.LocatePage(p)
+			off := p * blockdev.PageSize
+			stripe, pos := a.locate(off / a.chunk)
+			dev := a.dataDev(stripe, pos)
+			dpage := (stripe*a.chunk + off%a.chunk) / blockdev.PageSize
 			if dpage < 0 || dpage >= devCap/blockdev.PageSize {
 				t.Fatalf("%v: page %d -> dev page %d out of range", level, p, dpage)
+			}
+			if (level == Level4 || level == Level5) && dev == a.parityDev(stripe) {
+				t.Fatalf("%v: page %d lands on stripe %d's parity member %d", level, p, stripe, dev)
 			}
 			key := [2]int64{int64(dev), dpage}
 			if prev, dup := seen[key]; dup {
@@ -182,6 +195,9 @@ func TestLargeWriteCoalescesPerDevice(t *testing.T) {
 	}
 }
 
+// TestMirrorWritesBothAndReadsSurvivor: a Level1 write goes to both members
+// of the pair, and reads come from the first one only, so a failed mirror
+// partner does not touch them. A failed first member is the caller's error.
 func TestMirrorWritesBothAndReadsSurvivor(t *testing.T) {
 	a1, faults := newArray(t, Level1, blockdev.PageSize, 4)
 	req := blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: blockdev.PageSize}
@@ -191,119 +207,43 @@ func TestMirrorWritesBothAndReadsSurvivor(t *testing.T) {
 	if faults[0].Stats().WriteOps != 1 || faults[1].Stats().WriteOps != 1 {
 		t.Fatal("mirror write did not hit both members")
 	}
-	faults[0].Fail()
-	if _, err := a1.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("degraded mirror read: %v", err)
-	}
+	read := blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}
 	faults[1].Fail()
-	if _, err := a1.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("double mirror failure err = %v", err)
+	if _, err := a1.Submit(0, read); err != nil {
+		t.Fatalf("read with the mirror partner failed: %v", err)
+	}
+	faults[0].Fail()
+	if _, err := a1.Submit(0, read); !errors.Is(err, blockdev.ErrDeviceFailed) {
+		t.Fatalf("read of a failed member err = %v", err)
 	}
 }
 
+// TestDegradedParityRead: with a member failed, a parity array still serves
+// chunks that live on the survivors, and a read of the failed member's chunk
+// is the caller's error; nothing is reconstructed.
 func TestDegradedParityRead(t *testing.T) {
 	a5, faults := newArray(t, Level5, blockdev.PageSize, 4)
 	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 3 * blockdev.PageSize}); err != nil {
 		t.Fatal(err)
 	}
-	dev, _ := a5.LocatePage(0)
-	faults[dev].Fail()
-	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("degraded read: %v", err)
+	faults[a5.dataDev(0, 0)].Fail()
+	before := faults[a5.parityDev(0)].Stats().ReadOps
+	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: blockdev.PageSize, Len: blockdev.PageSize}); err != nil {
+		t.Fatalf("read of a surviving member: %v", err)
 	}
-	// Reads and writes keep working degraded.
-	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("degraded write: %v", err)
+	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); !errors.Is(err, blockdev.ErrDeviceFailed) {
+		t.Fatalf("read of the failed member err = %v", err)
 	}
-	// A second failure is unrecoverable.
-	faults[(dev+1)%4].Fail()
-	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("double failure err = %v", err)
+	if faults[a5.parityDev(0)].Stats().ReadOps != before {
+		t.Fatal("degraded read touched parity")
 	}
 }
 
 func TestRAID0FailureIsFatal(t *testing.T) {
 	a0, faults := newArray(t, Level0, blockdev.PageSize, 4)
 	faults[0].Fail()
-	if _, err := a0.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("RAID-0 degraded read err = %v", err)
-	}
-}
-
-func TestWriteTaggedParityConsistency(t *testing.T) {
-	a5, _ := newArray(t, Level5, blockdev.PageSize, 4)
-	tags := []blockdev.Tag{blockdev.DataTag(0, 1), blockdev.DataTag(1, 1), blockdev.DataTag(2, 1)}
-	if _, err := a5.WriteTagged(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 3 * blockdev.PageSize}, tags); err != nil {
-		t.Fatal(err)
-	}
-	// Every lost member must be reconstructable from the survivors.
-	for lpage := int64(0); lpage < 3; lpage++ {
-		dev, dpage := a5.LocatePage(lpage)
-		got, err := a5.ReconstructTag(dev, dpage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tags[lpage] {
-			t.Fatalf("page %d reconstructed %v, want %v", lpage, got, tags[lpage])
-		}
-	}
-}
-
-func TestWriteTaggedMirrorReconstruct(t *testing.T) {
-	a1, _ := newArray(t, Level1, blockdev.PageSize, 4)
-	tag := blockdev.DataTag(7, 3)
-	if _, err := a1.WriteTagged(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: blockdev.PageSize}, []blockdev.Tag{tag}); err != nil {
-		t.Fatal(err)
-	}
-	dev, dpage := a1.LocatePage(0)
-	got, err := a1.ReconstructTag(dev, dpage)
-	if err != nil || got != tag {
-		t.Fatalf("mirror reconstruct = %v, %v", got, err)
-	}
-}
-
-func TestWriteTaggedPropertyRandomPages(t *testing.T) {
-	a5, _ := newArray(t, Level5, blockdev.PageSize, 4)
-	pages := a5.Capacity() / blockdev.PageSize
-	var at vtime.Time
-	f := func(rawPage uint16, version uint8) bool {
-		lpage := int64(rawPage) % pages
-		tag := blockdev.DataTag(lpage, uint64(version)+1)
-		done, err := a5.WriteTagged(at, blockdev.Request{
-			Op: blockdev.OpWrite, Off: lpage * blockdev.PageSize, Len: blockdev.PageSize,
-		}, []blockdev.Tag{tag})
-		if err != nil {
-			return false
-		}
-		at = done
-		dev, dpage := a5.LocatePage(lpage)
-		got, err := a5.ReconstructTag(dev, dpage)
-		return err == nil && got == tag
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebuildStreams(t *testing.T) {
-	a5, faults := newArray(t, Level5, blockdev.PageSize, 4)
-	faults[2].Fail()
-	faults[2].Repair()
-	done, err := a5.Rebuild(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= 0 {
-		t.Fatalf("rebuild completed at %v", done)
-	}
-	if faults[2].Stats().WriteOps == 0 {
-		t.Fatal("rebuild wrote nothing to target")
-	}
-	if faults[0].Stats().ReadOps == 0 {
-		t.Fatal("rebuild read nothing from survivors")
-	}
-	if _, err := a5.Rebuild(0, 9); err == nil {
-		t.Fatal("rebuild accepted unknown device")
+	if _, err := a0.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); !errors.Is(err, blockdev.ErrDeviceFailed) {
+		t.Fatalf("RAID-0 read of a failed member err = %v", err)
 	}
 }
 
@@ -328,10 +268,10 @@ func TestFlushAndTrimForward(t *testing.T) {
 			t.Fatalf("device %d trims = %d", i, f.Stats().TrimOps)
 		}
 	}
-	// Flush with a failed member succeeds on the survivors.
+	// A failed member's flush error reaches the caller.
 	faults[1].Fail()
-	if _, err := a5.Flush(0); err != nil {
-		t.Fatalf("degraded flush: %v", err)
+	if _, err := a5.Flush(0); !errors.Is(err, blockdev.ErrDeviceFailed) {
+		t.Fatalf("flush with a failed member err = %v", err)
 	}
 }
 
@@ -346,70 +286,162 @@ func TestDeviceBytesAmplification(t *testing.T) {
 	}
 }
 
-func TestTransientRetryAndBudget(t *testing.T) {
-	a, faults := newArray(t, Level5, blockdev.PageSize, 4)
-	at := vtime.Time(0)
-	done, err := a.Submit(at, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 3 * blockdev.PageSize})
-	if err != nil {
-		t.Fatal(err)
+// TestMemberErrorsPropagate fails one member and checks that every kind of
+// request touching it returns the member's error: the array has no recovery
+// path, so skipping the member would lose a write silently.
+func TestMemberErrorsPropagate(t *testing.T) {
+	const page = blockdev.PageSize
+	read := func(a *Array) error {
+		_, err := a.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: page})
+		return err
 	}
-	// Two transient errors correct within the default 3-retry bound; the
-	// corrected event costs one budget error.
-	faults[0].InjectTransient(2)
-	if _, err := a.Submit(done, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("corrected transient read: %v", err)
+	write := func(pages int64) func(*Array) error {
+		return func(a *Array) error {
+			_, err := a.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: pages * page})
+			return err
+		}
 	}
-	if n := a.DeviceErrors(0); n != 1 {
-		t.Fatalf("budget charge %d, want 1", n)
+	trim := func(a *Array) error {
+		_, err := a.Submit(0, blockdev.Request{Op: blockdev.OpTrim, Off: 0, Len: page})
+		return err
 	}
-	if a.Down(0) {
-		t.Fatal("corrected transient kicked the member")
+	flush := func(a *Array) error {
+		_, err := a.Flush(0)
+		return err
 	}
-	// A budget of 1 means the next charged error kicks the member; reads
-	// still succeed via reconstruction.
-	a.SetErrorBudget(1)
-	faults[0].InjectTransient(4) // initial try + 3 retries all fail
-	if _, err := a.Submit(done, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("degraded read after exhausted retries: %v", err)
+	type op struct {
+		name   string
+		member int // the member that fails
+		run    func(*Array) error
 	}
-	if !a.Down(0) {
-		t.Fatal("exhausted budget did not kick the member")
+	// Logical page 0 lives on member 0 at every level; stripe 0's parity
+	// is member 3 under both RAID-4 and RAID-5.
+	common := func(stripePages int64) []op {
+		return []op{
+			{"read", 0, read},
+			{"small write", 0, write(1)},
+			{"full-stripe write", 0, write(stripePages)},
+			{"trim", 2, trim},
+			{"flush", 2, flush},
+		}
 	}
-	// Rebuild re-admits the member with a fresh budget.
-	if _, err := a.Rebuild(done, 0); err != nil {
-		t.Fatal(err)
-	}
-	if a.Down(0) || a.DeviceErrors(0) != 0 {
-		t.Fatal("rebuild did not re-admit the member")
+	for _, tc := range []struct {
+		level Level
+		ops   []op
+	}{
+		{Level0, common(4)},
+		{Level1, append(common(2), op{"mirror write", 1, write(1)})},
+		{Level4, append(common(3), op{"small write, parity member", 3, write(1)})},
+		{Level5, append(common(3), op{"full-stripe write, parity member", 3, write(3)})},
+	} {
+		for _, o := range tc.ops {
+			t.Run(fmt.Sprintf("%v/%s", tc.level, o.name), func(t *testing.T) {
+				a, faults := newArray(t, tc.level, page, 4)
+				faults[o.member].Fail()
+				if err := o.run(a); !errors.Is(err, blockdev.ErrDeviceFailed) {
+					t.Fatalf("member %d failed: err = %v, want ErrDeviceFailed", o.member, err)
+				}
+			})
+		}
 	}
 }
 
-func TestUnreadableReadRepairsInPlace(t *testing.T) {
-	a, faults := newArray(t, Level5, blockdev.PageSize, 4)
-	at := vtime.Time(0)
-	done, err := a.Submit(at, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 3 * blockdev.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, dpage := a.LocatePage(0)
-	faults[dev].InjectUnreadable(dpage)
-	if _, err := a.Submit(done, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatalf("read over latent sector error: %v", err)
-	}
-	// The fix_read_error write-back cleared the bad sector.
-	if n := faults[dev].UnreadablePages(); n != 0 {
-		t.Fatalf("%d pages still unreadable after repair write-back", n)
-	}
-	if n := a.DeviceErrors(dev); n != 1 {
-		t.Fatalf("budget charge %d, want 1", n)
-	}
-	// The repaired chunk reads directly again: no survivor traffic.
-	other := (dev + 1) % 4
-	before := faults[other].Stats().ReadOps
-	if _, err := a.Submit(done, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
-		t.Fatal(err)
-	}
-	if faults[other].Stats().ReadOps != before {
-		t.Fatal("repaired chunk still reads via reconstruction")
+// tap records every request a member sees, in issue order.
+type tap struct {
+	blockdev.Device
+	id    int
+	order hash.Hash64
+}
+
+func (d tap) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	fmt.Fprintf(d.order, "%d %d %v %d %d\n", d.id, at, req.Op, req.Off, req.Len)
+	return d.Device.Submit(at, req)
+}
+
+func (d tap) Flush(at vtime.Time) (vtime.Time, error) {
+	fmt.Fprintf(d.order, "%d %d flush\n", d.id, at)
+	return d.Device.Flush(at)
+}
+
+// TestArrayTrafficPinned pins what the baselines measure on fault-free
+// members: every member request in issue order, each member's Stats and the
+// completion time of every logical request. A seeded stream of reads,
+// small, partial-stripe, full-stripe and multi-stripe writes, trims and
+// flushes runs on each level at two chunk sizes, arriving faster than the
+// members drain so queueing shows in the times. A change to the array must
+// leave the digests untouched; on a mismatch the dump shows what moved.
+func TestArrayTrafficPinned(t *testing.T) {
+	for _, tc := range []struct {
+		level      Level
+		chunkPages int64
+		want       string
+	}{
+		{Level0, 1, "381e00635f05cd03"},
+		{Level0, 2, "27190ecc1c19162c"},
+		{Level1, 1, "2af19186b3899b09"},
+		{Level1, 2, "b7e0d765ba1368ff"},
+		{Level4, 1, "e6c433c974ac4f87"},
+		{Level4, 2, "465cb1b0acede913"},
+		{Level5, 1, "dba69af777d38128"},
+		{Level5, 2, "63a38be010bb5e5a"},
+	} {
+		t.Run(fmt.Sprintf("%v/chunk=%d", tc.level, tc.chunkPages), func(t *testing.T) {
+			const page = blockdev.PageSize
+			order, times := fnv.New64a(), fnv.New64a()
+			devs := make([]blockdev.Device, 4)
+			for i := range devs {
+				devs[i] = tap{blockdev.NewMemDevice(devCap, vtime.Duration(100+10*i)*vtime.Microsecond), i, order}
+			}
+			a, err := New(tc.level, tc.chunkPages*page, devs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripe := a.chunk * int64(a.dataDevs)
+			pages := a.Capacity() / page
+			rng := rand.New(rand.NewSource(32))
+			var at vtime.Time
+			for i := 0; i < 3000; i++ {
+				off := rng.Int63n(pages) * page
+				req, flush := blockdev.Request{Op: blockdev.OpWrite}, false
+				switch rng.Intn(8) {
+				case 0, 1: // read up to two stripes
+					req.Op, req.Off, req.Len = blockdev.OpRead, off, (1+rng.Int63n(2*stripe/page))*page
+				case 2: // small write
+					req.Off, req.Len = off, page
+				case 3: // partial stripe: a chunk and a page from a chunk boundary
+					req.Off, req.Len = off/a.chunk*a.chunk, a.chunk+page
+				case 4: // one full stripe
+					req.Off, req.Len = off/stripe*stripe, stripe
+				case 5: // several stripes with ragged ends
+					req.Off, req.Len = off, (1+rng.Int63n(3))*stripe+rng.Int63n(stripe/page)*page
+				case 6:
+					req.Op, req.Off, req.Len = blockdev.OpTrim, off, (1+rng.Int63n(stripe/page))*page
+				case 7:
+					flush = true
+				}
+				var done vtime.Time
+				if flush {
+					done, err = a.Flush(at)
+				} else {
+					req.Off = min(req.Off, a.Capacity()-req.Len)
+					done, err = a.Submit(at, req)
+				}
+				if err != nil {
+					t.Fatalf("request %d %+v: %v", i, req, err)
+				}
+				fmt.Fprintf(times, "%d\n", done)
+				at = at.Add(vtime.Duration(rng.Int63n(300)) * vtime.Microsecond)
+			}
+			var dump strings.Builder
+			fmt.Fprintf(&dump, "at %d order %016x times %016x\narray %+v\n", at, order.Sum64(), times.Sum64(), *a.Stats())
+			for i, d := range devs {
+				fmt.Fprintf(&dump, "member %d %+v\n", i, *d.Stats())
+			}
+			h := fnv.New64a()
+			h.Write([]byte(dump.String()))
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
+				t.Errorf("traffic digest %s, want %s:\n%s", got, tc.want, dump.String())
+			}
+		})
 	}
 }
