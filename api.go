@@ -2,7 +2,6 @@ package srccache
 
 import (
 	"fmt"
-	"math/rand"
 
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
@@ -47,24 +46,12 @@ const (
 // PageSize is the caching and addressing unit (4 KiB).
 const PageSize = blockdev.PageSize
 
-// Faulty wraps any Device with fail-stop fault injection (Fail/Repair) for
-// failure-handling scenarios.
-type Faulty = blockdev.Faulty
-
-// NewFaulty wraps a device for fail-stop fault injection.
-func NewFaulty(dev Device) *Faulty { return blockdev.NewFaulty(dev) }
-
-// FaultPlan wraps any Device with the full fault taxonomy — latent sector
-// errors (ErrUnreadable), transient errors, fail-slow, probabilistic silent
-// corruption, and scheduled fail-stop — driven by an injected seeded
-// *rand.Rand so fault sequences are reproducible.
+// FaultPlan wraps any Device with explicit fault injection: fail-stop
+// (Fail/Repair), latent sector errors (ErrUnreadable) and transient errors.
 type FaultPlan = blockdev.FaultPlan
 
-// NewFaultPlan wraps a device with seeded fault injection; rng may be nil
-// when only explicit injections are used.
-func NewFaultPlan(dev Device, rng *rand.Rand) *FaultPlan {
-	return blockdev.NewFaultPlan(dev, rng)
-}
+// NewFaultPlan wraps a device for fault injection.
+func NewFaultPlan(dev Device) *FaultPlan { return blockdev.NewFaultPlan(dev) }
 
 // Tag is the 16-byte content fingerprint of one page; DataTag derives the
 // canonical tag for a (logical block, version) pair.

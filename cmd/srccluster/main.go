@@ -12,14 +12,12 @@
 //	srccluster                 # seeds 1..50
 //	srccluster -seeds 500      # wider sweep
 //	srccluster -seed 11 -v     # one seed, full counter detail
-//	srccluster -json           # violations as NDJSON (CI annotations)
 //
 // The default report is one summary line per seed plus aggregate latency
 // digests; exit status is 1 if any invariant was violated.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,16 +35,6 @@ func main() {
 	os.Exit(code)
 }
 
-// violationJSON is the NDJSON shape -json emits, one line per violated
-// seed — stable fields for jq-driven CI annotations.
-type violationJSON struct {
-	Seed       int64    `json:"seed"`
-	Violations []string `json:"violations"`
-	FailedOps  int      `json:"failed_ops"`
-	VerifyErrs int      `json:"verify_errors"`
-	Signature  string   `json:"signature"`
-}
-
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("srccluster", flag.ContinueOnError)
 	var (
@@ -55,7 +43,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		ops      = fs.Int("ops", 0, "client operations per seed (default 400)")
 		nodes    = fs.Int("nodes", 0, "initial fleet size (default 5)")
 		replicas = fs.Int("replicas", 0, "replication factor (default 3)")
-		asJSON   = fs.Bool("json", false, "emit violations as NDJSON instead of the report")
 		verbose  = fs.Bool("v", false, "full per-seed counters")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +57,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		}
 	}
 
-	enc := json.NewEncoder(stdout)
 	violated := 0
 	totalOps := 0
 	for _, s := range list {
@@ -83,19 +69,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 		if len(v) > 0 {
 			violated++
 		}
-		switch {
-		case *asJSON:
-			if len(v) > 0 {
-				if err := enc.Encode(violationJSON{
-					Seed: s, Violations: v, FailedOps: res.FailedOps,
-					VerifyErrs: res.VerifyErrors, Signature: res.Signature(),
-				}); err != nil {
-					return 2, err
-				}
-			}
-		case *verbose:
+		if *verbose {
 			fmt.Fprintf(stdout, "seed %3d: %+v\n", s, res)
-		default:
+		} else {
 			fmt.Fprintf(stdout,
 				"seed %3d: ops %4d kills %d wipes %d cuts %d joins %d leaves %d commits %d aborts %d repaired %3d supkills %d midcommit %d resumes %d  read p99 %-10v write p99 %-10v %s\n",
 				s, res.Ops, res.Kills, res.Wipes, res.ClientCuts+res.NodeCuts, res.Joins, res.Leaves,
@@ -103,9 +79,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 				res.ReadLat.P99, res.WriteLat.P99, status(v))
 		}
 	}
-	if !*asJSON {
-		fmt.Fprintf(stdout, "\n%d seeds, %d client ops, %d violated\n", len(list), totalOps, violated)
-	}
+	fmt.Fprintf(stdout, "\n%d seeds, %d client ops, %d violated\n", len(list), totalOps, violated)
 	if violated > 0 {
 		return 1, nil
 	}

@@ -38,26 +38,14 @@ func TestRunSingleSeedVerbose(t *testing.T) {
 	}
 }
 
-func TestRunJSONQuietWhenClean(t *testing.T) {
-	// NDJSON mode emits one line per violated seed; a clean sweep emits
-	// nothing, which is what CI greps for.
-	var out bytes.Buffer
-	code, err := run([]string{"-seeds", "2", "-ops", "200", "-json"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out.String())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("clean sweep emitted NDJSON:\n%s", out.String())
-	}
-}
-
+// TestRunRejectsBadFlags: an unknown flag is an error, and so is -json:
+// the table is the only report.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if code, err := run([]string{"-bogus"}, &out); err == nil || code != 2 {
-		t.Fatalf("bad flag: code %d err %v", code, err)
+	for _, flag := range []string{"-bogus", "-json"} {
+		var out bytes.Buffer
+		if code, err := run([]string{flag}, &out); err == nil || code != 2 {
+			t.Fatalf("%s: code %d err %v", flag, code, err)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@
 //	srctorture                 # seeds 1..4 over the full matrix
 //	srctorture -seeds 32       # wider sweep
 //	srctorture -seed 7 -v      # one seed, per-cell detail
-//	srctorture -json           # violations as NDJSON (CI annotations)
 //
 // The default report is a per-cell table of trial counts and realized
 // data-loss windows (the flush-policy exposure the paper's §4.1 trades
@@ -17,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,21 +34,6 @@ func main() {
 	os.Exit(code)
 }
 
-// violationJSON is the NDJSON shape -json emits, one line per violation —
-// stable fields for jq-driven CI annotations.
-type violationJSON struct {
-	Cell      string `json:"cell"`
-	Seed      int64  `json:"seed"`
-	Epoch     int    `json:"epoch"`
-	Op        int    `json:"op"`
-	Tier      string `json:"tier"`
-	Invariant string `json:"invariant"`
-	Detail    string `json:"detail"`
-	// Kept counts the persisted writes per SSD in the shrunk schedule; the
-	// full schedule is replayable from the seed.
-	Kept []int `json:"kept"`
-}
-
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("srctorture", flag.ContinueOnError)
 	var (
@@ -59,7 +42,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		ops       = fs.Int("ops", 0, "workload operations per cell (default 600)")
 		schedules = fs.Int("k", 0, "seeded schedules per tier per epoch (default 4)")
 		epochs    = fs.Int("epochs", 0, "flush-epoch snapshots retained per cell (default 6)")
-		asJSON    = fs.Bool("json", false, "emit violations as NDJSON instead of the table")
 		verbose   = fs.Bool("v", false, "per-seed cell detail instead of the aggregate table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,35 +88,11 @@ func run(args []string, stdout io.Writer) (int, error) {
 			if cs.MaxLossWindow > a.loss {
 				a.loss = cs.MaxLossWindow
 			}
-			if *verbose && !*asJSON {
+			if *verbose {
 				fmt.Fprintf(stdout, "seed %d %-28v epochs %2d trials %4d loss %4d\n",
 					s, cs.Cell, cs.Epochs, cs.Trials, cs.MaxLossWindow)
 			}
 		}
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		for _, v := range violations {
-			kept := make([]int, len(v.Schedules))
-			for i, sch := range v.Schedules {
-				for _, k := range sch.Keep {
-					if k {
-						kept[i]++
-					}
-				}
-			}
-			if err := enc.Encode(violationJSON{
-				Cell: v.Cell.String(), Seed: v.Seed, Epoch: v.Epoch, Op: v.Op,
-				Tier: v.Tier, Invariant: v.Invariant, Detail: v.Detail, Kept: kept,
-			}); err != nil {
-				return 2, err
-			}
-		}
-		if len(violations) > 0 {
-			return 1, nil
-		}
-		return 0, nil
 	}
 
 	sort.Slice(order, func(i, j int) bool { return order[i].String() < order[j].String() })

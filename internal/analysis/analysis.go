@@ -1,7 +1,8 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis vocabulary, just large enough to host this
-// repository's lints (cmd/srclint). Every analyzer sees one type-checked
-// package at a time; nothing crosses package boundaries.
+// repository's lints (srclint; internal/analysis/driver runs them). Every
+// analyzer sees one type-checked package at a time; nothing crosses
+// package boundaries.
 //
 // The real x/tools module is deliberately not imported: the build must work
 // from a bare Go toolchain with an empty module cache. Analyzers written
@@ -32,9 +33,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //srclint:allow directives. It must be a lower-case identifier.
 	Name string
-
-	// Doc is a one-line description shown by srclint's usage text.
-	Doc string
 
 	// Run applies the analyzer to a package. Diagnostics are delivered
 	// through Pass.Report; the error return is for operational failures
@@ -175,17 +173,11 @@ func (d *Directives) Covers(name string, posn token.Position) bool {
 // Stale returns one diagnostic per directive entry that suppressed no
 // diagnostic in this package (including entries naming a check that does
 // not exist), so suppressions cannot rot. Stale-allow findings are not
-// themselves suppressible. skip, when non-nil, exempts entries whose
-// check was deliberately not run this invocation (-checks/-exclude
-// subsets): a run that never gave a check the chance to fire cannot prove
-// its suppressions stale.
-func (d *Directives) Stale(skip func(name string) bool) []Diagnostic {
+// themselves suppressible.
+func (d *Directives) Stale() []Diagnostic {
 	var out []Diagnostic
 	for _, e := range d.entries {
 		if e.used {
-			continue
-		}
-		if skip != nil && skip(e.name) {
 			continue
 		}
 		out = append(out, Diagnostic{
@@ -254,7 +246,7 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // NormalizePkgPath maps the package-path spellings produced by the go
-// command's vet protocol back to the underlying package path:
+// command's test builds back to the underlying package path:
 // "p [p.test]" (test variant), "p.test" (generated test main) and
 // "p_test" (external test package) all normalize to "p", so a package's
 // tests inherit its contract.

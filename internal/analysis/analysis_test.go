@@ -77,7 +77,7 @@ var b = 2 //srclint:allow seededrand same-line reason
 	if d.Covers("seededrand", token.Position{Filename: "other.go", Line: 5}) {
 		t.Error("directive leaked into another file")
 	}
-	if stale := d.Stale(nil); len(stale) != 0 {
+	if stale := d.Stale(); len(stale) != 0 {
 		t.Errorf("both directives were used, got stale: %v", stale)
 	}
 }
@@ -94,7 +94,7 @@ var a = 1 //srclint:allow wallclock,seededrand,maprange progress timing only
 		}
 	}
 	// maprange was named but never fires: it alone must be reported stale.
-	stale := d.Stale(nil)
+	stale := d.Stale()
 	if len(stale) != 1 || !strings.Contains(stale[0].Message, "maprange") {
 		t.Errorf("want exactly the unused maprange entry stale, got %v", stale)
 	}
@@ -107,7 +107,7 @@ var a = 1 //srclint:allow nosuchcheck misremembered name
 `)
 	// Nothing ever reports under "nosuchcheck", so the entry is stale —
 	// the rot the stale-suppression rule exists to catch.
-	stale := d.Stale(nil)
+	stale := d.Stale()
 	if len(stale) != 1 {
 		t.Fatalf("want 1 stale entry, got %v", stale)
 	}

@@ -23,7 +23,6 @@ import (
 // Analyzer implements the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "simulation packages use internal/vtime and injected seeded *rand.Rand: no time.Now/Sleep/..., no global math/rand",
 	Run:  run,
 }
 

@@ -1,20 +1,26 @@
-// Package driver runs srclint's analyzers over type-checked packages.
+// Package driver runs srclint's analyzers over the repository's type-checked
+// packages. The lint gate is this package's TestTreeClean, so `go test
+// ./...` runs it; there is no command and there are no flags.
 //
-// Two modes share the same analysis core:
+// The checks (DESIGN.md §8) are registered in Analyzers:
 //
-//   - Standalone: `srclint ./...` shells out to `go list -export -deps
-//     -json`, type-checks each listed target from source against the
-//     compiler's export data, and prints findings. No network and no
-//     third-party modules are involved.
+//	determinism  simulation packages use internal/vtime and injected seeded
+//	             *rand.Rand values: no host clock, no global math/rand
+//	maprange     map iteration order must not reach slices or writers unsorted
+//	ioerr        blockdev/raid I/O errors are never discarded, and once
+//	             bound are read on every path
+//	lockheld     no sync.Mutex/RWMutex held across blockdev/raid/netblock I/O
+//	flushepoch   //srclint:contract flush functions drain/flush on every
+//	             success path
 //
-//   - Vet tool: when invoked by `go vet -vettool=srclint`, the go command
-//     drives the unitchecker protocol — a -V=full version query, a -flags
-//     query, then one invocation per package with a JSON *.cfg file
-//     describing sources and export data. This is the mode CI gates on.
+// A finding is suppressed by //srclint:allow <check>[,<check>...] [reason]
+// on or directly above its line; a directive that suppresses nothing is
+// itself reported (staleallow). Test files are held to the same contracts
+// as the code they test.
 package driver
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -29,172 +35,120 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"srccache/internal/analysis"
+	"srccache/internal/analysis/determinism"
+	"srccache/internal/analysis/flushepoch"
+	"srccache/internal/analysis/ioerr"
+	"srccache/internal/analysis/lockheld"
+	"srccache/internal/analysis/maprange"
 )
 
-// Main implements the srclint command line and returns the process exit
-// code: 0 clean, 1 operational failure, 2 findings.
-func Main(analyzers []*analysis.Analyzer) int {
-	args := os.Args[1:]
-	jsonMode := false
-	timings := false
-	var checks, exclude string
-	kept := args[:0:0]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion(true)
-			return 0
-		case a == "-V" || a == "--V":
-			printVersion(false)
-			return 0
-		case a == "-flags" || a == "--flags":
-			// The go command queries the tool's flag set; srclint has no
-			// tool-level flags beyond the protocol ones handled here.
-			fmt.Println("[]")
-			return 0
-		case a == "-h" || a == "--help" || a == "-help":
-			usage(analyzers)
-			return 0
-		case a == "-json" || a == "--json":
-			// Machine-readable findings: one JSON object per line on
-			// stdout (CI turns them into GitHub annotations). Standalone
-			// mode only; the vet protocol owns the output format there.
-			jsonMode = true
-		case a == "-timings" || a == "--timings":
-			// Per-analyzer wall time across the whole run, printed to
-			// stderr at the end (CI appends it to the job summary).
-			timings = true
-		case strings.HasPrefix(a, "-checks=") || strings.HasPrefix(a, "--checks="):
-			checks = a[strings.Index(a, "=")+1:]
-		case strings.HasPrefix(a, "-exclude=") || strings.HasPrefix(a, "--exclude="):
-			exclude = a[strings.Index(a, "=")+1:]
-		default:
-			kept = append(kept, a)
-		}
-	}
-	args = kept
-	selected, err := SelectAnalyzers(analyzers, checks, exclude)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-		return 1
-	}
-	staleSkip := staleSkipFor(analyzers, selected)
-	if !jsonMode && len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return vetMode(selected, staleSkip, args[0])
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	return standalone(selected, staleSkip, args, jsonMode, timings)
+// Analyzers is the registration list: every check the gate runs.
+var Analyzers = []*analysis.Analyzer{
+	determinism.Analyzer,
+	maprange.Analyzer,
+	ioerr.Analyzer,
+	lockheld.Analyzer,
+	flushepoch.Analyzer,
 }
 
-// staleSkipFor builds the stale-suppression exemption for a -checks/
-// -exclude subset: //srclint:allow entries naming a registered but
-// unselected check are not reported stale (the run never let their check
-// fire). A full selection returns nil so unknown-name entries still rot
-// loudly.
-func staleSkipFor(all, selected []*analysis.Analyzer) func(string) bool {
-	if len(selected) == len(all) {
-		return nil
-	}
-	on := make(map[string]bool, len(selected))
-	for _, a := range selected {
-		on[a.Name] = true
-	}
-	known := make(map[string]bool, len(all))
-	for _, a := range all {
-		known[a.Name] = true
-	}
-	return func(name string) bool { return known[name] && !on[name] }
-}
-
-// SelectAnalyzers applies the -checks/-exclude flags: checks (when
-// non-empty) keeps only the named analyzers, exclude then drops names;
-// both are comma-separated and an unknown name is an error listing the
-// valid ones. Registration order is preserved.
-func SelectAnalyzers(all []*analysis.Analyzer, checks, exclude string) ([]*analysis.Analyzer, error) {
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	names := make([]string, 0, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-		names = append(names, a.Name)
-	}
-	parse := func(list, flag string) (map[string]bool, error) {
-		if list == "" {
-			return nil, nil
-		}
-		set := make(map[string]bool)
-		for _, n := range strings.Split(list, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("-%s: unknown check %q (valid checks: %s)", flag, n, strings.Join(names, ", "))
-			}
-			set[n] = true
-		}
-		return set, nil
-	}
-	want, err := parse(checks, "checks")
+// Check applies analyzers to every package the go command lists for
+// patterns, test files included, and returns one "file:line:col: [check]
+// message" line per finding. The error is for a package that does not list,
+// parse or type-check.
+func Check(analyzers []*analysis.Analyzer, patterns ...string) ([]string, error) {
+	units, exports, err := list(patterns)
 	if err != nil {
 		return nil, err
 	}
-	drop, err := parse(exclude, "exclude")
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if want != nil && !want[a.Name] {
-			continue
+	var out []string
+	for _, u := range units {
+		fset := token.NewFileSet()
+		diags, err := checkPackage(analyzers, fset, exportImporter(fset, u.importMap, exports), u.path, u.files)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", u.path, err)
 		}
-		if drop[a.Name] {
-			continue
+		for _, d := range diags {
+			out = append(out, fmt.Sprintf("%v: [%s] %s", fset.Position(d.Pos), d.Category, d.Message))
 		}
-		out = append(out, a)
 	}
 	return out, nil
 }
 
-func usage(analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(os.Stderr, "srclint: determinism and I/O-error lints for this repository\n\n")
-	fmt.Fprintf(os.Stderr, "usage: srclint [packages]           (standalone, defaults to ./...)\n")
-	fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which srclint) ./...\n\nchecks:\n")
-	for _, a := range analyzers {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintf(os.Stderr, "\nsuppress a finding with `//srclint:allow <check> [reason]` on or above the line\n")
+// A unit is one package as the gate checks it.
+type unit struct {
+	path      string            // the go command's ID, e.g. "p [p.test]"
+	files     []string          // absolute source paths
+	importMap map[string]string // source import path -> ID
 }
 
-// printVersion emits the version line the go command uses as the tool's
-// build ID; the full form hashes the binary so rebuilt tools invalidate
-// vet's result cache.
-func printVersion(full bool) {
-	name := filepath.Base(os.Args[0])
-	if !full {
-		fmt.Printf("%s version devel\n", name)
-		return
-	}
-	h := sha256.New()
-	if f, err := os.Open(os.Args[0]); err == nil {
-		io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil))
+// listPackage is the subset of `go list -json` output the loader uses.
+type listPackage struct {
+	ImportPath  string
+	ForTest     string
+	Dir         string
+	GoFiles     []string
+	TestGoFiles []string
+	ImportMap   map[string]string
+	Export      string
+	Standard    bool
+	DepOnly     bool
+	Error       *struct{ Err string }
 }
 
-// loadPackage parses and type-checks one package from source against its
-// dependencies' export data.
-func loadPackage(fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, filenames []string) ([]*ast.File, *types.Package, *types.Info, error) {
+// list runs `go list -test -export -deps -json` over patterns and returns
+// the units to check, plus the export-data file of every listed package by
+// ID. A package with in-package tests is checked as its test variant
+// "p [p.test]", whose GoFiles hold its TestGoFiles too; external test
+// packages "p_test [p.test]" are units of their own. Dependencies
+// recompiled for another package's test and generated test mains are not.
+func list(patterns []string) ([]unit, map[string]string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-test", "-export", "-deps", "-json"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
+	}
+	var units []unit
+	exports := make(map[string]string)
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("go list: %v", err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if p.DepOnly || p.Standard || strings.HasSuffix(p.ImportPath, ".test") ||
+			(p.ForTest == "" && len(p.TestGoFiles) > 0) {
+			continue
+		}
+		if p.Error != nil {
+			return nil, nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
+		}
+		u := unit{path: p.ImportPath, importMap: p.ImportMap}
+		for _, f := range p.GoFiles {
+			u.files = append(u.files, filepath.Join(p.Dir, f))
+		}
+		units = append(units, u)
+	}
+	return units, exports, nil
+}
+
+// checkPackage parses and type-checks one package against its
+// dependencies' export data, applies every analyzer, and returns the
+// diagnostics in position order, stale suppressions included.
+func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer, pkgPath string, filenames []string) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -207,24 +161,8 @@ func loadPackage(fset *token.FileSet, imp types.Importer, pkgPath, goVersion str
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{
-		Importer:  imp,
-		GoVersion: goVersion,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-	}
+	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	pkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return files, pkg, info, nil
-}
-
-// checkPackage parses and type-checks one package and applies every
-// analyzer, returning the diagnostics. staleSkip exempts allow-directives
-// for unselected checks from stale reporting (nil on full runs); timings,
-// when non-nil, accumulates per-analyzer wall time.
-func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, filenames []string, staleSkip func(string) bool, timings map[string]time.Duration) ([]analysis.Diagnostic, error) {
-	files, pkg, info, err := loadPackage(fset, imp, pkgPath, goVersion, filenames)
 	if err != nil {
 		return nil, err
 	}
@@ -243,97 +181,30 @@ func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types
 			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 			Dirs:      dirs,
 		}
-		start := time.Now()
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
-		if timings != nil {
-			timings[a.Name] += time.Since(start)
-		}
 	}
-	diags = append(diags, dirs.Stale(staleSkip)...)
+	diags = append(diags, dirs.Stale()...)
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }
 
-// printTimings writes the accumulated per-analyzer wall time to stderr,
-// longest first, in a fixed "srclint-timing" format CI greps into the job
-// summary.
-func printTimings(timings map[string]time.Duration) {
-	names := make([]string, 0, len(timings))
-	for n := range timings {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if timings[names[i]] != timings[names[j]] {
-			return timings[names[i]] > timings[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "srclint-timing %-14s %v\n", n, timings[n].Round(time.Millisecond))
-	}
-}
-
-func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%v: %s\n", fset.Position(d.Pos), d.Message)
-	}
-}
-
-// jsonDiag is the -json wire format: exactly one object per finding, one
-// finding per line (NDJSON). CI feeds these to jq to emit GitHub
-// annotations; the field set is part of srclint's interface.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Message  string `json:"message"`
-}
-
-// writeJSONDiags emits diags as NDJSON. File paths are made relative to dir
-// (the repo root in practice) when they lie under it, so annotations attach
-// to checkout-relative paths.
-func writeJSONDiags(w io.Writer, fset *token.FileSet, dir string, diags []analysis.Diagnostic) error {
-	enc := json.NewEncoder(w)
-	for _, d := range diags {
-		posn := fset.Position(d.Pos)
-		file := posn.Filename
-		if dir != "" {
-			if rel, err := filepath.Rel(dir, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = filepath.ToSlash(rel)
-			}
-		}
-		if err := enc.Encode(jsonDiag{
-			Analyzer: d.Category,
-			File:     file,
-			Line:     posn.Line,
-			Message:  d.Message,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exportImporter builds a types.Importer that reads gc export data through
-// lookup tables produced either by `go list -export` or a vet.cfg.
-// importMap translates source-level import paths to canonical package
-// paths (identity when nil); packageFile locates each canonical path's
-// export data.
-func exportImporter(fset *token.FileSet, importMap map[string]string, packageFile map[string]string) types.Importer {
+// exportImporter builds a types.Importer that reads gc export data.
+// importMap translates source-level import paths to package IDs (a test
+// variant's recompiled dependencies); exports locates each ID's export
+// data.
+func exportImporter(fset *token.FileSet, importMap, exports map[string]string) types.Importer {
 	compiler := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := packageFile[path]
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
 	return importerFunc(func(path string) (*types.Package, error) {
-		if importMap != nil {
-			if mapped, ok := importMap[path]; ok {
-				path = mapped
-			}
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
 		}
 		if path == "unsafe" {
 			return types.Unsafe, nil
@@ -345,167 +216,3 @@ func exportImporter(fset *token.FileSet, importMap map[string]string, packageFil
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// ---- vet tool mode -------------------------------------------------------
-
-// vetConfig mirrors the subset of the go command's vet config JSON that
-// srclint needs (see cmd/go/internal/work's buildVetConfig).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// writeVetx writes the empty facts placeholder the go command requires of
-// every vet tool: srclint's analyzers stay within one package, so there
-// are no facts to hand to dependents.
-func writeVetx(cfg *vetConfig) error {
-	if cfg.VetxOutput == "" {
-		return nil
-	}
-	return os.WriteFile(cfg.VetxOutput, nil, 0o666)
-}
-
-func vetMode(analyzers []*analysis.Analyzer, staleSkip func(string) bool, cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	if err := writeVetx(&cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-		return 1
-	}
-	if cfg.VetxOnly {
-		return 0 // a dependency-only visit: nothing to compute
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, cfg.ImportMap, cfg.PackageFile)
-	goVersion := cfg.GoVersion
-	if goVersion != "" && !strings.HasPrefix(goVersion, "go") {
-		goVersion = "go" + goVersion
-	}
-	diags, err := checkPackage(analyzers, fset, imp, cfg.ImportPath, goVersion, cfg.GoFiles, staleSkip, nil)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "srclint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if len(diags) == 0 {
-		return 0
-	}
-	printDiags(fset, diags)
-	return 2
-}
-
-// ---- standalone mode -----------------------------------------------------
-
-// listPackage is the subset of `go list -json` output the loader uses.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	Error      *struct{ Err string }
-}
-
-func standalone(analyzers []*analysis.Analyzer, staleSkip func(string) bool, patterns []string, jsonMode, timings bool) int {
-	pkgs, err := goList(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-		return 1
-	}
-	cwd, _ := os.Getwd()
-	packageFile := make(map[string]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			packageFile[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, nil, packageFile)
-
-	var timing map[string]time.Duration
-	if timings {
-		timing = make(map[string]time.Duration)
-	}
-	exit := 0
-	for _, p := range pkgs {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "srclint: %s: %s\n", p.ImportPath, p.Error.Err)
-			return 1
-		}
-		var files []string
-		for _, f := range p.GoFiles {
-			files = append(files, filepath.Join(p.Dir, f))
-		}
-		diags, err := checkPackage(analyzers, fset, imp, p.ImportPath, "", files, staleSkip, timing)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "srclint: %s: %v\n", p.ImportPath, err)
-			return 1
-		}
-		if len(diags) > 0 {
-			if jsonMode {
-				if err := writeJSONDiags(os.Stdout, fset, cwd, diags); err != nil {
-					fmt.Fprintf(os.Stderr, "srclint: %v\n", err)
-					return 1
-				}
-			} else {
-				printDiags(fset, diags)
-			}
-			exit = 2
-		}
-	}
-	if timing != nil {
-		printTimings(timing)
-	}
-	return exit
-}
-
-func goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	var pkgs []*listPackage
-	dec := json.NewDecoder(out)
-	for {
-		p := new(listPackage)
-		if err := dec.Decode(p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: %v", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("go list %s: %v", strings.Join(patterns, " "), err)
-	}
-	return pkgs, nil
-}

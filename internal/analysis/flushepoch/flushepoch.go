@@ -39,7 +39,6 @@ import (
 // Analyzer implements the flushepoch check.
 var Analyzer = &analysis.Analyzer{
 	Name: "flushepoch",
-	Doc:  "//srclint:contract flush functions must drain/flush on every path to a success return",
 	Run:  run,
 }
 

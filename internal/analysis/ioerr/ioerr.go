@@ -32,7 +32,6 @@ import (
 // Analyzer implements the ioerr check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ioerr",
-	Doc:  "blockdev/raid Submit/Flush/Read*/Write*/Trim/Corrupt errors must not be discarded, and must be read on every path once bound",
 	Run:  run,
 }
 

@@ -30,7 +30,6 @@ import (
 // Analyzer implements the lockheld check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockheld",
-	Doc:  "forbid holding a sync.Mutex/RWMutex across blockdev/raid/netblock I/O calls",
 	Run:  run,
 }
 

@@ -23,7 +23,6 @@ import (
 // Analyzer implements the maprange check.
 var Analyzer = &analysis.Analyzer{
 	Name: "maprange",
-	Doc:  "flag range-over-map loops whose iteration order can reach output (append to escaping slice, io.Writer writes) unless sorted",
 	Run:  run,
 }
 

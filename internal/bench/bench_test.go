@@ -98,7 +98,7 @@ func TestRunStartOffset(t *testing.T) {
 
 func TestRunPropagatesErrors(t *testing.T) {
 	dev := blockdev.NewMemDevice(1<<20, 0)
-	f := blockdev.NewFaulty(dev)
+	f := blockdev.NewFaultPlan(dev)
 	f.Fail()
 	g := mustGen(t, workload.Config{Span: 1 << 20})
 	if _, err := Run(f, []workload.Source{g}, Options{MaxRequests: 5}); err == nil {

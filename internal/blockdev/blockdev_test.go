@@ -265,7 +265,7 @@ func TestMemDeviceTiming(t *testing.T) {
 
 func TestFaultyDevice(t *testing.T) {
 	d := NewMemDevice(1<<20, 0)
-	f := NewFaulty(d)
+	f := NewFaultPlan(d)
 	if _, err := f.Submit(0, Request{OpWrite, 0, PageSize}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,96 +2,48 @@ package blockdev
 
 import (
 	"fmt"
-	"math/rand"
 
 	"srccache/internal/vtime"
 )
 
-// FaultPlan wraps a Device with the fault models commodity SSD arrays
-// actually exhibit, beyond the original fail-stop Faulty wrapper:
+// FaultPlan wraps a Device with the fault models the chaos harness and the
+// tests inject, all explicit, so a fault sequence is a pure function of the
+// calls that inject it:
 //
-//   - fail-stop: immediate (Fail) or scheduled at a virtual-time instant
-//     (FailAt); every operation then returns ErrDeviceFailed until Repair.
+//   - fail-stop: after Fail, every operation returns ErrDeviceFailed until
+//     Repair.
 //   - latent sector errors: individual pages marked unreadable
 //     (InjectUnreadable) make any read covering them return ErrUnreadable.
 //     Rewriting or trimming the page clears the mark, which is how a
 //     parity-repair write-back "reallocates" the sector.
 //   - transient errors: the next N submissions fail with ErrTransient
 //     (InjectTransient) and then succeed — the retryable hiccups an error
-//     budget counts. A seeded probability (SetTransientProb) injects them
-//     randomly.
-//   - fail-slow: a latency multiplier on Submit and Flush (SetSlowdown)
-//     models a degraded-but-working drive.
-//   - silent corruption: a seeded probability (SetCorruptProb) corrupts one
-//     page of a completed write via the content store, exercising the
-//     checksum/scrub machinery.
-//
-// Every probabilistic decision draws from the injected *rand.Rand, so a
-// fault sequence is a pure function of the seed and the submission order —
-// the same determinism contract the rest of the simulation obeys. A nil rng
-// disables the probabilistic features; the explicit injections still work.
+//     budget counts.
 type FaultPlan struct {
 	inner Device
-	rng   *rand.Rand
 
-	failed    bool
-	failAt    vtime.Time
-	failAtSet bool
-
-	slowdown      float64
+	failed        bool
 	transientLeft int
-	transientProb float64
-	corruptProb   float64
 	unreadable    map[int64]struct{}
-
-	counts FaultCounts
-}
-
-// FaultCounts tallies the faults a FaultPlan has injected.
-type FaultCounts struct {
-	Transient  int64 // submissions failed with ErrTransient
-	Unreadable int64 // reads failed with ErrUnreadable
-	Corrupted  int64 // pages silently corrupted after a write
 }
 
 var _ Device = (*FaultPlan)(nil)
 
-// NewFaultPlan wraps dev. rng drives the probabilistic fault models and may
-// be nil when only explicit injections (Fail, FailAt, InjectUnreadable,
-// InjectTransient, SetSlowdown) are used.
-func NewFaultPlan(dev Device, rng *rand.Rand) *FaultPlan {
-	return &FaultPlan{inner: dev, rng: rng, unreadable: make(map[int64]struct{})}
+// NewFaultPlan wraps dev; it behaves like dev until a fault is injected.
+func NewFaultPlan(dev Device) *FaultPlan {
+	return &FaultPlan{inner: dev, unreadable: make(map[int64]struct{})}
 }
 
 // Fail makes subsequent operations error with ErrDeviceFailed.
 func (f *FaultPlan) Fail() { f.failed = true }
 
-// FailAt schedules a fail-stop: the first operation arriving at or after t
-// fails the device.
-func (f *FaultPlan) FailAt(t vtime.Time) {
-	f.failAt = t
-	f.failAtSet = true
-}
-
-// Repair restores service after a fail-stop (explicit or scheduled).
-// Content of the underlying device is retained; callers that model drive
-// replacement should also reset content.
-func (f *FaultPlan) Repair() {
-	f.failed = false
-	f.failAtSet = false
-}
+// Repair restores service after a fail-stop. Content of the underlying
+// device is retained; callers that model drive replacement should also
+// reset content.
+func (f *FaultPlan) Repair() { f.failed = false }
 
 // Failed reports whether the device is currently failed.
 func (f *FaultPlan) Failed() bool { return f.failed }
-
-// SetSlowdown sets the fail-slow latency multiplier applied to Submit and
-// Flush service times (values below 1 mean healthy speed).
-func (f *FaultPlan) SetSlowdown(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
-	f.slowdown = factor
-}
 
 // InjectUnreadable marks pages (by page index) as latent sector errors:
 // reads covering them fail with ErrUnreadable until they are rewritten or
@@ -112,64 +64,19 @@ func (f *FaultPlan) InjectTransient(n int) { f.transientLeft += n }
 // have not yet been consumed by submissions.
 func (f *FaultPlan) PendingTransient() int { return f.transientLeft }
 
-// Unreadable reports whether the page currently carries a latent sector
-// error.
-func (f *FaultPlan) Unreadable(page int64) bool {
-	_, bad := f.unreadable[page]
-	return bad
-}
-
-// SetTransientProb makes each submission fail with ErrTransient with
-// probability p. Requires an injected rng.
-func (f *FaultPlan) SetTransientProb(p float64) {
-	if p > 0 && f.rng == nil {
-		panic("blockdev: FaultPlan.SetTransientProb requires a seeded rng")
-	}
-	f.transientProb = p
-}
-
-// SetCorruptProb makes each completed write silently corrupt one random
-// page it covered with probability p. Requires an injected rng.
-func (f *FaultPlan) SetCorruptProb(p float64) {
-	if p > 0 && f.rng == nil {
-		panic("blockdev: FaultPlan.SetCorruptProb requires a seeded rng")
-	}
-	f.corruptProb = p
-}
-
-// Counts reports the faults injected so far.
-func (f *FaultPlan) Counts() FaultCounts { return f.counts }
-
-// stretch applies the fail-slow multiplier to a service interval.
-func (f *FaultPlan) stretch(at, done vtime.Time) vtime.Time {
-	if f.slowdown <= 1 || done <= at {
-		return done
-	}
-	return at.Add(vtime.Duration(float64(done.Sub(at)) * f.slowdown))
-}
-
 // Submit forwards to the wrapped device, applying the fault plan. A
 // malformed request is rejected before any fault state is consumed, so an
-// invalid call cannot perturb the deterministic fault sequence.
+// invalid call cannot perturb the fault sequence.
 func (f *FaultPlan) Submit(at vtime.Time, req Request) (vtime.Time, error) {
 	if err := req.Validate(f.inner.Capacity()); err != nil {
 		return at, err
-	}
-	if f.failAtSet && at >= f.failAt {
-		f.failed = true
-		f.failAtSet = false
 	}
 	if f.failed {
 		return at, ErrDeviceFailed
 	}
 	if f.transientLeft > 0 {
 		f.transientLeft--
-		f.counts.Transient++
 		return at, fmt.Errorf("%w: injected (%v)", ErrTransient, req.Op)
-	}
-	if f.transientProb > 0 && f.rng.Float64() < f.transientProb {
-		f.counts.Transient++
-		return at, fmt.Errorf("%w: probabilistic (%v)", ErrTransient, req.Op)
 	}
 	first := req.Off / PageSize
 	switch req.Op {
@@ -177,7 +84,6 @@ func (f *FaultPlan) Submit(at vtime.Time, req Request) (vtime.Time, error) {
 		if len(f.unreadable) > 0 {
 			for p := first; p < first+req.Pages(); p++ {
 				if _, bad := f.unreadable[p]; bad {
-					f.counts.Unreadable++
 					return at, fmt.Errorf("%w: page %d", ErrUnreadable, p)
 				}
 			}
@@ -190,35 +96,15 @@ func (f *FaultPlan) Submit(at vtime.Time, req Request) (vtime.Time, error) {
 			}
 		}
 	}
-	done, err := f.inner.Submit(at, req)
-	if err != nil {
-		return done, err
-	}
-	if req.Op == OpWrite && f.corruptProb > 0 && f.rng.Float64() < f.corruptProb {
-		page := first + f.rng.Int63n(req.Pages())
-		if cerr := f.inner.Content().Corrupt(page); cerr != nil {
-			return done, cerr
-		}
-		f.counts.Corrupted++
-	}
-	return f.stretch(at, done), nil
+	return f.inner.Submit(at, req)
 }
 
-// Flush forwards to the wrapped device unless failed, applying the
-// fail-slow multiplier.
+// Flush forwards to the wrapped device unless failed.
 func (f *FaultPlan) Flush(at vtime.Time) (vtime.Time, error) {
-	if f.failAtSet && at >= f.failAt {
-		f.failed = true
-		f.failAtSet = false
-	}
 	if f.failed {
 		return at, ErrDeviceFailed
 	}
-	done, err := f.inner.Flush(at)
-	if err != nil {
-		return done, err
-	}
-	return f.stretch(at, done), nil
+	return f.inner.Flush(at)
 }
 
 // Capacity reports the wrapped device's capacity.

@@ -2,24 +2,17 @@ package blockdev
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"srccache/internal/vtime"
 )
 
-func newPlan(t *testing.T, seed int64) (*FaultPlan, *MemDevice) {
-	t.Helper()
-	dev := NewMemDevice(1<<20, 10*vtime.Microsecond)
-	var rng *rand.Rand
-	if seed != 0 {
-		rng = rand.New(rand.NewSource(seed))
-	}
-	return NewFaultPlan(dev, rng), dev
+func newPlan() *FaultPlan {
+	return NewFaultPlan(NewMemDevice(1<<20, 10*vtime.Microsecond))
 }
 
 func TestFaultPlanUnreadable(t *testing.T) {
-	f, _ := newPlan(t, 0)
+	f := newPlan()
 	write := Request{OpWrite, 0, 4 * PageSize}
 	if _, err := f.Submit(0, write); err != nil {
 		t.Fatal(err)
@@ -31,9 +24,6 @@ func TestFaultPlanUnreadable(t *testing.T) {
 	// A read covering the bad page fails; one beside it succeeds.
 	if _, err := f.Submit(0, Request{OpRead, 0, 4 * PageSize}); !errors.Is(err, ErrUnreadable) {
 		t.Fatalf("read over latent error: err = %v, want ErrUnreadable", err)
-	}
-	if f.Counts().Unreadable != 1 {
-		t.Fatalf("Counts().Unreadable = %d, want 1", f.Counts().Unreadable)
 	}
 	if _, err := f.Submit(0, Request{OpRead, 0, 2 * PageSize}); err != nil {
 		t.Fatalf("read beside latent error: %v", err)
@@ -59,7 +49,7 @@ func TestFaultPlanUnreadable(t *testing.T) {
 }
 
 func TestFaultPlanTransient(t *testing.T) {
-	f, _ := newPlan(t, 0)
+	f := newPlan()
 	f.InjectTransient(2)
 	req := Request{OpRead, 0, PageSize}
 	for i := 0; i < 2; i++ {
@@ -70,176 +60,21 @@ func TestFaultPlanTransient(t *testing.T) {
 	if _, err := f.Submit(0, req); err != nil {
 		t.Fatalf("attempt after transient burst: %v", err)
 	}
-	if f.Counts().Transient != 2 {
-		t.Fatalf("Counts().Transient = %d, want 2", f.Counts().Transient)
-	}
-}
-
-func TestFaultPlanFailSlow(t *testing.T) {
-	req := Request{OpRead, 0, PageSize}
-	// Fresh device per measurement: MemDevice queues, so back-to-back
-	// submissions would shift completions on a shared device.
-	healthy, _ := newPlan(t, 0)
-	base, err := healthy.Submit(0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowPlan, _ := newPlan(t, 0)
-	slowPlan.SetSlowdown(4)
-	slow, err := slowPlan.Submit(0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := vtime.Time(0).Add(4 * base.Sub(0)); slow != want {
-		t.Fatalf("fail-slow completion = %v, want %v (4x %v)", slow, want, base)
-	}
-	// Slowdown below 1 clamps to healthy speed, never a speed-up.
-	clamped, _ := newPlan(t, 0)
-	clamped.SetSlowdown(0.5)
-	fast, err := clamped.Submit(0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast != base {
-		t.Fatalf("clamped slowdown completion = %v, want %v", fast, base)
-	}
-}
-
-func TestFaultPlanScheduledFailStop(t *testing.T) {
-	f, _ := newPlan(t, 0)
-	req := Request{OpRead, 0, PageSize}
-	f.FailAt(vtime.Time(0).Add(100 * vtime.Microsecond))
-	if _, err := f.Submit(0, req); err != nil {
-		t.Fatalf("before the scheduled instant: %v", err)
-	}
-	if f.Failed() {
-		t.Fatal("Failed() = true before the scheduled instant")
-	}
-	at := vtime.Time(0).Add(100 * vtime.Microsecond)
-	if _, err := f.Submit(at, req); !errors.Is(err, ErrDeviceFailed) {
-		t.Fatalf("at the scheduled instant: err = %v, want ErrDeviceFailed", err)
-	}
-	if !f.Failed() {
-		t.Fatal("Failed() = false after the scheduled instant")
-	}
-	if _, err := f.Flush(at); !errors.Is(err, ErrDeviceFailed) {
-		t.Fatalf("flush after fail-stop: err = %v, want ErrDeviceFailed", err)
-	}
-	f.Repair()
-	if _, err := f.Submit(at, req); err != nil {
-		t.Fatalf("after repair: %v", err)
-	}
-}
-
-func TestFaultPlanSilentCorruption(t *testing.T) {
-	f, dev := newPlan(t, 7)
-	f.SetCorruptProb(1) // corrupt every write
-	if err := dev.Content().WriteTag(0, DataTag(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Submit(0, Request{OpWrite, 0, PageSize}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Counts().Corrupted != 1 {
-		t.Fatalf("Counts().Corrupted = %d, want 1", f.Counts().Corrupted)
-	}
-	got, err := dev.Content().ReadTag(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == DataTag(0, 1) {
-		t.Fatal("corrupted page read back clean")
-	}
-	// Probability zero never corrupts.
-	f2, dev2 := newPlan(t, 7)
-	f2.SetCorruptProb(0)
-	if err := dev2.Content().WriteTag(0, DataTag(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.Submit(0, Request{OpWrite, 0, PageSize}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := dev2.Content().ReadTag(0); err != nil || got != DataTag(0, 1) {
-		t.Fatalf("uncorrupted page: tag %v err %v", got, err)
-	}
-}
-
-func TestFaultPlanProbabilisticRequiresRNG(t *testing.T) {
-	f, _ := newPlan(t, 0)
-	for name, set := range map[string]func(float64){
-		"transient": f.SetTransientProb,
-		"corrupt":   f.SetCorruptProb,
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s prob without rng: no panic", name)
-				}
-			}()
-			set(0.5)
-		}()
-	}
-}
-
-// TestFaultPlanDeterminism is the seeded-fault contract: the same seed and
-// submission sequence produce the same fault sequence.
-func TestFaultPlanDeterminism(t *testing.T) {
-	run := func(seed int64) []string {
-		f, _ := newPlan(t, seed)
-		f.SetTransientProb(0.3)
-		f.SetCorruptProb(0.2)
-		var out []string
-		for i := 0; i < 200; i++ {
-			off := (int64(i) % 16) * PageSize
-			op := OpRead
-			if i%3 == 0 {
-				op = OpWrite
-			}
-			_, err := f.Submit(vtime.Time(i)*1000, Request{op, off, PageSize})
-			switch {
-			case err == nil:
-				out = append(out, "ok")
-			case errors.Is(err, ErrTransient):
-				out = append(out, "transient")
-			default:
-				out = append(out, err.Error())
-			}
-		}
-		c := f.Counts()
-		if c.Transient == 0 || c.Corrupted == 0 {
-			t.Fatalf("fault mix not exercised: %+v", c)
-		}
-		return out
-	}
-	a, b := run(42), run(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at submission %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-	c := run(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced an identical 200-op fault sequence")
+	if n := f.PendingTransient(); n != 0 {
+		t.Fatalf("PendingTransient = %d after the burst, want 0", n)
 	}
 }
 
 // TestFaultPlanInvalidRequestConsumesNoFaultState checks the determinism
-// guard: a malformed request is rejected before any rng draw or injected
-// fault is consumed.
+// guard: a malformed request is rejected before any injected fault is
+// consumed.
 func TestFaultPlanInvalidRequestConsumesNoFaultState(t *testing.T) {
-	f, _ := newPlan(t, 0)
+	f := newPlan()
 	f.InjectTransient(1)
 	if _, err := f.Submit(0, Request{OpRead, 1, PageSize}); !errors.Is(err, ErrUnaligned) {
 		t.Fatalf("unaligned request err = %v", err)
 	}
-	if f.Counts().Transient != 0 {
+	if f.PendingTransient() != 1 {
 		t.Fatal("invalid request consumed an injected transient fault")
 	}
 }

@@ -100,10 +100,7 @@ func Run(o Options) (Result, error) {
 	devs := make([]blockdev.Device, numSSD)
 	h.ssds = make([]*blockdev.FaultPlan, numSSD)
 	for i := range devs {
-		p := blockdev.NewFaultPlan(
-			blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond),
-			rand.New(rand.NewSource(o.Seed*997+int64(i)+1)),
-		)
+		p := blockdev.NewFaultPlan(blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond))
 		devs[i] = p
 		h.ssds[i] = p
 	}
@@ -398,10 +395,8 @@ func (h *harness) doRebuild() error {
 			return fmt.Errorf("degraded before replace: %w", err)
 		}
 	}
-	fresh := blockdev.NewFaultPlan(
-		blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond),
-		rand.New(rand.NewSource(h.rng.Int63())),
-	)
+	_ = h.rng.Int63() // part of every seed's pinned schedule: dropping it shifts the steps after it
+	fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond))
 	done, err := h.cache.ReplaceSSD(h.at, col, fresh)
 	if err != nil {
 		return fmt.Errorf("replace ssd %d: %w", col, err)

@@ -173,10 +173,10 @@ func degradedRun(o Options, group string, mode src.ParityMode) (healthy, degrade
 	if err != nil {
 		return 0, 0, err
 	}
-	faults := make([]*blockdev.Faulty, len(devs))
+	faults := make([]*blockdev.FaultPlan, len(devs))
 	wrapped := make([]blockdev.Device, len(devs))
 	for i, d := range devs {
-		faults[i] = blockdev.NewFaulty(d)
+		faults[i] = blockdev.NewFaultPlan(d)
 		wrapped[i] = faults[i]
 	}
 	prim, err := newPrimary(span)

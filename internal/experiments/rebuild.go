@@ -69,10 +69,10 @@ func rebuildGroupRun(o Options, group string) (rebuildRun, error) {
 	if err != nil {
 		return rebuildRun{}, err
 	}
-	faults := make([]*blockdev.Faulty, len(devs))
+	faults := make([]*blockdev.FaultPlan, len(devs))
 	wrapped := make([]blockdev.Device, len(devs))
 	for i, d := range devs {
-		faults[i] = blockdev.NewFaulty(d)
+		faults[i] = blockdev.NewFaultPlan(d)
 		wrapped[i] = faults[i]
 	}
 	prim, err := newPrimary(span)
@@ -99,7 +99,7 @@ func rebuildGroupRun(o Options, group string) (rebuildRun, error) {
 		return rebuildRun{}, err
 	}
 	replaceStart := run1.End
-	start, err := cache.ReplaceSSD(replaceStart, 0, blockdev.NewFaulty(fresh))
+	start, err := cache.ReplaceSSD(replaceStart, 0, blockdev.NewFaultPlan(fresh))
 	if err != nil {
 		return rebuildRun{}, err
 	}

@@ -81,8 +81,8 @@ func New(cfg Config) (*Link, error) {
 func (l *Link) Config() Config { return l.cfg }
 
 // Degrade sets the fail-slow multiplier applied to transfer and propagation
-// times — the link-level twin of blockdev.FaultPlan.SetSlowdown. Values
-// below 1 restore healthy speed; the zero Link state is healthy.
+// times. Values below 1 restore healthy speed; the zero Link state is
+// healthy.
 func (l *Link) Degrade(factor float64) {
 	if factor < 1 {
 		factor = 1

@@ -16,12 +16,12 @@ import (
 const devCap = 1 << 20 // 256 pages per member
 
 // newArray builds an array of n MemDevices wrapped for fault injection.
-func newArray(t *testing.T, level Level, chunk int64, n int) (*Array, []*blockdev.Faulty) {
+func newArray(t *testing.T, level Level, chunk int64, n int) (*Array, []*blockdev.FaultPlan) {
 	t.Helper()
 	devs := make([]blockdev.Device, n)
-	faults := make([]*blockdev.Faulty, n)
+	faults := make([]*blockdev.FaultPlan, n)
 	for i := range devs {
-		f := blockdev.NewFaulty(blockdev.NewMemDevice(devCap, 100*vtime.Microsecond))
+		f := blockdev.NewFaultPlan(blockdev.NewMemDevice(devCap, 100*vtime.Microsecond))
 		devs[i] = f
 		faults[i] = f
 	}

@@ -82,7 +82,7 @@ func TestTrimOfBufferedPages(t *testing.T) {
 
 func TestSingleSSDRAID0Cache(t *testing.T) {
 	// The paper's NVMe configuration: one drive, no parity.
-	dev := blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+	dev := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
 	prim := blockdev.NewMemDevice(testPrimCap, vtime.Millisecond)
 	c, err := New(Config{
 		SSDs:           []blockdev.Device{dev},

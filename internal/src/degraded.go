@@ -89,40 +89,6 @@ func (c *Cache) ReconstructTag(loc int64) (blockdev.Tag, error) {
 	return tag, nil
 }
 
-// RebuildSSD reconstructs the cache contents of a failed-and-repaired (or
-// replaced-in-place) SSD in one synchronous sweep: parity-protected segments
-// are rebuilt from the survivors; data of parityless clean segments is
-// dropped from the mapping (it reloads from primary on demand). The paper
-// lists fast recovery and drive scaling as SRC goals; this is the recovery
-// half. For an online rebuild interleaved with foreground traffic, use
-// ReplaceSSD plus RebuildStep.
-func (c *Cache) RebuildSSD(at vtime.Time, col int) (vtime.Time, error) {
-	if col < 0 || col >= c.lay.m {
-		return at, fmt.Errorf("src: rebuild of unknown ssd %d", col)
-	}
-	if c.rebuild != nil {
-		return at, fmt.Errorf("src: rebuild of ssd %d already in progress", c.rebuild.col)
-	}
-	c.devErrs[col] = 0
-	c.colDown[col] = false
-	cursor := at
-	// Superblock group first.
-	if _, err := c.submitSSD(cursor, col, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: blockdev.PageSize}); err != nil {
-		return at, err
-	}
-	c.startRebuild(col)
-	for {
-		t, pending, err := c.RebuildStep(cursor)
-		if err != nil {
-			return at, err
-		}
-		cursor = t
-		if !pending {
-			return cursor, nil
-		}
-	}
-}
-
 // rebuildColumnContent restores the tags and summary blobs of one rebuilt
 // column from the survivors. Reconstructed pages are verified against the
 // mapping before being trusted: resurrecting the XOR of a stale stripe

@@ -148,7 +148,7 @@ func TestResizeExpandPreservesContent(t *testing.T) {
 		devs[i] = e.ssds[i]
 	}
 	for i := 4; i < 6; i++ {
-		devs[i] = blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 0))
+		devs[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 0))
 	}
 	done, err := e.cache.Resize(e.at, devs)
 	if err != nil {
@@ -243,7 +243,7 @@ func TestResizeThenRecover(t *testing.T) {
 		devs[i] = e.ssds[i]
 	}
 	for i := 4; i < 6; i++ {
-		devs[i] = blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 0))
+		devs[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 0))
 	}
 	done, err := e.cache.Resize(e.at, devs)
 	if err != nil {

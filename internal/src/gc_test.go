@@ -95,10 +95,10 @@ func TestReclaimTrafficPinned(t *testing.T) {
 				requests = 60_000
 			)
 			order := fnv.New64a()
-			ssds := make([]*blockdev.Faulty, tc.ssds)
+			ssds := make([]*blockdev.FaultPlan, tc.ssds)
 			devs := make([]blockdev.Device, tc.ssds)
 			for i := range ssds {
-				ssds[i] = blockdev.NewFaulty(blockdev.NewMemDevice(4*egs, 10*vtime.Microsecond))
+				ssds[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(4*egs, 10*vtime.Microsecond))
 				devs[i] = tap{ssds[i], i, order}
 			}
 			prim := blockdev.NewMemDevice(primCap, vtime.Millisecond)

@@ -246,6 +246,22 @@ func TestDegradedCleanNPCRefetches(t *testing.T) {
 	e.checkInvariants()
 }
 
+// rebuild installs dev as column col through ReplaceSSD and drives the
+// rebuild to completion, returning when its last step finished.
+func rebuild(t *testing.T, e *env, col int, dev blockdev.Device) vtime.Time {
+	t.Helper()
+	done, err := e.cache.ReplaceSSD(e.at, col, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.cache.Rebuilding() {
+		if done, _, err = e.cache.RebuildStep(done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return done
+}
+
 // TestRebuildSSD restores a replaced drive and verifies parity-protected
 // content is identical afterwards.
 func TestRebuildSSD(t *testing.T) {
@@ -279,10 +295,7 @@ func TestRebuildSSD(t *testing.T) {
 	}
 	e.ssds[1].Content().FlushContent()
 
-	done, err := e.cache.RebuildSSD(e.at, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := rebuild(t, e, 1, e.ssds[1])
 	if done <= e.at {
 		t.Fatal("rebuild free of charge")
 	}
@@ -295,7 +308,7 @@ func TestRebuildSSD(t *testing.T) {
 			t.Fatalf("page %d content wrong after rebuild", lba)
 		}
 	}
-	if _, err := e.cache.RebuildSSD(e.at, 9); err == nil {
+	if _, err := e.cache.ReplaceSSD(e.at, 9, e.ssds[1]); err == nil {
 		t.Fatal("rebuild of unknown ssd accepted")
 	}
 	e.checkInvariants()

@@ -72,7 +72,7 @@ func TestPageTableCountAcrossRecoverAndResize(t *testing.T) {
 	for i := range e.ssds {
 		devs[i] = e.ssds[i]
 	}
-	devs[4] = blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 0))
+	devs[4] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 0))
 	if _, err := c.Resize(e.at, devs); err != nil {
 		t.Fatal(err)
 	}

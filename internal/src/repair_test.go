@@ -173,10 +173,8 @@ func TestErrorBudgetEscalatesColumn(t *testing.T) {
 	if e.ssds[0].Stats().Flushes != flushes {
 		t.Fatal("flush sent to a fail-stopped column")
 	}
-	// RebuildSSD re-admits the column with a fresh budget.
-	if _, err := e.cache.RebuildSSD(e.at, 0); err != nil {
-		t.Fatal(err)
-	}
+	// Replacing the column re-admits it with a fresh budget.
+	rebuild(t, e, 0, e.ssds[0])
 	if e.cache.DeviceDown(0) || e.cache.DeviceErrors(0) != 0 {
 		t.Fatal("rebuild did not re-admit the column")
 	}
@@ -210,7 +208,7 @@ func TestReplaceSSDOnlineRebuild(t *testing.T) {
 	if _, err := e.cache.ReplaceSSD(e.at, 1, small); err == nil {
 		t.Fatal("accepted undersized replacement")
 	}
-	fresh := blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+	fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
 	done, err := e.cache.ReplaceSSD(e.at, 1, fresh)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ const (
 
 type env struct {
 	cache *Cache
-	ssds  []*blockdev.Faulty
+	ssds  []*blockdev.FaultPlan
 	prim  *blockdev.MemDevice
 	at    vtime.Time
 	t     *testing.T
@@ -27,10 +27,10 @@ type env struct {
 
 func newEnv(t *testing.T, mutate func(*Config)) *env {
 	t.Helper()
-	ssds := make([]*blockdev.Faulty, 4)
+	ssds := make([]*blockdev.FaultPlan, 4)
 	devs := make([]blockdev.Device, 4)
 	for i := range ssds {
-		ssds[i] = blockdev.NewFaulty(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+		ssds[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
 		devs[i] = ssds[i]
 	}
 	prim := blockdev.NewMemDevice(testPrimCap, vtime.Millisecond)
