@@ -95,7 +95,6 @@ const (
 
 	FlushPerSegment      = src.FlushPerSegment
 	FlushPerSegmentGroup = src.FlushPerSegmentGroup
-	FlushPerMetadata     = src.FlushPerMetadata
 	FlushNever           = src.FlushNever
 )
 
@@ -197,10 +196,8 @@ type SystemConfig struct {
 	// PrimaryCapacity is the backing volume size (default 2 GiB).
 	PrimaryCapacity int64
 	// Cache overrides SRC parameters other than SSDs/Primary (GC policy,
-	// parity mode, and so on).
+	// parity mode, content tracking, and so on).
 	Cache CacheConfig
-	// TrackContent enables content tags for integrity/recovery APIs.
-	TrackContent bool
 }
 
 // System is an assembled deployment.
@@ -252,7 +249,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cacheCfg.SegmentColumn == 0 {
 		cacheCfg.SegmentColumn = 128 << 10
 	}
-	cacheCfg.TrackContent = cacheCfg.TrackContent || cfg.TrackContent
 	cache, err := NewCache(cacheCfg)
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ func TestNewSystemDefaults(t *testing.T) {
 }
 
 func TestSystemServesIO(t *testing.T) {
-	sys, err := srccache.NewSystem(srccache.SystemConfig{TrackContent: true})
+	sys, err := srccache.NewSystem(srccache.SystemConfig{Cache: srccache.CacheConfig{TrackContent: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,10 @@
 //	    -replicas 2 -range-bytes 1048576
 //
 // With -shards N the volume is served by the concurrent engine: the LBA
-// space is partitioned across N src.Cache shards with per-shard request
-// queues, instead of one flat in-memory volume behind a lock. -shards 0
-// (the default) keeps the flat volume.
+// space is partitioned across N src.Cache shards, each behind its own
+// lock, and a connection's goroutine runs its request under the shard's
+// lock, instead of one flat in-memory volume behind a lock. -shards 0 (the
+// default) keeps the flat volume.
 //
 // With -ring the daemon joins a replicated fleet: the volume is placed on a
 // consistent-hash ring shared by every listed node, and each write this

@@ -33,16 +33,22 @@ import (
 // a run is a pure function of its config.
 type Config struct {
 	Seed       int64
-	Nodes      int   // initial ring size (default 5)
-	Spares     int   // nodes standing by to join (default 1)
-	Replicas   int   // replication factor (default 3)
-	Ranges     int   // placement ranges (default 16)
-	RangeBytes int64 // bytes per range (default 64 KiB)
-	Ops        int   // client operations to issue (default 400)
-	ChurnEvery int   // chaos tick every this many ops (default 20)
-	Link       netlink.Config
-	Detector   cluster.DetectorConfig
+	Nodes      int // initial ring size (default 5)
+	Replicas   int // replication factor (default 3)
+	Ops        int // client operations to issue (default 400)
+	ChurnEvery int // chaos tick every this many ops (default 20)
 }
+
+// The run's fixed shape: one spare stands by to join, the volume is
+// ranges placement ranges of rangeBytes each, and links take rtt plus up
+// to jitter per transfer.
+const (
+	spares           = 1
+	ranges           = 16
+	rangeBytes int64 = 64 << 10
+	rtt              = 200 * vtime.Microsecond
+	jitter           = 10 * vtime.Microsecond
+)
 
 func (c Config) withDefaults() Config {
 	def := func(v *int, d int) {
@@ -51,29 +57,9 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	def(&c.Nodes, 5)
-	def(&c.Spares, 1)
 	def(&c.Replicas, 3)
-	def(&c.Ranges, 16)
 	def(&c.Ops, 400)
 	def(&c.ChurnEvery, 20)
-	if c.RangeBytes == 0 {
-		c.RangeBytes = 64 << 10
-	}
-	if c.Link.RTT == 0 {
-		c.Link.RTT = 200 * vtime.Microsecond
-	}
-	if c.Link.Jitter == 0 {
-		c.Link.Jitter = 10 * vtime.Microsecond
-	}
-	if c.Link.Seed == 0 {
-		c.Link.Seed = c.Seed
-	}
-	if c.Detector.Baseline == 0 {
-		c.Detector.Baseline = 2 * c.Link.RTT
-	}
-	if c.Detector.FailAfter == 0 {
-		c.Detector.FailAfter = 2
-	}
 	return c
 }
 
@@ -213,13 +199,13 @@ func Run(cfg Config) (Result, error) {
 }
 
 func (s *sim) setup(dir string) error {
-	net, err := cluster.NewNet(s.cfg.Link)
+	net, err := cluster.NewNet(netlink.Config{RTT: rtt, Jitter: jitter, Seed: s.cfg.Seed})
 	if err != nil {
 		return err
 	}
 	s.net = net
 	var members []cluster.Member
-	for i := 0; i < s.cfg.Nodes+s.cfg.Spares; i++ {
+	for i := 0; i < s.cfg.Nodes+spares; i++ {
 		id := fmt.Sprintf("n%02d", i)
 		s.ids = append(s.ids, id)
 		if i < s.cfg.Nodes {
@@ -230,7 +216,7 @@ func (s *sim) setup(dir string) error {
 		}
 		s.supCfg.Nodes = append(s.supCfg.Nodes, supervisor.Node{Member: cluster.Member{ID: id}, Push: s.push(id)})
 	}
-	ring, err := cluster.NewRing(s.cfg.Replicas, s.cfg.Ranges, s.cfg.RangeBytes, members)
+	ring, err := cluster.NewRing(s.cfg.Replicas, ranges, rangeBytes, members)
 	if err != nil {
 		return err
 	}
@@ -243,7 +229,7 @@ func (s *sim) setup(dir string) error {
 	s.client.SetControl(func() *cluster.Ring { return s.pushed.Cur }, s.reportMiss)
 	s.supCfg.Ring = ring
 	s.supCfg.JournalPath = filepath.Join(dir, "journal")
-	s.supCfg.Detector = s.cfg.Detector
+	s.supCfg.Detector = cluster.DetectorConfig{Baseline: 2 * rtt, FailAfter: 2}
 	s.supCfg.Transport = net.Endpoint("control")
 	s.sup, err = supervisor.New(s.supCfg)
 	return err
@@ -258,7 +244,7 @@ func (s *sim) boot(id string, wipe bool) error {
 		s.nodes[id] = nd
 	}
 	if wipe {
-		disk, err := netblock.MemBackend(int64(s.cfg.Ranges) * s.cfg.RangeBytes)
+		disk, err := netblock.MemBackend(ranges * rangeBytes)
 		if err != nil {
 			return err
 		}
@@ -426,7 +412,7 @@ func (s *sim) clientOp() {
 	case write:
 		s.res.Writes++
 		copy(s.model[off:], p)
-		for rng := int(off / s.cfg.RangeBytes); rng <= int((off+n-1)/s.cfg.RangeBytes); rng++ {
+		for rng := int(off / rangeBytes); rng <= int((off+n-1)/rangeBytes); rng++ {
 			if !s.acked[rng] {
 				s.acked[rng] = true
 				s.ackedList = append(s.ackedList, rng)
@@ -443,25 +429,21 @@ func (s *sim) clientOp() {
 // pickExtent chooses a (possibly range-crossing) extent. Writes roam the
 // whole volume; reads stay within acknowledged ranges.
 func (s *sim) pickExtent(write bool) (off, n int64) {
-	rb := s.cfg.RangeBytes
 	var rng int
 	if write {
-		rng = s.rng.Intn(s.cfg.Ranges)
+		rng = s.rng.Intn(ranges)
 	} else {
 		rng = s.ackedList[s.rng.Intn(len(s.ackedList))]
 	}
-	base := int64(rng) * rb
-	n = int64(1+s.rng.Intn(int(min(rb/512, 8)))) * 512
+	base := int64(rng) * rangeBytes
+	n = int64(1+s.rng.Intn(8)) * 512
 	// Occasionally straddle the boundary into the next range to exercise
 	// the client's extent splitting.
-	cross := rng+1 < s.cfg.Ranges && rb >= 1024 && s.rng.Intn(10) == 0
+	cross := rng+1 < ranges && s.rng.Intn(10) == 0
 	if cross && (write || s.acked[rng+1]) {
-		return base + rb - 512, 1024
+		return base + rangeBytes - 512, 1024
 	}
-	slots := int((rb - n) / 512)
-	if slots <= 0 {
-		return base, n
-	}
+	slots := int((rangeBytes - n) / 512)
 	return base + int64(s.rng.Intn(slots+1))*512, n
 }
 
@@ -471,9 +453,9 @@ func (s *sim) servesClean(id string, rng int) bool {
 	if !s.net.Reachable("client", id) {
 		return false
 	}
-	base := int64(rng) * s.cfg.RangeBytes
-	buf := make([]byte, s.cfg.RangeBytes)
-	return s.nodes[id].chain.ReadAt(buf, base) == nil && bytes.Equal(buf, s.model[base:base+s.cfg.RangeBytes])
+	base := int64(rng) * rangeBytes
+	buf := make([]byte, rangeBytes)
+	return s.nodes[id].chain.ReadAt(buf, base) == nil && bytes.Equal(buf, s.model[base:base+rangeBytes])
 }
 
 // safeWithout is the schedule guard: if the excluded nodes vanished, would
@@ -484,7 +466,7 @@ func (s *sim) servesClean(id string, rng int) bool {
 // would lose data under any protocol; chaos that passes must not.
 func (s *sim) safeWithout(excluded map[string]bool) bool {
 	cur, next := s.pushed.Cur, s.pushed.Next
-	for rng := 0; rng < s.cfg.Ranges; rng++ {
+	for rng := 0; rng < ranges; rng++ {
 		for _, p := range []*cluster.Ring{cur, next} {
 			if p == nil {
 				continue
@@ -765,9 +747,9 @@ func (s *sim) drain() {
 // every current owner's disk must hold a byte-identical copy.
 func (s *sim) finalVerify() {
 	for _, rng := range s.ackedList {
-		base := int64(rng) * s.cfg.RangeBytes
-		want := s.model[base : base+s.cfg.RangeBytes]
-		p := make([]byte, s.cfg.RangeBytes)
+		base := int64(rng) * rangeBytes
+		want := s.model[base : base+rangeBytes]
+		p := make([]byte, rangeBytes)
 		if err := s.client.ReadAt(p, base); err != nil {
 			s.res.FailedOps++
 		} else if !bytes.Equal(p, want) {

@@ -23,25 +23,87 @@ func seedCount(t *testing.T) int64 {
 	return n
 }
 
-// sweep runs every seed of the sweep as a parallel subtest.
+// sweep runs every seed of the sweep as a parallel subtest. Under -v it
+// logs one line per seed and the aggregate row EXPERIMENTS.md cites.
 func sweep(t *testing.T, cfg churn.Config) {
-	for seed := int64(1); seed <= seedCount(t); seed++ {
+	res := make([]churn.Result, seedCount(t))
+	t.Cleanup(func() { logSweep(t, res) })
+	for i := range res {
 		cfg := cfg
-		cfg.Seed = seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
+		cfg.Seed = int64(i + 1)
+		t.Run(fmt.Sprintf("seed%03d", cfg.Seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := churn.Run(cfg)
+			r, err := churn.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := res.Violations(); len(v) != 0 {
-				t.Fatalf("invariants violated: %v\n%+v", v, res)
+			res[i] = r
+			if v := r.Violations(); len(v) != 0 {
+				t.Fatalf("invariants violated: %v\n%+v", v, r)
 			}
-			if res.Reads == 0 || res.Writes == 0 {
-				t.Fatalf("schedule exercised too little: %+v", res)
+			if r.Reads == 0 || r.Writes == 0 {
+				t.Fatalf("schedule exercised too little: %+v", r)
 			}
 		})
 	}
+}
+
+// logSweep logs each seed's counters and latency digests, then their sum.
+// A seed whose run failed logs zeros.
+func logSweep(t *testing.T, res []churn.Result) {
+	var total churn.Result
+	violated := 0
+	for i, r := range res {
+		add(&total, r)
+		status := "ok"
+		if v := r.Violations(); len(v) != 0 {
+			violated++
+			status = fmt.Sprintf("VIOLATED: %v", v)
+		}
+		t.Logf("seed %3d: %s read p99 %-10v write p99 %-10v %s",
+			i+1, counters(r), r.ReadLat.P99, r.WriteLat.P99, status)
+	}
+	t.Logf("%d seeds: %s, %d violated", len(res), counters(total), violated)
+}
+
+// counters formats the columns of EXPERIMENTS.md's churn table.
+func counters(r churn.Result) string {
+	return fmt.Sprintf("ops %d kills %d wipes %d cuts %d/%d joins %d leaves %d commits %d (%d) aborts %d "+
+		"repaired %d misses %d supkills %d midcommit %d resumes %d stalls %d",
+		r.Ops, r.Kills, r.Wipes, r.ClientCuts, r.NodeCuts, r.Joins, r.Leaves, r.Commits, r.LeaveCommits,
+		r.Aborts, r.RangesRepaired, r.Misses, r.SupKills, r.MidCommitCrashes, r.SupResumes, r.Stalls)
+}
+
+// add sums r's counters into total.
+func add(total *churn.Result, r churn.Result) {
+	total.Ops += r.Ops
+	total.Kills += r.Kills
+	total.Restarts += r.Restarts
+	total.Wipes += r.Wipes
+	total.Degrades += r.Degrades
+	total.ClientCuts += r.ClientCuts
+	total.NodeCuts += r.NodeCuts
+	total.CutHeals += r.CutHeals
+	total.Joins += r.Joins
+	total.Leaves += r.Leaves
+	total.Commits += r.Commits
+	total.LeaveCommits += r.LeaveCommits
+	total.Aborts += r.Aborts
+	total.Stalls += r.Stalls
+	total.RangesRepaired += r.RangesRepaired
+	total.Misses += r.Misses
+	total.Reboots += r.Reboots
+	total.Failovers += r.Failovers
+	total.Refetches += r.Refetches
+	total.SupKills += r.SupKills
+	total.SupRestarts += r.SupRestarts
+	total.SupResumes += r.SupResumes
+	total.SupRecoverPushes += r.SupRecoverPushes
+	total.MidCommitCrashes += r.MidCommitCrashes
+	total.RepairRebalanceCrashes += r.RepairRebalanceCrashes
+	total.SlowJoinHeads += r.SlowJoinHeads
+	total.DownDetected = total.DownDetected || r.DownDetected
+	total.SlowDetected = total.SlowDetected || r.SlowDetected
 }
 
 // TestClusterChurn is the acceptance harness, run on the shipped fleet,
@@ -88,31 +150,7 @@ func coverage(t *testing.T, n int64, cfg churn.Config) churn.Result {
 		if v := r.Violations(); len(v) != 0 {
 			t.Fatalf("seed %d: invariants violated: %v", seed, v)
 		}
-		total.Kills += r.Kills
-		total.Restarts += r.Restarts
-		total.Wipes += r.Wipes
-		total.Degrades += r.Degrades
-		total.ClientCuts += r.ClientCuts
-		total.NodeCuts += r.NodeCuts
-		total.CutHeals += r.CutHeals
-		total.Joins += r.Joins
-		total.Leaves += r.Leaves
-		total.Commits += r.Commits
-		total.LeaveCommits += r.LeaveCommits
-		total.RangesRepaired += r.RangesRepaired
-		total.Misses += r.Misses
-		total.Reboots += r.Reboots
-		total.Failovers += r.Failovers
-		total.Refetches += r.Refetches
-		total.SupKills += r.SupKills
-		total.SupRestarts += r.SupRestarts
-		total.SupResumes += r.SupResumes
-		total.SupRecoverPushes += r.SupRecoverPushes
-		total.MidCommitCrashes += r.MidCommitCrashes
-		total.RepairRebalanceCrashes += r.RepairRebalanceCrashes
-		total.SlowJoinHeads += r.SlowJoinHeads
-		total.DownDetected = total.DownDetected || r.DownDetected
-		total.SlowDetected = total.SlowDetected || r.SlowDetected
+		add(&total, r)
 	}
 	return total
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"srccache/internal/blockdev"
-	"srccache/internal/vtime"
 )
 
 // GCPolicy selects how free Segment Groups are produced (paper §4.2).
@@ -128,16 +127,12 @@ type FlushPolicy int
 
 // Flush policies.
 const (
-	// FlushPerSegment flushes after every segment write.
+	// FlushPerSegment flushes after every segment write. It is also the
+	// Bcache-style per-metadata cadence the paper compares against (§4.1):
+	// on SRC's layout every segment write carries its MS/ME summaries.
 	FlushPerSegment FlushPolicy = iota + 1
 	// FlushPerSegmentGroup flushes when the active SG fills (default).
 	FlushPerSegmentGroup
-	// FlushPerMetadata flushes after every metadata (summary) write, the
-	// Bcache-style cadence the paper compares against (§4.1). On SRC's
-	// layout every segment write carries its MS/ME summaries, so the
-	// cadence coincides with per-segment; it is kept distinct so the
-	// torture engine measures the policies the paper names.
-	FlushPerMetadata
 	// FlushNever issues no flush commands at all, the Flashcache-style
 	// baseline: crash durability is whatever the drives' volatile caches
 	// happen to have retired. Explicit Cache.Flush calls still drain the
@@ -152,8 +147,6 @@ func (p FlushPolicy) String() string {
 		return "per-segment"
 	case FlushPerSegmentGroup:
 		return "per-segment-group"
-	case FlushPerMetadata:
-		return "per-metadata"
 	case FlushNever:
 		return "never"
 	default:
@@ -192,10 +185,6 @@ type Config struct {
 	Level RAIDLevel
 	// Flush selects the flush-command cadence (default per Segment Group).
 	Flush FlushPolicy
-	// TWait is the partial-segment timeout: if no write arrives for TWait,
-	// Tick flushes the dirty buffer as a partial segment (default 20 µs,
-	// the paper's setting).
-	TWait vtime.Duration
 	// SeparateGCBuffer gives Sel-GC's S2S dirty copies their own segment
 	// buffer, segregating aged (GC-survivor) data from fresh host writes
 	// — the hot/cold separation the paper lists as future work (§6).
@@ -301,9 +290,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Flush == 0 {
 		c.Flush = FlushPerSegmentGroup
-	}
-	if c.TWait == 0 {
-		c.TWait = 20 * vtime.Microsecond
 	}
 	if c.ErrorBudget == 0 {
 		c.ErrorBudget = 20

@@ -19,26 +19,32 @@ import (
 func (c *Cache) degradedRead(at vtime.Time, col int, off, n, firstLBA int64) (vtime.Time, error) {
 	sg := off / c.cfg.EraseGroupSize
 	seg := (off % c.cfg.EraseGroupSize) / c.cfg.SegmentColumn
-	parity := int(c.groups[sg].segParity[seg])
-	pages := n / blockdev.PageSize
-
-	if parity < 0 {
-		// Parityless segment: dirty data would be gone for good; clean
-		// data is re-fetched from primary storage.
-		for p := firstLBA; p < firstLBA+pages; p++ {
-			e, ok := c.mapping.get(p)
-			if !ok {
-				continue
-			}
-			if e.state == stateSSDDirty {
-				return at, fmt.Errorf("%w: dirty page %d on failed ssd %d in parityless segment", ErrDataLoss, p, col)
-			}
-			c.dropPage(p, e)
-		}
-		return c.fillFromPrimary(at, firstLBA, pages)
+	if int(c.groups[sg].segParity[seg]) < 0 {
+		return c.refetchParityless(at, col, firstLBA, n/blockdev.PageSize, false)
 	}
-
 	return c.reconstructColumns(at, col, off, n)
+}
+
+// refetchParityless is the fallback for a lost run on column col of a
+// parityless segment, whether the column failed or the run is unreadable:
+// dirty data is gone for good (ErrDataLoss, naming the fault), and clean
+// data is dropped and re-fetched from primary storage.
+func (c *Cache) refetchParityless(at vtime.Time, col int, firstLBA, pages int64, unreadable bool) (vtime.Time, error) {
+	for p := firstLBA; p < firstLBA+pages; p++ {
+		e, ok := c.mapping.get(p)
+		if !ok {
+			continue
+		}
+		if e.state == stateSSDDirty {
+			fault := "on failed"
+			if unreadable {
+				fault = "unreadable on"
+			}
+			return at, fmt.Errorf("%w: dirty page %d %s ssd %d in parityless segment", ErrDataLoss, p, fault, col)
+		}
+		c.dropPage(p, e)
+	}
+	return c.fillFromPrimary(at, firstLBA, pages)
 }
 
 // reconstructColumns charges the reads that rebuild a lost column range

@@ -148,19 +148,7 @@ func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n, firstLBA int
 	seg := (off % c.cfg.EraseGroupSize) / c.cfg.SegmentColumn
 	pages := n / blockdev.PageSize
 	if int(c.groups[sg].segParity[seg]) < 0 {
-		// Same outcome as a failed column in a parityless segment: dirty
-		// data is gone; clean data is refetched.
-		for p := firstLBA; p < firstLBA+pages; p++ {
-			e, ok := c.mapping.get(p)
-			if !ok {
-				continue
-			}
-			if e.state == stateSSDDirty {
-				return at, fmt.Errorf("%w: dirty page %d unreadable on ssd %d in parityless segment", ErrDataLoss, p, col)
-			}
-			c.dropPage(p, e)
-		}
-		return c.fillFromPrimary(at, firstLBA, pages)
+		return c.refetchParityless(at, col, firstLBA, pages, true)
 	}
 	// Reconstruct from the survivors, then rewrite the range in place;
 	// the write clears the device's latent marks. The content tags were

@@ -207,8 +207,7 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	// dirty buffers before returning and the rebuild completion barrier
 	// drains before flushing, so those destructions always commit together
 	// with their replacements. FlushNever is handled inside flushSSDs.
-	perWrite := c.cfg.Flush == FlushPerSegment || c.cfg.Flush == FlushPerMetadata
-	if !c.inGC && c.rebuild == nil && (perWrite || seg == c.lay.segsPerSG-1) {
+	if !c.inGC && c.rebuild == nil && (c.cfg.Flush == FlushPerSegment || seg == c.lay.segsPerSG-1) {
 		t, ferr := c.flushSSDs(done)
 		if ferr != nil {
 			return done, ferr

@@ -494,11 +494,14 @@ func (c *Cache) drainDirty(at vtime.Time) (vtime.Time, error) {
 	}
 }
 
+// tWait is the partial-segment timeout, the paper's 20 µs (§4.1).
+const tWait = 20 * vtime.Microsecond
+
 // Tick implements the partial-segment timeout (paper §4.1): when no write
-// has arrived for TWait, the dirty buffer is written out as a partial
+// has arrived for tWait, the dirty buffer is written out as a partial
 // segment to bound the unprotected window.
 func (c *Cache) Tick(at vtime.Time) (vtime.Time, error) {
-	if c.dirtyBuf.Empty() || at.Sub(c.lastWriteAt) < c.cfg.TWait {
+	if c.dirtyBuf.Empty() || at.Sub(c.lastWriteAt) < tWait {
 		return at, nil
 	}
 	done, err := c.writeSegment(at, c.dirtyBuf, true)

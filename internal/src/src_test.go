@@ -125,9 +125,6 @@ func TestConfigDefaultsMatchTable7(t *testing.T) {
 		cfg.Parity != NPC || cfg.Level != RAID5 || cfg.Flush != FlushPerSegmentGroup {
 		t.Fatalf("defaults %+v do not match the paper's Table 7", cfg)
 	}
-	if cfg.TWait != 20*vtime.Microsecond {
-		t.Fatalf("TWait %v", cfg.TWait)
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -170,7 +167,7 @@ func TestEnumStrings(t *testing.T) {
 	if FlushPerSegment.String() != "per-segment" || FlushPerSegmentGroup.String() != "per-segment-group" {
 		t.Fatal("flush names")
 	}
-	if FlushPerMetadata.String() != "per-metadata" || FlushNever.String() != "never" {
+	if FlushNever.String() != "never" {
 		t.Fatal("flush names")
 	}
 }
@@ -340,21 +337,21 @@ func TestFlushWritesPartialSegmentAndFlushesSSDs(t *testing.T) {
 }
 
 func TestTickHonorsTWait(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.TWait = vtime.Millisecond })
+	e := newEnv(t, nil)
 	e.write(1, 1)
-	// Too soon: nothing happens.
-	if _, err := e.cache.Tick(e.at); err != nil {
+	// Just short of tWait after the write: nothing happens.
+	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait - vtime.Nanosecond)); err != nil {
 		t.Fatal(err)
 	}
 	if e.cache.DirtyBufferedPages() != 1 {
-		t.Fatal("tick flushed before TWait")
+		t.Fatal("tick flushed before tWait")
 	}
-	// After TWait of idleness the partial segment goes out.
-	if _, err := e.cache.Tick(e.at.Add(2 * vtime.Millisecond)); err != nil {
+	// After tWait of idleness the partial segment goes out.
+	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait)); err != nil {
 		t.Fatal(err)
 	}
 	if e.cache.DirtyBufferedPages() != 0 {
-		t.Fatal("tick did not flush after TWait")
+		t.Fatal("tick did not flush after tWait")
 	}
 }
 
@@ -369,16 +366,10 @@ func TestFlushPolicyFrequency(t *testing.T) {
 		return e.cache.Counters().SSDFlushes
 	}
 	perSeg := countFlushes(FlushPerSegment)
-	perMeta := countFlushes(FlushPerMetadata)
 	perSG := countFlushes(FlushPerSegmentGroup)
 	never := countFlushes(FlushNever)
 	if perSeg < 8 {
 		t.Fatalf("per-segment flushes %d, want at least one per segment", perSeg)
-	}
-	// On SRC's layout every segment write ends in metadata (the ME blob),
-	// so the Bcache-style per-metadata cadence coincides with per-segment.
-	if perMeta != perSeg {
-		t.Fatalf("per-metadata flushed %d times, per-segment %d; want equal on this layout", perMeta, perSeg)
 	}
 	if perSG != 0 {
 		t.Fatalf("per-SG flushed %d times before any group filled", perSG)

@@ -102,7 +102,7 @@ type cellRun struct {
 	durable map[int64]uint64
 
 	epochs   []epoch
-	stride   int // epoch retention stride (doubles when MaxEpochs overflows)
+	stride   int // epoch retention stride (doubles when maxEpochs overflows)
 	epochSeq int
 	maxLoss  int
 }
@@ -125,23 +125,30 @@ func newCellRun(o Options, cell Cell) (*cellRun, error) {
 		devs[i] = &flushTap{inner: m, burst: r.burst, idx: i}
 	}
 	r.prim = blockdev.NewMemDevice(primCap, vtime.Millisecond)
-	cache, err := src.New(src.Config{
-		SSDs:           devs,
-		Primary:        r.prim,
-		EraseGroupSize: egs,
-		SegmentColumn:  segCol,
-		GC:             src.SelGC,
-		Victim:         cell.Victim,
-		Parity:         cell.Parity,
-		Flush:          cell.Flush,
-		TrackContent:   true,
-		ErrorBudget:    1 << 30,
-	})
+	cache, err := r.newCache(devs, r.prim, src.RecoveryHooks{})
 	if err != nil {
 		return nil, err
 	}
 	r.cache = cache
 	return r, nil
+}
+
+// newCache assembles the cell's cache over ssds and prim. Every cache a
+// cell builds — the live one, the loss probe's and each trial's — has this
+// shape; only a trial's recovery may be weakened by hooks.
+func (r *cellRun) newCache(ssds []blockdev.Device, prim blockdev.Device, hooks src.RecoveryHooks) (*src.Cache, error) {
+	return src.New(src.Config{
+		SSDs:           ssds,
+		Primary:        prim,
+		EraseGroupSize: egs,
+		SegmentColumn:  segCol,
+		GC:             src.SelGC,
+		Victim:         r.cell.Victim,
+		Parity:         r.cell.Parity,
+		Flush:          r.cell.Flush,
+		TrackContent:   true,
+		Recovery:       hooks,
+	})
 }
 
 // cellSalt folds a cell into the rng seed so each cell gets an independent
@@ -156,11 +163,8 @@ func (r *cellRun) workload() error {
 	// FlushNever produces no barriers, so epochs are sampled on a fixed
 	// cadence instead; durable stays empty and trials check only the
 	// detection-grade invariants.
-	neverCadence := r.opts.Ops / r.opts.MaxEpochs
-	if neverCadence < 1 {
-		neverCadence = 1
-	}
-	for op := 0; op < r.opts.Ops; op++ {
+	const neverCadence = ops / maxEpochs
+	for op := 0; op < ops; op++ {
 		r.burst.bursts = 0
 		explicitFlush := false
 		switch p := r.rng.Float64(); {
@@ -238,19 +242,7 @@ func (r *cellRun) lossProbe() (int, error) {
 	}
 	pc := r.prim.Content().Clone()
 	pc.FlushContent()
-	prim := blockdev.NewMemDeviceWithContent(pc, 0)
-	cache, err := src.New(src.Config{
-		SSDs:           devs,
-		Primary:        prim,
-		EraseGroupSize: egs,
-		SegmentColumn:  segCol,
-		GC:             src.SelGC,
-		Victim:         r.cell.Victim,
-		Parity:         r.cell.Parity,
-		Flush:          r.cell.Flush,
-		TrackContent:   true,
-		ErrorBudget:    1 << 30,
-	})
+	cache, err := r.newCache(devs, blockdev.NewMemDeviceWithContent(pc, 0), src.RecoveryHooks{})
 	if err != nil {
 		return 0, err
 	}
@@ -275,7 +267,7 @@ func (r *cellRun) lossProbe() (int, error) {
 }
 
 // snapshot captures the current epoch, thinning retained epochs to
-// MaxEpochs by doubling the keep stride — deterministic and spread over
+// maxEpochs by doubling the keep stride — deterministic and spread over
 // the whole run rather than clustered at the end.
 func (r *cellRun) snapshot(op int) {
 	idx := r.epochSeq
@@ -297,7 +289,7 @@ func (r *cellRun) snapshot(op int) {
 	ep.prim = r.prim.Content().Clone()
 	ep.prim.FlushContent() // primary storage is durable by fiat
 	r.epochs = append(r.epochs, ep)
-	if len(r.epochs) > r.opts.MaxEpochs {
+	if len(r.epochs) > maxEpochs {
 		r.stride *= 2
 		kept := r.epochs[:0]
 		for _, e := range r.epochs {

@@ -48,12 +48,10 @@ func (c Cell) String() string {
 }
 
 // DefaultMatrix enumerates the full design-space slice the torture engine
-// covers: all four flush policies x PC/NPC x FIFO/Greedy victims.
+// covers: the three flush policies x PC/NPC x FIFO/Greedy victims.
 func DefaultMatrix() []Cell {
 	var cells []Cell
-	for _, f := range []src.FlushPolicy{
-		src.FlushPerSegment, src.FlushPerSegmentGroup, src.FlushPerMetadata, src.FlushNever,
-	} {
+	for _, f := range []src.FlushPolicy{src.FlushPerSegment, src.FlushPerSegmentGroup, src.FlushNever} {
 		for _, p := range []src.ParityMode{src.PC, src.NPC} {
 			for _, v := range []src.VictimPolicy{src.FIFO, src.Greedy} {
 				cells = append(cells, Cell{Flush: f, Parity: p, Victim: v})
@@ -63,19 +61,21 @@ func DefaultMatrix() []Cell {
 	return cells
 }
 
+// The run's size. Each cell runs ops workload steps; at each retained
+// epoch it enumerates schedulesPerEpoch seeded schedules per tier on top
+// of the structured ones; and at most maxEpochs flush-epoch snapshots are
+// retained per cell — when more occur, every other retained one is dropped
+// so the kept set stays spread over the run.
+const (
+	ops               = 600
+	schedulesPerEpoch = 4
+	maxEpochs         = 6
+)
+
 // Options seeds one torture run. Runs with equal Options are identical.
 type Options struct {
 	// Seed selects the workload and the sampled crash schedules.
 	Seed int64
-	// Ops is the number of workload steps per cell (default 600).
-	Ops int
-	// SchedulesPerEpoch is K, the count of seeded random schedules per tier
-	// enumerated at each epoch, on top of the structured ones (default 4).
-	SchedulesPerEpoch int
-	// MaxEpochs bounds the flush-epoch snapshots retained per cell; when
-	// more epochs occur, every other retained one is dropped so the kept
-	// set stays spread over the run (default 6).
-	MaxEpochs int
 	// Cells is the configuration matrix (default DefaultMatrix()).
 	Cells []Cell
 	// Hooks weakens recovery safeguards (torture-only). The planted-
@@ -129,15 +129,6 @@ type Report struct {
 // violation is reported per cell — the first failing trial of the earliest
 // retained epoch, shrunk.
 func Run(o Options) (Report, error) {
-	if o.Ops <= 0 {
-		o.Ops = 600
-	}
-	if o.SchedulesPerEpoch <= 0 {
-		o.SchedulesPerEpoch = 4
-	}
-	if o.MaxEpochs <= 0 {
-		o.MaxEpochs = 6
-	}
 	if o.Cells == nil {
 		o.Cells = DefaultMatrix()
 	}

@@ -101,7 +101,7 @@ func (r *cellRun) enumerate(ep *epoch) []plannedTrial {
 		}))
 	}
 	// K seeded per-device prefix tuples.
-	for k := 0; k < r.opts.SchedulesPerEpoch; k++ {
+	for k := 0; k < schedulesPerEpoch; k++ {
 		addBarrier(all(func(i int) blockdev.CrashSchedule {
 			return blockdev.PrefixSchedule(lens[i], r.rng.Intn(lens[i]+1))
 		}))
@@ -115,13 +115,13 @@ func (r *cellRun) enumerate(ep *epoch) []plannedTrial {
 	}
 	// Reorder tier: seeded subsets at two densities, then single-write
 	// omissions at seeded positions.
-	for k := 0; k < r.opts.SchedulesPerEpoch; k++ {
+	for k := 0; k < schedulesPerEpoch; k++ {
 		p := 0.5 + 0.3*float64(k%2)
 		addReorder(all(func(i int) blockdev.CrashSchedule {
 			return blockdev.SubsetSchedule(lens[i], r.rng, p)
 		}))
 	}
-	for k := 0; k < r.opts.SchedulesPerEpoch/2+1; k++ {
+	for k := 0; k < schedulesPerEpoch/2+1; k++ {
 		t := all(func(i int) blockdev.CrashSchedule { return blockdev.KeepAllSchedule(lens[i]) })
 		d := r.rng.Intn(numSSD)
 		if lens[d] > 0 {
@@ -180,19 +180,7 @@ func (r *cellRun) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.M
 		devs[i] = blockdev.NewMemDeviceWithContent(cc, 0)
 	}
 	prim := blockdev.NewMemDeviceWithContent(ep.prim.Clone(), 0)
-	cache, err := src.New(src.Config{
-		SSDs:           devs,
-		Primary:        prim,
-		EraseGroupSize: egs,
-		SegmentColumn:  segCol,
-		GC:             src.SelGC,
-		Victim:         r.cell.Victim,
-		Parity:         r.cell.Parity,
-		Flush:          r.cell.Flush,
-		TrackContent:   true,
-		ErrorBudget:    1 << 30,
-		Recovery:       r.opts.Hooks,
-	})
+	cache, err := r.newCache(devs, prim, r.opts.Hooks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("assembling trial cache: %w", err)
 	}
