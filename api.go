@@ -69,7 +69,7 @@ type (
 	CacheConfig = src.Config
 	// GCPolicy selects S2D or SelGC free-space reclamation.
 	GCPolicy = src.GCPolicy
-	// VictimPolicy selects FIFO or Greedy victim groups.
+	// VictimPolicy selects FIFO, Greedy or CostBenefit victim groups.
 	VictimPolicy = src.VictimPolicy
 	// ParityMode selects PC or NPC clean-data redundancy.
 	ParityMode = src.ParityMode

@@ -49,6 +49,9 @@ type Counters struct {
 	// GroupReclaims counts Segment Groups reclaimed: trimmed on every
 	// column and returned to the free pool.
 	GroupReclaims int64
+	// GCForcedS2D counts reclaim rounds that destaged where Sel-GC would
+	// have copied, because the copies would not fit in the free segments.
+	GCForcedS2D int64
 }
 
 // Add accumulates o into c, field by field: the sum over caches that share
@@ -68,6 +71,7 @@ func (c *Counters) Add(o Counters) {
 	c.ParityBytes += o.ParityBytes
 	c.SSDFlushes += o.SSDFlushes
 	c.GroupReclaims += o.GroupReclaims
+	c.GCForcedS2D += o.GCForcedS2D
 }
 
 // HitRatio reports read hits over reads, zero when no reads ran.

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -660,8 +661,8 @@ func (s *Supervisor) holdLocked(reason HoldReason, node string, rng int) {
 func (s *Supervisor) refreshFleet() { _ = s.fl.SetRing(s.Ring()) }
 
 // persistLocked writes a journal record — the table, pending moves and the
-// quarantine — durably (temp file + rename) before the state it records
-// takes effect anywhere.
+// quarantine — durably (writeDurable) before the state it records takes
+// effect anywhere.
 func (s *Supervisor) persistLocked(t *cluster.Table, pending []cluster.Move, phase cluster.SupPhase) error {
 	j := cluster.SnapshotSupJournal(t, pending, phase)
 	j.Quarantined = s.quarKeysLocked()
@@ -672,11 +673,30 @@ func (s *Supervisor) persistLocked(t *cluster.Table, pending []cluster.Move, pha
 	if s.cfg.JournalPath == "" {
 		return nil
 	}
-	tmp := s.cfg.JournalPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return writeDurable(s.cfg.JournalPath, data)
+}
+
+// writeDurable replaces path with data so that a power cut leaves the old
+// file or the new one: the temp file is synced before the rename, and the
+// directory after it, so the rename itself persists.
+func writeDurable(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.cfg.JournalPath)
+	_, err = f.Write(data)
+	if err = errors.Join(err, f.Sync(), f.Close()); err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	return errors.Join(dir.Sync(), dir.Close())
 }
 
 // quarKeysLocked returns the quarantine, sorted.

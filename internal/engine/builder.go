@@ -10,16 +10,13 @@ import (
 
 // ShardSpec sizes the memory-backed shard caches MemShardBuilder produces.
 // The defaults give a small, GC-exercising cache: 4 SSDs striped RAID-5,
-// 4 MiB erase groups, cache one quarter of the shard's primary span.
+// 4 MiB erase groups and ShardBytes/16 of cache per SSD (cachePerSSD).
 type ShardSpec struct {
 	// ShardBytes is the per-shard primary capacity (required, a multiple
 	// of the engine stripe size).
 	ShardBytes int64
 	// SSDs per shard (default 4; RAID-5 needs at least 3).
 	SSDs int
-	// CachePerSSD is the cache region per SSD (default ShardBytes/16,
-	// rounded up to an erase-group multiple with the 4-group minimum).
-	CachePerSSD int64
 	// EraseGroupSize (default 4 MiB) and SegmentColumn (default 64 KiB)
 	// shrink the paper's units so small shards still cycle through GC.
 	EraseGroupSize int64
@@ -43,18 +40,14 @@ func (s ShardSpec) withDefaults() ShardSpec {
 	if s.SegmentColumn == 0 {
 		s.SegmentColumn = 64 << 10
 	}
-	if s.CachePerSSD == 0 {
-		s.CachePerSSD = s.ShardBytes / 16
-	}
-	// Round up to an erase-group multiple, superblock + 3 working groups
-	// minimum.
-	if rem := s.CachePerSSD % s.EraseGroupSize; rem != 0 {
-		s.CachePerSSD += s.EraseGroupSize - rem
-	}
-	if min := 4 * s.EraseGroupSize; s.CachePerSSD < min {
-		s.CachePerSSD = min
-	}
 	return s
+}
+
+// cachePerSSD is the cache region per SSD: ShardBytes/16 rounded up to an
+// erase-group multiple, superblock + 3 working groups minimum.
+func (s ShardSpec) cachePerSSD() int64 {
+	n := (s.ShardBytes/16 + s.EraseGroupSize - 1) / s.EraseGroupSize
+	return max(n, 4) * s.EraseGroupSize
 }
 
 // MemShardBuilder returns a New-compatible builder producing identical
@@ -66,15 +59,16 @@ func MemShardBuilder(spec ShardSpec) (func(i int) (*src.Cache, error), error) {
 	if spec.ShardBytes <= 0 || spec.ShardBytes%blockdev.PageSize != 0 {
 		return nil, fmt.Errorf("engine: shard bytes %d must be a positive page multiple", spec.ShardBytes)
 	}
+	cachePerSSD := spec.cachePerSSD()
 	return func(i int) (*src.Cache, error) {
 		ssds := make([]blockdev.Device, spec.SSDs)
 		for j := range ssds {
-			ssds[j] = blockdev.NewMemDevice(spec.CachePerSSD, spec.DeviceLatency)
+			ssds[j] = blockdev.NewMemDevice(cachePerSSD, spec.DeviceLatency)
 		}
 		cfg := src.Config{
 			SSDs:           ssds,
 			Primary:        blockdev.NewMemDevice(spec.ShardBytes, spec.DeviceLatency),
-			CachePerSSD:    spec.CachePerSSD,
+			CachePerSSD:    cachePerSSD,
 			EraseGroupSize: spec.EraseGroupSize,
 			SegmentColumn:  spec.SegmentColumn,
 		}

@@ -32,31 +32,64 @@ func TestStressConcurrentIntegrity(t *testing.T) {
 	}
 }
 
-func stressIntegrity(t *testing.T, shards int) {
-	const (
-		clients    = 8
-		opsPerCli  = 1500
-		regionSize = int64(1 << 20)
-	)
-	shardBytes := clients * regionSize / int64(shards) // one region per client
+// Stress client streams: client id owns [id*stressRegion, (id+1)*stressRegion)
+// of the volume and draws its ops from a rand.Source seeded id+1.
+const (
+	stressClients = 8
+	stressOps     = 1500 // per client
+	stressRegion  = int64(1 << 20)
+)
+
+// stressShards builds the stress volume over the given shard count with
+// MemShardBuilder's four-erase-group default cache per shard: 256 KiB
+// groups of sixteen 16 KiB segment columns.
+func stressShards(t *testing.T, shards int, payload bool) *Engine {
+	t.Helper()
 	build, err := MemShardBuilder(ShardSpec{
-		ShardBytes: shardBytes,
-		// The same total cache at either shard count: eight 1 MiB-per-SSD
-		// shards (the four-erase-group minimum) or one of 8 MiB per SSD.
-		CachePerSSD:    shardBytes,
+		ShardBytes:     stressClients * stressRegion / int64(shards),
 		EraseGroupSize: 256 << 10,
 		SegmentColumn:  16 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Options{Shards: shards, StripePages: 16, Payload: true}, build)
+	e, err := New(Options{Shards: shards, StripePages: 16, Payload: payload}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(clients)*regionSize != e.Size() {
-		t.Fatalf("volume %d does not split into %d client regions", e.Size(), clients)
+	if stressClients*stressRegion != e.Size() {
+		t.Fatalf("volume %d does not split into %d client regions", e.Size(), stressClients)
 	}
+	return e
+}
+
+// stressOp is one op of a client stream: a flush, or a read or write of
+// [off, off+n) within the client's region.
+type stressOp struct {
+	flush  bool
+	write  bool
+	off, n int64
+}
+
+// nextStressOp draws a client's next op from rng. A write's payload is
+// drawn into data[:n] (data holds at least 64 KiB), so a stream consumes
+// its source the same way whether or not the caller keeps the bytes.
+func nextStressOp(rng *rand.Rand, data []byte) stressOp {
+	off := rng.Int63n(stressRegion - 1)
+	n := 1 + rng.Int63n(min64(64<<10, stressRegion-off))
+	switch rng.Intn(10) {
+	case 0: // flush rides along with data traffic
+		return stressOp{flush: true}
+	case 1, 2, 3:
+		return stressOp{off: off, n: n}
+	default:
+		rng.Read(data[:n])
+		return stressOp{write: true, off: off, n: n}
+	}
+}
+
+func stressIntegrity(t *testing.T, shards int) {
+	e := stressShards(t, shards, true)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,52 +102,50 @@ func stressIntegrity(t *testing.T, shards int) {
 		wantReads, wantWrites int64
 		errs                  []error
 	)
-	refs := make([][]byte, clients)
-	for c := 0; c < clients; c++ {
-		refs[c] = make([]byte, regionSize)
+	refs := make([][]byte, stressClients)
+	for c := 0; c < stressClients; c++ {
+		refs[c] = make([]byte, stressRegion)
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(id) + 1))
-			base := int64(id) * regionSize
+			base := int64(id) * stressRegion
 			ref := refs[id]
+			buf := make([]byte, 64<<10)
 			var reads, writes int64
 			fail := func(err error) {
 				mu.Lock()
 				errs = append(errs, fmt.Errorf("client %d: %w", id, err))
 				mu.Unlock()
 			}
-			for i := 0; i < opsPerCli; i++ {
-				off := rng.Int63n(regionSize - 1)
-				n := 1 + rng.Int63n(min64(64<<10, regionSize-off))
-				firstPage := (base + off) / blockdev.PageSize
-				lastPage := (base + off + n + blockdev.PageSize - 1) / blockdev.PageSize
-				switch rng.Intn(10) {
-				case 0: // flush rides along with data traffic
+			for i := 0; i < stressOps; i++ {
+				o := nextStressOp(rng, buf)
+				p := buf[:o.n]
+				firstPage := (base + o.off) / blockdev.PageSize
+				lastPage := (base + o.off + o.n + blockdev.PageSize - 1) / blockdev.PageSize
+				switch {
+				case o.flush:
 					if err := e.Flush(); err != nil {
 						fail(err)
 						return
 					}
-				case 1, 2, 3:
-					p := make([]byte, n)
-					if err := e.ReadAt(p, base+off); err != nil {
+				case o.write:
+					if err := e.WriteAt(p, base+o.off); err != nil {
 						fail(err)
 						return
 					}
-					if !bytes.Equal(p, ref[off:off+n]) {
-						fail(fmt.Errorf("read [%d,%d) diverges from this client's writes", off, off+n))
+					copy(ref[o.off:], p)
+					writes += lastPage - firstPage
+				default:
+					if err := e.ReadAt(p, base+o.off); err != nil {
+						fail(err)
+						return
+					}
+					if !bytes.Equal(p, ref[o.off:o.off+o.n]) {
+						fail(fmt.Errorf("read [%d,%d) diverges from this client's writes", o.off, o.off+o.n))
 						return
 					}
 					reads += lastPage - firstPage
-				default:
-					p := make([]byte, n)
-					rng.Read(p)
-					if err := e.WriteAt(p, base+off); err != nil {
-						fail(err)
-						return
-					}
-					copy(ref[off:off+n], p)
-					writes += lastPage - firstPage
 				}
 				if i%500 == 250 {
 					if _, err := e.Counters(); err != nil {
@@ -149,9 +180,9 @@ func stressIntegrity(t *testing.T, shards int) {
 	}
 
 	// Final payload check per client region, through the engine.
-	for c := 0; c < clients; c++ {
-		p := make([]byte, regionSize)
-		if err := e.ReadAt(p, int64(c)*regionSize); err != nil {
+	for c := 0; c < stressClients; c++ {
+		p := make([]byte, stressRegion)
+		if err := e.ReadAt(p, int64(c)*stressRegion); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(p, refs[c]) {
@@ -160,6 +191,47 @@ func stressIntegrity(t *testing.T, shards int) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoFreeGroupsEdge replays the one-shard stress as a single goroutine:
+// at each step a rand.Source seeded with the case's seed picks which
+// client's next op runs. On these seeds the four-group cache used to
+// refuse a write with src.ErrNoFreeGroups, because a Sel-GC copy round
+// admitted with one free group needed a second one.
+func TestNoFreeGroupsEdge(t *testing.T) {
+	for _, seed := range []int64{40, 179, 289, 391, 549} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			e := stressShards(t, 1, false)
+			sched := rand.New(rand.NewSource(seed))
+			rngs := make([]*rand.Rand, stressClients)
+			left := make([]int, stressClients)
+			for c := range rngs {
+				rngs[c] = rand.New(rand.NewSource(int64(c) + 1))
+				left[c] = stressOps
+			}
+			buf := make([]byte, 64<<10)
+			for step := 0; step < stressClients*stressOps; step++ {
+				c := sched.Intn(stressClients)
+				for left[c] == 0 {
+					c = sched.Intn(stressClients)
+				}
+				left[c]--
+				o := nextStressOp(rngs[c], buf)
+				var err error
+				switch {
+				case o.flush:
+					err = e.Flush()
+				case o.write:
+					err = e.Do(Request{Op: blockdev.OpWrite, Off: int64(c)*stressRegion + o.off, Len: o.n})
+				default:
+					err = e.Do(Request{Op: blockdev.OpRead, Off: int64(c)*stressRegion + o.off, Len: o.n})
+				}
+				if err != nil {
+					t.Fatalf("step %d, client %d: %v", step, c, err)
+				}
+			}
+		})
 	}
 }
 

@@ -67,9 +67,6 @@ func (b *segBuffer) Invalidate(i int) {
 	}
 }
 
-// Slot returns slot i.
-func (b *segBuffer) Slot(i int) bufSlot { return b.slots[i] }
-
 // SetTag updates the content tag of a live slot (rewrite of a buffered
 // dirty page).
 func (b *segBuffer) SetTag(i int, tag blockdev.Tag) {

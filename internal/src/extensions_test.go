@@ -129,143 +129,3 @@ func TestSeparateGCBufferContentOracle(t *testing.T) {
 		}
 	}
 }
-
-func TestResizeExpandPreservesContent(t *testing.T) {
-	e := newEnv(t, nil)
-	rng := rand.New(rand.NewSource(24))
-	span := int64(4000)
-	versions := make(map[int64]uint64)
-	for i := 0; i < 8000; i++ {
-		lba := rng.Int63n(span)
-		e.write(lba, 1)
-		versions[lba]++
-	}
-	cachedBefore := e.cache.CachedPages()
-
-	// Expand from 4 to 6 drives (two fresh ones appended).
-	devs := make([]blockdev.Device, 6)
-	for i := 0; i < 4; i++ {
-		devs[i] = e.ssds[i]
-	}
-	for i := 4; i < 6; i++ {
-		devs[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 0))
-	}
-	done, err := e.cache.Resize(e.at, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= e.at {
-		t.Fatal("resize was free")
-	}
-	e.at = done
-	e.checkInvariants()
-	if e.cache.lay.m != 6 {
-		t.Fatalf("array width %d after expand", e.cache.lay.m)
-	}
-	if got := e.cache.CachedPages(); got < cachedBefore {
-		t.Fatalf("expand lost pages: %d -> %d", cachedBefore, got)
-	}
-	// Every dirty page must survive with its latest content.
-	for lba, v := range versions {
-		got, _, err := e.cache.ReadCheck(e.at, lba)
-		if err != nil {
-			t.Fatalf("page %d after expand: %v", lba, err)
-		}
-		if got != blockdev.DataTag(lba, v) {
-			t.Fatalf("page %d content wrong after expand", lba)
-		}
-	}
-}
-
-func TestResizeContractDestagesOverflow(t *testing.T) {
-	e := newEnv(t, nil)
-	rng := rand.New(rand.NewSource(25))
-	span := int64(3000)
-	versions := make(map[int64]uint64)
-	for i := 0; i < 6000; i++ {
-		lba := rng.Int63n(span)
-		e.write(lba, 1)
-		versions[lba]++
-	}
-	// Contract from 4 to 3 drives.
-	devs := []blockdev.Device{e.ssds[0], e.ssds[1], e.ssds[2]}
-	done, err := e.cache.Resize(e.at, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.at = done
-	e.checkInvariants()
-	if e.cache.lay.m != 3 {
-		t.Fatalf("array width %d after contract", e.cache.lay.m)
-	}
-	// No data may be lost: each page is either cached with the right
-	// content or destaged to primary.
-	for lba, v := range versions {
-		want := blockdev.DataTag(lba, v)
-		if _, cached := e.cache.mapping.get(lba); cached {
-			got, _, err := e.cache.ReadCheck(e.at, lba)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("page %d wrong after contract", lba)
-			}
-		} else if got, err := e.prim.Content().ReadTag(lba); err != nil {
-			t.Fatal(err)
-		} else if got != want {
-			t.Fatalf("page %d neither cached nor destaged correctly", lba)
-		}
-	}
-}
-
-func TestResizeValidation(t *testing.T) {
-	e := newEnv(t, nil)
-	if _, err := e.cache.Resize(0, nil); err == nil {
-		t.Fatal("accepted empty array")
-	}
-	// RAID-5 cannot shrink below 3.
-	if _, err := e.cache.Resize(0, []blockdev.Device{e.ssds[0], e.ssds[1]}); err == nil {
-		t.Fatal("accepted 2-drive RAID-5")
-	}
-	small := blockdev.NewMemDevice(testEGS, 0) // smaller than the region
-	if _, err := e.cache.Resize(0, []blockdev.Device{e.ssds[0], e.ssds[1], small}); err == nil {
-		t.Fatal("accepted undersized drive")
-	}
-}
-
-func TestResizeThenRecover(t *testing.T) {
-	e := newEnv(t, nil)
-	for lba := int64(0); lba < 500; lba++ {
-		e.write(lba, 1)
-	}
-	devs := make([]blockdev.Device, 6)
-	for i := 0; i < 4; i++ {
-		devs[i] = e.ssds[i]
-	}
-	for i := 4; i < 6; i++ {
-		devs[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 0))
-	}
-	done, err := e.cache.Resize(e.at, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.at = done
-	// Crash after the (flushed) resize: recovery must see the new
-	// geometry with no stale old-layout segments resurrected.
-	for _, d := range devs {
-		d.Content().Crash()
-	}
-	if _, err := e.cache.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	e.checkInvariants()
-	for lba := int64(0); lba < 500; lba++ {
-		got, _, err := e.cache.ReadCheck(e.at, lba)
-		if err != nil {
-			t.Fatalf("page %d after resize+crash: %v", lba, err)
-		}
-		if got != blockdev.DataTag(lba, 1) {
-			t.Fatalf("page %d content wrong after resize+crash", lba)
-		}
-	}
-}

@@ -29,28 +29,30 @@ type liveEntry struct {
 // any pages S2S moved out — so every success path must drain the dirty
 // tails first, keeping destruction and replacement in one flush epoch.
 //
+// Fault-free, no round runs out of space (paper §4.2: S2D of the oldest
+// group always frees it). A copy round writes only what copyFits admitted.
+// A destage round writes only the dirty tails it drains, and only the first
+// round finds any: at most the segment of host writes whose seal called gc.
+// A group is free to take it: gc returns with two and allocSegment calls it
+// before taking the last, and when a crash leaves Recover none, hostWrite
+// reclaims before it buffers anything. With at most one group free and one
+// active, numSG ≥ 4 leaves a closed one to pick. The loop ends: copy rounds
+// take only groups closed before the call, so only they write, and the
+// groups they fill bound the rest. Only faults reach ErrNoFreeGroups: an
+// abandoned segment write keeps its segment.
+//
 //srclint:contract flush
 func (c *Cache) gc(at vtime.Time) error {
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	for rounds := 0; len(c.freeSGs) < 2; rounds++ {
-		if rounds > 2*int(c.lay.numSG) {
-			return fmt.Errorf("%w: no progress after %d rounds", ErrNoFreeGroups, rounds)
-		}
-		victim := c.pickVictim()
-		if victim < 0 {
-			if len(c.freeSGs) > 0 {
-				break
-			}
-			return ErrNoFreeGroups
-		}
-		g := &c.groups[victim]
-		oldest := c.fifo[0]
+	since := c.seqCtr // groups opened after this hold this call's copies
+	for len(c.freeSGs) < 2 {
+		victim, oldest := c.pickVictim(), c.fifo[0]
 		// Sel-GC copies while utilization is below U_MAX; S2D otherwise. A
 		// fully live victim is always destaged (copying it would make no
-		// space), and copy mode needs a free group to absorb the copies,
-		// since the victim is now reclaimed only after they are written.
-		copyMode := c.copyEligible() && g.valid < g.paycap && len(c.freeSGs) > 0
+		// space), and so is one whose round copyFits refuses.
+		wantCopy := c.copyEligible() && c.groups[victim].valid < c.groups[victim].paycap
+		copyMode := wantCopy && c.copyFits(victim, victim != oldest, since)
 		if !copyMode && victim != oldest {
 			// Destage forgets records: dirty pages move to primary and clean
 			// pages are dropped, destroying the newest on-media record of
@@ -60,8 +62,12 @@ func (c *Cache) gc(at vtime.Time) error {
 			// guarantees every older record is already durably gone. Greedy
 			// and CostBenefit keep their preference for copy-mode victims
 			// and fall back to the oldest group when destaging.
-			victim, g = oldest, &c.groups[oldest]
-			copyMode = c.copyEligible() && g.valid < g.paycap && len(c.freeSGs) > 0
+			victim = oldest
+			wantCopy = c.copyEligible() && c.groups[victim].valid < c.groups[victim].paycap
+			copyMode = wantCopy && c.copyFits(victim, false, since)
+		}
+		if wantCopy && !copyMode {
+			c.counters.GCForcedS2D++
 		}
 		// A non-oldest copy-mode victim must copy even cold clean pages:
 		// dropping one forgets its newest record while stale older records
@@ -87,14 +93,6 @@ func (c *Cache) gc(at vtime.Time) error {
 		// from the previous one by at least one flush, giving the strictly
 		// oldest-first durable destruction order recovery depends on.
 		done, err := c.drainDirty(readDone)
-		if errors.Is(err, ErrNoFreeGroups) {
-			// At the no-free-groups edge a destage round is digging out of,
-			// there may be no segment left to seal the tails into. The
-			// barrier only needs the replacement copies durable somewhere
-			// before the trim: primary storage serves, at the price of the
-			// cached copies.
-			done, err = c.destageBufferedDirty(readDone)
-		}
 		if err != nil {
 			return err
 		}
@@ -105,14 +103,57 @@ func (c *Cache) gc(at vtime.Time) error {
 			return err
 		}
 	}
-	// Destage the dirty tails before returning: pages S2S moved out of the
-	// victims still sit in RAM, and once a reclaimed group is reused its
-	// old summary blobs — the only durable record of those pages (and of
-	// superseded versions of host-rewritten pages) — are overwritten.
-	// Writing the tails now keeps the overwrite and the replacement copies
-	// in the same flush epoch: a crash either reverts both or sees both.
+	// Every round drained before its trim, so this finds nothing; it keeps
+	// the flush contract on the path that runs no round.
 	_, err := c.drainDirty(at)
 	return err
+}
+
+// copyFits is Sel-GC's admission test for a copy (S2S) round of victim:
+// everything the round can write must fit in the free segments (the rest of
+// the active group and every free group). Its dirty pages go to the GC
+// buffer, or the dirty one without it, and the clean pages it keeps to the
+// clean buffer. A buffer seals whenever it fills and the drain seals the
+// dirty tails, each seal but a drain's last taking a segment's worth of
+// slots, so n slots given k pages seal at most ⌈(n+k)/cap⌉ segments when
+// drained, ⌊(n+k)/cap⌋ when not. Their sum is the worst case covered. A
+// victim opened after since is refused: this call copied its pages already.
+func (c *Cache) copyFits(victim int64, keepCold bool, since int64) bool {
+	g := &c.groups[victim]
+	if g.seq > since {
+		return false
+	}
+	var dirty, clean int64
+	for _, packed := range g.slots {
+		if packed == slotFree {
+			continue
+		}
+		if lba, d := unpackSlot(packed); d {
+			dirty++
+		} else if keepCold || c.hot.Get(lba) {
+			clean++
+		}
+	}
+	need := (int64(c.cleanBuf.Len()) + clean) / int64(c.cleanBuf.Cap())
+	if c.gcBuf != nil {
+		need += drainedSegs(c.dirtyBuf, 0) + drainedSegs(c.gcBuf, dirty)
+	} else {
+		need += drainedSegs(c.dirtyBuf, dirty)
+	}
+	free := int64(len(c.freeSGs)) * c.lay.segsPerSG
+	if c.active >= 0 {
+		free += c.lay.segsPerSG - c.nextSeg
+	}
+	return need <= free
+}
+
+// drainedSegs bounds the segments b seals once k more pages arrive and it
+// is drained.
+func drainedSegs(b *segBuffer, k int64) int64 {
+	if int64(b.Live())+k == 0 {
+		return 0
+	}
+	return (int64(b.Len()) + k + int64(b.Cap()) - 1) / int64(b.Cap())
 }
 
 // copyEligible reports whether Sel-GC may copy live data back into the log
@@ -123,13 +164,10 @@ func (c *Cache) copyEligible() bool {
 	return c.cfg.GC == SelGC && c.Utilization() < c.cfg.UMax
 }
 
-// pickVictim chooses the group to reclaim: the oldest-filled group under
-// FIFO, the least-utilized under Greedy, or the best age-weighted
-// space-per-copy trade under CostBenefit.
+// pickVictim chooses the closed group to reclaim (there is one; see gc):
+// the oldest-filled group under FIFO, the least-utilized under Greedy, or
+// the best age-weighted space-per-copy trade under CostBenefit.
 func (c *Cache) pickVictim() int64 {
-	if len(c.fifo) == 0 {
-		return -1
-	}
 	switch c.cfg.Victim {
 	case Greedy:
 		best := c.fifo[0]
@@ -345,79 +383,32 @@ func (c *Cache) reclaim(at vtime.Time, victim int64) error {
 // keepCold copies them too, the crash-safe mode for non-oldest victims.
 func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 	for _, e := range live {
-		if !e.dirty {
-			if !keepCold && !c.hot.Get(e.lba) {
-				continue // cold clean data: discarding it costs nothing
-			}
-			if _, ok := c.mapping.get(e.lba); ok {
-				continue // superseded while gathering: the live copy keeps the hot bit
-			}
-			c.hot.Clear(e.lba)
-			slot := c.cleanBuf.Append(e.lba, e.tag)
-			c.mapping.set(e.lba, entry{state: stateBufClean, loc: int64(slot)})
-			c.counters.GCCopyBytes += blockdev.PageSize
-			if c.cleanBuf.Full() {
-				if _, err := c.writeSegment(at, c.cleanBuf, false); err != nil &&
-					!errors.Is(err, errSegmentAbandoned) {
-					return err
-				}
-			}
-			continue
-		}
 		if _, ok := c.mapping.get(e.lba); ok {
-			continue
+			continue // superseded while gathering: the live copy keeps the hot bit
 		}
 		// In SeparateGCBuffer mode, aged dirty data (GC survivors) forms
 		// its own segments instead of mixing with fresh host writes.
 		buf, state := c.dirtyBuf, stateBufDirty
-		if c.gcBuf != nil {
+		switch {
+		case !e.dirty && !keepCold && !c.hot.Get(e.lba):
+			continue // cold clean data: discarding it costs nothing
+		case !e.dirty:
+			c.hot.Clear(e.lba)
+			buf, state = c.cleanBuf, stateBufClean
+		case c.gcBuf != nil:
 			buf, state = c.gcBuf, stateBufGC
 		}
 		slot := buf.Append(e.lba, e.tag)
 		c.mapping.set(e.lba, entry{state: state, loc: int64(slot)})
 		c.counters.GCCopyBytes += blockdev.PageSize
 		if buf.Full() {
-			if _, err := c.writeSegment(at, buf, true); err != nil &&
+			if _, err := c.writeSegment(at, buf, e.dirty); err != nil &&
 				!errors.Is(err, errSegmentAbandoned) {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// destageBufferedDirty empties the dirty RAM buffers by writing their pages
-// back to primary storage and dropping them from the cache — gc's
-// space-pressure fallback when the pre-trim drain cannot allocate a
-// segment. Write-through semantics for the affected pages: they stay
-// durable on primary and refetch on the next miss.
-func (c *Cache) destageBufferedDirty(at vtime.Time) (vtime.Time, error) {
-	// destage's lbas are dead by now: this runs after it, never within it.
-	lbas := c.scratch.lbas[:0]
-	for _, buf := range [...]*segBuffer{c.dirtyBuf, c.gcBuf} {
-		if buf == nil {
-			continue
-		}
-		for _, s := range buf.slots {
-			if s.valid {
-				lbas = append(lbas, s.lba)
-			}
-		}
-	}
-	c.scratch.lbas = lbas
-	if len(lbas) == 0 {
-		return at, nil
-	}
-	done, err := c.destageRuns(at, lbas)
-	if err != nil {
-		return at, err
-	}
-	for _, lba := range lbas {
-		if e, ok := c.mapping.get(lba); ok {
-			c.dropPage(lba, e)
-		}
-	}
-	return done, nil
 }
 
 // destage implements S2D: dirty pages are written back to primary storage

@@ -12,26 +12,23 @@ import (
 // allocSegment returns the coordinates of the next unused segment in the
 // active Segment Group, rotating groups (and garbage collecting) as needed.
 func (c *Cache) allocSegment(at vtime.Time) (sg, seg int64, err error) {
-	// A group opened during this call's own GC (whose S2S copies write
-	// segments too) may already have room; rotation below re-checks.
-	ranGC := false
 	for c.active < 0 || c.nextSeg == c.lay.segsPerSG {
 		if c.active >= 0 {
 			c.groups[c.active].state = groupClosed
 			c.fifo = append(c.fifo, c.active)
 			c.active = -1
 		}
-		if !c.inGC && !ranGC && len(c.freeSGs) <= 1 {
-			ranGC = true
+		if !c.inGC && len(c.freeSGs) <= 1 {
+			// gc returns with two groups free, so it runs once per call.
 			if err := c.gc(at); err != nil {
 				return 0, 0, err
 			}
 			if c.active >= 0 {
-				continue // GC opened an active group; use it if not full
+				continue // S2S copies opened a group; use it if not full
 			}
 		}
 		if len(c.freeSGs) == 0 {
-			return 0, 0, ErrNoFreeGroups
+			return 0, 0, ErrNoFreeGroups // only faults get here; see gc
 		}
 		next := c.freeSGs[0]
 		// Shift rather than reslice, so the queue does not creep through

@@ -14,8 +14,8 @@ import (
 
 // Errors reported by the cache.
 var (
-	// ErrNoFreeGroups reports that garbage collection could not produce a
-	// free Segment Group.
+	// ErrNoFreeGroups reports a segment write that found no free Segment
+	// Group, which only faults can cause (see gc).
 	ErrNoFreeGroups = errors.New("src: no reclaimable segment groups")
 	// ErrDataLoss reports unrecoverable data (an SSD failure with no
 	// redundancy covering the lost pages).
@@ -63,8 +63,7 @@ type Cache struct {
 // because reentry is bounded: writeSegment nests only through allocSegment's
 // gc, which runs to completion before the outer call takes its snapshot, and
 // gc never nests (inGC), so evacuate's live set outlives the seals reinsert
-// triggers. A caller that keeps evacuate's result across another reclaim
-// copies it (Resize).
+// triggers.
 type scratch struct {
 	slots     []bufSlot        // spare buffer array, swapped in at each seal
 	cols      []int            // payloadCols' columns
@@ -73,7 +72,7 @@ type scratch struct {
 	colTags   [][]blockdev.Tag // content tags per column (TrackContent only)
 	live      []liveEntry      // evacuate's gathered pages
 	run       []int            // evacuate's coalesced read run
-	lbas      []int64          // dirty pages destage or destageBufferedDirty write back
+	lbas      []int64          // dirty pages destage writes back
 	sorted    []int64          // destageRuns' radix-sort buffer
 }
 
@@ -268,6 +267,13 @@ func (c *Cache) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) 
 // pages and follows the segment write when one is triggered (write-back
 // with natural SSD back-pressure).
 func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	// A crash can leave Recover no free group, and gc could not drain host
+	// writes then: reclaim before buffering any (see gc).
+	if len(c.freeSGs) == 0 {
+		if err := c.gc(at); err != nil {
+			return at, err
+		}
+	}
 	c.lastWriteAt = at
 	first := req.Off / blockdev.PageSize
 	pages := req.Pages()
