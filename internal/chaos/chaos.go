@@ -5,10 +5,11 @@
 // online rebuild, scrub passes, and crash/recovery cycles — while checking
 // the durability contract after every hazard:
 //
-//   - an acknowledged dirty write (one made durable by Flush) is never lost:
-//     after any crash it is recovered at that version or newer, or has been
-//     destaged to primary storage at that version or newer;
-//   - the cache never serves a version newer than the newest write;
+//   - the pages satisfy torture.Oracle's invariants: after every crash in
+//     its recovered mode (an acknowledged flush is never lost, no page
+//     holds a version never acknowledged), and at spot checks and the end
+//     of the run in its live mode (every cached page holds its newest
+//     version and reads back verified);
 //   - a column rebuild converges and the rebuilt data verifies;
 //   - planted silent corruption is detected (and repaired) by the scrub.
 //
@@ -18,12 +19,15 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/src"
+	"srccache/internal/torture"
 	"srccache/internal/vtime"
 )
 
@@ -38,6 +42,7 @@ const (
 	egs     = 1 << 20
 	segCol  = 16 << 10
 	span    = 4096 // logical pages the workload touches
+	steps   = 800  // top-level schedule steps per run
 )
 
 // Options seeds one chaos run.
@@ -45,8 +50,6 @@ type Options struct {
 	// Seed selects the workload and fault schedule. Runs with equal
 	// Options are identical.
 	Seed int64
-	// Ops is the number of top-level schedule steps (default 800).
-	Ops int
 }
 
 // Result counts what one run exercised. Two runs with equal Options produce
@@ -89,9 +92,6 @@ type harness struct {
 // Run executes one seeded chaos schedule and returns its counters, or the
 // first invariant violation as an error.
 func Run(o Options) (Result, error) {
-	if o.Ops <= 0 {
-		o.Ops = 800
-	}
 	h := &harness{
 		rng:     rand.New(rand.NewSource(o.Seed)),
 		latest:  make(map[int64]uint64),
@@ -120,7 +120,7 @@ func Run(o Options) (Result, error) {
 		return h.res, err
 	}
 	h.cache = cache
-	for i := 0; i < o.Ops; i++ {
+	for i := 0; i < steps; i++ {
 		if err := h.step(); err != nil {
 			return h.res, fmt.Errorf("seed %d op %d: %w", o.Seed, i, err)
 		}
@@ -191,11 +191,7 @@ func (h *harness) doFlush() error {
 	}
 	h.at = vtime.Max(h.at, done)
 	// Everything written so far is now acknowledged as durable.
-	for lba, v := range h.latest {
-		if v > 0 {
-			h.durable[lba] = v
-		}
-	}
+	maps.Copy(h.durable, h.latest)
 	h.res.Flushes++
 	return nil
 }
@@ -210,6 +206,17 @@ func (h *harness) pickCached() (lba int64, col int, page int64, ok bool) {
 		}
 	}
 	return 0, 0, 0, false
+}
+
+// latentBesides reports whether a member other than col has an outstanding
+// latent error.
+func (h *harness) latentBesides(col int) bool {
+	for i, p := range h.ssds {
+		if i != col && p.UnreadablePages() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (h *harness) doInject() error {
@@ -239,13 +246,8 @@ func (h *harness) doInject() error {
 		// reconstruction run, which single-parity RAID cannot survive
 		// regardless of implementation.
 		lba, col, page, ok := h.pickCached()
-		if !ok {
+		if !ok || h.latentBesides(col) {
 			return h.doRead()
-		}
-		for i, p := range h.ssds {
-			if i != col && p.UnreadablePages() > 0 {
-				return h.doRead()
-			}
 		}
 		h.ssds[col].InjectUnreadable(page)
 		h.res.Unreadables++
@@ -266,29 +268,21 @@ func (h *harness) doInject() error {
 		// left outstanding is exercised by the scrub event instead, so a
 		// later column failure never XORs corrupt survivor data.)
 		lba, col, page, ok := h.pickCached()
-		if !ok {
+		// Parity repair of the corrupt page reads every survivor; a latent
+		// error there would turn a repairable corruption into a double
+		// fault.
+		if !ok || h.latentBesides(col) {
 			return h.doRead()
-		}
-		for i, p := range h.ssds {
-			if i != col && p.UnreadablePages() > 0 {
-				// Parity repair of the corrupt page reads every survivor;
-				// a latent error there would turn a repairable corruption
-				// into a double fault.
-				return h.doRead()
-			}
 		}
 		if err := h.ssds[col].Content().Corrupt(page); err != nil {
 			return err
 		}
 		before := h.cache.RepairStats().CorruptionsDetected
-		tag, done, err := h.cache.ReadCheck(h.at, lba)
+		_, done, err := h.cache.ReadCheck(h.at, lba)
 		if err != nil {
 			return fmt.Errorf("checked read of corrupted page %d: %w", lba, err)
 		}
 		h.at = vtime.Max(h.at, done)
-		if v, cached := h.cache.CachedVersion(lba); cached && v > 0 && tag != blockdev.DataTag(lba, v) {
-			return fmt.Errorf("page %d: repaired tag does not match version %d", lba, v)
-		}
 		if h.cache.RepairStats().CorruptionsDetected == before {
 			return fmt.Errorf("page %d: planted corruption not detected", lba)
 		}
@@ -330,51 +324,20 @@ func (h *harness) doCrash() error {
 	}
 	h.res.Crashes++
 
-	// Durability check and model resync, in deterministic page order.
-	newLatest := make(map[int64]uint64, len(h.latest))
-	for lba := int64(0); lba < span; lba++ {
-		lv := h.latest[lba]
-		if lv == 0 {
-			continue
-		}
-		dv := h.durable[lba]
-		rv, cached := h.cache.CachedVersion(lba)
-		if cached && rv > 0 {
-			if rv > lv {
-				return fmt.Errorf("page %d recovered at version %d, newer than the newest write %d", lba, rv, lv)
-			}
-			if rv < dv {
-				return fmt.Errorf("page %d recovered at version %d, below the durable version %d", lba, rv, dv)
-			}
-			newLatest[lba] = rv
-			continue
-		}
-		// Not recovered into the cache (or only as a pre-epoch clean
-		// fill): a durable version must have been destaged to primary.
-		if dv > 0 {
-			pt, err := h.prim.Content().ReadTag(lba)
-			if err != nil {
-				return err
-			}
-			found := false
-			for v := lv; v >= dv; v-- {
-				if pt == blockdev.DataTag(lba, v) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("page %d: durable version %d neither recovered nor on primary", lba, dv)
-			}
-		}
+	// No read-back: ReadCheck repairs state and advances the clock, which
+	// would shift the rest of the schedule.
+	if err := h.oracle().Recovered(h.at, true, false); err != nil {
+		return err
 	}
 	// The recovered state is exactly what was committed: it is the new
 	// model baseline, and all of it is durable.
-	h.latest = newLatest
-	h.durable = make(map[int64]uint64, len(newLatest))
-	for lba, v := range newLatest {
-		h.durable[lba] = v
+	h.latest = make(map[int64]uint64, len(h.latest))
+	for lba := int64(0); lba < span; lba++ {
+		if rv, cached := h.cache.CachedVersion(lba); cached && rv > 0 {
+			h.latest[lba] = rv
+		}
 	}
+	h.durable = maps.Clone(h.latest)
 	return nil
 }
 
@@ -382,10 +345,8 @@ func (h *harness) doRebuild() error {
 	// A survivor with an outstanding latent error cannot serve as a
 	// reconstruction source; real arrays refuse to kick a second member
 	// for the same reason. Scrub-style repair paths clear these over time.
-	for _, p := range h.ssds {
-		if p.UnreadablePages() > 0 {
-			return h.doRead()
-		}
+	if h.latentBesides(-1) {
+		return h.doRead()
 	}
 	col := h.rng.Intn(numSSD)
 	h.ssds[col].Fail()
@@ -452,73 +413,38 @@ func (h *harness) doScrub() error {
 	return nil
 }
 
-// spotCheck verifies a handful of random pages against the model.
+// oracle judges the cache against the harness's model.
+func (h *harness) oracle() torture.Oracle {
+	return torture.Oracle{Cache: h.cache, Primary: h.prim.Content(), Latest: h.latest, Durable: h.durable, Span: span}
+}
+
+// spotCheck checks a handful of random pages against the model, counting
+// those it verified in the cache.
 func (h *harness) spotCheck() error {
+	o := h.oracle()
 	for k := 0; k < 8; k++ {
-		lba := h.rng.Int63n(span)
-		lv := h.latest[lba]
-		if lv == 0 {
-			continue
-		}
-		rv, cached := h.cache.CachedVersion(lba)
-		if !cached {
-			continue
-		}
-		if rv != lv {
-			return fmt.Errorf("page %d cached at version %d, model says %d", lba, rv, lv)
-		}
-		tag, done, err := h.cache.ReadCheck(h.at, lba)
+		at, cached, err := o.Live(h.at, h.rng.Int63n(span))
+		h.at = at
 		if err != nil {
-			return fmt.Errorf("checked read of page %d: %w", lba, err)
+			return err
 		}
-		h.at = vtime.Max(h.at, done)
-		if rv > 0 && tag != blockdev.DataTag(lba, rv) {
-			return fmt.Errorf("page %d serves the wrong content for version %d", lba, rv)
+		if cached {
+			h.res.Checks++
 		}
-		h.res.Checks++
 	}
 	return nil
 }
 
-// verifyAll checks every written page at the end of the run: cached pages
-// must verify at the model's version, evicted pages must live on primary at
-// a version no older than their durable one.
+// verifyAll checks every written page at the end of the run.
 func (h *harness) verifyAll() error {
+	o := h.oracle()
 	for lba := int64(0); lba < span; lba++ {
-		lv := h.latest[lba]
-		if lv == 0 {
+		if h.latest[lba] == 0 {
 			continue
 		}
-		dv := h.durable[lba]
-		rv, cached := h.cache.CachedVersion(lba)
-		if cached && rv > 0 {
-			if rv != lv {
-				return fmt.Errorf("page %d cached at version %d, model says %d", lba, rv, lv)
-			}
-			tag, done, err := h.cache.ReadCheck(h.at, lba)
-			if err != nil {
-				return fmt.Errorf("checked read of page %d: %w", lba, err)
-			}
-			h.at = vtime.Max(h.at, done)
-			if tag != blockdev.DataTag(lba, rv) {
-				return fmt.Errorf("page %d serves the wrong content for version %d", lba, rv)
-			}
-			h.res.Checks++
-			continue
-		}
-		pt, err := h.prim.Content().ReadTag(lba)
-		if err != nil {
+		var err error
+		if h.at, _, err = o.Live(h.at, lba); err != nil {
 			return err
-		}
-		found := false
-		for v := lv; v >= 1 && v >= dv; v-- {
-			if pt == blockdev.DataTag(lba, v) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("page %d (latest %d, durable %d) neither cached nor on primary", lba, lv, dv)
 		}
 		h.res.Checks++
 	}
@@ -528,20 +454,14 @@ func (h *harness) verifyAll() error {
 // signature folds the final per-page versions and the virtual clock into one
 // comparable value.
 func (h *harness) signature() uint64 {
-	f := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		f.Write(buf[:])
-	}
+	var b []byte
 	for lba := int64(0); lba < span; lba++ {
 		if v := h.latest[lba]; v > 0 {
-			put(uint64(lba))
-			put(v)
+			b = binary.LittleEndian.AppendUint64(b, uint64(lba))
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
-	put(uint64(h.at.Sub(vtime.Time(0))))
+	f := fnv.New64a()
+	f.Write(binary.LittleEndian.AppendUint64(b, uint64(h.at)))
 	return f.Sum64()
 }

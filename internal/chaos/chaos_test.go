@@ -38,7 +38,7 @@ func TestChaos(t *testing.T) {
 // TestChaosDeterministic replays one schedule and requires bit-identical
 // results, including the folded final-state signature.
 func TestChaosDeterministic(t *testing.T) {
-	o := Options{Seed: 7, Ops: 600}
+	o := Options{Seed: 7}
 	a, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestChaosDeterministic(t *testing.T) {
 func TestChaosCoverage(t *testing.T) {
 	var total Result
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := Run(Options{Seed: seed, Ops: 600})
+		res, err := Run(Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,5 +73,28 @@ func TestChaosCoverage(t *testing.T) {
 		total.Transients == 0 || total.Unreadables == 0 ||
 		total.Corruptions == 0 || total.Flushes == 0 {
 		t.Fatalf("fault kinds not all exercised: %+v", total)
+	}
+}
+
+// TestChaosFoundSeeds pins seeds that once lost an acknowledged flush. Each
+// failed before the free-space edge became one path (gc copies a group
+// only when free space can absorb the round), with:
+//
+//	seed 342 op 644: page 1613 recovered at version 2, below the durable version 3
+//	seed 622 op 537: page 928 recovered at version 1, below the durable version 2
+//	seed 1462 op 734: page 1663 recovered at version 1, below the durable version 2
+//	seed 1744 op 744: page 3306 recovered at version 4, below the durable version 5
+//	seed 1773 op 755: page 136 recovered at version 1, below the durable version 2
+//
+// Whether that change fixed a cause or only moved these schedules is open;
+// either way each must keep passing.
+func TestChaosFoundSeeds(t *testing.T) {
+	for _, seed := range []int64{342, 622, 1462, 1744, 1773} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			if _, err := Run(Options{Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -211,7 +211,7 @@ func (c *Cache) survivingGeneration(sg, seg int64, failedCol int) (int64, error)
 		if err != nil || blob == nil {
 			continue
 		}
-		s, err := parseSummary(blob)
+		s, err := parseSummary(blob, false)
 		if err != nil {
 			continue
 		}

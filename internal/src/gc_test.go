@@ -311,68 +311,74 @@ func TestReinsertCopiesHotClean(t *testing.T) {
 
 // TestReclaimAtTheFreeSpaceEdge drives a seeded overwrite-heavy stream over
 // a volume four times the cache's payload through every small geometry and
-// policy mix: 4, 5 and 8 erase groups of four segments × victim policy ×
-// S2D/Sel-GC × GC buffer × RAID-0/5 × PC/NPC, on a fault-free array. A
-// healthy cache never refuses a request, and its accounting holds after.
+// policy mix: 4, 5 and 8 erase groups of four or sixteen segments × victim
+// policy × S2D/Sel-GC × GC buffer × RAID-0/4/5 × PC/NPC, on a fault-free
+// array. A healthy cache never refuses a request, and its accounting holds
+// after.
 func TestReclaimAtTheFreeSpaceEdge(t *testing.T) {
 	const (
 		ssds   = 4
-		egs    = 64 << 10 // four 16 KiB segment columns
 		segCol = 16 << 10
 		ops    = 2000
 	)
-	for _, groups := range []int64{4, 5, 8} {
-		for _, victim := range []VictimPolicy{FIFO, Greedy, CostBenefit} {
-			for _, gc := range []GCPolicy{S2D, SelGC} {
-				for _, gcBuf := range []bool{false, true} {
-					for _, level := range []RAIDLevel{RAID0, RAID5} {
-						for _, parity := range []ParityMode{PC, NPC} {
-							name := fmt.Sprintf("%d/%v/%v/gcbuf=%v/%v/%v", groups, victim, gc, gcBuf, level, parity)
-							t.Run(name, func(t *testing.T) {
-								devs := make([]blockdev.Device, ssds)
-								for i := range devs {
-									devs[i] = blockdev.NewMemDevice(groups*egs, 10*vtime.Microsecond)
+	for _, segs := range []int64{4, 16} {
+		egs := segs * segCol
+		for _, groups := range []int64{4, 5, 8} {
+			for _, victim := range []VictimPolicy{FIFO, Greedy, CostBenefit} {
+				for _, gc := range []GCPolicy{S2D, SelGC} {
+					for _, gcBuf := range []bool{false, true} {
+						for _, level := range []RAIDLevel{RAID0, RAID4, RAID5} {
+							for _, parity := range []ParityMode{PC, NPC} {
+								name := fmt.Sprintf("%d/%v/%v/gcbuf=%v/%v/%v", groups, victim, gc, gcBuf, level, parity)
+								if segs != 4 {
+									name += fmt.Sprintf("/%dseg", segs)
 								}
-								// Four times the payload of the working groups.
-								pages := 4 * (groups - 1) * (egs / segCol) * ssds * (segCol/blockdev.PageSize - 2)
-								prim := blockdev.NewMemDevice(pages*blockdev.PageSize, vtime.Millisecond)
-								c, err := New(Config{
-									SSDs: devs, Primary: prim, EraseGroupSize: egs, SegmentColumn: segCol,
-									GC: gc, Victim: victim, SeparateGCBuffer: gcBuf, Level: level, Parity: parity,
-									TrackContent: true,
-								})
-								if err != nil {
-									t.Fatal(err)
-								}
-								rng := rand.New(rand.NewSource(groups))
-								var at vtime.Time
-								for i := 0; i < ops; i++ {
-									var done vtime.Time
-									n := 1 + rng.Int63n(4)
-									lba := rng.Int63n(pages - n + 1)
-									if rng.Intn(2) == 0 {
-										lba = rng.Int63n(pages/4 - n + 1) // the hot quarter
+								t.Run(name, func(t *testing.T) {
+									devs := make([]blockdev.Device, ssds)
+									for i := range devs {
+										devs[i] = blockdev.NewMemDevice(groups*egs, 10*vtime.Microsecond)
 									}
-									req := blockdev.Request{Op: blockdev.OpWrite, Off: lba * blockdev.PageSize, Len: n * blockdev.PageSize}
-									switch r := rng.Intn(100); {
-									case r < 2:
-										done, err = c.Flush(at)
-									case r < 20:
-										req.Op = blockdev.OpRead
-										fallthrough
-									default:
-										done, err = c.Submit(at, req)
-									}
+									// Four times the payload of the working groups.
+									pages := 4 * (groups - 1) * (egs / segCol) * ssds * (segCol/blockdev.PageSize - 2)
+									prim := blockdev.NewMemDevice(pages*blockdev.PageSize, vtime.Millisecond)
+									c, err := New(Config{
+										SSDs: devs, Primary: prim, EraseGroupSize: egs, SegmentColumn: segCol,
+										GC: gc, Victim: victim, SeparateGCBuffer: gcBuf, Level: level, Parity: parity,
+										TrackContent: true,
+									})
 									if err != nil {
-										t.Fatalf("op %d: %v", i, err)
+										t.Fatal(err)
 									}
-									at = vtime.Max(at, done)
-								}
-								if c.counters.GroupReclaims < 20 {
-									t.Fatalf("%d group reclaims, want at least 20", c.counters.GroupReclaims)
-								}
-								(&env{cache: c, prim: prim, t: t}).checkInvariants()
-							})
+									rng := rand.New(rand.NewSource(groups))
+									var at vtime.Time
+									for i := 0; i < ops; i++ {
+										var done vtime.Time
+										n := 1 + rng.Int63n(4)
+										lba := rng.Int63n(pages - n + 1)
+										if rng.Intn(2) == 0 {
+											lba = rng.Int63n(pages/4 - n + 1) // the hot quarter
+										}
+										req := blockdev.Request{Op: blockdev.OpWrite, Off: lba * blockdev.PageSize, Len: n * blockdev.PageSize}
+										switch r := rng.Intn(100); {
+										case r < 2:
+											done, err = c.Flush(at)
+										case r < 20:
+											req.Op = blockdev.OpRead
+											fallthrough
+										default:
+											done, err = c.Submit(at, req)
+										}
+										if err != nil {
+											t.Fatalf("op %d: %v", i, err)
+										}
+										at = vtime.Max(at, done)
+									}
+									if c.counters.GroupReclaims < 20 {
+										t.Fatalf("%d group reclaims, want at least 20", c.counters.GroupReclaims)
+									}
+									(&env{cache: c, prim: prim, t: t}).checkInvariants()
+								})
+							}
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package src
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -134,7 +135,7 @@ func TestSummaryMarshalRoundTrip(t *testing.T) {
 			{lba: 200, version: 1, dirty: false},
 		},
 	}
-	got, err := parseSummary(s.marshal())
+	got, err := parseSummary(s.marshal(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +161,49 @@ func TestSummaryRejectsCorruption(t *testing.T) {
 	} {
 		bad := append([]byte(nil), blob...)
 		mutate(bad)
-		if _, err := parseSummary(bad); err == nil {
+		if _, err := parseSummary(bad, false); err == nil {
 			t.Fatal("corrupt summary accepted")
 		}
 	}
-	if _, err := parseSummary(blob[:10]); err == nil {
+	if _, err := parseSummary(blob[:10], false); err == nil {
 		t.Fatal("truncated summary accepted")
 	}
-	if _, err := parseSummary(blob[:len(blob)-8]); err == nil {
+	if _, err := parseSummary(blob[:len(blob)-8], false); err == nil {
 		t.Fatal("entry-truncated summary accepted")
 	}
+}
+
+// FuzzParseSummary feeds arbitrary bytes to the summary parser, the first
+// code to read what a crashed drive left behind. No input may panic either
+// parse; whatever the strict parse accepts the lenient one returns
+// identically; and whatever the lenient parse decodes, marshalled again,
+// parses strictly to the same summary.
+func FuzzParseSummary(f *testing.F) {
+	blob := (&summary{
+		kind: kindMS, col: 1, parityCol: -1, gen: 9, sg: 2, seg: 5,
+		entries: []summaryEntry{{lba: 100, version: 7, dirty: true}, {lba: 3, version: 1}},
+	}).marshal()
+	f.Add(blob)
+	f.Add(blob[:len(blob)-8])                              // torn inside the entries
+	f.Add(append(blob[:len(blob)-4:len(blob)-4], blob...)) // a stale tail spliced on
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if int64(len(b)) > blockdev.PageSize {
+			return // a summary blob fills at most a page
+		}
+		strict, serr := parseSummary(b, false)
+		lenient, lerr := parseSummary(b, true)
+		if serr == nil && (lerr != nil || !reflect.DeepEqual(strict, lenient)) {
+			t.Fatalf("strict parse %+v, lenient %+v (%v)", strict, lenient, lerr)
+		}
+		if lerr != nil {
+			return
+		}
+		again, err := parseSummary(lenient.marshal(), false)
+		if err != nil || !reflect.DeepEqual(again, lenient) {
+			t.Fatalf("round trip of %+v: %+v (%v)", lenient, again, err)
+		}
+	})
 }
 
 func TestSuperblockMarshalRoundTrip(t *testing.T) {

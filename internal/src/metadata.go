@@ -91,13 +91,17 @@ func (s *summary) marshal() []byte {
 	return buf
 }
 
-// parseSummary validates and decodes a summary blob.
-func parseSummary(b []byte) (*summary, error) {
+// parseSummary validates and decodes a summary blob. lenient is the parse
+// the RecoveryHooks.SkipSummaryCRC torture hook substitutes to prove the CRC
+// is load-bearing: it skips the CRC check and clips an entry count the
+// bytes cannot hold instead of rejecting it, so a torn summary blob (its
+// tail still holding a stale copy's bytes) decodes to garbage entries.
+func parseSummary(b []byte, lenient bool) (*summary, error) {
 	if len(b) < 39 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadSummary, len(b))
 	}
 	body, crc := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != crc {
+	if !lenient && crc32.ChecksumIEEE(body) != crc {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSummary)
 	}
 	if binary.LittleEndian.Uint32(body[:4]) != summaryMagic {
@@ -114,51 +118,13 @@ func parseSummary(b []byte) (*summary, error) {
 	if s.kind != kindMS && s.kind != kindME {
 		return nil, fmt.Errorf("%w: kind %d", ErrBadSummary, s.kind)
 	}
-	count := binary.LittleEndian.Uint32(body[31:])
-	rest := body[35:]
-	if uint32(len(rest)) != count*17 {
-		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrBadSummary, count, len(rest))
-	}
-	s.entries = make([]summaryEntry, count)
-	for i := range s.entries {
-		off := i * 17
-		s.entries[i] = summaryEntry{
-			lba:     int64(binary.LittleEndian.Uint64(rest[off:])),
-			version: binary.LittleEndian.Uint64(rest[off+8:]),
-			dirty:   rest[off+16] == 1,
-		}
-	}
-	return s, nil
-}
-
-// parseSummaryLenient decodes a summary without the CRC check and with a
-// clipped instead of rejected entry array — the unsafe parse the
-// RecoveryHooks.SkipSummaryCRC torture hook substitutes to prove the CRC is
-// load-bearing. A torn summary blob (its tail still holding a stale copy's
-// bytes) decodes to garbage entries here where parseSummary refuses it.
-func parseSummaryLenient(b []byte) (*summary, error) {
-	if len(b) < 39 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadSummary, len(b))
-	}
-	body := b[:len(b)-4]
-	if binary.LittleEndian.Uint32(body[:4]) != summaryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSummary)
-	}
-	s := &summary{
-		kind:      body[4],
-		col:       body[5],
-		parityCol: int8(body[6]),
-		gen:       int64(binary.LittleEndian.Uint64(body[7:])),
-		sg:        int64(binary.LittleEndian.Uint64(body[15:])),
-		seg:       int64(binary.LittleEndian.Uint64(body[23:])),
-	}
-	if s.kind != kindMS && s.kind != kindME {
-		return nil, fmt.Errorf("%w: kind %d", ErrBadSummary, s.kind)
-	}
 	count := int(binary.LittleEndian.Uint32(body[31:]))
 	rest := body[35:]
-	if avail := len(rest) / 17; count > avail {
-		count = avail // clip: exactly the misapplication parseSummary rejects
+	switch {
+	case lenient:
+		count = min(count, len(rest)/17)
+	case len(rest) != count*17:
+		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrBadSummary, count, len(rest))
 	}
 	s.entries = make([]summaryEntry, count)
 	for i := range s.entries {

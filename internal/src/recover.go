@@ -215,10 +215,7 @@ func (c *Cache) checkSuperblock() error {
 // scanSummaries walks every potential segment position and collects the
 // column summaries whose MS/ME generations match.
 func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
-	parse := parseSummary
-	if c.cfg.Recovery.SkipSummaryCRC {
-		parse = parseSummaryLenient
-	}
+	lenient := c.cfg.Recovery.SkipSummaryCRC
 	var out []recoveredSeg
 	for sg := int64(1); sg < c.lay.numSG; sg++ {
 		for seg := int64(0); seg < c.lay.segsPerSG; seg++ {
@@ -230,7 +227,7 @@ func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
 				if err != nil || msBlob == nil {
 					continue
 				}
-				ms, err := parse(msBlob)
+				ms, err := parseSummary(msBlob, lenient)
 				if err != nil {
 					continue // torn or corrupt MS: skip the column
 				}
@@ -238,7 +235,7 @@ func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
 				if err != nil || meBlob == nil {
 					continue
 				}
-				me, err := parse(meBlob)
+				me, err := parseSummary(meBlob, lenient)
 				if err != nil {
 					continue
 				}

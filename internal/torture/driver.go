@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 
 	"srccache/internal/blockdev"
@@ -64,28 +65,20 @@ func (b *burstTracker) note(idx int) {
 }
 
 // flushTap wraps a device to observe its flushes; all other behavior is the
-// inner device's.
+// embedded device's.
 type flushTap struct {
-	inner blockdev.Device
+	blockdev.Device
 	burst *burstTracker
 	idx   int
 }
 
-func (f *flushTap) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
-	return f.inner.Submit(at, req)
-}
-
 func (f *flushTap) Flush(at vtime.Time) (vtime.Time, error) {
-	t, err := f.inner.Flush(at)
+	t, err := f.Device.Flush(at)
 	if err == nil {
 		f.burst.note(f.idx)
 	}
 	return t, err
 }
-
-func (f *flushTap) Capacity() int64            { return f.inner.Capacity() }
-func (f *flushTap) Stats() *blockdev.Stats     { return f.inner.Stats() }
-func (f *flushTap) Content() *blockdev.Content { return f.inner.Content() }
 
 // cellRun drives one configuration cell: workload, epoch snapshots, trials.
 type cellRun struct {
@@ -122,7 +115,7 @@ func newCellRun(o Options, cell Cell) (*cellRun, error) {
 	for i := range devs {
 		m := blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond)
 		r.ssds[i] = m
-		devs[i] = &flushTap{inner: m, burst: r.burst, idx: i}
+		devs[i] = &flushTap{Device: m, burst: r.burst, idx: i}
 	}
 	r.prim = blockdev.NewMemDevice(primCap, vtime.Millisecond)
 	cache, err := r.newCache(devs, r.prim, src.RecoveryHooks{})
@@ -208,7 +201,7 @@ func (r *cellRun) workload() error {
 			// proves nothing about pages still sitting in the buffers —
 			// acknowledged, in RAM, not durable.
 			if explicitFlush {
-				r.durable = copyVersions(r.latest)
+				r.durable = maps.Clone(r.latest)
 			}
 			r.snapshot(op)
 		} else if r.cell.Flush == src.FlushNever && op%neverCadence == neverCadence-1 {
@@ -232,7 +225,8 @@ func (r *cellRun) workload() error {
 
 // lossProbe measures how many pages a total crash at this instant would
 // regress below their newest acknowledged version — the exposure the flush
-// policy trades against flush traffic.
+// policy trades against flush traffic: the oracle's strict page check with
+// every acknowledged version taken as durable.
 func (r *cellRun) lossProbe() (int, error) {
 	devs := make([]blockdev.Device, numSSD)
 	for i, d := range r.ssds {
@@ -249,19 +243,12 @@ func (r *cellRun) lossProbe() (int, error) {
 	if _, err := cache.Recover(); err != nil {
 		return 0, err
 	}
+	o := Oracle{Cache: cache, Primary: pc, Latest: r.latest, Durable: r.latest}
 	lost := 0
 	for lba := int64(0); lba < span; lba++ {
-		lv := r.latest[lba]
-		if lv == 0 {
-			continue
+		if o.Page(0, lba, true, false) != nil {
+			lost++
 		}
-		if rv, ok := cache.CachedVersion(lba); ok && rv >= lv {
-			continue
-		}
-		if pt, perr := pc.ReadTag(lba); perr == nil && pt == blockdev.DataTag(lba, lv) {
-			continue
-		}
-		lost++
 	}
 	return lost, nil
 }
@@ -280,8 +267,8 @@ func (r *cellRun) snapshot(op int) {
 		op:      op,
 		at:      r.at,
 		ssds:    make([]*blockdev.Content, numSSD),
-		latest:  copyVersions(r.latest),
-		durable: copyVersions(r.durable),
+		latest:  maps.Clone(r.latest),
+		durable: maps.Clone(r.durable),
 	}
 	for i, d := range r.ssds {
 		ep.ssds[i] = d.Content().Clone()
@@ -299,12 +286,4 @@ func (r *cellRun) snapshot(op int) {
 		}
 		r.epochs = kept
 	}
-}
-
-func copyVersions(m map[int64]uint64) map[int64]uint64 {
-	out := make(map[int64]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

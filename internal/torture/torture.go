@@ -4,22 +4,19 @@
 // chosen partial-persistence crash schedules (blockdev.CrashSchedule)
 // against each snapshot: every trial clones the epoch's device contents,
 // applies one schedule per SSD, recovers a fresh cache instance over the
-// crashed state, and checks declarative invariants against a model of what
-// the cache had acknowledged.
+// crashed state, and judges it with the Oracle against a model of what the
+// cache had acknowledged.
 //
 // Schedules come in two tiers with different obligations (see
 // blockdev.CrashSchedule):
 //
 //   - barrier tier — each device persists a FIFO prefix of its volatile
 //     write log, optionally torn mid-blob at the cut. This models real
-//     drive write caches, and the strict invariants must hold:
-//     durable-after-acknowledged-flush, no phantom or future versions,
-//     torn segments discarded (everything recovered verifies), and dirty
-//     loss is a violation even where clean loss is acceptable (NPC).
+//     drive write caches, and the Oracle's recovered check is strict.
 //   - reorder tier — arbitrary subsets and single-write omissions. Firmware
 //     does not promise this, so only detection-grade invariants apply:
-//     recovery never errors, never silently serves wrong bytes, and never
-//     surfaces a version newer than acknowledged.
+//     recovery never errors and never surfaces a version newer than
+//     acknowledged, and a page that fails to read back fails loudly.
 //
 // A failing trial is re-run through a greedy shrinker that minimizes the
 // persisted subset before it is reported, so a Violation carries the

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 
 	"srccache/internal/blockdev"
@@ -198,81 +199,21 @@ func (r *cellRun) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.M
 // nil if the state checks out. deep additionally runs the determinism and
 // generation-monotonicity probes.
 func (r *cellRun) trialOnce(ep *epoch, scheds tuple, strict bool, deep bool) (*Violation, error) {
-	viol := func(inv, detail string) *Violation {
-		return &Violation{
-			Cell: r.cell, Seed: r.opts.Seed, Epoch: ep.idx, Op: ep.op,
-			Invariant: inv, Detail: detail,
-		}
-	}
 	cache, prim, err := r.recoverTrial(ep, scheds)
 	if err != nil {
 		return nil, err
 	}
 	if cache == nil {
-		return viol("recovery-succeeds", "Recover returned an error on a crashed state"), nil
+		return r.violation(ep, "recovery-succeeds", "Recover returned an error on a crashed state"), nil
 	}
-	at := ep.at
-
-	inSpan := 0
-	for lba := int64(0); lba < span; lba++ {
-		lv := ep.latest[lba]
-		dv := ep.durable[lba]
-		rv, cached := cache.CachedVersion(lba)
-		if cached {
-			inSpan++
-		}
-		if cached && rv > 0 {
-			if rv > lv {
-				return viol("no-phantom-data",
-					fmt.Sprintf("page %d recovered at version %d, newer than acknowledged %d", lba, rv, lv)), nil
-			}
-			if strict && rv < dv {
-				return viol("durable-after-flush",
-					fmt.Sprintf("page %d recovered at version %d, below flush-durable %d", lba, rv, dv)), nil
-			}
-			tag, _, rerr := cache.ReadCheck(at, lba)
-			if rerr != nil {
-				if strict {
-					// Barrier-tier recovery must discard torn segments
-					// cleanly: whatever it chose to map has to verify.
-					return viol("torn-discarded",
-						fmt.Sprintf("page %d mapped but unreadable after recovery: %v", lba, rerr)), nil
-				}
-				continue // reorder tier: loud failure is acceptable
-			}
-			if tag != blockdev.DataTag(lba, rv) {
-				return viol("no-wrong-bytes",
-					fmt.Sprintf("page %d serves %v for claimed version %d", lba, tag, rv)), nil
-			}
-			continue
-		}
-		// Not recovered with a known version: a flush-durable version must
-		// survive on primary storage. Clean durable pages always do (their
-		// content came from or was destaged to primary), so this is also
-		// the NPC rule — clean loss is acceptable, dirty loss is not.
-		if strict && dv > 0 {
-			pt, perr := prim.Content().ReadTag(lba)
-			if perr != nil {
-				return nil, perr
-			}
-			found := false
-			for v := lv; v >= dv; v-- {
-				if pt == blockdev.DataTag(lba, v) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return viol("durable-after-flush",
-					fmt.Sprintf("page %d flush-durable at version %d neither recovered nor on primary", lba, dv)), nil
-			}
-		}
+	o := Oracle{Cache: cache, Primary: prim.Content(), Latest: ep.latest, Durable: ep.durable, Span: span}
+	var b *Breach
+	switch err := o.Recovered(ep.at, strict, true); {
+	case errors.As(err, &b):
+		return r.violation(ep, b.Invariant, b.Detail), nil
+	case err != nil:
+		return nil, err
 	}
-	if got := cache.CachedPages(); got > inSpan {
-		return viol("no-phantom-data",
-			fmt.Sprintf("%d pages mapped but only %d lie in the workload span — stale or garbage records applied", got, inSpan)), nil
-	}
-
 	if deep {
 		if v, err := r.determinismProbe(ep, scheds, cache); err != nil || v != nil {
 			return v, err
@@ -286,6 +227,12 @@ func (r *cellRun) trialOnce(ep *epoch, scheds tuple, strict bool, deep bool) (*V
 	return nil, nil
 }
 
+// violation reports a broken invariant at ep; the caller fills Tier and
+// Schedules.
+func (r *cellRun) violation(ep *epoch, inv, detail string) *Violation {
+	return &Violation{Cell: r.cell, Seed: r.opts.Seed, Epoch: ep.idx, Op: ep.op, Invariant: inv, Detail: detail}
+}
+
 // determinismProbe re-runs the identical crash + recovery and compares the
 // recovered version map: recovery must be a pure function of the crashed
 // state.
@@ -295,22 +242,14 @@ func (r *cellRun) determinismProbe(ep *epoch, scheds tuple, first *src.Cache) (*
 		return nil, err
 	}
 	if second == nil {
-		return &Violation{
-			Cell: r.cell, Seed: r.opts.Seed, Epoch: ep.idx, Op: ep.op,
-			Invariant: "deterministic-recovery",
-			Detail:    "second recovery of the identical crashed state errored",
-		}, nil
+		return r.violation(ep, "deterministic-recovery", "second recovery of the identical crashed state errored"), nil
 	}
 	for lba := int64(0); lba < span; lba++ {
 		v1, c1 := first.CachedVersion(lba)
 		v2, c2 := second.CachedVersion(lba)
 		if v1 != v2 || c1 != c2 {
-			return &Violation{
-				Cell: r.cell, Seed: r.opts.Seed, Epoch: ep.idx, Op: ep.op,
-				Invariant: "deterministic-recovery",
-				Detail: fmt.Sprintf("page %d recovered as (v%d,%v) then (v%d,%v) from the same state",
-					lba, v1, c1, v2, c2),
-			}, nil
+			return r.violation(ep, "deterministic-recovery", fmt.Sprintf(
+				"page %d recovered as (v%d,%v) then (v%d,%v) from the same state", lba, v1, c1, v2, c2)), nil
 		}
 	}
 	return nil, nil
@@ -320,12 +259,7 @@ func (r *cellRun) determinismProbe(ep *epoch, scheds tuple, first *src.Cache) (*
 // acknowledged and flushed after recovery must win over every resurrected
 // generation across a second, total crash.
 func (r *cellRun) generationProbe(ep *epoch, scheds tuple, cache *src.Cache) (*Violation, error) {
-	viol := func(detail string) *Violation {
-		return &Violation{
-			Cell: r.cell, Seed: r.opts.Seed, Epoch: ep.idx, Op: ep.op,
-			Invariant: "generation-monotonicity", Detail: detail,
-		}
-	}
+	const inv = "generation-monotonicity"
 	var probe int64 = -1
 	var prev uint64
 	for lba := int64(0); lba < span; lba++ {
@@ -337,36 +271,26 @@ func (r *cellRun) generationProbe(ep *epoch, scheds tuple, cache *src.Cache) (*V
 	if probe < 0 {
 		return nil, nil // nothing recovered to contend with
 	}
-	at := ep.at
-	if _, err := cache.Submit(at, blockdev.Request{
+	if _, err := cache.Submit(ep.at, blockdev.Request{
 		Op: blockdev.OpWrite, Off: probe * blockdev.PageSize, Len: blockdev.PageSize,
 	}); err != nil {
 		return nil, fmt.Errorf("generation probe write: %w", err)
 	}
-	if _, err := cache.Flush(at); err != nil {
+	if _, err := cache.Flush(ep.at); err != nil {
 		return nil, fmt.Errorf("generation probe flush: %w", err)
 	}
 	for _, d := range cache.CacheDevices() {
 		d.Content().Crash()
 	}
 	if _, err := cache.Recover(); err != nil {
-		return viol(fmt.Sprintf("re-recovery after probe flush errored: %v", err)), nil
+		return r.violation(ep, inv, fmt.Sprintf("re-recovery after probe flush errored: %v", err)), nil
 	}
-	want := prev + 1
-	if nv, ok := cache.CachedVersion(probe); ok && nv > 0 {
-		if nv < want {
-			return viol(fmt.Sprintf(
-				"page %d flushed at version %d but recovered at %d — an older generation won", probe, want, nv)), nil
-		}
-		return nil, nil
-	}
-	pt, err := cache.Primary().Content().ReadTag(probe)
-	if err != nil {
-		return nil, err
-	}
-	if pt != blockdev.DataTag(probe, want) {
-		return viol(fmt.Sprintf(
-			"page %d flushed at version %d lost across a clean-barrier crash", probe, want)), nil
+	// The flushed version must win: an older generation recovered, or
+	// none and primary stale, fails the oracle's durable floor.
+	flushed := map[int64]uint64{probe: prev + 1}
+	o := Oracle{Cache: cache, Primary: cache.Primary().Content(), Latest: flushed, Durable: flushed}
+	if err := o.Page(ep.at, probe, true, false); err != nil {
+		return r.violation(ep, inv, fmt.Sprintf("probe write flushed at version %d: %v", prev+1, err)), nil
 	}
 	return nil, nil
 }
