@@ -2,15 +2,22 @@ package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"strconv"
 	"testing"
 )
 
+// chaosDigest folds the Results of seeds 1–50, in seed order. A change
+// that moves any of them re-pins it and says in CHANGES.md which seeds
+// moved and why.
+const chaosDigest = "ba81197775a375db"
+
 // TestChaos runs the seeded fault schedules. Every seed must complete its
 // full schedule with all durability and content invariants intact.
 // CHAOS_SEEDS widens the sweep (CI's dedicated chaos job sets it); the
-// default keeps the tier-1 run fast.
+// default keeps the tier-1 run fast. At the default 50 seeds their Results
+// must fold to chaosDigest, so schedule drift never passes unnoticed.
 func TestChaos(t *testing.T) {
 	seeds := int64(50)
 	if v := os.Getenv("CHAOS_SEEDS"); v != "" {
@@ -20,6 +27,22 @@ func TestChaos(t *testing.T) {
 		}
 		seeds = n
 	}
+	results := make([]Result, seeds)
+	t.Cleanup(func() {
+		if seeds != 50 || t.Failed() {
+			return
+		}
+		h := fnv.New64a()
+		for _, res := range results {
+			if res == (Result{}) {
+				return // a -run filter skipped this seed
+			}
+			fmt.Fprintf(h, "%+v\n", res)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != chaosDigest {
+			t.Errorf("seeds 1–50 fold to digest %s, want %s: a Result moved", got, chaosDigest)
+		}
+	})
 	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -31,6 +54,7 @@ func TestChaos(t *testing.T) {
 			if res.Writes == 0 || res.Reads == 0 || res.Checks == 0 {
 				t.Fatalf("schedule exercised too little: %+v", res)
 			}
+			results[seed-1] = res
 		})
 	}
 }

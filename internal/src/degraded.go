@@ -14,32 +14,23 @@ import (
 // cache falls back to primary storage, a temporary read-performance
 // degradation rather than a correctness problem.
 
-// degradedRead serves a read run whose column device has failed. The run
-// lies within a single segment column (the mapping layout guarantees it).
-func (c *Cache) degradedRead(at vtime.Time, col int, off, n, firstLBA int64) (vtime.Time, error) {
-	sg := off / c.cfg.EraseGroupSize
-	seg := (off % c.cfg.EraseGroupSize) / c.cfg.SegmentColumn
-	if int(c.groups[sg].segParity[seg]) < 0 {
-		return c.refetchParityless(at, col, firstLBA, n/blockdev.PageSize, false)
-	}
-	return c.reconstructColumns(at, col, off, n)
+// hasParity reports whether the segment holding loc has a parity column.
+func (c *Cache) hasParity(loc int64) bool {
+	sg, seg, _, _ := c.lay.split(loc)
+	return c.groups[sg].segParity[seg] >= 0
 }
 
 // refetchParityless is the fallback for a lost run on column col of a
-// parityless segment, whether the column failed or the run is unreadable:
-// dirty data is gone for good (ErrDataLoss, naming the fault), and clean
-// data is dropped and re-fetched from primary storage.
-func (c *Cache) refetchParityless(at vtime.Time, col int, firstLBA, pages int64, unreadable bool) (vtime.Time, error) {
+// parityless segment, whether the column failed or the run is unreadable or
+// corrupt: dirty data is gone for good (ErrDataLoss, naming the fault), and
+// clean data is dropped and re-fetched from primary storage.
+func (c *Cache) refetchParityless(at vtime.Time, col int, firstLBA, pages int64, fault string) (vtime.Time, error) {
 	for p := firstLBA; p < firstLBA+pages; p++ {
 		e, ok := c.mapping.get(p)
 		if !ok {
 			continue
 		}
 		if e.state == stateSSDDirty {
-			fault := "on failed"
-			if unreadable {
-				fault = "unreadable on"
-			}
 			return at, fmt.Errorf("%w: dirty page %d %s ssd %d in parityless segment", ErrDataLoss, p, fault, col)
 		}
 		c.dropPage(p, e)
@@ -72,7 +63,8 @@ func (c *Cache) reconstructColumns(at vtime.Time, col int, off, n int64) (vtime.
 }
 
 // ReconstructTag recomputes the content tag of a lost page from the
-// surviving columns' tags — the content-level counterpart of degradedRead.
+// surviving columns' tags — the content-level counterpart of
+// reconstructColumns.
 // Requires TrackContent.
 func (c *Cache) ReconstructTag(loc int64) (blockdev.Tag, error) {
 	sg, seg, col, pic := c.lay.split(loc)
@@ -95,9 +87,20 @@ func (c *Cache) ReconstructTag(loc int64) (blockdev.Tag, error) {
 	return tag, nil
 }
 
+// reconstructExpected requires the tag reconstructed at loc to be lba's
+// expected tag want: a stripe that no longer reconstructs the page is data
+// loss, not a repair.
+func (c *Cache) reconstructExpected(loc, lba int64, want blockdev.Tag) error {
+	tag, err := c.ReconstructTag(loc)
+	if err == nil && tag != want {
+		err = fmt.Errorf("%w: page %d does not reconstruct from parity", ErrDataLoss, lba)
+	}
+	return err
+}
+
 // rebuildColumnContent restores the tags and summary blobs of one rebuilt
-// column from the survivors. Reconstructed pages are verified against the
-// mapping before being trusted: resurrecting the XOR of a stale stripe
+// column from the survivors. Reconstructed pages are verified against
+// expectedTag before being trusted: resurrecting the XOR of a stale stripe
 // would serve garbage under a valid summary. (Recovery repairs the parity
 // of every recovered segment, so stripes skewed by a partial-persistence
 // crash normally verify again by the time a rebuild runs.) A page that
@@ -115,7 +118,6 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 	g := &c.groups[sg]
 	gen, genErr := c.survivingGeneration(sg, seg, col)
 	var entries []summaryEntry
-	live := 0
 	for pic := int64(1); pic <= c.lay.payloadPages; pic++ {
 		loc := c.lay.loc(sg, seg, col, pic)
 		// Entries are positional (entry i ↔ payload page i+1), so a freed
@@ -140,32 +142,22 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 			continue
 		}
 		lba, dirty := unpackSlot(g.slots[s])
-		var version uint64
-		if c.versions != nil {
-			version = c.versions[lba]
+		want, err := c.expectedTag(lba)
+		if err != nil {
+			return err
 		}
-		tag, err := c.ReconstructTag(loc)
-		verified := genErr == nil && err == nil &&
-			(version == 0 || tag == blockdev.DataTag(lba, version))
-		if !verified {
-			// Clean pages have a second source: primary storage holds the
-			// same version, so restore from there instead of dropping.
-			// Writing a free-slot sentinel here would destroy the newest
-			// on-media record of the LBA while stale older records may
-			// survive in not-yet-reclaimed groups — the next recovery would
-			// resurrect one of those (the destruction-ordering rule gc
-			// enforces for reclaims applies to rebuilds too).
-			if e, ok := c.mapping.get(lba); ok && e.loc == loc && e.state == stateSSDClean && genErr == nil {
-				pt, perr := c.cfg.Primary.Content().ReadTag(lba)
-				if perr == nil {
-					if werr := cont.WriteTag(basePage+pic, pt); werr != nil {
-						return werr
-					}
-					entries = append(entries, summaryEntry{lba: lba, version: version, dirty: false})
-					continue
-				}
-			}
-			if e, ok := c.mapping.get(lba); ok && e.loc == loc {
+		err = c.reconstructExpected(loc, lba, want)
+		e, mapped := c.mapping.get(lba)
+		mapped = mapped && e.loc == loc
+		// A clean page that does not reconstruct has a second source:
+		// primary storage holds the same version, so restore from there
+		// instead of dropping. Writing a free-slot sentinel here would
+		// destroy the newest on-media record of the LBA while stale older
+		// records may survive in not-yet-reclaimed groups — the next
+		// recovery would resurrect one of those (the destruction-ordering
+		// rule gc enforces for reclaims applies to rebuilds too).
+		if genErr != nil || (err != nil && !(mapped && e.state == stateSSDClean)) {
+			if mapped {
 				c.dropPage(lba, e)
 			} else {
 				c.invalidateSSD(loc)
@@ -176,11 +168,10 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 			entries = append(entries, summaryEntry{lba: summaryFreeLBA})
 			continue
 		}
-		if err := cont.WriteTag(basePage+pic, tag); err != nil {
+		if err := cont.WriteTag(basePage+pic, want); err != nil {
 			return err
 		}
-		entries = append(entries, summaryEntry{lba: lba, version: version, dirty: dirty})
-		live++
+		entries = append(entries, summaryEntry{lba: lba, version: c.versions[lba], dirty: dirty})
 	}
 	// Rebuild the summary blobs from a surviving column's generation.
 	if genErr != nil {

@@ -19,9 +19,9 @@ type liveEntry struct {
 	lba   int64
 	loc   int64
 	dirty bool
-	read  bool // staged from SSD (dirty always; hot clean under S2S)
-	lost  bool // unrecoverable clean page in a parityless segment: dropped
-	tag   blockdev.Tag
+	read  bool         // staged from SSD (dirty always; hot clean under S2S)
+	lost  bool         // unrecoverable clean page in a parityless segment: dropped
+	tag   blockdev.Tag // verified content (read entries, TrackContent only)
 }
 
 // gc reclaims groups until at least two are free. Reclaimed groups are
@@ -227,37 +227,29 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 			lba: lba, loc: loc, dirty: dirty,
 			read: dirty || (copyMode && (keepCold || c.hot.Get(lba))),
 		}
-		if c.cfg.TrackContent {
+		if c.cfg.TrackContent && e.read {
+			// Verify moved pages so GC never propagates silent corruption
+			// into new segments (and their parity).
 			col, off := c.lay.devOffset(c.cfg, loc)
-			t, err := c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
+			got, err := c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
 			if err != nil {
 				return nil, readDone, err
 			}
-			e.tag = t
-			// Verify moved pages so GC never propagates silent corruption
-			// into new segments (and their parity). Never-versioned pages
-			// (preloaded fills) have their expected tag only on primary and
-			// are skipped.
-			if e.read && c.versions[lba] > 0 {
-				if want := blockdev.DataTag(lba, c.versions[lba]); e.tag != want {
-					c.repair.CorruptionsDetected++
-					sg, seg, _, _ := c.lay.split(loc)
-					switch {
-					case c.groups[sg].segParity[seg] >= 0:
-						fixed, rerr := c.ReconstructTag(loc)
-						if rerr != nil {
-							return nil, readDone, rerr
-						}
-						if fixed != want {
-							return nil, readDone, fmt.Errorf("%w: parity repair of page %d during gc failed", ErrDataLoss, lba)
-						}
-						e.tag = fixed
-						c.repair.CorruptionsRepaired++
-					case dirty:
-						return nil, readDone, fmt.Errorf("%w: dirty page %d corrupt without parity", ErrDataLoss, lba)
-					default:
-						e.lost, lost = true, true // dropped; reloads from primary on demand
+			if e.tag, err = c.expectedTag(lba); err != nil {
+				return nil, readDone, err
+			}
+			if got != e.tag {
+				c.repair.CorruptionsDetected++
+				switch {
+				case c.hasParity(loc):
+					if err := c.reconstructExpected(loc, lba, e.tag); err != nil {
+						return nil, readDone, err
 					}
+					c.repair.CorruptionsRepaired++
+				case dirty:
+					return nil, readDone, fmt.Errorf("%w: dirty page %d corrupt without parity", ErrDataLoss, lba)
+				default:
+					e.lost, lost = true, true // dropped; reloads from primary on demand
 				}
 			}
 		}
@@ -292,8 +284,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 			// The victim is being reclaimed, so an unreadable run is not
 			// repaired in place; like a failed column, it is reconstructed
 			// from parity or its clean pages are marked lost.
-			sg, seg, _, _ := c.lay.split(first)
-			if c.groups[sg].segParity[seg] >= 0 {
+			if c.hasParity(first) {
 				t, err = c.reconstructColumns(at, col, off, n*blockdev.PageSize)
 			} else {
 				for _, i := range run {

@@ -379,6 +379,132 @@ func TestReadCheckRefetchesCorruptClean(t *testing.T) {
 	e.checkInvariants()
 }
 
+// corruptOnSSD plants silent corruption under lba's on-SSD copy and returns
+// the copy's column and device page.
+func (e *env) corruptOnSSD(lba int64) (col int, page int64) {
+	e.t.Helper()
+	col, page, ok := e.cache.Locate(lba)
+	if !ok {
+		e.t.Fatalf("page %d not on SSD", lba)
+	}
+	if err := e.ssds[col].Content().Corrupt(page); err != nil {
+		e.t.Fatal(err)
+	}
+	return col, page
+}
+
+// TestHostReadRepairsCorruption covers the checked read on the path clients
+// are served by: a host read of a silently corrupted page repairs it like
+// ReadCheck does — a parity segment's page is reconstructed and the rewrite
+// committed, a clean page without parity is refetched, and a dirty page
+// without parity is reported lost instead of being served.
+func TestHostReadRepairsCorruption(t *testing.T) {
+	t.Run("parity", func(t *testing.T) {
+		e := newEnv(t, nil)
+		capPages := int64(e.cache.dirtyBuf.Cap())
+		e.write(0, capPages)
+		if _, err := e.cache.Flush(e.at); err != nil {
+			t.Fatal(err)
+		}
+		col, page := e.corruptOnSSD(3)
+		e.read(0, capPages)
+		st := e.cache.RepairStats()
+		if st.CorruptionsDetected != 1 || st.CorruptionsRepaired != 1 {
+			t.Fatalf("host read detected %d and repaired %d corruptions, want 1 and 1",
+				st.CorruptionsDetected, st.CorruptionsRepaired)
+		}
+		// The rewrite is committed: a crash right after the read keeps it.
+		e.ssds[col].Content().Crash()
+		if got, err := e.ssds[col].Content().ReadTag(page); err != nil || got != blockdev.DataTag(3, 1) {
+			t.Fatalf("repaired tag after a crash: %v (err %v), want version 1", got, err)
+		}
+	})
+	t.Run("parityless-clean", func(t *testing.T) {
+		e := newEnv(t, nil)
+		capPages := int64(e.cache.cleanBuf.Cap())
+		e.read(0, capPages) // one clean (NPC, parityless) segment
+		e.corruptOnSSD(2)
+		primReads := e.prim.Stats().ReadOps
+		e.read(0, capPages)
+		if e.prim.Stats().ReadOps == primReads {
+			t.Fatal("corrupt clean page not refetched")
+		}
+		if st := e.cache.RepairStats(); st.CorruptionsDetected != 1 || st.CorruptionsRepaired != 1 {
+			t.Fatalf("host read detected %d and repaired %d corruptions, want 1 and 1",
+				st.CorruptionsDetected, st.CorruptionsRepaired)
+		}
+		if _, _, err := e.cache.ReadCheck(e.at, 2); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.cache.RepairStats(); st.CorruptionsDetected != 1 {
+			t.Fatal("the refetched page does not verify")
+		}
+		e.checkInvariants()
+	})
+	t.Run("parityless-dirty", func(t *testing.T) {
+		e := newEnv(t, func(c *Config) { c.Level = RAID0 })
+		capPages := int64(e.cache.dirtyBuf.Cap())
+		e.write(0, capPages)
+		e.corruptOnSSD(1)
+		_, err := e.cache.Submit(e.at, blockdev.Request{
+			Op: blockdev.OpRead, Off: 0, Len: capPages * blockdev.PageSize,
+		})
+		if !errors.Is(err, ErrDataLoss) {
+			t.Fatalf("read of a corrupt dirty page without parity: %v, want ErrDataLoss", err)
+		}
+	})
+}
+
+// TestGCVerifiesNeverWrittenPages corrupts a hot clean page that was filled
+// from primary and never written through the cache, then runs a copy round
+// over its group: the round must not carry the corrupt copy forward. With
+// parity the page is reconstructed; without it the page is dropped and
+// reloads from primary on demand.
+func TestGCVerifiesNeverWrittenPages(t *testing.T) {
+	for _, parity := range []ParityMode{PC, NPC} {
+		t.Run(parity.String(), func(t *testing.T) {
+			e := newEnv(t, func(c *Config) { c.Parity = parity })
+			c := e.cache
+			perGroup := int64(c.cleanBuf.Cap()) * c.lay.segsPerSG
+			e.read(0, perGroup+int64(c.cleanBuf.Cap())) // closes the first group
+			const lba = 5
+			victim := c.fifo[0]
+			if en, _ := c.mapping.get(lba); c.lay.groupOf(en.loc) != victim {
+				t.Fatalf("page %d is not in the first closed group", lba)
+			}
+			e.read(lba, 1) // hot: a copy round keeps it
+			e.corruptOnSSD(lba)
+			live, done, err := c.evacuate(e.at, victim, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.reinsert(done, live, false); err != nil {
+				t.Fatal(err)
+			}
+			if c.RepairStats().CorruptionsDetected != 1 {
+				t.Fatal("copy round did not detect the corrupt page")
+			}
+			en, ok := c.mapping.get(lba)
+			if !ok {
+				if parity == PC {
+					t.Fatal("a reconstructable page was dropped")
+				}
+				return
+			}
+			if en.state != stateBufClean {
+				t.Fatalf("page %d in state %v after the copy round", lba, en.state)
+			}
+			want, err := e.prim.Content().ReadTag(lba)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.cleanBuf.slots[en.loc].tag; got != want {
+				t.Fatalf("copy round carried tag %v forward, primary holds %v", got, want)
+			}
+		})
+	}
+}
+
 // TestRecoveryRoundTripUnderLoad crashes mid-workload and verifies the
 // recovered state passes the invariant checks and serves correct content.
 func TestRecoveryRoundTripUnderLoad(t *testing.T) {
@@ -477,4 +603,84 @@ func TestDegradedRunRefetchRegression(t *testing.T) {
 		t.Fatal("run not refetched from primary")
 	}
 	e.checkInvariants()
+}
+
+// FuzzCheckedRead plants silent corruption, latent sector errors and at most
+// one fail-stop on a small TrackContent RAID-5 cache (PC or NPC), then
+// issues host reads. Each read either reports ErrDataLoss or leaves every
+// page of its range that is still on the SSDs verifying, so a ReadCheck
+// right after counts no new corruption. The input is a parity byte and
+// (op, arg) pairs: op%4 picks corrupt, latent error, fail-stop or read.
+func FuzzCheckedRead(f *testing.F) {
+	f.Add(byte(0), []byte{0, 3, 3, 0, 7, 3})                    // corrupt a dirty page, read it
+	f.Add(byte(0), []byte{0, 120, 1, 120, 31, 112})             // corrupt + latent on a clean page
+	f.Add(byte(1), []byte{0, 130, 2, 1, 31, 128, 3, 0})         // PC: corrupt, fail a column, read
+	f.Add(byte(1), []byte{1, 5, 0, 6, 2, 2, 31, 0, 31, 200})    // latent, corrupt, fail-stop, reads
+	f.Add(byte(0), []byte{0, 4, 0, 5, 0, 150, 0, 151, 31, 144}) // several corruptions in a run
+	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
+		if len(ops) > 256 {
+			return
+		}
+		const span = 256
+		e := newEnv(t, func(c *Config) {
+			if mode&1 == 1 {
+				c.Parity = PC
+			}
+		})
+		e.write(0, 96)   // dirty, parity-protected
+		e.read(100, 156) // clean fills
+		e.write(40, 8)   // rewrites leave stale slots behind
+		if _, err := e.cache.Flush(e.at); err != nil {
+			t.Fatal(err)
+		}
+		failed := false
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, lba := ops[i], int64(ops[i+1])%span
+			switch op % 4 {
+			case 0, 1:
+				col, page, ok := e.cache.Locate(lba)
+				if !ok {
+					continue
+				}
+				if op%4 == 0 {
+					if err := e.ssds[col].Content().Corrupt(page); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					e.ssds[col].InjectUnreadable(page)
+				}
+			case 2:
+				if !failed {
+					e.ssds[lba%int64(len(e.ssds))].Fail()
+					failed = true
+				}
+			default:
+				n := 1 + int64(op/4)%8
+				done, err := e.cache.Submit(e.at, blockdev.Request{
+					Op: blockdev.OpRead, Off: lba * blockdev.PageSize, Len: n * blockdev.PageSize,
+				})
+				if errors.Is(err, ErrDataLoss) {
+					return
+				}
+				if err != nil {
+					t.Fatalf("read [%d,%d): %v", lba, lba+n, err)
+				}
+				e.at = vtime.Max(e.at, done)
+				for p := lba; p < lba+n; p++ {
+					if _, _, ok := e.cache.Locate(p); !ok {
+						continue
+					}
+					before := e.cache.RepairStats().CorruptionsDetected
+					if _, done, err = e.cache.ReadCheck(e.at, p); err != nil {
+						t.Fatalf("page %d after read [%d,%d): %v", p, lba, lba+n, err)
+					}
+					if e.cache.RepairStats().CorruptionsDetected != before {
+						t.Fatalf("page %d after read [%d,%d) still corrupt", p, lba, lba+n)
+					}
+					e.at = vtime.Max(e.at, done)
+				}
+			}
+		}
+		e.checkInvariants()
+	})
 }

@@ -164,6 +164,10 @@ func (s pageState) dirty() bool {
 	return s == stateSSDDirty || s == stateBufDirty || s == stateBufGC
 }
 
+func (s pageState) onSSD() bool {
+	return s == stateSSDClean || s == stateSSDDirty
+}
+
 // entry is the mapping-table value for one cached logical page: an SSD
 // location or a segment-buffer slot index.
 type entry struct {

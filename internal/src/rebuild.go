@@ -244,7 +244,8 @@ func (c *Cache) rebuildSegment(at vtime.Time, sg, seg int64, col int) (vtime.Tim
 
 // Scrubbing (paper §4.1's checksum verification, made proactive): ScrubStep
 // walks written segments in a round-robin cursor and verifies every mapped
-// page's content tag via ReadCheck, repairing silent corruption in place.
+// page through ReadCheck, the checked read, repairing silent corruption in
+// place.
 
 // scrubCursor is the round-robin scrub position.
 type scrubCursor struct {
@@ -288,7 +289,7 @@ func (c *Cache) ScrubStep(at vtime.Time) (vtime.Time, error) {
 		}
 		for _, tg := range targets {
 			e, ok := c.mapping.get(tg.lba)
-			if !ok || e.loc != tg.loc || (e.state != stateSSDClean && e.state != stateSSDDirty) {
+			if !ok || e.loc != tg.loc || !e.state.onSSD() {
 				continue // moved or dropped since the snapshot
 			}
 			_, t, err := c.ReadCheck(done, tg.lba)

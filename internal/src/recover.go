@@ -161,14 +161,14 @@ func (c *Cache) repairRecoveredParity(segs []recoveredSeg) error {
 				}
 				loc := c.lay.loc(rs.sg, rs.seg, col, pic)
 				_, off := c.lay.devOffset(c.cfg, loc)
+				var t blockdev.Tag
+				var err error
 				if slot := c.groups[rs.sg].slots[c.lay.localSlot(loc)]; slot != slotFree {
 					lba, _ := unpackSlot(slot)
-					if v := c.versions[lba]; v > 0 {
-						want = want.XOR(blockdev.DataTag(lba, v))
-						continue
-					}
+					t, err = c.expectedTag(lba)
+				} else {
+					t, err = c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
 				}
-				t, err := c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
 				if err != nil {
 					return err
 				}
@@ -328,12 +328,11 @@ func (g *group) ensureTablesIfNeeded(l layout) {
 	}
 }
 
-// ReadCheck reads one cached page and verifies its content tag against the
-// expected value (paper §4.1: "SRC compares the original and calculated
-// checksums when reading data"). A mismatch — silent corruption — is
-// repaired from parity when the segment has it, or by re-fetching from
-// primary storage for clean data. It returns the verified tag. Requires
-// TrackContent.
+// ReadCheck verifies one cached page through the cache's checked read,
+// readSSD, and returns the tag it verified: the page's expectedTag. A
+// mismatch is repaired there (paper §4.1: "SRC compares the original and
+// calculated checksums when reading data"). A copy in a RAM buffer is not
+// read. Requires TrackContent.
 func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, error) {
 	if !c.cfg.TrackContent {
 		return blockdev.ZeroTag, at, errors.New("src: ReadCheck requires TrackContent")
@@ -342,117 +341,13 @@ func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, e
 	if !ok {
 		return blockdev.ZeroTag, at, fmt.Errorf("src: page %d not cached", lba)
 	}
-	want := c.tagFor(lba)
-	if c.versions[lba] == 0 {
-		// Never written through the cache: the expected content is
-		// whatever primary storage holds (clean fill of preloaded data).
-		t, terr := c.cfg.Primary.Content().ReadTag(lba)
-		if terr != nil {
-			return blockdev.ZeroTag, at, terr
-		}
-		want = t
+	want, err := c.expectedTag(lba)
+	if err != nil || !e.state.onSSD() {
+		return want, at, err // RAM copies cannot silently corrupt here
 	}
-	switch e.state {
-	case stateBufClean, stateBufDirty, stateBufGC:
-		return want, at, nil // RAM copies cannot silently corrupt here
-	}
-	col, off := c.lay.devOffset(c.cfg, e.loc)
-	done, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: blockdev.PageSize})
-	switch {
-	case err == nil:
-	case errors.Is(err, blockdev.ErrUnreadable):
-		// Latent sector error: repair in place (or drop + refetch when
-		// parityless), then re-verify. The recursion terminates: the page
-		// is now readable, has moved into a RAM buffer, or its column has
-		// escalated to fail-stop.
-		t, rerr := c.repairUnreadableRun(at, col, off, blockdev.PageSize, lba)
-		if rerr != nil {
-			return blockdev.ZeroTag, at, rerr
-		}
-		return c.ReadCheck(t, lba)
-	case errors.Is(err, blockdev.ErrDeviceFailed):
-		// Failed, fail-stopped, or awaiting rebuild: verify through the
-		// degraded path.
-		sg, seg, _, _ := c.lay.split(e.loc)
-		if int(c.groups[sg].segParity[seg]) >= 0 {
-			t, derr := c.degradedRead(at, col, off, blockdev.PageSize, lba)
-			if derr != nil {
-				return blockdev.ZeroTag, at, derr
-			}
-			fixed, rerr := c.ReconstructTag(e.loc)
-			if rerr != nil {
-				return blockdev.ZeroTag, t, rerr
-			}
-			if fixed != want {
-				return fixed, t, fmt.Errorf("%w: degraded read of page %d does not verify", ErrDataLoss, lba)
-			}
-			return fixed, t, nil
-		}
-		if e.state == stateSSDDirty {
-			return blockdev.ZeroTag, at, fmt.Errorf("%w: dirty page %d on failed ssd %d in parityless segment", ErrDataLoss, lba, col)
-		}
-		c.dropPage(lba, e)
-		t, ferr := c.fillFromPrimary(at, lba, 1)
-		if ferr != nil {
-			return blockdev.ZeroTag, at, ferr
-		}
-		return want, t, nil
-	default:
+	done, err := c.readSSD(at, e.loc, lba, 1)
+	if err != nil {
 		return blockdev.ZeroTag, at, err
 	}
-	got, err := c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
-	if err != nil {
-		return blockdev.ZeroTag, done, err
-	}
-	if got == want {
-		return got, done, nil
-	}
-
-	// Silent corruption: repair from parity or primary.
-	c.repair.CorruptionsDetected++
-	sg, seg, _, _ := c.lay.split(e.loc)
-	if int(c.groups[sg].segParity[seg]) >= 0 {
-		t, derr := c.degradedRead(done, col, off, blockdev.PageSize, lba)
-		if derr != nil {
-			return blockdev.ZeroTag, done, derr
-		}
-		fixed, rerr := c.ReconstructTag(e.loc)
-		if rerr != nil {
-			return blockdev.ZeroTag, t, rerr
-		}
-		if fixed != want {
-			return fixed, t, fmt.Errorf("%w: parity repair of page %d failed", ErrDataLoss, lba)
-		}
-		if err := c.cfg.SSDs[col].Content().WriteTag(off/blockdev.PageSize, fixed); err != nil {
-			return fixed, t, err
-		}
-		// Commit the rewrite at once. If it stayed volatile, a crash would
-		// revert the page to its corrupted committed copy, and resurrected
-		// corruptions could accumulate until two share a parity stripe —
-		// which single-parity reconstruction cannot survive. The barrier
-		// spans the whole array, not just the repaired member: a
-		// single-member flush would commit that member's pending trims
-		// while its siblings' stayed volatile, and a crash would then
-		// resurrect a segment group on some columns only. (FlushNever keeps
-		// its no-barriers contract: flushSSDs is a no-op there, and the
-		// policy accepts the resurrection exposure.)
-		if ft, ferr := c.flushSSDs(t); ferr == nil {
-			t = ft
-		} else {
-			return fixed, t, ferr
-		}
-		c.repair.CorruptionsRepaired++
-		return fixed, t, nil
-	}
-	if e.state == stateSSDDirty {
-		return got, done, fmt.Errorf("%w: dirty page %d corrupt without parity", ErrDataLoss, lba)
-	}
-	// Clean without parity: drop and refetch.
-	c.dropPage(lba, e)
-	t, ferr := c.fillFromPrimary(done, lba, 1)
-	if ferr != nil {
-		return blockdev.ZeroTag, done, ferr
-	}
-	c.repair.CorruptionsRepaired++
-	return want, t, nil
+	return want, done, nil
 }

@@ -38,7 +38,8 @@ type RepairStats struct {
 	RebuiltSegments int64
 	// ScrubbedPages counts pages verified by the scrubber.
 	ScrubbedPages int64
-	// CorruptionsDetected counts tag mismatches found by ReadCheck.
+	// CorruptionsDetected counts tag mismatches found by a checked read
+	// (readSSD) or by GC verifying the pages it moves.
 	CorruptionsDetected int64
 	// CorruptionsRepaired counts detected corruptions repaired from parity
 	// or by primary refetch.
@@ -139,20 +140,11 @@ func (c *Cache) failStop(col int) {
 }
 
 // repairUnreadableRun repairs a latent sector error covering the run
-// [off, off+n) on col: parity-protected ranges are reconstructed from the
-// survivors and rewritten in place (rewriting clears the latent error);
-// parityless clean ranges are dropped and refetched from primary storage.
-// firstLBA is the logical address of the run's first page.
-func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n, firstLBA int64) (vtime.Time, error) {
-	sg := off / c.cfg.EraseGroupSize
-	seg := (off % c.cfg.EraseGroupSize) / c.cfg.SegmentColumn
-	pages := n / blockdev.PageSize
-	if int(c.groups[sg].segParity[seg]) < 0 {
-		return c.refetchParityless(at, col, firstLBA, pages, true)
-	}
-	// Reconstruct from the survivors, then rewrite the range in place;
-	// the write clears the device's latent marks. The content tags were
-	// never lost (unreadable, not corrupted), so only timing is charged.
+// [off, off+n) on col of a parity segment: the range is reconstructed from
+// the survivors and rewritten in place (rewriting clears the latent error).
+// The content tags were never lost (unreadable, not corrupted), so only
+// timing is charged.
+func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n int64) (vtime.Time, error) {
 	t, err := c.reconstructColumns(at, col, off, n)
 	if err != nil {
 		return at, err
@@ -166,7 +158,7 @@ func (c *Cache) repairUnreadableRun(at vtime.Time, col int, off, n, firstLBA int
 		}
 		return t, err
 	}
-	c.repair.RepairedPages += pages
+	c.repair.RepairedPages += n / blockdev.PageSize
 	return wt, nil
 }
 
@@ -195,7 +187,7 @@ func (c *Cache) CachedDirty(lba int64) bool {
 // ok is false when lba is uncached or lives in a RAM segment buffer.
 func (c *Cache) Locate(lba int64) (col int, page int64, ok bool) {
 	e, okm := c.mapping.get(lba)
-	if !okm || (e.state != stateSSDClean && e.state != stateSSDDirty) {
+	if !okm || !e.state.onSSD() {
 		return 0, 0, false
 	}
 	col, off := c.lay.devOffset(c.cfg, e.loc)

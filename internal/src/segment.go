@@ -263,7 +263,7 @@ func (c *Cache) abandonSegment(at vtime.Time, sg, seg int64, buf *segBuffer, slo
 			continue
 		}
 		e, ok := c.mapping.get(slot.lba)
-		if !ok || (e.state != stateSSDClean && e.state != stateSSDDirty) {
+		if !ok || !e.state.onSSD() {
 			continue // capacity overflow: already re-buffered above
 		}
 		c.invalidateSSD(e.loc)

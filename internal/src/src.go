@@ -210,6 +210,16 @@ func (c *Cache) tagFor(lba int64) blockdev.Tag {
 	return blockdev.DataTag(lba, c.versions[lba])
 }
 
+// expectedTag is the one rule for what a cached copy of lba must hold: its
+// current version, or, for a page never written through the cache, the tag
+// on primary it was filled from. TrackContent only.
+func (c *Cache) expectedTag(lba int64) (blockdev.Tag, error) {
+	if v := c.versions[lba]; v > 0 {
+		return blockdev.DataTag(lba, v), nil
+	}
+	return c.cfg.Primary.Content().ReadTag(lba)
+}
+
 // invalidateSSD drops an on-SSD mapping entry's slot accounting.
 func (c *Cache) invalidateSSD(loc int64) {
 	g := &c.groups[c.lay.groupOf(loc)]
@@ -327,9 +337,7 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 		if ssdRunFirst < 0 {
 			return nil
 		}
-		n := endLBA - ssdRunFirst
-		col, off := c.lay.devOffset(c.cfg, ssdRunLoc)
-		t, err := c.readSSD(at, col, off, n*blockdev.PageSize, ssdRunFirst)
+		t, err := c.readSSD(at, ssdRunLoc, ssdRunFirst, endLBA-ssdRunFirst)
 		if err != nil {
 			return err
 		}
@@ -392,22 +400,109 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 	return done, nil
 }
 
-// readSSD reads a contiguous run from one SSD: latent sector errors are
-// repaired in place from redundancy, and failed (or fail-stopped, or
-// not-yet-rebuilt) columns fall back to reconstruction (parity) or primary
-// refetch (parityless clean).
-func (c *Cache) readSSD(at vtime.Time, col int, off, n int64, loc int64) (vtime.Time, error) {
+// readSSD is the cache's one checked read. It reads a run of pages from one
+// SSD: lba's copy at loc, then each following page at the following
+// location. A latent sector error is repaired in place from parity, and a
+// failed (or fail-stopped, or not-yet-rebuilt) column is read by
+// reconstruction; without parity, clean pages are refetched from primary
+// and dirty ones are lost. Under TrackContent every page of the run still on
+// the SSD is then checked against expectedTag (paper §4.1: "SRC compares
+// the original and calculated checksums when reading data"): a column that
+// is down or awaiting rebuild was read by reconstruction, so the
+// reconstruction is judged; any other mismatch goes to repairCorrupt.
+func (c *Cache) readSSD(at vtime.Time, loc, lba, pages int64) (vtime.Time, error) {
+	col, off := c.lay.devOffset(c.cfg, loc)
+	n := pages * blockdev.PageSize
 	t, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: n})
-	if err == nil {
-		return t, nil
+	switch {
+	case err == nil:
+	case errors.Is(err, blockdev.ErrUnreadable) && c.hasParity(loc):
+		t, err = c.repairUnreadableRun(at, col, off, n)
+	case errors.Is(err, blockdev.ErrUnreadable):
+		t, err = c.refetchParityless(at, col, lba, pages, "unreadable on")
+	case errors.Is(err, blockdev.ErrDeviceFailed) && c.hasParity(loc):
+		t, err = c.reconstructColumns(at, col, off, n)
+	case errors.Is(err, blockdev.ErrDeviceFailed):
+		t, err = c.refetchParityless(at, col, lba, pages, "on failed")
 	}
-	if errors.Is(err, blockdev.ErrUnreadable) {
-		return c.repairUnreadableRun(at, col, off, n, loc)
-	}
-	if !errors.Is(err, blockdev.ErrDeviceFailed) {
+	if err != nil {
 		return at, err
 	}
-	return c.degradedRead(at, col, off, n, loc)
+	if !c.cfg.TrackContent {
+		return t, nil
+	}
+	down := c.colDown[col] || c.awaitingRebuild(col, off)
+	cont := c.cfg.SSDs[col].Content()
+	done := t
+	for i := int64(0); i < pages; i++ {
+		p := lba + i
+		if e, ok := c.mapping.get(p); !ok || !e.state.onSSD() || e.loc != loc+i {
+			continue // moved off the SSD by a repair above
+		}
+		want, err := c.expectedTag(p)
+		if err != nil {
+			return at, err
+		}
+		if down {
+			if err := c.reconstructExpected(loc+i, p, want); err != nil {
+				return at, err
+			}
+			continue
+		}
+		got, err := cont.ReadTag(off/blockdev.PageSize + i)
+		if err != nil {
+			return at, err
+		}
+		if got != want {
+			r, err := c.repairCorrupt(t, loc+i, p, want)
+			if err != nil {
+				return at, err
+			}
+			done = vtime.Max(done, r)
+		}
+	}
+	return done, nil
+}
+
+// repairCorrupt repairs lba's copy at loc, read at time at and found not to
+// hold want: silent corruption. A parity segment's page is reconstructed
+// from the survivors and rewritten, and the rewrite is committed at once;
+// without parity the page is refetched like a lost one.
+func (c *Cache) repairCorrupt(at vtime.Time, loc, lba int64, want blockdev.Tag) (vtime.Time, error) {
+	c.repair.CorruptionsDetected++
+	col, off := c.lay.devOffset(c.cfg, loc)
+	if !c.hasParity(loc) {
+		t, err := c.refetchParityless(at, col, lba, 1, "corrupt on")
+		if err != nil {
+			return at, err
+		}
+		c.repair.CorruptionsRepaired++
+		return t, nil
+	}
+	t, err := c.reconstructColumns(at, col, off, blockdev.PageSize)
+	if err != nil {
+		return at, err
+	}
+	if err := c.reconstructExpected(loc, lba, want); err != nil {
+		return at, err
+	}
+	if err := c.cfg.SSDs[col].Content().WriteTag(off/blockdev.PageSize, want); err != nil {
+		return at, err
+	}
+	// Commit the rewrite at once. If it stayed volatile, a crash would
+	// revert the page to its corrupted committed copy, and resurrected
+	// corruptions could accumulate until two share a parity stripe — which
+	// single-parity reconstruction cannot survive. The barrier spans the
+	// whole array, not just the repaired member: a single-member flush would
+	// commit that member's pending trims while its siblings' stayed
+	// volatile, and a crash would then resurrect a segment group on some
+	// columns only. (FlushNever keeps its no-barriers contract: flushSSDs is
+	// a no-op there, and the policy accepts the resurrection exposure.)
+	if t, err = c.flushSSDs(t); err != nil {
+		return at, err
+	}
+	c.repair.CorruptionsRepaired++
+	return t, nil
 }
 
 // fillFromPrimary fetches a miss run into the staging buffer (the returned
