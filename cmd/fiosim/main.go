@@ -17,10 +17,9 @@ import (
 	"io"
 	"os"
 
-	"srccache/internal/bcachesim"
+	"srccache/internal/baseline"
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
-	"srccache/internal/flashcachesim"
 	"srccache/internal/primary"
 	"srccache/internal/raid"
 	"srccache/internal/src"
@@ -199,15 +198,12 @@ func buildTarget(c config) (bench.System, []blockdev.Device, bench.Cache, int64,
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
+		d := baseline.Devices{Cache: arr, SSDs: devs, Primary: prim}
 		var cache bench.Cache
 		if c.target == "bcache5" {
-			cache, err = bcachesim.New(bcachesim.Config{
-				Cache: arr, SSDs: devs, Primary: prim, BucketBytes: 2 << 20, WritebackPercent: 90,
-			})
+			cache, err = baseline.NewBcache(d, true)
 		} else {
-			cache, err = flashcachesim.New(flashcachesim.Config{
-				Cache: arr, SSDs: devs, Primary: prim, SetBytes: 2 << 20, DirtyThreshPct: 90,
-			})
+			cache, err = baseline.NewFlashcache(d, true)
 		}
 		if err != nil {
 			return nil, nil, nil, 0, err

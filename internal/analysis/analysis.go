@@ -283,9 +283,13 @@ var SimPackages = []string{
 	"internal/flash",
 	"internal/blockdev",
 	"internal/experiments",
-	"internal/bcachesim",
-	"internal/flashcachesim",
-	"internal/ripqsim",
+	"internal/baseline",
+	// bench.Run drives the measured tables, and primary (over netlink) is
+	// the backing store of every cache experiment.
+	"internal/bench",
+	"internal/primary",
+	"internal/netlink",
+	"internal/costmodel",
 	"internal/workload",
 	"internal/trace",
 	"internal/ssd",

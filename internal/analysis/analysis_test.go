@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -207,5 +209,21 @@ var flag int
 	}
 	if _, ok := Directive(nil, "handoff"); ok {
 		t.Error("nil comment group matched")
+	}
+}
+
+// TestContractPackagesExist requires every SimPackages and IOErrPackages
+// suffix to name a package of this module, so a renamed or deleted package
+// cannot leave an entry that silently matches nothing.
+func TestContractPackagesExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, pkg := range slices.Concat(SimPackages, IOErrPackages) {
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pkg), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(files, func(f string) bool { return !strings.HasSuffix(f, "_test.go") }) {
+			t.Errorf("contract entry %q names no package of the module", pkg)
+		}
 	}
 }

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"srccache/internal/baseline"
 	"srccache/internal/blockdev"
 	"srccache/internal/raid"
-	"srccache/internal/ripqsim"
 	"srccache/internal/src"
 	"srccache/internal/ssd"
 )
@@ -247,12 +247,8 @@ func AblationAdvanced(opts Options) ([]*Table, error) {
 			if err != nil {
 				return GroupRun{}, err
 			}
-			ripq, err := ripqsim.New(ripqsim.Config{
-				Cache:      arr,
-				SSDs:       ssds,
-				Primary:    prim,
-				BlockBytes: 4 * o.superblock(), // array-wide erase group
-			})
+			// Blocks are one array-wide erase group.
+			ripq, err := baseline.NewRIPQ(baseline.Devices{Cache: arr, SSDs: ssds, Primary: prim}, 4*o.superblock())
 			if err != nil {
 				return GroupRun{}, err
 			}

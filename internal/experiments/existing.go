@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"srccache/internal/bcachesim"
+	"srccache/internal/baseline"
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
-	"srccache/internal/flashcachesim"
 	"srccache/internal/raid"
 	"srccache/internal/ssd"
 	"srccache/internal/vtime"
@@ -59,32 +58,11 @@ func buildBaseline(k baselineKind, cacheDev blockdev.Device, ssds []blockdev.Dev
 	if err != nil {
 		return nil, err
 	}
+	d := baseline.Devices{Cache: cacheDev, SSDs: ssds, Primary: prim}
 	if k == kindBcache {
-		mode := bcachesim.WriteBack
-		if !writeBack {
-			mode = bcachesim.WriteThrough
-		}
-		return bcachesim.New(bcachesim.Config{
-			Cache:            cacheDev,
-			SSDs:             ssds,
-			Primary:          prim,
-			BucketBytes:      2 << 20,
-			WritebackPercent: 90,
-			Mode:             mode,
-		})
+		return baseline.NewBcache(d, writeBack)
 	}
-	mode := flashcachesim.WriteBack
-	if !writeBack {
-		mode = flashcachesim.WriteThrough
-	}
-	return flashcachesim.New(flashcachesim.Config{
-		Cache:          cacheDev,
-		SSDs:           ssds,
-		Primary:        prim,
-		SetBytes:       2 << 20,
-		DirtyThreshPct: 90,
-		Mode:           mode,
-	})
+	return baseline.NewFlashcache(d, writeBack)
 }
 
 // Table2 reproduces the write-through vs write-back comparison on a single

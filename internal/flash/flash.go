@@ -9,7 +9,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // Errors reported by the array.
@@ -46,7 +45,7 @@ type BlockState struct {
 	Programmed int
 	// EraseCount is the lifetime number of erases.
 	EraseCount int64
-	// Bad marks the block unusable (factory-marked or grown).
+	// Bad marks the block unusable (grown bad: worn out).
 	Bad bool
 }
 
@@ -77,24 +76,6 @@ func New(geo Geometry, endurance int64) (*Array, error) {
 		endurance: endurance,
 		blocks:    make([]BlockState, geo.Blocks),
 	}, nil
-}
-
-// MarkFactoryBadBlocks marks approximately frac of blocks bad, chosen
-// deterministically from seed, modelling factory-marked bad blocks the FTL
-// must skip.
-func (a *Array) MarkFactoryBadBlocks(frac float64, seed int64) int {
-	if frac <= 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	marked := 0
-	for i := range a.blocks {
-		if rng.Float64() < frac {
-			a.blocks[i].Bad = true
-			marked++
-		}
-	}
-	return marked
 }
 
 // Geometry returns the array geometry.

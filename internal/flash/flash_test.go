@@ -101,22 +101,6 @@ func TestWearOutGrowsBadBlock(t *testing.T) {
 	}
 }
 
-func TestFactoryBadBlocks(t *testing.T) {
-	a := newTestArray(t, 1000, 4, 0)
-	marked := a.MarkFactoryBadBlocks(0.02, 42)
-	if marked == 0 || marked > 100 {
-		t.Fatalf("marked %d of 1000 blocks bad, expected around 20", marked)
-	}
-	// Deterministic for the same seed.
-	b := newTestArray(t, 1000, 4, 0)
-	if again := b.MarkFactoryBadBlocks(0.02, 42); again != marked {
-		t.Fatalf("non-deterministic bad-block marking: %d vs %d", marked, again)
-	}
-	if a.MarkFactoryBadBlocks(0, 1) != 0 {
-		t.Fatal("zero fraction marked blocks")
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	a := newTestArray(t, 2, 4, 0)
 	if err := a.Program(0, 0); err != nil {

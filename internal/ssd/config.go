@@ -87,11 +87,6 @@ type Config struct {
 	// erase group (the paper's Figure 2 behaviour). Default 8; set to -1
 	// for an ideal page-mapped FTL with no merge penalty.
 	LogGranules int
-	// BadBlockFrac is the fraction of factory-marked bad blocks the FTL
-	// must skip (default 0; tests exercise nonzero values).
-	BadBlockFrac float64
-	// Seed drives deterministic factory bad-block placement.
-	Seed int64
 }
 
 // MinSpareGroups is the minimum number of spare erase groups the FTL needs
@@ -158,9 +153,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Capacity%blockdev.PageSize != 0 {
 		return c, fmt.Errorf("ssd %s: capacity %d not page-aligned", c.Name, c.Capacity)
-	}
-	if c.BadBlockFrac < 0 || c.BadBlockFrac > 0.2 {
-		return c, fmt.Errorf("ssd %s: bad block fraction %v out of range [0, 0.2]", c.Name, c.BadBlockFrac)
 	}
 	return c, nil
 }

@@ -35,7 +35,6 @@ type SSD struct {
 	blocksPerSB int
 	numSB       int
 
-	sbBlocks []int32 // flattened [numSB][blocksPerSB] -> flash block id
 	sbValid  []int32
 	sbState  []groupState
 	freeSBs  []int32
@@ -94,22 +93,15 @@ func New(cfg Config) (*SSD, error) {
 		return nil, fmt.Errorf("ssd %s: %d physical pages exceed addressing limit", cfg.Name, physPages)
 	}
 
-	// Build the flash array with enough blocks to populate every erase
-	// group after skipping factory-bad blocks.
-	needBlocks := numSB * blocksPerSB
-	rawBlocks := needBlocks
-	if cfg.BadBlockFrac > 0 {
-		rawBlocks = int(float64(needBlocks)*(1+2*cfg.BadBlockFrac)) + 8
-	}
+	// Erase group sb is flash blocks [sb*blocksPerSB, (sb+1)*blocksPerSB).
 	nand, err := flash.New(flash.Geometry{
-		Blocks:        rawBlocks,
+		Blocks:        numSB * blocksPerSB,
 		PagesPerBlock: cfg.PagesPerBlock,
 		PageSize:      blockdev.PageSize,
 	}, cfg.EnduranceCycles)
 	if err != nil {
 		return nil, err
 	}
-	nand.MarkFactoryBadBlocks(cfg.BadBlockFrac, cfg.Seed)
 
 	d := &SSD{
 		cfg:         cfg,
@@ -119,7 +111,6 @@ func New(cfg Config) (*SSD, error) {
 		pagesPerSB:  pagesPerSB,
 		blocksPerSB: blocksPerSB,
 		numSB:       numSB,
-		sbBlocks:    make([]int32, numSB*blocksPerSB),
 		sbValid:     make([]int32, numSB),
 		sbState:     make([]groupState, numSB),
 		mapTbl:      make([]int32, hostPages),
@@ -145,23 +136,9 @@ func New(cfg Config) (*SSD, error) {
 	for i := range d.rmap {
 		d.rmap[i] = -1
 	}
-	// Assemble erase groups from healthy blocks.
-	next := 0
-	for sb := 0; sb < numSB; sb++ {
-		d.sbState[sb] = groupFree
-		for b := 0; b < blocksPerSB; b++ {
-			for next < rawBlocks && nand.IsBad(next) {
-				next++
-			}
-			if next >= rawBlocks {
-				return nil, fmt.Errorf("ssd %s: not enough healthy flash blocks (%d bad)", cfg.Name, rawBlocks-needBlocks)
-			}
-			d.sbBlocks[sb*blocksPerSB+b] = int32(next)
-			next++
-		}
-	}
 	d.freeSBs = make([]int32, 0, numSB)
 	for sb := numSB - 1; sb >= 0; sb-- {
+		d.sbState[sb] = groupFree
 		d.freeSBs = append(d.freeSBs, int32(sb))
 	}
 	return d, nil
@@ -222,7 +199,7 @@ func (d *SSD) blockPage(phys int64) (int, int) {
 	idx := phys % d.pagesPerSB
 	blockInSB := idx % int64(d.blocksPerSB)
 	pageInBlock := idx / int64(d.blocksPerSB)
-	return int(d.sbBlocks[sb*int64(d.blocksPerSB)+blockInSB]), int(pageInBlock)
+	return int(sb*int64(d.blocksPerSB) + blockInSB), int(pageInBlock)
 }
 
 func (d *SSD) bumpUnit(u int, ready vtime.Time, cost vtime.Duration) vtime.Time {
@@ -367,7 +344,7 @@ func (d *SSD) collect(ready vtime.Time) error {
 func (d *SSD) eraseGroup(sb int32, ready vtime.Time) {
 	retired := false
 	for b := 0; b < d.blocksPerSB; b++ {
-		blk := int(d.sbBlocks[int(sb)*d.blocksPerSB+b])
+		blk := int(sb)*d.blocksPerSB + b
 		if err := d.nand.Erase(blk); err != nil {
 			retired = true
 			continue

@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"srccache/internal/blockdev"
@@ -55,7 +56,6 @@ func TestConfigValidation(t *testing.T) {
 		{"spare >= 1", func(c *Config) { c.SpareFactor = 1.0 }},
 		{"erase group not block multiple", func(c *Config) { c.EraseGroupSize = 100 }},
 		{"unaligned capacity", func(c *Config) { c.Capacity = 4097 }},
-		{"bad block frac", func(c *Config) { c.BadBlockFrac = 0.5 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -255,19 +255,6 @@ func TestWriteCacheAbsorbsBurstThenThrottles(t *testing.T) {
 	}
 }
 
-func TestFactoryBadBlocksAreSkipped(t *testing.T) {
-	cfg := testConfig()
-	cfg.BadBlockFrac = 0.05
-	cfg.Seed = 7
-	d := newTestSSD(t, cfg)
-	// The device still presents full capacity and survives two passes.
-	at := fill(t, d, 1<<20, 0)
-	fill(t, d, 1<<20, at)
-	if d.WAF() < 1.0 {
-		t.Fatalf("WAF = %v", d.WAF())
-	}
-}
-
 func TestOutOfRangeRejected(t *testing.T) {
 	d := newTestSSD(t, testConfig())
 	_, err := d.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: d.Capacity(), Len: blockdev.PageSize})
@@ -312,5 +299,37 @@ func TestWearAccounting(t *testing.T) {
 	}
 	if d.FlashStats().Erases == 0 {
 		t.Fatal("flash erase counter zero")
+	}
+}
+
+// TestWornOutGroupsRetire drives blocks past their endurance: the FTL
+// retires the erase group holding a worn-out block.
+func TestWornOutGroupsRetire(t *testing.T) {
+	cfg := testConfig()
+	cfg.EnduranceCycles = 2
+	d := newTestSSD(t, cfg)
+	var at vtime.Time
+	for i := int64(0); d.RetiredGroups() == 0; i++ {
+		if i == 16*d.Capacity()>>20 {
+			t.Fatal("no erase group retired after 16 full-device passes")
+		}
+		var err error
+		off := i % (d.Capacity() >> 20) << 20
+		if at, err = d.Submit(at, blockdev.Request{Op: blockdev.OpWrite, Off: off, Len: 1 << 20}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	// A retired group never returns to the free pool.
+	retired := 0
+	for sb, st := range d.sbState {
+		if st == groupRetired {
+			retired++
+			if slices.Contains(d.freeSBs, int32(sb)) {
+				t.Fatalf("retired group %d is on the free list", sb)
+			}
+		}
+	}
+	if int64(retired) != d.RetiredGroups() {
+		t.Fatalf("%d groups in the retired state, RetiredGroups reports %d", retired, d.RetiredGroups())
 	}
 }
