@@ -60,6 +60,21 @@ func TestReplayTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesOverflowingRecord: a record whose end passes the largest
+// int64 offset is refused by line, not replayed into a page-table index far
+// past the volume.
+func TestReplayRefusesOverflowingRecord(t *testing.T) {
+	path := t.TempDir() + "/bad.csv"
+	if err := writeFile(path, "0,h,0,Read,9223372036854771712,8192,0\n"); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-target", "src", "-replay", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("replay of an overflowing record: err %v, want a line-1 refusal", err)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-target", "nope"}, &out); err == nil {

@@ -64,19 +64,50 @@ func (r Request) String() string {
 }
 
 // Validate checks alignment and bounds against a device of the given
-// capacity.
+// capacity. A request is out of range when Off > capacity-Len, a bound that
+// cannot overflow for a positive Len; Off+Len > capacity wraps for an Off
+// near the top of int64 and lets the request through. Validate is small
+// enough to inline into every device's Submit: a refusal is a requestError,
+// which says what is wrong only when asked.
 func (r Request) Validate(capacity int64) error {
-	switch {
-	case r.Op != OpRead && r.Op != OpWrite && r.Op != OpTrim:
-		return fmt.Errorf("%w: %v", ErrBadRequest, r.Op)
-	case r.Off%PageSize != 0 || r.Len%PageSize != 0:
-		return fmt.Errorf("%w: %v", ErrUnaligned, r)
-	case r.Len <= 0:
-		return fmt.Errorf("%w: non-positive length %d", ErrBadRequest, r.Len)
-	case r.Off < 0 || r.Off+r.Len > capacity:
-		return fmt.Errorf("%w: [%d,%d) outside capacity %d", ErrOutOfRange, r.Off, r.Off+r.Len, capacity)
+	if r.Op >= OpRead && r.Op <= OpTrim && (r.Off|r.Len)%PageSize == 0 &&
+		r.Len > 0 && r.Off >= 0 && r.Off <= capacity-r.Len {
+		return nil
 	}
-	return nil
+	return &requestError{r, capacity}
+}
+
+// requestError is a request Validate refused, with the capacity it was
+// checked against. It wraps ErrBadRequest, ErrUnaligned or ErrOutOfRange.
+type requestError struct {
+	r        Request
+	capacity int64
+}
+
+// explain describes the first rule the request breaks, and returns the
+// error that names the rule.
+func (e *requestError) explain() (string, error) {
+	r := e.r
+	switch {
+	case r.Op < OpRead || r.Op > OpTrim:
+		return r.Op.String(), ErrBadRequest
+	case r.Off%PageSize != 0 || r.Len%PageSize != 0:
+		return r.String(), ErrUnaligned
+	case r.Len <= 0:
+		return fmt.Sprintf("non-positive length %d", r.Len), ErrBadRequest
+	default:
+		return fmt.Sprintf("%d bytes at %d outside capacity %d", r.Len, r.Off, e.capacity), ErrOutOfRange
+	}
+}
+
+func (e *requestError) Unwrap() error {
+	_, err := e.explain()
+	return err
+}
+
+func (e *requestError) Error() string {
+	msg, err := e.explain()
+	return err.Error() + ": " + msg
 }
 
 // Errors shared by all device implementations.

@@ -2,6 +2,8 @@ package blockdev
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,12 +47,18 @@ func TestRequestValidate(t *testing.T) {
 		{"zero len", Request{OpRead, 0, 0}, ErrBadRequest},
 		{"negative off", Request{OpRead, -PageSize, PageSize}, ErrOutOfRange},
 		{"past end", Request{OpRead, capacity, PageSize}, ErrOutOfRange},
+		// Off+Len wraps to a negative number here; the bound must not.
+		{"end past max int64", Request{OpRead, math.MaxInt64 - (PageSize - 1), 2 * PageSize}, ErrOutOfRange},
+		{"len past max int64", Request{OpRead, PageSize, math.MaxInt64 - (PageSize - 1)}, ErrOutOfRange},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			err := tt.req.Validate(capacity)
 			if !errors.Is(err, tt.wantErr) {
 				t.Fatalf("Validate(%v) = %v, want %v", tt.req, err, tt.wantErr)
+			}
+			if err != nil && !strings.HasPrefix(err.Error(), tt.wantErr.Error()+": ") {
+				t.Fatalf("Validate(%v) says %q, want it to start with %q", tt.req, err, tt.wantErr)
 			}
 		})
 	}

@@ -227,8 +227,8 @@ type RecoveryHooks struct {
 // Validate fills defaults and checks invariants.
 func (c Config) Validate() (Config, error) {
 	m := len(c.SSDs)
-	if m < 1 {
-		return c, fmt.Errorf("src: need at least one SSD")
+	if m < 1 || m > 256 {
+		return c, fmt.Errorf("src: %d SSDs, want 1 to 256", m)
 	}
 	if c.Primary == nil {
 		return c, fmt.Errorf("src: primary storage required")
@@ -265,6 +265,9 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.CachePerSSD > devCap {
 		return c, fmt.Errorf("src: cache region %d exceeds ssd capacity %d", c.CachePerSSD, devCap)
+	}
+	if n := c.CachePerSSD / blockdev.PageSize; n > 1<<32 {
+		return c, fmt.Errorf("src: cache region of %d pages per ssd exceeds 2^32", n)
 	}
 	if n := c.CachePerSSD / c.EraseGroupSize; n < 4 {
 		return c, fmt.Errorf("src: %d segment groups too few (superblock + 3 working minimum)", n)

@@ -81,6 +81,10 @@ func TestReclaimTrafficPinned(t *testing.T) {
 	}{
 		// MemShardBuilder's shape: 4 SSDs, RAID-5, 4 groups, Sel-GC.
 		{"MemShard", 4, 70, 0, func(*Config) {}, "4651d1bb9db88291"},
+		// The same shape without content tracking, as MemShardBuilder
+		// builds it: no hit runs a tag check. On a healthy array the tags
+		// change no request, so the digest is MemShard's.
+		{"MemShardNoContent", 4, 70, 0, func(c *Config) { c.TrackContent = false }, "4651d1bb9db88291"},
 		{"S2DSeparateGCBuffer", 3, 70, 0, func(c *Config) { c.GC = S2D; c.SeparateGCBuffer = true }, "261842f033857ce6"},
 		// A RAID-0 column fails mid-stream, so staged pages on it are marked
 		// lost and filtered out. A dirty page there would be data loss, so

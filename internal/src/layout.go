@@ -168,9 +168,24 @@ func (s pageState) onSSD() bool {
 	return s == stateSSDClean || s == stateSSDDirty
 }
 
-// entry is the mapping-table value for one cached logical page: an SSD
-// location or a segment-buffer slot index.
+// entry is the mapping-table value for one cached logical page: a
+// segment-buffer slot index, or an SSD location and the address it
+// stands for. The seal (and Recover) that places a page on the SSDs
+// stores the column and device page beside the location, so a read goes
+// to the device without deriving them again. loc stays the authority:
+// slot accounting, reclaim, repair and recovery all work on locations,
+// and col and page are what layout.devOffset says of loc at the moment
+// the page is placed (checkInvariants holds them to it). Config.Validate
+// keeps both narrow fields in range, and the entry at 16 bytes.
 type entry struct {
 	state pageState
+	col   uint8  // SSD column of an on-SSD copy
+	page  uint32 // device page of an on-SSD copy on col
 	loc   int64
+}
+
+// ssdEntry is the entry of a page placed at loc, which is device page
+// page on SSD col.
+func ssdEntry(dirty bool, loc int64, col int, page int64) entry {
+	return entry{state: ssdState(dirty), col: uint8(col), page: uint32(page), loc: loc}
 }

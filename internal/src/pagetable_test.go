@@ -2,9 +2,18 @@ package src
 
 import (
 	"testing"
+	"unsafe"
 
 	"srccache/internal/blockdev"
 )
+
+// TestEntryIs16Bytes pins the page-table entry's width: the table costs 16
+// bytes per primary page, and the memory figures assume it.
+func TestEntryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+}
 
 func TestPageTable(t *testing.T) {
 	pt := newPageTable(8)

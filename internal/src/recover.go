@@ -289,6 +289,7 @@ func (c *Cache) applySegment(rs recoveredSeg) {
 	g.paycap += capacity
 	c.totalPaycap += capacity
 
+	basePage := c.lay.colOffset(c.cfg, rs.sg, rs.seg) / blockdev.PageSize
 	for _, sum := range rs.cols {
 		for i, e := range sum.entries {
 			if e.lba == summaryFreeLBA {
@@ -303,7 +304,7 @@ func (c *Cache) applySegment(rs recoveredSeg) {
 				// ascending, so the existing entry is older.
 				c.invalidateSSD(old.loc)
 			}
-			c.mapping.set(e.lba, entry{state: ssdState(e.dirty), loc: loc})
+			c.mapping.set(e.lba, ssdEntry(e.dirty, loc, int(sum.col), basePage+int64(i)+1))
 			g.slots[c.lay.localSlot(loc)] = packSlot(e.lba, e.dirty)
 			g.valid++
 			c.totalValid++
@@ -345,7 +346,7 @@ func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, e
 	if err != nil || !e.state.onSSD() {
 		return want, at, err // RAM copies cannot silently corrupt here
 	}
-	done, err := c.readSSD(at, e.loc, lba, 1)
+	done, err := c.readSSD(at, e, lba, 1)
 	if err != nil {
 		return blockdev.ZeroTag, at, err
 	}

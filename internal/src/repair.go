@@ -93,6 +93,9 @@ func (c *Cache) submitSSD(at vtime.Time, col int, req blockdev.Request) (vtime.T
 	}
 	dev := c.cfg.SSDs[col]
 	t, err := dev.Submit(at, req)
+	if err == nil {
+		return t, nil
+	}
 	attempts := 0
 	for errors.Is(err, blockdev.ErrTransient) {
 		c.repair.TransientErrors++
@@ -190,6 +193,5 @@ func (c *Cache) Locate(lba int64) (col int, page int64, ok bool) {
 	if !okm || !e.state.onSSD() {
 		return 0, 0, false
 	}
-	col, off := c.lay.devOffset(c.cfg, e.loc)
-	return col, off / blockdev.PageSize, true
+	return int(e.col), int64(e.page), true
 }

@@ -99,6 +99,8 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	perCol := rows(c.scratch.perCol, c.lay.m)
 	colTags := rows(c.scratch.colTags, c.lay.m)
 	segCap := int64(len(cols)) * c.lay.payloadPages
+	colBase := c.lay.colOffset(c.cfg, sg, seg)
+	basePage := colBase / blockdev.PageSize
 	var overflow []bufSlot
 	idx := int64(0)
 	for i, slot := range slots {
@@ -116,7 +118,7 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 		g.slots[c.lay.localSlot(loc)] = packSlot(slot.lba, dirty)
 		g.valid++
 		c.totalValid++
-		c.mapping.set(slot.lba, entry{state: ssdState(dirty), loc: loc})
+		c.mapping.set(slot.lba, ssdEntry(dirty, loc, col, basePage+pic))
 		var version uint64
 		if c.cfg.TrackContent {
 			version = c.versions[slot.lba]
@@ -134,7 +136,6 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 
 	// Device writes: per participating column, [MS..last payload page] and
 	// the ME block (one contiguous write when the column is full).
-	colBase := c.lay.colOffset(c.cfg, sg, seg)
 	done := at
 	var failedCols []int
 	maxUsed := int64(0)

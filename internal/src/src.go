@@ -323,95 +323,80 @@ func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, erro
 // the clean segment buffer (paper §4.1).
 func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	first := req.Off / blockdev.PageSize
-	pages := req.Pages()
-	c.counters.Reads += pages
+	end := first + req.Pages()
+	c.counters.Reads += req.Pages()
 	c.counters.ReadBytes += req.Len
 
+	// Pages are read in runs, at most one pending at a time: contiguous
+	// misses as one primary read, SSD hits at consecutive locations as one
+	// device read. run is the pending run's first entry (the zero entry for
+	// misses) and runFirst its first page, -1 when none is pending. Each
+	// page is looked up once, before the run it ends is read.
 	done := at
-	// SSD hit runs are coalesced into per-device contiguous reads; misses
-	// into contiguous primary reads.
-	runStart := int64(-1) // first lba of the current miss run
-	var ssdRunLoc, ssdRunFirst int64 = -1, -1
-
-	flushSSDRun := func(endLBA int64) error {
-		if ssdRunFirst < 0 {
-			return nil
-		}
-		t, err := c.readSSD(at, ssdRunLoc, ssdRunFirst, endLBA-ssdRunFirst)
-		if err != nil {
-			return err
-		}
-		done = vtime.Max(done, t)
-		ssdRunFirst, ssdRunLoc = -1, -1
-		return nil
-	}
-	flushMissRun := func(endLBA int64) error {
-		if runStart < 0 {
-			return nil
-		}
-		t, err := c.fillFromPrimary(at, runStart, endLBA-runStart)
-		if err != nil {
-			return err
-		}
-		done = vtime.Max(done, t)
-		runStart = -1
-		return nil
-	}
-
-	for p := first; p < first+pages; p++ {
+	var run entry
+	runFirst := int64(-1)
+	for p := first; p < end; p++ {
 		e, ok := c.mapping.get(p)
-		if !ok {
-			if err := flushSSDRun(p); err != nil {
+		if ok {
+			if runFirst >= 0 && run.state == 0 {
+				t, err := c.fillFromPrimary(at, runFirst, p-runFirst)
+				if err != nil {
+					return done, err
+				}
+				done = vtime.Max(done, t)
+				runFirst = -1
+			}
+			c.counters.ReadHits++
+			c.counters.ReadHitBytes += blockdev.PageSize
+			c.hot.Set(p)
+			if runFirst >= 0 && e.state.onSSD() && e.loc == run.loc+(p-runFirst) {
+				continue // extends the SSD run
+			}
+		}
+		if runFirst >= 0 && (ok || run.state != 0) {
+			t, err := c.readRun(at, run, runFirst, p-runFirst)
+			if err != nil {
 				return done, err
 			}
-			if runStart < 0 {
-				runStart = p
-			}
-			continue
+			done = vtime.Max(done, t)
+			runFirst = -1
 		}
-		if err := flushMissRun(p); err != nil {
+		if runFirst < 0 && (!ok || e.state.onSSD()) {
+			run, runFirst = e, p
+		}
+	}
+	if runFirst >= 0 {
+		t, err := c.readRun(at, run, runFirst, end-runFirst)
+		if err != nil {
 			return done, err
 		}
-		c.counters.ReadHits++
-		c.counters.ReadHitBytes += blockdev.PageSize
-		c.hot.Set(p)
-		switch e.state {
-		case stateBufClean, stateBufDirty, stateBufGC:
-			// Served from RAM at no device cost.
-			if err := flushSSDRun(p); err != nil {
-				return done, err
-			}
-		default:
-			if ssdRunFirst >= 0 && e.loc == ssdRunLoc+(p-ssdRunFirst) {
-				continue // extends the current run
-			}
-			if err := flushSSDRun(p); err != nil {
-				return done, err
-			}
-			ssdRunFirst, ssdRunLoc = p, e.loc
-		}
-	}
-	if err := flushSSDRun(first + pages); err != nil {
-		return done, err
-	}
-	if err := flushMissRun(first + pages); err != nil {
-		return done, err
+		done = vtime.Max(done, t)
 	}
 	return done, nil
 }
 
+// readRun reads the pages [lba, lba+pages) of one of hostRead's runs: misses
+// from primary when first is the zero entry, else SSD hits from first on.
+func (c *Cache) readRun(at vtime.Time, first entry, lba, pages int64) (vtime.Time, error) {
+	if first.state == 0 {
+		return c.fillFromPrimary(at, lba, pages)
+	}
+	return c.readSSD(at, first, lba, pages)
+}
+
 // readSSD is the cache's one checked read. It reads a run of pages from one
-// SSD: lba's copy at loc, then each following page at the following
-// location. A latent sector error is repaired in place from parity, and a
-// failed (or fail-stopped, or not-yet-rebuilt) column is read by
-// reconstruction; without parity, clean pages are refetched from primary
-// and dirty ones are lost. Under TrackContent every page of the run still on
-// the SSD is then checked against expectedTag (paper §4.1: "SRC compares
-// the original and calculated checksums when reading data"): a column that
-// is down or awaiting rebuild was read by reconstruction, so the
-// reconstruction is judged; any other mismatch goes to repairCorrupt.
-func (c *Cache) readSSD(at vtime.Time, loc, lba, pages int64) (vtime.Time, error) {
-	col, off := c.lay.devOffset(c.cfg, loc)
+// SSD: lba's copy, whose on-SSD entry is first, then each following page at
+// the following location and device page. A latent sector error is repaired
+// in place from parity, and a failed (or fail-stopped, or not-yet-rebuilt)
+// column is read by reconstruction; without parity, clean pages are
+// refetched from primary and dirty ones are lost. Under TrackContent every
+// page of the run still on the SSD is then checked against expectedTag
+// (paper §4.1: "SRC compares the original and calculated checksums when
+// reading data"): a column that is down or awaiting rebuild was read by
+// reconstruction, so the reconstruction is judged; any other mismatch goes
+// to repairCorrupt.
+func (c *Cache) readSSD(at vtime.Time, first entry, lba, pages int64) (vtime.Time, error) {
+	loc, col, off := first.loc, int(first.col), int64(first.page)*blockdev.PageSize
 	n := pages * blockdev.PageSize
 	t, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: n})
 	switch {

@@ -103,6 +103,10 @@ func (e *env) checkInvariants() {
 			if g.slots == nil {
 				e.t.Fatalf("lba %d maps into group %d with no tables", lba, c.lay.groupOf(en.loc))
 			}
+			if col, off := c.lay.devOffset(c.cfg, en.loc); int(en.col) != col || int64(en.page) != off/blockdev.PageSize {
+				e.t.Fatalf("lba %d at location %d carries ssd %d page %d, the location says ssd %d page %d",
+					lba, en.loc, en.col, en.page, col, off/blockdev.PageSize)
+			}
 			gotLBA, gotDirty := unpackSlot(g.slots[c.lay.localSlot(en.loc)])
 			if gotLBA != lba || gotDirty != (en.state == stateSSDDirty) {
 				e.t.Fatalf("lba %d: slot says (%d,%v), mapping says (%d,%v)",
@@ -130,6 +134,14 @@ func TestConfigDefaultsMatchTable7(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	prim := blockdev.NewMemDevice(testPrimCap, 0)
 	dev := func() blockdev.Device { return blockdev.NewMemDevice(testSSDCap, 0) }
+	huge := func() blockdev.Device { return blockdev.NewMemDevice(1<<46, 0) }
+	manySSDs := func(n int) []blockdev.Device {
+		d := make([]blockdev.Device, n)
+		for i := range d {
+			d[i] = dev()
+		}
+		return d
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -141,6 +153,13 @@ func TestConfigValidation(t *testing.T) {
 		{"erase group not column multiple", Config{SSDs: []blockdev.Device{dev(), dev(), dev(), dev()}, Primary: prim, EraseGroupSize: 24 << 10, SegmentColumn: 16 << 10}},
 		{"too few groups", Config{SSDs: []blockdev.Device{dev(), dev(), dev(), dev()}, Primary: prim, CachePerSSD: 2 << 20, EraseGroupSize: 1 << 20}},
 		{"bad umax", Config{SSDs: []blockdev.Device{dev(), dev(), dev(), dev()}, Primary: prim, UMax: 1.5}},
+		// A mapping entry carries a device page in 32 bits. 1 TiB groups
+		// keep New cheap should the check go missing.
+		{"cache region past 2^32 pages", Config{
+			SSDs:    []blockdev.Device{huge(), huge(), huge(), huge()},
+			Primary: prim, CachePerSSD: 17 << 40, EraseGroupSize: 1 << 40,
+		}},
+		{"more ssds than an entry can name", Config{SSDs: manySSDs(257), Primary: prim, Level: RAID0}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -84,6 +85,10 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		}
 		if size <= 0 {
 			continue
+		}
+		// The end, rounded up to a page, must not pass math.MaxInt64.
+		if off > math.MaxInt64-(blockdev.PageSize-1)-size {
+			return nil, fmt.Errorf("trace: line %d: %d bytes at offset %d end past the largest offset", line, size, off)
 		}
 		end := off + size
 		off -= off % blockdev.PageSize

@@ -210,12 +210,14 @@ func TestReadCSVAlignsSectors(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	for _, in := range []string{
-		"1,h,0,Frob,0,4096,0\n", // unknown op
-		"x,h,0,Read,0,4096,0\n", // bad timestamp
-		"1,h,y,Read,0,4096,0\n", // bad disk
-		"1,h,0,Read,z,4096,0\n", // bad offset
-		"1,h,0,Read,0,z,0\n",    // bad size
-		"1,h,0\n",               // too few fields
+		"1,h,0,Frob,0,4096,0\n",                   // unknown op
+		"x,h,0,Read,0,4096,0\n",                   // bad timestamp
+		"1,h,y,Read,0,4096,0\n",                   // bad disk
+		"1,h,0,Read,z,4096,0\n",                   // bad offset
+		"1,h,0,Read,0,z,0\n",                      // bad size
+		"1,h,0\n",                                 // too few fields
+		"0,h,0,Read,9223372036854771712,8192,0\n", // end past math.MaxInt64
+		"0,h,0,Read,9223372036854771712,1,0\n",    // page-rounded end past it
 	} {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Fatalf("accepted %q", in)
