@@ -54,6 +54,12 @@ func (f *FaultPlan) InjectUnreadable(pages ...int64) {
 	}
 }
 
+// Unreadable reports whether page has an outstanding latent sector error.
+func (f *FaultPlan) Unreadable(page int64) bool {
+	_, bad := f.unreadable[page]
+	return bad
+}
+
 // UnreadablePages reports how many latent sector errors remain outstanding.
 func (f *FaultPlan) UnreadablePages() int { return len(f.unreadable) }
 

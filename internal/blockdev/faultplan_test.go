@@ -18,8 +18,9 @@ func TestFaultPlanUnreadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.InjectUnreadable(2)
-	if n := f.UnreadablePages(); n != 1 {
-		t.Fatalf("UnreadablePages = %d, want 1", n)
+	if n := f.UnreadablePages(); n != 1 || !f.Unreadable(2) || f.Unreadable(1) {
+		t.Fatalf("UnreadablePages = %d, Unreadable(2) = %v, Unreadable(1) = %v; want 1, true, false",
+			n, f.Unreadable(2), f.Unreadable(1))
 	}
 	// A read covering the bad page fails; one beside it succeeds.
 	if _, err := f.Submit(0, Request{OpRead, 0, 4 * PageSize}); !errors.Is(err, ErrUnreadable) {
@@ -32,8 +33,8 @@ func TestFaultPlanUnreadable(t *testing.T) {
 	if _, err := f.Submit(0, Request{OpWrite, 2 * PageSize, PageSize}); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.UnreadablePages(); n != 0 {
-		t.Fatalf("UnreadablePages after rewrite = %d, want 0", n)
+	if n := f.UnreadablePages(); n != 0 || f.Unreadable(2) {
+		t.Fatalf("UnreadablePages after rewrite = %d, Unreadable(2) = %v; want 0, false", n, f.Unreadable(2))
 	}
 	if _, err := f.Submit(0, Request{OpRead, 0, 4 * PageSize}); err != nil {
 		t.Fatalf("read after repair: %v", err)

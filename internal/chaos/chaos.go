@@ -270,8 +270,9 @@ func (h *harness) doInject() error {
 		lba, col, page, ok := h.pickCached()
 		// Parity repair of the corrupt page reads every survivor; a latent
 		// error there would turn a repairable corruption into a double
-		// fault.
-		if !ok || h.latentBesides(col) {
+		// fault. A sector with a latent error cannot also hold silently
+		// corrupt data.
+		if !ok || h.latentBesides(col) || h.ssds[col].Unreadable(page) {
 			return h.doRead()
 		}
 		if err := h.ssds[col].Content().Corrupt(page); err != nil {
@@ -394,7 +395,7 @@ func (h *harness) doScrub() error {
 	planted := false
 	before := h.cache.RepairStats().CorruptionsDetected
 	if h.rng.Float64() < 0.7 {
-		if _, col, page, ok := h.pickCached(); ok {
+		if _, col, page, ok := h.pickCached(); ok && !h.ssds[col].Unreadable(page) {
 			if err := h.ssds[col].Content().Corrupt(page); err != nil {
 				return err
 			}

@@ -11,7 +11,7 @@ import (
 // chaosDigest folds the Results of seeds 1–50, in seed order. A change
 // that moves any of them re-pins it and says in CHANGES.md which seeds
 // moved and why.
-const chaosDigest = "ba81197775a375db"
+const chaosDigest = "ffa6e54fcfe7cdef"
 
 // TestChaos runs the seeded fault schedules. Every seed must complete its
 // full schedule with all durability and content invariants intact.
@@ -100,9 +100,9 @@ func TestChaosCoverage(t *testing.T) {
 	}
 }
 
-// TestChaosFoundSeeds pins seeds that once lost an acknowledged flush. Each
-// failed before the free-space edge became one path (gc copies a group
-// only when free space can absorb the round), with:
+// TestChaosFoundSeeds pins seeds that once failed. The first five lost an
+// acknowledged flush before the free-space edge became one path (gc copies
+// a group only when free space can absorb the round), with:
 //
 //	seed 342 op 644: page 1613 recovered at version 2, below the durable version 3
 //	seed 622 op 537: page 928 recovered at version 1, below the durable version 2
@@ -111,9 +111,16 @@ func TestChaosCoverage(t *testing.T) {
 //	seed 1773 op 755: page 136 recovered at version 1, below the durable version 2
 //
 // Whether that change fixed a cause or only moved these schedules is open;
-// either way each must keep passing.
+// either way each must keep passing. The last two planted silent
+// corruption on a device page that already had a latent error, a pair no
+// real sector can hold: the read met the latent error first and refetched
+// the page, so nothing counted the corruption. Until the harness stopped
+// planting that pair they failed with:
+//
+//	seed 843 op 79: page 3095: planted corruption not detected
+//	seed 1866 op 290: scrub missed a planted corruption
 func TestChaosFoundSeeds(t *testing.T) {
-	for _, seed := range []int64{342, 622, 1462, 1744, 1773} {
+	for _, seed := range []int64{342, 622, 1462, 1744, 1773, 843, 1866} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			if _, err := Run(Options{Seed: seed}); err != nil {

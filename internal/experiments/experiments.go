@@ -6,10 +6,11 @@
 // Flashcache5 (Figure 7).
 //
 // Sizes default to 1/16 of the paper's (Section "Scaling note" in
-// DESIGN.md): what matters for every result is the *ratio* of cache
-// capacity to working set and of write units to the erase group, both of
-// which are preserved. Absolute MB/s values are those of the simulated
-// devices; the reproduction target is the shape of each result.
+// DESIGN.md), and the tables are checked at that scale: scaling keeps the
+// ratio of cache capacity to working set, but some verdicts still move
+// between 1/16 and the paper's own sizes. Absolute MB/s values are those
+// of the simulated devices; the reproduction target is the shape of each
+// result.
 package experiments
 
 import (

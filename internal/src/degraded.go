@@ -20,22 +20,25 @@ func (c *Cache) hasParity(loc int64) bool {
 	return c.groups[sg].segParity[seg] >= 0
 }
 
-// refetchParityless is the fallback for a lost run on column col of a
-// parityless segment, whether the column failed or the run is unreadable or
-// corrupt: dirty data is gone for good (ErrDataLoss, naming the fault), and
-// clean data is dropped and re-fetched from primary storage.
-func (c *Cache) refetchParityless(at vtime.Time, col int, firstLBA, pages int64, fault string) (vtime.Time, error) {
-	for p := firstLBA; p < firstLBA+pages; p++ {
-		e, ok := c.mapping.get(p)
-		if !ok {
+// dropUnvouched is the one rule for pages a checked read cannot vouch for,
+// applied to the n locations from loc, with cause saying why: a dirty page
+// is data loss, reported as cause, and a clean page leaves the cache, since
+// primary storage holds it.
+func (c *Cache) dropUnvouched(loc, n int64, cause error) error {
+	slots := c.groups[c.lay.groupOf(loc)].slots
+	for l := loc; l < loc+n; l++ {
+		packed := slots[c.lay.localSlot(l)]
+		if packed == slotFree {
 			continue
 		}
-		if e.state == stateSSDDirty {
-			return at, fmt.Errorf("%w: dirty page %d %s ssd %d in parityless segment", ErrDataLoss, p, fault, col)
+		lba, dirty := unpackSlot(packed)
+		if dirty {
+			return cause
 		}
-		c.dropPage(p, e)
+		c.invalidateSSD(l)
+		c.mapping.del(lba)
 	}
-	return c.fillFromPrimary(at, firstLBA, pages)
+	return nil
 }
 
 // reconstructColumns charges the reads that rebuild a lost column range
@@ -62,11 +65,12 @@ func (c *Cache) reconstructColumns(at vtime.Time, col int, off, n int64) (vtime.
 	return done, nil
 }
 
-// ReconstructTag recomputes the content tag of a lost page from the
+// reconstructTag recomputes the content tag of a lost page from the
 // surviving columns' tags — the content-level counterpart of
-// reconstructColumns.
-// Requires TrackContent.
-func (c *Cache) ReconstructTag(loc int64) (blockdev.Tag, error) {
+// reconstructColumns. It is valid only after reconstructColumns has read
+// those columns through submitSSD: the tags of a column that cannot be read
+// prove nothing. Requires TrackContent.
+func (c *Cache) reconstructTag(loc int64) (blockdev.Tag, error) {
 	sg, seg, col, pic := c.lay.split(loc)
 	if int(c.groups[sg].segParity[seg]) < 0 {
 		return blockdev.ZeroTag, fmt.Errorf("%w: location %d has no parity", ErrDataLoss, loc)
@@ -91,7 +95,7 @@ func (c *Cache) ReconstructTag(loc int64) (blockdev.Tag, error) {
 // expected tag want: a stripe that no longer reconstructs the page is data
 // loss, not a repair.
 func (c *Cache) reconstructExpected(loc, lba int64, want blockdev.Tag) error {
-	tag, err := c.ReconstructTag(loc)
+	tag, err := c.reconstructTag(loc)
 	if err == nil && tag != want {
 		err = fmt.Errorf("%w: page %d does not reconstruct from parity", ErrDataLoss, lba)
 	}
@@ -132,7 +136,7 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 			// zero). Skipping them would leave a rebuilt parity column
 			// all-zero and poison every later reconstruction through it.
 			if genErr == nil {
-				if tag, err := c.ReconstructTag(loc); err == nil {
+				if tag, err := c.reconstructTag(loc); err == nil {
 					if werr := cont.WriteTag(basePage+pic, tag); werr != nil {
 						return werr
 					}

@@ -20,7 +20,6 @@ type liveEntry struct {
 	loc   int64
 	dirty bool
 	read  bool         // staged from SSD (dirty always; hot clean under S2S)
-	lost  bool         // unrecoverable clean page in a parityless segment: dropped
 	tag   blockdev.Tag // verified content (read entries, TrackContent only)
 }
 
@@ -202,134 +201,69 @@ func (c *Cache) costBenefit(sg int64) float64 {
 	return age * (1 - u) / (1 + u)
 }
 
-// evacuate gathers every valid page of the victim into RAM, charging the
-// SSD reads needed to stage the pages that will move: dirty pages always
-// (they are either destaged or copied), hot clean pages under S2S copy
-// mode, and all clean pages when keepCold copies them forward. It clears
+// evacuate gathers every valid page of the victim into RAM, staging the
+// pages that will move through the checked read: dirty pages always (they
+// are either destaged or copied), hot clean pages under S2S copy mode, and
+// all clean pages when keepCold copies them forward. A clean page the read
+// cannot vouch for is dropped and reloads from primary on demand. It clears
 // the victim's slots and mapping entries. The returned entries are scratch,
 // valid until the next evacuate.
 func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) ([]liveEntry, vtime.Time, error) {
 	g := &c.groups[victim]
 	live := c.scratch.live[:0]
-	readDone := at
-	lost := false // some entry was marked lost and must be filtered out
-
-	// Pass 1: gather entries in location order and clear the slots.
 	base := victim * c.lay.slotsPerSG()
-	for s := int64(0); s < c.lay.slotsPerSG(); s++ {
-		packed := g.slots[s]
+	for s, packed := range g.slots {
 		if packed == slotFree {
 			continue
 		}
 		lba, dirty := unpackSlot(packed)
-		loc := base + s
-		e := liveEntry{
-			lba: lba, loc: loc, dirty: dirty,
+		live = append(live, liveEntry{
+			lba: lba, loc: base + int64(s), dirty: dirty,
 			read: dirty || (copyMode && (keepCold || c.hot.Get(lba))),
-		}
-		if c.cfg.TrackContent && e.read {
-			// Verify moved pages so GC never propagates silent corruption
-			// into new segments (and their parity).
-			col, off := c.lay.devOffset(c.cfg, loc)
-			got, err := c.cfg.SSDs[col].Content().ReadTag(off / blockdev.PageSize)
-			if err != nil {
-				return nil, readDone, err
-			}
-			if e.tag, err = c.expectedTag(lba); err != nil {
-				return nil, readDone, err
-			}
-			if got != e.tag {
-				c.repair.CorruptionsDetected++
-				switch {
-				case c.hasParity(loc):
-					if err := c.reconstructExpected(loc, lba, e.tag); err != nil {
-						return nil, readDone, err
-					}
-					c.repair.CorruptionsRepaired++
-				case dirty:
-					return nil, readDone, fmt.Errorf("%w: dirty page %d corrupt without parity", ErrDataLoss, lba)
-				default:
-					e.lost, lost = true, true // dropped; reloads from primary on demand
-				}
-			}
-		}
-		live = append(live, e)
-		g.slots[s] = slotFree
-		g.valid--
-		c.totalValid--
-		c.mapping.del(lba)
+		})
 	}
 	c.scratch.live = live
 
-	// Pass 2: stage the pages that move, coalescing location-contiguous
-	// reads; a failed column is reconstructed from parity, or — in a
-	// parityless segment — its pages are marked lost (clean data only;
-	// dirty pages in parityless segments exist only under RAID-0, where
-	// a failure is fatal anyway). A run extends exactly when loc == prev+1:
-	// live pages sit only at pics 1..payloadPages of a column, never on MS
-	// or ME (pics 0 and pagesPerCol-1), so two consecutive live locations
-	// can never straddle a column, a segment or a group.
-	run := c.scratch.run[:0]
-	flushRun := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		first := live[run[0]].loc
-		n := int64(len(run))
-		col, off := c.lay.devOffset(c.cfg, first)
-		t, err := c.submitSSD(at, col, blockdev.Request{
-			Op: blockdev.OpRead, Off: off, Len: n * blockdev.PageSize,
-		})
-		if err != nil && (isDeviceFailed(err) || errors.Is(err, blockdev.ErrUnreadable)) {
-			// The victim is being reclaimed, so an unreadable run is not
-			// repaired in place; like a failed column, it is reconstructed
-			// from parity or its clean pages are marked lost.
-			if c.hasParity(first) {
-				t, err = c.reconstructColumns(at, col, off, n*blockdev.PageSize)
-			} else {
-				for _, i := range run {
-					if live[i].dirty {
-						return fmt.Errorf("%w: dirty page %d lost on ssd %d in parityless segment",
-							ErrDataLoss, live[i].lba, col)
-					}
-					live[i].lost = true
-				}
-				lost = true
-				run = run[:0]
-				return nil
+	// Stage the pages that move, one readSSD per run of neighbouring
+	// locations. A run extends exactly when loc == prev+1: live pages sit
+	// only at pics 1..payloadPages of a column, never on MS or ME (pics 0
+	// and pagesPerCol-1), so two consecutive live locations can never
+	// straddle a column, a segment or a group.
+	readDone := at
+	for i := 0; i < len(live); {
+		j := i + 1
+		if live[i].read {
+			for j < len(live) && live[j].read && live[j].loc == live[j-1].loc+1 {
+				j++
 			}
+			col, off := c.lay.devOffset(c.cfg, live[i].loc)
+			t, _, err := c.readSSD(at, live[i].loc, col, off/blockdev.PageSize, int64(j-i))
+			if err != nil {
+				return nil, readDone, err
+			}
+			readDone = vtime.Max(readDone, t)
 		}
-		if err != nil {
-			return err
-		}
-		readDone = vtime.Max(readDone, t)
-		run = run[:0]
-		return nil
+		i = j
 	}
-	for i := range live {
-		if !live[i].read || live[i].lost {
+
+	// Clear the slots, keeping the pages the read did not drop.
+	kept := live[:0]
+	for _, e := range live {
+		s := e.loc - base
+		if g.slots[s] == slotFree {
 			continue
 		}
-		if len(run) > 0 && live[i].loc != live[run[len(run)-1]].loc+1 {
-			if err := flushRun(); err != nil {
+		if c.cfg.TrackContent && e.read {
+			var err error
+			if e.tag, err = c.expectedTag(e.lba); err != nil {
 				return nil, readDone, err
 			}
 		}
-		run = append(run, i)
-	}
-	if err := flushRun(); err != nil {
-		return nil, readDone, err
-	}
-	c.scratch.run = run
-	if !lost {
-		return live, readDone, nil
-	}
-	// Lost entries cannot be copied or destaged.
-	kept := live[:0]
-	for _, e := range live {
-		if !e.lost {
-			kept = append(kept, e)
-		}
+		kept = append(kept, e)
+		g.slots[s] = slotFree
+		g.valid--
+		c.totalValid--
+		c.mapping.del(e.lba)
 	}
 	return kept, readDone, nil
 }

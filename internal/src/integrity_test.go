@@ -199,7 +199,7 @@ func TestDegradedReadReconstructsDirty(t *testing.T) {
 		t.Fatal("degraded read did not touch surviving SSDs")
 	}
 	// Content-level reconstruction agrees with the written version.
-	tag, err := e.cache.ReconstructTag(e.cache.mapping.entries[target].loc)
+	tag, err := e.cache.reconstructTag(e.cache.mapping.entries[target].loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,6 +505,212 @@ func TestGCVerifiesNeverWrittenPages(t *testing.T) {
 	}
 }
 
+// reclaimOldest runs one gc round on the oldest closed group as gc runs
+// it: evacuate, the S2S copies (copyMode, cold clean pages included) or
+// the S2D destage, the drain, the flush and the trim. It returns the pages
+// the round took out of the group.
+func (e *env) reclaimOldest(copyMode bool) ([]int64, error) {
+	c := e.cache
+	victim := c.fifo[0]
+	live, done, err := c.evacuate(e.at, victim, copyMode, copyMode)
+	if err != nil {
+		return nil, err
+	}
+	moved := make([]int64, len(live))
+	for i, le := range live {
+		moved[i] = le.lba
+	}
+	if copyMode {
+		err = c.reinsert(done, live, true)
+	} else {
+		err = c.destage(done, live)
+	}
+	if err == nil {
+		done, err = c.drainDirty(done)
+	}
+	if err == nil {
+		done, err = c.flushSSDs(done)
+	}
+	if err == nil {
+		err = c.reclaim(done, victim)
+	}
+	e.at = vtime.Max(e.at, done)
+	return moved, err
+}
+
+// verifies requires lba's copy wherever it now lives to hold its expected
+// tag: a RAM buffer's slot, an SSD copy ReadCheck verifies without finding
+// corruption, or, when the cache no longer holds lba, primary storage.
+func (e *env) verifies(lba int64) {
+	e.t.Helper()
+	c := e.cache
+	want, err := c.expectedTag(lba)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	var got blockdev.Tag
+	en, cached := c.mapping.get(lba)
+	switch {
+	case !cached:
+		got, err = e.prim.Content().ReadTag(lba)
+	case en.state == stateBufClean:
+		got = c.cleanBuf.slots[en.loc].tag
+	case en.state == stateBufDirty:
+		got = c.dirtyBuf.slots[en.loc].tag
+	case en.state == stateBufGC:
+		got = c.gcBuf.slots[en.loc].tag
+	default:
+		before := c.RepairStats().CorruptionsDetected
+		var done vtime.Time
+		if got, done, err = c.ReadCheck(e.at, lba); err == nil && c.RepairStats().CorruptionsDetected != before {
+			e.t.Fatalf("page %d: its SSD copy is corrupt", lba)
+		}
+		e.at = vtime.Max(e.at, done)
+	}
+	if err != nil {
+		e.t.Fatalf("page %d: %v", lba, err)
+	}
+	if got != want {
+		e.t.Fatalf("page %d holds %v (cached %v, state %v), want %v", lba, got, cached, en.state, want)
+	}
+}
+
+// stripeFault closes the first group with dirty (writes) or clean (read
+// misses) pages and flushes, then fail-stops column 0 and silently
+// corrupts a page on another column whose stripe holds a page on column 0:
+// a double fault that single parity cannot rebuild. It returns that page
+// on column 0 and the corrupt one.
+func stripeFault(e *env, dirty bool) (onFailed, corrupt int64) {
+	e.t.Helper()
+	c := e.cache
+	if dirty {
+		e.write(0, (c.lay.segsPerSG+1)*int64(c.dirtyBuf.Cap()))
+	} else {
+		e.read(0, (c.lay.segsPerSG+1)*int64(c.cleanBuf.Cap()))
+	}
+	if _, err := c.Flush(e.at); err != nil {
+		e.t.Fatal(err)
+	}
+	victim := c.fifo[0]
+	for lba := range int64(64) {
+		en, ok := c.mapping.get(lba)
+		if !ok || !en.state.onSSD() || c.lay.groupOf(en.loc) != victim || en.col != 0 {
+			continue
+		}
+		sg, seg, _, pic := c.lay.split(en.loc)
+		for col := 1; col < c.lay.m; col++ {
+			if packed := c.groups[sg].slots[c.lay.localSlot(c.lay.loc(sg, seg, col, pic))]; packed != slotFree {
+				corrupt, _ = unpackSlot(packed)
+				e.ssds[0].Fail()
+				e.corruptOnSSD(corrupt)
+				return lba, corrupt
+			}
+		}
+	}
+	e.t.Fatal("no stripe of the first group holds pages on column 0 and another column")
+	return 0, 0
+}
+
+// TestDoubleFaultDirtyIsDataLoss: a dirty page on a failed column whose
+// stripe holds a corrupt page, and that corrupt page, cannot be rebuilt
+// from surviving columns that can be read. A host read of either and a
+// reclaim of their group all report ErrDataLoss.
+func TestDoubleFaultDirtyIsDataLoss(t *testing.T) {
+	for _, name := range []string{"read-failed", "read-corrupt", "reclaim"} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, nil)
+			onFailed, corrupt := stripeFault(e, true)
+			var err error
+			switch name {
+			case "reclaim":
+				_, err = e.reclaimOldest(false)
+			default:
+				lba := onFailed
+				if name == "read-corrupt" {
+					lba = corrupt
+				}
+				_, err = e.cache.Submit(e.at, blockdev.Request{
+					Op: blockdev.OpRead, Off: lba * blockdev.PageSize, Len: blockdev.PageSize,
+				})
+			}
+			if !errors.Is(err, ErrDataLoss) {
+				t.Fatalf("%s over a double fault: %v, want ErrDataLoss", name, err)
+			}
+		})
+	}
+}
+
+// TestDoubleFaultCleanFallsBackToPrimary is the clean half under PC: the
+// same two pages cannot be vouched for, so a host read refetches them from
+// primary, and a copy round drops them instead of carrying a rebuilt guess
+// forward. Either way the next read serves primary's tag.
+func TestDoubleFaultCleanFallsBackToPrimary(t *testing.T) {
+	for _, name := range []string{"read", "reclaim"} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, func(c *Config) { c.Parity = PC })
+			onFailed, corrupt := stripeFault(e, false)
+			if name == "reclaim" {
+				moved, err := e.reclaimOldest(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lba := range moved {
+					e.verifies(lba)
+				}
+				for _, lba := range []int64{onFailed, corrupt} {
+					if _, ok := e.cache.mapping.get(lba); ok {
+						t.Fatalf("the copy round kept page %d, which it cannot vouch for", lba)
+					}
+				}
+			}
+			for _, lba := range []int64{onFailed, corrupt} {
+				primReads := e.prim.Stats().ReadOps
+				e.read(lba, 1)
+				if e.prim.Stats().ReadOps == primReads {
+					t.Fatalf("page %d was not refetched from primary", lba)
+				}
+				e.verifies(lba)
+			}
+			e.checkInvariants()
+		})
+	}
+}
+
+// TestReclaimDuringRebuildCountsNoCorruption reclaims a group while the
+// replaced column still awaits its rebuild. The fresh device holds no tags
+// there yet, so the round reads that column by reconstruction: nothing is
+// corrupt, and every destaged page reaches primary intact.
+func TestReclaimDuringRebuildCountsNoCorruption(t *testing.T) {
+	e := newEnv(t, nil)
+	c := e.cache
+	e.write(0, (c.lay.segsPerSG+1)*int64(c.dirtyBuf.Cap()))
+	if _, err := c.Flush(e.at); err != nil {
+		t.Fatal(err)
+	}
+	e.ssds[1].Fail()
+	fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+	done, err := c.ReplaceSSD(e.at, 1, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ssds[1], e.at = fresh, done
+	moved, err := e.reclaimOldest(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.RepairStats(); st.CorruptionsDetected != 0 || st.CorruptionsRepaired != 0 {
+		t.Fatalf("reclaim during a rebuild counted %d corruptions and %d repairs, want none",
+			st.CorruptionsDetected, st.CorruptionsRepaired)
+	}
+	if len(moved) == 0 {
+		t.Fatal("the round moved nothing")
+	}
+	for _, lba := range moved {
+		e.verifies(lba)
+	}
+	e.checkInvariants()
+}
+
 // TestRecoveryRoundTripUnderLoad crashes mid-workload and verifies the
 // recovered state passes the invariant checks and serves correct content.
 func TestRecoveryRoundTripUnderLoad(t *testing.T) {
@@ -606,17 +812,26 @@ func TestDegradedRunRefetchRegression(t *testing.T) {
 }
 
 // FuzzCheckedRead plants silent corruption, latent sector errors and at most
-// one fail-stop on a small TrackContent RAID-5 cache (PC or NPC), then
-// issues host reads. Each read either reports ErrDataLoss or leaves every
-// page of its range that is still on the SSDs verifying, so a ReadCheck
-// right after counts no new corruption. The input is a parity byte and
-// (op, arg) pairs: op%4 picks corrupt, latent error, fail-stop or read.
+// one fail-stop, optionally replaced by a fresh device whose rebuild is left
+// pending, on a small TrackContent RAID-5 cache (PC or NPC), then issues
+// host reads and reclaim rounds. Each read either reports ErrDataLoss or
+// leaves every page of its range that is still on the SSDs verifying, so a
+// ReadCheck right after counts no new corruption. Each round runs on the
+// oldest closed group and either reports ErrDataLoss or leaves every page
+// it took out of the group verifying where it now lives. The input is a
+// parity byte and (op, arg) pairs: op%5 picks corrupt, latent error,
+// fail-stop (and replace, when op/5 is odd), read (op/5%8+1 pages) or
+// reclaim (S2S when op/5 is odd, else S2D).
 func FuzzCheckedRead(f *testing.F) {
-	f.Add(byte(0), []byte{0, 3, 3, 0, 7, 3})                    // corrupt a dirty page, read it
-	f.Add(byte(0), []byte{0, 120, 1, 120, 31, 112})             // corrupt + latent on a clean page
-	f.Add(byte(1), []byte{0, 130, 2, 1, 31, 128, 3, 0})         // PC: corrupt, fail a column, read
-	f.Add(byte(1), []byte{1, 5, 0, 6, 2, 2, 31, 0, 31, 200})    // latent, corrupt, fail-stop, reads
-	f.Add(byte(0), []byte{0, 4, 0, 5, 0, 150, 0, 151, 31, 144}) // several corruptions in a run
+	f.Add(byte(0), []byte{0, 3, 3, 0, 8, 3})                    // corrupt a dirty page, read it
+	f.Add(byte(0), []byte{0, 120, 1, 120, 38, 112})             // corrupt + latent on a clean page
+	f.Add(byte(1), []byte{0, 130, 2, 1, 38, 128, 3, 0})         // PC: corrupt, fail a column, read
+	f.Add(byte(1), []byte{1, 5, 0, 6, 2, 2, 38, 0, 38, 200})    // latent, corrupt, fail-stop, reads
+	f.Add(byte(0), []byte{0, 4, 0, 5, 0, 150, 0, 151, 38, 144}) // several corruptions in a run
+	f.Add(byte(0), []byte{2, 0, 0, 3, 4, 0})                    // double fault under a dirty page, S2D round
+	f.Add(byte(1), []byte{2, 0, 0, 102, 9, 0, 38, 96})          // PC: double fault under a clean page, S2S round, reads
+	f.Add(byte(0), []byte{7, 1, 9, 0, 3, 0})                    // replace a column, S2S round while its rebuild is pending
+	f.Add(byte(1), []byte{1, 2, 4, 0})                          // latent error under a moved page, S2D round
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		if len(ops) > 256 {
 			return
@@ -633,16 +848,20 @@ func FuzzCheckedRead(f *testing.F) {
 		if _, err := e.cache.Flush(e.at); err != nil {
 			t.Fatal(err)
 		}
+		// Close the first group, so reclaim has one to take.
+		for lba := int64(span); len(e.cache.fifo) == 0; lba += 8 {
+			e.read(lba, 8)
+		}
 		failed := false
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, lba := ops[i], int64(ops[i+1])%span
-			switch op % 4 {
+			switch op % 5 {
 			case 0, 1:
 				col, page, ok := e.cache.Locate(lba)
 				if !ok {
 					continue
 				}
-				if op%4 == 0 {
+				if op%5 == 0 {
 					if err := e.ssds[col].Content().Corrupt(page); err != nil {
 						t.Fatal(err)
 					}
@@ -650,12 +869,22 @@ func FuzzCheckedRead(f *testing.F) {
 					e.ssds[col].InjectUnreadable(page)
 				}
 			case 2:
-				if !failed {
-					e.ssds[lba%int64(len(e.ssds))].Fail()
-					failed = true
+				if failed {
+					continue
 				}
-			default:
-				n := 1 + int64(op/4)%8
+				col := int(lba % int64(len(e.ssds)))
+				e.ssds[col].Fail()
+				failed = true
+				if op/5%2 == 1 {
+					fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+					done, err := e.cache.ReplaceSSD(e.at, col, fresh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.ssds[col], e.at = fresh, done
+				}
+			case 3:
+				n := 1 + int64(op/5)%8
 				done, err := e.cache.Submit(e.at, blockdev.Request{
 					Op: blockdev.OpRead, Off: lba * blockdev.PageSize, Len: n * blockdev.PageSize,
 				})
@@ -678,6 +907,20 @@ func FuzzCheckedRead(f *testing.F) {
 						t.Fatalf("page %d after read [%d,%d) still corrupt", p, lba, lba+n)
 					}
 					e.at = vtime.Max(e.at, done)
+				}
+			default:
+				if len(e.cache.fifo) == 0 {
+					continue
+				}
+				moved, err := e.reclaimOldest(op/5%2 == 1)
+				if errors.Is(err, ErrDataLoss) {
+					return
+				}
+				if err != nil {
+					t.Fatalf("reclaim: %v", err)
+				}
+				for _, p := range moved {
+					e.verifies(p)
 				}
 			}
 		}

@@ -132,6 +132,7 @@ type group struct {
 	segGens []int64
 }
 
+// ensureTables empties g's tables, allocating them on first use.
 func (g *group) ensureTables(l layout) {
 	if g.slots == nil {
 		g.slots = make([]int64, l.slotsPerSG())

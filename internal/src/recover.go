@@ -69,13 +69,7 @@ func (c *Cache) Recover() (int, error) {
 		g.valid = 0
 		g.paycap = 0
 		if g.slots != nil {
-			for i := range g.slots {
-				g.slots[i] = slotFree
-			}
-			for i := range g.segParity {
-				g.segParity[i] = -1
-				g.segGens[i] = 0
-			}
+			g.ensureTables(c.lay)
 		}
 	}
 
@@ -277,7 +271,9 @@ func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
 // applySegment replays one recovered segment into the mapping.
 func (c *Cache) applySegment(rs recoveredSeg) {
 	g := &c.groups[rs.sg]
-	g.ensureTablesIfNeeded(c.lay)
+	if g.slots == nil {
+		g.ensureTables(c.lay)
+	}
 	g.segParity[rs.seg] = rs.parity
 	g.segGens[rs.seg] = rs.gen
 	// Capacity: payload columns of this segment kind.
@@ -315,25 +311,12 @@ func (c *Cache) applySegment(rs recoveredSeg) {
 	}
 }
 
-func (g *group) ensureTablesIfNeeded(l layout) {
-	if g.slots == nil {
-		g.slots = make([]int64, l.slotsPerSG())
-		for i := range g.slots {
-			g.slots[i] = slotFree
-		}
-		g.segParity = make([]int8, l.segsPerSG)
-		for i := range g.segParity {
-			g.segParity[i] = -1
-		}
-		g.segGens = make([]int64, l.segsPerSG)
-	}
-}
-
 // ReadCheck verifies one cached page through the cache's checked read,
 // readSSD, and returns the tag it verified: the page's expectedTag. A
 // mismatch is repaired there (paper §4.1: "SRC compares the original and
-// calculated checksums when reading data"). A copy in a RAM buffer is not
-// read. Requires TrackContent.
+// calculated checksums when reading data"), and a clean page the read
+// cannot vouch for is refetched from primary, as a host read would. A copy
+// in a RAM buffer is not read. Requires TrackContent.
 func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, error) {
 	if !c.cfg.TrackContent {
 		return blockdev.ZeroTag, at, errors.New("src: ReadCheck requires TrackContent")
@@ -346,7 +329,7 @@ func (c *Cache) ReadCheck(at vtime.Time, lba int64) (blockdev.Tag, vtime.Time, e
 	if err != nil || !e.state.onSSD() {
 		return want, at, err // RAM copies cannot silently corrupt here
 	}
-	done, err := c.readSSD(at, e, lba, 1)
+	done, err := c.readRun(at, e, lba, 1)
 	if err != nil {
 		return blockdev.ZeroTag, at, err
 	}

@@ -38,11 +38,14 @@ type RepairStats struct {
 	RebuiltSegments int64
 	// ScrubbedPages counts pages verified by the scrubber.
 	ScrubbedPages int64
-	// CorruptionsDetected counts tag mismatches found by a checked read
-	// (readSSD) or by GC verifying the pages it moves.
+	// CorruptionsDetected counts tag mismatches the checked read (readSSD)
+	// found on a live column, for a host read, ReadCheck or reclaim. It
+	// never counts a page on a column that is down or awaiting rebuild:
+	// that page is read by reconstruction, not from the device.
 	CorruptionsDetected int64
-	// CorruptionsRepaired counts detected corruptions repaired from parity
-	// or by primary refetch.
+	// CorruptionsRepaired counts detected corruptions rebuilt from parity,
+	// or dropped from the cache because primary holds the clean page; the
+	// rest are dirty pages reported as ErrDataLoss.
 	CorruptionsRepaired int64
 	// RebuildDirtyLost counts dirty pages dropped during a rebuild because
 	// their stripe could not be reconstructed and verified — compound-fault

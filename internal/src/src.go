@@ -71,7 +71,6 @@ type scratch struct {
 	perCol    [][]summaryEntry // summary entries per column
 	colTags   [][]blockdev.Tag // content tags per column (TrackContent only)
 	live      []liveEntry      // evacuate's gathered pages
-	run       []int            // evacuate's coalesced read run
 	lbas      []int64          // dirty pages destage writes back
 	sorted    []int64          // destageRuns' radix-sort buffer
 }
@@ -376,94 +375,126 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 }
 
 // readRun reads the pages [lba, lba+pages) of one of hostRead's runs: misses
-// from primary when first is the zero entry, else SSD hits from first on.
+// from primary when first is the zero entry, else SSD hits from first on
+// through the checked read, refetching from primary what it left uncached.
 func (c *Cache) readRun(at vtime.Time, first entry, lba, pages int64) (vtime.Time, error) {
 	if first.state == 0 {
 		return c.fillFromPrimary(at, lba, pages)
 	}
-	return c.readSSD(at, first, lba, pages)
-}
-
-// readSSD is the cache's one checked read. It reads a run of pages from one
-// SSD: lba's copy, whose on-SSD entry is first, then each following page at
-// the following location and device page. A latent sector error is repaired
-// in place from parity, and a failed (or fail-stopped, or not-yet-rebuilt)
-// column is read by reconstruction; without parity, clean pages are
-// refetched from primary and dirty ones are lost. Under TrackContent every
-// page of the run still on the SSD is then checked against expectedTag
-// (paper §4.1: "SRC compares the original and calculated checksums when
-// reading data"): a column that is down or awaiting rebuild was read by
-// reconstruction, so the reconstruction is judged; any other mismatch goes
-// to repairCorrupt.
-func (c *Cache) readSSD(at vtime.Time, first entry, lba, pages int64) (vtime.Time, error) {
-	loc, col, off := first.loc, int(first.col), int64(first.page)*blockdev.PageSize
-	n := pages * blockdev.PageSize
-	t, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: n})
-	switch {
-	case err == nil:
-	case errors.Is(err, blockdev.ErrUnreadable) && c.hasParity(loc):
-		t, err = c.repairUnreadableRun(at, col, off, n)
-	case errors.Is(err, blockdev.ErrUnreadable):
-		t, err = c.refetchParityless(at, col, lba, pages, "unreadable on")
-	case errors.Is(err, blockdev.ErrDeviceFailed) && c.hasParity(loc):
-		t, err = c.reconstructColumns(at, col, off, n)
-	case errors.Is(err, blockdev.ErrDeviceFailed):
-		t, err = c.refetchParityless(at, col, lba, pages, "on failed")
+	ready, lost, err := c.readSSD(at, first.loc, int(first.col), int64(first.page), pages)
+	if err != nil || !lost {
+		return ready, err
 	}
-	if err != nil {
-		return at, err
-	}
-	if !c.cfg.TrackContent {
-		return t, nil
-	}
-	down := c.colDown[col] || c.awaitingRebuild(col, off)
-	cont := c.cfg.SSDs[col].Content()
-	done := t
-	for i := int64(0); i < pages; i++ {
-		p := lba + i
-		if e, ok := c.mapping.get(p); !ok || !e.state.onSSD() || e.loc != loc+i {
-			continue // moved off the SSD by a repair above
-		}
-		want, err := c.expectedTag(p)
-		if err != nil {
-			return at, err
-		}
-		if down {
-			if err := c.reconstructExpected(loc+i, p, want); err != nil {
-				return at, err
-			}
+	// Refetch each run of pages the checked read left uncached.
+	done, end := ready, lba+pages
+	for p := lba; p < end; p++ {
+		if _, ok := c.mapping.get(p); ok {
 			continue
 		}
-		got, err := cont.ReadTag(off/blockdev.PageSize + i)
-		if err != nil {
-			return at, err
-		}
-		if got != want {
-			r, err := c.repairCorrupt(t, loc+i, p, want)
-			if err != nil {
-				return at, err
+		q := p + 1
+		for ; q < end; q++ {
+			if _, ok := c.mapping.get(q); ok {
+				break
 			}
-			done = vtime.Max(done, r)
 		}
+		t, err := c.fillFromPrimary(ready, p, q-p)
+		if err != nil {
+			return done, err
+		}
+		done, p = vtime.Max(done, t), q
 	}
 	return done, nil
 }
 
-// repairCorrupt repairs lba's copy at loc, read at time at and found not to
-// hold want: silent corruption. A parity segment's page is reconstructed
-// from the survivors and rewritten, and the rewrite is committed at once;
-// without parity the page is refetched like a lost one.
-func (c *Cache) repairCorrupt(at vtime.Time, loc, lba int64, want blockdev.Tag) (vtime.Time, error) {
-	c.repair.CorruptionsDetected++
-	col, off := c.lay.devOffset(c.cfg, loc)
-	if !c.hasParity(loc) {
-		t, err := c.refetchParityless(at, col, lba, 1, "corrupt on")
-		if err != nil {
-			return at, err
+// readSSD is the cache's one checked read: host reads, ReadCheck and
+// reclaim read the SSDs through it. It reads the pages at the pages
+// consecutive locations from loc, which lie on SSD col from device page
+// page on. A latent sector error is repaired in place from parity, and a
+// failed (or fail-stopped, or not-yet-rebuilt) column is read by
+// reconstruction. Under TrackContent each page is then checked against
+// expectedTag (paper §4.1: "SRC compares the original and calculated
+// checksums when reading data"): a column that is down or awaiting rebuild
+// was read by reconstruction, so the reconstruction is judged; any other
+// mismatch is silent corruption, which repairCorrupt rebuilds from parity.
+//
+// A page the read cannot vouch for — unreadable or wrong, and not rebuilt
+// to its expected tag from surviving columns that were actually read —
+// follows dropUnvouched's one rule: a dirty page is ErrDataLoss, and a
+// clean page leaves the cache. lost reports whether the read could not
+// vouch for some page: a host read then refetches from primary, and
+// reclaim moves only what is left.
+func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (done vtime.Time, lost bool, err error) {
+	off, n := page*blockdev.PageSize, pages*blockdev.PageSize
+	t, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: n})
+	if err != nil {
+		unreadable := errors.Is(err, blockdev.ErrUnreadable)
+		switch {
+		case !unreadable && !isDeviceFailed(err):
+			return at, false, err
+		case !c.hasParity(loc):
+			err = fmt.Errorf("%w: ssd %d in parityless segment: %v", ErrDataLoss, col, err)
+		case unreadable:
+			t, err = c.repairUnreadableRun(at, col, off, n)
+		default:
+			t, err = c.reconstructColumns(at, col, off, n)
 		}
-		c.repair.CorruptionsRepaired++
-		return t, nil
+		if errors.Is(err, ErrDataLoss) {
+			return at, true, c.dropUnvouched(loc, pages, err)
+		}
+		if err != nil {
+			return at, false, err
+		}
 	}
+	if !c.cfg.TrackContent {
+		return t, false, nil
+	}
+	down := c.colDown[col] || c.awaitingRebuild(col, off)
+	cont := c.cfg.SSDs[col].Content()
+	slots := c.groups[c.lay.groupOf(loc)].slots
+	done = t
+	for i := int64(0); i < pages; i++ {
+		packed := slots[c.lay.localSlot(loc+i)]
+		if packed == slotFree {
+			continue // stale: a gc round the host read's fill ran moved it
+		}
+		lba, _ := unpackSlot(packed)
+		want, err := c.expectedTag(lba)
+		if err != nil {
+			return at, lost, err
+		}
+		corrupt := false
+		if down {
+			err = c.reconstructExpected(loc+i, lba, want)
+		} else if got, rerr := cont.ReadTag(page + i); rerr != nil {
+			return at, lost, rerr
+		} else if corrupt = got != want; corrupt {
+			c.repair.CorruptionsDetected++
+			var r vtime.Time
+			r, err = c.repairCorrupt(t, loc+i, lba, want)
+			done = vtime.Max(done, r)
+		}
+		if errors.Is(err, ErrDataLoss) {
+			lost, err = true, c.dropUnvouched(loc+i, 1, err)
+		}
+		if err != nil {
+			return at, lost, err
+		}
+		if corrupt {
+			c.repair.CorruptionsRepaired++
+		}
+	}
+	return done, lost, nil
+}
+
+// repairCorrupt rebuilds lba's copy at loc, read at time at and found not to
+// hold want, from the survivors of its parity segment and rewrites it, and
+// commits the rewrite at once. A page without parity, or one its stripe
+// does not rebuild to want, is ErrDataLoss for dropUnvouched to judge.
+func (c *Cache) repairCorrupt(at vtime.Time, loc, lba int64, want blockdev.Tag) (vtime.Time, error) {
+	if !c.hasParity(loc) {
+		return at, fmt.Errorf("%w: page %d corrupt in parityless segment", ErrDataLoss, lba)
+	}
+	col, off := c.lay.devOffset(c.cfg, loc)
 	t, err := c.reconstructColumns(at, col, off, blockdev.PageSize)
 	if err != nil {
 		return at, err
@@ -486,7 +517,6 @@ func (c *Cache) repairCorrupt(at vtime.Time, loc, lba int64, want blockdev.Tag) 
 	if t, err = c.flushSSDs(t); err != nil {
 		return at, err
 	}
-	c.repair.CorruptionsRepaired++
 	return t, nil
 }
 
