@@ -204,9 +204,9 @@ func isCheckName(s string) bool {
 }
 
 // Directive scans a comment group for a "//srclint:<name>" marker and
-// returns the text following the marker (trimmed), e.g. "flush" for a
-// //srclint:contract flush doc line. The marker matches exactly:
-// //srclint:contracts does not match name "contract".
+// returns the text following the marker (trimmed), e.g. "Close" for a
+// //srclint:owns Close line comment. The marker matches exactly:
+// //srclint:ownsmore does not match name "owns".
 func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
 	if cg == nil {
 		return "", false
@@ -218,7 +218,7 @@ func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
 			continue
 		}
 		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // longer marker, e.g. //srclint:contracts
+			continue // longer marker, e.g. //srclint:ownsmore
 		}
 		return strings.TrimSpace(rest), true
 	}

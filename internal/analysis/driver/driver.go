@@ -10,8 +10,6 @@
 //	ioerr        blockdev/raid I/O errors are never discarded, and once
 //	             bound are read on every path
 //	lockheld     no sync.Mutex/RWMutex held across blockdev/raid/netblock I/O
-//	flushepoch   //srclint:contract flush functions drain/flush on every
-//	             success path
 //
 // A finding is suppressed by //srclint:allow <check>[,<check>...] [reason]
 // on or directly above its line; a directive that suppresses nothing is
@@ -38,7 +36,6 @@ import (
 
 	"srccache/internal/analysis"
 	"srccache/internal/analysis/determinism"
-	"srccache/internal/analysis/flushepoch"
 	"srccache/internal/analysis/ioerr"
 	"srccache/internal/analysis/lockheld"
 	"srccache/internal/analysis/maprange"
@@ -50,7 +47,6 @@ var Analyzers = []*analysis.Analyzer{
 	maprange.Analyzer,
 	ioerr.Analyzer,
 	lockheld.Analyzer,
-	flushepoch.Analyzer,
 }
 
 // Check applies analyzers to every package the go command lists for

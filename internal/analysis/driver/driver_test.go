@@ -11,7 +11,7 @@ import (
 )
 
 // TestTreeClean is the lint gate: every package of the module, test files
-// included, is clean under all five analyzers, and no //srclint:allow is
+// included, is clean under all four analyzers, and no //srclint:allow is
 // stale.
 func TestTreeClean(t *testing.T) { checkClean(t, "srccache/...") }
 
@@ -55,13 +55,13 @@ func TestSupervisorSelfClean(t *testing.T) {
 	checkClean(t, "srccache/internal/cluster/supervisor")
 }
 
-// TestFleetSelfClean holds the fleet clean under all five analyzers; the TCP
+// TestFleetSelfClean holds the fleet clean under all four analyzers; the TCP
 // transport's two clock reads are its only determinism allows.
 func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster/fleet") }
 
 // checkUnit lists one package the way Check does, lets edit rewrite its
 // file list (the tree itself is never touched), and returns the
-// diagnostics all five analyzers report for it.
+// diagnostics all four analyzers report for it.
 func checkUnit(t *testing.T, importPath string, edit func(files []string) []string) ([]analysis.Diagnostic, *token.FileSet) {
 	t.Helper()
 	units, exports, err := list([]string{importPath})
@@ -91,49 +91,6 @@ func writeTemp(t *testing.T, name, src string) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// gcDrain is gc's drain on its success return, the flushepoch seed site.
-const gcDrain = "_, err := c.drainDirty(at)\n\treturn err"
-
-// TestSeedingRemoval is the sanity check that flushepoch really guards the
-// annotated contract sites: deleting the drain call from gc's return path
-// must produce a flushepoch finding. The mutation happens on a copy in a
-// temp dir; the tree is untouched.
-func TestSeedingRemoval(t *testing.T) {
-	diags, fset := checkUnit(t, "srccache/internal/src", func(files []string) []string {
-		for i, f := range files {
-			if filepath.Base(f) != "gc.go" {
-				continue
-			}
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(string(src), gcDrain) {
-				t.Fatalf("gc.go no longer contains the expected seed site %q; update this test", gcDrain)
-			}
-			files[i] = writeTemp(t, "gc.go", strings.Replace(string(src), gcDrain, "return nil", 1))
-		}
-		return files
-	})
-	var flushDiags []analysis.Diagnostic
-	for _, d := range diags {
-		if d.Category == "flushepoch" {
-			flushDiags = append(flushDiags, d)
-		}
-	}
-	if len(flushDiags) != 1 {
-		t.Fatalf("want exactly 1 flushepoch diagnostic after removing gc's drain, got %d (all: %v)",
-			len(flushDiags), diags)
-	}
-	posn := fset.Position(flushDiags[0].Pos)
-	if filepath.Base(posn.Filename) != "gc.go" {
-		t.Errorf("diagnostic at %v, want in gc.go", posn)
-	}
-	if !strings.Contains(flushDiags[0].Message, "gc") {
-		t.Errorf("message does not name the function: %s", flushDiags[0].Message)
-	}
 }
 
 // TestTreeCleanReadsTestFiles plants one violation in a test file of each

@@ -20,6 +20,7 @@ package chaos
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"maps"
@@ -86,6 +87,10 @@ type harness struct {
 	// cache has acknowledged as crash-safe.
 	durable map[int64]uint64
 
+	// faults counts the device faults injected so far: transient and
+	// latent errors, silent corruption and fail-stops.
+	faults int
+
 	res Result
 }
 
@@ -122,6 +127,11 @@ func Run(o Options) (Result, error) {
 	h.cache = cache
 	for i := 0; i < steps; i++ {
 		if err := h.step(); err != nil {
+			if errors.Is(err, src.ErrNoFreeGroups) && h.faults == 0 {
+				// gc always frees a group on a healthy array; only a fault
+				// can abandon the segment write that would.
+				err = fmt.Errorf("no fault injected, yet %w", err)
+			}
 			return h.res, fmt.Errorf("seed %d op %d: %w", o.Seed, i, err)
 		}
 	}
@@ -235,6 +245,7 @@ func (h *harness) doInject() error {
 		}
 		if n > 0 {
 			h.ssds[d].InjectTransient(n)
+			h.faults++
 			h.res.Transients++
 		}
 		return nil
@@ -250,6 +261,7 @@ func (h *harness) doInject() error {
 			return h.doRead()
 		}
 		h.ssds[col].InjectUnreadable(page)
+		h.faults++
 		h.res.Unreadables++
 		if h.rng.Float64() < 0.5 {
 			// Exercise the repair now via a direct read of the page.
@@ -278,6 +290,7 @@ func (h *harness) doInject() error {
 		if err := h.ssds[col].Content().Corrupt(page); err != nil {
 			return err
 		}
+		h.faults++
 		before := h.cache.RepairStats().CorruptionsDetected
 		_, done, err := h.cache.ReadCheck(h.at, lba)
 		if err != nil {
@@ -351,6 +364,7 @@ func (h *harness) doRebuild() error {
 	}
 	col := h.rng.Intn(numSSD)
 	h.ssds[col].Fail()
+	h.faults++
 	// Foreground traffic against the failed member: served degraded.
 	for k := 0; k < 2; k++ {
 		if err := h.doRead(); err != nil {
@@ -399,6 +413,7 @@ func (h *harness) doScrub() error {
 			if err := h.ssds[col].Content().Corrupt(page); err != nil {
 				return err
 			}
+			h.faults++
 			planted = true
 		}
 	}

@@ -198,30 +198,6 @@ type Config struct {
 	// exhausts it is escalated to column fail-stop (default 20; the same
 	// order as md's max_corrected_read_errors).
 	ErrorBudget int64
-	// Recovery weakens recovery-scan safeguards. Production configurations
-	// leave it zero; only the torture engine's planted-violation tests set
-	// it, to prove each safeguard is load-bearing.
-	Recovery RecoveryHooks
-}
-
-// RecoveryHooks selectively disables recovery-scan safeguards so the
-// torture engine can verify its invariant checker catches the resulting
-// corruption. Never set outside tests.
-type RecoveryHooks struct {
-	// SkipGenerationCheck accepts a column whose MS and ME summaries both
-	// parse but disagree on generation — the torn-segment signature the
-	// generation sandwich exists to catch.
-	SkipGenerationCheck bool
-	// SkipSummaryCRC parses summaries leniently: CRC mismatches are
-	// ignored and a truncated entry array is clipped instead of rejected,
-	// so torn summary blobs are misapplied instead of discarded.
-	SkipSummaryCRC bool
-	// OldestWins inverts the §4.1 replay order: recovered segments are
-	// applied newest-first, so where several surviving generations hold the
-	// same LBA the oldest mapping wins. Unlike the parse hooks, nothing
-	// downstream catches this — the recovered map silently points at stale
-	// slots — which is exactly what the torture checker must detect.
-	OldestWins bool
 }
 
 // Validate fills defaults and checks invariants.

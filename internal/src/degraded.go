@@ -206,7 +206,7 @@ func (c *Cache) survivingGeneration(sg, seg int64, failedCol int) (int64, error)
 		if err != nil || blob == nil {
 			continue
 		}
-		s, err := parseSummary(blob, false)
+		s, err := parseSummary(blob, primaryPages(c.cfg))
 		if err != nil {
 			continue
 		}

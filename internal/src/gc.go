@@ -25,8 +25,9 @@ type liveEntry struct {
 
 // gc reclaims groups until at least two are free. Reclaimed groups are
 // reused, overwriting their old summary blobs — the only durable record of
-// any pages S2S moved out — so every success path must drain the dirty
-// tails first, keeping destruction and replacement in one flush epoch.
+// any pages S2S moved out — so each round drains the dirty tails and
+// flushes before its trim: a destruction never commits before its
+// replacements.
 //
 // Fault-free, no round runs out of space (paper §4.2: S2D of the oldest
 // group always frees it). A copy round writes only what copyFits admitted.
@@ -39,8 +40,6 @@ type liveEntry struct {
 // take only groups closed before the call, so only they write, and the
 // groups they fill bound the rest. Only faults reach ErrNoFreeGroups: an
 // abandoned segment write keeps its segment.
-//
-//srclint:contract flush
 func (c *Cache) gc(at vtime.Time) error {
 	c.inGC = true
 	defer func() { c.inGC = false }()
@@ -102,10 +101,7 @@ func (c *Cache) gc(at vtime.Time) error {
 			return err
 		}
 	}
-	// Every round drained before its trim, so this finds nothing; it keeps
-	// the flush contract on the path that runs no round.
-	_, err := c.drainDirty(at)
-	return err
+	return nil
 }
 
 // copyFits is Sel-GC's admission test for a copy (S2S) round of victim:

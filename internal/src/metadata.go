@@ -91,17 +91,16 @@ func (s *summary) marshal() []byte {
 	return buf
 }
 
-// parseSummary validates and decodes a summary blob. lenient is the parse
-// the RecoveryHooks.SkipSummaryCRC torture hook substitutes to prove the CRC
-// is load-bearing: it skips the CRC check and clips an entry count the
-// bytes cannot hold instead of rejecting it, so a torn summary blob (its
-// tail still holding a stale copy's bytes) decodes to garbage entries.
-func parseSummary(b []byte, lenient bool) (*summary, error) {
+// parseSummary validates and decodes a summary blob written for a volume
+// of pages pages. The superblock does not record the primary's size, so a
+// summary naming a page beyond it, CRC-valid but written for a larger
+// volume, is rejected too.
+func parseSummary(b []byte, pages int64) (*summary, error) {
 	if len(b) < 39 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadSummary, len(b))
 	}
 	body, crc := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if !lenient && crc32.ChecksumIEEE(body) != crc {
+	if crc32.ChecksumIEEE(body) != crc {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSummary)
 	}
 	if binary.LittleEndian.Uint32(body[:4]) != summaryMagic {
@@ -120,10 +119,7 @@ func parseSummary(b []byte, lenient bool) (*summary, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(body[31:]))
 	rest := body[35:]
-	switch {
-	case lenient:
-		count = min(count, len(rest)/17)
-	case len(rest) != count*17:
+	if len(rest) != count*17 {
 		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrBadSummary, count, len(rest))
 	}
 	s.entries = make([]summaryEntry, count)
@@ -133,6 +129,9 @@ func parseSummary(b []byte, lenient bool) (*summary, error) {
 			lba:     int64(binary.LittleEndian.Uint64(rest[off:])),
 			version: binary.LittleEndian.Uint64(rest[off+8:]),
 			dirty:   rest[off+16] == 1,
+		}
+		if lba := s.entries[i].lba; lba != summaryFreeLBA && uint64(lba) >= uint64(pages) {
+			return nil, fmt.Errorf("%w: page %d beyond a volume of %d", ErrBadSummary, lba, pages)
 		}
 	}
 	return s, nil

@@ -66,8 +66,6 @@ func (c *Cache) rebuildForget(sg int64) {
 // The stamped superblock must be flushed before the member counts as
 // installed: a crash before the flush must revert to the pre-replacement
 // array, not see a half-initialized member.
-//
-//srclint:contract flush
 func (c *Cache) ReplaceSSD(at vtime.Time, col int, fresh blockdev.Device) (vtime.Time, error) {
 	if col < 0 || col >= c.lay.m {
 		return at, fmt.Errorf("src: replace of unknown ssd %d", col)
@@ -180,8 +178,6 @@ func (c *Cache) RebuildStep(at vtime.Time) (done vtime.Time, pending bool, err e
 // reflects the RAM view, in which pages rewritten since the last flush are
 // holes — their replacement copies must reach the log before the barrier
 // commits those holes.
-//
-//srclint:contract flush
 func (c *Cache) finishRebuild(done vtime.Time) (vtime.Time, error) {
 	t, err := c.drainDirty(done)
 	if err != nil {

@@ -79,11 +79,6 @@ func (c *Cache) Recover() (int, error) {
 	}
 	// Apply in generation order so the newest copy of each LBA wins.
 	sort.Slice(segs, func(i, j int) bool { return segs[i].gen < segs[j].gen })
-	if c.cfg.Recovery.OldestWins {
-		for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-			segs[i], segs[j] = segs[j], segs[i]
-		}
-	}
 	maxGen := int64(0)
 	for _, rs := range segs {
 		c.applySegment(rs)
@@ -209,7 +204,7 @@ func (c *Cache) checkSuperblock() error {
 // scanSummaries walks every potential segment position and collects the
 // column summaries whose MS/ME generations match.
 func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
-	lenient := c.cfg.Recovery.SkipSummaryCRC
+	pages := primaryPages(c.cfg)
 	var out []recoveredSeg
 	for sg := int64(1); sg < c.lay.numSG; sg++ {
 		for seg := int64(0); seg < c.lay.segsPerSG; seg++ {
@@ -221,7 +216,7 @@ func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
 				if err != nil || msBlob == nil {
 					continue
 				}
-				ms, err := parseSummary(msBlob, lenient)
+				ms, err := parseSummary(msBlob, pages)
 				if err != nil {
 					continue // torn or corrupt MS: skip the column
 				}
@@ -229,17 +224,12 @@ func (c *Cache) scanSummaries() ([]recoveredSeg, error) {
 				if err != nil || meBlob == nil {
 					continue
 				}
-				me, err := parseSummary(meBlob, lenient)
+				me, err := parseSummary(meBlob, pages)
 				if err != nil {
 					continue
 				}
-				if me.gen != ms.gen && !c.cfg.Recovery.SkipGenerationCheck {
+				if me.gen != ms.gen {
 					continue // generation mismatch: torn segment column
-				}
-				if n := int(c.lay.payloadPages); len(ms.entries) > n {
-					// Only the lenient parse can produce an oversized entry
-					// array; clip so the misapplication stays in bounds.
-					ms.entries = ms.entries[:n]
 				}
 				if ms.sg != sg || ms.seg != seg || int(ms.col) != col {
 					continue // stale summary from an address mix-up
@@ -290,9 +280,6 @@ func (c *Cache) applySegment(rs recoveredSeg) {
 		for i, e := range sum.entries {
 			if e.lba == summaryFreeLBA {
 				continue // rebuilt summary holding an invalidated slot's place
-			}
-			if !c.mapping.covers(e.lba) {
-				continue // not a page of this volume: only a lenient parse yields one
 			}
 			loc := c.lay.loc(rs.sg, rs.seg, int(sum.col), int64(i)+1)
 			if old, ok := c.mapping.get(e.lba); ok {

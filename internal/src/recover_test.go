@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"srccache/internal/blockdev"
+	"srccache/internal/vtime"
 )
 
 // recoveryEnv builds a cache with three flushed segments' worth of dirty
@@ -260,5 +261,107 @@ func TestRecoverNewestGenerationWins(t *testing.T) {
 		if want := blockdev.DataTag(lba, 2); got != want {
 			t.Fatalf("page %d recovered as %v, want newest generation %v", lba, got, want)
 		}
+	}
+}
+
+// summaryAt parses the summary blob at page on ssd col.
+func summaryAt(t *testing.T, e *env, col int, page int64) *summary {
+	t.Helper()
+	blob, err := e.ssds[col].Content().ReadBlob(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := parseSummary(blob, primaryPages(e.cache.cfg))
+	if err != nil {
+		t.Fatalf("ssd %d page %d: %v", col, page, err)
+	}
+	return s
+}
+
+// restamp rewrites the summary at page on ssd col with generation gen.
+func restamp(t *testing.T, e *env, col int, page, gen int64) {
+	t.Helper()
+	s := summaryAt(t, e, col, page)
+	s.gen = gen
+	if err := e.ssds[col].Content().WriteBlob(page, s.marshal()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mappedFrom requires every page the MS at ms lists for column col of
+// segment (1,0) to be mapped there (want true), or none of them (want
+// false).
+func mappedFrom(t *testing.T, e *env, ms int64, col int, want bool) {
+	t.Helper()
+	for i, en := range summaryAt(t, e, col, ms).entries {
+		got, ok := e.cache.mapping.get(en.lba)
+		if at := ok && got.loc == e.cache.lay.loc(1, 0, col, int64(i)+1); at != want {
+			t.Errorf("page %d from ssd %d: mapped there %v, want %v", en.lba, col, at, want)
+		}
+	}
+}
+
+// TestRecoverDropsGenerationMismatch checks the MS/ME sandwich (paper §4.1):
+// a column whose ME carries another generation than its MS, each half
+// CRC-valid as when a column is torn between two seals, adds no mapping
+// after Recover, while the segment's other columns still recover.
+func TestRecoverDropsGenerationMismatch(t *testing.T) {
+	e := recoveryEnv(t)
+	ms, me := metaPages(t, e)
+	var payload []int // columns holding pages; the parity column holds none
+	for col := range e.ssds {
+		if len(summaryAt(t, e, col, ms).entries) > 0 {
+			payload = append(payload, col)
+		}
+	}
+	torn, intact := payload[0], payload[1]
+	restamp(t, e, torn, me, summaryAt(t, e, torn, ms).gen+1)
+	if _, err := e.cache.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	mappedFrom(t, e, ms, torn, false)
+	mappedFrom(t, e, ms, intact, true)
+	e.checkInvariants()
+}
+
+// TestRecoverNewestSealWinsAcrossColumns covers a segment whose columns
+// disagree on the generation, as when a crash kept the trim before its
+// latest seal on some devices but not on others: the cut-early device still
+// holds the previous seal's summaries. The newest seal wins even when the
+// scan meets the stale column first: that column adds no mapping, and the
+// others all recover.
+func TestRecoverNewestSealWinsAcrossColumns(t *testing.T) {
+	e := recoveryEnv(t)
+	ms, me := metaPages(t, e)
+	gen := summaryAt(t, e, 0, ms).gen
+	restamp(t, e, 0, ms, gen-1)
+	restamp(t, e, 0, me, gen-1)
+	if _, err := e.cache.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for col := range e.ssds {
+		mappedFrom(t, e, ms, col, col != 0)
+	}
+	e.checkInvariants()
+}
+
+// TestRecoverUnderASmallerPrimary reassembles the cache over its SSDs with a
+// primary too small for some of the pages they hold. The superblock does not
+// record the primary's size, so those summaries are CRC-valid: Recover
+// rejects them and maps only pages of the volume.
+func TestRecoverUnderASmallerPrimary(t *testing.T) {
+	e := recoveryEnv(t)
+	pages := int64(e.cache.dirtyBuf.Cap()) // recoveryEnv wrote three times as many
+	cfg := e.cache.cfg
+	cfg.Primary = blockdev.NewMemDevice(pages*blockdev.PageSize, vtime.Millisecond)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if c.CachedPages() == 0 || c.CachedPages() > int(pages) {
+		t.Fatalf("%d pages recovered for a volume of %d", c.CachedPages(), pages)
 	}
 }

@@ -477,3 +477,24 @@ func TestHardFailureFailStopsColumn(t *testing.T) {
 	}
 	e.checkInvariants()
 }
+
+// TestReplaceSSDCommitsItsStamp checks ReplaceSSD's contract: the fresh
+// member's superblock is durable when the call returns, so a crash right
+// after it, which drops the device's volatile cache, still leaves a
+// superblock that parses.
+func TestReplaceSSDCommitsItsStamp(t *testing.T) {
+	e := newEnv(t, nil)
+	e.ssds[1].Fail()
+	fresh := blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond)
+	if _, err := e.cache.ReplaceSSD(e.at, 1, fresh); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Content().Crash()
+	blob, err := fresh.Content().ReadBlob(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseSuperblock(blob); err != nil {
+		t.Fatalf("superblock after a crash right after ReplaceSSD: %v", err)
+	}
+}

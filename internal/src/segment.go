@@ -202,9 +202,10 @@ func (c *Cache) writeSegment(at vtime.Time, buf *segBuffer, dirty bool) (vtime.T
 	// destruction of old durable records — reclaimed groups being reused,
 	// rebuilt summaries holding sentinels for slots invalidated since the
 	// last flush — before the replacement copies leave RAM. GC drains the
-	// dirty buffers before returning and the rebuild completion barrier
-	// drains before flushing, so those destructions always commit together
-	// with their replacements. FlushNever is handled inside flushSSDs.
+	// dirty buffers and flushes before each trim, and the rebuild
+	// completion barrier drains before flushing, so those destructions
+	// always commit together with their replacements. FlushNever is
+	// handled inside flushSSDs.
 	if !c.inGC && c.rebuild == nil && (c.cfg.Flush == FlushPerSegment || seg == c.lay.segsPerSG-1) {
 		t, ferr := c.flushSSDs(done)
 		if ferr != nil {
@@ -379,8 +380,6 @@ func (c *Cache) recordSegmentContent(sg, seg, gen int64, parity int, perCol [][]
 // written once at assembly time (virtual time zero) and is read-only
 // thereafter. Each member's superblock is flushed before the next member is
 // stamped, so a crash mid-assembly leaves a prefix of recognizable members.
-//
-//srclint:contract flush
 func (c *Cache) writeSuperblock() error {
 	sb := &superblock{
 		ssds:           uint32(c.lay.m),
@@ -402,9 +401,5 @@ func (c *Cache) writeSuperblock() error {
 			return fmt.Errorf("superblock flush: %w", err)
 		}
 	}
-	// The per-member flush is inside the loop, invisible to flushepoch's
-	// must-analysis on the loop's zero-iteration path; Config.Validate
-	// guarantees at least one SSD, so the loop always runs.
-	//srclint:allow flushepoch per-member flush in loop body; Validate enforces len(SSDs) >= 1
 	return nil
 }

@@ -561,8 +561,6 @@ func (c *Cache) fillFromPrimary(at vtime.Time, lba, pages int64) (vtime.Time, er
 // as a (possibly partial) segment and every SSD is flushed. Because dirty
 // data is parity-protected on the SSD array, primary storage need not be
 // touched (the design point distinguishing SRC from flush-through caches).
-//
-//srclint:contract flush
 func (c *Cache) Flush(at vtime.Time) (vtime.Time, error) {
 	done, err := c.drainDirty(at)
 	if err != nil {

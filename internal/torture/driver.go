@@ -118,7 +118,7 @@ func newCellRun(o Options, cell Cell) (*cellRun, error) {
 		devs[i] = &flushTap{Device: m, burst: r.burst, idx: i}
 	}
 	r.prim = blockdev.NewMemDevice(primCap, vtime.Millisecond)
-	cache, err := r.newCache(devs, r.prim, src.RecoveryHooks{})
+	cache, err := r.newCache(devs, r.prim)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +128,8 @@ func newCellRun(o Options, cell Cell) (*cellRun, error) {
 
 // newCache assembles the cell's cache over ssds and prim. Every cache a
 // cell builds — the live one, the loss probe's and each trial's — has this
-// shape; only a trial's recovery may be weakened by hooks.
-func (r *cellRun) newCache(ssds []blockdev.Device, prim blockdev.Device, hooks src.RecoveryHooks) (*src.Cache, error) {
+// shape.
+func (r *cellRun) newCache(ssds []blockdev.Device, prim blockdev.Device) (*src.Cache, error) {
 	return src.New(src.Config{
 		SSDs:           ssds,
 		Primary:        prim,
@@ -140,7 +140,6 @@ func (r *cellRun) newCache(ssds []blockdev.Device, prim blockdev.Device, hooks s
 		Parity:         r.cell.Parity,
 		Flush:          r.cell.Flush,
 		TrackContent:   true,
-		Recovery:       hooks,
 	})
 }
 
@@ -159,6 +158,7 @@ func (r *cellRun) workload() error {
 	const neverCadence = ops / maxEpochs
 	for op := 0; op < ops; op++ {
 		r.burst.bursts = 0
+		reclaims := r.cache.Counters().GroupReclaims
 		explicitFlush := false
 		switch p := r.rng.Float64(); {
 		case p < 0.62:
@@ -204,7 +204,11 @@ func (r *cellRun) workload() error {
 				r.durable = maps.Clone(r.latest)
 			}
 			r.snapshot(op)
-		} else if r.cell.Flush == src.FlushNever && op%neverCadence == neverCadence-1 {
+		} else if r.cache.Counters().GroupReclaims > reclaims ||
+			r.cell.Flush == src.FlushNever && op%neverCadence == neverCadence-1 {
+			// A reclaim trimmed a group: its trim, and the copies that must
+			// be durable before it, sit in the write logs until the next
+			// barrier, so crash there too.
 			r.snapshot(op)
 		}
 		if op%16 == 15 {
@@ -236,7 +240,7 @@ func (r *cellRun) lossProbe() (int, error) {
 	}
 	pc := r.prim.Content().Clone()
 	pc.FlushContent()
-	cache, err := r.newCache(devs, blockdev.NewMemDeviceWithContent(pc, 0), src.RecoveryHooks{})
+	cache, err := r.newCache(devs, blockdev.NewMemDeviceWithContent(pc, 0))
 	if err != nil {
 		return 0, err
 	}

@@ -1,11 +1,11 @@
 // Package torture is the crash-consistency torture engine for the SRC
 // cache. It drives a seeded workload against a live cache, snapshots the
-// devices' write logs at every flush epoch, and then replays systematically
-// chosen partial-persistence crash schedules (blockdev.CrashSchedule)
-// against each snapshot: every trial clones the epoch's device contents,
-// applies one schedule per SSD, recovers a fresh cache instance over the
-// crashed state, and judges it with the Oracle against a model of what the
-// cache had acknowledged.
+// devices' write logs at every flush epoch and after every group reclaim,
+// and then replays systematically chosen partial-persistence crash
+// schedules (blockdev.CrashSchedule) against each snapshot: every trial
+// clones the epoch's device contents, applies one schedule per SSD,
+// recovers a fresh cache instance over the crashed state, and judges it
+// with the Oracle against a model of what the cache had acknowledged.
 //
 // Schedules come in two tiers with different obligations (see
 // blockdev.CrashSchedule):
@@ -75,10 +75,6 @@ type Options struct {
 	Seed int64
 	// Cells is the configuration matrix (default DefaultMatrix()).
 	Cells []Cell
-	// Hooks weakens recovery safeguards (torture-only). The planted-
-	// violation regression tests set these to prove the checker bites;
-	// production runs leave them zero.
-	Hooks src.RecoveryHooks
 }
 
 // Violation is one invariant failure, reported with the shrunk schedule

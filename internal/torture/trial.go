@@ -181,7 +181,7 @@ func (r *cellRun) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.M
 		devs[i] = blockdev.NewMemDeviceWithContent(cc, 0)
 	}
 	prim := blockdev.NewMemDeviceWithContent(ep.prim.Clone(), 0)
-	cache, err := r.newCache(devs, prim, r.opts.Hooks)
+	cache, err := r.newCache(devs, prim)
 	if err != nil {
 		return nil, nil, fmt.Errorf("assembling trial cache: %w", err)
 	}
