@@ -158,7 +158,6 @@ const (
 	UniformRandom = workload.UniformRandom
 	Sequential    = workload.Sequential
 	Zipf          = workload.Zipf
-	Hotspot       = workload.Hotspot
 )
 
 // NewWorkload builds an FIO-like request generator.
@@ -181,12 +180,14 @@ func RunBench(sys bench.System, sources []WorkloadSource, opt BenchOptions) (*Be
 	return bench.Run(sys, sources, opt)
 }
 
-// SystemConfig assembles a complete simulated deployment: an SSD array
-// fronting networked primary storage, wired into an SRC cache. Zero fields
-// take sensible laptop-scale defaults.
+// systemSSDs is the number of cache drives in an assembled deployment: the
+// paper's four-SSD array.
+const systemSSDs = 4
+
+// SystemConfig assembles a complete simulated deployment: an SSD array of
+// four drives fronting networked primary storage, wired into an SRC cache.
+// Zero fields take sensible laptop-scale defaults.
 type SystemConfig struct {
-	// SSDs is the number of cache drives (default 4).
-	SSDs int
 	// SSDCapacity is the per-drive cache region in bytes (default
 	// 256 MiB; must be a multiple of EraseGroupSize).
 	SSDCapacity int64
@@ -209,9 +210,6 @@ type System struct {
 
 // NewSystem builds a complete simulated deployment.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.SSDs == 0 {
-		cfg.SSDs = 4
-	}
 	if cfg.EraseGroupSize == 0 {
 		cfg.EraseGroupSize = 16 << 20
 	}
@@ -221,8 +219,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.PrimaryCapacity == 0 {
 		cfg.PrimaryCapacity = 2 << 30
 	}
-	drives := make([]*SSD, cfg.SSDs)
-	devs := make([]Device, cfg.SSDs)
+	drives := make([]*SSD, systemSSDs)
+	devs := make([]Device, systemSSDs)
 	for i := range drives {
 		c := SATAMLCConfig(fmt.Sprintf("ssd%d", i), cfg.SSDCapacity)
 		c.EraseGroupSize = cfg.EraseGroupSize

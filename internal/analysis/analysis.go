@@ -203,28 +203,6 @@ func isCheckName(s string) bool {
 	return true
 }
 
-// Directive scans a comment group for a "//srclint:<name>" marker and
-// returns the text following the marker (trimmed), e.g. "Close" for a
-// //srclint:owns Close line comment. The marker matches exactly:
-// //srclint:ownsmore does not match name "owns".
-func Directive(cg *ast.CommentGroup, name string) (args string, ok bool) {
-	if cg == nil {
-		return "", false
-	}
-	prefix := "//srclint:" + name
-	for _, c := range cg.List {
-		rest, found := strings.CutPrefix(c.Text, prefix)
-		if !found {
-			continue
-		}
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // longer marker, e.g. //srclint:ownsmore
-		}
-		return strings.TrimSpace(rest), true
-	}
-	return "", false
-}
-
 // Callee resolves the function or method a call expression invokes: method
 // values (including interface methods) via info.Selections, plain and
 // package-qualified calls via info.Uses. It returns nil for calls through

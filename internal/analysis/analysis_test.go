@@ -137,81 +137,6 @@ var a = 1 //srclint:allow wallclock B ioerr
 	}
 }
 
-// parseStruct returns the fields of the first struct type in src.
-func parseStruct(t *testing.T, src string) []*ast.Field {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "ann.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	var fields []*ast.Field
-	ast.Inspect(f, func(x ast.Node) bool {
-		if st, ok := x.(*ast.StructType); ok && fields == nil {
-			fields = st.Fields.List
-		}
-		return true
-	})
-	if fields == nil {
-		t.Fatal("no struct in source")
-	}
-	return fields
-}
-
-// TestFieldDirective: Directive reads markers from any comment group — a
-// struct field's doc comment and its trailing line comment alike — and the
-// marker must match exactly.
-func TestFieldDirective(t *testing.T) {
-	fields := parseStruct(t, `package p
-
-type s struct {
-	// cache is worker state.
-	//srclint:confined run,flush (free-form prose after the list)
-	cache map[int]int
-	done  chan struct{} //srclint:owns Close
-	plain int
-	near  int //srclint:ownsmore Close
-}
-`)
-	if args, ok := Directive(fields[0].Doc, "confined"); !ok {
-		t.Error("doc-comment directive not found")
-	} else if args != "run,flush (free-form prose after the list)" {
-		t.Errorf("confined args = %q", args)
-	}
-	if args, ok := Directive(fields[1].Comment, "owns"); !ok || args != "Close" {
-		t.Errorf("line-comment directive = %q, %v", args, ok)
-	}
-	if _, ok := Directive(fields[2].Comment, "owns"); ok {
-		t.Error("unannotated field matched")
-	}
-	// The marker must match exactly: //srclint:ownsmore is not //srclint:owns.
-	if _, ok := Directive(fields[3].Comment, "owns"); ok {
-		t.Error("directive prefix matched a longer marker")
-	}
-}
-
-func TestDirectiveHelper(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "d.go", `package p
-
-//srclint:handoff
-var flag int
-`, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := f.Decls[0].(*ast.GenDecl)
-	if args, ok := Directive(gd.Doc, "handoff"); !ok || args != "" {
-		t.Errorf("bare directive = %q, %v", args, ok)
-	}
-	if _, ok := Directive(gd.Doc, "hand"); ok {
-		t.Error("shorter marker matched //srclint:handoff")
-	}
-	if _, ok := Directive(nil, "handoff"); ok {
-		t.Error("nil comment group matched")
-	}
-}
-
 // TestContractPackagesExist requires every SimPackages and IOErrPackages
 // suffix to name a package of this module, so a renamed or deleted package
 // cannot leave an entry that silently matches nothing.

@@ -42,17 +42,6 @@ func (s CrashSchedule) validate(n int) error {
 	return nil
 }
 
-// Kept reports how many log entries the schedule persists.
-func (s CrashSchedule) Kept() int {
-	n := 0
-	for _, k := range s.Keep {
-		if k {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns an independent copy of the schedule.
 func (s CrashSchedule) Clone() CrashSchedule {
 	cp := CrashSchedule{Keep: make([]bool, len(s.Keep))}

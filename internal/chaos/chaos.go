@@ -306,15 +306,13 @@ func (h *harness) doInject() error {
 }
 
 func (h *harness) doCrash() error {
-	// Primary storage is durable by fiat (it is redundant, battery-backed
-	// HDD RAID in the paper's setting); the SSDs lose their volatile write
-	// caches. Each SSD independently persists either nothing or a FIFO
-	// prefix of its volatile write log — the skew a set of independent
-	// drive caches produces — and a prefix ending in a blob write may tear
-	// it mid-page, leaving the partially-programmed summary recovery's CRC
-	// must reject. All of these are barrier-legal states, so the
+	// Primary storage is durable (the cache commits every write it makes
+	// there); the SSDs lose their volatile write caches. Each SSD
+	// independently persists either nothing or a FIFO prefix of its
+	// volatile write log — the skew a set of independent drive caches
+	// produces — and a prefix ending in a blob write may tear it mid-page,
+	// leaving the partially-programmed summary recovery's CRC must reject. All of these are barrier-legal states, so the
 	// durability checks below apply unchanged.
-	h.prim.Content().FlushContent()
 	for _, p := range h.ssds {
 		c := p.Content()
 		n := c.WriteLogLen()

@@ -34,9 +34,6 @@ type DetectorConfig struct {
 	// Baseline is the expected healthy per-op round-trip latency; the
 	// fail-slow test compares the observed EWMA against it.
 	Baseline vtime.Duration
-	// SlowFactor classifies a member as Slow once its latency EWMA exceeds
-	// SlowFactor×Baseline (default 4).
-	SlowFactor float64
 	// FailAfter classifies a member as Down after this many consecutive
 	// failed observations (default 3) — transient hiccups below the run
 	// length stay Healthy, matching the error-budget spirit of the repair
@@ -47,9 +44,6 @@ type DetectorConfig struct {
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.Baseline <= 0 {
 		c.Baseline = vtime.Millisecond
-	}
-	if c.SlowFactor <= 1 {
-		c.SlowFactor = 4
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
@@ -77,6 +71,10 @@ type Detector struct {
 func NewDetector(cfg DetectorConfig) *Detector {
 	return &Detector{cfg: cfg.withDefaults(), m: make(map[string]*score)}
 }
+
+// slowFactor classifies a member as Slow once its latency EWMA exceeds
+// slowFactor×Baseline.
+const slowFactor = 4
 
 // ewmaAlpha weights the latest latency sample; 0.3 reacts to a developing
 // fail-slow within a few observations without flapping on one outlier.
@@ -130,7 +128,7 @@ func (d *Detector) State(id string) Health {
 	if s.consecFails >= d.cfg.FailAfter {
 		return Down
 	}
-	if s.samples >= 3 && s.ewmaNs > d.cfg.SlowFactor*float64(d.cfg.Baseline) {
+	if s.samples >= 3 && s.ewmaNs > slowFactor*float64(d.cfg.Baseline) {
 		return Slow
 	}
 	return Healthy

@@ -29,7 +29,7 @@ func TestDetectorFailStop(t *testing.T) {
 }
 
 func TestDetectorObserveOKClearsFailuresOnly(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, SlowFactor: 4, FailAfter: 2})
+	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, FailAfter: 2})
 	for i := 0; i < 5; i++ {
 		d.Observe("a", 10*vtime.Millisecond, false) // well past slow threshold
 	}
@@ -53,7 +53,7 @@ func TestDetectorObserveOKClearsFailuresOnly(t *testing.T) {
 }
 
 func TestDetectorFailSlowThreshold(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, SlowFactor: 4})
+	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond})
 	for i := 0; i < 10; i++ {
 		d.Observe("fast", 2*vtime.Millisecond, false) // 2x baseline: within factor
 		d.Observe("slow", 20*vtime.Millisecond, false)
@@ -76,7 +76,7 @@ func TestDetectorFailSlowThreshold(t *testing.T) {
 func TestDetectorNeedsSamplesBeforeSlow(t *testing.T) {
 	// A single outlier must not classify: cold caches and first contacts
 	// are always slow.
-	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, SlowFactor: 4})
+	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond})
 	d.Observe("a", 100*vtime.Millisecond, false)
 	if d.State("a") != Healthy {
 		t.Fatal("one outlier classified Slow")
@@ -84,7 +84,7 @@ func TestDetectorNeedsSamplesBeforeSlow(t *testing.T) {
 }
 
 func TestDetectorClassifiedSortedAndForget(t *testing.T) {
-	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, SlowFactor: 2, FailAfter: 1})
+	d := NewDetector(DetectorConfig{Baseline: vtime.Millisecond, FailAfter: 1})
 	d.Observe("z", 0, true)
 	d.Observe("a", 0, true)
 	for i := 0; i < 5; i++ {
@@ -107,7 +107,7 @@ func TestDetectorClassifiedSortedAndForget(t *testing.T) {
 
 func TestDetectorDefaults(t *testing.T) {
 	cfg := DetectorConfig{}.withDefaults()
-	if cfg.Baseline <= 0 || cfg.SlowFactor <= 1 || cfg.FailAfter <= 0 {
+	if cfg.Baseline <= 0 || cfg.FailAfter <= 0 {
 		t.Fatalf("defaults unfilled: %+v", cfg)
 	}
 }

@@ -218,6 +218,41 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestTrimsLeaveNoPrimaryWriteLog: primary storage is durable, so the cache
+// commits the trims it forwards there and a shard's primary keeps no
+// volatile write-log entry for them, before a flush or after one.
+func TestTrimsLeaveNoPrimaryWriteLog(t *testing.T) {
+	e := testEngine(t, 2, true)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	page := make([]byte, blockdev.PageSize)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		off := rng.Int63n(e.Size()/blockdev.PageSize-2) * blockdev.PageSize
+		if err := e.WriteAt(page, off); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Trim(off, 2*blockdev.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, s := range e.shards {
+			if n := s.cache.Primary().Content().WriteLogLen(); n != 0 {
+				t.Fatalf("%s: shard %d primary keeps %d write-log entries", when, i, n)
+			}
+		}
+	}
+	check("after trims")
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Flush")
+}
+
 func TestCloseRejectsNewWork(t *testing.T) {
 	e := testEngine(t, 2, true)
 	if err := e.Start(); err != nil {

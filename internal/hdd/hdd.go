@@ -12,22 +12,29 @@ import (
 	"srccache/internal/vtime"
 )
 
-// Config describes one drive. Zero fields default to a 7.2K RPM SATA disk.
+// Config describes one drive. The mechanics are those of the paper's 7.2K
+// RPM SATA disks (the constants below); only the name and size vary.
 type Config struct {
 	Name     string
 	Capacity int64
-	// RPM is the spindle speed (default 7200).
-	RPM float64
-	// AvgSeek is the average seek time — the seek for a move of one third
-	// of the platter (default 8.5 ms).
-	AvgSeek vtime.Duration
-	// TrackSeek is the minimum (track-to-track) seek (default 600 µs).
-	TrackSeek vtime.Duration
-	// TransferRate is the media rate in bytes/s (default 150 MB/s).
-	TransferRate float64
-	// CommandOverhead is per-command controller latency (default 100 µs).
-	CommandOverhead vtime.Duration
 }
+
+// The drive mechanics of a 7.2K RPM SATA disk.
+const (
+	// rpm is the spindle speed.
+	rpm = 7200
+	// rotHalf is the average rotational latency: half a revolution.
+	rotHalf = 30 * vtime.Second / rpm
+	// avgSeek is the average seek time — the seek for a move of one third
+	// of the platter.
+	avgSeek = 8500 * vtime.Microsecond
+	// trackSeek is the minimum (track-to-track) seek.
+	trackSeek = 600 * vtime.Microsecond
+	// transferRate is the media rate in bytes/s (150 MB/s).
+	transferRate = 150e6
+	// commandOverhead is per-command controller latency.
+	commandOverhead = 100 * vtime.Microsecond
+)
 
 // Validate fills defaults and checks invariants.
 func (c Config) Validate() (Config, error) {
@@ -39,21 +46,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Capacity%blockdev.PageSize != 0 {
 		return c, fmt.Errorf("hdd %s: capacity %d not page-aligned", c.Name, c.Capacity)
-	}
-	if c.RPM == 0 {
-		c.RPM = 7200
-	}
-	if c.AvgSeek == 0 {
-		c.AvgSeek = 8500 * vtime.Microsecond
-	}
-	if c.TrackSeek == 0 {
-		c.TrackSeek = 600 * vtime.Microsecond
-	}
-	if c.TransferRate == 0 {
-		c.TransferRate = 150e6
-	}
-	if c.CommandOverhead == 0 {
-		c.CommandOverhead = 100 * vtime.Microsecond
 	}
 	return c, nil
 }
@@ -92,7 +84,7 @@ func (d *HDD) Content() *blockdev.Content { return d.cont }
 
 // seekTime models seek cost for a head move of dist bytes: track-to-track
 // for tiny moves, growing with the square root of distance and calibrated so
-// that a one-third-stroke move costs AvgSeek.
+// that a one-third-stroke move costs avgSeek.
 func (d *HDD) seekTime(dist int64) vtime.Duration {
 	if dist == 0 {
 		return 0
@@ -101,13 +93,8 @@ func (d *HDD) seekTime(dist int64) vtime.Duration {
 	if frac > 3 {
 		frac = 3
 	}
-	extra := float64(d.cfg.AvgSeek-d.cfg.TrackSeek) * math.Sqrt(frac)
-	return d.cfg.TrackSeek + vtime.Duration(extra)
-}
-
-// rotHalf is the average rotational latency: half a revolution.
-func (d *HDD) rotHalf() vtime.Duration {
-	return vtime.Duration(30.0 / d.cfg.RPM * float64(vtime.Second))
+	extra := float64(avgSeek-trackSeek) * math.Sqrt(frac)
+	return trackSeek + vtime.Duration(extra)
 }
 
 // Submit serves the request FCFS. Sequential continuation (offset exactly
@@ -124,13 +111,13 @@ func (d *HDD) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 		return vtime.Max(at, d.busy), nil
 	}
 	start := vtime.Max(at, d.busy)
-	svc := d.cfg.CommandOverhead
+	svc := commandOverhead
 	if req.Off != d.headPos {
 		dist := req.Off - d.headPos
 		if dist < 0 {
 			dist = -dist
 		}
-		mech := d.seekTime(dist) + d.rotHalf()
+		mech := d.seekTime(dist) + rotHalf
 		if at < d.busy {
 			// The request queued behind others: NCQ/elevator scheduling
 			// services sorted batches, cutting mechanical cost under load.
@@ -138,7 +125,7 @@ func (d *HDD) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 		}
 		svc += mech
 	}
-	svc += vtime.TransferTime(req.Len, d.cfg.TransferRate)
+	svc += vtime.TransferTime(req.Len, transferRate)
 	done := start.Add(svc)
 	d.busy = done
 	d.headPos = req.Off + req.Len

@@ -23,10 +23,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 4097}); err == nil {
 		t.Fatal("accepted unaligned capacity")
 	}
-	d := newDisk(t)
-	cfg := d.Config()
-	if cfg.RPM != 7200 || cfg.TransferRate != 150e6 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	// Half a turn at 7200 RPM, truncated to the nanosecond.
+	if rotHalf != 4166666*vtime.Nanosecond {
+		t.Fatalf("rotational half turn %v", rotHalf)
 	}
 }
 
@@ -58,7 +57,7 @@ func TestSequentialContinuationIsCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqCost := done2.Sub(done1)
-	want := d.Config().CommandOverhead + vtime.TransferTime(64<<10, d.Config().TransferRate)
+	want := commandOverhead + vtime.TransferTime(64<<10, transferRate)
 	if seqCost != want {
 		t.Fatalf("sequential cost %v, want %v", seqCost, want)
 	}

@@ -13,11 +13,12 @@ import (
 	"srccache/internal/vtime"
 )
 
+// bandwidth is per-direction bandwidth in bytes/s: the paper's 1 Gbps
+// (125 MB/s) network.
+const bandwidth = 125e6
+
 // Config describes a link.
 type Config struct {
-	// Bandwidth is per-direction bandwidth in bytes/s (default 1 Gbps =
-	// 125 MB/s).
-	Bandwidth float64
 	// RTT is the round-trip latency (default 200 µs).
 	RTT vtime.Duration
 	// Jitter, when positive, adds a uniformly distributed extra delay in
@@ -32,12 +33,6 @@ type Config struct {
 
 // Validate fills defaults.
 func (c Config) Validate() (Config, error) {
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 125e6
-	}
-	if c.Bandwidth < 0 {
-		return c, fmt.Errorf("netlink: negative bandwidth %v", c.Bandwidth)
-	}
 	if c.RTT == 0 {
 		c.RTT = 200 * vtime.Microsecond
 	}
@@ -98,7 +93,7 @@ func (l *Link) Degraded() float64 { return l.factor }
 // draw. The jitter rand advances exactly once per transfer, so the delay
 // sequence is a pure function of (Config, call sequence).
 func (l *Link) delay(n int64) (xfer, prop vtime.Duration) {
-	xfer = vtime.TransferTime(n, l.cfg.Bandwidth)
+	xfer = vtime.TransferTime(n, bandwidth)
 	prop = l.cfg.RTT / 2
 	if l.factor > 1 {
 		xfer = vtime.Duration(float64(xfer) * l.factor)

@@ -11,11 +11,8 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Config().Bandwidth != 125e6 || l.Config().RTT != 200*vtime.Microsecond {
+	if l.Config().RTT != 200*vtime.Microsecond {
 		t.Fatalf("defaults %+v", l.Config())
-	}
-	if _, err := New(Config{Bandwidth: -1}); err == nil {
-		t.Fatal("accepted negative bandwidth")
 	}
 	if _, err := New(Config{RTT: -1}); err == nil {
 		t.Fatal("accepted negative rtt")
@@ -23,28 +20,28 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestTransferTimeAndSerialization(t *testing.T) {
-	l, err := New(Config{Bandwidth: 1e6, RTT: 2 * vtime.Millisecond})
+	l, err := New(Config{RTT: 2 * vtime.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 MB at 1 MB/s = 1 s + half RTT propagation.
-	done := l.Send(0, 1e6)
+	// One second's worth of bytes takes 1 s + half RTT propagation.
+	done := l.Send(0, bandwidth)
 	want := vtime.Time(vtime.Second + vtime.Millisecond)
 	if done != want {
 		t.Fatalf("send done %v, want %v", done, want)
 	}
 	// Second transfer in the same direction queues behind the first.
-	done2 := l.Send(0, 1e6)
+	done2 := l.Send(0, bandwidth)
 	if done2 != want.Add(vtime.Second) {
 		t.Fatalf("queued send done %v", done2)
 	}
-	if l.SentBytes() != 2e6 {
+	if l.SentBytes() != 2*bandwidth {
 		t.Fatalf("sent bytes %d", l.SentBytes())
 	}
 }
 
 func TestJitterDeterministicAndBounded(t *testing.T) {
-	cfg := Config{Bandwidth: 1e6, RTT: 2 * vtime.Millisecond, Jitter: vtime.Millisecond, Seed: 42}
+	cfg := Config{RTT: 2 * vtime.Millisecond, Jitter: vtime.Millisecond, Seed: 42}
 	sequence := func() []vtime.Time {
 		l, err := New(cfg)
 		if err != nil {
@@ -73,7 +70,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	if !varied {
 		t.Fatal("jitter never varied the completion times")
 	}
-	smooth, err := New(Config{Bandwidth: 1e6, RTT: 2 * vtime.Millisecond})
+	smooth, err := New(Config{RTT: 2 * vtime.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,40 +89,40 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 }
 
 func TestDegradeStretchesTransfers(t *testing.T) {
-	l, err := New(Config{Bandwidth: 1e6, RTT: 2 * vtime.Millisecond})
+	l, err := New(Config{RTT: 2 * vtime.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy := l.Send(0, 1e6) // 1s transfer + 1ms propagation
+	healthy := l.Send(0, bandwidth) // 1s transfer + 1ms propagation
 	l.Degrade(3)
 	if l.Degraded() != 3 {
 		t.Fatalf("Degraded() = %v", l.Degraded())
 	}
-	slow := l.Send(healthy, 1e6)
+	slow := l.Send(healthy, bandwidth)
 	if want := healthy.Add(3*vtime.Second + 3*vtime.Millisecond); slow != want {
 		t.Fatalf("degraded send done %v, want %v", slow, want)
 	}
 	// Restoring health (factor clamps below 1) returns to the smooth rate.
 	l.Degrade(0)
-	restored := l.Send(slow, 1e6)
+	restored := l.Send(slow, bandwidth)
 	if want := slow.Add(vtime.Second + vtime.Millisecond); restored != want {
 		t.Fatalf("restored send done %v, want %v", restored, want)
 	}
 }
 
 func TestFullDuplexIndependence(t *testing.T) {
-	l, err := New(Config{Bandwidth: 1e6, RTT: 2 * vtime.Nanosecond})
+	l, err := New(Config{RTT: 2 * vtime.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Send(0, 1e6)
+	l.Send(0, bandwidth)
 	// The receive direction is idle: a simultaneous Recv is not queued
 	// behind the Send.
-	done := l.Recv(0, 1e6)
+	done := l.Recv(0, bandwidth)
 	if done != vtime.Time(vtime.Second+vtime.Nanosecond) {
 		t.Fatalf("recv done %v, want ~1s", done)
 	}
-	if l.RecvBytes() != 1e6 {
+	if l.RecvBytes() != bandwidth {
 		t.Fatalf("recv bytes %d", l.RecvBytes())
 	}
 }

@@ -14,35 +14,26 @@ import (
 	"srccache/internal/vtime"
 )
 
+// The volume's shape is the paper's (Table 1): 8 drives in RAID-10 with
+// 64 KiB chunks, reached over netlink's default link (1 Gbps, 200 µs RTT).
+const (
+	// disks is the number of member drives.
+	disks = 8
+	// chunkSize is the RAID-10 stripe chunk.
+	chunkSize = 64 << 10
+)
+
 // Config describes the backend volume.
 type Config struct {
-	// Disks is the number of member drives (default 8, must be even).
-	Disks int
 	// DiskCapacity is the per-drive size in bytes (default 2 GiB scaled;
 	// the paper used 2 TB drives).
 	DiskCapacity int64
-	// ChunkSize is the RAID-10 stripe chunk (default 64 KiB).
-	ChunkSize int64
-	// Link describes the network path (default 1 Gbps, 200 µs RTT).
-	Link netlink.Config
-	// Disk optionally overrides the drive model (Capacity is ignored in
-	// favour of DiskCapacity).
-	Disk hdd.Config
 }
 
 // Validate fills defaults.
 func (c Config) Validate() (Config, error) {
-	if c.Disks == 0 {
-		c.Disks = 8
-	}
-	if c.Disks < 2 || c.Disks%2 != 0 {
-		return c, fmt.Errorf("primary: disk count %d must be even and at least 2", c.Disks)
-	}
 	if c.DiskCapacity == 0 {
 		c.DiskCapacity = 2 << 30
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 64 << 10
 	}
 	return c, nil
 }
@@ -63,22 +54,19 @@ func New(cfg Config) (*Storage, error) {
 	if err != nil {
 		return nil, err
 	}
-	link, err := netlink.New(cfg.Link)
+	link, err := netlink.New(netlink.Config{})
 	if err != nil {
 		return nil, err
 	}
-	devs := make([]blockdev.Device, cfg.Disks)
+	devs := make([]blockdev.Device, disks)
 	for i := range devs {
-		diskCfg := cfg.Disk
-		diskCfg.Name = fmt.Sprintf("hdd%d", i)
-		diskCfg.Capacity = cfg.DiskCapacity
-		d, err := hdd.New(diskCfg)
+		d, err := hdd.New(hdd.Config{Name: fmt.Sprintf("hdd%d", i), Capacity: cfg.DiskCapacity})
 		if err != nil {
 			return nil, err
 		}
 		devs[i] = d
 	}
-	array, err := raid.New(raid.Level10, cfg.ChunkSize, devs)
+	array, err := raid.New(raid.Level10, chunkSize, devs)
 	if err != nil {
 		return nil, err
 	}

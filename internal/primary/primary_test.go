@@ -7,6 +7,9 @@ import (
 	"srccache/internal/vtime"
 )
 
+// linkBandwidth is the 1 Gbps link's rate in bytes/s.
+const linkBandwidth = 125e6
+
 func newStorage(t *testing.T) *Storage {
 	t.Helper()
 	s, err := New(Config{DiskCapacity: 256 << 20})
@@ -17,12 +20,22 @@ func newStorage(t *testing.T) *Storage {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{Disks: 3}); err == nil {
-		t.Fatal("accepted odd disk count")
-	}
 	s := newStorage(t)
-	if s.Config().Disks != 8 || s.Config().ChunkSize != 64<<10 {
-		t.Fatalf("defaults %+v", s.Config())
+	if n := len(s.Array().Devices()); n != 8 {
+		t.Fatalf("%d member disks, want 8", n)
+	}
+	// A 64 KiB chunk lands on one mirrored pair.
+	if _, err := s.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	written := 0
+	for _, d := range s.Array().Devices() {
+		if d.Stats().WriteBytes > 0 {
+			written++
+		}
+	}
+	if written != 2 {
+		t.Fatalf("a 64 KiB write reached %d disks, want one mirrored pair", written)
 	}
 	// RAID-10 of 8 disks: usable capacity is half the raw space.
 	if s.Capacity() != 4*(256<<20) {
@@ -38,7 +51,7 @@ func TestWriteCrossesLinkThenDisks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At the very least the payload must cross the 125 MB/s link.
-	linkTime := vtime.TransferTime(n, s.Link().Config().Bandwidth)
+	linkTime := vtime.TransferTime(n, linkBandwidth)
 	if done < vtime.Time(linkTime) {
 		t.Fatalf("write done %v faster than link alone %v", done, linkTime)
 	}
@@ -104,7 +117,7 @@ func TestSequentialLargeWritesAreLinkBound(t *testing.T) {
 		}
 	}
 	rate := vtime.Rate(total, at.Sub(0))
-	bw := s.Link().Config().Bandwidth
+	bw := linkBandwidth
 	if rate > bw*1.05 {
 		t.Fatalf("sequential rate %.1f MB/s exceeds link %.1f MB/s", rate/1e6, bw/1e6)
 	}

@@ -267,9 +267,18 @@ func (c *Cache) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) 
 				c.dropPage(p, e)
 			}
 		}
-		return c.cfg.Primary.Submit(at, req)
+		done, err := c.cfg.Primary.Submit(at, req)
+		c.commitPrimary()
+		return done, err
 	}
 }
+
+// commitPrimary makes what the cache has written to primary storage
+// durable at once. The paper takes primary storage to be durable (a
+// redundant HDD RAID behind the cache), so its content store keeps no
+// volatile log or undo record of the cache's writes for a crash that never
+// reverts them. No device flush is issued: virtual time does not move.
+func (c *Cache) commitPrimary() { c.cfg.Primary.Content().FlushContent() }
 
 // hostWrite buffers each page in the dirty segment buffer, writing full
 // segments out as they form. The acknowledgement is immediate for buffered
@@ -693,6 +702,7 @@ func (c *Cache) destageRuns(ready vtime.Time, lbas []int64) (vtime.Time, error) 
 				return done, err
 			}
 		}
+		c.commitPrimary()
 	}
 	return done, nil
 }

@@ -45,33 +45,20 @@ type Config struct {
 	Name string
 	// Capacity is the host-visible size in bytes.
 	Capacity int64
-	// SpareFactor is physical over-provisioning as a fraction of Capacity
-	// (default 0.07, typical for commodity SATA drives). Physical space is
-	// rounded up so at least MinSpareGroups erase groups of headroom exist.
-	SpareFactor float64
 	// EraseGroupSize is the size of the FTL's allocation/erase unit (the
 	// paper's "erase group"), default 256 MiB.
 	EraseGroupSize int64
-	// PagesPerBlock is the NAND block size in pages (default 256 = 1 MiB).
-	PagesPerBlock int
 	// Parallelism is the number of flash units (channel × way) that can
 	// read/program concurrently (default 16).
 	Parallelism int
-	// ReadLatency is the per-page flash read time (default 60 µs).
-	ReadLatency vtime.Duration
 	// ProgramLatency is the per-page program time (default 150 µs MLC).
 	ProgramLatency vtime.Duration
-	// EraseLatency is the per-block erase time (default 2 ms).
-	EraseLatency vtime.Duration
 	// LinkBandwidth is the host interface bandwidth in bytes/s
 	// (default 550 MB/s, SATA 3.0).
 	LinkBandwidth float64
 	// CommandOverhead is the per-command host interface latency; it bounds
 	// small-request IOPS (default 10 µs ≈ 100 K IOPS over SATA).
 	CommandOverhead vtime.Duration
-	// FlushLatency is the firmware cost of a FLUSH CACHE command on top of
-	// draining the write cache (default 2 ms).
-	FlushLatency vtime.Duration
 	// WriteCacheBytes is the volatile DRAM write buffer (default 64 MiB —
 	// commodity drives dedicate only part of their DRAM to write
 	// caching).
@@ -80,18 +67,35 @@ type Config struct {
 	EnduranceCycles int64
 	// Cell is the NAND technology (default MLC).
 	Cell CellType
-	// LogGranules is the number of erase-group-sized regions the FTL can
-	// keep "open" for fragmented (non-sequential) host writes before it
-	// must merge one — the hybrid-FTL log-block pool that makes write
-	// performance collapse when write units are much smaller than the
-	// erase group (the paper's Figure 2 behaviour). Default 8; set to -1
-	// for an ideal page-mapped FTL with no merge penalty.
-	LogGranules int
 }
 
 // MinSpareGroups is the minimum number of spare erase groups the FTL needs
 // so garbage collection always has a destination.
 const MinSpareGroups = 2
+
+// No experiment varies the drive parameters below: they are the paper's
+// commodity-SATA values for every product class.
+const (
+	// spareFactor is physical over-provisioning as a fraction of Capacity,
+	// typical for commodity SATA drives. Physical space is rounded up so at
+	// least MinSpareGroups erase groups of headroom exist.
+	spareFactor = 0.07
+	// pagesPerBlock is the NAND block size in pages (1 MiB).
+	pagesPerBlock = 256
+	// readLatency is the per-page flash read time.
+	readLatency = 60 * vtime.Microsecond
+	// eraseLatency is the per-block erase time.
+	eraseLatency = 2 * vtime.Millisecond
+	// flushLatency is the firmware cost of a FLUSH CACHE command on top of
+	// draining the write cache.
+	flushLatency = 2 * vtime.Millisecond
+	// logGranules is the number of erase-group-sized regions the FTL can
+	// keep "open" for fragmented (non-sequential) host writes before it
+	// must merge one — the hybrid-FTL log-block pool that makes write
+	// performance collapse when write units are much smaller than the
+	// erase group (the paper's Figure 2 behaviour).
+	logGranules = 8
+)
 
 // Validate fills defaults and checks invariants, returning the effective
 // configuration.
@@ -102,38 +106,20 @@ func (c Config) Validate() (Config, error) {
 	if c.Capacity <= 0 {
 		return c, fmt.Errorf("ssd %s: capacity %d must be positive", c.Name, c.Capacity)
 	}
-	if c.SpareFactor == 0 {
-		c.SpareFactor = 0.07
-	}
-	if c.SpareFactor < 0 || c.SpareFactor >= 1 {
-		return c, fmt.Errorf("ssd %s: spare factor %v out of range", c.Name, c.SpareFactor)
-	}
 	if c.EraseGroupSize == 0 {
 		c.EraseGroupSize = 256 << 20
-	}
-	if c.PagesPerBlock == 0 {
-		c.PagesPerBlock = 256
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = 16
 	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 60 * vtime.Microsecond
-	}
 	if c.ProgramLatency == 0 {
 		c.ProgramLatency = 150 * vtime.Microsecond
-	}
-	if c.EraseLatency == 0 {
-		c.EraseLatency = 2 * vtime.Millisecond
 	}
 	if c.LinkBandwidth == 0 {
 		c.LinkBandwidth = 550e6
 	}
 	if c.CommandOverhead == 0 {
 		c.CommandOverhead = 10 * vtime.Microsecond
-	}
-	if c.FlushLatency == 0 {
-		c.FlushLatency = 2 * vtime.Millisecond
 	}
 	if c.WriteCacheBytes == 0 {
 		c.WriteCacheBytes = 64 << 20
@@ -144,10 +130,7 @@ func (c Config) Validate() (Config, error) {
 	if c.Cell == 0 {
 		c.Cell = MLC
 	}
-	if c.LogGranules == 0 {
-		c.LogGranules = 8
-	}
-	blockBytes := int64(c.PagesPerBlock) * blockdev.PageSize
+	blockBytes := int64(pagesPerBlock) * blockdev.PageSize
 	if c.EraseGroupSize%blockBytes != 0 {
 		return c, fmt.Errorf("ssd %s: erase group %d not a multiple of block size %d", c.Name, c.EraseGroupSize, blockBytes)
 	}

@@ -25,9 +25,6 @@ func (d *SSD) granuleCount() int64 {
 // opening/extending log blocks and merging when the pool overflows. ready
 // gates the flash work of any merge.
 func (d *SSD) noteWriteAlignment(firstPage, pages int64, ready vtime.Time) error {
-	if d.cfg.LogGranules < 0 {
-		return nil // ideal page-mapped FTL
-	}
 	for p := firstPage; p < firstPage+pages; {
 		g := d.granuleOf(p)
 		gStart := g * d.pagesPerSB
@@ -94,7 +91,7 @@ func (d *SSD) closeLog(g int64) {
 // discarding stale queue entries (closed by switch merge or trim) as it
 // goes.
 func (d *SSD) evictLogGranules(ready vtime.Time) error {
-	for d.liveLogs > d.cfg.LogGranules {
+	for d.liveLogs > logGranules {
 		g := d.openGran[0]
 		d.openGran = d.openGran[1:]
 		if d.logFill[g] < 0 {
@@ -105,7 +102,7 @@ func (d *SSD) evictLogGranules(ready vtime.Time) error {
 		}
 	}
 	// Bound queue growth from stale entries.
-	for len(d.openGran) > 4*(d.cfg.LogGranules+1) && d.logFill[d.openGran[0]] < 0 {
+	for len(d.openGran) > 4*(logGranules+1) && d.logFill[d.openGran[0]] < 0 {
 		d.openGran = d.openGran[1:]
 	}
 	return nil
@@ -137,7 +134,7 @@ func (d *SSD) mergeGranule(g int64, ready vtime.Time) error {
 	perUnit := (copies + units - 1) / units
 	for i := int64(0); i < units; i++ {
 		u := int((d.mergeCursor + i) % int64(d.cfg.Parallelism))
-		d.bumpUnit(u, ready, vtime.Duration(perUnit)*(d.cfg.ReadLatency+d.cfg.ProgramLatency))
+		d.bumpUnit(u, ready, vtime.Duration(perUnit)*(readLatency+d.cfg.ProgramLatency))
 	}
 	d.mergeCursor += units
 	return nil
@@ -146,9 +143,6 @@ func (d *SSD) mergeGranule(g int64, ready vtime.Time) error {
 // noteTrimAlignment resets granule state for trims; a trim covering a whole
 // granule closes its log block for free and re-arms sequential streaming.
 func (d *SSD) noteTrimAlignment(firstPage, pages int64) {
-	if d.cfg.LogGranules < 0 {
-		return
-	}
 	for p := firstPage; p < firstPage+pages; {
 		g := d.granuleOf(p)
 		gStart := g * d.pagesPerSB

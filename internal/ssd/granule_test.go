@@ -48,14 +48,12 @@ func TestGranuleFullOverwriteIsSwitchMerge(t *testing.T) {
 }
 
 func TestGranuleScatteredWritesMergeOnPoolOverflow(t *testing.T) {
-	cfg := testConfig()
-	cfg.LogGranules = 2
-	d := newTestSSD(t, cfg)
+	d := newTestSSD(t, testConfig())
 	egs := d.Config().EraseGroupSize
 	var at vtime.Time
 	at = fill(t, d, 1<<20, at)
 	// Mid-granule 4K writes across more granules than the pool holds.
-	for g := int64(0); g < 6; g++ {
+	for g := int64(0); g < logGranules+4; g++ {
 		at = write(t, d, at, g*egs+egs/2, blockdev.PageSize)
 	}
 	if d.GCPageCopies() == 0 {
@@ -63,37 +61,20 @@ func TestGranuleScatteredWritesMergeOnPoolOverflow(t *testing.T) {
 	}
 }
 
-func TestGranuleIdealFTLDisablesMerges(t *testing.T) {
-	cfg := testConfig()
-	cfg.LogGranules = -1
-	d := newTestSSD(t, cfg)
-	egs := d.Config().EraseGroupSize
-	var at vtime.Time
-	at = fill(t, d, 1<<20, at)
-	for g := int64(0); g < 12; g++ {
-		at = write(t, d, at, g*egs+egs/4, blockdev.PageSize)
-	}
-	// The ideal page-mapped FTL only copies for its own log GC, which this
-	// small workload does not trigger.
-	if d.GCPageCopies() != 0 {
-		t.Fatalf("ideal FTL merged %d pages", d.GCPageCopies())
-	}
-}
-
 func TestGranuleMergeCostScalesWithValidity(t *testing.T) {
 	// Scattered writes over a fuller device must copy more than over an
 	// emptier one.
 	run := func(fillFrac int64) int64 {
-		cfg := testConfig()
-		cfg.LogGranules = 1
-		d := newTestSSD(t, cfg)
+		d := newTestSSD(t, testConfig())
 		var at vtime.Time
 		for off := int64(0); off < d.Capacity()*fillFrac/4; off += 1 << 20 {
 			at = write(t, d, at, off, 1<<20)
 		}
+		// Cycle over twice as many granules as the pool holds, so every
+		// write past the first pool-full opens a log and merges another.
 		egs := d.Config().EraseGroupSize
-		for g := int64(0); g < 16; g++ {
-			at = write(t, d, at, (g%8)*egs+egs/2+g*blockdev.PageSize, blockdev.PageSize)
+		for g := int64(0); g < 4*logGranules; g++ {
+			at = write(t, d, at, (g%(2*logGranules))*egs+egs/2+g*blockdev.PageSize, blockdev.PageSize)
 		}
 		return d.GCPageCopies()
 	}
@@ -165,14 +146,12 @@ func TestAccountCopiesAggregates(t *testing.T) {
 }
 
 func TestWAFIncludesMergeCopies(t *testing.T) {
-	cfg := testConfig()
-	cfg.LogGranules = 1
-	d := newTestSSD(t, cfg)
+	d := newTestSSD(t, testConfig())
 	var at vtime.Time
 	at = fill(t, d, 1<<20, at)
 	egs := d.Config().EraseGroupSize
-	for g := int64(0); g < 8; g++ {
-		at = write(t, d, at, (g%4)*egs+egs/2+g*blockdev.PageSize, blockdev.PageSize)
+	for g := int64(0); g < 2*logGranules; g++ {
+		at = write(t, d, at, g*egs+egs/2, blockdev.PageSize)
 	}
 	if d.WAF() <= 1.0 {
 		t.Fatalf("WAF %v does not reflect merge copies", d.WAF())

@@ -76,13 +76,13 @@ func New(cfg Config) (*SSD, error) {
 		return nil, err
 	}
 	pagesPerSB := cfg.EraseGroupSize / blockdev.PageSize
-	blocksPerSB := int(cfg.EraseGroupSize / (int64(cfg.PagesPerBlock) * blockdev.PageSize))
+	blocksPerSB := int(cfg.EraseGroupSize / (pagesPerBlock * blockdev.PageSize))
 	hostPages := cfg.Capacity / blockdev.PageSize
 
 	// Physical space: capacity grown by the spare factor, with at least
 	// MinSpareGroups+1 groups of headroom so GC always has a destination
 	// and a victim below full validity exists.
-	physBytes := int64(float64(cfg.Capacity) * (1 + cfg.SpareFactor))
+	physBytes := int64(float64(cfg.Capacity) * (1 + spareFactor))
 	minBytes := cfg.Capacity + int64(MinSpareGroups+1)*cfg.EraseGroupSize
 	if physBytes < minBytes {
 		physBytes = minBytes
@@ -96,7 +96,7 @@ func New(cfg Config) (*SSD, error) {
 	// Erase group sb is flash blocks [sb*blocksPerSB, (sb+1)*blocksPerSB).
 	nand, err := flash.New(flash.Geometry{
 		Blocks:        numSB * blocksPerSB,
-		PagesPerBlock: cfg.PagesPerBlock,
+		PagesPerBlock: pagesPerBlock,
 		PageSize:      blockdev.PageSize,
 	}, cfg.EnduranceCycles)
 	if err != nil {
@@ -182,10 +182,6 @@ func (d *SSD) RetiredGroups() int64 { return d.retiredGroups }
 
 // MeanEraseCount reports average NAND block wear.
 func (d *SSD) MeanEraseCount() float64 { return d.nand.MeanEraseCount() }
-
-// Crash models a power failure: the volatile content (write cache) is lost
-// and reverts to the last flushed state. Timing state is unaffected.
-func (d *SSD) Crash() { d.cont.Crash() }
 
 // unitOf maps a physical page index to its flash unit (channel × way).
 func (d *SSD) unitOf(phys int64) int {
@@ -320,7 +316,7 @@ func (d *SSD) collect(ready vtime.Time) error {
 				continue
 			}
 			// Read from the victim's unit, program into the active group.
-			readDone := d.bumpUnit(d.unitOf(phys), ready, d.cfg.ReadLatency)
+			readDone := d.bumpUnit(d.unitOf(phys), ready, readLatency)
 			blk, pg := d.blockPage(phys)
 			if err := d.nand.Read(blk, pg); err != nil {
 				return fmt.Errorf("ssd %s gc: %w", d.cfg.Name, err)
@@ -349,7 +345,7 @@ func (d *SSD) eraseGroup(sb int32, ready vtime.Time) {
 			retired = true
 			continue
 		}
-		d.bumpUnit(blk%d.cfg.Parallelism, ready, d.cfg.EraseLatency)
+		d.bumpUnit(blk%d.cfg.Parallelism, ready, eraseLatency)
 	}
 	if retired {
 		d.sbState[sb] = groupRetired
@@ -416,7 +412,7 @@ func (d *SSD) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 			if err := d.nand.Read(blk, pg); err != nil {
 				return cmdDone, fmt.Errorf("ssd %s: %w", d.cfg.Name, err)
 			}
-			done := d.bumpUnit(d.unitOf(int64(phys)), cmdDone, d.cfg.ReadLatency)
+			done := d.bumpUnit(d.unitOf(int64(phys)), cmdDone, readLatency)
 			if done > flashDone {
 				flashDone = done
 			}
@@ -437,7 +433,7 @@ func (d *SSD) Flush(at vtime.Time) (vtime.Time, error) {
 	// The cost is waiting for the write-cache drain plus the firmware's
 	// flush work. FLUSH CACHE is a barrier: commands issued after it wait
 	// for its completion.
-	done := vtime.Max(at.Add(d.cfg.CommandOverhead), d.maxBusy).Add(d.cfg.FlushLatency)
+	done := vtime.Max(at.Add(d.cfg.CommandOverhead), d.maxBusy).Add(flushLatency)
 	if done > d.barrier {
 		d.barrier = done
 	}

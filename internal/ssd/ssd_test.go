@@ -10,16 +10,14 @@ import (
 	"srccache/internal/vtime"
 )
 
-// testConfig is a small, fast SSD: 64 MiB capacity, 4 MiB erase groups,
-// 64 KiB blocks.
+// testConfig is a small, fast SSD: 64 MiB capacity, 4 MiB erase groups
+// (16 granules), 1 MiB blocks.
 func testConfig() Config {
 	return Config{
 		Name:           "test",
 		Capacity:       64 << 20,
 		EraseGroupSize: 4 << 20,
-		PagesPerBlock:  16,
 		Parallelism:    4,
-		SpareFactor:    0.25,
 	}
 }
 
@@ -52,8 +50,6 @@ func TestConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"zero capacity", func(c *Config) { c.Capacity = 0 }},
-		{"negative spare", func(c *Config) { c.SpareFactor = -0.1 }},
-		{"spare >= 1", func(c *Config) { c.SpareFactor = 1.0 }},
 		{"erase group not block multiple", func(c *Config) { c.EraseGroupSize = 100 }},
 		{"unaligned capacity", func(c *Config) { c.Capacity = 4097 }},
 	}
@@ -212,7 +208,7 @@ func TestFlushDrainsWriteCache(t *testing.T) {
 	if fd <= ack {
 		t.Fatalf("flush done %v not after write ack %v", fd, ack)
 	}
-	if fd.Sub(ack) < d.Config().FlushLatency {
+	if fd.Sub(ack) < flushLatency {
 		t.Fatalf("flush cheaper than firmware cost: %v", fd.Sub(ack))
 	}
 	if d.Stats().Flushes != 1 {
@@ -275,7 +271,7 @@ func TestCrashLosesUnflushedContent(t *testing.T) {
 	if err := d.Content().WriteTag(2, blockdev.DataTag(2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	d.Crash()
+	d.Content().Crash()
 	if got, err := d.Content().ReadTag(1); err != nil {
 		t.Fatal(err)
 	} else if got != tag {

@@ -31,8 +31,8 @@ type epoch struct {
 	op  int // workload op after which the snapshot was taken
 	at  vtime.Time
 	// ssds are Content clones with their volatile write logs intact; prim
-	// is a committed clone (primary storage is durable by fiat, as in the
-	// paper's battery-backed HDD RAID setting).
+	// is a clone of the primary's store, which the cache keeps committed
+	// (primary storage is durable, as in the paper's HDD RAID setting).
 	ssds []*blockdev.Content
 	prim *blockdev.Content
 	// latest maps lba -> newest acknowledged version; durable maps
@@ -239,7 +239,6 @@ func (r *cellRun) lossProbe() (int, error) {
 		devs[i] = blockdev.NewMemDeviceWithContent(cc, 0)
 	}
 	pc := r.prim.Content().Clone()
-	pc.FlushContent()
 	cache, err := r.newCache(devs, blockdev.NewMemDeviceWithContent(pc, 0))
 	if err != nil {
 		return 0, err
@@ -278,7 +277,6 @@ func (r *cellRun) snapshot(op int) {
 		ep.ssds[i] = d.Content().Clone()
 	}
 	ep.prim = r.prim.Content().Clone()
-	ep.prim.FlushContent() // primary storage is durable by fiat
 	r.epochs = append(r.epochs, ep)
 	if len(r.epochs) > maxEpochs {
 		r.stride *= 2

@@ -131,25 +131,27 @@ type SynthConfig struct {
 	Scale float64
 	// Offset places the trace's address range within the shared volume.
 	Offset int64
-	// Theta is the Zipfian skew of the page popularity, in (0, 1)
-	// (default 0.99).
-	Theta float64
-	// SeqProb is the probability a request continues the previous one
-	// sequentially, modelling the run-length structure of server traces
-	// (default 0.3).
-	SeqProb float64
-	// WriteHotFrac is the probability a write lands in the hot write
-	// region (default 0.9); WriteHotSpan is that region's fraction of the
-	// footprint (default 0.02). Server write working sets are far smaller
-	// and hotter than their read footprints — the property that makes
-	// log-cleaning victims largely invalid in the original traces.
-	WriteHotFrac float64
-	WriteHotSpan float64
-	// MaxReqBytes caps a single request, at least one page (default 1 MiB).
-	MaxReqBytes int64
 	// Seed drives determinism; the trace name is mixed in.
 	Seed int64
 }
+
+// The shape every synthesized trace shares beyond its Spec.
+const (
+	// theta is the Zipfian skew of the page popularity.
+	theta = 0.99
+	// seqProb is the probability a request continues the previous one
+	// sequentially, modelling the run-length structure of server traces.
+	seqProb = 0.3
+	// writeHotFrac is the probability a write lands in the hot write
+	// region; writeHotSpan is that region's fraction of the footprint.
+	// Server write working sets are far smaller and hotter than their read
+	// footprints — the property that makes log-cleaning victims largely
+	// invalid in the original traces.
+	writeHotFrac = 0.9
+	writeHotSpan = 0.02
+	// maxReqBytes caps a single request.
+	maxReqBytes = 1 << 20
+)
 
 func (c SynthConfig) validate() (SynthConfig, error) {
 	if c.Spec.Name == "" {
@@ -160,36 +162,6 @@ func (c SynthConfig) validate() (SynthConfig, error) {
 	}
 	if c.Scale < 0 {
 		return c, fmt.Errorf("trace: negative scale %v", c.Scale)
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.99
-	}
-	if c.Theta <= 0 || c.Theta >= 1 {
-		return c, fmt.Errorf("trace: zipf theta %v out of (0,1)", c.Theta)
-	}
-	if c.SeqProb == 0 {
-		c.SeqProb = 0.3
-	}
-	if c.SeqProb < 0 || c.SeqProb >= 1 {
-		return c, fmt.Errorf("trace: seq probability %v out of [0,1)", c.SeqProb)
-	}
-	if c.MaxReqBytes == 0 {
-		c.MaxReqBytes = 1 << 20
-	}
-	if c.MaxReqBytes < blockdev.PageSize {
-		return c, fmt.Errorf("trace: max request %d bytes below one page", c.MaxReqBytes)
-	}
-	if c.WriteHotFrac == 0 {
-		c.WriteHotFrac = 0.9
-	}
-	if c.WriteHotFrac < 0 || c.WriteHotFrac > 1 {
-		return c, fmt.Errorf("trace: write hot fraction %v out of [0,1]", c.WriteHotFrac)
-	}
-	if c.WriteHotSpan == 0 {
-		c.WriteHotSpan = 0.02
-	}
-	if c.WriteHotSpan <= 0 || c.WriteHotSpan > 1 {
-		return c, fmt.Errorf("trace: write hot span %v out of (0,1]", c.WriteHotSpan)
 	}
 	if c.Offset%blockdev.PageSize != 0 || c.Offset < 0 {
 		return c, fmt.Errorf("trace: offset %d must be page-aligned", c.Offset)
@@ -230,7 +202,7 @@ func NewSynth(cfg SynthConfig) (*Synth, error) {
 	return &Synth{
 		cfg:       cfg,
 		rng:       rng,
-		zipf:      workload.NewZipfian(rng, pages, cfg.Theta),
+		zipf:      workload.NewZipfian(rng, pages, theta),
 		pages:     pages,
 		meanPages: meanPages,
 		lastEnd:   -1,
@@ -254,9 +226,8 @@ func (s *Synth) NextRecord() Record {
 	if s.meanPages > 1 {
 		pages = 1 + int64(s.rng.ExpFloat64()*(s.meanPages-1))
 	}
-	maxPages := s.cfg.MaxReqBytes / blockdev.PageSize
-	if pages > maxPages {
-		pages = maxPages
+	if pages > maxReqBytes/blockdev.PageSize {
+		pages = maxReqBytes / blockdev.PageSize
 	}
 	if pages > s.pages {
 		pages = s.pages
@@ -267,15 +238,15 @@ func (s *Synth) NextRecord() Record {
 		op = blockdev.OpRead
 	}
 
-	// Offset: sequential continuation with probability SeqProb; otherwise
+	// Offset: sequential continuation with probability seqProb; otherwise
 	// a Zipfian-popular page, with writes concentrated in the hot write
 	// region.
 	var page int64
 	switch {
-	case s.lastEnd >= 0 && s.rng.Float64() < s.cfg.SeqProb:
+	case s.lastEnd >= 0 && s.rng.Float64() < seqProb:
 		page = s.lastEnd
-	case op == blockdev.OpWrite && s.rng.Float64() < s.cfg.WriteHotFrac:
-		hotPages := int64(float64(s.pages) * s.cfg.WriteHotSpan)
+	case op == blockdev.OpWrite && s.rng.Float64() < writeHotFrac:
+		hotPages := int64(float64(s.pages) * writeHotSpan)
 		if hotPages < 1 {
 			hotPages = 1
 		}

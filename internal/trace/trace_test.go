@@ -54,12 +54,7 @@ func TestSynthValidation(t *testing.T) {
 	}{
 		{"missing spec", SynthConfig{}},
 		{"negative scale", SynthConfig{Spec: WriteGroup[0], Scale: -1}},
-		{"bad seq probability", SynthConfig{Spec: WriteGroup[0], SeqProb: 1.5}},
 		{"unaligned offset", SynthConfig{Spec: WriteGroup[0], Offset: 3}},
-		{"theta above one", SynthConfig{Spec: WriteGroup[0], Theta: 1.5}},
-		{"negative theta", SynthConfig{Spec: WriteGroup[0], Theta: -0.99}},
-		{"max request below a page", SynthConfig{Spec: WriteGroup[0], MaxReqBytes: blockdev.PageSize - 1}},
-		{"negative max request", SynthConfig{Spec: WriteGroup[0], MaxReqBytes: -1}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := NewSynth(tt.cfg); err == nil {
@@ -144,7 +139,7 @@ func TestSynthStreamGolden(t *testing.T) {
 
 func TestSynthSequentialRuns(t *testing.T) {
 	spec := Spec{Name: "seqcheck", MeanReqKB: 4, FootprintGB: 0.016, ReadPct: 0}
-	s, err := NewSynth(SynthConfig{Spec: spec, SeqProb: 0.7, Seed: 2})
+	s, err := NewSynth(SynthConfig{Spec: spec, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +154,8 @@ func TestSynthSequentialRuns(t *testing.T) {
 		last = r.Off + r.Len
 	}
 	frac := float64(seq) / n
-	if frac < 0.5 || frac > 0.9 {
-		t.Fatalf("sequential continuation fraction %.2f, want ~0.7", frac)
+	if frac < seqProb-0.2 || frac > seqProb+0.2 {
+		t.Fatalf("sequential continuation fraction %.2f, want ~%v", frac, seqProb)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package workload generates block I/O request streams: an FIO-like
-// synthetic generator (uniform random, sequential, Zipfian, hotspot
-// patterns with configurable read fraction and request size), used by the
+// synthetic generator (uniform random, sequential and Zipfian patterns
+// with configurable read fraction and request size), used by the
 // benchmark runner to reproduce the paper's FIO experiments and as the
 // substrate for synthetic trace generation.
 package workload
@@ -31,8 +31,6 @@ const (
 	Sequential
 	// Zipf skews accesses with exponent Theta.
 	Zipf
-	// Hotspot sends HotFraction of accesses to the first HotSpan bytes.
-	Hotspot
 )
 
 // String names the pattern.
@@ -44,8 +42,6 @@ func (p Pattern) String() string {
 		return "sequential"
 	case Zipf:
 		return "zipfian"
-	case Hotspot:
-		return "hotspot"
 	default:
 		return fmt.Sprintf("pattern(%d)", int(p))
 	}
@@ -65,11 +61,6 @@ type Config struct {
 	ReadFraction float64
 	// Theta is the Zipfian exponent, in (0, 1) (default 0.99).
 	Theta float64
-	// HotFraction/HotSpanFraction parameterize Hotspot: HotFraction of
-	// requests target the first HotSpanFraction of the span (both in
-	// (0, 1], defaults 0.8/0.2).
-	HotFraction     float64
-	HotSpanFraction float64
 	// Seed makes the stream deterministic.
 	Seed int64
 }
@@ -78,6 +69,9 @@ type Config struct {
 func (c Config) Validate() (Config, error) {
 	if c.Pattern == 0 {
 		c.Pattern = UniformRandom
+	}
+	if c.Pattern < UniformRandom || c.Pattern > Zipf {
+		return c, fmt.Errorf("workload: unknown %v", c.Pattern)
 	}
 	if c.RequestBytes == 0 {
 		c.RequestBytes = blockdev.PageSize
@@ -99,18 +93,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Theta <= 0 || c.Theta >= 1 {
 		return c, fmt.Errorf("workload: zipf theta %v out of (0,1)", c.Theta)
-	}
-	if c.HotFraction == 0 {
-		c.HotFraction = 0.8
-	}
-	if c.HotFraction < 0 || c.HotFraction > 1 {
-		return c, fmt.Errorf("workload: hot fraction %v out of (0,1]", c.HotFraction)
-	}
-	if c.HotSpanFraction == 0 {
-		c.HotSpanFraction = 0.2
-	}
-	if c.HotSpanFraction < 0 || c.HotSpanFraction > 1 {
-		return c, fmt.Errorf("workload: hot span fraction %v out of (0,1]", c.HotSpanFraction)
 	}
 	return c, nil
 }
@@ -153,16 +135,6 @@ func (g *Generator) Next() (blockdev.Request, bool) {
 		g.next = (g.next + 1) % g.slots()
 	case Zipf:
 		slot = g.zipf.Next()
-	case Hotspot:
-		hotSlots := int64(float64(g.slots()) * g.cfg.HotSpanFraction)
-		if hotSlots < 1 {
-			hotSlots = 1
-		}
-		if g.rng.Float64() < g.cfg.HotFraction {
-			slot = g.rng.Int63n(hotSlots)
-		} else if g.slots() > hotSlots {
-			slot = hotSlots + g.rng.Int63n(g.slots()-hotSlots)
-		}
 	default: // UniformRandom
 		slot = g.rng.Int63n(g.slots())
 	}

@@ -21,10 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		{"unaligned request", Config{Span: 1 << 20, RequestBytes: 100}},
 		{"unaligned offset", Config{Span: 1 << 20, Offset: 3}},
 		{"bad read fraction", Config{Span: 1 << 20, ReadFraction: 1.5}},
-		{"hot span past the span", Config{Pattern: Hotspot, Span: 1 << 20, HotSpanFraction: 1.5}},
-		{"negative hot span", Config{Pattern: Hotspot, Span: 1 << 20, HotSpanFraction: -0.2}},
-		{"hot fraction above one", Config{Pattern: Hotspot, Span: 1 << 20, HotFraction: 1.5}},
-		{"negative hot fraction", Config{Pattern: Hotspot, Span: 1 << 20, HotFraction: -0.8}},
+		{"unknown pattern", Config{Pattern: Zipf + 1, Span: 1 << 20}},
 		{"theta of one", Config{Pattern: Zipf, Span: 1 << 20, Theta: 1}},
 		{"negative theta", Config{Pattern: Zipf, Span: 1 << 20, Theta: -0.5}},
 	}
@@ -96,7 +93,7 @@ func TestReadFraction(t *testing.T) {
 }
 
 func TestRequestsStayInRange(t *testing.T) {
-	for _, p := range []Pattern{UniformRandom, Sequential, Zipf, Hotspot} {
+	for _, p := range []Pattern{UniformRandom, Sequential, Zipf} {
 		g, err := NewGenerator(Config{
 			Pattern: p, Span: 1 << 20, Offset: 1 << 20, RequestBytes: 8192, Seed: 3,
 		})
@@ -192,27 +189,6 @@ func TestZetaTailApproximation(t *testing.T) {
 	}
 }
 
-func TestHotspotConcentration(t *testing.T) {
-	g, err := NewGenerator(Config{Pattern: Hotspot, Span: 1 << 20, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	span := float64(int64(1 << 20))
-	hotLimit := int64(span * 0.2)
-	hot := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		r, _ := g.Next()
-		if r.Off < hotLimit {
-			hot++
-		}
-	}
-	frac := float64(hot) / n
-	if math.Abs(frac-0.8) > 0.05 {
-		t.Fatalf("hot fraction %.3f, want ~0.8", frac)
-	}
-}
-
 func TestLimit(t *testing.T) {
 	g, err := NewGenerator(Config{Span: 1 << 20})
 	if err != nil {
@@ -231,7 +207,7 @@ func TestLimit(t *testing.T) {
 
 func TestPatternStrings(t *testing.T) {
 	if UniformRandom.String() != "uniform" || Sequential.String() != "sequential" ||
-		Zipf.String() != "zipfian" || Hotspot.String() != "hotspot" {
+		Zipf.String() != "zipfian" {
 		t.Fatal("pattern names wrong")
 	}
 }
