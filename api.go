@@ -5,7 +5,6 @@ import (
 
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
-	"srccache/internal/hdd"
 	"srccache/internal/primary"
 	"srccache/internal/src"
 	"srccache/internal/ssd"
@@ -108,10 +107,6 @@ type (
 	SSD = ssd.SSD
 	// SSDConfig parameterizes an SSD.
 	SSDConfig = ssd.Config
-	// HDD is a simulated rotating disk.
-	HDD = hdd.HDD
-	// HDDConfig parameterizes an HDD.
-	HDDConfig = hdd.Config
 	// Primary is the networked HDD-RAID-10 backing store.
 	Primary = primary.Storage
 	// PrimaryConfig parameterizes the backing store.
@@ -127,9 +122,6 @@ var (
 
 // NewSSD builds a simulated flash drive.
 func NewSSD(cfg SSDConfig) (*SSD, error) { return ssd.New(cfg) }
-
-// NewHDD builds a simulated rotating disk.
-func NewHDD(cfg HDDConfig) (*HDD, error) { return hdd.New(cfg) }
 
 // NewPrimary builds the networked backing store.
 func NewPrimary(cfg PrimaryConfig) (*Primary, error) { return primary.New(cfg) }

@@ -70,7 +70,19 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	sys, devs, cache, volume, err := buildTarget(c)
+	var recs []trace.Record
+	if c.replay != "" {
+		f, err := os.Open(c.replay)
+		if err != nil {
+			return err
+		}
+		recs, err = trace.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+	}
+	sys, devs, cache, volume, err := buildTarget(c, traceEnd(recs))
 	if err != nil {
 		return err
 	}
@@ -85,16 +97,12 @@ func run(args []string, stdout io.Writer) error {
 		if c.replay == "" {
 			return fmt.Errorf("-openloop requires -replay (timestamps come from the trace)")
 		}
-		arrivals, err := loadArrivals(c.replay)
-		if err != nil {
-			return err
-		}
-		res, err = bench.RunOpenLoop(sys, arrivals, bench.OpenLoopOptions{Speedup: c.speedup})
+		res, err = bench.RunOpenLoop(sys, arrivals(recs), bench.OpenLoopOptions{Speedup: c.speedup})
 		if err != nil {
 			return err
 		}
 	} else {
-		sources, err := buildSources(c)
+		sources, err := buildSources(c, recs)
 		if err != nil {
 			return err
 		}
@@ -123,10 +131,21 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// traceEnd returns the largest page-rounded end of recs' requests: the
+// primary a replay runs against must reach it.
+func traceEnd(recs []trace.Record) int64 {
+	var end int64
+	for _, r := range recs {
+		end = max(end, (r.Off+r.Len+blockdev.PageSize-1)/blockdev.PageSize*blockdev.PageSize)
+	}
+	return end
+}
+
 // buildTarget assembles the chosen system. It returns the system to drive,
 // the devices to account traffic against, the cache (nil for raw targets),
-// and the host-visible volume size.
-func buildTarget(c config) (bench.System, []blockdev.Device, bench.Cache, int64, error) {
+// and the host-visible volume size. A cache target's primary spans four
+// SSDs' capacity, or minVolume bytes if that is more.
+func buildTarget(c config, minVolume int64) (bench.System, []blockdev.Device, bench.Cache, int64, error) {
 	mkSSDs := func(n int) ([]blockdev.Device, error) {
 		devs := make([]blockdev.Device, n)
 		for i := range devs {
@@ -173,7 +192,7 @@ func buildTarget(c config) (bench.System, []blockdev.Device, bench.Cache, int64,
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
-		prim, err := mkPrimary(4 * c.ssdCap)
+		prim, err := mkPrimary(max(4*c.ssdCap, minVolume))
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -194,7 +213,7 @@ func buildTarget(c config) (bench.System, []blockdev.Device, bench.Cache, int64,
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
-		prim, err := mkPrimary(4 * c.ssdCap)
+		prim, err := mkPrimary(max(4*c.ssdCap, minVolume))
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -215,18 +234,9 @@ func buildTarget(c config) (bench.System, []blockdev.Device, bench.Cache, int64,
 }
 
 // buildSources creates the workload sources: either the synthetic pattern
-// split across threads, or a trace replay.
-func buildSources(c config) ([]workload.Source, error) {
+// split across threads, or a replay of recs.
+func buildSources(c config, recs []trace.Record) ([]workload.Source, error) {
 	if c.replay != "" {
-		f, err := os.Open(c.replay)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		recs, err := trace.ReadCSV(f)
-		if err != nil {
-			return nil, err
-		}
 		return []workload.Source{trace.NewReplay(recs)}, nil
 	}
 	var pattern workload.Pattern
@@ -264,23 +274,14 @@ func buildSources(c config) ([]workload.Source, error) {
 	return sources, nil
 }
 
-// loadArrivals reads an MSR-format trace as timestamped arrivals.
-func loadArrivals(path string) ([]bench.TimedRequest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := trace.ReadCSV(f)
-	if err != nil {
-		return nil, err
-	}
-	arrivals := make([]bench.TimedRequest, len(recs))
+// arrivals turns trace records into timestamped arrivals.
+func arrivals(recs []trace.Record) []bench.TimedRequest {
+	out := make([]bench.TimedRequest, len(recs))
 	for i, r := range recs {
-		arrivals[i] = bench.TimedRequest{
+		out[i] = bench.TimedRequest{
 			At:  vtime.Time(r.Timestamp),
 			Req: blockdev.Request{Op: r.Op, Off: r.Off, Len: r.Len},
 		}
 	}
-	return arrivals, nil
+	return out
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"srccache/internal/trace"
 )
 
 func TestTargetsRun(t *testing.T) {
@@ -57,6 +59,46 @@ func TestReplayTrace(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "requests=3") {
 		t.Fatalf("replay did not issue 3 requests:\n%s", out.String())
+	}
+}
+
+// TestReplaySizesPrimaryFromTrace replays what `tracegen -group Mixed -n
+// 5000 -seed 3` writes: its records reach past four SSDs' capacity, so each
+// cache target's primary must be sized from the trace.
+func TestReplaySizesPrimaryFromTrace(t *testing.T) {
+	specs, err := trace.Group("Mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	var offset int64
+	for _, spec := range specs {
+		synth, err := trace.NewSynth(trace.SynthConfig{Spec: spec, Scale: 1.0 / 16, Offset: offset, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		offset += synth.Span()
+		recs := make([]trace.Record, 5000)
+		for i := range recs {
+			recs[i] = synth.NextRecord()
+		}
+		if err := trace.WriteCSV(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := t.TempDir() + "/mixed.csv"
+	if err := writeFile(path, buf.String()); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("requests=%d ", 5000*len(specs))
+	for _, target := range []string{"src", "bcache5", "flashcache5"} {
+		var out bytes.Buffer
+		if err := run([]string{"-target", target, "-replay", path}, &out); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("%s: replay output lacks %q:\n%s", target, want, out.String())
+		}
 	}
 }
 

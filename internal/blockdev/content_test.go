@@ -70,7 +70,7 @@ func TestCrashPartialPrefix(t *testing.T) {
 	}
 
 	// Drop-all equals Crash.
-	if err := c.CrashPartial(DropAllSchedule(4)); err != nil {
+	if err := c.CrashPartial(PrefixSchedule(4, 0)); err != nil {
 		t.Fatalf("CrashPartial(drop-all): %v", err)
 	}
 	if got := readTag(t, c, 0); got != (Tag{Hi: 9, Lo: 9}) {
@@ -85,7 +85,7 @@ func TestCrashPartialPrefix(t *testing.T) {
 
 	// Keep-all equals a completed flush: trim wins over page 0's old tag.
 	c = mk()
-	if err := c.CrashPartial(KeepAllSchedule(4)); err != nil {
+	if err := c.CrashPartial(PrefixSchedule(4, 4)); err != nil {
 		t.Fatalf("CrashPartial(keep-all): %v", err)
 	}
 	if got := readTag(t, c, 0); !got.IsZero() {
@@ -147,7 +147,7 @@ func TestCrashPartialTornBlob(t *testing.T) {
 	writeBlob(t, c, 5, []byte("new-new-new-long"))
 	writeBlob(t, c, 6, []byte("fresh"))
 
-	s := KeepAllSchedule(2).Tear(0, 4).Tear(1, 2)
+	s := PrefixSchedule(2, 2).Tear(0, 4).Tear(1, 2)
 	if err := c.CrashPartial(s); err != nil {
 		t.Fatalf("CrashPartial: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestCorruptCrashInteraction(t *testing.T) {
 		t.Fatalf("Corrupt: %v", err)
 	}
 	writeTag(t, c, 3, Tag{Hi: 30, Lo: 30})
-	if err := c.CrashPartial(KeepAllSchedule(1)); err != nil {
+	if err := c.CrashPartial(PrefixSchedule(1, 1)); err != nil {
 		t.Fatalf("CrashPartial: %v", err)
 	}
 	if got := readTag(t, c, 3); got != (Tag{Hi: 30, Lo: 30}) {
@@ -292,20 +292,20 @@ func TestCrashScheduleValidate(t *testing.T) {
 	c := newTestContent(t)
 	writeTag(t, c, 1, Tag{Hi: 1, Lo: 1})
 	writeBlob(t, c, 2, []byte("blob"))
-	if err := c.CrashPartial(DropAllSchedule(5)); err == nil {
+	if err := c.CrashPartial(PrefixSchedule(5, 0)); err == nil {
 		t.Fatal("length-mismatched schedule accepted")
 	}
-	if err := c.CrashPartial(KeepAllSchedule(2).Tear(0, 1)); err == nil {
+	if err := c.CrashPartial(PrefixSchedule(2, 2).Tear(0, 1)); err == nil {
 		t.Fatal("torn tag write accepted")
 	}
 	c = newTestContent(t)
 	writeBlob(t, c, 2, []byte("blob"))
-	if err := c.CrashPartial(KeepAllSchedule(1).Tear(0, 9)); err == nil {
+	if err := c.CrashPartial(PrefixSchedule(1, 1).Tear(0, 9)); err == nil {
 		t.Fatal("torn point beyond blob accepted")
 	}
 	c = newTestContent(t)
 	writeBlob(t, c, 2, []byte("blob"))
-	s := DropAllSchedule(1).Tear(0, 1)
+	s := PrefixSchedule(1, 0).Tear(0, 1)
 	if err := c.CrashPartial(s); err == nil {
 		t.Fatal("torn mark on dropped write accepted")
 	}
@@ -551,7 +551,7 @@ func FuzzContentOps(f *testing.F) {
 				c.Crash()
 				m.crash()
 			case 6:
-				s := DropAllSchedule(len(m.log))
+				s := PrefixSchedule(len(m.log), 0)
 				for i, e := range m.log {
 					b := next()
 					s.Keep[i] = b&1 != 0

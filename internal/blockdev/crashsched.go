@@ -2,7 +2,9 @@ package blockdev
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 )
 
 // CrashSchedule selects which entries of a Content write log persist across
@@ -44,33 +46,12 @@ func (s CrashSchedule) validate(n int) error {
 
 // Clone returns an independent copy of the schedule.
 func (s CrashSchedule) Clone() CrashSchedule {
-	cp := CrashSchedule{Keep: make([]bool, len(s.Keep))}
-	copy(cp.Keep, s.Keep)
-	if len(s.Torn) > 0 {
-		cp.Torn = make(map[int]int, len(s.Torn))
-		for i, k := range s.Torn {
-			cp.Torn[i] = k
-		}
-	}
-	return cp
+	return CrashSchedule{Keep: slices.Clone(s.Keep), Torn: maps.Clone(s.Torn)}
 }
 
-// DropAllSchedule persists nothing: the Crash() special case.
-func DropAllSchedule(n int) CrashSchedule {
-	return CrashSchedule{Keep: make([]bool, n)}
-}
-
-// KeepAllSchedule persists the whole log: a crash immediately after a
-// completed flush.
-func KeepAllSchedule(n int) CrashSchedule {
-	s := CrashSchedule{Keep: make([]bool, n)}
-	for i := range s.Keep {
-		s.Keep[i] = true
-	}
-	return s
-}
-
-// PrefixSchedule persists the first cut entries of an n-entry log.
+// PrefixSchedule persists the first cut entries of an n-entry log: cut 0
+// is the Crash() special case, cut n a crash right after a completed
+// flush.
 func PrefixSchedule(n, cut int) CrashSchedule {
 	s := CrashSchedule{Keep: make([]bool, n)}
 	for i := 0; i < cut && i < n; i++ {
@@ -91,7 +72,7 @@ func SubsetSchedule(n int, rng *rand.Rand, pKeep float64) CrashSchedule {
 
 // OmitOneSchedule persists everything except entry i.
 func OmitOneSchedule(n, i int) CrashSchedule {
-	s := KeepAllSchedule(n)
+	s := PrefixSchedule(n, n)
 	if i >= 0 && i < n {
 		s.Keep[i] = false
 	}

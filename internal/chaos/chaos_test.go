@@ -1,11 +1,15 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"strconv"
 	"testing"
+
+	"srccache/internal/src"
+	"srccache/internal/torture"
 )
 
 // chaosDigest folds the Results of seeds 1–50, in seed order. A change
@@ -19,14 +23,7 @@ const chaosDigest = "ffa6e54fcfe7cdef"
 // default keeps the tier-1 run fast. At the default 50 seeds their Results
 // must fold to chaosDigest, so schedule drift never passes unnoticed.
 func TestChaos(t *testing.T) {
-	seeds := int64(50)
-	if v := os.Getenv("CHAOS_SEEDS"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
-			t.Fatalf("bad CHAOS_SEEDS %q", v)
-		}
-		seeds = n
-	}
+	seeds := seedCount(t, "CHAOS_SEEDS", 50)
 	results := make([]Result, seeds)
 	t.Cleanup(func() {
 		if seeds != 50 || t.Failed() {
@@ -47,7 +44,7 @@ func TestChaos(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Options{Seed: seed})
+			res, _, err := Run(Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,20 +56,37 @@ func TestChaos(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministic replays one schedule and requires bit-identical
-// results, including the folded final-state signature.
+// TestChaosDeterministic replays one faulted schedule and requires
+// bit-identical results, including the folded final-state signature.
 func TestChaosDeterministic(t *testing.T) {
-	o := Options{Seed: 7}
-	a, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("same seed, different runs:\n  %+v\n  %+v", a, b)
+	checkReplay(t, Options{Seed: 7})
+}
+
+// TestChaosMatrixDeterministic replays two crash-matrix cells and requires
+// identical results and crash stats, so any violation the probe reports is
+// replayable from its seed and cell.
+func TestChaosMatrixDeterministic(t *testing.T) {
+	checkReplay(t,
+		Options{Seed: 42, NoFaults: true, Cell: Cell{Flush: src.FlushPerSegmentGroup, Parity: src.PC, Victim: src.FIFO}},
+		Options{Seed: 42, NoFaults: true, Cell: Cell{Flush: src.FlushNever, Parity: src.NPC, Victim: src.Greedy}},
+	)
+}
+
+// checkReplay runs each of opts twice and requires identical outcomes.
+func checkReplay(t *testing.T, opts ...Options) {
+	t.Helper()
+	for _, o := range opts {
+		a, ac, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, bc, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || ac != bc {
+			t.Fatalf("%+v: same options, different runs:\n  %+v %+v\n  %+v %+v", o, a, ac, b, bc)
+		}
 	}
 }
 
@@ -81,7 +95,7 @@ func TestChaosDeterministic(t *testing.T) {
 func TestChaosCoverage(t *testing.T) {
 	var total Result
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := Run(Options{Seed: seed})
+		res, _, err := Run(Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +137,119 @@ func TestChaosFoundSeeds(t *testing.T) {
 	for _, seed := range []int64{342, 622, 1462, 1744, 1773, 843, 1866} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if _, err := Run(Options{Seed: seed}); err != nil {
+			if _, _, err := Run(Options{Seed: seed}); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// seedCount reads a sweep's seed count from the environment variable env,
+// or returns def.
+func seedCount(t *testing.T, env string, def int64) int64 {
+	v := os.Getenv(env)
+	if v == "" {
+		return def
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n <= 0 {
+		t.Fatalf("bad %s %q", env, v)
+	}
+	return n
+}
+
+// String names the cell like "per-segment/NPC/FIFO".
+func (c Cell) String() string {
+	return fmt.Sprintf("%v/%v/%v", c.Flush, c.Parity, c.Victim)
+}
+
+// matrix enumerates the crash matrix: the three flush policies × PC/NPC ×
+// FIFO/Greedy victims.
+func matrix() []Cell {
+	var cells []Cell
+	for _, f := range []src.FlushPolicy{src.FlushPerSegment, src.FlushPerSegmentGroup, src.FlushNever} {
+		for _, p := range []src.ParityMode{src.PC, src.NPC} {
+			for _, v := range []src.VictimPolicy{src.FIFO, src.Greedy} {
+				cells = append(cells, Cell{Flush: f, Parity: p, Victim: v})
+			}
+		}
+	}
+	return cells
+}
+
+// TestChaosMatrix runs every crash-matrix cell, one parallel subtest per
+// seed: each seed's workload runs without faults under the three flush
+// policies × PC/NPC × FIFO/Greedy, and torture's probe replays crash
+// schedules at its snapshots with zero invariant violations. Recovery on
+// the real code discards torn state, keeps flush-durable state, and never
+// resurrects or invents data. CHAOS_MATRIX_SEEDS sets the sweep to seeds
+// 1..N (CI's matrix job sets 12); the default keeps the tier-1 run fast.
+// Under -v the sweep logs the table EXPERIMENTS.md cites: each cell's
+// trials summed over the seeds and its largest loss window.
+func TestChaosMatrix(t *testing.T) {
+	cells := matrix()
+	stats := make([][]CrashStats, seedCount(t, "CHAOS_MATRIX_SEEDS", 3))
+	t.Cleanup(func() { logMatrix(t, cells, stats) })
+	for i := range stats {
+		seed := int64(i + 1)
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			row := make([]CrashStats, len(cells))
+			trials := 0
+			for j, cell := range cells {
+				_, cs, err := Run(Options{Seed: seed, Cell: cell, NoFaults: true})
+				var v *torture.Violation
+				switch {
+				case errors.As(err, &v):
+					t.Errorf("violation: %v %v", cell, err)
+				case err != nil:
+					t.Fatalf("%v: %v", cell, err)
+				}
+				row[j] = cs
+				trials += cs.Trials
+			}
+			if trials < 500 {
+				t.Fatalf("only %d trials over the matrix; enumeration looks broken", trials)
+			}
+			// The realized data-loss window must reflect the flush-policy
+			// tradeoff (paper §4.1): never-flushing leaves a strictly wider
+			// window than per-segment flushing under the same parity and
+			// victim policy.
+			loss := make(map[Cell]int)
+			for j, cs := range row {
+				loss[cells[j]] = cs.MaxLossWindow
+			}
+			for _, p := range []src.ParityMode{src.PC, src.NPC} {
+				for _, v := range []src.VictimPolicy{src.FIFO, src.Greedy} {
+					seg := loss[Cell{Flush: src.FlushPerSegment, Parity: p, Victim: v}]
+					nev := loss[Cell{Flush: src.FlushNever, Parity: p, Victim: v}]
+					if nev <= seg {
+						t.Errorf("%v/%v: FlushNever loss window %d not wider than FlushPerSegment's %d",
+							p, v, nev, seg)
+					}
+				}
+			}
+			stats[i] = row
+		})
+	}
+}
+
+// logMatrix logs the sweep's per-cell table: trials summed over the seeds,
+// loss windows maxed. A seed whose run failed contributes nothing.
+func logMatrix(t *testing.T, cells []Cell, stats [][]CrashStats) {
+	trials := make([]int, len(cells))
+	loss := make([]int, len(cells))
+	total := 0
+	for _, row := range stats {
+		for j, cs := range row {
+			trials[j] += cs.Trials
+			loss[j] = max(loss[j], cs.MaxLossWindow)
+			total += cs.Trials
+		}
+	}
+	t.Logf("%d seeds, %d crash trials", len(stats), total)
+	t.Logf("%-28s %8s %12s", "cell", "trials", "loss window")
+	for j, c := range cells {
+		t.Logf("%-28v %8d %12d", c, trials[j], loss[j])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"srccache/internal/blockdev"
+	"srccache/internal/src"
 	"srccache/internal/vtime"
 )
 
@@ -154,6 +155,34 @@ func TestTrimForwardsToArray(t *testing.T) {
 	}
 	if trims == 0 {
 		t.Fatal("trim not forwarded to disks")
+	}
+}
+
+// TestTrimsThroughSrcLeaveNoMemberWriteLog: src commits the primary's
+// logical store after each trim it forwards, and the array commits the
+// trim its members logged, so neither keeps a write-log entry per trim.
+func TestTrimsThroughSrcLeaveNoMemberWriteLog(t *testing.T) {
+	s := newStorage(t)
+	ssds := make([]blockdev.Device, 4)
+	for i := range ssds {
+		ssds[i] = blockdev.NewMemDevice(16<<20, 0)
+	}
+	c, err := src.New(src.Config{SSDs: ssds, Primary: s, EraseGroupSize: 1 << 20, SegmentColumn: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 1000; i++ {
+		if _, err := c.Submit(0, blockdev.Request{Op: blockdev.OpTrim, Off: i * blockdev.PageSize, Len: blockdev.PageSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Content().WriteLogLen(); n != 0 {
+		t.Fatalf("the array keeps %d write-log entries", n)
+	}
+	for i, d := range s.Array().Devices() {
+		if n := d.Content().WriteLogLen(); n != 0 {
+			t.Errorf("member %d keeps %d write-log entries", i, n)
+		}
 	}
 }
 

@@ -72,6 +72,11 @@ func (a *Array) trim(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	if err != nil {
 		return at, err
 	}
+	// Nothing reads a member's content store, and src commits the array's
+	// instead of flushing it: commit the trim each member just logged.
+	for _, d := range a.devs {
+		d.Content().FlushContent()
+	}
 	if err := a.cont.Trim(req.Off/blockdev.PageSize, req.Pages()); err != nil {
 		return at, err
 	}

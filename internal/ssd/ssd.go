@@ -174,9 +174,6 @@ func (d *SSD) GCPageCopies() int64 { return d.gcPageCopies }
 // FreeGroups reports the number of free erase groups.
 func (d *SSD) FreeGroups() int { return len(d.freeSBs) }
 
-// EraseGroups reports the total number of erase groups.
-func (d *SSD) EraseGroups() int { return d.numSB }
-
 // RetiredGroups reports erase groups retired due to grown bad blocks.
 func (d *SSD) RetiredGroups() int64 { return d.retiredGroups }
 

@@ -10,6 +10,16 @@ import (
 	"srccache/internal/vtime"
 )
 
+// The oracle fixture's array: 4 SSDs of 2 MiB with 256 KiB erase groups
+// and 16 KiB segment columns.
+const (
+	numSSD  = 4
+	ssdCap  = 2 << 20
+	primCap = 16 << 20
+	egs     = 256 << 10
+	segCol  = 16 << 10
+)
+
 // Pages of the oracle fixture: written holds version 1 (hot holds 2), all
 // flushed and recovered into the cache; evicted was never cached and
 // sits on primary at version 1.

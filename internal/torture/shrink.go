@@ -3,15 +3,15 @@ package torture
 import "srccache/internal/blockdev"
 
 // shrink minimizes a failing schedule tuple while it still provokes any
-// violation at the same epoch and tier. Three passes, all deterministic:
+// violation at the same snapshot and tier. Three passes, all deterministic:
 // torn writes are first simplified to plain drops, then halves of each
 // device's kept set are dropped ddmin-style, then single kept writes are
 // dropped greedily to a fixed point. The result is the smallest persisted
 // subset the checker still rejects — the debugging artifact a Violation
 // reports.
-func (r *cellRun) shrink(ep *epoch, scheds tuple, strict bool) (tuple, error) {
+func (p *Probe) shrink(ep *epoch, scheds tuple, strict bool) (tuple, error) {
 	fails := func(t tuple) (bool, error) {
-		v, err := r.trialOnce(ep, t, strict, false)
+		v, err := p.trialOnce(ep, t, strict, false)
 		return v != nil, err
 	}
 	cur := cloneTuple(scheds)
