@@ -64,40 +64,36 @@ func TestReplayTrace(t *testing.T) {
 
 // TestReplaySizesPrimaryFromTrace replays what `tracegen -group Mixed -n
 // 5000 -seed 3` writes: its records reach past four SSDs' capacity, so each
-// cache target's primary must be sized from the trace.
+// cache target's primary must be sized from the trace. The file is in
+// timestamp order, so it replays open-loop too.
 func TestReplaySizesPrimaryFromTrace(t *testing.T) {
 	specs, err := trace.Group("Mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, err := trace.SynthFile(specs, 5000, 1.0/16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	var offset int64
-	for _, spec := range specs {
-		synth, err := trace.NewSynth(trace.SynthConfig{Spec: spec, Scale: 1.0 / 16, Offset: offset, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		offset += synth.Span()
-		recs := make([]trace.Record, 5000)
-		for i := range recs {
-			recs[i] = synth.NextRecord()
-		}
-		if err := trace.WriteCSV(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
+	if err := trace.WriteCSV(&buf, recs); err != nil {
+		t.Fatal(err)
 	}
 	path := t.TempDir() + "/mixed.csv"
 	if err := writeFile(path, buf.String()); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("requests=%d ", 5000*len(specs))
-	for _, target := range []string{"src", "bcache5", "flashcache5"} {
+	for _, args := range [][]string{
+		{"-target", "src"}, {"-target", "bcache5"}, {"-target", "flashcache5"},
+		{"-target", "flashcache5", "-openloop"},
+	} {
 		var out bytes.Buffer
-		if err := run([]string{"-target", target, "-replay", path}, &out); err != nil {
-			t.Fatalf("%s: %v", target, err)
+		if err := run(append(args, "-replay", path), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
 		}
 		if !strings.Contains(out.String(), want) {
-			t.Fatalf("%s: replay output lacks %q:\n%s", target, want, out.String())
+			t.Fatalf("%v: replay output lacks %q:\n%s", args, want, out.String())
 		}
 	}
 }

@@ -24,11 +24,16 @@
 // is the ring version advertised to pinging clients.
 //
 // With -debug-addr the daemon also serves, on that address only, the
-// standard library's /debug/vars (expvar; "netblock_ops" holds the per-op
-// request counts, refusals and service times of netblock.Server.OpStats,
-// and under -shards "src_cache" holds the cache counters summed over the
-// shards with their hit ratio and I/O amplification) and /debug/pprof/. It
-// is off by default; bind it to loopback.
+// standard library's /debug/vars and /debug/pprof/. It is off by default;
+// bind it to loopback. In /debug/vars, "netblock_ops" holds the per-op
+// request counts, refusals and service times of netblock.Server.OpStats.
+// Under -shards, "src_cache" holds the cache counters summed over the
+// shards with their hit ratio and I/O amplification, and "shards" holds
+// each shard's src.State: Utilization against UMax, Groups, FreeGroups,
+// ActiveGroup and NextSegment, Dirty- and CleanBufferedPages, CachedPages,
+// WastedSlots, RebuildColumn (-1 when idle) with RebuildRemaining of
+// RebuildTotal segments, each column's Down flag and charged Errors, and
+// the shard's Repair stats and Counters.
 //
 // SIGINT or SIGTERM drains gracefully: the listener closes, in-flight
 // requests get -drain to finish, and idle connections are dropped. In
@@ -58,6 +63,7 @@ import (
 	"srccache/internal/cluster/fleet"
 	"srccache/internal/engine"
 	"srccache/internal/netblock"
+	"srccache/internal/src"
 )
 
 func main() {
@@ -80,8 +86,8 @@ func main() {
 // is current.
 var debugServer atomic.Pointer[netblock.Server]
 
-// debugEngine is the engine whose cache counters /debug/vars shows, nil
-// when the current server has a flat volume behind it.
+// debugEngine is the engine whose cache state /debug/vars shows, nil when
+// the current server has a flat volume behind it.
 var debugEngine atomic.Pointer[engine.Engine]
 
 func init() {
@@ -91,18 +97,23 @@ func init() {
 		// benchmark run. Both are 0 until there is traffic to divide by.
 		type cacheVars struct {
 			bench.Counters
-			HitRatio float64 `json:"hit_ratio"`
-			IOAmp    float64 `json:"io_amp"`
+			HitRatio float64     `json:"hit_ratio"`
+			IOAmp    float64     `json:"io_amp"`
+			Shards   []src.State `json:"shards"`
 		}
 		eng := debugEngine.Load()
 		if eng == nil {
 			return struct{}{}
 		}
-		c, err := eng.Counters()
+		states, err := eng.States(nil)
 		if err != nil {
 			return struct{}{} // closed: the drain outlives the engine
 		}
-		v := cacheVars{Counters: c, HitRatio: c.HitRatio()}
+		var c bench.Counters
+		for _, st := range states {
+			c.Add(st.Counters)
+		}
+		v := cacheVars{Counters: c, HitRatio: c.HitRatio(), Shards: states}
 		if host := c.ReadBytes + c.WriteBytes; host > 0 {
 			v.IOAmp = float64(c.FillBytes+c.GCCopyBytes+c.ParityBytes+c.MetadataBytes+c.WriteBytes) / float64(host)
 		}
@@ -178,7 +189,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		reps    = fs.Int("replicas", 2, "fleet replication factor")
 		rb      = fs.Int64("range-bytes", 1<<20, "fleet placement-range size in bytes")
 		epoch   = fs.Uint64("epoch", 0, "ring epoch advertised to pinging clients (fleet mode defaults to 1)")
-		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar: per-op counters, cache counters under -shards) and /debug/pprof/ on this address (empty = off)")
+		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar: per-op counters, cache counters and per-shard cache state under -shards) and /debug/pprof/ on this address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -354,13 +354,22 @@ func TestDebugAddrPublishesOpStats(t *testing.T) {
 // publishes src_cache — the shard caches' counters summed, with the hit
 // ratio and I/O amplification the benchmark derives from them — so the
 // figure that hid the segment-buffer ratchet (an io_amp below 1) can be read
-// off a running daemon, and so can the rate of Segment Group reclaims. A
+// off a running daemon, and so can the rate of Segment Group reclaims.
+// Beside them each shard's state shows what drives reclamation: free
+// groups, utilization against U_MAX, buffered pages and rebuild progress. A
 // flat-volume daemon publishes an empty object.
 func TestDebugAddrPublishesCacheCounters(t *testing.T) {
+	type shardVars struct {
+		Utilization, UMax                             *float64
+		Groups, FreeGroups, DirtyBufferedPages        int
+		RebuildColumn, RebuildRemaining, RebuildTotal int
+		Counters                                      struct{ Writes int64 }
+	}
 	type cacheVars struct {
 		Writes, WriteBytes, Reads, ReadHits, GroupReclaims int64
-		HitRatio                                           *float64 `json:"hit_ratio"`
-		IOAmp                                              *float64 `json:"io_amp"`
+		HitRatio                                           *float64    `json:"hit_ratio"`
+		IOAmp                                              *float64    `json:"io_amp"`
+		Shards                                             []shardVars `json:"shards"`
 	}
 	// serve starts a 2 MiB daemon and returns a client, a reader of its
 	// src_cache and a stop function.
@@ -434,6 +443,18 @@ func TestDebugAddrPublishesCacheCounters(t *testing.T) {
 	if vars.GroupReclaims != 0 {
 		t.Fatalf("src_cache = %s, want no reclaim yet", raw)
 	}
+	// Four pages of each shard wait in its dirty buffer; no segment is
+	// written, so no group has left the free list and utilization is 0.
+	if len(vars.Shards) != 2 {
+		t.Fatalf("src_cache = %s, want two shards", raw)
+	}
+	for i, sh := range vars.Shards {
+		if sh.Counters.Writes != 4 || sh.DirtyBufferedPages != 4 || sh.Groups < 2 || sh.FreeGroups != sh.Groups-1 ||
+			sh.Utilization == nil || *sh.Utilization != 0 || sh.UMax == nil || *sh.UMax != 0.9 ||
+			sh.RebuildColumn != -1 || sh.RebuildRemaining != 0 || sh.RebuildTotal != 0 {
+			t.Fatalf("shard %d state in src_cache = %s, want 4 buffered writes, every group free, utilization 0 of U_MAX 0.9, no rebuild", i, raw)
+		}
+	}
 	// Rewrite the volume until a shard's cache fills and reclaims a group.
 	chunk := make([]byte, 64<<10)
 	for pass := 0; vars.GroupReclaims == 0; pass++ {
@@ -446,6 +467,11 @@ func TestDebugAddrPublishesCacheCounters(t *testing.T) {
 			}
 		}
 		vars, raw = fetch()
+	}
+	for _, sh := range vars.Shards {
+		if sh.FreeGroups >= sh.Groups-1 || *sh.Utilization <= 0 || *sh.Utilization > 1 {
+			t.Fatalf("src_cache = %s after a reclaim, want groups in use and utilization in (0, 1] on each shard", raw)
+		}
 	}
 	stop()
 

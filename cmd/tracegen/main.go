@@ -1,5 +1,7 @@
 // Command tracegen synthesizes MSR-format block traces from the paper's
-// Table 6 statistics, for replay by fiosim or external tools.
+// Table 6 statistics, for replay by fiosim or external tools. A group's
+// traces lie side by side in the address space and interleave in one
+// timestamp-ordered file.
 //
 // Usage:
 //
@@ -72,22 +74,9 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	var offset int64
-	for _, spec := range specs {
-		synth, err := trace.NewSynth(trace.SynthConfig{
-			Spec: spec, Scale: *scale, Offset: offset, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		offset += synth.Span()
-		recs := make([]trace.Record, *n)
-		for i := range recs {
-			recs[i] = synth.NextRecord()
-		}
-		if err := trace.WriteCSV(w, recs); err != nil {
-			return err
-		}
+	recs, err := trace.SynthFile(specs, *n, *scale, *seed)
+	if err != nil {
+		return err
 	}
-	return nil
+	return trace.WriteCSV(w, recs)
 }

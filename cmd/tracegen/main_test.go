@@ -55,9 +55,13 @@ func TestGenerateGroupToFile(t *testing.T) {
 	if len(recs) != 20*10 { // 10 traces in the Write group
 		t.Fatalf("%d records", len(recs))
 	}
+	// One file in time order: the traces interleave, as in an MSR file.
 	hosts := map[string]bool{}
-	for _, r := range recs {
+	for i, r := range recs {
 		hosts[r.Host] = true
+		if i > 0 && r.Timestamp < recs[i-1].Timestamp {
+			t.Fatalf("record %d at %v follows one at %v", i, r.Timestamp, recs[i-1].Timestamp)
+		}
 	}
 	if len(hosts) != 10 {
 		t.Fatalf("%d distinct traces", len(hosts))

@@ -25,7 +25,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("assembled SRC over %d SSDs, cache groups=%d, primary=%d MiB\n",
-		len(sys.SSDs), sys.Cache.Groups(), sys.Primary.Capacity()>>20)
+		len(sys.SSDs), sys.Cache.State(nil).Groups, sys.Primary.Capacity()>>20)
 
 	// Drive it with an FIO-like mixed workload: 70% writes, uniform
 	// random 4 KiB requests over 512 MiB.

@@ -18,6 +18,20 @@ func mustGen(t *testing.T, cfg workload.Config) *workload.Generator {
 	return g
 }
 
+// limited ends a source after n requests.
+type limited struct {
+	src workload.Source
+	n   int
+}
+
+func (l *limited) Next() (blockdev.Request, bool) {
+	if l.n == 0 {
+		return blockdev.Request{}, false
+	}
+	l.n--
+	return l.src.Next()
+}
+
 func TestRunBasicThroughput(t *testing.T) {
 	dev := blockdev.NewMemDevice(1<<20, vtime.Millisecond)
 	g := mustGen(t, workload.Config{Span: 1 << 20, Seed: 1})
@@ -57,7 +71,7 @@ func TestRunRequiresBoundOnInfiniteSource(t *testing.T) {
 
 func TestRunFiniteSourceEnds(t *testing.T) {
 	dev := blockdev.NewMemDevice(1<<20, vtime.Microsecond)
-	g := workload.Limit(mustGen(t, workload.Config{Span: 1 << 20, ReadFraction: 1}), 10)
+	g := &limited{mustGen(t, workload.Config{Span: 1 << 20, ReadFraction: 1}), 10}
 	res, err := Run(dev, []workload.Source{g}, Options{Slots: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +83,8 @@ func TestRunFiniteSourceEnds(t *testing.T) {
 
 func TestRunMultiSourceSlotBinding(t *testing.T) {
 	dev := blockdev.NewMemDevice(4<<20, vtime.Microsecond)
-	a := workload.Limit(mustGen(t, workload.Config{Span: 1 << 20, Seed: 1}), 50)
-	b := workload.Limit(mustGen(t, workload.Config{Span: 1 << 20, Offset: 1 << 20, Seed: 2}), 50)
+	a := &limited{mustGen(t, workload.Config{Span: 1 << 20, Seed: 1}), 50}
+	b := &limited{mustGen(t, workload.Config{Span: 1 << 20, Offset: 1 << 20, Seed: 2}), 50}
 	res, err := Run(dev, []workload.Source{a, b}, Options{SlotsPerSource: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -113,6 +113,16 @@ func (c *Content) Clone() *Content {
 	}
 }
 
+// Committed returns an independent copy of what Crash would leave: the
+// committed pages, with no volatile writes and no write log to copy.
+func (c *Content) Committed() *Content {
+	cc := &Content{pages: c.pages, page: slices.Clone(c.page)}
+	for i := len(c.undo) - 1; i >= 0; i-- {
+		cc.page[c.undo[i].page] = c.undo[i].was
+	}
+	return cc
+}
+
 // Pages reports the number of pages the store covers.
 func (c *Content) Pages() int64 { return c.pages }
 

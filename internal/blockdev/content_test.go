@@ -481,8 +481,9 @@ func sameContent(t *testing.T, what string, c *Content, m *refContent) {
 // FuzzContentOps decodes a byte string into a sequence of Content operations
 // — op byte, then its arguments — and runs it against the dense store and
 // the map model side by side, with a clone of each taken along the way, and
-// checks after every op that both pairs read alike. Pages run one past the
-// end so out-of-range calls must fail alike too.
+// checks after every op that both pairs read alike, and that the store's
+// Committed copy reads like the crashed model. Pages run one past the end so
+// out-of-range calls must fail alike too.
 //
 //	0 WriteTag page hi lo    3 Corrupt page   6 CrashPartial, one byte per log entry:
 //	1 WriteBlob page n v     4 FlushContent     bit 0 keep, bits 1-2 both set tear at
@@ -571,6 +572,9 @@ func FuzzContentOps(f *testing.F) {
 			}
 			sameContent(t, "store", c, m)
 			sameContent(t, "clone", cc, mc)
+			committed := m.clone()
+			committed.crash()
+			sameContent(t, "committed copy", c.Committed(), committed)
 		}
 	})
 }

@@ -370,13 +370,13 @@ func (h *harness) doInject() error {
 			return err
 		}
 		h.faults++
-		before := h.cache.RepairStats().CorruptionsDetected
+		before := h.cache.State(nil).Repair.CorruptionsDetected
 		_, done, err := h.cache.ReadCheck(h.at, lba)
 		if err != nil {
 			return fmt.Errorf("checked read of corrupted page %d: %w", lba, err)
 		}
 		h.at = vtime.Max(h.at, done)
-		if h.cache.RepairStats().CorruptionsDetected == before {
+		if h.cache.State(nil).Repair.CorruptionsDetected == before {
 			return fmt.Errorf("page %d: planted corruption not detected", lba)
 		}
 		h.res.Corruptions++
@@ -457,15 +457,16 @@ func (h *harness) doRebuild() error {
 	h.ssds[col] = fresh
 	h.at = vtime.Max(h.at, done)
 	// Drive the rebuild interleaved with foreground traffic.
-	for steps := 0; h.cache.Rebuilding(); steps++ {
+	for steps, pending := 0, true; pending; steps++ {
 		if steps > 1<<16 {
 			return fmt.Errorf("rebuild of ssd %d did not converge", col)
 		}
-		t, _, err := h.cache.RebuildStep(h.at)
+		t, more, err := h.cache.RebuildStep(h.at)
 		if err != nil {
 			return fmt.Errorf("rebuild step: %w", err)
 		}
 		h.at = vtime.Max(h.at, t)
+		pending = more
 		if steps%4 == 3 {
 			var ferr error
 			if h.rng.Float64() < 0.5 {
@@ -484,7 +485,7 @@ func (h *harness) doRebuild() error {
 
 func (h *harness) doScrub() error {
 	planted := false
-	before := h.cache.RepairStats().CorruptionsDetected
+	before := h.cache.State(nil).Repair.CorruptionsDetected
 	if h.rng.Float64() < 0.7 {
 		if _, col, page, ok := h.pickCached(); ok && !h.ssds[col].Unreadable(page) {
 			if err := h.ssds[col].Content().Corrupt(page); err != nil {
@@ -499,7 +500,7 @@ func (h *harness) doScrub() error {
 		return fmt.Errorf("scrub: %w", err)
 	}
 	h.at = vtime.Max(h.at, done)
-	if planted && h.cache.RepairStats().CorruptionsDetected == before {
+	if planted && h.cache.State(nil).Repair.CorruptionsDetected == before {
 		return fmt.Errorf("scrub missed a planted corruption")
 	}
 	h.res.Scrubs++

@@ -18,7 +18,7 @@
 //   - A shard's src.Cache, payload store and virtual clock are guarded by
 //     the shard's mutex and touched only inside shard.do. Shards share
 //     nothing, so no call ever holds two locks.
-//   - Flushes and counter snapshots are ops like any other: they take each
+//   - Flushes and state snapshots are ops like any other: they take each
 //     shard's lock in turn and are therefore ordered with the data ops they
 //     observe.
 //   - Close sets the closed flag and then takes every shard lock once. do
@@ -28,6 +28,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -84,7 +85,7 @@ const (
 	kWrite
 	kTrim
 	kFlush
-	kCounters
+	kState
 )
 
 // op is one shard-local operation: offsets are already remapped into the
@@ -94,8 +95,9 @@ type op struct {
 	off  int64
 	n    int64
 	data []byte
-	// snap receives the shard's counters for kCounters ops.
-	snap *bench.Counters
+	// state receives the shard cache's snapshot for kState ops, reusing
+	// its column buffer.
+	state *src.State
 }
 
 // shard is one share-nothing cache partition. mu guards the cache's state,
@@ -134,8 +136,8 @@ func (s *shard) do(at vtime.Time, o *op) (vtime.Time, error) {
 	switch o.kind {
 	case kFlush:
 		done, err = s.cache.Flush(s.now)
-	case kCounters:
-		*o.snap = s.cache.Counters()
+	case kState:
+		*o.state = s.cache.State(o.state.Columns)
 	case kRead, kWrite:
 		first := o.off / blockdev.PageSize * blockdev.PageSize
 		last := (o.off + o.n + blockdev.PageSize - 1) / blockdev.PageSize * blockdev.PageSize
@@ -221,9 +223,9 @@ func New(opt Options, build func(shard int) (*src.Cache, error)) (*Engine, error
 func (e *Engine) Size() int64 { return e.shardBytes * int64(len(e.shards)) }
 
 // Start does nothing and reports ErrClosed after Close, nil otherwise: Do,
-// Flush and Counters are callable from any goroutine from New on. It stays
-// only because the served-path benchmark (benchmark/stack.go) still calls
-// it.
+// Flush, States and Counters are callable from any goroutine from New on.
+// It stays only because the served-path benchmark (benchmark/stack.go)
+// still calls it.
 func (e *Engine) Start() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -331,16 +333,28 @@ func (e *Engine) flush(at vtime.Time) (vtime.Time, error) {
 // under its lock, so it reflects an op boundary; summing across shards is
 // safe because shards share nothing.
 func (e *Engine) counters() (bench.Counters, error) {
+	states, err := e.States(nil)
+	if err != nil {
+		return bench.Counters{}, err
+	}
 	var sum bench.Counters
-	for _, s := range e.shards {
-		var c bench.Counters
-		o := op{kind: kCounters, snap: &c}
-		if _, err := s.do(0, &o); err != nil {
-			return bench.Counters{}, err
-		}
-		sum.Add(c)
+	for _, st := range states {
+		sum.Add(st.Counters)
 	}
 	return sum, nil
+}
+
+// States snapshots every shard's cache, in shard order, each under its
+// shard's lock. It reuses dst's array and each element's column buffer.
+func (e *Engine) States(dst []src.State) ([]src.State, error) {
+	dst = slices.Grow(dst[:0], len(e.shards))[:len(e.shards)]
+	for i, s := range e.shards {
+		o := op{kind: kState, state: &dst[i]}
+		if _, err := s.do(0, &o); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // Do executes one request on the caller's goroutine. It is the function

@@ -133,6 +133,6 @@ func rebuildGroupRun(o Options, group string) (rebuildRun, error) {
 		healthy:    run1.MBps,
 		rebuilding: run2.MBps,
 		mttr:       converged.Sub(replaceStart),
-		segments:   cache.RepairStats().RebuiltSegments,
+		segments:   cache.State(nil).Repair.RebuiltSegments,
 	}, nil
 }

@@ -92,11 +92,6 @@ func (a *Array) Block(b int) (BlockState, error) {
 	return a.blocks[b], nil
 }
 
-// IsBad reports whether block b is marked bad.
-func (a *Array) IsBad(b int) bool {
-	return b >= 0 && b < a.geo.Blocks && a.blocks[b].Bad
-}
-
 // Program writes page p of block b. Pages must be programmed strictly in
 // order within an erased block.
 func (a *Array) Program(b, p int) error {
@@ -164,18 +159,6 @@ func (a *Array) AccountCopies(n int64) {
 	a.stats.PagesRead += n
 	a.stats.PagesProgrammed += n
 	a.stats.Erases += (n + int64(a.geo.PagesPerBlock) - 1) / int64(a.geo.PagesPerBlock)
-}
-
-// MaxEraseCount reports the highest erase count across blocks — the wear
-// hot-spot metric.
-func (a *Array) MaxEraseCount() int64 {
-	var m int64
-	for i := range a.blocks {
-		if a.blocks[i].EraseCount > m {
-			m = a.blocks[i].EraseCount
-		}
-	}
-	return m
 }
 
 // MeanEraseCount reports the average erase count across non-bad blocks.

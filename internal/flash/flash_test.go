@@ -87,7 +87,7 @@ func TestWearOutGrowsBadBlock(t *testing.T) {
 	if err := a.Erase(0); !errors.Is(err, ErrWornOut) {
 		t.Fatalf("third erase err = %v, want ErrWornOut", err)
 	}
-	if !a.IsBad(0) {
+	if !a.blocks[0].Bad {
 		t.Fatal("worn block not marked bad")
 	}
 	if err := a.Program(0, 0); !errors.Is(err, ErrBadBlock) {
@@ -144,8 +144,8 @@ func TestWearMetrics(t *testing.T) {
 	if err := a.Erase(1); err != nil {
 		t.Fatal(err)
 	}
-	if a.MaxEraseCount() != 3 {
-		t.Fatalf("MaxEraseCount = %d", a.MaxEraseCount())
+	if a.blocks[0].EraseCount != 3 || a.blocks[1].EraseCount != 1 {
+		t.Fatalf("erase counts %d, %d, want 3, 1", a.blocks[0].EraseCount, a.blocks[1].EraseCount)
 	}
 	if got := a.MeanEraseCount(); got != 1.0 {
 		t.Fatalf("MeanEraseCount = %v, want 1.0", got)

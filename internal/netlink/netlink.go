@@ -85,9 +85,6 @@ func (l *Link) Degrade(factor float64) {
 	l.factor = factor
 }
 
-// Degraded reports the current fail-slow multiplier (1 = healthy).
-func (l *Link) Degraded() float64 { return l.factor }
-
 // delay computes one transfer's service time: bandwidth time and half-RTT
 // propagation stretched by the fail-slow factor, plus the seeded jitter
 // draw. The jitter rand advances exactly once per transfer, so the delay

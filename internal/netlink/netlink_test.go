@@ -95,8 +95,8 @@ func TestDegradeStretchesTransfers(t *testing.T) {
 	}
 	healthy := l.Send(0, bandwidth) // 1s transfer + 1ms propagation
 	l.Degrade(3)
-	if l.Degraded() != 3 {
-		t.Fatalf("Degraded() = %v", l.Degraded())
+	if l.factor != 3 {
+		t.Fatalf("fail-slow factor %v, want 3", l.factor)
 	}
 	slow := l.Send(healthy, bandwidth)
 	if want := healthy.Add(3*vtime.Second + 3*vtime.Millisecond); slow != want {

@@ -119,15 +119,6 @@ func (a *Array) Content() *blockdev.Content { return a.cont }
 // Devices returns the member devices (for per-device stats).
 func (a *Array) Devices() []blockdev.Device { return a.devs }
 
-// DeviceBytes sums member read+write traffic — the amplified physical I/O.
-func (a *Array) DeviceBytes() int64 {
-	var n int64
-	for _, d := range a.devs {
-		n += d.Stats().TotalBytes()
-	}
-	return n
-}
-
 // parityDev reports which device holds the parity chunk of stripe s.
 func (a *Array) parityDev(s int64) int {
 	if a.level == Level4 {

@@ -281,7 +281,11 @@ func TestDeviceBytesAmplification(t *testing.T) {
 	if _, err := a5.Submit(0, blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: 3 * blockdev.PageSize}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a5.DeviceBytes(), int64(4*blockdev.PageSize); got != want {
+	var got int64
+	for _, d := range a5.devs {
+		got += d.Stats().TotalBytes()
+	}
+	if want := int64(4 * blockdev.PageSize); got != want {
 		t.Fatalf("device bytes = %d, want %d", got, want)
 	}
 }

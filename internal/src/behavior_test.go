@@ -116,8 +116,8 @@ func TestSingleSSDRAID0Cache(t *testing.T) {
 func TestCachePerSSDSubset(t *testing.T) {
 	// Use only half of each device as cache region.
 	e := newEnv(t, func(c *Config) { c.CachePerSSD = testSSDCap / 2 })
-	if e.cache.Groups() != int(testSSDCap/2/testEGS) {
-		t.Fatalf("groups %d", e.cache.Groups())
+	if n := e.cache.State(nil).Groups; n != int(testSSDCap/2/testEGS) {
+		t.Fatalf("groups %d", n)
 	}
 	for lba := int64(0); lba < 500; lba++ {
 		e.write(lba, 1)
@@ -186,8 +186,8 @@ func TestWastedSlotsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(e.cache.dirtyBuf.Cap() - 1)
-	if e.cache.WastedSlots() != want {
-		t.Fatalf("wasted %d slots, want %d (partial segment padding)", e.cache.WastedSlots(), want)
+	if n := e.cache.State(nil).WastedSlots; n != want {
+		t.Fatalf("wasted %d slots, want %d (partial segment padding)", n, want)
 	}
 }
 

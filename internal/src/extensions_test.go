@@ -91,7 +91,7 @@ func TestSeparateGCBufferSegregates(t *testing.T) {
 	if _, err := e.cache.Flush(e.at); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache.DirtyBufferedPages() != 0 {
+	if e.cache.State(nil).DirtyBufferedPages != 0 {
 		t.Fatal("flush left buffered dirty pages")
 	}
 	e.checkInvariants()

@@ -156,7 +156,7 @@ func drainedSegs(b *segBuffer, k int64) int64 {
 // above U_MAX the cache is too full for copying to converge, and GC falls
 // back to S2D.
 func (c *Cache) copyEligible() bool {
-	return c.cfg.GC == SelGC && c.Utilization() < c.cfg.UMax
+	return c.cfg.GC == SelGC && c.utilization() < c.cfg.UMax
 }
 
 // pickVictim chooses the closed group to reclaim (there is one; see gc):

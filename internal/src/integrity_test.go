@@ -254,8 +254,8 @@ func rebuild(t *testing.T, e *env, col int, dev blockdev.Device) vtime.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e.cache.Rebuilding() {
-		if done, _, err = e.cache.RebuildStep(done); err != nil {
+	for pending := true; pending; {
+		if done, pending, err = e.cache.RebuildStep(done); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +408,7 @@ func TestHostReadRepairsCorruption(t *testing.T) {
 		}
 		col, page := e.corruptOnSSD(3)
 		e.read(0, capPages)
-		st := e.cache.RepairStats()
+		st := e.cache.State(nil).Repair
 		if st.CorruptionsDetected != 1 || st.CorruptionsRepaired != 1 {
 			t.Fatalf("host read detected %d and repaired %d corruptions, want 1 and 1",
 				st.CorruptionsDetected, st.CorruptionsRepaired)
@@ -429,14 +429,14 @@ func TestHostReadRepairsCorruption(t *testing.T) {
 		if e.prim.Stats().ReadOps == primReads {
 			t.Fatal("corrupt clean page not refetched")
 		}
-		if st := e.cache.RepairStats(); st.CorruptionsDetected != 1 || st.CorruptionsRepaired != 1 {
+		if st := e.cache.State(nil).Repair; st.CorruptionsDetected != 1 || st.CorruptionsRepaired != 1 {
 			t.Fatalf("host read detected %d and repaired %d corruptions, want 1 and 1",
 				st.CorruptionsDetected, st.CorruptionsRepaired)
 		}
 		if _, _, err := e.cache.ReadCheck(e.at, 2); err != nil {
 			t.Fatal(err)
 		}
-		if st := e.cache.RepairStats(); st.CorruptionsDetected != 1 {
+		if st := e.cache.State(nil).Repair; st.CorruptionsDetected != 1 {
 			t.Fatal("the refetched page does not verify")
 		}
 		e.checkInvariants()
@@ -481,7 +481,7 @@ func TestGCVerifiesNeverWrittenPages(t *testing.T) {
 			if err := c.reinsert(done, live, false); err != nil {
 				t.Fatal(err)
 			}
-			if c.RepairStats().CorruptionsDetected != 1 {
+			if c.State(nil).Repair.CorruptionsDetected != 1 {
 				t.Fatal("copy round did not detect the corrupt page")
 			}
 			en, ok := c.mapping.get(lba)
@@ -560,9 +560,9 @@ func (e *env) verifies(lba int64) {
 	case en.state == stateBufGC:
 		got = c.gcBuf.slots[en.loc].tag
 	default:
-		before := c.RepairStats().CorruptionsDetected
+		before := c.State(nil).Repair.CorruptionsDetected
 		var done vtime.Time
-		if got, done, err = c.ReadCheck(e.at, lba); err == nil && c.RepairStats().CorruptionsDetected != before {
+		if got, done, err = c.ReadCheck(e.at, lba); err == nil && c.State(nil).Repair.CorruptionsDetected != before {
 			e.t.Fatalf("page %d: its SSD copy is corrupt", lba)
 		}
 		e.at = vtime.Max(e.at, done)
@@ -698,7 +698,7 @@ func TestReclaimDuringRebuildCountsNoCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.RepairStats(); st.CorruptionsDetected != 0 || st.CorruptionsRepaired != 0 {
+	if st := c.State(nil).Repair; st.CorruptionsDetected != 0 || st.CorruptionsRepaired != 0 {
 		t.Fatalf("reclaim during a rebuild counted %d corruptions and %d repairs, want none",
 			st.CorruptionsDetected, st.CorruptionsRepaired)
 	}
@@ -899,11 +899,11 @@ func FuzzCheckedRead(f *testing.F) {
 					if _, _, ok := e.cache.Locate(p); !ok {
 						continue
 					}
-					before := e.cache.RepairStats().CorruptionsDetected
+					before := e.cache.State(nil).Repair.CorruptionsDetected
 					if _, done, err = e.cache.ReadCheck(e.at, p); err != nil {
 						t.Fatalf("page %d after read [%d,%d): %v", p, lba, lba+n, err)
 					}
-					if e.cache.RepairStats().CorruptionsDetected != before {
+					if e.cache.State(nil).Repair.CorruptionsDetected != before {
 						t.Fatalf("page %d after read [%d,%d) still corrupt", p, lba, lba+n)
 					}
 					e.at = vtime.Max(e.at, done)

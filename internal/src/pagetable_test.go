@@ -63,7 +63,7 @@ func TestPageTableCountAcrossRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.read(1000, 3) // clean fills, still buffered: lost by the crash
-	if got := int64(c.CachedPages()); got != pages+3 {
+	if got := int64(c.State(nil).CachedPages); got != pages+3 {
 		t.Fatalf("CachedPages %d, want %d", got, pages+3)
 	}
 	for _, d := range e.ssds {
@@ -73,11 +73,11 @@ func TestPageTableCountAcrossRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.checkInvariants()
-	if got := int64(c.CachedPages()); got != pages {
+	if got := int64(c.State(nil).CachedPages); got != pages {
 		t.Fatalf("CachedPages %d after recovery, want the %d flushed pages", got, pages)
 	}
 	for lba := int64(0); lba < pages; lba++ {
-		if !c.CachedDirty(lba) {
+		if !cachedDirty(c, lba) {
 			t.Fatalf("lba %d lost by recovery", lba)
 		}
 	}

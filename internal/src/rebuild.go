@@ -25,18 +25,6 @@ type rebuildState struct {
 	total  int
 }
 
-// Rebuilding reports whether a column rebuild is in progress.
-func (c *Cache) Rebuilding() bool { return c.rebuild != nil }
-
-// RebuildProgress reports how many segments remain to rebuild out of the
-// total enumerated when the rebuild started (0, 0 when idle).
-func (c *Cache) RebuildProgress() (remaining, total int) {
-	if c.rebuild == nil {
-		return 0, 0
-	}
-	return len(c.rebuild.needed), c.rebuild.total
-}
-
 // awaitingRebuild reports whether the byte offset on col falls in a segment
 // that has not been rebuilt yet — its data must come from the degraded path.
 func (c *Cache) awaitingRebuild(col int, off int64) bool {

@@ -361,7 +361,7 @@ func TestRecoverUnderASmallerPrimary(t *testing.T) {
 	if _, err := c.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if c.CachedPages() == 0 || c.CachedPages() > int(pages) {
-		t.Fatalf("%d pages recovered for a volume of %d", c.CachedPages(), pages)
+	if n := c.State(nil).CachedPages; n == 0 || n > int(pages) {
+		t.Fatalf("%d pages recovered for a volume of %d", n, pages)
 	}
 }

@@ -53,24 +53,6 @@ type RepairStats struct {
 	RebuildDirtyLost int64
 }
 
-// RepairStats reports accumulated self-healing activity.
-func (c *Cache) RepairStats() RepairStats { return c.repair }
-
-// DeviceDown reports whether the cache has escalated the given SSD to
-// column fail-stop (error budget exhausted, or the device failed hard).
-func (c *Cache) DeviceDown(col int) bool {
-	return col >= 0 && col < len(c.colDown) && c.colDown[col]
-}
-
-// DeviceErrors reports the corrected-error count charged against col's
-// budget since assembly (or its last replacement).
-func (c *Cache) DeviceErrors(col int) int64 {
-	if col < 0 || col >= len(c.devErrs) {
-		return 0
-	}
-	return c.devErrs[col]
-}
-
 // A transient device error is retried up to retryLimit times, the first
 // retry retryDelay of virtual time later and each further one after twice
 // the previous wait. A request still transient after that treats the
@@ -181,12 +163,6 @@ func (c *Cache) CachedVersion(lba int64) (uint64, bool) {
 		return 0, true
 	}
 	return c.versions[lba], true
-}
-
-// CachedDirty reports whether lba is cached in a dirty state.
-func (c *Cache) CachedDirty(lba int64) bool {
-	e, ok := c.mapping.get(lba)
-	return ok && e.state.dirty()
 }
 
 // Locate reports the SSD column and device page index of lba's on-SSD copy;

@@ -41,14 +41,14 @@ func TestTransientRetryCorrects(t *testing.T) {
 	}
 	e.ssds[0].InjectTransient(2)
 	e.read(target, 1) // must succeed on the third attempt
-	st := e.cache.RepairStats()
+	st := e.cache.State(nil).Repair
 	if st.TransientErrors != 2 || st.Retries != 2 {
 		t.Fatalf("stats %+v, want 2 transients corrected by 2 retries", st)
 	}
-	if n := e.cache.DeviceErrors(0); n != 1 {
+	if n := e.cache.State(nil).Columns[0].Errors; n != 1 {
 		t.Fatalf("budget charge %d, want 1 (corrected errors count once, md-style)", n)
 	}
-	if e.cache.DeviceDown(0) {
+	if e.cache.State(nil).Columns[0].Down {
 		t.Fatal("corrected transient escalated the column")
 	}
 }
@@ -67,11 +67,11 @@ func TestTransientExhaustionFallsBackDegraded(t *testing.T) {
 	if e.ssds[1].Stats().ReadOps == before {
 		t.Fatal("exhausted retries did not fall back to parity reconstruction")
 	}
-	st := e.cache.RepairStats()
+	st := e.cache.State(nil).Repair
 	if st.TransientErrors != 4 || st.Retries != 3 {
 		t.Fatalf("stats %+v, want 4 transients / 3 retries", st)
 	}
-	if n := e.cache.DeviceErrors(0); n != 1 {
+	if n := e.cache.State(nil).Columns[0].Errors; n != 1 {
 		t.Fatalf("budget charge %d, want 1", n)
 	}
 	e.checkInvariants()
@@ -93,7 +93,7 @@ func TestUnreadableRepairedInPlaceFromParity(t *testing.T) {
 	if n := e.ssds[0].UnreadablePages(); n != 0 {
 		t.Fatalf("latent error not cleared by repair rewrite: %d pages still bad", n)
 	}
-	st := e.cache.RepairStats()
+	st := e.cache.State(nil).Repair
 	if st.UnreadableErrors != 1 || st.RepairedPages != 1 {
 		t.Fatalf("stats %+v, want 1 unreadable / 1 repaired", st)
 	}
@@ -153,10 +153,10 @@ func TestErrorBudgetEscalatesColumn(t *testing.T) {
 	}
 	e.ssds[0].InjectUnreadable(page)
 	e.read(target, 1) // the single budget error escalates column 0
-	if !e.cache.DeviceDown(0) {
+	if !e.cache.State(nil).Columns[0].Down {
 		t.Fatal("budget exhaustion did not escalate the column")
 	}
-	if st := e.cache.RepairStats(); st.Escalations != 1 {
+	if st := e.cache.State(nil).Repair; st.Escalations != 1 {
 		t.Fatalf("stats %+v, want 1 escalation", st)
 	}
 	// The physically healthy but fail-stopped column now serves degraded.
@@ -175,7 +175,7 @@ func TestErrorBudgetEscalatesColumn(t *testing.T) {
 	}
 	// Replacing the column re-admits it with a fresh budget.
 	rebuild(t, e, 0, e.ssds[0])
-	if e.cache.DeviceDown(0) || e.cache.DeviceErrors(0) != 0 {
+	if col := e.cache.State(nil).Columns[0]; col.Down || col.Errors != 0 {
 		t.Fatal("rebuild did not re-admit the column")
 	}
 	e.checkInvariants()
@@ -214,15 +214,13 @@ func TestReplaceSSDOnlineRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.at = vtime.Max(e.at, done)
-	if !e.cache.Rebuilding() {
-		t.Fatal("not rebuilding after ReplaceSSD")
+	st := e.cache.State(nil)
+	if st.RebuildColumn != 1 || st.RebuildTotal == 0 || st.RebuildRemaining != st.RebuildTotal {
+		t.Fatalf("rebuild of column %d at %d/%d after replace, want column 1 with all to go",
+			st.RebuildColumn, st.RebuildRemaining, st.RebuildTotal)
 	}
 	if _, err := e.cache.ReplaceSSD(e.at, 2, blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond)); err == nil {
 		t.Fatal("accepted a second concurrent rebuild")
-	}
-	remaining, totalSegs := e.cache.RebuildProgress()
-	if totalSegs == 0 || remaining != totalSegs {
-		t.Fatalf("progress %d/%d after replace", remaining, totalSegs)
 	}
 
 	// Before any rebuild step, a not-yet-rebuilt page must verify through
@@ -231,28 +229,36 @@ func TestReplaceSSDOnlineRebuild(t *testing.T) {
 		t.Fatalf("degraded ReadCheck during rebuild: tag %v err %v", got, err)
 	}
 
-	// Interleave foreground reads with rebuild steps.
-	served := 0
-	for i := 0; e.cache.Rebuilding(); i++ {
+	// Interleave foreground reads with rebuild steps. Each step rebuilds
+	// at least one segment, and the total stays what the rebuild started
+	// with; a read's reclaim may retire segments too.
+	segs, served := st.RebuildTotal, 0
+	for i, pending := 0, true; pending; i++ {
 		if i < len(onDrive) {
 			e.read(onDrive[i], 1)
 			served++
 		}
-		tstep, _, err := e.cache.RebuildStep(e.at)
+		left := e.cache.State(st.Columns).RebuildRemaining
+		tstep, more, err := e.cache.RebuildStep(e.at)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.at = vtime.Max(e.at, tstep)
+		pending = more
+		st = e.cache.State(st.Columns)
+		if pending && (st.RebuildColumn != 1 || st.RebuildTotal != segs || st.RebuildRemaining >= left) {
+			t.Fatalf("step %d: rebuild of column %d at %d/%d, was %d/%d", i,
+				st.RebuildColumn, st.RebuildRemaining, st.RebuildTotal, left, segs)
+		}
 	}
 	if served == 0 {
 		t.Fatal("no foreground reads interleaved with the rebuild")
 	}
-	st := e.cache.RepairStats()
-	if st.RebuiltSegments == 0 {
+	if st.Repair.RebuiltSegments == 0 {
 		t.Fatal("no segments rebuilt")
 	}
-	if r, tot := e.cache.RebuildProgress(); r != 0 || tot != 0 {
-		t.Fatalf("progress %d/%d after convergence", r, tot)
+	if st.RebuildColumn != -1 || st.RebuildRemaining != 0 || st.RebuildTotal != 0 {
+		t.Fatalf("rebuild of column %d at %d/%d after convergence", st.RebuildColumn, st.RebuildRemaining, st.RebuildTotal)
 	}
 	// Every page of the replaced column verifies against its written
 	// version on the new device.
@@ -283,7 +289,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.at = vtime.Max(e.at, done)
-	st := e.cache.RepairStats()
+	st := e.cache.State(nil).Repair
 	if st.ScrubbedPages == 0 {
 		t.Fatal("scrub verified nothing")
 	}
@@ -301,7 +307,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	if _, err := e.cache.Scrub(e.at); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.cache.RepairStats(); st.CorruptionsDetected != 1 {
+	if st := e.cache.State(nil).Repair; st.CorruptionsDetected != 1 {
 		t.Fatalf("second scrub pass found new corruption: %+v", st)
 	}
 	e.checkInvariants()
@@ -379,7 +385,7 @@ func TestWriteExhaustionAbandonsSegment(t *testing.T) {
 	if _, err := e.cache.Flush(e.at); err != nil {
 		t.Fatalf("flush after transient exhaustion: %v", err)
 	}
-	if e.cache.RepairStats().TransientErrors < 4 {
+	if e.cache.State(nil).Repair.TransientErrors < 4 {
 		t.Fatal("fault never fired: scenario did not exercise exhaustion")
 	}
 	for _, lba := range []int64{10, 11} {
@@ -395,7 +401,7 @@ func TestWriteExhaustionAbandonsSegment(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	for _, lba := range []int64{10, 11} {
-		if !e.cache.CachedDirty(lba) {
+		if !cachedDirty(e.cache, lba) {
 			t.Fatalf("lba %d lost across crash despite acknowledged flush", lba)
 		}
 	}
@@ -415,7 +421,7 @@ func TestFlushRefusesFalseDurabilityAck(t *testing.T) {
 	if _, err := e.cache.Flush(e.at); err == nil {
 		t.Fatal("flush acknowledged durability while every destage failed")
 	}
-	if !e.cache.CachedDirty(10) {
+	if !cachedDirty(e.cache, 10) {
 		t.Fatal("failed flush dropped the dirty page")
 	}
 	if _, err := e.cache.Flush(e.at); err != nil {
@@ -427,7 +433,7 @@ func TestFlushRefusesFalseDurabilityAck(t *testing.T) {
 	if _, err := e.cache.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if !e.cache.CachedDirty(10) {
+	if !cachedDirty(e.cache, 10) {
 		t.Fatal("lba 10 lost across crash despite acknowledged flush")
 	}
 	e.checkInvariants()
@@ -443,22 +449,22 @@ func TestHardFailureFailStopsColumn(t *testing.T) {
 	c := e.cache
 	e.ssds[1].Fail()
 	capPages := int64(c.dirtyBuf.Cap())
-	freeBefore := c.FreeGroups()
+	freeBefore := c.State(nil).FreeGroups
 	for lba := int64(0); lba < 10*capPages; lba++ {
 		e.write(lba, 1)
 		// No abandoned write, so no overshoot outlives the request.
-		if n := int64(c.DirtyBufferedPages()); n > capPages {
+		if n := int64(c.State(nil).DirtyBufferedPages); n > capPages {
 			t.Fatalf("after page %d: %d dirty pages buffered, one segment is %d", lba, n, capPages)
 		}
 	}
-	if got := c.RepairStats().Escalations; got != 1 {
+	if got := c.State(nil).Repair.Escalations; got != 1 {
 		t.Fatalf("Escalations = %d, want 1", got)
 	}
-	if !c.DeviceDown(1) {
+	if !c.State(nil).Columns[1].Down {
 		t.Fatal("hard-failed ssd 1 is still a live column")
 	}
-	if c.FreeGroups() >= freeBefore {
-		t.Fatalf("free groups %d -> %d: no segment was written degraded", freeBefore, c.FreeGroups())
+	if c.State(nil).FreeGroups >= freeBefore {
+		t.Fatalf("free groups %d -> %d: no segment was written degraded", freeBefore, c.State(nil).FreeGroups)
 	}
 	if c.active < 0 || c.nextSeg != 10 {
 		t.Fatalf("active group %d at segment %d, want ten segments written, none burnt", c.active, c.nextSeg)

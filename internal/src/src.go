@@ -166,40 +166,87 @@ func (c *Cache) bufCapacity(dirty bool) int64 {
 	return int64(len(cols)) * c.lay.payloadPages
 }
 
-// Utilization reports live payload pages over the payload capacity of all
+// utilization reports live payload pages over the payload capacity of all
 // written (active + closed) segments — the quantity Sel-GC compares with
 // U_MAX.
-func (c *Cache) Utilization() float64 {
+func (c *Cache) utilization() float64 {
 	if c.totalPaycap == 0 {
 		return 0
 	}
 	return float64(c.totalValid) / float64(c.totalPaycap)
 }
 
-// FreeGroups reports the number of free Segment Groups.
-func (c *Cache) FreeGroups() int { return len(c.freeSGs) }
-
-// Groups reports the total number of Segment Groups including the
-// superblock.
-func (c *Cache) Groups() int { return int(c.lay.numSG) }
-
-// CachedPages reports the number of logical pages currently cached (any
-// state).
-func (c *Cache) CachedPages() int { return c.mapping.count() }
-
-// DirtyBufferedPages reports pages waiting in the dirty segment buffers
-// (host writes plus, in SeparateGCBuffer mode, S2S copies).
-func (c *Cache) DirtyBufferedPages() int {
-	n := c.dirtyBuf.Live()
-	if c.gcBuf != nil {
-		n += c.gcBuf.Live()
-	}
-	return n
+// State is one snapshot of the cache: the one place its state is read, by
+// tests, harnesses and a running daemon alike. WastedSlots, Repair and
+// Counters are cumulative since assembly; every other field is a gauge of
+// the instant.
+type State struct {
+	// Utilization is live payload pages over the payload capacity of all
+	// written segments; Sel-GC copies while it is below UMax.
+	Utilization, UMax float64
+	// Groups counts Segment Groups, the superblock's included, and
+	// FreeGroups the free ones. ActiveGroup is the group taking segments
+	// (-1 before the first) and NextSegment the next segment in it.
+	Groups, FreeGroups       int
+	ActiveGroup, NextSegment int64
+	// DirtyBufferedPages counts pages waiting in the dirty segment buffers
+	// (host writes plus, with SeparateGCBuffer, S2S copies) and
+	// CleanBufferedPages those in the clean one. CachedPages counts the
+	// logical pages cached in any state.
+	DirtyBufferedPages, CleanBufferedPages, CachedPages int
+	// WastedSlots counts payload slots lost to partial segments and
+	// invalidated buffer entries.
+	WastedSlots int64
+	// RebuildColumn is the column being rebuilt (-1 when idle), with
+	// RebuildRemaining of the RebuildTotal segments it started with still
+	// to rebuild.
+	RebuildColumn, RebuildRemaining, RebuildTotal int
+	// Columns holds each SSD column's health, in column order.
+	Columns  []Column
+	Repair   RepairStats
+	Counters bench.Counters
 }
 
-// WastedSlots reports payload slots lost to partial segments and
-// invalidated buffer entries.
-func (c *Cache) WastedSlots() int64 { return c.wastedSlots }
+// Column is one SSD column's health in a State.
+type Column struct {
+	// Down reports the column escalated to fail-stop (error budget
+	// exhausted, or the device failed hard).
+	Down bool
+	// Errors counts the corrected errors charged against its budget since
+	// assembly or its last replacement.
+	Errors int64
+}
+
+// State snapshots the cache. Columns reuses cols's array, so State
+// allocates nothing once cols has grown to the array's width.
+func (c *Cache) State(cols []Column) State {
+	st := State{
+		Utilization:        c.utilization(),
+		UMax:               c.cfg.UMax,
+		Groups:             int(c.lay.numSG),
+		FreeGroups:         len(c.freeSGs),
+		ActiveGroup:        c.active,
+		NextSegment:        c.nextSeg,
+		DirtyBufferedPages: c.dirtyBuf.Live(),
+		CleanBufferedPages: c.cleanBuf.Live(),
+		CachedPages:        c.mapping.count(),
+		WastedSlots:        c.wastedSlots,
+		RebuildColumn:      -1,
+		Columns:            cols[:0],
+		Repair:             c.repair,
+		Counters:           c.counters,
+	}
+	if c.gcBuf != nil {
+		st.DirtyBufferedPages += c.gcBuf.Live()
+	}
+	if rs := c.rebuild; rs != nil {
+		st.RebuildColumn, st.RebuildRemaining, st.RebuildTotal = rs.col, len(rs.needed), rs.total
+	}
+	for col, down := range c.colDown {
+		st.Columns = append(st.Columns, Column{Down: down, Errors: c.devErrs[col]})
+	}
+	return st
+}
 
 // tagFor derives the content tag for the current version of lba.
 func (c *Cache) tagFor(lba int64) blockdev.Tag {

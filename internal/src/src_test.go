@@ -92,8 +92,8 @@ func (e *env) checkInvariants() {
 	}
 	var onSSD int64
 	pages := mapped(c)
-	if len(pages) != c.CachedPages() {
-		e.t.Fatalf("page table counts %d live entries, holds %d", c.CachedPages(), len(pages))
+	if len(pages) != c.mapping.count() {
+		e.t.Fatalf("page table counts %d live entries, holds %d", c.mapping.count(), len(pages))
 	}
 	for lba, en := range pages {
 		switch en.state {
@@ -117,7 +117,7 @@ func (e *env) checkInvariants() {
 	if onSSD != c.totalValid {
 		e.t.Fatalf("mapped SSD pages %d != totalValid %d", onSSD, c.totalValid)
 	}
-	if u := c.Utilization(); u < 0 || u > 1.0001 {
+	if u := c.utilization(); u < 0 || u > 1.0001 {
 		e.t.Fatalf("utilization %v out of range", u)
 	}
 }
@@ -228,7 +228,7 @@ func TestSegmentWriteAtBufferCapacity(t *testing.T) {
 	if got := bytesWritten(e) - before; got != 4*testSegCol {
 		t.Fatalf("segment wrote %d bytes, want %d", got, 4*testSegCol)
 	}
-	if e.cache.DirtyBufferedPages() != 0 {
+	if e.cache.State(nil).DirtyBufferedPages != 0 {
 		t.Fatal("buffer not reset after segment write")
 	}
 	if e.cache.Counters().ParityBytes == 0 || e.cache.Counters().MetadataBytes == 0 {
@@ -342,14 +342,14 @@ func TestFlushWritesPartialSegmentAndFlushesSSDs(t *testing.T) {
 	if done < e.at {
 		t.Fatal("flush completed in the past")
 	}
-	if e.cache.DirtyBufferedPages() != 0 {
+	if e.cache.State(nil).DirtyBufferedPages != 0 {
 		t.Fatal("dirty buffer survived flush")
 	}
 	if e.ssds[0].Stats().Flushes != flushes+1 {
 		t.Fatal("SSDs not flushed")
 	}
 	// The partial segment wasted the remaining payload slots.
-	if e.cache.WastedSlots() == 0 {
+	if e.cache.State(nil).WastedSlots == 0 {
 		t.Fatal("partial segment waste not accounted")
 	}
 	e.checkInvariants()
@@ -362,14 +362,14 @@ func TestTickHonorsTWait(t *testing.T) {
 	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait - vtime.Nanosecond)); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache.DirtyBufferedPages() != 1 {
+	if e.cache.State(nil).DirtyBufferedPages != 1 {
 		t.Fatal("tick flushed before tWait")
 	}
 	// After tWait of idleness the partial segment goes out.
 	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait)); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache.DirtyBufferedPages() != 0 {
+	if e.cache.State(nil).DirtyBufferedPages != 0 {
 		t.Fatal("tick did not flush after tWait")
 	}
 }
@@ -426,7 +426,7 @@ func TestGCReclaimsGroups(t *testing.T) {
 		}
 	}
 	e.checkInvariants()
-	if e.cache.FreeGroups() == 0 {
+	if e.cache.State(nil).FreeGroups == 0 {
 		t.Fatal("no free groups after GC")
 	}
 	if e.cache.Counters().DestageBytes == 0 && e.cache.Counters().GCCopyBytes == 0 {
@@ -520,6 +520,30 @@ func TestUMaxForcesS2DAtHighUtilization(t *testing.T) {
 	}
 	if ctr.DestageBytes == 0 {
 		t.Fatal("no destaging happened")
+	}
+}
+
+// cachedDirty reports whether lba is cached in a dirty state.
+func cachedDirty(c *Cache, lba int64) bool {
+	en, ok := c.mapping.get(lba)
+	return ok && en.state.dirty()
+}
+
+// TestStateAllocatesNothing: a snapshot reuses the caller's column buffer,
+// so a daemon can poll it under the shard lock without allocating, and it
+// reads what the cache holds.
+func TestStateAllocatesNothing(t *testing.T) {
+	e := newEnv(t, func(c *Config) { c.TrackContent = false })
+	for lba := int64(0); lba < 4*int64(e.cache.dirtyBuf.Cap())+3; lba++ {
+		e.write(lba, 1)
+	}
+	st := e.cache.State(nil)
+	if n := testing.AllocsPerRun(100, func() { st = e.cache.State(st.Columns) }); n != 0 {
+		t.Fatalf("State: %v allocs per call, want 0", n)
+	}
+	if len(st.Columns) != len(e.ssds) || st.UMax != e.cache.cfg.UMax || st.DirtyBufferedPages != 3 ||
+		st.FreeGroups >= st.Groups-1 || st.ActiveGroup < 1 || st.Counters.Writes == 0 {
+		t.Fatalf("State = %+v after %d page writes", st, st.Counters.Writes)
 	}
 }
 

@@ -25,8 +25,8 @@ func TestGranuleSequentialFillNeverMerges(t *testing.T) {
 	for off := int64(0); off < d.Capacity(); off += 256 << 10 {
 		at = write(t, d, at, off, 256<<10)
 	}
-	if d.GCPageCopies() != 0 {
-		t.Fatalf("sequential fill merged %d pages", d.GCPageCopies())
+	if d.gcPageCopies != 0 {
+		t.Fatalf("sequential fill merged %d pages", d.gcPageCopies)
 	}
 	if d.liveLogs != 0 {
 		t.Fatalf("%d log granules left open after complete sweeps", d.liveLogs)
@@ -42,8 +42,8 @@ func TestGranuleFullOverwriteIsSwitchMerge(t *testing.T) {
 	for _, g := range []int64{3, 0, 7, 5} {
 		at = write(t, d, at, g*egs, egs)
 	}
-	if d.GCPageCopies() != 0 {
-		t.Fatalf("aligned overwrites merged %d pages", d.GCPageCopies())
+	if d.gcPageCopies != 0 {
+		t.Fatalf("aligned overwrites merged %d pages", d.gcPageCopies)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestGranuleScatteredWritesMergeOnPoolOverflow(t *testing.T) {
 	for g := int64(0); g < logGranules+4; g++ {
 		at = write(t, d, at, g*egs+egs/2, blockdev.PageSize)
 	}
-	if d.GCPageCopies() == 0 {
+	if d.gcPageCopies == 0 {
 		t.Fatal("pool overflow never merged")
 	}
 }
@@ -76,7 +76,7 @@ func TestGranuleMergeCostScalesWithValidity(t *testing.T) {
 		for g := int64(0); g < 4*logGranules; g++ {
 			at = write(t, d, at, (g%(2*logGranules))*egs+egs/2+g*blockdev.PageSize, blockdev.PageSize)
 		}
-		return d.GCPageCopies()
+		return d.gcPageCopies
 	}
 	// Full fill: every targeted granule is live; quarter fill: most are
 	// empty, so their merges are nearly free.
@@ -93,15 +93,15 @@ func TestGranuleTrimResetsStreaming(t *testing.T) {
 	// Fragment a granule, then trim it whole: the next sequential rewrite
 	// is free again.
 	at = write(t, d, at, egs/2, blockdev.PageSize)
-	copies := d.GCPageCopies()
+	copies := d.gcPageCopies
 	done, err := d.Submit(at, blockdev.Request{Op: blockdev.OpTrim, Off: 0, Len: egs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	at = done
 	at = write(t, d, at, 0, egs)
-	if d.GCPageCopies() != copies {
-		t.Fatalf("post-trim sequential rewrite merged %d pages", d.GCPageCopies()-copies)
+	if d.gcPageCopies != copies {
+		t.Fatalf("post-trim sequential rewrite merged %d pages", d.gcPageCopies-copies)
 	}
 }
 
@@ -129,9 +129,9 @@ func TestFlushBarrierDelaysSubsequentIO(t *testing.T) {
 
 func TestAccountCopiesAggregates(t *testing.T) {
 	d := newTestSSD(t, testConfig())
-	before := d.FlashStats()
+	before := d.nand.Stats()
 	d.nand.AccountCopies(100)
-	after := d.FlashStats()
+	after := d.nand.Stats()
 	if after.PagesProgrammed-before.PagesProgrammed != 100 ||
 		after.PagesRead-before.PagesRead != 100 {
 		t.Fatalf("copies not accounted: %+v -> %+v", before, after)
@@ -140,7 +140,7 @@ func TestAccountCopiesAggregates(t *testing.T) {
 		t.Fatal("amortized erases not accounted")
 	}
 	d.nand.AccountCopies(0) // no-op
-	if d.FlashStats() != after {
+	if d.nand.Stats() != after {
 		t.Fatal("zero copies changed stats")
 	}
 }

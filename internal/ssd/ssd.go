@@ -156,9 +156,6 @@ func (d *SSD) Stats() *blockdev.Stats { return &d.stats }
 // Content exposes the content store for tag/blob bookkeeping.
 func (d *SSD) Content() *blockdev.Content { return d.cont }
 
-// FlashStats reports NAND-level operation counts.
-func (d *SSD) FlashStats() flash.Stats { return d.nand.Stats() }
-
 // WAF reports the write amplification factor: flash pages programmed per
 // host page written. Zero host writes yields zero.
 func (d *SSD) WAF() float64 {
@@ -167,15 +164,6 @@ func (d *SSD) WAF() float64 {
 	}
 	return float64(d.nand.Stats().PagesProgrammed) / float64(d.hostPagesWritten)
 }
-
-// GCPageCopies reports pages moved by FTL garbage collection.
-func (d *SSD) GCPageCopies() int64 { return d.gcPageCopies }
-
-// FreeGroups reports the number of free erase groups.
-func (d *SSD) FreeGroups() int { return len(d.freeSBs) }
-
-// RetiredGroups reports erase groups retired due to grown bad blocks.
-func (d *SSD) RetiredGroups() int64 { return d.retiredGroups }
 
 // MeanEraseCount reports average NAND block wear.
 func (d *SSD) MeanEraseCount() float64 { return d.nand.MeanEraseCount() }

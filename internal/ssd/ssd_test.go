@@ -118,11 +118,11 @@ func TestWriteReadRoundTripTiming(t *testing.T) {
 
 func TestReadOfUnmappedPageSkipsFlash(t *testing.T) {
 	d := newTestSSD(t, testConfig())
-	before := d.FlashStats().PagesRead
+	before := d.nand.Stats().PagesRead
 	if _, err := d.Submit(0, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize}); err != nil {
 		t.Fatal(err)
 	}
-	if d.FlashStats().PagesRead != before {
+	if d.nand.Stats().PagesRead != before {
 		t.Fatal("unmapped read touched flash")
 	}
 }
@@ -130,8 +130,8 @@ func TestReadOfUnmappedPageSkipsFlash(t *testing.T) {
 func TestSequentialFillNoGC(t *testing.T) {
 	d := newTestSSD(t, testConfig())
 	fill(t, d, 1<<20, 0)
-	if d.GCPageCopies() != 0 {
-		t.Fatalf("sequential fill triggered %d GC copies", d.GCPageCopies())
+	if d.gcPageCopies != 0 {
+		t.Fatalf("sequential fill triggered %d GC copies", d.gcPageCopies)
 	}
 	if waf := d.WAF(); waf != 1.0 {
 		t.Fatalf("sequential fill WAF = %v, want 1.0", waf)
@@ -148,7 +148,7 @@ func TestAlignedOverwriteKeepsWAFNearOne(t *testing.T) {
 		at = fill(t, d, egs, at)
 	}
 	if waf := d.WAF(); waf > 1.01 {
-		t.Fatalf("aligned overwrite WAF = %v, want ~1.0 (gc copies %d)", waf, d.GCPageCopies())
+		t.Fatalf("aligned overwrite WAF = %v, want ~1.0 (gc copies %d)", waf, d.gcPageCopies)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestRandomOverwriteAmplifies(t *testing.T) {
 	if waf := d.WAF(); waf < 1.3 {
 		t.Fatalf("random overwrite WAF = %v, want noticeably above 1", waf)
 	}
-	if d.GCPageCopies() == 0 {
+	if d.gcPageCopies == 0 {
 		t.Fatal("random overwrite never garbage collected")
 	}
 }
@@ -182,14 +182,14 @@ func TestTrimRestoresFreeSpace(t *testing.T) {
 	}
 	// Trim alone does not erase, but subsequent fills reclaim the trimmed
 	// groups without copying a single page.
-	copiesBefore := d.GCPageCopies()
+	copiesBefore := d.gcPageCopies
 	at = fill(t, d, 1<<20, at)
 	fill(t, d, 1<<20, at)
-	if d.GCPageCopies() != copiesBefore {
-		t.Fatalf("fill after trim copied %d pages", d.GCPageCopies()-copiesBefore)
+	if d.gcPageCopies != copiesBefore {
+		t.Fatalf("fill after trim copied %d pages", d.gcPageCopies-copiesBefore)
 	}
-	if d.FreeGroups() < 1 {
-		t.Fatalf("free groups %d after trim+fill", d.FreeGroups())
+	if len(d.freeSBs) < 1 {
+		t.Fatalf("free groups %d after trim+fill", len(d.freeSBs))
 	}
 }
 
@@ -293,7 +293,7 @@ func TestWearAccounting(t *testing.T) {
 	if d.MeanEraseCount() <= 0 {
 		t.Fatal("no erases recorded after repeated fills")
 	}
-	if d.FlashStats().Erases == 0 {
+	if d.nand.Stats().Erases == 0 {
 		t.Fatal("flash erase counter zero")
 	}
 }
@@ -305,7 +305,7 @@ func TestWornOutGroupsRetire(t *testing.T) {
 	cfg.EnduranceCycles = 2
 	d := newTestSSD(t, cfg)
 	var at vtime.Time
-	for i := int64(0); d.RetiredGroups() == 0; i++ {
+	for i := int64(0); d.retiredGroups == 0; i++ {
 		if i == 16*d.Capacity()>>20 {
 			t.Fatal("no erase group retired after 16 full-device passes")
 		}
@@ -325,7 +325,7 @@ func TestWornOutGroupsRetire(t *testing.T) {
 			}
 		}
 	}
-	if int64(retired) != d.RetiredGroups() {
-		t.Fatalf("%d groups in the retired state, RetiredGroups reports %d", retired, d.RetiredGroups())
+	if int64(retired) != d.retiredGroups {
+		t.Fatalf("%d groups in the retired state, RetiredGroups reports %d", retired, d.retiredGroups)
 	}
 }

@@ -126,15 +126,3 @@ func (h *Histogram) Summarize() Summary {
 		Max:   h.Max(),
 	}
 }
-
-// Merge adds o's observations into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}

@@ -102,22 +102,6 @@ func TestPercentile100EqualsMax(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(vtime.Millisecond)
-	b.Observe(3 * vtime.Millisecond)
-	a.Merge(&b)
-	if a.Count() != 2 {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	if a.Mean() != 2*vtime.Millisecond {
-		t.Fatalf("merged mean %v", a.Mean())
-	}
-	if a.Max() != 3*vtime.Millisecond {
-		t.Fatalf("merged max %v", a.Max())
-	}
-}
-
 func TestBucketBoundsMonotone(t *testing.T) {
 	prev := vtime.Duration(-1)
 	for i := 0; i < 64*subBuckets; i++ {

@@ -48,7 +48,7 @@ func (o Oracle) Recovered(at vtime.Time, strict, readBack bool) error {
 			return err
 		}
 	}
-	if got := o.Cache.CachedPages(); got > inSpan {
+	if got := o.Cache.State(nil).CachedPages; got > inSpan {
 		return breach(NoPhantomData, "%d pages mapped but only %d lie in the span", got, inSpan)
 	}
 	return nil

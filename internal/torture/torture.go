@@ -126,7 +126,7 @@ func (p *Probe) LossWindow(c *src.Cache, latest map[int64]uint64) (int, error) {
 	for _, d := range c.CacheDevices() {
 		ssds = append(ssds, d.Content())
 	}
-	cache, pc, err := p.recoverCrash(ssds, c.Primary().Content(), func(_ int, c *blockdev.Content) error { c.Crash(); return nil })
+	cache, pc, err := p.recoverCrash(ssds, c.Primary().Content(), func(_ int, c *blockdev.Content) (*blockdev.Content, error) { return c.Committed(), nil })
 	if err != nil {
 		return 0, err
 	}

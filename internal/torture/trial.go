@@ -128,8 +128,7 @@ func (p *Probe) tornTuple(ep *epoch, lens []int) (tuple, bool) {
 	// Prefer a blob written over an old committed blob (page reuse).
 	bestDev, bestIdx, bestLen, reuse := -1, -1, 0, false
 	for d, c := range ep.ssds {
-		committed := c.Clone()
-		committed.Crash()
+		committed := c.Committed()
 		for i, rec := range c.WriteLog() {
 			if rec.Kind != blockdev.WriteBlobKind || rec.Len < 2 {
 				continue
@@ -156,15 +155,14 @@ func (p *Probe) tornTuple(ep *epoch, lens []int) (tuple, bool) {
 	return t, true
 }
 
-// recoverCrash clones ssds and prim, crashes each SSD clone with crash and
-// recovers a fresh cache over the crashed contents. The cache is nil when
-// Recover fails.
-func (p *Probe) recoverCrash(ssds []*blockdev.Content, prim *blockdev.Content, crash func(d int, c *blockdev.Content) error) (*src.Cache, *blockdev.Content, error) {
+// recoverCrash builds each SSD's crashed copy with crashed, clones prim and
+// recovers a fresh cache over them. The cache is nil when Recover fails.
+func (p *Probe) recoverCrash(ssds []*blockdev.Content, prim *blockdev.Content, crashed func(d int, c *blockdev.Content) (*blockdev.Content, error)) (*src.Cache, *blockdev.Content, error) {
 	cfg := p.cfg
 	cfg.SSDs = make([]blockdev.Device, len(ssds))
 	for i, c := range ssds {
-		cc := c.Clone()
-		if err := crash(i, cc); err != nil {
+		cc, err := crashed(i, c)
+		if err != nil {
 			return nil, nil, fmt.Errorf("crash of ssd %d: %w", i, err)
 		}
 		cfg.SSDs[i] = blockdev.NewMemDeviceWithContent(cc, 0)
@@ -186,7 +184,10 @@ func (p *Probe) recoverCrash(ssds []*blockdev.Content, prim *blockdev.Content, c
 
 // recoverTrial recovers from ep's devices crashed by the schedule tuple.
 func (p *Probe) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.Content, error) {
-	return p.recoverCrash(ep.ssds, ep.prim, func(d int, c *blockdev.Content) error { return c.CrashPartial(scheds[d]) })
+	return p.recoverCrash(ep.ssds, ep.prim, func(d int, c *blockdev.Content) (*blockdev.Content, error) {
+		cc := c.Clone()
+		return cc, cc.CrashPartial(scheds[d])
+	})
 }
 
 // trialOnce runs one crash trial and checks the tier's invariants. It

@@ -17,8 +17,9 @@ import (
 //	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
 //
 // Timestamps are Windows FILETIME ticks (100 ns units) in the original
-// traces; files written by this package use the same unit. ResponseTime is
-// preserved on read and written as 0.
+// traces: absolute, about 1.28e17 for 2007. Files written by this package
+// use the same unit, counted from the trace's start. ResponseTime is
+// ignored on read and written as 0.
 
 // filetimeTick is the FILETIME resolution in virtual-time units.
 const filetimeTick = 100 * vtime.Nanosecond
@@ -40,14 +41,20 @@ func WriteCSV(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses MSR-format records. Offsets and sizes are rounded outward
-// to page alignment (real traces contain sector-aligned values); blank
-// lines are skipped.
+// ReadCSV parses MSR-format records. Timestamps become offsets from the
+// earliest record's (the first, in a file in time order), and offsets and
+// sizes are rounded outward to page alignment (real traces contain
+// sector-aligned values). Blank lines and empty records are skipped; a
+// negative timestamp or offset, or an end or time offset past the int64
+// range, is refused by line.
 func ReadCSV(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	line := 0
+	// The earliest and latest ticks seen, and the latter's line: every
+	// offset from the earliest scales into vtime iff the latest one does.
+	minTicks, maxTicks, maxLine := int64(math.MaxInt64), int64(-1), 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -58,9 +65,12 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		if len(fields) < 6 {
 			return nil, fmt.Errorf("trace: line %d: %d fields, want at least 6", line, len(fields))
 		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
+		ticks, err := strconv.ParseInt(fields[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d timestamp: %w", line, err)
+		}
+		if ticks < 0 {
+			return nil, fmt.Errorf("trace: line %d: negative timestamp %d", line, ticks)
 		}
 		disk, err := strconv.Atoi(fields[2])
 		if err != nil {
@@ -86,6 +96,9 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		if size <= 0 {
 			continue
 		}
+		if off < 0 {
+			return nil, fmt.Errorf("trace: line %d: negative offset %d", line, off)
+		}
 		// The end, rounded up to a page, must not pass math.MaxInt64.
 		if off > math.MaxInt64-(blockdev.PageSize-1)-size {
 			return nil, fmt.Errorf("trace: line %d: %d bytes at offset %d end past the largest offset", line, size, off)
@@ -95,8 +108,12 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		if end%blockdev.PageSize != 0 {
 			end += blockdev.PageSize - end%blockdev.PageSize
 		}
+		minTicks = min(minTicks, ticks)
+		if ticks > maxTicks {
+			maxTicks, maxLine = ticks, line
+		}
 		recs = append(recs, Record{
-			Timestamp: vtime.Duration(ts) * filetimeTick,
+			Timestamp: vtime.Duration(ticks), // rebased below
 			Host:      fields[1],
 			Disk:      disk,
 			Op:        op,
@@ -106,6 +123,13 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read csv: %w", err)
+	}
+	if maxTicks-minTicks > int64(math.MaxInt64/filetimeTick) {
+		return nil, fmt.Errorf("trace: line %d: timestamp %d is %d ticks after the trace's start, past the largest time offset",
+			maxLine, maxTicks, maxTicks-minTicks)
+	}
+	for i := range recs {
+		recs[i].Timestamp = (recs[i].Timestamp - vtime.Duration(minTicks)) * filetimeTick
 	}
 	return recs, nil
 }

@@ -11,8 +11,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
@@ -112,16 +114,6 @@ func (s Spec) FootprintBytes(scale float64) int64 {
 	return b
 }
 
-// GroupFootprint reports the summed scaled footprint of a trace set — the
-// working set the cache is sized against (~50 GB per group unscaled).
-func GroupFootprint(specs []Spec, scale float64) int64 {
-	var total int64
-	for _, s := range specs {
-		total += s.FootprintBytes(scale)
-	}
-	return total
-}
-
 // SynthConfig parameterizes synthesis of one trace.
 type SynthConfig struct {
 	Spec Spec
@@ -211,6 +203,28 @@ func NewSynth(cfg SynthConfig) (*Synth, error) {
 
 // Span reports the byte range the trace covers, starting at its offset.
 func (s *Synth) Span() int64 { return s.pages * blockdev.PageSize }
+
+// SynthFile synthesizes n records of each spec, placing each trace's span
+// just past the previous one's, and merges the streams into one file's
+// worth of records in timestamp order, as MSR files are ordered. Records
+// with equal timestamps keep spec order.
+func SynthFile(specs []Spec, n int64, scale float64, seed int64) ([]Record, error) {
+	var recs []Record
+	var offset int64
+	for _, spec := range specs {
+		s, err := NewSynth(SynthConfig{Spec: spec, Scale: scale, Offset: offset, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		offset += s.Span()
+		for range n {
+			recs = append(recs, s.NextRecord())
+		}
+	}
+	// Each stream is in time order already, so a stable sort is the merge.
+	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.Timestamp, b.Timestamp) })
+	return recs, nil
+}
 
 // Next yields the next request.
 func (s *Synth) Next() (blockdev.Request, bool) {

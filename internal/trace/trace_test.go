@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"srccache/internal/blockdev"
+	"srccache/internal/vtime"
 )
 
 func TestCatalogMatchesTable6(t *testing.T) {
@@ -28,7 +30,11 @@ func TestCatalogMatchesTable6(t *testing.T) {
 	// the Read group is dominated by msn5's 124 GB span but the paper
 	// matched *working sets*, so allow a wide band on raw footprints).
 	for name, specs := range Groups() {
-		gb := float64(GroupFootprint(specs, 1)) / 1e9
+		var footprint int64
+		for _, s := range specs {
+			footprint += s.FootprintBytes(1)
+		}
+		gb := float64(footprint) / 1e9
 		if gb < 30 || gb > 500 {
 			t.Fatalf("group %s footprint %.1f GB implausible", name, gb)
 		}
@@ -203,6 +209,21 @@ func TestReadCSVAlignsSectors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRebasesFILETIME: an MSR file's absolute FILETIME ticks become
+// offsets from its first record. Scaled before rebasing, 1.28e17 ticks
+// overflow int64 nanoseconds and the timestamp comes out negative.
+func TestReadCSVRebasesFILETIME(t *testing.T) {
+	in := "128166372003061629,hm,1,Read,3154125824,4096,2709\n" +
+		"128166372003071629,hm,1,Write,3154132992,8192,0\n"
+	recs, err := ReadCSV(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Timestamp != 0 || recs[1].Timestamp != vtime.Millisecond {
+		t.Fatalf("records %+v, want timestamps 0 and 1ms", recs)
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	for _, in := range []string{
 		"1,h,0,Frob,0,4096,0\n",                   // unknown op
@@ -213,6 +234,9 @@ func TestReadCSVErrors(t *testing.T) {
 		"1,h,0\n",                                 // too few fields
 		"0,h,0,Read,9223372036854771712,8192,0\n", // end past math.MaxInt64
 		"0,h,0,Read,9223372036854771712,1,0\n",    // page-rounded end past it
+		"1,h,0,Read,-4096,4096,0\n",               // negative offset
+		"-1,h,0,Read,0,4096,0\n",                  // negative timestamp
+		"0,h,0,Read,0,4096,0\n92233720368547759,h,0,Read,0,4096,0\n", // time offset past the largest vtime.Duration
 	} {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Fatalf("accepted %q", in)
@@ -223,6 +247,38 @@ func TestReadCSVErrors(t *testing.T) {
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs=%v err=%v", recs, err)
 	}
+}
+
+// FuzzReadCSV: any input is refused, or parses to page-aligned records with
+// offsets ≥ 0, ends ≤ math.MaxInt64 and timestamps ≥ 0 that WriteCSV writes
+// back to the same records.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("128166372003061629,hm,1,Read,3154125824,4096,2709\n")
+	f.Add("0,h,0,Read,9223372036854771712,1,0\n")
+	f.Add("128166372003061629,usr,0,Read,512,1024,1331\n\n128166372003061630,usr,0,write,8192,0,0\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, r := range recs {
+			if r.Off < 0 || r.Len <= 0 || r.Off%blockdev.PageSize != 0 || r.Len%blockdev.PageSize != 0 ||
+				r.Off > math.MaxInt64-r.Len || r.Timestamp < 0 {
+				t.Fatalf("record %+v out of range", r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.String(), err)
+		}
+		if !slices.Equal(again, recs) {
+			t.Fatalf("round trip %+v, want %+v", again, recs)
+		}
+	})
 }
 
 func TestReplayEnds(t *testing.T) {

@@ -58,22 +58,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDuration returns the longer of a and b.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TransferTime reports how long moving n bytes takes at bytesPerSec. A
 // non-positive rate means "infinitely fast" and yields zero, which lets
 // callers disable a bandwidth constraint without special-casing.

@@ -16,22 +16,18 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
+func TestMax(t *testing.T) {
 	tests := []struct {
-		a, b     Time
-		max, min Time
+		a, b, max Time
 	}{
-		{0, 0, 0, 0},
-		{1, 2, 2, 1},
-		{7, 3, 7, 3},
-		{-1, 1, 1, -1},
+		{0, 0, 0},
+		{1, 2, 2},
+		{7, 3, 7},
+		{-1, 1, 1},
 	}
 	for _, tt := range tests {
 		if got := Max(tt.a, tt.b); got != tt.max {
 			t.Errorf("Max(%d,%d) = %d, want %d", tt.a, tt.b, got, tt.max)
-		}
-		if got := Min(tt.a, tt.b); got != tt.min {
-			t.Errorf("Min(%d,%d) = %d, want %d", tt.a, tt.b, got, tt.min)
 		}
 	}
 }
@@ -89,12 +85,6 @@ func TestStringFormats(t *testing.T) {
 	}
 	if got := (3 * Second).String(); got != "3s" {
 		t.Fatalf("Duration.String = %q", got)
-	}
-	if got := MaxDuration(Second, Millisecond); got != Second {
-		t.Fatalf("MaxDuration = %v", got)
-	}
-	if got := MaxDuration(Millisecond, Second); got != Second {
-		t.Fatalf("MaxDuration = %v", got)
 	}
 	if Time(2*Second).Seconds() != 2 {
 		t.Fatal("Time.Seconds wrong")

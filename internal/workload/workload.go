@@ -148,23 +148,3 @@ func (g *Generator) Next() (blockdev.Request, bool) {
 		Len: g.cfg.RequestBytes,
 	}, true
 }
-
-// Limited wraps a Source, ending it after n requests.
-type Limited struct {
-	src  Source
-	left int64
-}
-
-var _ Source = (*Limited)(nil)
-
-// Limit returns a Source that ends after n requests from src.
-func Limit(src Source, n int64) *Limited { return &Limited{src: src, left: n} }
-
-// Next forwards to the wrapped source until the budget is spent.
-func (l *Limited) Next() (blockdev.Request, bool) {
-	if l.left <= 0 {
-		return blockdev.Request{}, false
-	}
-	l.left--
-	return l.src.Next()
-}

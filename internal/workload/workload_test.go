@@ -189,22 +189,6 @@ func TestZetaTailApproximation(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	g, err := NewGenerator(Config{Span: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := Limit(g, 3)
-	for i := 0; i < 3; i++ {
-		if _, ok := l.Next(); !ok {
-			t.Fatalf("ended early at %d", i)
-		}
-	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("limited source did not end")
-	}
-}
-
 func TestPatternStrings(t *testing.T) {
 	if UniformRandom.String() != "uniform" || Sequential.String() != "sequential" ||
 		Zipf.String() != "zipfian" {
