@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,7 +45,8 @@ type Placement struct {
 	// a range owned in Cur or Next accepts writes.
 	Table *cluster.Table
 	// Quarantined lists the ranges whose local copy must not serve reads
-	// until a verified repair.
+	// until a verified repair. Each lies in [0, Cur.Ranges), as does each
+	// Fill range; Install refuses a placement naming any other.
 	Quarantined []int
 	// Report records that member node missed a forward of range rng. A
 	// write whose miss cannot be reported is refused rather than
@@ -140,8 +142,9 @@ func (b *ChainBackend) SetRing(ring *cluster.Ring) error {
 	return b.Install(Placement{Table: &cluster.Table{Cur: ring}, Restarted: true})
 }
 
-// Install is the supervisor's push. A placement it refuses — unplaced, or
-// of the wrong geometry — leaves the disk untouched, its Fill included.
+// Install is the supervisor's push. A placement it refuses — unplaced, of
+// the wrong geometry, or naming a quarantined or filled range outside its
+// ring — leaves the disk untouched, its Fill included.
 func (b *ChainBackend) Install(p Placement) error {
 	t := p.Table
 	if t == nil || t.Cur == nil {
@@ -151,6 +154,14 @@ func (b *ChainBackend) Install(p Placement) error {
 		if r != nil && r.Size() != b.local.Size() {
 			return fmt.Errorf("fleet: ring volume %d != backend size %d", r.Size(), b.local.Size())
 		}
+	}
+	outside := func(rng int) bool { return rng < 0 || rng >= t.Cur.Ranges }
+	bad := slices.IndexFunc(p.Quarantined, outside) >= 0
+	for rng := range p.Fill {
+		bad = bad || outside(rng)
+	}
+	if bad {
+		return fmt.Errorf("fleet: placement names a range outside the ring's [0, %d)", t.Cur.Ranges)
 	}
 	// A placed node never becomes unplaced, so the check holds while the
 	// fill is written.

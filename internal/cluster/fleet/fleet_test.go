@@ -349,8 +349,10 @@ func TestChainBackendValidation(t *testing.T) {
 }
 
 // TestInstallRefusalLeavesDiskUntouched: a placement the node refuses — it
-// booted and the push does not acknowledge it, or the ring's geometry does
-// not match its disk — writes none of its repair bytes.
+// booted and the push does not acknowledge it, the ring's geometry does not
+// match its disk, or it quarantines or fills a range the ring does not
+// have — writes none of its repair bytes, and an out-of-ring range is
+// refused rather than indexed.
 func TestInstallRefusalLeavesDiskUntouched(t *testing.T) {
 	back, err := netblock.MemBackend(int64(tRanges) * tRangeBytes)
 	if err != nil {
@@ -367,9 +369,13 @@ func TestInstallRefusalLeavesDiskUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := map[int][]byte{1: bytes.Repeat([]byte{0xAB}, int(tRangeBytes))}
+	table := &cluster.Table{Cur: ring}
 	for _, p := range []fleet.Placement{
-		{Table: &cluster.Table{Cur: ring}, Fill: fill},
+		{Table: table, Fill: fill},
 		{Table: &cluster.Table{Cur: bad}, Restarted: true, Fill: fill},
+		{Table: table, Quarantined: []int{99}, Restarted: true},
+		{Table: table, Quarantined: []int{-1}, Restarted: true, Fill: fill},
+		{Table: table, Restarted: true, Fill: map[int][]byte{1: fill[1], tRanges: fill[1]}},
 	} {
 		if err := cb.Install(p); err == nil {
 			t.Fatalf("placement %+v accepted", p.Table)
@@ -382,8 +388,11 @@ func TestInstallRefusalLeavesDiskUntouched(t *testing.T) {
 			t.Fatalf("refused placement %+v wrote its fill", p.Table)
 		}
 	}
-	if err := cb.Install(fleet.Placement{Table: &cluster.Table{Cur: ring}}); !errors.Is(err, fleet.ErrUnplaced) {
+	if err := cb.Install(fleet.Placement{Table: table}); !errors.Is(err, fleet.ErrUnplaced) {
 		t.Fatalf("unacknowledged boot: %v, want ErrUnplaced", err)
+	}
+	if err := cb.Install(fleet.Placement{Table: table, Quarantined: []int{tRanges - 1}, Restarted: true}); err != nil {
+		t.Fatalf("in-ring quarantine refused: %v", err)
 	}
 }
 

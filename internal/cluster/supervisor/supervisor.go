@@ -246,7 +246,7 @@ func New(cfg Config) (*Supervisor, error) {
 }
 
 // loadJournal reads the persisted journal, if any.
-func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
+func (s *Supervisor) loadJournal() (*journal, error) {
 	if s.cfg.JournalPath == "" {
 		return nil, nil
 	}
@@ -257,7 +257,7 @@ func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supervisor: read journal: %w", err)
 	}
-	j, err := cluster.DecodeSupJournal(data)
+	j, err := decodeJournal(data)
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +271,12 @@ func (s *Supervisor) loadJournal() (*cluster.SupJournal, error) {
 //   - transition: resume streaming if every member of the target
 //     placement is registered; otherwise abort at a fresh epoch. Nothing
 //     was committed, so aborting only discards streamed garbage.
-func (s *Supervisor) recover(j cluster.SupJournal) error {
-	table, pending, err := j.Table()
+func (s *Supervisor) recover(j journal) error {
+	table, err := j.table()
 	if err != nil {
 		return err
 	}
-	s.table, s.pending, s.phase = table, pending, j.Phase
+	s.table, s.pending, s.phase = table, j.Pending, j.Phase
 	for _, k := range j.Quarantined {
 		s.quar[k] = true
 	}
@@ -636,7 +636,7 @@ func (s *Supervisor) repushLocked(infos map[string]pingResult) error {
 // The copy is quarantined, journaled and pushed before ReportMiss returns,
 // so the reporting write is acknowledged only once no read is served from
 // the copy. It waits for state changes only: no tick holds mu across the
-// network.
+// network. A range outside the ring is refused, never journaled.
 func (s *Supervisor) ReportMiss(node string, rng int) error {
 	select {
 	case <-s.stop:
@@ -645,6 +645,9 @@ func (s *Supervisor) ReportMiss(node string, rng int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if rng < 0 || rng >= s.table.Cur.Ranges {
+		return fmt.Errorf("supervisor: miss of range %d outside [0, %d)", rng, s.table.Cur.Ranges)
+	}
 	s.misses++
 	return s.quarantineLocked([]cluster.DegKey{{Node: node, Range: rng}})
 }
@@ -664,9 +667,7 @@ func (s *Supervisor) refreshFleet() { _ = s.fl.SetRing(s.Ring()) }
 // quarantine — durably (writeDurable) before the state it records takes
 // effect anywhere.
 func (s *Supervisor) persistLocked(t *cluster.Table, pending []cluster.Move, phase cluster.SupPhase) error {
-	j := cluster.SnapshotSupJournal(t, pending, phase)
-	j.Quarantined = s.quarKeysLocked()
-	data, err := j.Encode()
+	data, err := encodeJournal(newJournal(t, pending, phase, s.quarKeysLocked()))
 	if err != nil {
 		return err
 	}

@@ -444,7 +444,7 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		j, err := cluster.DecodeSupJournal(data)
+		j, err := decodeJournal(data)
 		return err == nil && j.Phase == cluster.SupPush
 	}
 	for _, n := range nodes {
@@ -467,7 +467,7 @@ func TestSupervisorCrashMidCommitTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := cluster.DecodeSupJournal(data)
+	j, err := decodeJournal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,6 +673,29 @@ func TestSupervisorRefusedForwardIsReported(t *testing.T) {
 	}
 	if !sup.Quarantined(tail, rng) {
 		t.Fatalf("tail %s missed an acknowledged write of range %d unreported", tail, rng)
+	}
+}
+
+// TestSupervisorRefusesMissOutsideRing: a miss report naming a range the
+// ring does not have is refused before it reaches the quarantine, so the
+// journal never holds a record a restart would refuse.
+func TestSupervisorRefusesMissOutsideRing(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "supervisor.journal")
+	_, sup := startCluster(t, []string{"a", "b", "c"}, nil, 2, Config{JournalPath: journal})
+	for _, rng := range []int{-1, tRanges} {
+		if err := sup.ReportMiss("a", rng); err == nil {
+			t.Fatalf("miss of range %d accepted", rng)
+		}
+	}
+	if st := sup.Status(); st.Misses != 0 || len(st.Quarantined) != 0 {
+		t.Fatalf("refused misses reached the supervisor: %+v", st)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeJournal(data); err != nil {
+		t.Fatal(err)
 	}
 }
 
