@@ -33,7 +33,8 @@
 // ActiveGroup and NextSegment, Dirty- and CleanBufferedPages, CachedPages,
 // WastedSlots, RebuildColumn (-1 when idle) with RebuildRemaining of
 // RebuildTotal segments, each column's Down flag and charged Errors, and
-// the shard's Repair stats and Counters.
+// the shard's Repair stats and Counters. A page a rebuild cannot rebuild is
+// not counted: a dirty one fails the rebuild step with src.ErrDataLoss.
 //
 // SIGINT or SIGTERM drains gracefully: the listener closes, in-flight
 // requests get -drain to finish, and idle connections are dropped. In

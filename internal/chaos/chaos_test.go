@@ -133,8 +133,21 @@ func TestChaosCoverage(t *testing.T) {
 //
 //	seed 843 op 79: page 3095: planted corruption not detected
 //	seed 1866 op 290: scrub missed a planted corruption
+//
+// Seeds 448 and 1142 left a stale stripe: a skewed crash kept some columns
+// of a seal that recovery did not accept, recovery returned the group to
+// the free list untrimmed, and a later seal there wrote parity over only
+// the columns it filled. Each then rebuilt a column through that stripe.
+// Since recovery trims the groups it frees they pass; with the rebuild's
+// checked read and no trim, they fail at the rebuild step:
+//
+//	seed 448 op 249: rebuild step: page 3216: src: unrecoverable data loss: does not reconstruct from parity
+//	seed 1142 op 238: rebuild step: page 1192: src: unrecoverable data loss: does not reconstruct from parity
+//
+// Seeds 149 and 203 carry the same kind of stale stripe but pass with or
+// without the trim, as no read goes through it, so they are not run here.
 func TestChaosFoundSeeds(t *testing.T) {
-	for _, seed := range []int64{342, 622, 1462, 1744, 1773, 843, 1866} {
+	for _, seed := range []int64{342, 622, 1462, 1744, 1773, 843, 1866, 448, 1142} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			if _, _, err := Run(Options{Seed: seed}); err != nil {

@@ -226,6 +226,51 @@ var table = []plant{
 		caught: []string{"blockdev"},
 	},
 	{
+		// A rebuild that trusts the survivors' XOR: nothing judges the
+		// column it writes, so a dirty page it cannot rebuild, or one in a
+		// parityless segment, is lost without an error. Chaos sees it only
+		// in its digest: no seed to 200 loses a page by it.
+		name:   "rebuild-verify-free",
+		file:   "internal/src/rebuild.go",
+		old:    `	readDone, lost, err := c.readSSD(at, loc, col, colBase/blockdev.PageSize, c.lay.pagesPerCol)`,
+		new:    `	readDone, err := c.reconstructColumns(at, col, colBase, c.cfg.SegmentColumn); lost := lostNone`,
+		caught: []string{"src", "chaos50"},
+	},
+	{
+		// A rebuild that writes a column whose survivors it could not all
+		// read folds an unreadable survivor's tags into the new parity, and
+		// that survivor's lost pages reconstruct again.
+		name:   "rebuild-unread-survivor",
+		file:   "internal/src/rebuild.go",
+		old:    `	if lost == lostRun {`,
+		new:    `	if false && lost == lostRun {`,
+		caught: []string{"src"},
+	},
+	{
+		// The rebuilt column forgets a clean page the read dropped, so an
+		// older record of it in an unreclaimed group wins the next recovery.
+		// gc's destruction order leaves no such record, so only the src
+		// test that forces one catches it.
+		name: "rebuild-drops-entry",
+		file: "internal/src/degraded.go",
+		old: `			e = summaryEntry{lba: lba, version: c.versions[lba], dirty: dirty}
+`,
+		new: `			if _, ok := c.mapping.get(lba); ok {
+				e = summaryEntry{lba: lba, version: c.versions[lba], dirty: dirty}
+			}
+`,
+		caught: []string{"src"},
+	},
+	{
+		// Recovery frees groups without trimming them: a crash's remnants
+		// there break the stripes of the next seal.
+		name:   "recovery-trim",
+		file:   "internal/src/recover.go",
+		old:    `		for _, sg := range c.freeSGs {`,
+		new:    `		for _, sg := range c.freeSGs[:0] {`,
+		caught: []string{"chaos50"},
+	},
+	{
 		name:   "double-fault", // PR 40
 		file:   "internal/src/degraded.go",
 		old:    `	if err == nil && tag != want {`,

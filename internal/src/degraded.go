@@ -22,8 +22,8 @@ func (c *Cache) hasParity(loc int64) bool {
 
 // dropUnvouched is the one rule for pages a checked read cannot vouch for,
 // applied to the n locations from loc, with cause saying why: a dirty page
-// is data loss, reported as cause, and a clean page leaves the cache, since
-// primary storage holds it.
+// is data loss, reported as cause with the page's LBA, and a clean page
+// leaves the cache, since primary storage holds it.
 func (c *Cache) dropUnvouched(loc, n int64, cause error) error {
 	slots := c.groups[c.lay.groupOf(loc)].slots
 	for l := loc; l < loc+n; l++ {
@@ -33,7 +33,7 @@ func (c *Cache) dropUnvouched(loc, n int64, cause error) error {
 		}
 		lba, dirty := unpackSlot(packed)
 		if dirty {
-			return cause
+			return fmt.Errorf("page %d: %w", lba, cause)
 		}
 		c.invalidateSSD(l)
 		c.mapping.del(lba)
@@ -91,97 +91,56 @@ func (c *Cache) reconstructTag(loc int64) (blockdev.Tag, error) {
 	return tag, nil
 }
 
-// reconstructExpected requires the tag reconstructed at loc to be lba's
-// expected tag want: a stripe that no longer reconstructs the page is data
-// loss, not a repair.
-func (c *Cache) reconstructExpected(loc, lba int64, want blockdev.Tag) error {
+// reconstructExpected requires the tag reconstructed at loc to be the
+// page's expected tag want: a stripe that no longer reconstructs the page
+// is data loss, not a repair.
+func (c *Cache) reconstructExpected(loc int64, want blockdev.Tag) error {
 	tag, err := c.reconstructTag(loc)
 	if err == nil && tag != want {
-		err = fmt.Errorf("%w: page %d does not reconstruct from parity", ErrDataLoss, lba)
+		err = fmt.Errorf("%w: does not reconstruct from parity", ErrDataLoss)
 	}
 	return err
 }
 
-// rebuildColumnContent restores the tags and summary blobs of one rebuilt
-// column from the survivors. Reconstructed pages are verified against
-// expectedTag before being trusted: resurrecting the XOR of a stale stripe
-// would serve garbage under a valid summary. (Recovery repairs the parity
-// of every recovered segment, so stripes skewed by a partial-persistence
-// crash normally verify again by the time a rebuild runs.) A page that
-// still fails verification falls back to primary storage when the mapping
-// holds it clean; otherwise it is dropped — and a dirty drop, possible
-// only under compound faults, is counted in RepairStats.RebuildDirtyLost
-// as detected loss. When no other column holds the segment's summary
-// (the failed column had the only surviving copy), survivingGeneration
-// falls back to the in-memory per-segment generation so the fresh MS/ME
-// preserves the newest on-media records instead of sentineling them away.
-func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
-	cont := c.cfg.SSDs[col].Content()
-	colBase := c.lay.colOffset(c.cfg, sg, seg)
-	basePage := colBase / blockdev.PageSize
+// rebuildColumnContent writes the tags and summary blobs of one rebuilt
+// column from slots, its slot table before readSSD judged it (entry i ↔
+// column page i). Each page the read kept verified and each it dropped was
+// clean, so every recorded page gets its expected tag and keeps its entry:
+// no older record of a dropped page in an unreclaimed group can win the
+// next recovery (the destruction-ordering rule gc keeps). A free slot gets
+// the survivors' XOR, which on a parity column is the parity tag. The
+// blobs carry the segment's sealed or recovered generation; a segment with
+// none (a position recovery found no summary for) writes nothing.
+func (c *Cache) rebuildColumnContent(sg, seg int64, col int, slots []int64) error {
 	g := &c.groups[sg]
-	gen, genErr := c.survivingGeneration(sg, seg, col)
+	gen := g.segGens[seg]
+	if gen == 0 {
+		return nil
+	}
+	cont := c.cfg.SSDs[col].Content()
+	basePage := c.lay.colOffset(c.cfg, sg, seg) / blockdev.PageSize
 	var entries []summaryEntry
 	for pic := int64(1); pic <= c.lay.payloadPages; pic++ {
-		loc := c.lay.loc(sg, seg, col, pic)
-		// Entries are positional (entry i ↔ payload page i+1), so a freed
-		// slot must be held with a sentinel, not skipped: compacting the
-		// list would shift every later page onto the wrong slot at the
-		// next recovery.
-		s := c.lay.localSlot(loc)
-		if g.slots[s] == slotFree {
-			// Free slots still need their tag restored: on a parity column
-			// every slot is free, and the XOR identity over the survivors is
-			// exactly the parity tag (for a free data position it yields
-			// zero). Skipping them would leave a rebuilt parity column
-			// all-zero and poison every later reconstruction through it.
-			if genErr == nil {
-				if tag, err := c.reconstructTag(loc); err == nil {
-					if werr := cont.WriteTag(basePage+pic, tag); werr != nil {
-						return werr
-					}
-				}
-			}
-			entries = append(entries, summaryEntry{lba: summaryFreeLBA})
-			continue
+		var tag blockdev.Tag
+		var err error
+		// Entries are positional, so a free slot is held with a sentinel,
+		// not skipped: compacting the list would shift every later page
+		// onto the wrong slot at the next recovery.
+		e := summaryEntry{lba: summaryFreeLBA}
+		if slots[pic] == slotFree {
+			tag, err = c.reconstructTag(c.lay.loc(sg, seg, col, pic))
+		} else {
+			lba, dirty := unpackSlot(slots[pic])
+			e = summaryEntry{lba: lba, version: c.versions[lba], dirty: dirty}
+			tag, err = c.expectedTag(lba)
 		}
-		lba, dirty := unpackSlot(g.slots[s])
-		want, err := c.expectedTag(lba)
 		if err != nil {
 			return err
 		}
-		err = c.reconstructExpected(loc, lba, want)
-		e, mapped := c.mapping.get(lba)
-		mapped = mapped && e.loc == loc
-		// A clean page that does not reconstruct has a second source:
-		// primary storage holds the same version, so restore from there
-		// instead of dropping. Writing a free-slot sentinel here would
-		// destroy the newest on-media record of the LBA while stale older
-		// records may survive in not-yet-reclaimed groups — the next
-		// recovery would resurrect one of those (the destruction-ordering
-		// rule gc enforces for reclaims applies to rebuilds too).
-		if genErr != nil || (err != nil && !(mapped && e.state == stateSSDClean)) {
-			if mapped {
-				c.dropPage(lba, e)
-			} else {
-				c.invalidateSSD(loc)
-			}
-			if dirty {
-				c.repair.RebuildDirtyLost++
-			}
-			entries = append(entries, summaryEntry{lba: summaryFreeLBA})
-			continue
-		}
-		if err := cont.WriteTag(basePage+pic, want); err != nil {
+		if err := cont.WriteTag(basePage+pic, tag); err != nil {
 			return err
 		}
-		entries = append(entries, summaryEntry{lba: lba, version: c.versions[lba], dirty: dirty})
-	}
-	// Rebuild the summary blobs from a surviving column's generation.
-	if genErr != nil {
-		// Nothing recorded: an abandoned, fully invalidated, or
-		// unreconstructable segment writes no summary on the new member.
-		return nil
+		entries = append(entries, e)
 	}
 	sum := &summary{
 		kind: kindMS, gen: gen, sg: sg, seg: seg,
@@ -192,34 +151,4 @@ func (c *Cache) rebuildColumnContent(sg, seg int64, col int) error {
 	}
 	sum.kind = kindME
 	return cont.WriteBlob(basePage+c.lay.pagesPerCol-1, sum.marshal())
-}
-
-// survivingGeneration reads the segment generation from any surviving
-// column's MS block.
-func (c *Cache) survivingGeneration(sg, seg int64, failedCol int) (int64, error) {
-	basePage := c.lay.colOffset(c.cfg, sg, seg) / blockdev.PageSize
-	for other := 0; other < c.lay.m; other++ {
-		if other == failedCol {
-			continue
-		}
-		blob, err := c.cfg.SSDs[other].Content().ReadBlob(basePage)
-		if err != nil || blob == nil {
-			continue
-		}
-		s, err := parseSummary(blob, primaryPages(c.cfg))
-		if err != nil {
-			continue
-		}
-		return s.gen, nil
-	}
-	// No other column holds a summary — the failed column had the only
-	// surviving copy (the others' were lost to a partial-persistence
-	// crash). The in-memory cache still vouches for the segment; fall back
-	// to the generation it was sealed or recovered with, so the rebuilt
-	// column's fresh MS/ME preserves the newest on-media record instead of
-	// silently destroying it.
-	if gen := c.groups[sg].segGens[seg]; gen > 0 {
-		return gen, nil
-	}
-	return 0, fmt.Errorf("%w: no surviving summary for group %d segment %d", ErrBadSummary, sg, seg)
 }

@@ -246,20 +246,28 @@ func TestDegradedCleanNPCRefetches(t *testing.T) {
 	e.checkInvariants()
 }
 
-// rebuild installs dev as column col through ReplaceSSD and drives the
-// rebuild to completion, returning when its last step finished.
-func rebuild(t *testing.T, e *env, col int, dev blockdev.Device) vtime.Time {
-	t.Helper()
+// replace installs dev as column col through ReplaceSSD, which leaves the
+// column's rebuild pending.
+func (e *env) replace(col int, dev *blockdev.FaultPlan) {
+	e.t.Helper()
 	done, err := e.cache.ReplaceSSD(e.at, col, dev)
 	if err != nil {
-		t.Fatal(err)
+		e.t.Fatal(err)
 	}
+	e.ssds[col], e.at = dev, done
+}
+
+// rebuildSteps drives a pending rebuild until it completes or a step
+// fails, returning that step's error.
+func (e *env) rebuildSteps() error {
 	for pending := true; pending; {
-		if done, pending, err = e.cache.RebuildStep(done); err != nil {
-			t.Fatal(err)
+		done, more, err := e.cache.RebuildStep(e.at)
+		if err != nil {
+			return err
 		}
+		e.at, pending = vtime.Max(e.at, done), more
 	}
-	return done
+	return nil
 }
 
 // TestRebuildSSD restores a replaced drive and verifies parity-protected
@@ -288,19 +296,16 @@ func TestRebuildSSD(t *testing.T) {
 		t.Fatal("nothing on ssd 1")
 	}
 	e.ssds[1].Fail()
-	e.ssds[1].Repair()
-	// Model replacement: the new drive is empty.
-	if err := e.ssds[1].Content().Trim(0, testSSDCap/blockdev.PageSize); err != nil {
+	e.replace(1, newSSD())
+	start := e.at
+	if err := e.rebuildSteps(); err != nil {
 		t.Fatal(err)
 	}
-	e.ssds[1].Content().FlushContent()
-
-	done := rebuild(t, e, 1, e.ssds[1])
-	if done <= e.at {
+	if e.at <= start {
 		t.Fatal("rebuild free of charge")
 	}
 	for _, lba := range onDrive {
-		got, _, err := e.cache.ReadCheck(done, lba)
+		got, _, err := e.cache.ReadCheck(e.at, lba)
 		if err != nil {
 			t.Fatalf("ReadCheck(%d) after rebuild: %v", lba, err)
 		}
@@ -505,13 +510,17 @@ func TestGCVerifiesNeverWrittenPages(t *testing.T) {
 	}
 }
 
-// reclaimOldest runs one gc round on the oldest closed group as gc runs
-// it: evacuate, the S2S copies (copyMode, cold clean pages included) or
-// the S2D destage, the drain, the flush and the trim. It returns the pages
-// the round took out of the group.
+// reclaimOldest runs one gc round on the oldest closed group.
 func (e *env) reclaimOldest(copyMode bool) ([]int64, error) {
+	return e.reclaimGroup(e.cache.fifo[0], copyMode)
+}
+
+// reclaimGroup runs one gc round on victim as gc runs it: evacuate, the S2S
+// copies (copyMode, cold clean pages included) or the S2D destage, the
+// drain, the flush and the trim. It returns the pages the round took out of
+// the group.
+func (e *env) reclaimGroup(victim int64, copyMode bool) ([]int64, error) {
 	c := e.cache
-	victim := c.fifo[0]
 	live, done, err := c.evacuate(e.at, victim, copyMode, copyMode)
 	if err != nil {
 		return nil, err
@@ -613,10 +622,12 @@ func stripeFault(e *env, dirty bool) (onFailed, corrupt int64) {
 
 // TestDoubleFaultDirtyIsDataLoss: a dirty page on a failed column whose
 // stripe holds a corrupt page, and that corrupt page, cannot be rebuilt
-// from surviving columns that can be read. A host read of either and a
-// reclaim of their group all report ErrDataLoss.
+// from surviving columns that can be read. A host read of either, a
+// reclaim of their group and a rebuild of the failed column all report
+// ErrDataLoss. The rebuild keeps the segment queued, so a read of the page
+// after it reports the loss too.
 func TestDoubleFaultDirtyIsDataLoss(t *testing.T) {
-	for _, name := range []string{"read-failed", "read-corrupt", "reclaim"} {
+	for _, name := range []string{"read-failed", "read-corrupt", "reclaim", "rebuild"} {
 		t.Run(name, func(t *testing.T) {
 			e := newEnv(t, nil)
 			onFailed, corrupt := stripeFault(e, true)
@@ -624,6 +635,17 @@ func TestDoubleFaultDirtyIsDataLoss(t *testing.T) {
 			switch name {
 			case "reclaim":
 				_, err = e.reclaimOldest(false)
+			case "rebuild":
+				e.replace(0, newSSD())
+				if err = e.rebuildSteps(); !errors.Is(err, ErrDataLoss) {
+					break
+				}
+				if e.cache.State(nil).RebuildRemaining == 0 {
+					t.Fatal("the rebuild dequeued the segment it could not rebuild")
+				}
+				_, err = e.cache.Submit(e.at, blockdev.Request{
+					Op: blockdev.OpRead, Off: onFailed * blockdev.PageSize, Len: blockdev.PageSize,
+				})
 			default:
 				lba := onFailed
 				if name == "read-corrupt" {
@@ -643,13 +665,29 @@ func TestDoubleFaultDirtyIsDataLoss(t *testing.T) {
 // TestDoubleFaultCleanFallsBackToPrimary is the clean half under PC: the
 // same two pages cannot be vouched for, so a host read refetches them from
 // primary, and a copy round drops them instead of carrying a rebuilt guess
-// forward. Either way the next read serves primary's tag.
+// forward. A rebuild of the failed column drops the page on it, and the
+// expected tag it writes there lets the corrupt page's stripe repair it.
+// Either way the next read serves primary's tag.
 func TestDoubleFaultCleanFallsBackToPrimary(t *testing.T) {
-	for _, name := range []string{"read", "reclaim"} {
+	for _, name := range []string{"read", "reclaim", "rebuild"} {
 		t.Run(name, func(t *testing.T) {
 			e := newEnv(t, func(c *Config) { c.Parity = PC })
 			onFailed, corrupt := stripeFault(e, false)
-			if name == "reclaim" {
+			refetched := []int64{onFailed, corrupt}
+			switch name {
+			case "rebuild":
+				e.replace(0, newSSD())
+				if err := e.rebuildSteps(); err != nil {
+					t.Fatal(err)
+				}
+				refetched = refetched[:1]
+				primReads := e.prim.Stats().ReadOps
+				e.read(corrupt, 1)
+				if e.prim.Stats().ReadOps != primReads {
+					t.Fatalf("page %d was refetched, not repaired from its rebuilt stripe", corrupt)
+				}
+				e.verifies(corrupt)
+			case "reclaim":
 				moved, err := e.reclaimOldest(true)
 				if err != nil {
 					t.Fatal(err)
@@ -663,7 +701,7 @@ func TestDoubleFaultCleanFallsBackToPrimary(t *testing.T) {
 					}
 				}
 			}
-			for _, lba := range []int64{onFailed, corrupt} {
+			for _, lba := range refetched {
 				primReads := e.prim.Stats().ReadOps
 				e.read(lba, 1)
 				if e.prim.Stats().ReadOps == primReads {
@@ -674,6 +712,123 @@ func TestDoubleFaultCleanFallsBackToPrimary(t *testing.T) {
 			e.checkInvariants()
 		})
 	}
+}
+
+// TestRebuildWritesNothingOverAnUnreadableSurvivor: a parity column is
+// rebuilt while a survivor holds a latent error under a dirty page. The
+// survivors cannot all be read, and the tags of one that cannot prove
+// nothing, so the step fails, writes nothing and keeps the segment queued.
+// The dirty page, whose stripe lacks its parity, then reads as ErrDataLoss
+// instead of being reconstructed through a parity built from its own tag.
+func TestRebuildWritesNothingOverAnUnreadableSurvivor(t *testing.T) {
+	e := newEnv(t, nil)
+	c := e.cache
+	fillDirtySegments(e, 1)
+	if _, err := c.Flush(e.at); err != nil {
+		t.Fatal(err)
+	}
+	en, ok := c.mapping.get(0)
+	if !ok || en.state != stateSSDDirty {
+		t.Fatal("page 0 is not dirty on the SSDs")
+	}
+	sg, seg, col, _ := c.lay.split(en.loc)
+	parity := int(c.groups[sg].segParity[seg])
+	e.ssds[parity].Fail()
+	e.replace(parity, newSSD())
+	_, off := c.lay.devOffset(c.cfg, en.loc)
+	e.ssds[col].InjectUnreadable(off / blockdev.PageSize)
+	if err := e.rebuildSteps(); err == nil {
+		t.Fatalf("parity column %d rebuilt over survivor %d's unreadable page", parity, col)
+	}
+	if e.cache.State(nil).RebuildRemaining == 0 {
+		t.Fatal("the rebuild dequeued the segment it could not read")
+	}
+	_, err := c.Submit(e.at, blockdev.Request{Op: blockdev.OpRead, Off: 0, Len: blockdev.PageSize})
+	if !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("read of the unreadable dirty page: %v, want ErrDataLoss", err)
+	}
+	e.checkInvariants()
+}
+
+// TestRebuildKeepsDroppedCleanPageRecord: a rebuild drops a clean page its
+// stripe cannot reconstruct, but the rebuilt column keeps the page's
+// summary entry, with primary's tag. Here the page also has an older record
+// in an unreclaimed group. gc never leaves that state: it destages only the
+// oldest group, so every older record is gone first. The test forces the
+// destage gc would refuse (reclaimGroup on Greedy's pick, which is newer
+// than the group holding version 1), and a read fills the destaged pages
+// back clean. The rebuild must not lean on gc's destruction order either:
+// it keeps every entry the column held, so after a crash recovery maps the
+// rebuilt column's record, not the older one.
+func TestRebuildKeepsDroppedCleanPageRecord(t *testing.T) {
+	e := newEnv(t, func(c *Config) { c.Parity = PC; c.Victim = Greedy })
+	c := e.cache
+	segPages := int64(c.dirtyBuf.Cap())
+	e.write(0, c.lay.segsPerSG*segPages) // version 1 fills the first group
+	old := make(map[int64]int)           // page -> column of its version-1 record
+	hot := 8 * segPages
+	for lba := range hot {
+		col, _, _ := c.Locate(lba)
+		old[lba] = col
+	}
+	// Rewrite the hot pages until they fill the second group, and close it
+	// with one segment of other pages. It holds few valid pages, the first
+	// group many, so Greedy picks it.
+	for range c.lay.segsPerSG / 8 {
+		e.write(0, hot)
+	}
+	e.write(c.lay.segsPerSG*segPages, segPages)
+	victim := c.pickVictim()
+	if victim == c.fifo[0] {
+		t.Fatal("Greedy picked the group holding the version-1 records")
+	}
+	if moved, err := e.reclaimGroup(victim, false); err != nil || int64(len(moved)) != hot {
+		t.Fatalf("the round destaged %d pages (%v), want the %d hot ones", len(moved), err, hot)
+	}
+	e.read(0, hot) // primary's copies of the destaged pages, filled clean
+	if _, err := c.Flush(e.at); err != nil {
+		t.Fatal(err)
+	}
+	// A clean page on column 0 whose version-1 record is on another column,
+	// with a partner in its stripe to corrupt.
+	target, partner := int64(-1), int64(-1)
+	for lba := int64(0); lba < hot && target < 0; lba++ {
+		en, ok := c.mapping.get(lba)
+		if !ok || en.state != stateSSDClean || en.col != 0 || old[lba] == 0 {
+			continue
+		}
+		sg, seg, _, pic := c.lay.split(en.loc)
+		for col := 1; col < c.lay.m; col++ {
+			if packed := c.groups[sg].slots[c.lay.localSlot(c.lay.loc(sg, seg, col, pic))]; packed != slotFree {
+				target = lba
+				partner, _ = unpackSlot(packed)
+				break
+			}
+		}
+	}
+	if target < 0 {
+		t.Fatal("no clean page on column 0 with its older record elsewhere and a stripe partner")
+	}
+	want := c.versions[target]
+	e.ssds[0].Fail()
+	e.corruptOnSSD(partner)
+	e.replace(0, newSSD())
+	if err := e.rebuildSteps(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Locate(target); ok {
+		t.Fatalf("the rebuild kept page %d, which its stripe cannot reconstruct", target)
+	}
+	for _, d := range e.ssds {
+		d.Content().Crash()
+	}
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.CachedVersion(target); ok && v != want {
+		t.Fatalf("page %d recovered at version %d, primary holds version %d", target, v, want)
+	}
+	e.checkInvariants()
 }
 
 // TestReclaimDuringRebuildCountsNoCorruption reclaims a group while the
@@ -688,12 +843,7 @@ func TestReclaimDuringRebuildCountsNoCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.ssds[1].Fail()
-	fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
-	done, err := c.ReplaceSSD(e.at, 1, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ssds[1], e.at = fresh, done
+	e.replace(1, newSSD())
 	moved, err := e.reclaimOldest(false)
 	if err != nil {
 		t.Fatal(err)
@@ -814,7 +964,8 @@ func TestDegradedRunRefetchRegression(t *testing.T) {
 // FuzzCheckedRead plants silent corruption, latent sector errors and at most
 // one fail-stop, optionally replaced by a fresh device whose rebuild is left
 // pending, on a small TrackContent RAID-5 cache (PC or NPC), then issues
-// host reads and reclaim rounds. Each read either reports ErrDataLoss or
+// host reads and reclaim rounds, and at the end finishes the rebuild and
+// reads back every page the setup wrote dirty. Each read either reports ErrDataLoss or
 // leaves every page of its range that is still on the SSDs verifying, so a
 // ReadCheck right after counts no new corruption. Each round runs on the
 // oldest closed group and either reports ErrDataLoss or leaves every page
@@ -832,6 +983,7 @@ func FuzzCheckedRead(f *testing.F) {
 	f.Add(byte(1), []byte{2, 0, 0, 102, 9, 0, 38, 96})          // PC: double fault under a clean page, S2S round, reads
 	f.Add(byte(0), []byte{7, 1, 9, 0, 3, 0})                    // replace a column, S2S round while its rebuild is pending
 	f.Add(byte(1), []byte{1, 2, 4, 0})                          // latent error under a moved page, S2D round
+	f.Add(byte(0), []byte{0, 3, 7, 0})                          // double fault under a dirty page, then replace its column
 	f.Fuzz(func(t *testing.T, mode byte, ops []byte) {
 		if len(ops) > 256 {
 			return
@@ -876,12 +1028,7 @@ func FuzzCheckedRead(f *testing.F) {
 				e.ssds[col].Fail()
 				failed = true
 				if op/5%2 == 1 {
-					fresh := blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
-					done, err := e.cache.ReplaceSSD(e.at, col, fresh)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.ssds[col], e.at = fresh, done
+					e.replace(col, newSSD())
 				}
 			case 3:
 				n := 1 + int64(op/5)%8
@@ -923,6 +1070,25 @@ func FuzzCheckedRead(f *testing.F) {
 					e.verifies(p)
 				}
 			}
+		}
+		// Finish a pending rebuild. Every page the setup wrote dirty then
+		// reads back at its version or reports ErrDataLoss, never as
+		// primary's older copy.
+		if err := e.rebuildSteps(); err != nil && !errors.Is(err, ErrDataLoss) {
+			t.Fatalf("rebuild: %v", err)
+		}
+		for p := range int64(96) {
+			done, err := e.cache.Submit(e.at, blockdev.Request{
+				Op: blockdev.OpRead, Off: p * blockdev.PageSize, Len: blockdev.PageSize,
+			})
+			if errors.Is(err, ErrDataLoss) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("dirty page %d after the rebuild: %v", p, err)
+			}
+			e.at = vtime.Max(e.at, done)
+			e.verifies(p)
 		}
 		e.checkInvariants()
 	})

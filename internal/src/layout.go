@@ -124,11 +124,8 @@ type group struct {
 	// parityless segments); needed for reconstruction and recovery.
 	segParity []int8
 	// segGens records, per segment, the generation it was sealed or
-	// recovered with (0 when empty). A rebuild consults it when the column
-	// being rebuilt held the only surviving summary of a segment: the
-	// in-memory cache still vouches for the segment, and the rebuilt
-	// column's fresh MS/ME must carry the original generation so newest-
-	// wins ordering holds at the next recovery.
+	// recovered with (0 when empty). A rebuilt column's fresh MS/ME carry
+	// it, so newest-wins ordering holds at the next recovery.
 	segGens []int64
 }
 

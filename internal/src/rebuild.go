@@ -3,6 +3,7 @@ package src
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
@@ -13,9 +14,10 @@ import (
 // segment column at a time from the survivors plus parity, so foreground
 // traffic interleaves with the rebuild in virtual time. Until a segment is
 // rebuilt, reads of its replaced column are routed through the degraded path
-// (the fresh device holds no data there). Parityless clean segments cannot be
-// reconstructed; their pages on the lost column are dropped and reload from
-// primary storage on demand.
+// (the fresh device holds no data there). The rebuild reads a column as every
+// other path does, through the checked read: clean pages it cannot
+// reconstruct (all of a parityless segment's) are dropped and reload from
+// primary storage on demand, and a dirty one is ErrDataLoss.
 
 // rebuildState tracks an in-progress column rebuild.
 type rebuildState struct {
@@ -119,7 +121,12 @@ func (c *Cache) startRebuild(col int) {
 
 // RebuildStep reconstructs the next pending segment column and reports
 // whether more remain. Callers interleave steps with foreground traffic;
-// the returned time is when the step's I/O completed.
+// the returned time is when the step's I/O completed. A column the survivors
+// cannot rebuild (a dirty page on it does not reconstruct, or a survivor
+// cannot be read) is ErrDataLoss, returned with pending still true; the
+// segment stays queued until the lost pages are overwritten or trimmed or
+// a reclaim frees it. Until then, as during any rebuild, segment writes
+// issue no policy flush and no other column can be replaced.
 func (c *Cache) RebuildStep(at vtime.Time) (done vtime.Time, pending bool, err error) {
 	rs := c.rebuild
 	if rs == nil {
@@ -178,39 +185,24 @@ func (c *Cache) finishRebuild(done vtime.Time) (vtime.Time, error) {
 	return vtime.Max(done, t), nil
 }
 
-// rebuildSegment reconstructs one segment's column col: parity-protected
-// segments are rebuilt from the survivors; a parityless clean segment's
-// pages on col are dropped from the mapping (they reload from primary on
-// demand, no device I/O).
+// rebuildSegment reconstructs one segment's column col through readSSD,
+// which serves the column awaiting rebuild from every survivor and judges
+// its pages by dropUnvouched. A parityless segment then has nothing to
+// write. Nor has a parity segment whose survivors could not all be read:
+// their tags prove nothing, and folding them into the column would let that
+// survivor's lost pages reconstruct again. The slots are snapshotted before
+// the read, so a clean page it drops keeps its summary entry.
 func (c *Cache) rebuildSegment(at vtime.Time, sg, seg int64, col int) (vtime.Time, error) {
-	g := &c.groups[sg]
+	loc := c.lay.loc(sg, seg, col, 0)
+	s := c.lay.localSlot(loc)
+	slots := slices.Clone(c.groups[sg].slots[s : s+c.lay.pagesPerCol])
 	colBase := c.lay.colOffset(c.cfg, sg, seg)
-	if int(g.segParity[seg]) < 0 {
-		for pic := int64(1); pic <= c.lay.payloadPages; pic++ {
-			loc := c.lay.loc(sg, seg, col, pic)
-			s := c.lay.localSlot(loc)
-			if g.slots[s] == slotFree {
-				continue
-			}
-			lba, _ := unpackSlot(g.slots[s])
-			if e, ok := c.mapping.get(lba); ok && e.loc == loc {
-				c.dropPage(lba, e)
-			}
-		}
-		return at, nil
+	readDone, lost, err := c.readSSD(at, loc, col, colBase/blockdev.PageSize, c.lay.pagesPerCol)
+	if err != nil || !c.hasParity(loc) {
+		return at, err
 	}
-	readDone := at
-	for other := 0; other < c.lay.m; other++ {
-		if other == col {
-			continue
-		}
-		t, err := c.submitSSD(at, other, blockdev.Request{
-			Op: blockdev.OpRead, Off: colBase, Len: c.cfg.SegmentColumn,
-		})
-		if err != nil {
-			return at, fmt.Errorf("rebuild source %d: %w", other, err)
-		}
-		readDone = vtime.Max(readDone, t)
+	if lost == lostRun {
+		return at, fmt.Errorf("%w: rebuild of ssd %d: group %d segment %d: a survivor cannot be read", ErrDataLoss, col, sg, seg)
 	}
 	t, err := c.submitSSD(readDone, col, blockdev.Request{
 		Op: blockdev.OpWrite, Off: colBase, Len: c.cfg.SegmentColumn,
@@ -219,7 +211,7 @@ func (c *Cache) rebuildSegment(at vtime.Time, sg, seg int64, col int) (vtime.Tim
 		return at, fmt.Errorf("rebuild target: %w", err)
 	}
 	if c.cfg.TrackContent {
-		if err := c.rebuildColumnContent(sg, seg, col); err != nil {
+		if err := c.rebuildColumnContent(sg, seg, col, slots); err != nil {
 			return at, err
 		}
 	}

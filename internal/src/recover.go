@@ -113,6 +113,23 @@ func (c *Cache) Recover() (int, error) {
 			c.freeSGs = append(c.freeSGs, sg)
 		}
 	}
+	// A skewed crash can leave a free group's columns holding tags of a seal
+	// no summary vouches for, which would break the stripes of a later
+	// partial seal there. Trim every free group on each member and commit
+	// the trims at once (a crashed member holds nothing else volatile),
+	// ahead of the parity repair's volatile writes below. A free group holds
+	// no summary recovery accepted, so nothing recoverable is destroyed;
+	// like the rest of recovery, the trims charge no virtual time.
+	groupPages := c.cfg.EraseGroupSize / blockdev.PageSize
+	for _, dev := range c.cfg.SSDs {
+		cont := dev.Content()
+		for _, sg := range c.freeSGs {
+			if err := cont.Trim(sg*groupPages, groupPages); err != nil {
+				return 0, err
+			}
+		}
+		cont.FlushContent()
+	}
 
 	// A crash can cut independent drive caches at different points, leaving
 	// a recovered segment whose columns persisted unevenly: each applied

@@ -47,10 +47,6 @@ type RepairStats struct {
 	// or dropped from the cache because primary holds the clean page; the
 	// rest are dirty pages reported as ErrDataLoss.
 	CorruptionsRepaired int64
-	// RebuildDirtyLost counts dirty pages dropped during a rebuild because
-	// their stripe could not be reconstructed and verified — compound-fault
-	// data loss, detected rather than resurrected as garbage.
-	RebuildDirtyLost int64
 }
 
 // A transient device error is retried up to retryLimit times, the first

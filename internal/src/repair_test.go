@@ -2,6 +2,7 @@ package src
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"srccache/internal/blockdev"
@@ -173,8 +174,12 @@ func TestErrorBudgetEscalatesColumn(t *testing.T) {
 	if e.ssds[0].Stats().Flushes != flushes {
 		t.Fatal("flush sent to a fail-stopped column")
 	}
-	// Replacing the column re-admits it with a fresh budget.
-	rebuild(t, e, 0, e.ssds[0])
+	// Replacing the column, here with the same kicked device, re-admits it
+	// with a fresh budget.
+	e.replace(0, e.ssds[0])
+	if err := e.rebuildSteps(); err != nil {
+		t.Fatal(err)
+	}
 	if col := e.cache.State(nil).Columns[0]; col.Down || col.Errors != 0 {
 		t.Fatal("rebuild did not re-admit the column")
 	}
@@ -351,20 +356,75 @@ func TestDegradedNPCRefetchChargesPrimaryLatency(t *testing.T) {
 
 // TestRAID0DirtyColumnFailureIsDataLoss covers the parityless-dirty second
 // half of the failure matrix: under RAID-0 every segment is parityless, so a
-// column failure under dirty data is unrecoverable.
+// column failure under dirty data is unrecoverable. A rebuild of the column
+// reports the loss, naming a lost page, and stalls on it: each step fails
+// and keeps the segment queued, so a read of that page reports the loss
+// too instead of serving primary's older copy. While the rebuild is
+// stalled, a sealed segment issues no flush (the rebuild's completion
+// barrier commits it) and no other column can be replaced. Once the host
+// overwrites the lost pages, the rebuild completes.
 func TestRAID0DirtyColumnFailureIsDataLoss(t *testing.T) {
-	e := newEnv(t, func(c *Config) { c.Level = RAID0 })
-	capPages := fillDirtySegments(e, 1)
-	target, _ := findDirtyOn(e, 0, capPages)
-	if target < 0 {
-		t.Fatal("no dirty page on ssd 0")
-	}
-	e.ssds[0].Fail()
-	_, err := e.cache.Submit(e.at, blockdev.Request{
-		Op: blockdev.OpRead, Off: target * blockdev.PageSize, Len: blockdev.PageSize,
-	})
-	if !errors.Is(err, ErrDataLoss) {
-		t.Fatalf("err = %v, want ErrDataLoss", err)
+	for _, name := range []string{"read", "rebuild"} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, func(c *Config) { c.Level = RAID0 })
+			capPages := fillDirtySegments(e, 1)
+			target, _ := findDirtyOn(e, 0, capPages)
+			if target < 0 {
+				t.Fatal("no dirty page on ssd 0")
+			}
+			if _, err := e.cache.Flush(e.at); err != nil {
+				t.Fatal(err)
+			}
+			e.ssds[0].Fail()
+			lost := func(lba int64) {
+				t.Helper()
+				_, err := e.cache.Submit(e.at, blockdev.Request{
+					Op: blockdev.OpRead, Off: lba * blockdev.PageSize, Len: blockdev.PageSize,
+				})
+				if !errors.Is(err, ErrDataLoss) {
+					t.Fatalf("read of page %d: %v, want ErrDataLoss", lba, err)
+				}
+			}
+			if name == "read" {
+				lost(target)
+				return
+			}
+			e.replace(0, newSSD())
+			for range 2 {
+				err := e.rebuildSteps()
+				if !errors.Is(err, ErrDataLoss) {
+					t.Fatalf("rebuild over lost dirty pages: %v, want ErrDataLoss", err)
+				}
+				var lba int64
+				if _, serr := fmt.Sscanf(err.Error(), "page %d:", &lba); serr != nil {
+					t.Fatalf("%q names no page", err)
+				}
+				lost(lba)
+			}
+			flushes, writes := e.cache.Counters().SSDFlushes, e.ssds[1].Stats().WriteOps
+			e.write(capPages, capPages+1)
+			if e.ssds[1].Stats().WriteOps == writes {
+				t.Fatal("no segment sealed")
+			}
+			if e.cache.Counters().SSDFlushes != flushes {
+				t.Fatal("a segment sealed during a stalled rebuild was flushed")
+			}
+			if _, err := e.cache.ReplaceSSD(e.at, 1, newSSD()); err == nil {
+				t.Fatal("replaced ssd 1 while the rebuild of ssd 0 is stalled")
+			}
+			e.write(0, capPages)
+			if err := e.rebuildSteps(); err != nil {
+				t.Fatalf("rebuild after the lost pages were overwritten: %v", err)
+			}
+			if e.cache.Counters().SSDFlushes == flushes {
+				t.Fatal("the completed rebuild issued no barrier")
+			}
+			for lba := range capPages {
+				e.read(lba, 1)
+				e.verifies(lba)
+			}
+			e.checkInvariants()
+		})
 	}
 }
 

@@ -438,7 +438,7 @@ func (c *Cache) readRun(at vtime.Time, first entry, lba, pages int64) (vtime.Tim
 		return c.fillFromPrimary(at, lba, pages)
 	}
 	ready, lost, err := c.readSSD(at, first.loc, int(first.col), int64(first.page), pages)
-	if err != nil || !lost {
+	if err != nil || lost == lostNone {
 		return ready, err
 	}
 	// Refetch each run of pages the checked read left uncached.
@@ -462,8 +462,17 @@ func (c *Cache) readRun(at vtime.Time, first entry, lba, pages int64) (vtime.Tim
 	return done, nil
 }
 
-// readSSD is the cache's one checked read: host reads, ReadCheck and
-// reclaim read the SSDs through it. It reads the pages at the pages
+// A loss says which pages of a run a checked read could not vouch for.
+type loss uint8
+
+const (
+	lostNone  loss = iota // every page verified
+	lostPages             // the run was read, and some pages did not verify
+	lostRun               // the run could not be read: neither from its column nor by reconstruction
+)
+
+// readSSD is the cache's one checked read: host reads, ReadCheck, reclaim
+// and rebuild read the SSDs through it. It reads the pages at the pages
 // consecutive locations from loc, which lie on SSD col from device page
 // page on. A latent sector error is repaired in place from parity, and a
 // failed (or fail-stopped, or not-yet-rebuilt) column is read by
@@ -476,17 +485,18 @@ func (c *Cache) readRun(at vtime.Time, first entry, lba, pages int64) (vtime.Tim
 // A page the read cannot vouch for — unreadable or wrong, and not rebuilt
 // to its expected tag from surviving columns that were actually read —
 // follows dropUnvouched's one rule: a dirty page is ErrDataLoss, and a
-// clean page leaves the cache. lost reports whether the read could not
-// vouch for some page: a host read then refetches from primary, and
-// reclaim moves only what is left.
-func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (done vtime.Time, lost bool, err error) {
+// clean page leaves the cache. lost says which pages the read could not
+// vouch for: a host read then refetches them from primary, reclaim moves
+// only what is left, and a rebuild writes nothing over a run it could not
+// read.
+func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (done vtime.Time, lost loss, err error) {
 	off, n := page*blockdev.PageSize, pages*blockdev.PageSize
 	t, err := c.submitSSD(at, col, blockdev.Request{Op: blockdev.OpRead, Off: off, Len: n})
 	if err != nil {
 		unreadable := errors.Is(err, blockdev.ErrUnreadable)
 		switch {
 		case !unreadable && !isDeviceFailed(err):
-			return at, false, err
+			return at, lostNone, err
 		case !c.hasParity(loc):
 			err = fmt.Errorf("%w: ssd %d in parityless segment: %v", ErrDataLoss, col, err)
 		case unreadable:
@@ -495,14 +505,14 @@ func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (d
 			t, err = c.reconstructColumns(at, col, off, n)
 		}
 		if errors.Is(err, ErrDataLoss) {
-			return at, true, c.dropUnvouched(loc, pages, err)
+			return at, lostRun, c.dropUnvouched(loc, pages, err)
 		}
 		if err != nil {
-			return at, false, err
+			return at, lostNone, err
 		}
 	}
 	if !c.cfg.TrackContent {
-		return t, false, nil
+		return t, lostNone, nil
 	}
 	down := c.colDown[col] || c.awaitingRebuild(col, off)
 	cont := c.cfg.SSDs[col].Content()
@@ -520,17 +530,17 @@ func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (d
 		}
 		corrupt := false
 		if down {
-			err = c.reconstructExpected(loc+i, lba, want)
+			err = c.reconstructExpected(loc+i, want)
 		} else if got, rerr := cont.ReadTag(page + i); rerr != nil {
 			return at, lost, rerr
 		} else if corrupt = got != want; corrupt {
 			c.repair.CorruptionsDetected++
 			var r vtime.Time
-			r, err = c.repairCorrupt(t, loc+i, lba, want)
+			r, err = c.repairCorrupt(t, loc+i, want)
 			done = vtime.Max(done, r)
 		}
 		if errors.Is(err, ErrDataLoss) {
-			lost, err = true, c.dropUnvouched(loc+i, 1, err)
+			lost, err = lostPages, c.dropUnvouched(loc+i, 1, err)
 		}
 		if err != nil {
 			return at, lost, err
@@ -542,20 +552,20 @@ func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (d
 	return done, lost, nil
 }
 
-// repairCorrupt rebuilds lba's copy at loc, read at time at and found not to
+// repairCorrupt rebuilds the page at loc, read at time at and found not to
 // hold want, from the survivors of its parity segment and rewrites it, and
 // commits the rewrite at once. A page without parity, or one its stripe
 // does not rebuild to want, is ErrDataLoss for dropUnvouched to judge.
-func (c *Cache) repairCorrupt(at vtime.Time, loc, lba int64, want blockdev.Tag) (vtime.Time, error) {
+func (c *Cache) repairCorrupt(at vtime.Time, loc int64, want blockdev.Tag) (vtime.Time, error) {
 	if !c.hasParity(loc) {
-		return at, fmt.Errorf("%w: page %d corrupt in parityless segment", ErrDataLoss, lba)
+		return at, fmt.Errorf("%w: corrupt in parityless segment", ErrDataLoss)
 	}
 	col, off := c.lay.devOffset(c.cfg, loc)
 	t, err := c.reconstructColumns(at, col, off, blockdev.PageSize)
 	if err != nil {
 		return at, err
 	}
-	if err := c.reconstructExpected(loc, lba, want); err != nil {
+	if err := c.reconstructExpected(loc, want); err != nil {
 		return at, err
 	}
 	if err := c.cfg.SSDs[col].Content().WriteTag(off/blockdev.PageSize, want); err != nil {

@@ -25,12 +25,17 @@ type env struct {
 	t     *testing.T
 }
 
+// newSSD returns an empty member device for a test cache.
+func newSSD() *blockdev.FaultPlan {
+	return blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+}
+
 func newEnv(t *testing.T, mutate func(*Config)) *env {
 	t.Helper()
 	ssds := make([]*blockdev.FaultPlan, 4)
 	devs := make([]blockdev.Device, 4)
 	for i := range ssds {
-		ssds[i] = blockdev.NewFaultPlan(blockdev.NewMemDevice(testSSDCap, 10*vtime.Microsecond))
+		ssds[i] = newSSD()
 		devs[i] = ssds[i]
 	}
 	prim := blockdev.NewMemDevice(testPrimCap, vtime.Millisecond)
