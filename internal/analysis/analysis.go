@@ -273,7 +273,6 @@ var SimPackages = []string{
 	"internal/ssd",
 	"internal/hdd",
 	"internal/chaos",
-	"internal/torture",
 	"internal/stats",
 	"internal/engine",
 	// The cluster protocol runs in virtual time under the churn seeds:

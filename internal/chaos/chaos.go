@@ -5,16 +5,17 @@
 // online rebuild, scrub passes, and crash/recovery cycles — while checking
 // the durability contract after every hazard:
 //
-//   - the pages satisfy torture.Oracle's invariants: after every crash in
-//     its recovered mode (an acknowledged flush is never lost, no page
-//     holds a version never acknowledged), and at spot checks and the end
-//     of the run in its live mode (every cached page holds its newest
-//     version and reads back verified);
+//   - the pages satisfy the oracle's invariants: after every crash in its
+//     recovered mode (an acknowledged flush is never lost, no page holds a
+//     version never acknowledged), and at spot checks and the end of the
+//     run in its live mode (every cached page holds its newest version and
+//     reads back verified);
 //   - a column rebuild converges and the rebuilt data verifies;
 //   - planted silent corruption is detected (and repaired) by the scrub.
 //
-// A run without faults is a cell of the crash matrix instead: torture's
-// probe replays crash schedules at its barriers and reclaims (observe).
+// A run without faults is a cell of the crash matrix instead: the crash
+// probe replays crash schedules at its barriers and reclaims (observe) and
+// judges each recovered cache with the same oracle.
 //
 // Everything is a pure function of the Options: the workload, the fault
 // schedule, the probe's crash schedules and the virtual-time
@@ -32,7 +33,6 @@ import (
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
 	"srccache/internal/src"
-	"srccache/internal/torture"
 	"srccache/internal/vtime"
 )
 
@@ -75,7 +75,7 @@ type Options struct {
 	Cell Cell
 	// NoFaults runs a crash-matrix cell: no fault and no live crash is
 	// injected (those steps flush instead), the array has matrixShape, and
-	// torture's crash probe judges crashes at the run's snapshots.
+	// the crash probe judges crashes at the run's snapshots.
 	NoFaults bool
 }
 
@@ -114,7 +114,7 @@ type harness struct {
 	ssds  []*blockdev.FaultPlan
 	prim  *blockdev.MemDevice
 	at    vtime.Time
-	probe *torture.Probe // a crash-matrix cell's; nil otherwise
+	probe *probe // a crash-matrix cell's; nil otherwise
 
 	// latest mirrors the cache's per-page version counter: incremented on
 	// every host page write, reset to the recovered version after a crash.
@@ -132,7 +132,7 @@ type harness struct {
 
 // Run executes one seeded chaos schedule and returns its counters, or the
 // first invariant violation as an error; a crash-matrix cell's probe
-// reports a broken invariant as a *torture.Violation.
+// reports its violation with the crash that caused it.
 func Run(o Options) (Result, CrashStats, error) {
 	h := &harness{
 		opts:    o,
@@ -165,7 +165,7 @@ func Run(o Options) (Result, CrashStats, error) {
 		ErrorBudget: 1 << 30,
 	}
 	if o.NoFaults {
-		h.probe = torture.NewProbe(cfg, h.shape.span, o.Seed)
+		h.probe = newProbe(cfg, h.shape.span, o.Seed)
 	}
 	cfg.SSDs, cfg.Primary = devs, h.prim
 	cache, err := src.New(cfg)
@@ -193,7 +193,7 @@ func Run(o Options) (Result, CrashStats, error) {
 	}
 	h.res.Signature = h.signature()
 	if h.probe != nil {
-		if h.crash.Trials, err = h.probe.Trials(); err != nil {
+		if h.crash.Trials, err = h.probe.trials(); err != nil {
 			return h.res, h.crash, fmt.Errorf("seed %d %w", o.Seed, err)
 		}
 	}
@@ -213,12 +213,12 @@ func (h *harness) observe(op int, before bench.Counters) error {
 	sample := op%16 == 15
 	if now.SSDFlushes > before.SSDFlushes || now.GroupReclaims > before.GroupReclaims ||
 		sample && h.opts.Cell.Flush == src.FlushNever {
-		h.probe.Snapshot(op, h.at, h.cache, h.latest, h.durable)
+		h.probe.snapshot(op, h.at, h.cache, h.latest, h.durable)
 	}
 	if !sample {
 		return nil
 	}
-	w, err := h.probe.LossWindow(h.cache, h.latest)
+	w, err := h.probe.lossWindow(h.cache, h.latest)
 	h.crash.MaxLossWindow = max(h.crash.MaxLossWindow, w)
 	return err
 }
@@ -390,8 +390,9 @@ func (h *harness) doCrash() error {
 	// independently persists either nothing or a FIFO prefix of its
 	// volatile write log — the skew a set of independent drive caches
 	// produces — and a prefix ending in a blob write may tear it mid-page,
-	// leaving the partially-programmed summary recovery's CRC must reject. All of these are barrier-legal states, so the
-	// durability checks below apply unchanged.
+	// leaving the partially-programmed summary recovery's CRC must reject.
+	// All of these are barrier-legal states, so the durability checks
+	// below apply unchanged.
 	for _, p := range h.ssds {
 		c := p.Content()
 		n := c.WriteLogLen()
@@ -417,7 +418,7 @@ func (h *harness) doCrash() error {
 
 	// No read-back: ReadCheck repairs state and advances the clock, which
 	// would shift the rest of the schedule.
-	if err := h.oracle().Recovered(h.at, true, false); err != nil {
+	if err := h.oracle().recovered(h.at, true, false); err != nil {
 		return err
 	}
 	// The recovered state is exactly what was committed: it is the new
@@ -508,8 +509,8 @@ func (h *harness) doScrub() error {
 }
 
 // oracle judges the cache against the harness's model.
-func (h *harness) oracle() torture.Oracle {
-	return torture.Oracle{Cache: h.cache, Primary: h.prim.Content(), Latest: h.latest, Durable: h.durable, Span: h.shape.span}
+func (h *harness) oracle() oracle {
+	return oracle{Cache: h.cache, Primary: h.prim.Content(), Latest: h.latest, Durable: h.durable, Span: h.shape.span}
 }
 
 // spotCheck checks a handful of random pages against the model, counting
@@ -517,7 +518,7 @@ func (h *harness) oracle() torture.Oracle {
 func (h *harness) spotCheck() error {
 	o := h.oracle()
 	for k := 0; k < 8; k++ {
-		at, cached, err := o.Live(h.at, h.rng.Int63n(h.shape.span))
+		at, cached, err := o.live(h.at, h.rng.Int63n(h.shape.span))
 		h.at = at
 		if err != nil {
 			return err
@@ -537,7 +538,7 @@ func (h *harness) verifyAll() error {
 			continue
 		}
 		var err error
-		if h.at, _, err = o.Live(h.at, lba); err != nil {
+		if h.at, _, err = o.live(h.at, lba); err != nil {
 			return err
 		}
 		h.res.Checks++

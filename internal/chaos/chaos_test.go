@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"srccache/internal/src"
-	"srccache/internal/torture"
 )
 
 // chaosDigest folds the Results of seeds 1–50, in seed order. A change
@@ -192,7 +191,7 @@ func matrix() []Cell {
 
 // TestChaosMatrix runs every crash-matrix cell, one parallel subtest per
 // seed: each seed's workload runs without faults under the three flush
-// policies × PC/NPC × FIFO/Greedy, and torture's probe replays crash
+// policies × PC/NPC × FIFO/Greedy, and the crash probe replays crash
 // schedules at its snapshots with zero invariant violations. Recovery on
 // the real code discards torn state, keeps flush-durable state, and never
 // resurrects or invents data. CHAOS_MATRIX_SEEDS sets the sweep to seeds
@@ -211,7 +210,7 @@ func TestChaosMatrix(t *testing.T) {
 			trials := 0
 			for j, cell := range cells {
 				_, cs, err := Run(Options{Seed: seed, Cell: cell, NoFaults: true})
-				var v *torture.Violation
+				var v *violation
 				switch {
 				case errors.As(err, &v):
 					t.Errorf("violation: %v %v", cell, err)

@@ -1,4 +1,4 @@
-package torture
+package chaos
 
 import (
 	"errors"
@@ -8,16 +8,6 @@ import (
 	"srccache/internal/blockdev"
 	"srccache/internal/src"
 	"srccache/internal/vtime"
-)
-
-// The oracle fixture's array: 4 SSDs of 2 MiB with 256 KiB erase groups
-// and 16 KiB segment columns.
-const (
-	numSSD  = 4
-	ssdCap  = 2 << 20
-	primCap = 16 << 20
-	egs     = 256 << 10
-	segCol  = 16 << 10
 )
 
 // Pages of the oracle fixture: written holds version 1 (hot holds 2), all
@@ -30,18 +20,19 @@ const (
 )
 
 // oracleFixture writes pages [0, written) once and hot once more, flushes,
-// crashes every SSD and recovers. The array is RAID-0, so a corrupted dirty
-// page cannot be repaired and fails its read-back. The model it returns is
-// the one the fixture acknowledged, all of it durable.
-func oracleFixture(t *testing.T) Oracle {
+// crashes every SSD and recovers. The array has the crash matrix's shape
+// and is RAID-0, so a corrupted dirty page cannot be repaired and fails its
+// read-back. The model it returns is the one the fixture acknowledged, all
+// of it durable.
+func oracleFixture(t *testing.T) oracle {
 	t.Helper()
 	devs := make([]blockdev.Device, numSSD)
 	for i := range devs {
-		devs[i] = blockdev.NewMemDevice(ssdCap, 10*vtime.Microsecond)
+		devs[i] = blockdev.NewMemDevice(matrixShape.ssdCap, 10*vtime.Microsecond)
 	}
-	prim := blockdev.NewMemDevice(primCap, 0)
+	prim := blockdev.NewMemDevice(matrixShape.primCap, 0)
 	cache, err := src.New(src.Config{
-		SSDs: devs, Primary: prim, EraseGroupSize: egs, SegmentColumn: segCol,
+		SSDs: devs, Primary: prim, EraseGroupSize: matrixShape.egs, SegmentColumn: segCol,
 		Level: src.RAID0, Parity: src.NPC, TrackContent: true,
 	})
 	if err != nil {
@@ -72,11 +63,11 @@ func oracleFixture(t *testing.T) Oracle {
 	if err := prim.Content().WriteTag(evicted, blockdev.DataTag(evicted, 1)); err != nil {
 		t.Fatal(err)
 	}
-	return Oracle{Cache: cache, Primary: prim.Content(), Latest: latest, Durable: maps.Clone(latest), Span: 2 * evicted}
+	return oracle{Cache: cache, Primary: prim.Content(), Latest: latest, Durable: maps.Clone(latest), Span: 2 * evicted}
 }
 
 // corrupt silently corrupts hot's copy on its SSD.
-func corrupt(t *testing.T, o *Oracle) {
+func corrupt(t *testing.T, o *oracle) {
 	t.Helper()
 	col, page, ok := o.Cache.Locate(hot)
 	if !ok {
@@ -97,34 +88,34 @@ func TestOracleNamesEachInvariant(t *testing.T) {
 		recovered  mode = iota // strict, with read-back
 		reorder                // not strict, with read-back
 		noReadBack             // strict, without read-back
-		live                   // Live over the span
+		live                   // live over the span
 	)
 	modes := [...]string{"recovered", "reorder", "no-read-back", "live"}
 	for _, tc := range []struct {
 		name  string
-		plant func(t *testing.T, o *Oracle)
+		plant func(t *testing.T, o *oracle)
 		want  [4]string // per mode; "" passes
 	}{
-		{"none", func(*testing.T, *Oracle) {}, [4]string{}},
-		{"latest below the cached version", func(_ *testing.T, o *Oracle) { o.Latest[hot] = 1 },
-			[4]string{NoPhantomData, NoPhantomData, NoPhantomData, NoPhantomData}},
-		{"latest above the cached version", func(_ *testing.T, o *Oracle) { o.Latest[hot] = 3 },
-			[4]string{"", "", "", NoWrongBytes}},
-		{"durable above the cached version", func(_ *testing.T, o *Oracle) { o.Latest[hot], o.Durable[hot] = 3, 3 },
-			[4]string{DurableAfterFlush, "", DurableAfterFlush, NoWrongBytes}},
-		{"durable above primary's version", func(_ *testing.T, o *Oracle) { o.Latest[evicted], o.Durable[evicted] = 2, 2 },
-			[4]string{DurableAfterFlush, "", DurableAfterFlush, DurableAfterFlush}},
-		{"latest above primary's version", func(_ *testing.T, o *Oracle) { o.Latest[evicted] = 2 },
+		{"none", func(*testing.T, *oracle) {}, [4]string{}},
+		{"latest below the cached version", func(_ *testing.T, o *oracle) { o.Latest[hot] = 1 },
+			[4]string{noPhantomData, noPhantomData, noPhantomData, noPhantomData}},
+		{"latest above the cached version", func(_ *testing.T, o *oracle) { o.Latest[hot] = 3 },
+			[4]string{"", "", "", noWrongBytes}},
+		{"durable above the cached version", func(_ *testing.T, o *oracle) { o.Latest[hot], o.Durable[hot] = 3, 3 },
+			[4]string{durableAfterFlush, "", durableAfterFlush, noWrongBytes}},
+		{"durable above primary's version", func(_ *testing.T, o *oracle) { o.Latest[evicted], o.Durable[evicted] = 2, 2 },
+			[4]string{durableAfterFlush, "", durableAfterFlush, durableAfterFlush}},
+		{"latest above primary's version", func(_ *testing.T, o *oracle) { o.Latest[evicted] = 2 },
 			[4]string{}},
 		{"corrupted SSD tag", corrupt,
-			[4]string{TornDiscarded, "", "", NoWrongBytes}},
-		{"missing primary tag", func(t *testing.T, o *Oracle) {
+			[4]string{tornDiscarded, "", "", noWrongBytes}},
+		{"missing primary tag", func(t *testing.T, o *oracle) {
 			if err := o.Primary.WriteTag(evicted, blockdev.ZeroTag); err != nil {
 				t.Fatal(err)
 			}
-		}, [4]string{DurableAfterFlush, "", DurableAfterFlush, DurableAfterFlush}},
-		{"span short of the mapped pages", func(_ *testing.T, o *Oracle) { o.Span = written - 1 },
-			[4]string{NoPhantomData, NoPhantomData, NoPhantomData, ""}},
+		}, [4]string{durableAfterFlush, "", durableAfterFlush, durableAfterFlush}},
+		{"span short of the mapped pages", func(_ *testing.T, o *oracle) { o.Span = written - 1 },
+			[4]string{noPhantomData, noPhantomData, noPhantomData, ""}},
 	} {
 		for m, want := range tc.want {
 			o := oracleFixture(t)
@@ -133,25 +124,25 @@ func TestOracleNamesEachInvariant(t *testing.T) {
 			switch m := mode(m); m {
 			case live:
 				for lba := int64(0); lba < o.Span && err == nil; lba++ {
-					_, _, err = o.Live(0, lba)
+					_, _, err = o.live(0, lba)
 				}
 			default:
-				err = o.Recovered(0, m != reorder, m != noReadBack)
+				err = o.recovered(0, m != reorder, m != noReadBack)
 			}
-			var b *Breach
+			var v *violation
 			switch {
 			case want == "" && err != nil:
 				t.Errorf("%s, %s mode: %v, want a pass", tc.name, modes[m], err)
-			case want != "" && !errors.As(err, &b):
-				t.Errorf("%s, %s mode: %v, want a %s breach", tc.name, modes[m], err, want)
-			case want != "" && b.Invariant != want:
+			case want != "" && !errors.As(err, &v):
+				t.Errorf("%s, %s mode: %v, want a %s violation", tc.name, modes[m], err, want)
+			case want != "" && v.invariant != want:
 				t.Errorf("%s, %s mode: %v, want %s", tc.name, modes[m], err, want)
 			}
 		}
 	}
 }
 
-// TestOracleLiveReportsWhereItChecked pins Live's two results beside its
+// TestOracleLiveReportsWhereItChecked pins live's two results beside its
 // verdict: a cached page is read back, which advances the clock, and an
 // uncached or never-written page is not.
 func TestOracleLiveReportsWhereItChecked(t *testing.T) {
@@ -161,7 +152,7 @@ func TestOracleLiveReportsWhereItChecked(t *testing.T) {
 		lba    int64
 		cached bool
 	}{{hot, true}, {evicted, false}, {evicted + 1, false}} {
-		next, cached, err := o.Live(at, tc.lba)
+		next, cached, err := o.live(at, tc.lba)
 		if err != nil || cached != tc.cached {
 			t.Fatalf("page %d: cached %v, err %v; want cached %v", tc.lba, cached, err, tc.cached)
 		}

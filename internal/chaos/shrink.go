@@ -1,4 +1,4 @@
-package torture
+package chaos
 
 import "srccache/internal/blockdev"
 
@@ -7,11 +7,11 @@ import "srccache/internal/blockdev"
 // torn writes are first simplified to plain drops, then halves of each
 // device's kept set are dropped ddmin-style, then single kept writes are
 // dropped greedily to a fixed point. The result is the smallest persisted
-// subset the checker still rejects — the debugging artifact a Violation
+// subset the checker still rejects — the debugging artifact a violation
 // reports.
-func (p *Probe) shrink(ep *epoch, scheds tuple, strict bool) (tuple, error) {
+func (p *probe) shrink(ep *epoch, scheds tuple, strict bool) (tuple, error) {
 	fails := func(t tuple) (bool, error) {
-		v, err := p.trialOnce(ep, t, strict, false)
+		v, err := verdict(p.trialOnce(ep, t, strict, false))
 		return v != nil, err
 	}
 	cur := cloneTuple(scheds)

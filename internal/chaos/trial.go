@@ -1,4 +1,4 @@
-package torture
+package chaos
 
 import (
 	"errors"
@@ -19,31 +19,42 @@ func cloneTuple(t tuple) tuple {
 	return out
 }
 
-// Trials enumerates and runs crash trials over every kept snapshot, in
+// trials enumerates and runs crash trials over every kept snapshot, in
 // snapshot order, and returns the number run. The first failing trial
-// stops the run: it is shrunk and returned as a *Violation.
-func (p *Probe) Trials() (int, error) {
+// stops the run: its violation is returned with the crash that caused it,
+// the schedules shrunk.
+func (p *probe) trials() (int, error) {
 	total := 0
 	for ei := range p.epochs {
 		ep := &p.epochs[ei]
 		for _, tr := range p.enumerate(ep) {
 			total++
 			strict := tr.tier == "barrier" && p.cfg.Flush != src.FlushNever
-			viol, err := p.trialOnce(ep, tr.scheds, strict, total%3 == 0)
+			v, err := verdict(p.trialOnce(ep, tr.scheds, strict, total%3 == 0))
 			if err != nil {
 				return total, err
 			}
-			if viol == nil {
+			if v == nil {
 				continue
 			}
-			viol.Tier = tr.tier
-			if viol.Schedules, err = p.shrink(ep, tr.scheds, strict); err != nil {
+			v.epoch, v.op, v.tier = ep.idx, ep.op, tr.tier
+			if v.schedules, err = p.shrink(ep, tr.scheds, strict); err != nil {
 				return total, err
 			}
-			return total, viol
+			return total, v
 		}
 	}
 	return total, nil
+}
+
+// verdict splits a check's error into the violation it found, if any, and
+// a harness failure otherwise.
+func verdict(err error) (*violation, error) {
+	var v *violation
+	if errors.As(err, &v) {
+		return v, nil
+	}
+	return nil, err
 }
 
 // plannedTrial pairs a schedule tuple with its tier, "barrier" or
@@ -58,7 +69,7 @@ type plannedTrial struct {
 // tail), then reorder-tier subsets and single-write omissions. FlushNever
 // epochs run every schedule at detection grade only — the policy makes no
 // durability promise to be strict about.
-func (p *Probe) enumerate(ep *epoch) []plannedTrial {
+func (p *probe) enumerate(ep *epoch) []plannedTrial {
 	n := len(ep.ssds)
 	lens := make([]int, n)
 	for i, c := range ep.ssds {
@@ -124,7 +135,7 @@ func (p *Probe) enumerate(ep *epoch) []plannedTrial {
 // tornTuple builds a barrier-tier tuple tearing one device's log at a blob
 // write: that device persists a prefix ending in a truncated blob, the
 // others persist seeded prefixes of their own.
-func (p *Probe) tornTuple(ep *epoch, lens []int) (tuple, bool) {
+func (p *probe) tornTuple(ep *epoch, lens []int) (tuple, bool) {
 	// Prefer a blob written over an old committed blob (page reuse).
 	bestDev, bestIdx, bestLen, reuse := -1, -1, 0, false
 	for d, c := range ep.ssds {
@@ -155,17 +166,13 @@ func (p *Probe) tornTuple(ep *epoch, lens []int) (tuple, bool) {
 	return t, true
 }
 
-// recoverCrash builds each SSD's crashed copy with crashed, clones prim and
-// recovers a fresh cache over them. The cache is nil when Recover fails.
-func (p *Probe) recoverCrash(ssds []*blockdev.Content, prim *blockdev.Content, crashed func(d int, c *blockdev.Content) (*blockdev.Content, error)) (*src.Cache, *blockdev.Content, error) {
+// recoverCrash recovers a fresh cache over the SSDs' crashed contents and
+// a clone of prim. A failed Recover is a recovery-succeeds violation.
+func (p *probe) recoverCrash(crashed []*blockdev.Content, prim *blockdev.Content) (*src.Cache, *blockdev.Content, error) {
 	cfg := p.cfg
-	cfg.SSDs = make([]blockdev.Device, len(ssds))
-	for i, c := range ssds {
-		cc, err := crashed(i, c)
-		if err != nil {
-			return nil, nil, fmt.Errorf("crash of ssd %d: %w", i, err)
-		}
-		cfg.SSDs[i] = blockdev.NewMemDeviceWithContent(cc, 0)
+	cfg.SSDs = make([]blockdev.Device, len(crashed))
+	for i, c := range crashed {
+		cfg.SSDs[i] = blockdev.NewMemDeviceWithContent(c, 0)
 	}
 	pc := prim.Clone()
 	cfg.Primary = blockdev.NewMemDeviceWithContent(pc, 0)
@@ -177,116 +184,100 @@ func (p *Probe) recoverCrash(ssds []*blockdev.Content, prim *blockdev.Content, c
 		// Recovery must degrade by discarding, never by failing: any
 		// crash state a schedule can produce is a state a real power
 		// failure can produce.
-		return nil, pc, nil
+		return nil, nil, breach(recoverySucceeds, "Recover returned an error on a crashed state")
 	}
 	return cache, pc, nil
 }
 
 // recoverTrial recovers from ep's devices crashed by the schedule tuple.
-func (p *Probe) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.Content, error) {
-	return p.recoverCrash(ep.ssds, ep.prim, func(d int, c *blockdev.Content) (*blockdev.Content, error) {
-		cc := c.Clone()
-		return cc, cc.CrashPartial(scheds[d])
-	})
+func (p *probe) recoverTrial(ep *epoch, scheds tuple) (*src.Cache, *blockdev.Content, error) {
+	crashed := make([]*blockdev.Content, len(ep.ssds))
+	for i, c := range ep.ssds {
+		crashed[i] = c.Clone()
+		if err := crashed[i].CrashPartial(scheds[i]); err != nil {
+			return nil, nil, fmt.Errorf("crash of ssd %d: %w", i, err)
+		}
+	}
+	return p.recoverCrash(crashed, ep.prim)
 }
 
 // trialOnce runs one crash trial and checks the tier's invariants. It
-// returns a Violation (without Tier/Schedules, the caller fills those), or
-// nil if the state checks out. deep additionally runs the determinism and
-// generation-monotonicity probes.
-func (p *Probe) trialOnce(ep *epoch, scheds tuple, strict bool, deep bool) (*Violation, error) {
+// returns a *violation (the caller adds the crash), another error for a
+// harness failure, or nil if the state checks out. deep additionally runs
+// the determinism and generation-monotonicity probes.
+func (p *probe) trialOnce(ep *epoch, scheds tuple, strict bool, deep bool) error {
 	cache, prim, err := p.recoverTrial(ep, scheds)
 	if err != nil {
-		return nil, err
-	}
-	if cache == nil {
-		return p.violation(ep, "recovery-succeeds", "Recover returned an error on a crashed state"), nil
+		return err
 	}
 	// The determinism probe goes first: the oracle's read-back repairs
 	// the cache, and may drop a clean page that does not verify.
 	if deep {
-		if v, err := p.determinismProbe(ep, scheds, cache); err != nil || v != nil {
-			return v, err
+		if err := p.determinismProbe(ep, scheds, cache); err != nil {
+			return err
 		}
 	}
-	o := Oracle{Cache: cache, Primary: prim, Latest: ep.latest, Durable: ep.durable, Span: p.span}
-	var b *Breach
-	switch err := o.Recovered(ep.at, strict, true); {
-	case errors.As(err, &b):
-		return p.violation(ep, b.Invariant, b.Detail), nil
-	case err != nil:
-		return nil, err
+	o := oracle{Cache: cache, Primary: prim, Latest: ep.latest, Durable: ep.durable, Span: p.span}
+	if err := o.recovered(ep.at, strict, true); err != nil || !deep || !strict {
+		return err
 	}
-	if deep && strict {
-		return p.generationProbe(ep, scheds, cache)
-	}
-	return nil, nil
-}
-
-// violation reports a broken invariant at ep; the caller fills Tier and
-// Schedules.
-func (p *Probe) violation(ep *epoch, inv, detail string) *Violation {
-	return &Violation{Epoch: ep.idx, Op: ep.op, Invariant: inv, Detail: detail}
+	return p.generationProbe(ep, cache)
 }
 
 // determinismProbe re-runs the identical crash + recovery and compares the
 // recovered version map: recovery must be a pure function of the crashed
 // state.
-func (p *Probe) determinismProbe(ep *epoch, scheds tuple, first *src.Cache) (*Violation, error) {
+func (p *probe) determinismProbe(ep *epoch, scheds tuple, first *src.Cache) error {
 	second, _, err := p.recoverTrial(ep, scheds)
 	if err != nil {
-		return nil, err
-	}
-	if second == nil {
-		return p.violation(ep, "deterministic-recovery", "second recovery of the identical crashed state errored"), nil
+		return err
 	}
 	for lba := int64(0); lba < p.span; lba++ {
 		v1, c1 := first.CachedVersion(lba)
 		v2, c2 := second.CachedVersion(lba)
 		if v1 != v2 || c1 != c2 {
-			return p.violation(ep, "deterministic-recovery", fmt.Sprintf(
-				"page %d recovered as (v%d,%v) then (v%d,%v) from the same state", lba, v1, c1, v2, c2)), nil
+			return breach(deterministicRecovery,
+				"page %d recovered as (v%d,%v) then (v%d,%v) from the same state", lba, v1, c1, v2, c2)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // generationProbe checks generation monotonicity end to end: a write
 // acknowledged and flushed after recovery must win over every resurrected
 // generation across a second, total crash.
-func (p *Probe) generationProbe(ep *epoch, scheds tuple, cache *src.Cache) (*Violation, error) {
-	const inv = "generation-monotonicity"
-	var probe int64 = -1
+func (p *probe) generationProbe(ep *epoch, cache *src.Cache) error {
+	var target int64 = -1
 	var prev uint64
 	for lba := int64(0); lba < p.span; lba++ {
 		if v, ok := cache.CachedVersion(lba); ok && v > 0 {
-			probe, prev = lba, v
+			target, prev = lba, v
 			break
 		}
 	}
-	if probe < 0 {
-		return nil, nil // nothing recovered to contend with
+	if target < 0 {
+		return nil // nothing recovered to contend with
 	}
 	if _, err := cache.Submit(ep.at, blockdev.Request{
-		Op: blockdev.OpWrite, Off: probe * blockdev.PageSize, Len: blockdev.PageSize,
+		Op: blockdev.OpWrite, Off: target * blockdev.PageSize, Len: blockdev.PageSize,
 	}); err != nil {
-		return nil, fmt.Errorf("generation probe write: %w", err)
+		return fmt.Errorf("generation probe write: %w", err)
 	}
 	if _, err := cache.Flush(ep.at); err != nil {
-		return nil, fmt.Errorf("generation probe flush: %w", err)
+		return fmt.Errorf("generation probe flush: %w", err)
 	}
 	for _, d := range cache.CacheDevices() {
 		d.Content().Crash()
 	}
 	if _, err := cache.Recover(); err != nil {
-		return p.violation(ep, inv, fmt.Sprintf("re-recovery after probe flush errored: %v", err)), nil
+		return breach(generationMonotonicity, "re-recovery after probe flush errored: %v", err)
 	}
 	// The flushed version must win: an older generation recovered, or
 	// none and primary stale, fails the oracle's durable floor.
-	flushed := map[int64]uint64{probe: prev + 1}
-	o := Oracle{Cache: cache, Primary: cache.Primary().Content(), Latest: flushed, Durable: flushed}
-	if err := o.Page(ep.at, probe, true, false); err != nil {
-		return p.violation(ep, inv, fmt.Sprintf("probe write flushed at version %d: %v", prev+1, err)), nil
+	flushed := map[int64]uint64{target: prev + 1}
+	o := oracle{Cache: cache, Primary: cache.Primary().Content(), Latest: flushed, Durable: flushed}
+	if err := o.page(ep.at, target, true, false); err != nil {
+		return breach(generationMonotonicity, "probe write flushed at version %d: %v", prev+1, err)
 	}
-	return nil, nil
+	return nil
 }

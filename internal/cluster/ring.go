@@ -31,6 +31,11 @@ type Member struct {
 // a reasonable share for small fleets without bloating the table.
 const vnodes = 64
 
+// MaxRanges bounds a ring's range count, so a damaged geometry is refused
+// before its chain table is allocated: 1 Mi ranges is a 1 TiB volume at
+// netblockd's default 1 MiB ranges, and a 48 MiB table at R = 3.
+const MaxRanges = 1 << 20
+
 // point is one position on the hash circle.
 type point struct {
 	hash uint64
@@ -52,15 +57,15 @@ type Ring struct {
 }
 
 // NewRing builds a ring and places every range once, so a lookup is a
-// slice of the table: 16 B per replica per range. Replicas is clamped to
-// the member count, so a fleet smaller than R still serves (with reduced
-// redundancy) rather than failing.
+// slice of the table: 16 B per replica per range, for at most MaxRanges
+// ranges. Replicas is clamped to the member count, so a fleet smaller than
+// R still serves (with reduced redundancy) rather than failing.
 func NewRing(replicas, ranges int, rangeBytes int64, members []Member) (*Ring, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("cluster: replicas %d < 1", replicas)
 	}
-	if ranges < 1 {
-		return nil, fmt.Errorf("cluster: ranges %d < 1", ranges)
+	if ranges < 1 || ranges > MaxRanges {
+		return nil, fmt.Errorf("cluster: ranges %d outside [1, %d]", ranges, MaxRanges)
 	}
 	if rangeBytes < 1 {
 		return nil, fmt.Errorf("cluster: range bytes %d < 1", rangeBytes)

@@ -83,7 +83,7 @@ func (c *Cache) gc(at vtime.Time) error {
 		if err != nil {
 			return err
 		}
-		// Crash-ordering barrier (found by the torture engine's prefix
+		// Crash-ordering barrier (found by the crash probe's prefix
 		// schedules): the victim's trim destroys the only on-media record of
 		// everything just moved out of it. Drain the copies and flush before
 		// trimming, so a persisted trim implies the replacement copies — and

@@ -520,8 +520,12 @@ func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (d
 	done = t
 	for i := int64(0); i < pages; i++ {
 		packed := slots[c.lay.localSlot(loc+i)]
+		// A free slot holds nothing to vouch for. Two readers reach one:
+		// a host read whose fill ran a gc round that moved the page (the
+		// run is stale), and rebuildSegment's whole-column read, whose
+		// column has pages never filled or invalidated since the seal.
 		if packed == slotFree {
-			continue // stale: a gc round the host read's fill ran moved it
+			continue
 		}
 		lba, _ := unpackSlot(packed)
 		want, err := c.expectedTag(lba)
@@ -694,7 +698,7 @@ func (c *Cache) Tick(at vtime.Time) (vtime.Time, error) {
 // flushSSDs issues the flush command to every SSD and returns the last
 // completion. Fail-stopped columns are skipped. Under FlushNever the
 // command is suppressed entirely — the Flashcache-style baseline whose
-// data-loss window the torture engine measures.
+// data-loss window the crash matrix measures.
 func (c *Cache) flushSSDs(at vtime.Time) (vtime.Time, error) {
 	if c.cfg.Flush == FlushNever {
 		return at, nil
