@@ -1,10 +1,9 @@
 package srccache
 
 import (
-	"fmt"
-
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
+	"srccache/internal/experiments"
 	"srccache/internal/primary"
 	"srccache/internal/src"
 	"srccache/internal/ssd"
@@ -172,24 +171,19 @@ func RunBench(sys bench.System, sources []WorkloadSource, opt BenchOptions) (*Be
 	return bench.Run(sys, sources, opt)
 }
 
-// systemSSDs is the number of cache drives in an assembled deployment: the
-// paper's four-SSD array.
-const systemSSDs = 4
-
-// SystemConfig assembles a complete simulated deployment: an SSD array of
-// four drives fronting networked primary storage, wired into an SRC cache.
-// Zero fields take sensible laptop-scale defaults.
+// SystemConfig assembles a complete simulated deployment: the paper's
+// prototype at 1/16 scale (DESIGN.md §6), an SSD array of four drives
+// fronting networked primary storage, wired into an SRC cache. Zero fields
+// take the defaults.
 type SystemConfig struct {
 	// SSDCapacity is the per-drive cache region in bytes (default
-	// 256 MiB; must be a multiple of EraseGroupSize).
+	// 256 MiB; must be a multiple of the testbed's erase group).
 	SSDCapacity int64
-	// EraseGroupSize is the SSD erase group and SRC segment-group column
-	// size (default 16 MiB — 1/16 of the paper's 256 MB).
-	EraseGroupSize int64
 	// PrimaryCapacity is the backing volume size (default 2 GiB).
 	PrimaryCapacity int64
 	// Cache overrides SRC parameters other than SSDs/Primary (GC policy,
-	// parity mode, content tracking, and so on).
+	// parity mode, content tracking, and so on); a zero erase group or
+	// segment column takes the testbed's.
 	Cache CacheConfig
 }
 
@@ -200,48 +194,32 @@ type System struct {
 	Primary *Primary
 }
 
-// NewSystem builds a complete simulated deployment.
+// NewSystem builds a complete simulated deployment on the testbed the
+// experiments use.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.EraseGroupSize == 0 {
-		cfg.EraseGroupSize = 16 << 20
-	}
 	if cfg.SSDCapacity == 0 {
 		cfg.SSDCapacity = 256 << 20
 	}
 	if cfg.PrimaryCapacity == 0 {
 		cfg.PrimaryCapacity = 2 << 30
 	}
-	drives := make([]*SSD, systemSSDs)
-	devs := make([]Device, systemSSDs)
-	for i := range drives {
-		c := SATAMLCConfig(fmt.Sprintf("ssd%d", i), cfg.SSDCapacity)
-		c.EraseGroupSize = cfg.EraseGroupSize
-		c.WriteCacheBytes = 4 << 20
-		d, err := NewSSD(c)
-		if err != nil {
-			return nil, err
+	cache, err := experiments.Options{}.SRC(cfg.SSDCapacity, cfg.PrimaryCapacity, func(c *src.Config) {
+		user := cfg.Cache
+		user.SSDs, user.Primary = c.SSDs, c.Primary
+		if user.EraseGroupSize == 0 {
+			user.EraseGroupSize = c.EraseGroupSize
 		}
-		drives[i] = d
-		devs[i] = d
-	}
-	perDisk := cfg.PrimaryCapacity / 4
-	perDisk -= perDisk % (64 << 10)
-	prim, err := NewPrimary(PrimaryConfig{DiskCapacity: perDisk})
+		if user.SegmentColumn == 0 {
+			user.SegmentColumn = c.SegmentColumn
+		}
+		*c = user
+	})
 	if err != nil {
 		return nil, err
 	}
-	cacheCfg := cfg.Cache
-	cacheCfg.SSDs = devs
-	cacheCfg.Primary = prim
-	if cacheCfg.EraseGroupSize == 0 {
-		cacheCfg.EraseGroupSize = cfg.EraseGroupSize
+	sys := &System{Cache: cache, Primary: cache.Primary().(*Primary)}
+	for _, d := range cache.CacheDevices() {
+		sys.SSDs = append(sys.SSDs, d.(*SSD))
 	}
-	if cacheCfg.SegmentColumn == 0 {
-		cacheCfg.SegmentColumn = 128 << 10
-	}
-	cache, err := NewCache(cacheCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Cache: cache, SSDs: drives, Primary: prim}, nil
+	return sys, nil
 }

@@ -18,6 +18,20 @@ func TestNewSystemDefaults(t *testing.T) {
 	if cfg.GC != srccache.SelGC || cfg.Level != srccache.RAID5 || cfg.Parity != srccache.NPC {
 		t.Fatalf("cache defaults %+v", cfg)
 	}
+	// The 1/16 testbed: four 256 MiB drives with 16 MiB erase groups and a
+	// 4 MiB write cache, 128 KiB segment columns, a 2 GiB primary.
+	for i, d := range sys.SSDs {
+		c := d.Config()
+		if c.Capacity != 256<<20 || c.EraseGroupSize != 16<<20 || c.WriteCacheBytes != 4<<20 {
+			t.Errorf("ssd%d: capacity %d, erase group %d, write cache %d", i, c.Capacity, c.EraseGroupSize, c.WriteCacheBytes)
+		}
+	}
+	if cfg.EraseGroupSize != 16<<20 || cfg.SegmentColumn != 128<<10 {
+		t.Errorf("cache erase group %d, segment column %d", cfg.EraseGroupSize, cfg.SegmentColumn)
+	}
+	if got := sys.Primary.Capacity(); got != 2<<30 {
+		t.Errorf("primary %d bytes, want 2 GiB", got)
+	}
 }
 
 func TestSystemServesIO(t *testing.T) {

@@ -17,13 +17,10 @@ import (
 	"io"
 	"os"
 
-	"srccache/internal/baseline"
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
-	"srccache/internal/primary"
+	"srccache/internal/experiments"
 	"srccache/internal/raid"
-	"srccache/internal/src"
-	"srccache/internal/ssd"
 	"srccache/internal/trace"
 	"srccache/internal/vtime"
 	"srccache/internal/workload"
@@ -106,8 +103,10 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// iodepth × threads requests in flight: iodepth per synthetic
+		// thread, or all of them on a replay's one stream.
 		res, err = bench.Run(sys, sources, bench.Options{
-			Slots:       c.iodepth * c.threads,
+			Slots:       c.iodepth * c.threads / max(len(sources), 1),
 			MaxRequests: c.requests,
 		})
 		if err != nil {
@@ -141,39 +140,24 @@ func traceEnd(recs []trace.Record) int64 {
 	return end
 }
 
-// buildTarget assembles the chosen system. It returns the system to drive,
-// the devices to account traffic against, the cache (nil for raw targets),
-// and the host-visible volume size. A cache target's primary spans four
-// SSDs' capacity, or minVolume bytes if that is more; a raw target's SSDs
-// grow past -ssdcap until its data columns reach minVolume.
+// buildTarget assembles the chosen system on the paper's 1/16 testbed. It
+// returns the system to drive, the devices to account traffic against, the
+// cache (nil for raw targets), and the host-visible volume size. A cache
+// target's primary spans four SSDs' capacity, or minVolume bytes if that is
+// more; a raw target's SSDs grow past -ssdcap until its data columns reach
+// minVolume.
 func buildTarget(c config, minVolume int64) (bench.System, []blockdev.Device, bench.Cache, int64, error) {
-	mkSSDs := func(n int, capacity int64) ([]blockdev.Device, error) {
-		devs := make([]blockdev.Device, n)
-		for i := range devs {
-			cfg := ssd.SATAMLCConfig(fmt.Sprintf("ssd%d", i), capacity)
-			cfg.EraseGroupSize = 16 << 20
-			cfg.WriteCacheBytes = 4 << 20
-			d, err := ssd.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			devs[i] = d
-		}
-		return devs, nil
-	}
-	mkPrimary := func(span int64) (*primary.Storage, error) {
-		perDisk := span/4 + (64 << 20)
-		perDisk -= perDisk % (64 << 10)
-		return primary.New(primary.Config{DiskCapacity: perDisk})
-	}
+	var testbed experiments.Options
 	rawCap := func(dataCols int64) int64 {
 		col := (minVolume + dataCols - 1) / dataCols
 		return max(c.ssdCap, (col+blockdev.PageSize-1)/blockdev.PageSize*blockdev.PageSize)
 	}
-
+	volume := experiments.PrimaryVolume(max(4*c.ssdCap, minVolume))
+	var cache bench.Cache
+	var err error
 	switch c.target {
 	case "ssd":
-		devs, err := mkSSDs(1, rawCap(1))
+		devs, _, err := testbed.SSDs(1, rawCap(1))
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -183,59 +167,24 @@ func buildTarget(c config, minVolume int64) (bench.System, []blockdev.Device, be
 		if c.target == "raid5" {
 			level, dataCols = raid.Level5, 3
 		}
-		devs, err := mkSSDs(4, rawCap(dataCols))
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		arr, err := raid.New(level, blockdev.PageSize, devs)
+		arr, devs, err := testbed.RAIDVolume(level, blockdev.PageSize, rawCap(dataCols))
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
 		return arr, devs, nil, arr.Capacity(), nil
 	case "src":
-		devs, err := mkSSDs(4, c.ssdCap)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		prim, err := mkPrimary(max(4*c.ssdCap, minVolume))
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		cache, err := src.New(src.Config{
-			SSDs: devs, Primary: prim,
-			EraseGroupSize: 16 << 20, SegmentColumn: 128 << 10,
-		})
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		return cache, devs, cache, prim.Capacity(), nil
-	case "bcache5", "flashcache5":
-		devs, err := mkSSDs(4, c.ssdCap)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		arr, err := raid.New(raid.Level5, blockdev.PageSize, devs)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		prim, err := mkPrimary(max(4*c.ssdCap, minVolume))
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		d := baseline.Devices{Cache: arr, SSDs: devs, Primary: prim}
-		var cache bench.Cache
-		if c.target == "bcache5" {
-			cache, err = baseline.NewBcache(d, true)
-		} else {
-			cache, err = baseline.NewFlashcache(d, true)
-		}
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		return cache, devs, cache, prim.Capacity(), nil
+		cache, err = testbed.SRC(c.ssdCap, volume, nil)
+	case "bcache5":
+		cache, err = testbed.RAID5Baseline(experiments.Bcache, c.ssdCap, volume)
+	case "flashcache5":
+		cache, err = testbed.RAID5Baseline(experiments.Flashcache, c.ssdCap, volume)
 	default:
 		return nil, nil, nil, 0, fmt.Errorf("unknown target %q", c.target)
 	}
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return cache, cache.CacheDevices(), cache, volume, nil
 }
 
 // buildSources creates the workload sources: either the synthetic pattern

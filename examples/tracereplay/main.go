@@ -59,7 +59,6 @@ func runGroup(group string, gc srccache.GCPolicy) (float64, float64, error) {
 
 	sys, err := srccache.NewSystem(srccache.SystemConfig{
 		SSDCapacity:     64 << 20, // keep cache well below the working set
-		EraseGroupSize:  16 << 20,
 		PrimaryCapacity: offset + (64 << 20),
 		Cache:           srccache.CacheConfig{GC: gc},
 	})
@@ -67,8 +66,8 @@ func runGroup(group string, gc srccache.GCPolicy) (float64, float64, error) {
 		return 0, 0, err
 	}
 	res, err := srccache.RunBench(sys.Cache, sources, srccache.BenchOptions{
-		SlotsPerSource: 4, // "each trace being replayed by four threads"
-		MaxRequests:    40_000,
+		Slots:       4, // "each trace being replayed by four threads"
+		MaxRequests: 40_000,
 	})
 	if err != nil {
 		return 0, 0, err

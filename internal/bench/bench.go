@@ -92,14 +92,9 @@ type Cache interface {
 
 // Options configures a run.
 type Options struct {
-	// Slots is the number of outstanding requests (threads × iodepth);
-	// default 4.
+	// Slots is the number of outstanding requests per source: FIO's
+	// iodepth, or the paper's four threads per replayed trace. Default 4.
 	Slots int
-	// SlotsPerSource overrides slot allocation when several sources run
-	// concurrently: each source gets this many dedicated slots (the
-	// paper's "each trace replayed by four threads"). When set, Slots is
-	// ignored.
-	SlotsPerSource int
 	// MaxRequests bounds the total requests issued (0 = until sources
 	// end; requires finite sources).
 	MaxRequests int64
@@ -182,24 +177,11 @@ func Run(sys System, sources []workload.Source, opt Options) (*Result, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("bench: no workload sources")
 	}
-	perSource := opt.SlotsPerSource
-	var slots int
-	if perSource > 0 {
-		slots = perSource * len(sources)
-	} else {
-		slots = opt.Slots
-		if slots <= 0 {
-			slots = 4
-		}
-		if slots < len(sources) {
-			slots = len(sources)
-		}
-		perSource = slots / len(sources)
-		if perSource == 0 {
-			perSource = 1
-		}
-		slots = perSource * len(sources)
+	perSource := opt.Slots
+	if perSource <= 0 {
+		perSource = 4
 	}
+	slots := perSource * len(sources)
 	if opt.MaxRequests == 0 {
 		// Guard against infinite sources running forever.
 		for _, s := range sources {

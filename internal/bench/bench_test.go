@@ -85,7 +85,7 @@ func TestRunMultiSourceSlotBinding(t *testing.T) {
 	dev := blockdev.NewMemDevice(4<<20, vtime.Microsecond)
 	a := &limited{mustGen(t, workload.Config{Span: 1 << 20, Seed: 1}), 50}
 	b := &limited{mustGen(t, workload.Config{Span: 1 << 20, Offset: 1 << 20, Seed: 2}), 50}
-	res, err := Run(dev, []workload.Source{a, b}, Options{SlotsPerSource: 4})
+	res, err := Run(dev, []workload.Source{a, b}, Options{Slots: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

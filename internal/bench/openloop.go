@@ -26,8 +26,6 @@ type OpenLoopOptions struct {
 	// Speedup divides inter-arrival gaps (2 = replay twice as fast);
 	// default 1.
 	Speedup float64
-	// Start offsets the first arrival.
-	Start vtime.Time
 }
 
 // RunOpenLoop replays the arrivals in timestamp order and returns the
@@ -48,10 +46,9 @@ func RunOpenLoop(sys System, arrivals []TimedRequest, opt OpenLoopOptions) (*Res
 	}
 
 	base := arrivals[0].At
-	res := &Result{Start: opt.Start, End: opt.Start}
+	res := &Result{}
 	for _, a := range arrivals {
-		gap := vtime.Duration(float64(a.At.Sub(base)) / opt.Speedup)
-		at := opt.Start.Add(gap)
+		at := vtime.Time(float64(a.At.Sub(base)) / opt.Speedup)
 		done, err := sys.Submit(at, a.Req)
 		if err != nil {
 			return res, fmt.Errorf("bench: %v at %v: %w", a.Req, at, err)

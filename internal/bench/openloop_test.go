@@ -84,15 +84,3 @@ func TestOpenLoopValidation(t *testing.T) {
 		t.Fatal("accepted unsorted arrivals")
 	}
 }
-
-func TestOpenLoopStartOffset(t *testing.T) {
-	dev := blockdev.NewMemDevice(1<<20, vtime.Millisecond)
-	start := vtime.Time(vtime.Second)
-	res, err := RunOpenLoop(dev, arrivalsEvery(2*vtime.Millisecond, 5), OpenLoopOptions{Start: start})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Start != start || res.End <= start {
-		t.Fatalf("start %v end %v", res.Start, res.End)
-	}
-}

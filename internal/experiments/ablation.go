@@ -89,7 +89,7 @@ func AblationDegraded(opts Options) ([]*Table, error) {
 // SSDs behind fault plans, and returns the plans.
 func faultedSRC(o Options, span int64, mode src.ParityMode) (*src.Cache, []*blockdev.FaultPlan, error) {
 	var faults []*blockdev.FaultPlan
-	cache, err := buildSRC(o, span, func(c *src.Config) {
+	cache, err := o.SRC(o.cachePerSSD(), PrimaryVolume(span), func(c *src.Config) {
 		c.Parity = mode
 		for i, d := range c.SSDs {
 			faults = append(faults, blockdev.NewFaultPlan(d))
@@ -141,11 +141,11 @@ func AblationAdvanced(opts Options) ([]*Table, error) {
 // buildRIPQ assembles the RIPQ-like cache over RAID-0 of four scaled SSDs,
 // its blocks one array-wide erase group.
 func buildRIPQ(o Options, span int64) (bench.Cache, error) {
-	arr, ssds, err := buildRAIDVolume(o, raid.Level0, 128<<10)
+	arr, ssds, err := o.RAIDVolume(raid.Level0, 128<<10, o.cachePerSSD())
 	if err != nil {
 		return nil, err
 	}
-	prim, err := newPrimary(span)
+	prim, err := newPrimary(PrimaryVolume(span))
 	if err != nil {
 		return nil, err
 	}

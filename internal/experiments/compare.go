@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"srccache/internal/bench"
-	"srccache/internal/blockdev"
-	"srccache/internal/raid"
 	"srccache/internal/src"
 )
 
@@ -16,8 +14,8 @@ func Figure7(opts Options) ([]*Table, error) {
 	return runDesign(opts, "fig7", "System", []variant{
 		tweak("SRC", "SRC", nil),
 		tweak("SRC-S2D", "SRC-S2D", func(c *src.Config) { c.GC = src.S2D }),
-		{"Bcache5", "Bcache5", raid5Baseline(kindBcache)},
-		{"Flashcache5", "Flashcache5", raid5Baseline(kindFlashcache)},
+		{"Bcache5", "Bcache5", raid5Baseline(Bcache)},
+		{"Flashcache5", "Flashcache5", raid5Baseline(Flashcache)},
 	},
 		view{"Figure 7(a)", "Throughput (MB/s)", mbpsCell, []string{
 			"paper: SRC beats Bcache5 by 2.8-3.1x and Flashcache5 by 2.3-2.8x;",
@@ -28,14 +26,9 @@ func Figure7(opts Options) ([]*Table, error) {
 		view{"Figure 7(c)", "Hit ratio", hitRatioCell, []string{"paper: Sel-GC's hit ratio exceeds S2D's"}})
 }
 
-// raid5Baseline builds a write-back baseline over RAID-5 of four scaled
-// SSDs with a one-page chunk.
-func raid5Baseline(k baselineKind) func(Options, int64) (bench.Cache, error) {
+// raid5Baseline is the variant builder of k over RAID-5 (RAID5Baseline).
+func raid5Baseline(k Baseline) func(Options, int64) (bench.Cache, error) {
 	return func(o Options, span int64) (bench.Cache, error) {
-		arr, ssds, err := buildRAIDVolume(o, raid.Level5, blockdev.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		return buildBaseline(k, arr, ssds, span, true)
+		return o.RAID5Baseline(k, o.cachePerSSD(), PrimaryVolume(span))
 	}
 }

@@ -54,32 +54,24 @@ func productCache(o Options, p costmodel.Product, span int64) (*src.Cache, error
 	region -= region % o.superblock()
 	devs := make([]blockdev.Device, p.Units)
 	for i := range devs {
-		cfg := p.DeviceConfig(fmt.Sprintf("%s-%d", p.Label, i), region)
-		cfg.EraseGroupSize = o.superblock()
-		cfg.WriteCacheBytes = 64 << 20 / o.Scale
-		d, err := ssd.New(cfg)
+		d, err := ssd.New(o.scaled(p.DeviceConfig(fmt.Sprintf("%s-%d", p.Label, i), region)))
 		if err != nil {
 			return nil, err
 		}
 		devs[i] = d
 	}
-	prim, err := newPrimary(span)
+	prim, err := newPrimary(PrimaryVolume(span))
 	if err != nil {
 		return nil, err
 	}
-	cfg := src.Config{
-		SSDs:           devs,
-		Primary:        prim,
-		EraseGroupSize: o.superblock(),
-		SegmentColumn:  o.segColumn(),
-	}
-	if p.Units == 1 {
-		cfg.Level = src.RAID0 // single high-end drive: no parity (paper §5.3)
-		// The paper's segment is 2 MB in total; with one drive the whole
-		// segment is a single column.
-		cfg.SegmentColumn = o.segColumn() * 4
-	}
-	return src.New(cfg)
+	return o.newSRC(devs, prim, func(cfg *src.Config) {
+		if p.Units == 1 {
+			cfg.Level = src.RAID0 // single high-end drive: no parity (paper §5.3)
+			// The paper's segment is 2 MB in total; with one drive the
+			// whole segment is a single column.
+			cfg.SegmentColumn = o.segColumn() * 4
+		}
+	})
 }
 
 // Figure6 runs the cost-effectiveness study: throughput, MB/s per dollar,

@@ -23,7 +23,7 @@ type variant struct {
 // tweak is SRC at Table 7's defaults with f applied to its configuration.
 func tweak(label, header string, f func(*src.Config)) variant {
 	return variant{label, header, func(o Options, span int64) (bench.Cache, error) {
-		return buildSRC(o, span, f)
+		return o.SRC(o.cachePerSSD(), PrimaryVolume(span), f)
 	}}
 }
 

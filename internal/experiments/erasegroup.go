@@ -49,9 +49,7 @@ func Figure2(opts Options) ([]*Table, error) {
 // and measures one pass of random size-aligned writes over the filled
 // region.
 func eraseGroupRun(o Options, capacity, writeSize int64, opsPct int) (float64, error) {
-	cfg := o.ssdConfig("fig2")
-	cfg.Capacity = capacity
-	dev, err := ssd.New(cfg)
+	dev, err := ssd.New(o.ssdConfig("fig2", capacity))
 	if err != nil {
 		return 0, err
 	}

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"srccache/internal/baseline"
 	"srccache/internal/bench"
 	"srccache/internal/blockdev"
 	"srccache/internal/raid"
-	"srccache/internal/ssd"
 	"srccache/internal/vtime"
 	"srccache/internal/workload"
 )
@@ -36,50 +34,21 @@ func fioWrite4K(sys bench.System, span int64, o Options) (float64, error) {
 	return res.MBps(), nil
 }
 
-// baselineKind selects which open-source solution to build.
-type baselineKind int
-
-const (
-	kindBcache baselineKind = iota + 1
-	kindFlashcache
-)
-
-func (k baselineKind) String() string {
-	if k == kindBcache {
-		return "Bcache"
-	}
-	return "Flashcache"
-}
-
-// buildBaseline assembles a Bcache- or Flashcache-like cache over the given
-// cache volume.
-func buildBaseline(k baselineKind, cacheDev blockdev.Device, ssds []blockdev.Device, span int64, writeBack bool) (bench.Cache, error) {
-	prim, err := newPrimary(span)
-	if err != nil {
-		return nil, err
-	}
-	d := baseline.Devices{Cache: cacheDev, SSDs: ssds, Primary: prim}
-	if k == kindBcache {
-		return baseline.NewBcache(d, writeBack)
-	}
-	return baseline.NewFlashcache(d, writeBack)
-}
-
 // Table2 reproduces the write-through vs write-back comparison on a single
 // SSD (FIO 4 KB uniform random writes).
 func Table2(opts Options) ([]*Table, error) {
 	o := opts.normalize()
-	kinds := []baselineKind{kindBcache, kindFlashcache}
+	kinds := []Baseline{Bcache, Flashcache}
 	modes := []bool{false, true}
 	mbps, err := gridCells(o, "table2", len(kinds), len(modes),
 		func(r, c int) string { return fmt.Sprintf("%v/wb=%v", kinds[r], modes[c]) },
 		func(r, c int) (float64, error) {
-			dev, err := ssd.New(o.ssdConfig("ssd0"))
+			devs, _, err := o.SSDs(1, o.cachePerSSD())
 			if err != nil {
 				return 0, err
 			}
-			span := dev.Capacity() / 2
-			cache, err := buildBaseline(kinds[r], dev, []blockdev.Device{dev}, span, modes[c])
+			span := devs[0].Capacity() / 2
+			cache, err := newBaseline(kinds[r], devs[0], devs, PrimaryVolume(span), modes[c])
 			if err != nil {
 				return 0, err
 			}
@@ -130,10 +99,11 @@ func Table3(opts Options) ([]*Table, error) {
 		func(r, c int) string { return patterns[r].name + "/" + settings[c] },
 		func(r, c int) (float64, error) {
 			p := patterns[r]
-			dev, err := ssd.New(o.ssdConfig("ssd0"))
+			devs, _, err := o.SSDs(1, o.cachePerSSD())
 			if err != nil {
 				return 0, err
 			}
+			dev := devs[0]
 			gen, err := workload.NewGenerator(workload.Config{
 				Pattern:      p.pattern,
 				Span:         dev.Capacity(),
@@ -182,16 +152,16 @@ func Table3(opts Options) ([]*Table, error) {
 func Figure1(opts Options) ([]*Table, error) {
 	o := opts.normalize()
 	levels := []raid.Level{raid.Level0, raid.Level1, raid.Level4, raid.Level5}
-	kinds := []baselineKind{kindBcache, kindFlashcache}
+	kinds := []Baseline{Bcache, Flashcache}
 	mbps, err := gridCells(o, "fig1", len(kinds), len(levels),
 		func(r, c int) string { return fmt.Sprintf("%v/%v", kinds[r], levels[c]) },
 		func(r, c int) (float64, error) {
-			arr, ssds, err := buildRAIDVolume(o, levels[c], blockdev.PageSize)
+			arr, ssds, err := o.RAIDVolume(levels[c], blockdev.PageSize, o.cachePerSSD())
 			if err != nil {
 				return 0, err
 			}
 			span := o.cachePerSSD() / 2 // fits every level's cache capacity
-			cache, err := buildBaseline(kinds[r], arr, ssds, span, true)
+			cache, err := newBaseline(kinds[r], arr, ssds, PrimaryVolume(span), true)
 			if err != nil {
 				return 0, err
 			}
@@ -205,17 +175,4 @@ func Figure1(opts Options) ([]*Table, error) {
 		func(r, c int) string { return f1(mbps[r][c]) },
 		"paper shape: RAID-0 best; Flashcache beats Bcache on RAID-0/1 (flush cost);",
 		"Bcache beats Flashcache on RAID-4/5 (log-structure dodges read-modify-write)")}, nil
-}
-
-// buildRAIDVolume assembles a RAID volume of 4 scaled SSDs.
-func buildRAIDVolume(o Options, level raid.Level, chunk int64) (blockdev.Device, []blockdev.Device, error) {
-	devs, _, err := newSSDs(4, func(i int) ssd.Config { return o.ssdConfig(fmt.Sprintf("ssd%d", i)) })
-	if err != nil {
-		return nil, nil, err
-	}
-	arr, err := raid.New(level, chunk, devs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return arr, devs, nil
 }

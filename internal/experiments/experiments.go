@@ -19,9 +19,6 @@ import (
 	"strings"
 
 	"srccache/internal/bench"
-	"srccache/internal/blockdev"
-	"srccache/internal/primary"
-	"srccache/internal/src"
 	"srccache/internal/ssd"
 	"srccache/internal/trace"
 	"srccache/internal/vtime"
@@ -64,47 +61,7 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Scaled geometry derived from Options.
-func (o Options) superblock() int64 { return 256 << 20 / o.Scale } // SSD erase group
-func (o Options) segColumn() int64 {
-	// Segment columns scale less aggressively than capacities (at most
-	// 1/4): the per-segment flush cadence of Table 11 depends on the
-	// absolute segment size relative to the flush cost.
-	return 512 << 10 / min(o.Scale, 4)
-}
-func (o Options) cachePerSSD() int64  { return 4 << 30 / o.Scale } // paper: ~4.5 GB/SSD of 18 GB total
 func (o Options) traceScale() float64 { return 1 / float64(o.Scale) }
-
-// ssdConfig builds the default cache-drive model (SATA MLC of the
-// prototype's 840 Pro class) at experiment scale.
-func (o Options) ssdConfig(name string) ssd.Config {
-	cfg := ssd.SATAMLCConfig(name, o.cachePerSSD())
-	cfg.EraseGroupSize = o.superblock()
-	cfg.WriteCacheBytes = 64 << 20 / o.Scale
-	return cfg
-}
-
-// newSSDs builds n cache drives from a base config.
-func newSSDs(n int, mk func(i int) ssd.Config) ([]blockdev.Device, []*ssd.SSD, error) {
-	devs := make([]blockdev.Device, n)
-	raw := make([]*ssd.SSD, n)
-	for i := 0; i < n; i++ {
-		d, err := ssd.New(mk(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[i] = d
-		raw[i] = d
-	}
-	return devs, raw, nil
-}
-
-// newPrimary builds the HDD RAID-10 backend sized to cover span bytes.
-func newPrimary(span int64) (*primary.Storage, error) {
-	perDisk := (span/4 + (64 << 20)) // RAID-10 of 8 disks: 4 data spindles
-	perDisk -= perDisk % (64 << 10)
-	return primary.New(primary.Config{DiskCapacity: perDisk})
-}
 
 // traceSetup builds the synthetic sources for one trace group, laid out
 // side by side in the primary volume's address space, plus the volume span
@@ -163,10 +120,10 @@ func runGroupAt(cache bench.Cache, group string, o Options, start vtime.Time, se
 	devs := cache.CacheDevices()
 	before := bench.SnapshotDevices(devs)
 	res, err := bench.Run(cache, sources, bench.Options{
-		SlotsPerSource: 4,
-		MaxRequests:    o.Requests,
-		Start:          start,
-		Interleave:     interleave,
+		Slots:       4,
+		MaxRequests: o.Requests,
+		Start:       start,
+		Interleave:  interleave,
 	})
 	if err != nil {
 		return GroupRun{}, err
@@ -209,29 +166,6 @@ func combinedWAF(cache bench.Cache, hostWriteBytes int64) float64 {
 		cacheWAF *= flashWAF / float64(nFlash)
 	}
 	return cacheWAF
-}
-
-// buildSRC assembles an SRC cache over fresh scaled SSDs, applying tweak to
-// the configuration before validation.
-func buildSRC(o Options, span int64, tweak func(*src.Config)) (*src.Cache, error) {
-	devs, _, err := newSSDs(4, func(i int) ssd.Config { return o.ssdConfig(fmt.Sprintf("ssd%d", i)) })
-	if err != nil {
-		return nil, err
-	}
-	prim, err := newPrimary(span)
-	if err != nil {
-		return nil, err
-	}
-	cfg := src.Config{
-		SSDs:           devs,
-		Primary:        prim,
-		EraseGroupSize: o.superblock(),
-		SegmentColumn:  o.segColumn(),
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	return src.New(cfg)
 }
 
 // groupSpan reports the primary-volume span a trace group needs.

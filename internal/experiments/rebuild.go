@@ -74,7 +74,7 @@ func rebuildGroupRun(o Options, group string) (rebuildRun, error) {
 		return rebuildRun{}, err
 	}
 	faults[0].Fail()
-	fresh, err := ssd.New(o.ssdConfig("ssd0r"))
+	fresh, err := ssd.New(o.ssdConfig("ssd0r", o.cachePerSSD()))
 	if err != nil {
 		return rebuildRun{}, err
 	}

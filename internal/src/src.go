@@ -46,7 +46,6 @@ type Cache struct {
 	versions []uint64 // per-page write version (TrackContent only), else nil
 
 	counters    bench.Counters
-	lastWriteAt vtime.Time
 	wastedSlots int64 // padding from partial segments and dead buffer slots
 
 	devErrs []int64 // corrected errors charged per SSD (md-style budget)
@@ -339,7 +338,6 @@ func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, erro
 			return at, err
 		}
 	}
-	c.lastWriteAt = at
 	first := req.Off / blockdev.PageSize
 	pages := req.Pages()
 	c.counters.Writes += pages
@@ -676,23 +674,6 @@ func (c *Cache) drainDirty(at vtime.Time) (vtime.Time, error) {
 		}
 		done = vtime.Max(done, t)
 	}
-}
-
-// tWait is the partial-segment timeout, the paper's 20 µs (§4.1).
-const tWait = 20 * vtime.Microsecond
-
-// Tick implements the partial-segment timeout (paper §4.1): when no write
-// has arrived for tWait, the dirty buffer is written out as a partial
-// segment to bound the unprotected window.
-func (c *Cache) Tick(at vtime.Time) (vtime.Time, error) {
-	if c.dirtyBuf.Empty() || at.Sub(c.lastWriteAt) < tWait {
-		return at, nil
-	}
-	done, err := c.writeSegment(at, c.dirtyBuf, true)
-	if errors.Is(err, errSegmentAbandoned) {
-		return at, nil // still buffered; the next tick or flush retries
-	}
-	return done, err
 }
 
 // flushSSDs issues the flush command to every SSD and returns the last

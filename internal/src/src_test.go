@@ -360,25 +360,6 @@ func TestFlushWritesPartialSegmentAndFlushesSSDs(t *testing.T) {
 	e.checkInvariants()
 }
 
-func TestTickHonorsTWait(t *testing.T) {
-	e := newEnv(t, nil)
-	e.write(1, 1)
-	// Just short of tWait after the write: nothing happens.
-	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait - vtime.Nanosecond)); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache.State(nil).DirtyBufferedPages != 1 {
-		t.Fatal("tick flushed before tWait")
-	}
-	// After tWait of idleness the partial segment goes out.
-	if _, err := e.cache.Tick(e.cache.lastWriteAt.Add(tWait)); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache.State(nil).DirtyBufferedPages != 0 {
-		t.Fatal("tick did not flush after tWait")
-	}
-}
-
 func TestFlushPolicyFrequency(t *testing.T) {
 	countFlushes := func(policy FlushPolicy) int64 {
 		e := newEnv(t, func(c *Config) { c.Flush = policy })
