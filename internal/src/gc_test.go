@@ -80,17 +80,17 @@ func TestReclaimTrafficPinned(t *testing.T) {
 		want   string
 	}{
 		// MemShardBuilder's shape: 4 SSDs, RAID-5, 4 groups, Sel-GC.
-		{"MemShard", 4, 70, 0, func(*Config) {}, "4651d1bb9db88291"},
+		{"MemShard", 4, 70, 0, func(*Config) {}, "f5c4ac5b69581b47"},
 		// The same shape without content tracking, as MemShardBuilder
 		// builds it: no hit runs a tag check. On a healthy array the tags
 		// change no request, so the digest is MemShard's.
-		{"MemShardNoContent", 4, 70, 0, func(c *Config) { c.TrackContent = false }, "4651d1bb9db88291"},
-		{"S2DSeparateGCBuffer", 3, 70, 0, func(c *Config) { c.GC = S2D; c.SeparateGCBuffer = true }, "261842f033857ce6"},
+		{"MemShardNoContent", 4, 70, 0, func(c *Config) { c.TrackContent = false }, "f5c4ac5b69581b47"},
+		{"S2DSeparateGCBuffer", 3, 70, 0, func(c *Config) { c.GC = S2D; c.SeparateGCBuffer = true }, "ae801ad573eb7cc5"},
 		// A RAID-0 column fails mid-stream, so staged pages on it are marked
 		// lost and filtered out. A dirty page there would be data loss, so
 		// this stream only reads: misses fill, re-reads make pages hot, and
 		// S2S stages the hot ones.
-		{"RAID0FailedColumn", 4, 0, 30_000, func(c *Config) { c.Level = RAID0 }, "235cb060b1dfab95"},
+		{"RAID0FailedColumn", 4, 0, 30_000, func(c *Config) { c.Level = RAID0 }, "73ccf7687f27f0a0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const (

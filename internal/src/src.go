@@ -383,22 +383,26 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 	// Pages are read in runs, at most one pending at a time: contiguous
 	// misses as one primary read, SSD hits at consecutive locations as one
 	// device read. run is the pending run's first entry (the zero entry for
-	// misses) and runFirst its first page, -1 when none is pending. Each
-	// page is looked up once, before the run it ends is read.
+	// misses) and runFirst its first page, -1 when none is pending. A page
+	// that ends a pending run is looked up again once that run is read: a
+	// fill, or the refetch of what a checked read could not vouch for, can
+	// seal a segment whose gc round moves or drops the page, and a page it
+	// dropped is a miss.
 	done := at
 	var run entry
 	runFirst := int64(-1)
 	for p := first; p < end; p++ {
 		e, ok := c.mapping.get(p)
-		if ok {
-			if runFirst >= 0 && run.state == 0 {
-				t, err := c.fillFromPrimary(at, runFirst, p-runFirst)
-				if err != nil {
-					return done, err
-				}
-				done = vtime.Max(done, t)
-				runFirst = -1
+		if ok && runFirst >= 0 && run.state == 0 {
+			t, err := c.fillFromPrimary(at, runFirst, p-runFirst)
+			if err != nil {
+				return done, err
 			}
+			done = vtime.Max(done, t)
+			runFirst = -1
+			e, ok = c.mapping.get(p)
+		}
+		if ok {
 			c.counters.ReadHits++
 			c.counters.ReadHitBytes += blockdev.PageSize
 			c.hot.Set(p)
@@ -413,6 +417,7 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 			}
 			done = vtime.Max(done, t)
 			runFirst = -1
+			e, ok = c.mapping.get(p)
 		}
 		if runFirst < 0 && (!ok || e.state.onSSD()) {
 			run, runFirst = e, p
@@ -518,10 +523,11 @@ func (c *Cache) readSSD(at vtime.Time, loc int64, col int, page, pages int64) (d
 	done = t
 	for i := int64(0); i < pages; i++ {
 		packed := slots[c.lay.localSlot(loc+i)]
-		// A free slot holds nothing to vouch for. Two readers reach one:
-		// a host read whose fill ran a gc round that moved the page (the
-		// run is stale), and rebuildSegment's whole-column read, whose
-		// column has pages never filled or invalidated since the seal.
+		// A free slot holds nothing to vouch for. rebuildSegment's
+		// whole-column read reaches one: its column has pages never filled
+		// or invalidated since the seal. Host reads, ReadCheck and reclaim
+		// read only live runs (hostRead looks a page up again after any
+		// run it reads in front of it).
 		if packed == slotFree {
 			continue
 		}

@@ -321,6 +321,104 @@ func TestReadMissFillsCleanBuffer(t *testing.T) {
 	}
 }
 
+// trimGuard records every read of a page trimmed since it was last
+// written: a reclaimed group holds nothing the cache may serve.
+type trimGuard struct {
+	blockdev.Device
+	trimmed map[int64]bool
+	stale   []int64
+}
+
+func (g *trimGuard) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
+	for p := req.Off / blockdev.PageSize; p < (req.Off+req.Len)/blockdev.PageSize; p++ {
+		switch req.Op {
+		case blockdev.OpTrim:
+			g.trimmed[p] = true
+		case blockdev.OpWrite:
+			delete(g.trimmed, p)
+		case blockdev.OpRead:
+			if g.trimmed[p] {
+				g.stale = append(g.stale, p)
+			}
+		}
+	}
+	return g.Device.Submit(at, req)
+}
+
+// TestHitAfterFillReadsWhereThePageIs: a read whose pending run is read in
+// front of a hit can seal a clean segment whose gc round reclaims the
+// hit's group. The hit must then be served from where that round left it
+// (the clean buffer, or primary if the round dropped it), not from its old
+// SSD location, which the reclaim has trimmed. The run in front is either
+// a miss run's fill or the refetch of an SSD run a latent error made the
+// checked read drop.
+func TestHitAfterFillReadsWhereThePageIs(t *testing.T) {
+	for _, refetch := range []bool{false, true} {
+		t.Run(map[bool]string{false: "miss-fill", true: "refetch"}[refetch], func(t *testing.T) {
+			var guards []*trimGuard
+			e := newEnv(t, func(c *Config) {
+				for i, d := range c.SSDs {
+					g := &trimGuard{Device: d, trimmed: map[int64]bool{}}
+					guards = append(guards, g)
+					c.SSDs[i] = g
+				}
+			})
+			c := e.cache
+			lba := int64(2000) // next page for a filler miss
+			seal := func(p int64) {
+				e.read(p, 1)
+				for en, _ := c.mapping.get(p); !en.state.onSSD(); en, _ = c.mapping.get(p) {
+					e.read(lba, 1)
+					lba++
+				}
+			}
+			// The hit lands in the first group, hot; with refetch, the page
+			// in front of it is a clean hit in a later segment.
+			const hit = 1000
+			seal(hit)
+			e.read(hit, 1)
+			if refetch {
+				seal(hit - 1)
+			}
+			// Fill until the active group is full with one group free: the
+			// next clean seal runs gc, and its victim, the oldest group,
+			// holds the hit.
+			for !(c.nextSeg == c.lay.segsPerSG && len(c.freeSGs) == 1 && c.cleanBuf.Empty()) {
+				e.read(lba, 1)
+				lba++
+			}
+			old, _ := c.mapping.get(hit)
+			if c.counters.GroupReclaims != 0 || !old.state.onSSD() || c.fifo[0] != c.lay.groupOf(old.loc) {
+				t.Fatalf("setup: %d reclaims, page %d at %+v, oldest group %d", c.counters.GroupReclaims, hit, old, c.fifo[0])
+			}
+
+			if refetch {
+				// One page short of a clean seal; the page in front of the
+				// hit is unreadable, and a clean page has no parity here.
+				for c.cleanBuf.Len() < c.cleanBuf.Cap()-1 {
+					e.read(lba, 1)
+					lba++
+				}
+				front, _ := c.mapping.get(hit - 1)
+				e.ssds[front.col].InjectUnreadable(int64(front.page))
+				e.read(hit-1, 2)
+			} else {
+				k := int64(c.cleanBuf.Cap())
+				e.read(hit-k, k+1)
+			}
+			if c.counters.GroupReclaims == 0 {
+				t.Fatal("the read ran no gc round")
+			}
+			for col, g := range guards {
+				if len(g.stale) > 0 {
+					t.Errorf("ssd %d: read trimmed pages %v (page %d was at ssd %d page %d)", col, g.stale, hit, old.col, old.page)
+				}
+			}
+			e.checkInvariants()
+		})
+	}
+}
+
 func TestOverwriteBufferedCleanPromotesToDirty(t *testing.T) {
 	e := newEnv(t, nil)
 	e.read(7, 1) // clean fill, stays in clean buffer
