@@ -34,6 +34,16 @@ func TestNewSystemDefaults(t *testing.T) {
 	}
 }
 
+// TestNewSystemRefusesSubStripePrimary: a primary below one stripe unit
+// per spindle rounds to no disk at all, and must be refused rather than
+// built at the primary's default size.
+func TestNewSystemRefusesSubStripePrimary(t *testing.T) {
+	sys, err := srccache.NewSystem(srccache.SystemConfig{PrimaryCapacity: 100 << 10})
+	if err == nil {
+		t.Fatalf("NewSystem built a %d B primary for a 100 KiB volume", sys.Primary.Capacity())
+	}
+}
+
 func TestSystemServesIO(t *testing.T) {
 	sys, err := srccache.NewSystem(srccache.SystemConfig{Cache: srccache.CacheConfig{TrackContent: true}})
 	if err != nil {

@@ -52,9 +52,9 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	// Dirs holds the package's parsed //srclint:allow directives. The
-	// driver shares one Directives across every analyzer's pass so that
-	// suppressions which never fire can be reported as stale; when nil it
-	// is built lazily from Files (analysistest and direct Pass use).
+	// driver, the only code that builds a Pass, shares one Directives
+	// across every analyzer's pass so that suppressions which never fire
+	// can be reported as stale.
 	Dirs *Directives
 }
 
@@ -89,9 +89,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // a diagnostic is marked used; the driver reports the ones that never fire
 // as stale (check name "staleallow").
 func (p *Pass) Allowed(name string, pos token.Pos) bool {
-	if p.Dirs == nil {
-		p.Dirs = ParseDirectives(p.Fset, p.Files)
-	}
 	return p.Dirs.Covers(name, p.Fset.Position(pos))
 }
 
@@ -239,8 +236,8 @@ func NormalizePkgPath(path string) string {
 
 // PathMatches reports whether the (normalized) package path equals one of
 // the target paths or ends in "/"+target. Matching by suffix keeps the
-// analyzers testable against fixture packages whose import paths carry a
-// testdata prefix.
+// analyzers testable against fixture modules, whose import paths start at
+// another root ("l/internal/blockdev").
 func PathMatches(path string, targets []string) bool {
 	path = NormalizePkgPath(path)
 	for _, t := range targets {
@@ -291,4 +288,13 @@ var SimPackages = []string{
 var IOErrPackages = []string{
 	"internal/blockdev",
 	"internal/raid",
+}
+
+// LockHeldPackages lists the package-path suffixes whose I/O calls must not
+// be made under a held mutex (lockheld): a device or socket call there can
+// block for a device's latency, or on a response that needs the same lock.
+var LockHeldPackages = []string{
+	"internal/blockdev",
+	"internal/raid",
+	"internal/netblock",
 }

@@ -137,12 +137,12 @@ var a = 1 //srclint:allow wallclock B ioerr
 	}
 }
 
-// TestContractPackagesExist requires every SimPackages and IOErrPackages
-// suffix to name a package of this module, so a renamed or deleted package
-// cannot leave an entry that silently matches nothing.
+// TestContractPackagesExist requires every SimPackages, IOErrPackages and
+// LockHeldPackages suffix to name a package of this module, so a renamed or
+// deleted package cannot leave an entry that silently matches nothing.
 func TestContractPackagesExist(t *testing.T) {
 	root := filepath.Join("..", "..")
-	for _, pkg := range slices.Concat(SimPackages, IOErrPackages) {
+	for _, pkg := range slices.Concat(SimPackages, IOErrPackages, LockHeldPackages) {
 		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pkg), "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -49,24 +49,33 @@ var Analyzers = []*analysis.Analyzer{
 	lockheld.Analyzer,
 }
 
-// Check applies analyzers to every package the go command lists for
-// patterns, test files included, and returns one "file:line:col: [check]
-// message" line per finding. The error is for a package that does not list,
-// parse or type-check.
-func Check(analyzers []*analysis.Analyzer, patterns ...string) ([]string, error) {
-	units, exports, err := list(patterns)
+// A Finding is one diagnostic the gate reports.
+type Finding struct {
+	Pos     token.Position
+	Check   string // analyzer name, or "staleallow"
+	Message string
+}
+
+func (f Finding) String() string { return fmt.Sprintf("%v: [%s] %s", f.Pos, f.Check, f.Message) }
+
+// Check runs `go list` in dir over patterns, applies every registered
+// analyzer to each listed package, test files included, and returns the
+// findings in package and position order. The error is for a package that
+// does not list, parse or type-check.
+func Check(dir string, patterns ...string) ([]Finding, error) {
+	units, exports, err := list(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	var out []string
+	var out []Finding
 	for _, u := range units {
 		fset := token.NewFileSet()
-		diags, err := checkPackage(analyzers, fset, exportImporter(fset, u.importMap, exports), u.path, u.files)
+		diags, err := checkPackage(fset, exportImporter(fset, u.importMap, exports), u.path, u.files)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", u.path, err)
 		}
 		for _, d := range diags {
-			out = append(out, fmt.Sprintf("%v: [%s] %s", fset.Position(d.Pos), d.Category, d.Message))
+			out = append(out, Finding{fset.Position(d.Pos), d.Category, d.Message})
 		}
 	}
 	return out, nil
@@ -93,14 +102,15 @@ type listPackage struct {
 	Error       *struct{ Err string }
 }
 
-// list runs `go list -test -export -deps -json` over patterns and returns
-// the units to check, plus the export-data file of every listed package by
-// ID. A package with in-package tests is checked as its test variant
+// list runs `go list -test -export -deps -json` over patterns in dir (the
+// current directory when empty) and returns the units to check, plus the
+// export-data file of every listed package by ID. A package with in-package tests is checked as its test variant
 // "p [p.test]", whose GoFiles hold its TestGoFiles too; external test
 // packages "p_test [p.test]" are units of their own. Dependencies
 // recompiled for another package's test and generated test mains are not.
-func list(patterns []string) ([]unit, map[string]string, error) {
+func list(dir string, patterns []string) ([]unit, map[string]string, error) {
 	cmd := exec.Command("go", append([]string{"list", "-test", "-export", "-deps", "-json"}, patterns...)...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -137,9 +147,10 @@ func list(patterns []string) ([]unit, map[string]string, error) {
 }
 
 // checkPackage parses and type-checks one package against its
-// dependencies' export data, applies every analyzer, and returns the
-// diagnostics in position order, stale suppressions included.
-func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types.Importer, pkgPath string, filenames []string) ([]analysis.Diagnostic, error) {
+// dependencies' export data, applies every registered analyzer, and returns
+// the diagnostics in position order, stale suppressions included. It is
+// the only place a lint Pass is built.
+func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath string, filenames []string) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -167,7 +178,7 @@ func checkPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, imp types
 	// all ran, suppressions which fired for none of them can be reported as
 	// stale instead of silently rotting.
 	dirs := analysis.ParseDirectives(fset, files)
-	for _, a := range analyzers {
+	for _, a := range Analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      fset,

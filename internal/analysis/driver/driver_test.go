@@ -18,7 +18,7 @@ func TestTreeClean(t *testing.T) { checkClean(t, "srccache/...") }
 // checkClean fails t with every finding Check reports for pattern.
 func checkClean(t *testing.T, pattern string) {
 	t.Helper()
-	findings, err := Check(Analyzers, pattern)
+	findings, err := Check("", pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFleetSelfClean(t *testing.T) { checkClean(t, "srccache/internal/cluster
 // diagnostics all four analyzers report for it.
 func checkUnit(t *testing.T, importPath string, edit func(files []string) []string) ([]analysis.Diagnostic, *token.FileSet) {
 	t.Helper()
-	units, exports, err := list([]string{importPath})
+	units, exports, err := list("", []string{importPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func checkUnit(t *testing.T, importPath string, edit func(files []string) []stri
 			continue
 		}
 		fset := token.NewFileSet()
-		diags, err := checkPackage(Analyzers, fset, exportImporter(fset, u.importMap, exports), u.path, edit(u.files))
+		diags, err := checkPackage(fset, exportImporter(fset, u.importMap, exports), u.path, edit(u.files))
 		if err != nil {
 			t.Fatalf("checkPackage %s: %v", u.path, err)
 		}

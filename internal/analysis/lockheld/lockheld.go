@@ -12,9 +12,9 @@
 // generates a held-fact for that mutex variable, and `mu.Unlock()`/
 // `mu.RUnlock()` — whether called directly or deferred — kills it. A call
 // whose callee is defined in internal/blockdev, internal/raid or
-// internal/netblock and looks like I/O (Submit, Flush, Trim, Corrupt, Dial,
-// Listen, or a Read*/Write*/Serve* method) is reported when any held-fact
-// may be live.
+// internal/netblock (analysis.LockHeldPackages) and looks like I/O
+// (Submit, Flush, Trim, Corrupt, Dial, Listen, or a Read*/Write*/Serve*
+// method) is reported when any held-fact may be live.
 package lockheld
 
 import (
@@ -31,14 +31,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockheld",
 	Run:  run,
-}
-
-// IOPackages lists the package-path suffixes whose calls count as I/O for
-// the purposes of this check.
-var IOPackages = []string{
-	"internal/blockdev",
-	"internal/raid",
-	"internal/netblock",
 }
 
 func run(pass *analysis.Pass) error {
@@ -205,7 +197,7 @@ func isMutexType(t types.Type) bool {
 // transport packages.
 func ioCall(fn *types.Func) bool {
 	pkg := fn.Pkg()
-	if pkg == nil || !analysis.PathMatches(pkg.Path(), IOPackages) {
+	if pkg == nil || !analysis.PathMatches(pkg.Path(), analysis.LockHeldPackages) {
 		return false
 	}
 	switch fn.Name() {

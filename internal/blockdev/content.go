@@ -335,14 +335,3 @@ func (c *Content) Corrupt(page int64) error {
 	c.state()[page].corrupt = true
 	return nil
 }
-
-// DirtyPages reports how many pages a crash would restore: every page
-// written since the last flush, and every trimmed page that held something.
-// A trim of a page that held nothing leaves nothing to restore.
-func (c *Content) DirtyPages() int {
-	seen := make(map[int64]struct{}, len(c.undo))
-	for _, u := range c.undo {
-		seen[u.page] = struct{}{}
-	}
-	return len(seen)
-}

@@ -97,7 +97,7 @@ func TestCrashPartialPrefix(t *testing.T) {
 	if got := readBlob(t, c, 3); !bytes.Equal(got, []byte("summary-blob")) {
 		t.Fatalf("page 3 blob after keep-all = %q", got)
 	}
-	if c.WriteLogLen() != 0 || c.DirtyPages() != 0 {
+	if c.WriteLogLen() != 0 || dirtyPages(c) != 0 {
 		t.Fatal("CrashPartial must leave the store committed with an empty log")
 	}
 
@@ -329,15 +329,27 @@ func TestTrimOfEmptyStoreAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, trim); n != 0 {
 		t.Errorf("1024-page trim of an empty store: %v allocs, want 0", n)
 	}
-	if c.page != nil || c.DirtyPages() != 0 {
+	if c.page != nil || dirtyPages(c) != 0 {
 		t.Fatal("trims of an empty store allocated pages or left them dirty")
 	}
+}
+
+// dirtyPages reports how many pages a crash would restore: every page
+// written since the last flush, and every trimmed page that held something
+// (the distinct pages of the undo list). A trim of a page that held nothing
+// leaves nothing to restore.
+func dirtyPages(c *Content) int {
+	seen := make(map[int64]struct{}, len(c.undo))
+	for _, u := range c.undo {
+		seen[u.page] = struct{}{}
+	}
+	return len(seen)
 }
 
 // refContent is a map-based reference model of Content, the fuzz oracle for
 // the dense store. It shadows each page's committed state at the first
 // touch after a flush. A trim touches only pages that hold something, the
-// one place DirtyPages changed meaning when the store went dense.
+// one place dirtyPages changed meaning when the store went dense.
 type refContent struct {
 	pages       int64
 	cur, shadow map[int64]refPage
@@ -456,7 +468,7 @@ func (m *refContent) writeLog() []WriteRecord {
 }
 
 // sameContent fails unless c reads exactly like the model m: every page's
-// tag and blob (nil and empty blobs differ), the write log and DirtyPages.
+// tag and blob (nil and empty blobs differ), the write log and dirtyPages.
 func sameContent(t *testing.T, what string, c *Content, m *refContent) {
 	t.Helper()
 	for p := int64(0); p < m.pages; p++ {
@@ -473,7 +485,7 @@ func sameContent(t *testing.T, what string, c *Content, m *refContent) {
 	if got, want := c.WriteLog(), m.writeLog(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: write log %v, model %v", what, got, want)
 	}
-	if got, want := c.DirtyPages(), len(m.shadow); got != want {
+	if got, want := dirtyPages(c), len(m.shadow); got != want {
 		t.Fatalf("%s: %d dirty pages, model %d", what, got, want)
 	}
 }

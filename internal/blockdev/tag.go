@@ -45,12 +45,3 @@ func DataTag(lba int64, version uint64) Tag {
 		Lo: mix64(version*0x9e3779b97f4a7c15 ^ uint64(lba)),
 	}
 }
-
-// ParityTag folds a set of tags into their parity.
-func ParityTag(tags ...Tag) Tag {
-	var p Tag
-	for _, t := range tags {
-		p = p.XOR(t)
-	}
-	return p
-}

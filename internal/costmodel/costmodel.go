@@ -5,11 +5,7 @@
 // al.'s lifetime estimation).
 package costmodel
 
-import (
-	"fmt"
-
-	"srccache/internal/ssd"
-)
+import "srccache/internal/ssd"
 
 // Interface is the host interface class.
 type Interface uint8
@@ -89,16 +85,6 @@ func Catalog() []Product {
 		{Label: "B-TLC(SATA)", Company: "B", Cell: ssd.TLC, Iface: SATA, Units: 4, UnitGB: 128, PriceUSD: 225, Endurance: 1000, Year: 2014},
 		{Label: "C-MLC(NVMe)", Company: "C", Cell: ssd.MLC, Iface: NVMe, Units: 1, UnitGB: 400, PriceUSD: 469, Endurance: 3000, Year: 2015},
 	}
-}
-
-// CatalogProduct looks a product up by label.
-func CatalogProduct(label string) (Product, error) {
-	for _, p := range Catalog() {
-		if p.Label == label {
-			return p, nil
-		}
-	}
-	return Product{}, fmt.Errorf("costmodel: unknown product %q", label)
 }
 
 // Table4Device is one column of the paper's Table 4 price/performance

@@ -24,10 +24,7 @@ func TestCatalogMatchesTable12(t *testing.T) {
 		{"C-MLC(NVMe)", 469, 0.85},
 	}
 	for _, c := range checks {
-		p, err := CatalogProduct(c.label)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := catalogProduct(t, c.label)
 		if p.PriceUSD != c.price {
 			t.Fatalf("%s price %v, want %v", c.label, p.PriceUSD, c.price)
 		}
@@ -36,14 +33,23 @@ func TestCatalogMatchesTable12(t *testing.T) {
 			t.Fatalf("%s GB/$ %.3f, want %.2f", c.label, p.GBPerDollar(), c.gbUSD)
 		}
 	}
-	if _, err := CatalogProduct("nope"); err == nil {
-		t.Fatal("unknown product accepted")
+}
+
+// catalogProduct returns the Catalog entry labelled label.
+func catalogProduct(t *testing.T, label string) Product {
+	t.Helper()
+	for _, p := range Catalog() {
+		if p.Label == label {
+			return p
+		}
 	}
+	t.Fatalf("no catalog product %q", label)
+	return Product{}
 }
 
 func TestTLCCheaperButShorterLived(t *testing.T) {
-	aMLC, _ := CatalogProduct("A-MLC(SATA)")
-	aTLC, _ := CatalogProduct("A-TLC(SATA)")
+	aMLC := catalogProduct(t, "A-MLC(SATA)")
+	aTLC := catalogProduct(t, "A-TLC(SATA)")
 	if !(aTLC.GBPerDollar() > aMLC.GBPerDollar()) {
 		t.Fatal("TLC should win on GB/$")
 	}
@@ -53,9 +59,9 @@ func TestTLCCheaperButShorterLived(t *testing.T) {
 }
 
 func TestDeviceConfigReflectsProduct(t *testing.T) {
-	nvme, _ := CatalogProduct("C-MLC(NVMe)")
-	sata, _ := CatalogProduct("A-MLC(SATA)")
-	tlc, _ := CatalogProduct("B-TLC(SATA)")
+	nvme := catalogProduct(t, "C-MLC(NVMe)")
+	sata := catalogProduct(t, "A-MLC(SATA)")
+	tlc := catalogProduct(t, "B-TLC(SATA)")
 	cfgN := nvme.DeviceConfig("n", 1<<30)
 	cfgS := sata.DeviceConfig("s", 1<<30)
 	cfgT := tlc.DeviceConfig("t", 1<<30)
@@ -66,7 +72,7 @@ func TestDeviceConfigReflectsProduct(t *testing.T) {
 		t.Fatalf("TLC config %+v", cfgT)
 	}
 	// Company B penalty.
-	bMLC, _ := CatalogProduct("B-MLC(SATA)")
+	bMLC := catalogProduct(t, "B-MLC(SATA)")
 	if !(bMLC.DeviceConfig("b", 1<<30).ProgramLatency > cfgS.ProgramLatency) {
 		t.Fatal("company B not slower than A")
 	}
@@ -75,7 +81,7 @@ func TestDeviceConfigReflectsProduct(t *testing.T) {
 func TestLifetimeDays(t *testing.T) {
 	// The paper's example: A-MLC with 512 GB/day at WAF ~1.4 lives ~2140
 	// days. Exact value at WAF 1.402: 3000*512e9/(512e9*1.402) = 2139.8.
-	p, _ := CatalogProduct("A-MLC(SATA)")
+	p := catalogProduct(t, "A-MLC(SATA)")
 	days := LifetimeDays(p.Endurance, p.TotalBytes(), DefaultDailyWriteBytes, 1.402)
 	if math.Abs(days-2140) > 1 {
 		t.Fatalf("lifetime %v days, want ~2140", days)

@@ -162,8 +162,13 @@ func PrimaryVolume(span int64) int64 {
 }
 
 // newPrimary builds the primary of volume bytes, rounded down to whole
-// stripes.
+// stripes. A volume below one stripe is refused: it rounds to no disk at
+// all, which primary.Config would read as its default size.
 func newPrimary(volume int64) (*primary.Storage, error) {
 	perDisk := volume / spindles
-	return primary.New(primary.Config{DiskCapacity: perDisk - perDisk%stripeUnit})
+	perDisk -= perDisk % stripeUnit
+	if perDisk <= 0 {
+		return nil, fmt.Errorf("experiments: primary volume %d B is below one %d B stripe", volume, spindles*stripeUnit)
+	}
+	return primary.New(primary.Config{DiskCapacity: perDisk})
 }

@@ -29,9 +29,6 @@ const (
 // FromStd converts a time.Duration into a virtual Duration.
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
-// Std converts a virtual Duration into a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 

@@ -71,8 +71,8 @@ func TestStdConversion(t *testing.T) {
 	if d != 3*Millisecond {
 		t.Fatalf("FromStd = %v", d)
 	}
-	if d.Std() != 3*time.Millisecond {
-		t.Fatalf("Std = %v", d.Std())
+	if time.Duration(d) != 3*time.Millisecond {
+		t.Fatalf("time.Duration = %v", time.Duration(d))
 	}
 	if d.Seconds() != 0.003 {
 		t.Fatalf("Seconds = %v", d.Seconds())
