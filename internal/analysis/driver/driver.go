@@ -2,7 +2,7 @@
 // packages. The lint gate is this package's TestTreeClean, so `go test
 // ./...` runs it; there is no command and there are no flags.
 //
-// The checks (DESIGN.md §8) are registered in Analyzers:
+// The checks (DESIGN.md §8) are registered in analyzers:
 //
 //	determinism  simulation packages use internal/vtime and injected seeded
 //	             *rand.Rand values: no host clock, no global math/rand
@@ -41,8 +41,8 @@ import (
 	"srccache/internal/analysis/maprange"
 )
 
-// Analyzers is the registration list: every check the gate runs.
-var Analyzers = []*analysis.Analyzer{
+// analyzers is the registration list: every check the gate runs.
+var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	maprange.Analyzer,
 	ioerr.Analyzer,
@@ -56,6 +56,7 @@ type Finding struct {
 	Message string
 }
 
+// String formats f as "file:line:col: [check] message".
 func (f Finding) String() string { return fmt.Sprintf("%v: [%s] %s", f.Pos, f.Check, f.Message) }
 
 // Check runs `go list` in dir over patterns, applies every registered
@@ -178,7 +179,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath string, filen
 	// all ran, suppressions which fired for none of them can be reported as
 	// stale instead of silently rotting.
 	dirs := analysis.ParseDirectives(fset, files)
-	for _, a := range Analyzers {
+	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      fset,
