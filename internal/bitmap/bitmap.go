@@ -7,7 +7,6 @@ package bitmap
 type Bitmap struct {
 	words []uint64
 	n     int64
-	set   int64
 }
 
 // New creates a bitmap of n bits, all clear.
@@ -31,11 +30,7 @@ func (b *Bitmap) Set(i int64) {
 	if i < 0 || i >= b.n {
 		return
 	}
-	w, m := i>>6, uint64(1)<<uint(i&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.set++
-	}
+	b.words[i>>6] |= 1 << uint(i&63)
 }
 
 // Clear clears bit i. Out-of-range indices are ignored.
@@ -43,15 +38,10 @@ func (b *Bitmap) Clear(i int64) {
 	if i < 0 || i >= b.n {
 		return
 	}
-	w, m := i>>6, uint64(1)<<uint(i&63)
-	if b.words[w]&m != 0 {
-		b.words[w] &^= m
-		b.set--
-	}
+	b.words[i>>6] &^= 1 << uint(i&63)
 }
 
 // Reset clears every bit.
 func (b *Bitmap) Reset() {
 	clear(b.words)
-	b.set = 0
 }

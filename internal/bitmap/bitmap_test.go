@@ -1,9 +1,19 @@
 package bitmap
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
+
+// count counts b's set bits from its words.
+func count(b *Bitmap) int64 {
+	var n int
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
+}
 
 func TestSetGetClear(t *testing.T) {
 	b := New(130)
@@ -16,23 +26,23 @@ func TestSetGetClear(t *testing.T) {
 	if !b.Get(0) || !b.Get(129) || !b.Get(64) {
 		t.Fatal("set bits not readable")
 	}
-	if b.set != 3 {
-		t.Fatalf("popcount %d", b.set)
+	if count(b) != 3 {
+		t.Fatalf("popcount %d", count(b))
 	}
 	b.Set(64) // idempotent
-	if b.set != 3 {
-		t.Fatalf("double set changed popcount to %d", b.set)
+	if count(b) != 3 {
+		t.Fatalf("double set changed popcount to %d", count(b))
 	}
 	b.Clear(64)
-	if b.Get(64) || b.set != 2 {
-		t.Fatalf("clear failed: popcount %d", b.set)
+	if b.Get(64) || count(b) != 2 {
+		t.Fatalf("clear failed: popcount %d", count(b))
 	}
 	b.Clear(64) // idempotent
-	if b.set != 2 {
-		t.Fatalf("double clear changed popcount to %d", b.set)
+	if count(b) != 2 {
+		t.Fatalf("double clear changed popcount to %d", count(b))
 	}
 	b.Reset()
-	if b.set != 0 || b.Get(0) {
+	if count(b) != 0 || b.Get(0) {
 		t.Fatal("reset failed")
 	}
 }
@@ -45,8 +55,8 @@ func TestOutOfRangeIgnored(t *testing.T) {
 	if b.Get(-1) || b.Get(10) {
 		t.Fatal("out of range reads true")
 	}
-	if b.set != 0 {
-		t.Fatalf("out of range set changed popcount to %d", b.set)
+	if count(b) != 0 {
+		t.Fatalf("out of range set changed popcount to %d", count(b))
 	}
 	if b.Len() != 10 {
 		t.Fatalf("len %d", b.Len())
@@ -61,7 +71,7 @@ func TestPopCountMatchesNaive(t *testing.T) {
 			b.Set(int64(i))
 			ref[int64(i)] = true
 		}
-		if b.set != int64(len(ref)) {
+		if count(b) != int64(len(ref)) {
 			return false
 		}
 		for i := range ref {

@@ -134,15 +134,6 @@ func (d *Detector) State(id string) Health {
 	return Healthy
 }
 
-// EWMA reports a member's smoothed latency (0 if never observed
-// successfully).
-func (d *Detector) EWMA(id string) vtime.Duration {
-	if s := d.m[id]; s != nil {
-		return vtime.Duration(s.ewmaNs)
-	}
-	return 0
-}
-
 // Classified returns the IDs currently in each non-healthy state, sorted —
 // the harness's coverage counters read these.
 func (d *Detector) Classified() (down, slow []string) {

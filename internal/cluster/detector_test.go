@@ -42,12 +42,12 @@ func TestDetectorObserveOKClearsFailuresOnly(t *testing.T) {
 		t.Fatal("failures on a slow member not Down")
 	}
 	// A data-op success proves liveness but must not feed the EWMA.
-	before := d.EWMA("a")
+	before := d.m["a"].ewmaNs
 	d.ObserveOK("a")
 	if d.State("a") != Slow {
 		t.Fatalf("State = %v after ObserveOK, want Slow again", d.State("a"))
 	}
-	if d.EWMA("a") != before {
+	if d.m["a"].ewmaNs != before {
 		t.Fatal("ObserveOK moved the latency EWMA")
 	}
 }
@@ -69,7 +69,7 @@ func TestDetectorFailSlowThreshold(t *testing.T) {
 		d.Observe("slow", vtime.Millisecond, false)
 	}
 	if d.State("slow") != Healthy {
-		t.Fatalf("recovered member still %v at EWMA %v", d.State("slow"), d.EWMA("slow"))
+		t.Fatalf("recovered member still %v at EWMA %v", d.State("slow"), vtime.Duration(d.m["slow"].ewmaNs))
 	}
 }
 

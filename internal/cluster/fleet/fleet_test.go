@@ -211,6 +211,36 @@ func TestChainReplicatesToEveryOwner(t *testing.T) {
 	}
 }
 
+// TestChainTrimReachesEveryReplica trims every range through its chain
+// head on a 3-member, R = 3 fleet over a written pattern. Only the head
+// hears the client, so every other replica's local backend reads zeros
+// only if the trim went down the chain.
+func TestChainTrimReachesEveryReplica(t *testing.T) {
+	nodes, ring, fl := startFleet(t, []string{"a", "b", "c"}, 3)
+	fill(t, fl, ring, 2)
+	zero := make([]byte, tRangeBytes)
+	for rng := 0; rng < tRanges; rng++ {
+		owners := ring.Owners(rng)
+		if len(owners) != 3 {
+			t.Fatalf("range %d: %d owners", rng, len(owners))
+		}
+		cli, err := netblock.DialOptions(nodes[owners[0]].addr, dialOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cli.Trim(int64(rng)*tRangeBytes, tRangeBytes)
+		cli.Close()
+		if err != nil {
+			t.Fatalf("range %d: trim through head %s: %v", rng, owners[0], err)
+		}
+		for _, id := range owners {
+			if !bytes.Equal(backendRange(t, nodes[id], rng), zero) {
+				t.Fatalf("range %d: replica %s still holds data after a trim through head %s", rng, id, owners[0])
+			}
+		}
+	}
+}
+
 func TestFleetFailsOverWhenHeadDies(t *testing.T) {
 	nodes, ring, fl := startFleet(t, []string{"a", "b", "c", "d"}, 2)
 	model := fill(t, fl, fl.Ring(), 2)

@@ -208,9 +208,10 @@ func New(cfg Config) (*Supervisor, error) {
 		stop:      make(chan struct{}),
 	}
 	for _, n := range cfg.Nodes {
-		if err := s.Register(n); err != nil {
-			return nil, err
+		if n.Member.ID == "" || n.Push == nil {
+			return nil, fmt.Errorf("supervisor: node %+v needs an ID and a push", n.Member)
 		}
+		s.nodes[n.Member.ID] = n
 	}
 
 	journal, err := s.loadJournal()
@@ -301,17 +302,6 @@ func (s *Supervisor) recover(j journal) error {
 		}
 		s.resumes++
 	}
-	return nil
-}
-
-// Register adds a node (typically a spare that will join later).
-func (s *Supervisor) Register(n Node) error {
-	if n.Member.ID == "" || n.Push == nil {
-		return fmt.Errorf("supervisor: node %+v needs an ID and a push", n.Member)
-	}
-	s.mu.Lock()
-	s.nodes[n.Member.ID] = n
-	s.mu.Unlock()
 	return nil
 }
 

@@ -4,9 +4,10 @@
 // segments, append-only full-stripe writes, no read-modify-write) — and
 // serves requests either deterministically in virtual time (Serial, for
 // replay and as the test oracle) or from any number of goroutines at once
-// (Do, for wall-clock serving).
+// (ReadAt, WriteAt and Trim, the netblock.Backend methods, for wall-clock
+// serving).
 //
-// There is one submission path. The caller walks its request's stripe
+// There is one submission path, submit. The caller walks its request's stripe
 // fragments and runs each on its own goroutine under that shard's mutex
 // (shard.do) — the shape of the paper's Device-Mapper target, where the
 // submitting context runs map() itself and the target's lock serializes
@@ -41,39 +42,20 @@ import (
 // ErrClosed reports a request submitted after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Options configures an engine.
+// Options configures an engine. Shards and StripePages have no default:
+// New refuses a value below one.
 type Options struct {
-	// Shards is the number of independent cache shards (default 1).
+	// Shards is the number of independent cache shards.
 	Shards int
 	// StripePages is the number of contiguous pages routed to one shard
-	// before the mapping moves to the next (default 4096 pages = 16 MiB).
-	// Large stripes keep most requests on a single shard; the stripe unit
-	// is also the granularity a future rebalancer would migrate.
+	// before the mapping moves to the next (netblockd uses 256 pages =
+	// 1 MiB). Large stripes keep most requests on a single shard; the
+	// stripe unit is also the granularity a future rebalancer would migrate.
 	StripePages int64
 	// Payload allocates a per-shard byte store so the engine serves real
 	// data (the netblockd serving path). Without it the engine tracks
 	// cache accounting and timing only.
 	Payload bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards == 0 {
-		o.Shards = 1
-	}
-	if o.StripePages == 0 {
-		o.StripePages = 4096
-	}
-	return o
-}
-
-// Request is one engine-level I/O over the volume's byte address space.
-// Data, when non-nil, must be Len bytes: the write source or read
-// destination for payload-mode engines.
-type Request struct {
-	Op   blockdev.Op
-	Off  int64
-	Len  int64
-	Data []byte
 }
 
 // opKind is the shard vocabulary: the three data ops plus the control ops
@@ -102,7 +84,7 @@ type op struct {
 
 // shard is one share-nothing cache partition. mu guards the cache's state,
 // the payload bytes and the clock; do is the only code that reads or writes
-// them (Serial.CacheDevices reads only the cache's fixed device list).
+// them.
 type shard struct {
 	closed *atomic.Bool // the engine's flag, read under mu so Close fences
 
@@ -114,11 +96,11 @@ type shard struct {
 
 // do runs one op on the caller's goroutine under the shard lock and
 // returns the shard clock after it. at is the caller's virtual time (the
-// Serial view's; zero from Do, whose devices keep their own virtual
-// time). Holding the lock across cache.Submit is the point, not a
-// cost: src.Cache is a single-threaded state machine and its device time
-// is virtual, so nothing blocks while the lock is held and the lock is all
-// the serialization a shard needs.
+// Serial view's; zero from the Backend methods, whose devices keep their
+// own virtual time). Holding the lock across cache.Submit is the point,
+// not a cost: src.Cache is a single-threaded state machine and its device
+// time is virtual, so nothing blocks while the lock is held and the lock
+// is all the serialization a shard needs.
 func (s *shard) do(at vtime.Time, o *op) (vtime.Time, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +131,7 @@ func (s *shard) do(at vtime.Time, o *op) (vtime.Time, error) {
 		if err == nil && s.data != nil {
 			if o.kind == kRead {
 				copy(o.data, s.data[o.off:o.off+o.n])
-			} else if o.data != nil {
+			} else {
 				copy(s.data[o.off:o.off+o.n], o.data)
 			}
 		}
@@ -184,7 +166,6 @@ type Engine struct {
 // shard's primary capacity must be equal and a multiple of the stripe
 // size; the engine volume is their concatenation under stripe routing.
 func New(opt Options, build func(shard int) (*src.Cache, error)) (*Engine, error) {
-	opt = opt.withDefaults()
 	if opt.Shards < 1 {
 		return nil, fmt.Errorf("engine: shard count %d must be positive", opt.Shards)
 	}
@@ -222,10 +203,10 @@ func New(opt Options, build func(shard int) (*src.Cache, error)) (*Engine, error
 // primaries).
 func (e *Engine) Size() int64 { return e.shardBytes * int64(len(e.shards)) }
 
-// Start does nothing and reports ErrClosed after Close, nil otherwise: Do,
-// Flush, States and Counters are callable from any goroutine from New on.
-// It stays only because the served-path benchmark (benchmark/stack.go)
-// still calls it.
+// Start does nothing and reports ErrClosed after Close, nil otherwise: the
+// Backend methods, Flush, States and Counters are callable from any
+// goroutine from New on. It stays only because the served-path benchmark
+// (benchmark/stack.go) still calls it.
 func (e *Engine) Start() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -255,45 +236,28 @@ func (e *Engine) route(off int64) (int, int64) {
 	return sh, local
 }
 
-// validate bounds-checks one request against the volume.
-func (e *Engine) validate(req Request) error {
+// validate bounds-checks [off, off+n) against the volume.
+func (e *Engine) validate(off, n int64) error {
 	size := e.Size()
 	switch {
-	case req.Op != blockdev.OpRead && req.Op != blockdev.OpWrite && req.Op != blockdev.OpTrim:
-		return fmt.Errorf("engine: bad op %v", req.Op)
-	case req.Len <= 0:
-		return fmt.Errorf("engine: non-positive length %d", req.Len)
-	case req.Off < 0 || req.Off > size-req.Len:
-		return fmt.Errorf("engine: [%d,%d) outside volume %d", req.Off, req.Off+req.Len, size)
-	case req.Data != nil && int64(len(req.Data)) != req.Len:
-		return fmt.Errorf("engine: payload %d bytes != length %d", len(req.Data), req.Len)
+	case n <= 0:
+		return fmt.Errorf("engine: non-positive length %d", n)
+	case off < 0 || off > size-n:
+		return fmt.Errorf("engine: [%d,%d) outside volume %d", off, off+n, size)
 	}
 	return nil
 }
 
-// kindOf maps a block op to the shard vocabulary.
-func kindOf(o blockdev.Op) opKind {
-	switch o {
-	case blockdev.OpRead:
-		return kRead
-	case blockdev.OpWrite:
-		return kWrite
-	default:
-		return kTrim
-	}
-}
-
-// submit validates req and runs its fragments in address order, one shard
-// lock at a time, stopping at the first error. A request is fragmented
-// only where it crosses a stripe boundary, so with the default 16 MiB
-// stripe almost every request is a single fragment. It returns the latest
-// clock of the shards it touched.
-func (e *Engine) submit(at vtime.Time, req Request) (vtime.Time, error) {
-	if err := e.validate(req); err != nil {
+// submit validates [off, off+n) and runs its fragments in address order,
+// one shard lock at a time, stopping at the first error. data, when
+// non-nil, is the n-byte read destination or write source of a payload
+// engine. A request is fragmented only where it crosses a stripe boundary,
+// so with netblockd's 1 MiB stripe most requests are a single fragment. It
+// returns the latest clock of the shards it touched.
+func (e *Engine) submit(at vtime.Time, kind opKind, off, n int64, data []byte) (vtime.Time, error) {
+	if err := e.validate(off, n); err != nil {
 		return at, err
 	}
-	kind := kindOf(req.Op)
-	off, n, data := req.Off, req.Len, req.Data
 	done := at
 	for n > 0 {
 		sh, local := e.route(off)
@@ -314,25 +278,22 @@ func (e *Engine) submit(at vtime.Time, req Request) (vtime.Time, error) {
 	return done, nil
 }
 
-// flush drains every shard's dirty buffers and flushes its SSDs, ordered
+// Flush drains every shard's dirty buffers and flushes its SSDs, ordered
 // on each shard after the ops that already held its lock.
-func (e *Engine) flush(at vtime.Time) (vtime.Time, error) {
-	done := at
+func (e *Engine) Flush() error {
 	for _, s := range e.shards {
 		o := op{kind: kFlush}
-		now, err := s.do(at, &o)
-		if err != nil {
-			return done, err
+		if _, err := s.do(0, &o); err != nil {
+			return err
 		}
-		done = vtime.Max(done, now)
 	}
-	return done, nil
+	return nil
 }
 
-// counters sums the shard caches' counters. Each shard's snapshot is taken
+// Counters sums the shard caches' counters. Each shard's snapshot is taken
 // under its lock, so it reflects an op boundary; summing across shards is
 // safe because shards share nothing.
-func (e *Engine) counters() (bench.Counters, error) {
+func (e *Engine) Counters() (bench.Counters, error) {
 	states, err := e.States(nil)
 	if err != nil {
 		return bench.Counters{}, err
@@ -357,36 +318,22 @@ func (e *Engine) States(dst []src.State) ([]src.State, error) {
 	return dst, nil
 }
 
-// Do executes one request on the caller's goroutine. It is the function
-// every served request crosses, and it allocates nothing
-// (TestDoAllocatesNothing).
-func (e *Engine) Do(req Request) error {
-	_, err := e.submit(0, req)
-	return err
-}
-
-// Flush drains and flushes every shard.
-func (e *Engine) Flush() error {
-	_, err := e.flush(0)
-	return err
-}
-
-// Counters sums the shard caches' counters.
-func (e *Engine) Counters() (bench.Counters, error) {
-	return e.counters()
-}
-
-// ReadAt implements the netblock.Backend read. Requires Payload mode.
+// ReadAt implements the netblock.Backend read: it fills p from
+// [off, off+len(p)) of a payload engine. Like WriteAt and Trim it runs on
+// the caller's goroutine and allocates nothing (TestBackendAllocatesNothing).
 func (e *Engine) ReadAt(p []byte, off int64) error {
-	return e.Do(Request{Op: blockdev.OpRead, Off: off, Len: int64(len(p)), Data: p})
+	_, err := e.submit(0, kRead, off, int64(len(p)), p)
+	return err
 }
 
 // WriteAt implements the netblock.Backend write.
 func (e *Engine) WriteAt(p []byte, off int64) error {
-	return e.Do(Request{Op: blockdev.OpWrite, Off: off, Len: int64(len(p)), Data: p})
+	_, err := e.submit(0, kWrite, off, int64(len(p)), p)
+	return err
 }
 
 // Trim implements the netblock.Backend trim.
 func (e *Engine) Trim(off, n int64) error {
-	return e.Do(Request{Op: blockdev.OpTrim, Off: off, Len: n})
+	_, err := e.submit(0, kTrim, off, n, nil)
+	return err
 }

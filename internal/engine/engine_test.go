@@ -69,7 +69,10 @@ func TestSerialIsDeterministic(t *testing.T) {
 			times = append(times, done)
 			at = vtime.Max(at, done)
 		}
-		c := s.Counters()
+		c, err := e.Counters()
+		if err != nil {
+			t.Fatal(err)
+		}
 		return times, c.ReadHits
 	}
 	t1, h1 := run()
@@ -85,7 +88,8 @@ func TestSerialIsDeterministic(t *testing.T) {
 }
 
 // TestConcurrentMatchesSerial drives the same single-client request stream
-// through a serial engine and, one Do per request, a started engine. A
+// through a serial engine and, one ReadAt or WriteAt per request with the
+// client's buffer, a started engine. Neither carries payload. A
 // single submitter preserves per-shard op order, and shards share nothing,
 // so every shard's counters — hits, misses, fills, destages — must match
 // exactly.
@@ -113,7 +117,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ser.Flush(0); err != nil {
+	if err := serialEng.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,8 +126,19 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conc.Close()
+	buf := make([]byte, 8192)
 	for _, r := range stream {
-		if err := conc.Do(Request{Op: r.Op, Off: r.Off, Len: r.Len}); err != nil {
+		p := buf[:r.Len]
+		var err error
+		switch r.Op {
+		case blockdev.OpRead:
+			err = conc.ReadAt(p, r.Off)
+		case blockdev.OpWrite:
+			err = conc.WriteAt(p, r.Off)
+		default:
+			t.Fatalf("stream op %v", r.Op)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +146,10 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := ser.Counters()
+	want, err := serialEng.Counters()
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := conc.Counters()
 	if err != nil {
 		t.Fatal(err)
@@ -203,17 +221,61 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	cases := []Request{
+	cases := []blockdev.Request{
 		{Op: blockdev.OpRead, Off: -1, Len: 8},
 		{Op: blockdev.OpRead, Off: 0, Len: 0},
 		{Op: blockdev.OpRead, Off: e.Size(), Len: 1},
 		{Op: blockdev.OpRead, Off: e.Size() - 4, Len: 8},
 		{Op: blockdev.Op(9), Off: 0, Len: 8},
-		{Op: blockdev.OpWrite, Off: 0, Len: 8, Data: make([]byte, 4)},
 	}
 	for _, req := range cases {
-		if err := e.Do(req); err == nil {
-			t.Fatalf("accepted %+v", req)
+		if _, err := e.Serial().Submit(0, req); err == nil {
+			t.Fatalf("Serial accepted %+v", req)
+		}
+		if req.Op == blockdev.OpRead && e.ReadAt(make([]byte, req.Len), req.Off) == nil {
+			t.Fatalf("ReadAt accepted %+v", req)
+		}
+	}
+	// A Serial request carries no bytes: on a payload engine it would move
+	// the cache model and leave the served bytes old.
+	write := blockdev.Request{Op: blockdev.OpWrite, Off: 0, Len: blockdev.PageSize}
+	if _, err := testEngine(t, 2, true).Serial().Submit(0, write); err == nil {
+		t.Fatal("Serial accepted a write on a payload engine")
+	}
+}
+
+// TestFlushReachesEveryShard writes one page into every stripe of a
+// 2-shard payload engine, so both shards buffer dirty pages, and flushes:
+// every shard must then have drained its dirty buffers and flushed its
+// SSDs.
+func TestFlushReachesEveryShard(t *testing.T) {
+	e := testEngine(t, 2, true)
+	page := make([]byte, blockdev.PageSize)
+	for off := int64(0); off < e.Size(); off += e.stripeBytes {
+		if err := e.WriteAt(page, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := e.States(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range before {
+		if st.DirtyBufferedPages == 0 {
+			t.Fatalf("shard %d buffers no dirty page before Flush", i)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.States(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range after {
+		if st.DirtyBufferedPages != 0 || st.Counters.SSDFlushes <= before[i].Counters.SSDFlushes {
+			t.Errorf("shard %d after Flush: %d dirty buffered pages, flushes %d -> %d",
+				i, st.DirtyBufferedPages, before[i].Counters.SSDFlushes, st.Counters.SSDFlushes)
 		}
 	}
 }
@@ -272,9 +334,10 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestDoAllocatesNothing pins the caller-runs path: no per-request slice,
-// completion or closure — a request costs its cache work and a lock pair.
-func TestDoAllocatesNothing(t *testing.T) {
+// TestBackendAllocatesNothing pins the caller-runs path: no per-request
+// slice, completion or closure — a request costs its cache work and a lock
+// pair.
+func TestBackendAllocatesNothing(t *testing.T) {
 	e := testEngine(t, 4, true)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -284,16 +347,16 @@ func TestDoAllocatesNothing(t *testing.T) {
 	span := make([]byte, 3*blockdev.PageSize)
 	cases := []struct {
 		name string
-		req  Request
+		call func() error
 	}{
-		{"read", Request{Op: blockdev.OpRead, Off: 8 * blockdev.PageSize, Len: blockdev.PageSize, Data: page}},
-		{"write", Request{Op: blockdev.OpWrite, Off: 8 * blockdev.PageSize, Len: blockdev.PageSize, Data: page}},
-		{"trim", Request{Op: blockdev.OpTrim, Off: 16 * blockdev.PageSize, Len: blockdev.PageSize}},
-		{"stripe-crossing write", Request{Op: blockdev.OpWrite, Off: e.stripeBytes - blockdev.PageSize, Len: int64(len(span)), Data: span}},
+		{"read", func() error { return e.ReadAt(page, 8*blockdev.PageSize) }},
+		{"write", func() error { return e.WriteAt(page, 8*blockdev.PageSize) }},
+		{"trim", func() error { return e.Trim(16*blockdev.PageSize, blockdev.PageSize) }},
+		{"stripe-crossing write", func() error { return e.WriteAt(span, e.stripeBytes-blockdev.PageSize) }},
 	}
 	for _, tc := range cases {
 		do := func() {
-			if err := e.Do(tc.req); err != nil {
+			if err := tc.call(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -302,7 +365,7 @@ func TestDoAllocatesNothing(t *testing.T) {
 			do()
 		}
 		if n := testing.AllocsPerRun(500, do); n != 0 {
-			t.Errorf("%s: %v allocations per Do, want 0", tc.name, n)
+			t.Errorf("%s: %v allocations per call, want 0", tc.name, n)
 		}
 	}
 }

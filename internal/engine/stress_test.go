@@ -223,9 +223,9 @@ func TestNoFreeGroupsEdge(t *testing.T) {
 				case o.flush:
 					err = e.Flush()
 				case o.write:
-					err = e.Do(Request{Op: blockdev.OpWrite, Off: int64(c)*stressRegion + o.off, Len: o.n})
+					err = e.WriteAt(buf[:o.n], int64(c)*stressRegion+o.off)
 				default:
-					err = e.Do(Request{Op: blockdev.OpRead, Off: int64(c)*stressRegion + o.off, Len: o.n})
+					err = e.ReadAt(buf[:o.n], int64(c)*stressRegion+o.off)
 				}
 				if err != nil {
 					t.Fatalf("step %d, client %d: %v", step, c, err)
@@ -235,8 +235,8 @@ func TestNoFreeGroupsEdge(t *testing.T) {
 	}
 }
 
-// TestCloseFencesCallers runs Close against goroutines that hammer Do,
-// Flush and Counters: every call must return nil or ErrClosed, and once
+// TestCloseFencesCallers runs Close against goroutines that hammer ReadAt,
+// WriteAt, Flush and Counters: every call must return nil or ErrClosed, and once
 // Close has returned no op may run — the shard counters read then never
 // change again, although the callers keep calling.
 func TestCloseFencesCallers(t *testing.T) {
@@ -309,7 +309,7 @@ func TestCloseFencesCallers(t *testing.T) {
 			t.Fatalf("shard %d ran an op after Close returned:\n at close %+v\n    later %+v", i, after[i], c)
 		}
 	}
-	if err := e.Do(Request{Op: blockdev.OpRead, Off: 0, Len: 4096}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("do after close: %v", err)
+	if err := e.ReadAt(make([]byte, 4096), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read after close: %v", err)
 	}
 }

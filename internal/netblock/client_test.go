@@ -328,6 +328,47 @@ func (b *staleBackend) WriteAt(p []byte, off int64) error {
 	return fmt.Errorf("backend: write [%d,%d) not owned here: %w", off, off+int64(len(p)), ErrStaleEpoch)
 }
 
+// flushBackend counts the flushes that reach it and, once fail is set,
+// refuses them.
+type flushBackend struct {
+	Backend
+	flushes atomic.Int32
+	fail    atomic.Bool
+}
+
+func (b *flushBackend) Flush() error {
+	b.flushes.Add(1)
+	if b.fail.Load() {
+		return errors.New("backend: flush failed")
+	}
+	return nil
+}
+
+// TestFlushReachesBackend pins the barrier across the wire: a client Flush
+// is exactly one backend Flush, and a backend Flush that fails comes back
+// as a remote error, never as an acknowledgement.
+func TestFlushReachesBackend(t *testing.T) {
+	mem, err := MemBackend(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &flushBackend{Backend: mem}
+	_, cli := startPairWith(t, fb)
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fb.flushes.Load(); n != 1 {
+		t.Fatalf("one client Flush reached the backend %d times, want 1", n)
+	}
+	fb.fail.Store(true)
+	if err := cli.Flush(); !errors.Is(err, ErrRemote) {
+		t.Fatalf("failed backend Flush reached the client as %v, want ErrRemote", err)
+	}
+	if n := fb.flushes.Load(); n != 2 {
+		t.Fatalf("two client Flushes reached the backend %d times, want 2", n)
+	}
+}
+
 // TestClientClassifiesStaleEpochRefusal pins the wire classification: a
 // backend refusal wrapping ErrStaleEpoch crosses the wire as statusStale
 // and must come back as ErrStaleEpoch, still a remote answer (ErrRemote),

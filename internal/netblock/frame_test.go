@@ -144,8 +144,8 @@ func TestOneWritePerFrame(t *testing.T) {
 // TestSteadyStateRoundTripAllocs holds client and server together to at
 // most one allocation per 4 KiB read and write over loopback TCP: the
 // frames, the payload buffers and the decoded request are all reused. With
-// the engine as the backend the bound is zero: its Do runs on the
-// connection's goroutine and allocates nothing. The deadlines case runs
+// the engine as the backend the bound is zero: its ReadAt and WriteAt run
+// on the connection's goroutine and allocate nothing. The deadlines case runs
 // with netblockd's client Timeout and server IdleTimeout, and forces the
 // client to re-arm its deadline on every op, so the re-arm is pinned too.
 func TestSteadyStateRoundTripAllocs(t *testing.T) {

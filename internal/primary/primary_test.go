@@ -99,7 +99,7 @@ func TestRandomSmallWritesAreSlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rate := vtime.Rate(n*blockdev.PageSize, at.Sub(0))
+	rate := float64(n*blockdev.PageSize) / at.Sub(0).Seconds()
 	if rate > 30e6 {
 		t.Fatalf("random 4K write rate %.1f MB/s, expected seek-bound (<30 MB/s)", rate/1e6)
 	}
@@ -117,7 +117,7 @@ func TestSequentialLargeWritesAreLinkBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rate := vtime.Rate(total, at.Sub(0))
+	rate := float64(total) / at.Sub(0).Seconds()
 	bw := linkBandwidth
 	if rate > bw*1.05 {
 		t.Fatalf("sequential rate %.1f MB/s exceeds link %.1f MB/s", rate/1e6, bw/1e6)

@@ -241,7 +241,7 @@ func TestWriteCacheAbsorbsBurstThenThrottles(t *testing.T) {
 		}
 		total += burst
 	}
-	gotRate := vtime.Rate(total, at.Sub(ack))
+	gotRate := float64(total) / at.Sub(ack).Seconds()
 	sustained := cfg.SustainedProgramRate()
 	if gotRate > sustained*1.15 {
 		t.Fatalf("sustained rate %.0f exceeds flash ceiling %.0f", gotRate, sustained)

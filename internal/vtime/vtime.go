@@ -65,17 +65,12 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 	return Duration(float64(n) / bytesPerSec * float64(Second))
 }
 
-// Rate reports the throughput, in bytes per second, of moving n bytes over
-// elapsed. A non-positive elapsed yields zero.
-func Rate(n int64, elapsed Duration) float64 {
+// MBPerSec reports the throughput of moving n bytes over elapsed in MB/s
+// (decimal megabytes, as used throughout the paper). A non-positive elapsed
+// yields zero.
+func MBPerSec(n int64, elapsed Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(n) / elapsed.Seconds()
-}
-
-// MBPerSec reports the throughput of moving n bytes over elapsed in MB/s
-// (decimal megabytes, as used throughout the paper).
-func MBPerSec(n int64, elapsed Duration) float64 {
-	return Rate(n, elapsed) / 1e6
+	return float64(n) / elapsed.Seconds() / 1e6
 }

@@ -55,11 +55,11 @@ func TestTransferTime(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	if got := Rate(2e6, 2*Second); got != 1e6 {
-		t.Fatalf("Rate = %v, want 1e6", got)
+	if got := MBPerSec(2e6, 2*Second); got != 1 {
+		t.Fatalf("MBPerSec = %v, want 1", got)
 	}
-	if got := Rate(2e6, 0); got != 0 {
-		t.Fatalf("Rate with zero elapsed = %v, want 0", got)
+	if got := MBPerSec(2e6, 0); got != 0 {
+		t.Fatalf("MBPerSec with zero elapsed = %v, want 0", got)
 	}
 	if got := MBPerSec(100e6, Second); got != 100 {
 		t.Fatalf("MBPerSec = %v, want 100", got)
