@@ -20,8 +20,8 @@
 // consistent-hash ring shared by every listed node, and each write this
 // node serves is chain-forwarded to the next owner of its range before the
 // reply — so a fleet client writing to a range's head lands the data on
-// every reachable replica. -node names this daemon's ring identity; -epoch
-// is the ring version advertised to pinging clients.
+// every reachable replica. -node names this daemon's ring identity. Pings
+// advertise ring epoch 1 in fleet mode and 0 for a standalone volume.
 //
 // With -debug-addr the daemon also serves, on that address only, the
 // standard library's /debug/vars and /debug/pprof/. It is off by default;
@@ -189,7 +189,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		ringStr = fs.String("ring", "", `fleet membership as "id=addr,id=addr,..." (requires -node)`)
 		reps    = fs.Int("replicas", 2, "fleet replication factor")
 		rb      = fs.Int64("range-bytes", 1<<20, "fleet placement-range size in bytes")
-		epoch   = fs.Uint64("epoch", 0, "ring epoch advertised to pinging clients (fleet mode defaults to 1)")
 		debug   = fs.String("debug-addr", "", "serve /debug/vars (expvar: per-op counters, cache counters and per-shard cache state under -shards) and /debug/pprof/ on this address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -267,9 +266,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		}
 		backend = chain
 		backing = fmt.Sprintf("%s; fleet node %s of %d, %d-way", backing, *node, len(members), *reps)
-		if *epoch == 0 {
-			*epoch = 1
-		}
 	}
 
 	srv, err := netblock.NewServerWith(backend)
@@ -277,7 +273,9 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}, ready chan<- net
 		cleanup()
 		return err
 	}
-	srv.SetEpoch(*epoch)
+	if chain != nil {
+		srv.SetEpoch(1)
+	}
 	srv.IdleTimeout = *idle
 	srv.DrainGrace = *drain
 	if *debug != "" {

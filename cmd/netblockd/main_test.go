@@ -42,6 +42,10 @@ func TestServeAndShutdown(t *testing.T) {
 	if string(got) != "daemon" {
 		t.Fatalf("read %q", got)
 	}
+	// A standalone volume belongs to no ring: it advertises epoch 0.
+	if info, err := cli.Ping(); err != nil || info.Epoch != 0 {
+		t.Fatalf("ping %+v, %v; want epoch 0", info, err)
+	}
 	cli.Close()
 
 	close(stop)

@@ -56,8 +56,8 @@ type Config struct {
 	// Ring is the initial committed placement (epoch 1) when no journal
 	// exists; with a journal present, the journal wins.
 	Ring *cluster.Ring
-	// Nodes registers every node, including spares that may join later.
-	// More can be added with Register.
+	// Nodes registers every node the supervisor will ever manage, including
+	// spares that may join later: BeginJoin takes only a node listed here.
 	Nodes []Node
 	// JournalPath persists the supervisor's state ("" persists nothing: a
 	// restart starts over from Ring).

@@ -54,9 +54,6 @@ type Link struct {
 	factor   float64    // fail-slow multiplier, 1 = healthy
 	upBusy   vtime.Time
 	downBusy vtime.Time
-
-	sentBytes int64
-	recvBytes int64
 }
 
 // New builds a link from cfg.
@@ -108,7 +105,6 @@ func (l *Link) Send(at vtime.Time, n int64) vtime.Time {
 	xfer, prop := l.delay(n)
 	start := vtime.Max(at, l.upBusy)
 	l.upBusy = start.Add(xfer)
-	l.sentBytes += n
 	return l.upBusy.Add(prop)
 }
 
@@ -118,12 +114,5 @@ func (l *Link) Recv(at vtime.Time, n int64) vtime.Time {
 	xfer, prop := l.delay(n)
 	start := vtime.Max(at, l.downBusy)
 	l.downBusy = start.Add(xfer)
-	l.recvBytes += n
 	return l.downBusy.Add(prop)
 }
-
-// SentBytes reports cumulative host→storage traffic.
-func (l *Link) SentBytes() int64 { return l.sentBytes }
-
-// RecvBytes reports cumulative storage→host traffic.
-func (l *Link) RecvBytes() int64 { return l.recvBytes }

@@ -90,9 +90,6 @@ func (s *Storage) Content() *blockdev.Content { return s.array.Content() }
 // per-disk stats).
 func (s *Storage) Array() *raid.Array { return s.array }
 
-// Link exposes the network pipe (for traffic accounting).
-func (s *Storage) Link() *netlink.Link { return s.link }
-
 // Submit schedules one request across the network and the disk array.
 func (s *Storage) Submit(at vtime.Time, req blockdev.Request) (vtime.Time, error) {
 	if err := req.Validate(s.Capacity()); err != nil {

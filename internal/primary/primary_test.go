@@ -56,9 +56,6 @@ func TestWriteCrossesLinkThenDisks(t *testing.T) {
 	if done < vtime.Time(linkTime) {
 		t.Fatalf("write done %v faster than link alone %v", done, linkTime)
 	}
-	if s.Link().SentBytes() != n {
-		t.Fatalf("link sent %d", s.Link().SentBytes())
-	}
 	// Mirrored writes: the disks received 2x the payload.
 	var diskBytes int64
 	for _, d := range s.Array().Devices() {
@@ -76,11 +73,9 @@ func TestReadReturnsOverLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Link().RecvBytes() != n {
-		t.Fatalf("link received %d", s.Link().RecvBytes())
-	}
-	if done <= 0 {
-		t.Fatal("read completed instantly")
+	// The payload comes back over the 125 MB/s link.
+	if linkTime := vtime.TransferTime(n, linkBandwidth); done < vtime.Time(linkTime) {
+		t.Fatalf("read done %v faster than link alone %v", done, linkTime)
 	}
 }
 

@@ -166,15 +166,15 @@ func TestCountersCoherence(t *testing.T) {
 func TestHotBitSecondChance(t *testing.T) {
 	e := newEnv(t, nil)
 	e.write(5, 1)
-	if e.cache.hot.Get(5) {
+	if e.cache.mapping.hot(5) {
 		t.Fatal("first write marked hot")
 	}
 	e.read(5, 1)
-	if !e.cache.hot.Get(5) {
+	if !e.cache.mapping.hot(5) {
 		t.Fatal("read hit did not mark hot")
 	}
 	e.write(5, 1)
-	if !e.cache.hot.Get(5) {
+	if !e.cache.mapping.hot(5) {
 		t.Fatal("rewrite cleared hotness")
 	}
 }

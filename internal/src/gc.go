@@ -36,15 +36,26 @@ type liveEntry struct {
 // A group is free to take it: gc returns with two and allocSegment calls it
 // before taking the last, and when a crash leaves Recover none, hostWrite
 // reclaims before it buffers anything. With at most one group free and one
-// active, numSG ≥ 4 leaves a closed one to pick. The loop ends: copy rounds
-// take only groups closed before the call, so only they write, and the
-// groups they fill bound the rest. Only faults reach ErrNoFreeGroups: an
-// abandoned segment write keeps its segment.
+// active, numSG ≥ 4 leaves a closed one to pick. Only faults reach
+// ErrNoFreeGroups: an abandoned segment write keeps its segment.
+//
+// The loop ends within numSG+1 rounds; past that it returns
+// ErrNoFreeGroups, so a lost rule shows as an error instead of a livelock.
+// Every round frees its victim. The groups in use when the call starts, at
+// most numSG−1 (the superblock's is never one), are each reclaimed at most
+// once: a group refilled during the call is newer than since. A group
+// filled during the call is reclaimed only by destage, as the oldest
+// (copyFits refuses it), so only after all the others. Such a round writes
+// nothing, since each round drains the dirty buffers it filled and only the
+// first meets host tails, so two of them leave two groups free.
 func (c *Cache) gc(at vtime.Time) error {
 	c.inGC = true
 	defer func() { c.inGC = false }()
 	since := c.seqCtr // groups opened after this hold this call's copies
-	for len(c.freeSGs) < 2 {
+	for rounds := 0; len(c.freeSGs) < 2; rounds++ {
+		if rounds > len(c.groups) {
+			return fmt.Errorf("%w: gc ran %d rounds without freeing two groups", ErrNoFreeGroups, rounds)
+		}
 		victim, oldest := c.pickVictim(), c.fifo[0]
 		// Sel-GC copies while utilization is below U_MAX; S2D otherwise. A
 		// fully live victim is always destaged (copying it would make no
@@ -125,7 +136,7 @@ func (c *Cache) copyFits(victim int64, keepCold bool, since int64) bool {
 		}
 		if lba, d := unpackSlot(packed); d {
 			dirty++
-		} else if keepCold || c.hot.Get(lba) {
+		} else if keepCold || c.mapping.hot(lba) {
 			clean++
 		}
 	}
@@ -215,7 +226,7 @@ func (c *Cache) evacuate(at vtime.Time, victim int64, copyMode, keepCold bool) (
 		lba, dirty := unpackSlot(packed)
 		live = append(live, liveEntry{
 			lba: lba, loc: base + int64(s), dirty: dirty,
-			read: dirty || (copyMode && (keepCold || c.hot.Get(lba))),
+			read: dirty || (copyMode && (keepCold || c.mapping.hot(lba))),
 		})
 	}
 	c.scratch.live = live
@@ -311,10 +322,10 @@ func (c *Cache) reinsert(at vtime.Time, live []liveEntry, keepCold bool) error {
 		// its own segments instead of mixing with fresh host writes.
 		buf, state := c.dirtyBuf, stateBufDirty
 		switch {
-		case !e.dirty && !keepCold && !c.hot.Get(e.lba):
+		case !e.dirty && !keepCold && !c.mapping.hot(e.lba):
 			continue // cold clean data: discarding it costs nothing
 		case !e.dirty:
-			c.hot.Clear(e.lba)
+			c.mapping.setHot(e.lba, false)
 			buf, state = c.cleanBuf, stateBufClean
 		case c.gcBuf != nil:
 			buf, state = c.gcBuf, stateBufGC

@@ -253,7 +253,7 @@ func TestReinsertKeepsHotBitWhenSuperseded(t *testing.T) {
 	e := newEnv(t, nil)
 	c := e.cache
 	const lba = 5
-	c.hot.Set(lba)
+	c.mapping.setHot(lba, true)
 	superseded := entry{state: stateBufDirty, loc: 0}
 	c.mapping.set(lba, superseded)
 
@@ -262,7 +262,7 @@ func TestReinsertKeepsHotBitWhenSuperseded(t *testing.T) {
 	if err := c.reinsert(0, []liveEntry{{lba: lba, dirty: false}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if !c.hot.Get(lba) {
+	if !c.mapping.hot(lba) {
 		t.Error("superseded hot clean page lost its hot bit")
 	}
 	if got, _ := c.mapping.get(lba); got != superseded {
@@ -283,13 +283,13 @@ func TestReinsertCopiesHotClean(t *testing.T) {
 	e := newEnv(t, func(cfg *Config) { cfg.TrackContent = false })
 	c := e.cache
 	const lba = 7
-	c.hot.Set(lba)
+	c.mapping.setHot(lba, true)
 
 	cleanBefore := c.cleanBuf.Live()
 	if err := c.reinsert(0, []liveEntry{{lba: lba, dirty: false}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if c.hot.Get(lba) {
+	if c.mapping.hot(lba) {
 		t.Error("copied page kept its hot bit (second chance not consumed)")
 	}
 	got, ok := c.mapping.get(lba)
@@ -310,6 +310,85 @@ func TestReinsertCopiesHotClean(t *testing.T) {
 	}
 	if _, ok := c.mapping.get(cold); ok {
 		t.Error("cold clean page was copied")
+	}
+}
+
+// TestHotBitOutlivesEviction pins that the hot bit belongs to the page, not
+// to where the page is cached: a page re-referenced by a read hit, then
+// destaged out of the cache and refilled by a miss, is still hot when a
+// copy round reaches it. Only Recover forgets it.
+func TestHotBitOutlivesEviction(t *testing.T) {
+	e := newEnv(t, nil)
+	c := e.cache
+	const lba = 3
+	pages := int64(c.cleanBuf.Cap())
+	// fill reads [0, pages) from primary: the clean buffer fills exactly and
+	// seals onto the SSDs. It returns the group the pages landed in.
+	fill := func() int64 {
+		e.read(0, pages)
+		en, ok := c.mapping.get(lba)
+		if !ok || !en.state.onSSD() {
+			t.Fatalf("page %d not on an SSD after the fill: %+v", lba, en)
+		}
+		return c.lay.groupOf(en.loc)
+	}
+	// round runs one gc round on victim, as gc does, and returns the pages
+	// it gathered.
+	round := func(victim int64, copyMode bool) []liveEntry {
+		live, done, err := c.evacuate(e.at, victim, copyMode, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = slices.Clone(live)
+		if copyMode {
+			err = c.reinsert(done, live, false)
+		} else {
+			err = c.destage(done, live)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.drainDirty(done); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.reclaim(e.at, victim); err != nil {
+			t.Fatal(err)
+		}
+		return live
+	}
+
+	victim := fill()
+	e.read(lba, 1) // a hit: the page is re-referenced
+	round(victim, false)
+	if _, ok := c.mapping.get(lba); ok {
+		t.Fatal("destaged page still cached")
+	}
+
+	// The refill misses, so it marks nothing: only the bit the page kept
+	// through its eviction can make it hot.
+	victim = fill()
+	for _, le := range round(victim, true) {
+		if want := le.lba == lba; le.read != want {
+			t.Errorf("copy round staged page %d: %v, want %v", le.lba, le.read, want)
+		}
+	}
+	if en, ok := c.mapping.get(lba); !ok || en.state != stateBufClean {
+		t.Fatalf("hot page not copied into the clean buffer: %+v (ok=%v)", en, ok)
+	}
+	if c.mapping.hot(lba) {
+		t.Error("copy round did not consume the hot bit")
+	}
+	e.checkInvariants()
+
+	e.read(lba, 1) // a hit in the clean buffer
+	if !c.mapping.hot(lba) {
+		t.Fatal("read hit did not mark hot")
+	}
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if c.mapping.hot(lba) {
+		t.Error("hot bit survived Recover")
 	}
 }
 

@@ -174,7 +174,8 @@ func (s pageState) onSSD() bool {
 // slot accounting, reclaim, repair and recovery all work on locations,
 // and col and page are what layout.devOffset says of loc at the moment
 // the page is placed (checkInvariants holds them to it). Config.Validate
-// keeps both narrow fields in range, and the entry at 16 bytes.
+// keeps both narrow fields in range, and the entry at 16 bytes. The table
+// keeps the page's hot bit beside it (see pageTable).
 type entry struct {
 	state pageState
 	col   uint8  // SSD column of an on-SSD copy

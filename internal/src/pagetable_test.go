@@ -8,10 +8,14 @@ import (
 )
 
 // TestEntryIs16Bytes pins the page-table entry's width: the table costs 16
-// bytes per primary page, and the memory figures assume it.
+// bytes per primary page, hot bit included, and the memory figures assume
+// it.
 func TestEntryIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n != 16 {
 		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(cell{}); n != 16 {
+		t.Fatalf("a table slot is %d bytes, want 16", n)
 	}
 }
 
@@ -39,6 +43,16 @@ func TestPageTable(t *testing.T) {
 	pt.del(3)
 	if _, ok := pt.get(3); ok || pt.count() != 1 {
 		t.Fatalf("after del: present %v, count %d", ok, pt.count())
+	}
+	// The hot bit is the page's: del and set keep it.
+	pt.setHot(5, true)
+	pt.del(5)
+	if _, ok := pt.get(5); ok || !pt.hot(5) || pt.count() != 0 {
+		t.Fatalf("after del: present %v, hot %v, count %d", ok, pt.hot(5), pt.count())
+	}
+	pt.set(5, entry{state: stateBufClean, loc: 1})
+	if !pt.hot(5) || pt.hot(6) {
+		t.Fatalf("after set: hot(5) %v, hot(6) %v", pt.hot(5), pt.hot(6))
 	}
 	// Pages beyond the volume are simply not cached.
 	for _, lba := range []int64{-1, 8, 1 << 40} {

@@ -46,7 +46,6 @@ func (c *Cache) Recover() (int, error) {
 	if c.gcBuf != nil {
 		c.gcBuf.Reset()
 	}
-	c.hot.Reset()
 	c.active = -1
 	c.nextSeg = 0
 	c.fifo = nil

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"srccache/internal/bench"
-	"srccache/internal/bitmap"
 	"srccache/internal/blockdev"
 	"srccache/internal/vtime"
 )
@@ -15,7 +14,8 @@ import (
 // Errors reported by the cache.
 var (
 	// ErrNoFreeGroups reports a segment write that found no free Segment
-	// Group, which only faults can cause (see gc).
+	// Group, or a gc that ran past its bound on rounds. Only faults can
+	// cause either on correct code (see gc).
 	ErrNoFreeGroups = errors.New("src: no reclaimable segment groups")
 	// ErrDataLoss reports unrecoverable data (an SSD failure with no
 	// redundancy covering the lost pages).
@@ -42,8 +42,7 @@ type Cache struct {
 	dirtyBuf *segBuffer
 	cleanBuf *segBuffer
 	gcBuf    *segBuffer // S2S dirty copies (SeparateGCBuffer mode), else nil
-	hot      *bitmap.Bitmap
-	versions []uint64 // per-page write version (TrackContent only), else nil
+	versions []uint64   // per-page write version (TrackContent only), else nil
 
 	counters    bench.Counters
 	wastedSlots int64 // padding from partial segments and dead buffer slots
@@ -102,7 +101,6 @@ func New(cfg Config) (*Cache, error) {
 		groups:  make([]group, lay.numSG),
 		active:  -1,
 		mapping: newPageTable(primaryPages(cfg)),
-		hot:     bitmap.New(primaryPages(cfg)),
 		devErrs: make([]int64, lay.m),
 		colDown: make([]bool, lay.m),
 		scrub:   scrubCursor{sg: 1},
@@ -348,7 +346,7 @@ func (c *Cache) hostWrite(at vtime.Time, req blockdev.Request) (vtime.Time, erro
 			c.versions[p]++
 		}
 		if e, ok := c.mapping.get(p); ok {
-			c.hot.Set(p) // a rewrite is a re-reference
+			c.mapping.setHot(p, true) // a rewrite is a re-reference
 			if e.state == stateBufDirty {
 				c.dirtyBuf.SetTag(int(e.loc), c.tagFor(p))
 				continue // already buffered dirty: updated in place
@@ -405,7 +403,7 @@ func (c *Cache) hostRead(at vtime.Time, req blockdev.Request) (vtime.Time, error
 		if ok {
 			c.counters.ReadHits++
 			c.counters.ReadHitBytes += blockdev.PageSize
-			c.hot.Set(p)
+			c.mapping.setHot(p, true)
 			if runFirst >= 0 && e.state.onSSD() && e.loc == run.loc+(p-runFirst) {
 				continue // extends the SSD run
 			}

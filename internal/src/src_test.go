@@ -635,8 +635,8 @@ func TestStateAllocatesNothing(t *testing.T) {
 // that walk every mapping.
 func mapped(c *Cache) map[int64]entry {
 	m := make(map[int64]entry, c.mapping.count())
-	for lba, en := range c.mapping.entries {
-		if en.state != 0 {
+	for lba := range c.mapping.entries {
+		if en, ok := c.mapping.get(int64(lba)); ok {
 			m[int64(lba)] = en
 		}
 	}
