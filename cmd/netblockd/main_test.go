@@ -333,8 +333,8 @@ func TestDebugAddrPublishesOpStats(t *testing.T) {
 	if r := vars.Ops["read"]; r.Count != 3 || r.Errors != 0 || r.MeanUs <= 0 {
 		t.Fatalf("netblock_ops = %+v, want 3 clean reads with a service time", vars.Ops)
 	}
-	if vars.Ops["size"].Count != 1 {
-		t.Fatalf("netblock_ops = %+v, want the dial's one size op", vars.Ops)
+	if vars.Ops["ping"].Count != 1 {
+		t.Fatalf("netblock_ops = %+v, want the dial's one ping", vars.Ops)
 	}
 	prof, err := http.Get(strings.Replace(varsURL, "/debug/vars", "/debug/pprof/cmdline", 1))
 	if err != nil {

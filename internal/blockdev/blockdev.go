@@ -175,16 +175,5 @@ func (s *Stats) Record(req Request) {
 	}
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.ReadOps += o.ReadOps
-	s.ReadBytes += o.ReadBytes
-	s.WriteOps += o.WriteOps
-	s.WriteBytes += o.WriteBytes
-	s.TrimOps += o.TrimOps
-	s.TrimBytes += o.TrimBytes
-	s.Flushes += o.Flushes
-}
-
 // TotalBytes reports read plus write traffic.
 func (s *Stats) TotalBytes() int64 { return s.ReadBytes + s.WriteBytes }

@@ -312,9 +312,7 @@ func (b *ChainBackend) forwardPiece(v view, rng int, off, n int64, send func(c c
 	for _, id := range owners[pos+1:] {
 		c, err := b.peers.get(v.cur, id)
 		if err == nil {
-			if err = send(c, off, n); err != nil {
-				b.peers.drop(id, c)
-			}
+			err = send(c, off, n)
 		}
 		if err == nil {
 			b.forwards.Add(1)
@@ -355,7 +353,9 @@ func unreachable(err error) bool {
 // caller.
 func (b *ChainBackend) Close() error { return b.peers.close() }
 
-// peers caches one connection per member, dialed on first use through tr.
+// peers caches one peer per member, dialed on first use through tr and
+// kept for the member's lifetime: a TCP peer's client redials on the call
+// after a transport error, and a virtual peer holds no connection.
 type peers struct {
 	tr    cluster.Transport
 	mu    sync.Mutex
@@ -366,16 +366,23 @@ func newPeers(tr cluster.Transport) peers {
 	return peers{tr: tr, conns: make(map[string]cluster.Peer)}
 }
 
+// get returns the peer of ring's member id. A cached peer is returned before
+// any ring lookup; only a first use looks the member up to dial it.
 func (ps *peers) get(ring *cluster.Ring, id string) (cluster.Peer, error) {
-	ps.mu.Lock()
-	c := ps.conns[id]
-	ps.mu.Unlock()
-	if c != nil {
+	if c := ps.cached(id); c != nil {
 		return c, nil
 	}
 	m, ok := ring.Member(id)
 	if !ok {
 		return nil, fmt.Errorf("fleet: no address for member %q", id)
+	}
+	return ps.member(m)
+}
+
+// member returns m's peer, dialing it on first use.
+func (ps *peers) member(m cluster.Member) (cluster.Peer, error) {
+	if c := ps.cached(m.ID); c != nil {
+		return c, nil
 	}
 	c, err := ps.tr.Dial(m)
 	if err != nil {
@@ -383,24 +390,19 @@ func (ps *peers) get(ring *cluster.Ring, id string) (cluster.Peer, error) {
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if prev := ps.conns[id]; prev != nil {
+	if prev := ps.conns[m.ID]; prev != nil {
 		c.Close()
 		return prev, nil
 	}
-	ps.conns[id] = c
+	ps.conns[m.ID] = c
 	return c, nil
 }
 
-// drop discards a connection after a failure so the next call redials — a
-// restarted peer gets a fresh connection instead of the stale one failing
-// forever.
-func (ps *peers) drop(id string, c cluster.Peer) {
+func (ps *peers) cached(id string) cluster.Peer {
 	ps.mu.Lock()
-	if ps.conns[id] == c {
-		delete(ps.conns, id)
-	}
+	c := ps.conns[id]
 	ps.mu.Unlock()
-	c.Close()
+	return c
 }
 
 func (ps *peers) close() error {
@@ -527,6 +529,15 @@ func (f *Fleet) refetchRing() bool {
 // Close closes every member connection.
 func (f *Fleet) Close() error { return f.peers.close() }
 
+// Ping probes member m, spares included, over the fleet's peer for it.
+func (f *Fleet) Ping(m cluster.Member) (netblock.PingInfo, error) {
+	c, err := f.peers.member(m)
+	if err != nil {
+		return netblock.PingInfo{}, err
+	}
+	return c.Ping()
+}
+
 // WriteAt stores p at volume offset off. Each per-range piece goes to the
 // first owner that accepts it; that head's ChainBackend replicates down the
 // chain before its reply.
@@ -563,7 +574,6 @@ func (f *Fleet) Flush() error {
 			return fmt.Errorf("fleet: flush %s: %w", m.ID, err)
 		}
 		if err := c.Flush(); err != nil {
-			f.peers.drop(m.ID, c)
 			return fmt.Errorf("fleet: flush %s: %w", m.ID, err)
 		}
 	}
@@ -610,11 +620,11 @@ const maxStaleRetries = 3
 
 // tryOwners runs op against range rng's owners in chain order until one
 // serves, and returns the owners it skipped unanswered (see unreachable).
-// Connections that fail are dropped so later attempts redial. Remote
-// refusals fail over too: a quarantined or just-restarted replica refuses
-// while its sibling serves. A stale-epoch refusal is different — every
-// member of an outdated chain refuses the same way — so the client stops,
-// refetches its routing table and retries against the current owners.
+// Remote refusals fail over too: a quarantined or just-restarted replica
+// refuses while its sibling serves. A stale-epoch refusal is different —
+// every member of an outdated chain refuses the same way — so the client
+// stops, refetches its routing table and retries against the current
+// owners.
 func (f *Fleet) tryOwners(rng int, op func(c cluster.Peer) error) ([]string, error) {
 	var last error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
@@ -624,18 +634,14 @@ func (f *Fleet) tryOwners(rng int, op func(c cluster.Peer) error) ([]string, err
 			c, err := f.peers.get(ring, id)
 			if err == nil {
 				err = op(c)
-				if err == nil {
-					return skipped, nil
-				}
-				if errors.Is(err, netblock.ErrStaleEpoch) {
-					// The refusal is an answer, not a dead peer: keep the
-					// connection and refetch.
-					last = err
-					break
-				}
-				f.peers.drop(id, c)
+			}
+			if err == nil {
+				return skipped, nil
 			}
 			last = err
+			if errors.Is(err, netblock.ErrStaleEpoch) {
+				break
+			}
 			f.failovers.Add(1)
 			if unreachable(err) {
 				skipped = append(skipped, id)
@@ -688,9 +694,7 @@ func (f *Fleet) writer(ring *cluster.Ring, id string, rng int) func(data []byte)
 	return func(data []byte) error {
 		c, err := f.peers.get(ring, id)
 		if err == nil {
-			if err = chunked(data, int64(rng)*ring.RangeBytes, c.WriteAt); err != nil {
-				f.peers.drop(id, c)
-			}
+			err = chunked(data, int64(rng)*ring.RangeBytes, c.WriteAt)
 		}
 		if err != nil {
 			return fmt.Errorf("write %s: %w", id, err)
@@ -713,7 +717,6 @@ func (f *Fleet) copyRange(ring *cluster.Ring, rng int, skip string, install func
 			continue
 		}
 		if err := chunked(data, base, c.ReadAt); err != nil {
-			f.peers.drop(id, c)
 			if errors.Is(err, netblock.ErrStaleEpoch) {
 				return fmt.Errorf("source %s: %w", id, err)
 			}

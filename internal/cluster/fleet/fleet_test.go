@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"srccache/internal/cluster"
 	"srccache/internal/cluster/fleet"
 	"srccache/internal/netblock"
+	"srccache/internal/watchdog"
 )
 
 // The fleet tests run the chain protocol over real TCP on loopback: every
@@ -49,6 +51,9 @@ func mkRing(t *testing.T, replicas int, members []cluster.Member) *cluster.Ring 
 	return r
 }
 
+// startNode serves a node on a loopback port. The test runs under the
+// watchdog: a connection that holds a server's lock wedges the others, and
+// the test would hang rather than fail.
 func startNode(t *testing.T, id string, ring *cluster.Ring) *tnode {
 	t.Helper()
 	back, err := netblock.MemBackend(ring.Size())
@@ -64,6 +69,7 @@ func startNode(t *testing.T, id string, ring *cluster.Ring) *tnode {
 		t.Fatal(err)
 	}
 	srv.IdleTimeout = serverIdle
+	watchdog.Arm(t)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -580,5 +586,76 @@ func TestFleetRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if writes := fl.Stats().Writes; forwards != 2*writes {
 		t.Errorf("%d forwards for %d writes, want 2 per write", forwards, writes)
+	}
+}
+
+// countingTransport counts each member's dials through the transport it
+// wraps.
+type countingTransport struct {
+	cluster.Transport
+	mu    sync.Mutex
+	dials map[string]int
+}
+
+func (c *countingTransport) Dial(m cluster.Member) (cluster.Peer, error) {
+	c.mu.Lock()
+	c.dials[m.ID]++
+	c.mu.Unlock()
+	return c.Transport.Dial(m)
+}
+
+func (c *countingTransport) count(id string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dials[id]
+}
+
+// TestRefusalKeepsTheConnection: a member that refuses an op answered it,
+// so the fleet keeps its connection. A quarantined head refuses a read of
+// its range with ErrRemote, the read fails over to the tail, and the
+// fleet's next ops to the head, a write it refuses too among them, dial
+// nothing.
+func TestRefusalKeepsTheConnection(t *testing.T) {
+	nodes, ring, _ := startFleet(t, []string{"a", "b", "c"}, 2)
+	tr := &countingTransport{Transport: fleet.TCP(dialOpts()), dials: make(map[string]int)}
+	fl, err := fleet.NewWith(ring, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	model := fill(t, fl, ring, 8)
+
+	head := ring.Owners(0)[0]
+	err = nodes[head].chain.Install(fleet.Placement{Table: &cluster.Table{Cur: ring}, Quarantined: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := netblock.DialOptions(nodes[head].addr, dialOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if _, err := direct.ReadAt(make([]byte, 64), 0); !errors.Is(err, netblock.ErrRemote) {
+		t.Fatalf("quarantined head answered a read of its range with %v, want ErrRemote", err)
+	}
+
+	got := make([]byte, tRangeBytes)
+	for i := 0; i < 2; i++ {
+		if err := fl.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, rangeSlice(model, 0)) {
+			t.Fatal("failover read diverges from model")
+		}
+	}
+	if err := fl.WriteAt(got[:64], 0); err != nil {
+		t.Fatal(err)
+	}
+	// The quarantined copy refuses the write too.
+	if fo := fl.Stats().Failovers; fo != 3 {
+		t.Fatalf("%d failovers, want one per op", fo)
+	}
+	if n := tr.count(head); n != 1 {
+		t.Fatalf("%d dials of the refusing head %s, want 1", n, head)
 	}
 }

@@ -141,17 +141,18 @@ var errClosed = errors.New("supervisor: closed")
 // periodically.
 //
 // Two locks: tickMu serializes ticks, and a tick does its network I/O —
-// pings, streams, repair copies — holding only tickMu; mu guards the state
-// and is held only to change it, journal it and push it. A miss report or
-// a status read therefore never waits on the network.
+// pings, streams, repair copies, all over its fleet's one connection per
+// member — holding only tickMu; mu guards the state and is held only to
+// change it, journal it and push it. A miss report or a status read
+// therefore never waits on the network, and since the ping sweep runs
+// before the streams and repairs, a ping never waits behind a copy.
 type Supervisor struct {
 	cfg Config
 	tr  cluster.Transport
-	fl  *fleet.Fleet // the tick's own data-path client
+	fl  *fleet.Fleet // the tick's own client: pings, streams and repairs
 	det *cluster.Detector
 
 	tickMu sync.Mutex
-	conns  map[string]cluster.Peer // ping connections, under tickMu
 
 	// committed is the committed placement, stored once it was pushed:
 	// what Ring serves clients without taking a lock.
@@ -199,7 +200,6 @@ func New(cfg Config) (*Supervisor, error) {
 		tr:        cfg.Transport,
 		det:       cluster.NewDetector(cfg.Detector),
 		nodes:     make(map[string]Node),
-		conns:     make(map[string]cluster.Peer),
 		quar:      make(map[cluster.DegKey]bool),
 		departing: make(map[string]bool),
 		wasDown:   make(map[string]bool),
@@ -327,7 +327,7 @@ func (s *Supervisor) Start(every time.Duration) {
 	}()
 }
 
-// Close stops the tick loop and closes the supervisor's connections. A
+// Close stops the tick loop and closes its fleet's connections. A
 // closed supervisor accepts no more miss reports, so nodes refuse the
 // writes they cannot report.
 func (s *Supervisor) Close() error {
@@ -335,10 +335,6 @@ func (s *Supervisor) Close() error {
 	s.wg.Wait()
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
-	for id, c := range s.conns {
-		c.Close()
-		delete(s.conns, id)
-	}
 	return s.fl.Close()
 }
 
@@ -389,29 +385,10 @@ func (s *Supervisor) pingSweep() map[string]pingResult {
 	out := make(map[string]pingResult, len(members))
 	for _, m := range members {
 		start := s.tr.Now()
-		info, err := s.ping(m)
+		info, err := s.fl.Ping(m)
 		out[m.ID] = pingResult{info: info, lat: s.tr.Now().Sub(start), err: err}
 	}
 	return out
-}
-
-// ping probes one node on a cached connection, redialing on first use or
-// after a failure drop.
-func (s *Supervisor) ping(m cluster.Member) (netblock.PingInfo, error) {
-	c := s.conns[m.ID]
-	if c == nil {
-		var err error
-		if c, err = s.tr.Dial(m); err != nil {
-			return netblock.PingInfo{}, err
-		}
-		s.conns[m.ID] = c
-	}
-	info, err := c.Ping()
-	if err != nil {
-		delete(s.conns, m.ID)
-		c.Close()
-	}
-	return info, err
 }
 
 // memberIDsLocked returns the members of the current and pending

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -1156,5 +1157,45 @@ func TestSupervisorMissedWritesBelowFailAfter(t *testing.T) {
 		if sup.Ring().OwnedBy(rng, "b") && !bytes.Equal(backendRange(t, nodes["b"], rng), rangeSlice(model, rng)) {
 			t.Fatalf("range %d on b not repaired", rng)
 		}
+	}
+}
+
+// countingTransport counts each member's dials through the transport it
+// wraps.
+type countingTransport struct {
+	cluster.Transport
+	mu    sync.Mutex
+	dials map[string]int
+}
+
+func (c *countingTransport) Dial(m cluster.Member) (cluster.Peer, error) {
+	c.mu.Lock()
+	c.dials[m.ID]++
+	c.mu.Unlock()
+	return c.Transport.Dial(m)
+}
+
+// TestSupervisorDialsEachMemberOnce: the supervisor pings, streams and
+// repairs over its fleet's one connection per member. New, a tick and the
+// tick's one repair dial every registered member, the spare included,
+// exactly once.
+func TestSupervisorDialsEachMemberOnce(t *testing.T) {
+	tr := &countingTransport{Transport: fleet.TCP(dialOpts()), dials: make(map[string]int)}
+	_, sup := startCluster(t, []string{"a", "b", "c"}, []string{"d"}, 2, Config{Transport: tr})
+	fill(t, dataFleet(t, sup), 61)
+	if err := sup.ReportMiss(sup.Ring().Owners(0)[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sup.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Repairs != 1 || len(st.Quarantined) != 0 {
+		t.Fatalf("tick did not repair the reported copy: %+v", st)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if want := map[string]int{"a": 1, "b": 1, "c": 1, "d": 1}; !maps.Equal(tr.dials, want) {
+		t.Fatalf("dials %v, want %v", tr.dials, want)
 	}
 }

@@ -24,7 +24,8 @@ var ErrStaleEpoch = errors.New("netblock: stale routing epoch")
 // value blocks forever on a dead peer. Each call makes one attempt: a
 // transport error retires the connection and fails the call, and the next
 // call on a dialed client redials. Failover and retry are the caller's —
-// the cluster fleet's, which tries a range's owners in order.
+// the cluster fleet's, which tries a range's owners in order. The fleet
+// keeps one client per member for good and relies on the redial.
 type ClientOptions struct {
 	// DialTimeout bounds the TCP connect (0 = no bound).
 	DialTimeout time.Duration
@@ -38,9 +39,13 @@ type ClientOptions struct {
 }
 
 // Client is a synchronous remote block device over one connection. Methods
-// are safe for concurrent use (requests serialize on the connection).
+// are safe for concurrent use (requests serialize on the connection). A
+// dialed client is the one owner of its connection's life: callers that
+// cache it never reconnect themselves.
 type Client struct {
 	mu      sync.Mutex
+	closeMu sync.Mutex // orders Close against redial
+	closed  bool       // under closeMu: Close was called, never redial
 	conn    io.ReadWriteCloser
 	br      *bufio.Reader // over conn; replaced with it (setConn)
 	dc      deadliner     // conn's deadlines, nil without them
@@ -57,8 +62,8 @@ func Dial(addr string) (*Client, error) {
 	return DialOptions(addr, ClientOptions{})
 }
 
-// DialOptions is Dial with explicit timeouts. It dials and fetches the
-// size once; either failing fails the call.
+// DialOptions is Dial with explicit timeouts. It dials and pings once for
+// the size; either failing fails the call.
 func DialOptions(addr string, o ClientOptions) (*Client, error) {
 	c := &Client{opts: o, addr: addr}
 	conn, err := c.dial()
@@ -68,21 +73,21 @@ func DialOptions(addr string, o ClientOptions) (*Client, error) {
 	return c.start(conn)
 }
 
-// NewClient wraps an established connection (e.g. one side of net.Pipe).
+// newClient wraps an established connection (e.g. one side of net.Pipe).
 // It cannot redial: after a transport error every call fails.
-func NewClient(conn io.ReadWriteCloser) (*Client, error) {
+func newClient(conn io.ReadWriteCloser) (*Client, error) {
 	return new(Client).start(conn)
 }
 
-// start installs conn and fetches the volume size over it.
+// start installs conn and reads the volume size from a ping over it.
 func (c *Client) start(conn io.ReadWriteCloser) (*Client, error) {
 	c.setConn(conn)
-	var size [8]byte
-	if err := c.attempt(opSize, 0, 0, nil, size[:]); err != nil {
+	info, err := c.Ping()
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	c.size = int64(binary.BigEndian.Uint64(size[:]))
+	c.size = info.Size
 	return c, nil
 }
 
@@ -98,9 +103,14 @@ func (c *Client) setConn(conn io.ReadWriteCloser) {
 // Size reports the remote volume size in bytes.
 func (c *Client) Size() int64 { return c.size }
 
-// Close closes the connection; one a transport error already closed is not
-// an error.
+// Close closes the connection for good: a call in flight fails on it, and
+// no later call redials. A connection a transport error already closed is
+// not an error. Close does not take c.mu, which a call blocked on a dead
+// peer may hold; it waits at most for a redial's dial (DialTimeout).
 func (c *Client) Close() error {
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
+	c.closed = true
 	if err := c.conn.Close(); !errors.Is(err, net.ErrClosed) {
 		return err
 	}
@@ -128,10 +138,16 @@ func (c *Client) roundTrip(op uint8, off uint64, length uint32, payload, dst []b
 }
 
 // redial replaces a connection that a transport error retired, when the
-// client has an address to dial; a wrapped client keeps failing on it.
+// client has an address to dial; a wrapped client keeps failing on it, and
+// a closed one fails with net.ErrClosed without dialing.
 func (c *Client) redial() error {
 	if !c.retired || c.addr == "" {
 		return nil
+	}
+	c.closeMu.Lock()
+	defer c.closeMu.Unlock()
+	if c.closed {
+		return net.ErrClosed
 	}
 	conn, err := c.dial()
 	if err == nil {

@@ -59,11 +59,8 @@ func TestClientRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := DialOptions(addr.String(), ClientOptions{Timeout: 50 * time.Millisecond})
+	addr := listen(t, srv)
+	cli, err := DialOptions(addr, ClientOptions{Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +120,13 @@ func TestLateResponseNeverAnswersNextRequest(t *testing.T) {
 				a, c := net.Pipe()
 				go func() { _ = srv.ServeConn(a) }()
 				t.Cleanup(func() { a.Close() })
-				if cli, err = NewClient(c); err == nil {
+				if cli, err = newClient(c); err == nil {
 					cli.opts.Timeout = 50 * time.Millisecond
 				}
 			} else {
-				var addr net.Addr
-				if addr, err = srv.Listen("127.0.0.1:0"); err != nil {
-					t.Fatal(err)
-				}
+				addr := listen(t, srv)
 				t.Cleanup(func() { srv.Close() })
-				cli, err = DialOptions(addr.String(), ClientOptions{Timeout: 50 * time.Millisecond})
+				cli, err = DialOptions(addr, ClientOptions{Timeout: 50 * time.Millisecond})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -210,6 +204,53 @@ func TestClientReconnectsAfterDrop(t *testing.T) {
 	}
 }
 
+// TestClosedClientNeverRedials: Close ends a dialed client for good. A call
+// in flight when Close comes fails on the closed connection, and the calls
+// after it fail with net.ErrClosed without dialing, so no connection
+// outlives Close.
+func TestClosedClientNeverRedials(t *testing.T) {
+	var accepted atomic.Int32
+	held := make(chan struct{})
+	addr := scriptedPeer(t,
+		func(c net.Conn) {
+			accepted.Add(1)
+			answerRequests(c, func(*request) ([]byte, bool) {
+				close(held) // hold the read unanswered until the client hangs up
+				io.Copy(io.Discard, c)
+				return nil, false
+			})
+		},
+		func(c net.Conn) {
+			accepted.Add(1)
+			answerRequests(c, func(req *request) ([]byte, bool) {
+				return response(statusOK, make([]byte, req.length)), true
+			})
+		},
+	)
+	cli, err := DialOptions(addr.String(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 8)
+	inFlight := make(chan error, 1)
+	go func() { _, err := cli.ReadAt(p, 0); inFlight <- err }()
+	<-held
+	if err := cli.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-inFlight; err == nil {
+		t.Fatal("the read in flight at Close succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := cli.ReadAt(p, 0); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("read %d after Close: err = %v, want net.ErrClosed", i, err)
+		}
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("%d connections accepted, want the handshake's 1", n)
+	}
+}
+
 func TestClientNoRetryWithoutLimit(t *testing.T) {
 	srv, cli := startPair(t, 4096)
 	defer srv.Close()
@@ -220,7 +261,7 @@ func TestClientNoRetryWithoutLimit(t *testing.T) {
 }
 
 func TestWrappedClientFailsFast(t *testing.T) {
-	// NewClient has no address to redial: a transport error surfaces
+	// newClient has no address to redial: a transport error surfaces
 	// immediately, and on every later op.
 	srv, err := NewServer(4096)
 	if err != nil {
@@ -228,7 +269,7 @@ func TestWrappedClientFailsFast(t *testing.T) {
 	}
 	a, b := net.Pipe()
 	go func() { _ = srv.ServeConn(a) }()
-	cli, err := NewClient(b)
+	cli, err := newClient(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +424,9 @@ func TestClientClassifiesStaleEpochRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := listen(t, srv)
 	defer srv.Close()
-	cli, err := Dial(addr.String())
+	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +475,7 @@ func TestStaleTextIsNotStaleStatus(t *testing.T) {
 			return response(statusErr, []byte(ErrStaleEpoch.Error())), true
 		})
 	}()
-	cli, err := NewClient(b)
+	cli, err := newClient(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +511,7 @@ func scriptedPeer(t *testing.T, script ...func(net.Conn)) net.Addr {
 	return ln.Addr()
 }
 
-// answerRequests plays a server on conn: it answers the size handshake with
+// answerRequests plays a server on conn: it answers the ping handshake with
 // a 4096-byte volume and every other request with what answer returns, until
 // answer returns false (the frame it returned is still sent) or conn fails.
 func answerRequests(conn net.Conn, answer func(req *request) (raw []byte, more bool)) {
@@ -487,10 +525,10 @@ func answerRequests(conn net.Conn, answer func(req *request) (raw []byte, more b
 		if err := readRequest(br, &req, &buf); err != nil {
 			return
 		}
-		if req.op == opSize {
-			var size [8]byte
-			binary.BigEndian.PutUint64(size[:], 4096)
-			if err := fw.writeResponse(conn, statusOK, size[:]); err != nil {
+		if req.op == opPing {
+			var info [17]byte
+			binary.BigEndian.PutUint64(info[:], 4096)
+			if err := fw.writeResponse(conn, statusOK, info[:]); err != nil {
 				return
 			}
 			continue
@@ -581,7 +619,7 @@ func TestResponseIntoCallerSlice(t *testing.T) {
 				return response(statusOK, make([]byte, req.length)), true
 			})
 		}()
-		cli, err := NewClient(b)
+		cli, err := newClient(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	cliEnd, srvEnd := &countingConn{Conn: a}, &countingConn{Conn: b}
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeConn(srvEnd) }()
-	cli, err := NewClient(cliEnd)
+	cli, err := newClient(cliEnd)
 	if err != nil {
 		t.Fatal(err)
 	}

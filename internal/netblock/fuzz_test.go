@@ -119,7 +119,7 @@ func FuzzHandle(f *testing.F) {
 	f.Add(header(reqMagic, opRead, 1<<63, 4096), uint8(0)) // the remote-panic regression seed
 	f.Add(header(reqMagic, opWrite, ^uint64(0)-4095, 4096), uint8(0))
 	f.Add(header(reqMagic, opTrim, ^uint64(0), ^uint32(0)&(MaxPayload-1)), uint8(0))
-	f.Add(header(reqMagic, opSize, 1<<63, 0), uint8(0))
+	f.Add(header(reqMagic, 5, 1<<63, 0), uint8(0))                 // the retired size op
 	f.Add(header(reqMagic, opPing, 0, 0), uint8(0))                // health probe
 	f.Add(header(reqMagic, opPing, 1<<63, MaxPayload-1), uint8(0)) // hostile ping: off/len must be ignored
 	f.Add(header(reqMagic, 0xff, 123, 1), uint8(0))                // unknown op

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"srccache/internal/watchdog"
 )
 
 // startPair runs a server over TCP on localhost and returns a connected
@@ -19,6 +21,19 @@ func startPair(t *testing.T, size int64) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	return startPairWith(t, b)
+}
+
+// listen serves srv on a loopback port and returns its address. The test
+// runs under the watchdog: a connection that holds the server's lock
+// wedges the others, and the test would hang rather than fail.
+func listen(t *testing.T, srv *Server) string {
+	t.Helper()
+	watchdog.Arm(t)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr.String()
 }
 
 // startPairWith is startPair over an arbitrary backend.
@@ -36,12 +51,9 @@ func startPairOpts(t *testing.T, b Backend, idle time.Duration, o ClientOptions)
 		t.Fatal(err)
 	}
 	srv.IdleTimeout = idle
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := listen(t, srv)
 	t.Cleanup(func() { srv.Close() })
-	cli, err := DialOptions(addr.String(), o)
+	cli, err := DialOptions(addr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +123,7 @@ func TestConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := listen(t, srv)
 	defer srv.Close()
 
 	const clients = 8
@@ -124,7 +133,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			cli, err := Dial(addr.String())
+			cli, err := Dial(addr)
 			if err != nil {
 				errs[id] = err
 				return
@@ -168,7 +177,7 @@ func TestServeConnOverPipe(t *testing.T) {
 		defer close(done)
 		_ = srv.ServeConn(a)
 	}()
-	cli, err := NewClient(b)
+	cli, err := newClient(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +205,8 @@ func TestPingHandshake(t *testing.T) {
 	if info.Size != 1<<20 || info.Epoch != 7 || info.Draining {
 		t.Fatalf("ping info %+v, want size %d epoch 7 not draining", info, 1<<20)
 	}
-	if srv.Epoch() != 7 {
-		t.Fatalf("Epoch() = %d", srv.Epoch())
+	if srv.epoch.Load() != 7 {
+		t.Fatalf("epoch = %d", srv.epoch.Load())
 	}
 }
 
@@ -248,7 +257,7 @@ func TestBeginDrainKeepsServingAndRefusesEpochs(t *testing.T) {
 		t.Fatalf("ping info %+v, want draining at epoch 3", info)
 	}
 	srv.SetEpoch(9)
-	if got := srv.Epoch(); got != 3 {
+	if got := srv.epoch.Load(); got != 3 {
 		t.Fatalf("draining server accepted epoch update: %d", got)
 	}
 	// Data service continues through the drain window.
@@ -288,12 +297,12 @@ func TestOpStatsCountServiceAndErrors(t *testing.T) {
 	if s := stats["write"]; s.Count != 1 || s.Errors != 0 {
 		t.Fatalf("write stats %+v", s)
 	}
-	if s := stats["ping"]; s.Count != 1 || s.Errors != 0 || s.Max < 0 || s.Total < s.Max {
-		t.Fatalf("ping stats %+v", s)
+	// The dial handshake is the first of the two pings.
+	if s := stats["ping"]; s.Count != 2 || s.Errors != 0 || s.Max < 0 || s.Total < s.Max {
+		t.Fatalf("ping stats %+v, want count 2", s)
 	}
-	// The dial handshake issued one size op.
-	if s := stats["size"]; s.Count != 1 {
-		t.Fatalf("size stats %+v", s)
+	if len(stats) != 3 {
+		t.Fatalf("op stats %+v, want read, write and ping only", srv.OpStats())
 	}
 }
 
@@ -321,13 +330,10 @@ func TestIdleConnectionDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.IdleTimeout = 50 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := listen(t, srv)
 	defer srv.Close()
 
-	cli, err := Dial(addr.String())
+	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +359,10 @@ func TestCloseDrainsIdleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.DrainGrace = 50 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := listen(t, srv)
 	// A connected-but-silent client must not block shutdown: without a
 	// drain deadline, Close would wait on its read forever.
-	cli, err := Dial(addr.String())
+	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +385,7 @@ func TestServerCloseIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	listen(t, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@
 //
 // The opPing health op ignores offset and length and answers with a
 // 17-byte payload — size u64 | epoch u64 | flags u8 — the cluster layer's
-// health probe and handshake: volume size, the server's ring epoch, and
-// whether it is draining for shutdown.
+// health probe and the client's dial handshake: volume size, the server's
+// ring epoch, and whether it is draining for shutdown. Op 5, the size query
+// the handshake once was, is retired and answered "unknown op".
 //
 // A response's status is one of:
 //
@@ -41,8 +42,7 @@ const (
 	opWrite uint8 = 2
 	opTrim  uint8 = 3
 	opFlush uint8 = 4
-	opSize  uint8 = 5
-	opPing  uint8 = 6
+	opPing  uint8 = 6 // 5 is retired
 
 	statusOK    uint8 = 0
 	statusErr   uint8 = 1

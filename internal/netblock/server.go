@@ -159,9 +159,6 @@ func (s *Server) SetEpoch(e uint64) {
 	s.epoch.Store(e)
 }
 
-// Epoch reports the advertised ring epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
 // BeginDrain announces a planned shutdown without stopping service: ping
 // responses start advertising the drain flag and SetEpoch refuses new
 // epochs, but connections keep being accepted and served. A supervisor
@@ -211,8 +208,8 @@ type OpStats struct {
 }
 
 // opNames maps op codes to their stats labels; the zero slot collects
-// unknown codes.
-var opNames = [opPing + 1]string{"unknown", "read", "write", "trim", "flush", "size", "ping"}
+// unknown codes, the retired op 5 among them.
+var opNames = [opPing + 1]string{"unknown", "read", "write", "trim", "flush", "", "ping"}
 
 // OpStats reports the per-op counters for every op observed so far, in
 // fixed op-code order. Safe to call concurrently with serving.
@@ -439,7 +436,7 @@ func (s *Server) handle(c *serverConn) error {
 	start := time.Now()
 	status, payload := s.execute(&c.req, &c.buf)
 	idx := int(c.req.op)
-	if idx >= len(s.ops) {
+	if idx >= len(s.ops) || opNames[idx] == "" {
 		idx = 0 // hostile/unknown op codes share the zero bucket
 	}
 	s.ops[idx].observe(time.Since(start), status != statusOK)
@@ -455,7 +452,7 @@ func (s *Server) handle(c *serverConn) error {
 // out-of-range request, including off+length wrapping uint64. A read's
 // payload is space taken from buf, valid until the connection's next frame.
 func (s *Server) execute(req *request, buf *payloadBuf) (status uint8, payload []byte) {
-	if req.op != opSize && req.op != opFlush && req.op != opPing {
+	if req.op != opFlush && req.op != opPing {
 		size := uint64(s.backend.Size())
 		if req.off > size || uint64(req.length) > size-req.off {
 			return statusErr, []byte("out of range")
@@ -483,14 +480,10 @@ func (s *Server) execute(req *request, buf *payloadBuf) (status uint8, payload [
 			return refusal(err)
 		}
 		return statusOK, nil
-	case opSize:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(s.backend.Size()))
-		return statusOK, buf[:]
 	case opPing:
-		// Health/handshake: size, ring epoch, drain state. Like opSize it
-		// ignores the offset and length fields entirely, so a probe can
-		// never be rejected for range reasons.
+		// Health/handshake: size, ring epoch, drain state. It ignores the
+		// offset and length fields entirely, so a probe can never be
+		// rejected for range reasons.
 		var buf [17]byte
 		binary.BigEndian.PutUint64(buf[0:], uint64(s.backend.Size()))
 		binary.BigEndian.PutUint64(buf[8:], s.epoch.Load())

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"srccache/internal/watchdog"
 )
 
 // rwPair glues a request stream and a response sink into the io.ReadWriter
@@ -98,6 +100,33 @@ func TestHostileOffsetOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredSizeOpIsUnknown: op 5, the size query the ping handshake
+// replaced, is refused like any unknown code and counted in the unknown
+// bucket, so no two OpStats entries share a name.
+func TestRetiredSizeOpIsUnknown(t *testing.T) {
+	srv, err := NewServer(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in, out bytes.Buffer
+	in.Write(frame(5, 0, 0, nil))
+	in.Write(frame(0xff, 0, 0, nil))
+	if err := srv.ServeConn(rwPair{&in, &out}); err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+	br := newReader(&out)
+	for i := 0; i < 2; i++ {
+		status, text, err := nextResponse(br)
+		if err != nil || status != statusErr || string(text) != "unknown op" {
+			t.Fatalf("response %d: status %d %q, err %v; want statusErr \"unknown op\"", i, status, text, err)
+		}
+	}
+	stats := srv.OpStats()
+	if len(stats) != 1 || stats[0].Op != "unknown" || stats[0].Count != 2 || stats[0].Errors != 2 {
+		t.Fatalf("op stats %+v, want one unknown entry counting 2 refusals", stats)
+	}
+}
+
 // TestClientCheckHostileOffsets is the client-side twin of the server's
 // uint64 range check: off+n must not be formed in int64, where an offset
 // near MaxInt64 wraps negative, passes, and puts a request on the wire that
@@ -179,6 +208,7 @@ func wrapErrno(errno syscall.Errno) error {
 // no longer kills the listener: after the scripted failures drain, a real
 // client connects and round-trips, and Close reports success.
 func TestAcceptLoopRetriesTemporaryErrors(t *testing.T) {
+	watchdog.Arm(t) // it serves a connection through the accept loop
 	real, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
